@@ -257,22 +257,13 @@ func BenchmarkAblationGHRCorruption(b *testing.B) {
 	}
 }
 
-// Long-replay benchmark parameters: the serial-vs-parallel comparison
-// replays a parallelCommits-instruction vpr trace through all three
-// schemes, serial and on parallelWorkers segment workers. The ratio of
-// the two legs is the parallel_replay_speedup series CI floors.
-const (
-	parallelCommits = 1_500_000
-	parallelWorkers = 8
-)
-
 // BenchmarkTraceVsPipeline measures simulated-instruction throughput of
 // both execution modes for each scheme on one benchmark — plus the
 // single-pass multi-scheme replay that decodes the trace once for all
-// three schemes, and the long-trace serial vs parallel segment-replay
-// pair — and writes the comparison (with per-scheme, single-pass and
-// parallel-replay speedups) to BENCH_trace.json so the perf trajectory
-// of the trace engine is tracked in-repo.
+// three schemes, and the cold vs warm sweep pair — and writes the
+// comparison (with per-scheme, single-pass and sweep speedups) to
+// BENCH_trace.json so the perf trajectory of the trace engine is
+// tracked in-repo.
 func BenchmarkTraceVsPipeline(b *testing.B) {
 	prog, err := sim.BuildBenchmark("vpr")
 	if err != nil {
@@ -287,7 +278,6 @@ func BenchmarkTraceVsPipeline(b *testing.B) {
 	}
 	ips := map[string]map[string]float64{
 		"pipeline": {}, "trace": {}, "trace-singlepass": {},
-		"trace-long": {}, "trace-parallel": {},
 	}
 	for _, mode := range []sim.Mode{sim.ModePipeline, sim.ModeTrace} {
 		mode := mode
@@ -350,35 +340,6 @@ func BenchmarkTraceVsPipeline(b *testing.B) {
 		v := float64(len(schemes)) * runCommits * float64(b.N) / b.Elapsed().Seconds()
 		b.ReportMetric(v, "instrs/s")
 		ips["trace-singlepass"]["all"] = v
-	})
-	// The long-trace pair: the same parallelCommits-instruction replay,
-	// serial and on parallelWorkers segment workers. Both reuse a
-	// ReplaySession so the steady-state loop measures pure replay — the
-	// parallel session's one-time checkpoint build pass happens in the
-	// warm-up call, outside the timer, mirroring how a sweep or service
-	// amortizes it.
-	b.Run("trace-long/all-serial", func(b *testing.B) {
-		sess := longSession(b, prog, dir, obsv, 0, 0)
-		b.ResetTimer()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			replayLong(b, sess, schemes)
-		}
-		v := float64(len(schemes)) * parallelCommits * float64(b.N) / b.Elapsed().Seconds()
-		b.ReportMetric(v, "instrs/s")
-		ips["trace-long"]["all-serial"] = v
-	})
-	b.Run("trace-parallel/all", func(b *testing.B) {
-		sess := longSession(b, prog, dir, obsv, parallelWorkers, 4096)
-		replayLong(b, sess, schemes) // second warm call: first parallel run off the cached plan
-		b.ResetTimer()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			replayLong(b, sess, schemes)
-		}
-		v := float64(len(schemes)) * parallelCommits * float64(b.N) / b.Elapsed().Seconds()
-		b.ReportMetric(v, "instrs/s")
-		ips["trace-parallel"]["all"] = v
 	})
 	// The sweep pair: the same scheme-knob grid, cold (every cell
 	// replayed) and warm-started with a frontend-artifact cache (cells
@@ -466,37 +427,6 @@ func sweepLeg(b *testing.B, traceDir, frontendDir string, warm bool) float64 {
 	return v
 }
 
-// longSession builds a ReplaySession over the parallelCommits-long vpr
-// trace and runs one warm replay (for the parallel configuration, the
-// checkpoint-capturing build pass) outside the benchmark timer.
-func longSession(b *testing.B, prog *sim.Program, dir string, obsv *sim.Observer, workers int, warmup uint64) *sim.ReplaySession {
-	b.Helper()
-	sess, err := sim.NewReplaySession(context.Background(), sim.ProgramRun{
-		Program: prog, Commits: parallelCommits, TraceDir: dir,
-		ReplayWorkers: workers, ReplayWarmup: warmup, Observer: obsv,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	replayLong(b, sess, []string{"conventional", "predpred", "peppa"})
-	return sess
-}
-
-// replayLong runs one full multi-scheme replay of the long trace and
-// checks it committed the whole budget.
-func replayLong(b *testing.B, sess *sim.ReplaySession, schemes []string) {
-	b.Helper()
-	rs, err := sess.Replay(context.Background(), schemes...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, res := range rs {
-		if res.Stats.Committed < parallelCommits-1 {
-			b.Fatalf("short run: %d", res.Stats.Committed)
-		}
-	}
-}
-
 // writeObservedOutputs flushes the observer's metrics snapshot and run
 // manifests next to -benchout, so CI can archive the instrumented
 // run's telemetry as an artifact.
@@ -534,12 +464,9 @@ func aggregateIPS(schemes []string, m map[string]float64) float64 {
 // "all-singlepass" speedup series (single-pass aggregate over pipeline
 // aggregate, machine-independent like the per-scheme ratios) and the
 // informational gain of the single pass over three independent
-// replays — and the parallel_replay_speedup series: the long-trace
-// parallel leg over its serial twin, a within-run ratio CI floors
-// (its absolute value scales with the runner's core count). The sweep
-// pair lands as sweep_ips (cold/warm replayed-statistics throughput)
-// and sweep_warm_speedup (their within-run ratio, CI-floored like
-// parallel).
+// replays. The sweep pair lands as sweep_ips (cold/warm
+// replayed-statistics throughput) and sweep_warm_speedup (their
+// within-run ratio, a series CI floors).
 func writeTraceBenchJSON(b *testing.B, schemes []string, ips map[string]map[string]float64, sweepIPS map[string]float64) {
 	b.Helper()
 	if len(ips["pipeline"]) == 0 || len(ips["trace"]) == 0 {
@@ -571,15 +498,6 @@ func writeTraceBenchJSON(b *testing.B, schemes []string, ips map[string]map[stri
 		// missing that series — a partial refresh is not a valid
 		// baseline.
 		delete(ips, "trace-singlepass")
-	}
-	if longV, parV := ips["trace-long"]["all-serial"], ips["trace-parallel"]["all"]; longV > 0 && parV > 0 {
-		doc["parallel_replay_speedup"] = map[string]float64{
-			fmt.Sprintf("workers%d", parallelWorkers): parV / longV,
-		}
-	} else {
-		// Same hollow-series rule for a filtered-out long-trace pair.
-		delete(ips, "trace-long")
-		delete(ips, "trace-parallel")
 	}
 	if c, w := sweepIPS["cold"], sweepIPS["warm"]; c > 0 && w > 0 {
 		doc["sweep_ips"] = sweepIPS

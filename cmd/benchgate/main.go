@@ -8,31 +8,22 @@
 // -metric ips compares absolute instrs/s (meaningful between runs on
 // like hardware); -metric speedup compares the trace/pipeline ratio
 // measured within one run, which gates cleanly on shared CI runners
-// whose absolute speed varies; -metric parallel gates the
-// parallel-vs-serial replay speedup the harness measures within one
-// run, equally machine-independent.
+// whose absolute speed varies; -metric sweep gates the warm-started
+// sweep's within-run speedup over a cold sweep of the same grid
+// (sweep_warm_speedup), equally machine-independent.
 //
 //	benchgate -old BENCH_trace.json.committed -new BENCH_trace.json -metric speedup -tol 0.30
 //
-// -min switches to floor mode: no baseline is read, and every series
-// value of the chosen metric in the fresh document must be at least the
-// floor. This gates within-run ratios whose absolute value depends on
-// the runner's core count (the committed baseline may have been
-// measured on different hardware), e.g. requiring the 8-worker parallel
-// replay to actually beat serial on CI's multi-core runners:
-//
-//	benchgate -new BENCH_trace.json -metric parallel -min 1.25
-//
 // -metric repeats, so one invocation gates every metric CI cares
-// about; a per-metric ":min=F" suffix puts that metric in floor mode
-// while the rest compare against the baseline:
+// about. A per-metric ":min=F" suffix switches that metric to floor
+// mode: no baseline is read for it, and every series value in the fresh
+// document must be at least F. This gates within-run ratios whose
+// absolute value depends on the runner's hardware (the committed
+// baseline may have been measured elsewhere), while the rest compare
+// against the baseline:
 //
 //	benchgate -old committed.json -new BENCH_trace.json \
-//	    -metric speedup -metric parallel:min=1.25 -metric sweep:min=1.5
-//
-// -metric sweep gates the warm-started sweep's within-run speedup over
-// a cold sweep of the same grid (sweep_warm_speedup), machine-
-// independent like parallel.
+//	    -metric speedup -metric sweep:min=1.5
 package main
 
 import (
@@ -52,7 +43,6 @@ type benchDoc struct {
 	Benchmark       string                        `json:"benchmark"`
 	InstrsPerSecond map[string]map[string]float64 `json:"instrs_per_second"`
 	Speedup         map[string]float64            `json:"trace_mode_speedup"`
-	Parallel        map[string]float64            `json:"parallel_replay_speedup"`
 	SweepIPS        map[string]float64            `json:"sweep_ips"`          // "cold"/"warm" → replayed instrs/s across the sweep
 	SweepWarm       map[string]float64            `json:"sweep_warm_speedup"` // within-run warm-vs-cold sweep wall-clock ratio
 }
@@ -74,10 +64,6 @@ func (d benchDoc) series(metric string) map[string]float64 {
 	case "speedup":
 		for scheme, v := range d.Speedup {
 			out[scheme] = v
-		}
-	case "parallel":
-		for workers, v := range d.Parallel {
-			out[workers] = v
 		}
 	case "sweep":
 		for k, v := range d.SweepWarm {
@@ -206,7 +192,7 @@ func (g *gateList) Set(v string) error {
 	name, opt, hasOpt := strings.Cut(v, ":")
 	spec := gateSpec{metric: name}
 	if !validMetrics[name] {
-		return fmt.Errorf("metric %q must be ips, speedup, parallel or sweep", name)
+		return fmt.Errorf("metric %q must be ips, speedup or sweep", name)
 	}
 	if hasOpt {
 		val, ok := strings.CutPrefix(opt, "min=")
@@ -228,7 +214,7 @@ func (g *gateList) Set(v string) error {
 	return nil
 }
 
-var validMetrics = map[string]bool{"ips": true, "speedup": true, "parallel": true, "sweep": true}
+var validMetrics = map[string]bool{"ips": true, "speedup": true, "sweep": true}
 
 func load(path string) (benchDoc, error) {
 	var d benchDoc
@@ -251,23 +237,11 @@ func main() {
 		oldPath = flag.String("old", "", "committed benchmark JSON (the baseline; unused when every metric has a floor)")
 		newPath = flag.String("new", "BENCH_trace.json", "freshly generated benchmark JSON")
 		tol     = flag.Float64("tol", 0.30, "relative tolerance band around the baseline")
-		min     = flag.Float64("min", 0, `floor mode for a single -metric: gate the fresh document alone, requiring every series value to be at least this (0 = baseline comparison; the repeatable "name:min=F" form supersedes this)`)
 	)
-	flag.Var(&gates, "metric", `what to gate, repeatable: ips (absolute instrs/s; like hardware only), speedup (trace/pipeline ratio), parallel (parallel-vs-serial replay ratio) or sweep (warm-vs-cold sweep ratio); "name:min=F" gates that metric against an absolute floor instead of the baseline`)
+	flag.Var(&gates, "metric", `what to gate, repeatable: ips (absolute instrs/s; like hardware only), speedup (trace/pipeline ratio) or sweep (warm-vs-cold sweep ratio); "name:min=F" gates that metric against an absolute floor instead of the baseline`)
 	flag.Parse()
 	if len(gates) == 0 {
 		gates = gateList{{metric: "ips"}}
-	}
-	if *min < 0 {
-		fmt.Fprintf(os.Stderr, "benchgate: -min %v must be positive\n", *min)
-		os.Exit(2)
-	}
-	if *min > 0 {
-		if len(gates) != 1 {
-			fmt.Fprintln(os.Stderr, `benchgate: -min applies to a single -metric; use per-metric "name:min=F" floors instead`)
-			os.Exit(2)
-		}
-		gates[0].min = *min
 	}
 	needBaseline := false
 	for _, g := range gates {

@@ -176,50 +176,32 @@ func TestCompareEmptySeriesIsAnError(t *testing.T) {
 	}
 }
 
-// TestCompareParallelMetric pins the parallel-replay series: only
-// parallel_replay_speedup ratios are compared under -metric parallel,
-// and a collapsed ratio is flagged.
-func TestCompareParallelMetric(t *testing.T) {
-	old := doc(map[string]float64{"conventional": 1e6}, map[string]float64{"conventional": 4e7})
-	old.Parallel = map[string]float64{"workers8": 3.5}
-	fresh := doc(map[string]float64{"conventional": 0.5e6}, map[string]float64{"conventional": 2e7})
-	fresh.Parallel = map[string]float64{"workers8": 3.4}
-	if c := mustCompare(t, old, fresh, "parallel", 0.30); c.failed() {
-		t.Fatalf("parallel metric must ignore absolute slowdown: %+v", c)
-	}
-	fresh.Parallel["workers8"] = 1.1
-	c := mustCompare(t, old, fresh, "parallel", 0.30)
-	if len(c.drifts) != 1 || c.drifts[0].Key != "workers8" {
-		t.Fatalf("collapsed parallel speedup should be the one drift: %v", c.drifts)
-	}
-}
-
-// TestFloorMode is the table for -min: the fresh document gates alone
-// against an absolute floor, flagging values below it (and non-finite
-// values) in sorted key order, erroring on an absent series rather
-// than passing trivially.
+// TestFloorMode is the table for ":min=F" floors: the fresh document
+// gates alone against an absolute floor, flagging values below it (and
+// non-finite values) in sorted key order, erroring on an absent series
+// rather than passing trivially.
 func TestFloorMode(t *testing.T) {
 	base := doc(map[string]float64{"conventional": 1e6}, map[string]float64{"conventional": 4e7})
 	cases := []struct {
 		name      string
-		parallel  map[string]float64
+		sweep     map[string]float64
 		min       float64
 		wantBelow int
 		wantErr   bool
 	}{
-		{name: "all above", parallel: map[string]float64{"workers8": 2.5, "workers4": 1.8}, min: 1.25},
-		{name: "exactly at the floor", parallel: map[string]float64{"workers8": 1.25}, min: 1.25},
-		{name: "one below", parallel: map[string]float64{"workers8": 2.5, "workers4": 1.1}, min: 1.25, wantBelow: 1},
-		{name: "all below", parallel: map[string]float64{"workers8": 0.9, "workers4": 0.8}, min: 1.25, wantBelow: 2},
-		{name: "NaN is below any floor", parallel: map[string]float64{"workers8": math.NaN()}, min: 1.25, wantBelow: 1},
-		{name: "Inf is not a measurement", parallel: map[string]float64{"workers8": math.Inf(1)}, min: 1.25, wantBelow: 1},
-		{name: "no series is an error", parallel: nil, min: 1.25, wantErr: true},
+		{name: "all above", sweep: map[string]float64{"warm_vs_cold": 2.5, "warm_vs_cold_p4": 1.8}, min: 1.5},
+		{name: "exactly at the floor", sweep: map[string]float64{"warm_vs_cold": 1.5}, min: 1.5},
+		{name: "one below", sweep: map[string]float64{"warm_vs_cold": 2.5, "warm_vs_cold_p4": 1.1}, min: 1.5, wantBelow: 1},
+		{name: "all below", sweep: map[string]float64{"warm_vs_cold": 0.9, "warm_vs_cold_p4": 0.8}, min: 1.5, wantBelow: 2},
+		{name: "NaN is below any floor", sweep: map[string]float64{"warm_vs_cold": math.NaN()}, min: 1.5, wantBelow: 1},
+		{name: "Inf is not a measurement", sweep: map[string]float64{"warm_vs_cold": math.Inf(1)}, min: 1.5, wantBelow: 1},
+		{name: "no series is an error", sweep: nil, min: 1.5, wantErr: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			d := base
-			d.Parallel = tc.parallel
-			below, err := floor(d, "parallel", tc.min)
+			d.SweepWarm = tc.sweep
+			below, err := floor(d, "sweep", tc.min)
 			if (err != nil) != tc.wantErr {
 				t.Fatalf("err = %v, want error=%v", err, tc.wantErr)
 			}
@@ -244,12 +226,12 @@ func TestFloorMode(t *testing.T) {
 // (unknown metrics, duplicates, malformed options and floors).
 func TestGateListParsing(t *testing.T) {
 	var g gateList
-	for _, v := range []string{"speedup", "parallel:min=1.25", "sweep:min=1.5"} {
+	for _, v := range []string{"speedup", "ips:min=1.25", "sweep:min=1.5"} {
 		if err := g.Set(v); err != nil {
 			t.Fatalf("Set(%q): %v", v, err)
 		}
 	}
-	want := gateList{{metric: "speedup"}, {metric: "parallel", min: 1.25}, {metric: "sweep", min: 1.5}}
+	want := gateList{{metric: "speedup"}, {metric: "ips", min: 1.25}, {metric: "sweep", min: 1.5}}
 	if len(g) != len(want) {
 		t.Fatalf("parsed %d specs, want %d", len(g), len(want))
 	}
@@ -258,11 +240,11 @@ func TestGateListParsing(t *testing.T) {
 			t.Errorf("spec %d = %+v, want %+v", i, g[i], want[i])
 		}
 	}
-	if s := g.String(); s != "speedup,parallel:min=1.25,sweep:min=1.5" {
+	if s := g.String(); s != "speedup,ips:min=1.25,sweep:min=1.5" {
 		t.Errorf("String() = %q", s)
 	}
 	for _, bad := range []string{
-		"nosuch", "speedup:max=2", "sweep:min=", "sweep:min=zero",
+		"nosuch", "parallel", "speedup:max=2", "sweep:min=", "sweep:min=zero",
 		"sweep:min=0", "sweep:min=-1", "speedup", // duplicate of the first Set
 	} {
 		if err := g.Set(bad); err == nil {

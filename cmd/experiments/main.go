@@ -54,8 +54,6 @@ type driver struct {
 	workload *sim.Workload
 	commits  uint64
 	mode     sim.Mode
-	replayW  int    // trace mode: parallel segment-replay workers (0/1 = serial)
-	replayWu uint64 // parallel replay: per-segment warm-up window
 	feCache  string // frontend-artifact cache dir ("" = live frontend)
 	verbose  bool
 	sink     sim.Sink      // non-nil in machine-readable mode
@@ -74,8 +72,6 @@ func (d *driver) run(tag string, schemes []string, ifConverted bool, mutate func
 		sim.WithCommits(d.commits),
 		sim.WithConfigMutator(mutate),
 		sim.WithMode(d.mode),
-		sim.WithReplayParallelism(d.replayW),
-		sim.WithReplayWarmup(d.replayWu),
 	}
 	if d.feCache != "" {
 		dir := d.feCache
@@ -141,8 +137,6 @@ func main() {
 		workload  = flag.String("workload", "", "comma-separated workload entries — spec files (*.json/*.toml), registered workload names (all, int11, fp11, ...), or benchmark names (empty = the full suite)")
 		format    = flag.String("format", "text", "output format: text | json | csv")
 		mode      = flag.String("mode", "pipeline", "execution mode: pipeline (cycle model) or trace (record-once trace replay; accuracy figures only, ~10-100x faster)")
-		replayW   = flag.Int("replay-workers", 0, "trace mode only: replay checkpointed trace segments on this many workers (0/1 = serial; results bit-identical)")
-		replayWu  = flag.Uint64("replay-warmup", 0, "parallel replay: per-segment warm-up window in committed instructions")
 		feCache   = flag.String("frontend-cache", "", `trace mode only: cache frontend artifacts in this directory ("auto" = PREDSIM_FRONTEND_DIR or the user cache dir; empty = live frontend)`)
 		verbose   = flag.Bool("v", false, "print per-run progress to stderr")
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -165,11 +159,6 @@ func main() {
 		fatal(err)
 	}
 	d.mode = m
-	if *replayW > 1 && m != sim.ModeTrace {
-		fatal(fmt.Errorf("-replay-workers %d needs -mode trace (parallel replay has no pipeline counterpart)", *replayW))
-	}
-	d.replayW = *replayW
-	d.replayWu = *replayWu
 	if *feCache != "" && m != sim.ModeTrace {
 		fatal(fmt.Errorf("-frontend-cache needs -mode trace (artifacts feed trace replay only)"))
 	}
@@ -363,7 +352,7 @@ func runAblations(d *driver) {
 	if err != nil {
 		d.fatal(err)
 	}
-	sd := &driver{ctx: d.ctx, workload: subset, commits: d.commits, mode: d.mode, replayW: d.replayW, replayWu: d.replayWu, verbose: d.verbose, sink: d.sink}
+	sd := &driver{ctx: d.ctx, workload: subset, commits: d.commits, mode: d.mode, verbose: d.verbose, sink: d.sink}
 	splitScheme, selectScheme := ablationSchemes()
 	one := []string{"predpred"}
 

@@ -41,8 +41,6 @@ func main() {
 		ideal     = flag.Bool("ideal", false, "idealized predictors: no aliasing, perfect global history")
 		selectPr  = flag.Bool("select", false, "force select-µop predication (disable selective prediction)")
 		mode      = flag.String("mode", "pipeline", "execution mode: pipeline (cycle model) or trace (record-once trace replay, accuracy stats only)")
-		replayW   = flag.Int("replay-workers", 0, "trace mode only: replay checkpointed trace segments on this many workers (0/1 = serial; results bit-identical)")
-		replayWu  = flag.Uint64("replay-warmup", 0, "parallel replay: per-segment warm-up window in committed instructions")
 		feCache   = flag.String("frontend-cache", "", `trace mode only: cache the frontend artifact in this directory ("auto" = PREDSIM_FRONTEND_DIR or the user cache dir; empty = live frontend)`)
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprof   = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -124,9 +122,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *replayW > 1 && m != sim.ModeTrace {
-		fatal(fmt.Errorf("-replay-workers %d needs -mode trace (parallel replay has no pipeline counterpart)", *replayW))
-	}
 	frontendDir := *feCache
 	if frontendDir != "" && m != sim.ModeTrace {
 		fatal(fmt.Errorf("-frontend-cache needs -mode trace (artifacts feed trace replay only)"))
@@ -153,14 +148,12 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	res, err := sim.SimulateProgram(ctx, sim.ProgramRun{
-		Program:       prog,
-		Scheme:        *scheme,
-		Commits:       *commits,
-		Mode:          m,
-		ReplayWorkers: *replayW,
-		ReplayWarmup:  *replayWu,
-		FrontendDir:   frontendDir,
-		Observer:      obsv,
+		Program:     prog,
+		Scheme:      *scheme,
+		Commits:     *commits,
+		Mode:        m,
+		FrontendDir: frontendDir,
+		Observer:    obsv,
 		Mutate: func(c *sim.Config) {
 			if *ideal {
 				c.IdealNoAlias, c.IdealPerfectGHR = true, true

@@ -55,8 +55,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "subsample shuffle seed")
 		format    = flag.String("format", "csv", "output format: csv | json (long format, one row per run)")
 		par       = flag.Int("p", 0, "point worker parallelism (0 = GOMAXPROCS)")
-		replayW   = flag.Int("replay-workers", 0, "trace mode only: replay checkpointed trace segments on this many workers (0/1 = serial; results bit-identical)")
-		replayWu  = flag.Uint64("replay-warmup", 0, "parallel replay: per-segment warm-up window in committed instructions")
 		feCache   = flag.String("frontend-cache", "", `trace mode only: cache frontend artifacts in this directory ("auto" = PREDSIM_FRONTEND_DIR or the user cache dir; empty = live frontend)`)
 		warmStart = flag.Bool("warm-start", false, "trace mode only: order points by knob-edit distance and reuse replay statistics across points differing only in carryover knobs (results byte-identical; see -knobs)")
 		summary   = flag.Bool("summary", true, "print best point and per-axis marginals to stderr")
@@ -102,11 +100,6 @@ func main() {
 		sim.WithProfileSteps(*profSteps),
 		sim.WithMode(m),
 		sim.WithParallelism(*par),
-		sim.WithReplayParallelism(*replayW),
-		sim.WithReplayWarmup(*replayWu),
-	}
-	if *replayW > 1 && m != sim.ModeTrace {
-		fatal(fmt.Errorf("-replay-workers %d needs -mode trace (parallel replay has no pipeline counterpart)", *replayW))
 	}
 	if *feCache != "" {
 		dir := *feCache

@@ -159,36 +159,6 @@ func (p *Predictor) Undo(lk Lookup) {
 	p.lht.Set(lk.PC, lk.prevLHR)
 }
 
-// State is a deep checkpoint of the predictor's mutable state: PVT
-// weights (with ideal-mode rows), the local history table and the
-// confidence counters (which ideal mode grows on demand). It shares no
-// storage with the predictor it came from, so one snapshot can restore
-// many predictor instances concurrently.
-type State struct {
-	PVT  predictor.PerceptronState
-	LHT  []uint64
-	Conf []predictor.SatCounter
-}
-
-// Snapshot deep-copies the predictor's mutable state for
-// checkpoint-based replay restart.
-func (p *Predictor) Snapshot() State {
-	return State{
-		PVT:  p.pvt.Snapshot(),
-		LHT:  p.lht.Snapshot(),
-		Conf: append([]predictor.SatCounter(nil), p.conf...),
-	}
-}
-
-// Restore reinstates a snapshot taken from a predictor built with the
-// same Config. Conf is replaced wholesale because ideal mode grows it
-// on demand. The snapshot is only read, never aliased.
-func (p *Predictor) Restore(s State) {
-	p.pvt.Restore(s.PVT)
-	p.lht.Restore(s.LHT)
-	p.conf = append(p.conf[:0:0], s.Conf...)
-}
-
 func trainConf(c *predictor.SatCounter, correct bool) {
 	if correct {
 		c.Inc()

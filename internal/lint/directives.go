@@ -10,14 +10,13 @@ import (
 // Directive prefixes. A //simlint:ignore suppresses one check's
 // diagnostics on its own line or the line directly below; a
 // //simlint:hotpath line in a function's doc comment opts the function
-// into the hotalloc allocation rules. The field annotations
-// //simlint:transient (snapcover) and //simlint:nonsemantic (keycover)
-// exempt one struct field from its coverage rule — with a mandatory
-// reason, because an escape hatch nobody can audit is just a hole.
+// into the hotalloc allocation rules. The field annotation
+// //simlint:nonsemantic (keycover) exempts one struct field from its
+// coverage rule — with a mandatory reason, because an escape hatch
+// nobody can audit is just a hole.
 const (
 	ignorePrefix      = "//simlint:ignore"
 	hotpathBare       = "//simlint:hotpath"
-	transientPrefix   = "//simlint:transient"
 	nonsemanticPrefix = "//simlint:nonsemantic"
 )
 

@@ -86,7 +86,7 @@ func collectSentinels(pass *Pass) map[types.Object]bool {
 // expression is not a bare or package-qualified sentinel reference).
 func sentinelIn(pass *Pass, sentinels map[types.Object]bool, e ast.Expr) types.Object {
 	var id *ast.Ident
-	switch v := unparen(e).(type) {
+	switch v := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		id = v
 	case *ast.SelectorExpr:

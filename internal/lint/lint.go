@@ -101,7 +101,7 @@ func (d Diagnostic) String(fset *token.FileSet) string {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Layering, Detorder, Hotalloc, Regname, Ctxflow, Seedrand,
-		Snapcover, Keycover, Atomicmix, Errsentinel,
+		Keycover, Errsentinel,
 	}
 }
 

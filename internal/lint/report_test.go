@@ -11,11 +11,12 @@ import (
 )
 
 // TestWriteJSONShape checks the machine-readable report against the
-// snapcover corpus: root-relative slash paths, 1-based positions, the
-// check name, and the suppressible marker (false only for directive-
-// hygiene findings, which a suppression must not be able to silence).
+// keycover corpus: root-relative slash paths, 1-based positions, sort
+// order, the check name, and the suppressible marker (false only for
+// directive-hygiene findings, which a suppression must not be able to
+// silence).
 func TestWriteJSONShape(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("testdata", "src", "snapcover"))
+	root, err := filepath.Abs(filepath.Join("testdata", "src", "keycover"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +24,7 @@ func TestWriteJSONShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := lint.Run(lint.Fset(), pkgs, one(lint.Snapcover), nil, lint.RunOptions{Stale: true})
+	ds := lint.Run(lint.Fset(), pkgs, one(lint.Keycover), nil, lint.RunOptions{Stale: true})
 	if len(ds) == 0 {
 		t.Fatal("corpus produced no diagnostics to report")
 	}
@@ -39,7 +40,13 @@ func TestWriteJSONShape(t *testing.T) {
 	if len(got) != len(ds) {
 		t.Fatalf("report has %d entries, want %d", len(got), len(ds))
 	}
-	for _, d := range got {
+	for i, d := range got {
+		if i > 0 {
+			p := got[i-1]
+			if d.File < p.File || d.File == p.File && (d.Line < p.Line || d.Line == p.Line && (d.Col < p.Col || d.Col == p.Col && d.Check < p.Check)) {
+				t.Errorf("entry %d (%s:%d:%d %s) sorts before its predecessor", i, d.File, d.Line, d.Col, d.Check)
+			}
+		}
 		if filepath.IsAbs(d.File) || strings.Contains(d.File, `\`) {
 			t.Errorf("file %q is not a root-relative slash path", d.File)
 		}

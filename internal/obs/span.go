@@ -21,7 +21,6 @@ const (
 	PhaseFrontend    = "frontend"     // shared scheme-independent annotate
 	PhaseEngine      = "engine"       // per-scheme engine fan-out
 	PhasePipeline    = "pipeline"     // cycle-accurate model (non-trace cells)
-	PhaseSegment     = "segment"      // parallel segment replay (whole-group wall region)
 	PhaseSink        = "sink"         // result emission
 )
 

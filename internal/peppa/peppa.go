@@ -117,28 +117,3 @@ func (p *Predictor) Update(lk Lookup, taken bool) {
 func (p *Predictor) Undo(lk Lookup) {
 	p.lht[lk.lhtIdx][lk.Sel] = lk.prevLHR
 }
-
-// State is a deep checkpoint of the predictor's mutable state: the
-// per-predicate local history pairs and the pattern history table. It
-// shares no storage with the predictor it came from, so one snapshot
-// can restore many predictor instances concurrently.
-type State struct {
-	LHT [][2]uint64
-	PHT []predictor.SatCounter
-}
-
-// Snapshot deep-copies the predictor's mutable state for
-// checkpoint-based replay restart.
-func (p *Predictor) Snapshot() State {
-	return State{
-		LHT: append([][2]uint64(nil), p.lht...),
-		PHT: append([]predictor.SatCounter(nil), p.pht...),
-	}
-}
-
-// Restore reinstates a snapshot taken from a predictor built with the
-// same Config. The snapshot is only read, never aliased.
-func (p *Predictor) Restore(s State) {
-	p.lht = append(p.lht[:0:0], s.LHT...)
-	p.pht = append(p.pht[:0:0], s.PHT...)
-}

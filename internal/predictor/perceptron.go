@@ -18,7 +18,6 @@ type Perceptron struct {
 	theta   int32
 	perRow  int
 	// ideal-mode aliasing elimination: PC -> private row
-	//simlint:transient configuration set once at engine build (SetIdeal); Restore targets a predictor built from the same configuration
 	ideal     bool
 	idealRows map[uint64]int
 }
@@ -200,50 +199,6 @@ func (p *Perceptron) TrainRow(row int, ghr, lhr uint64, taken bool, out Perceptr
 // Train trains the row selected by pc.
 func (p *Perceptron) Train(pc uint64, ghr, lhr uint64, taken bool, out PerceptronOutput) {
 	p.TrainRow(p.Index(pc), ghr, lhr, taken, out)
-}
-
-// PerceptronState is a deep checkpoint of a perceptron's mutable
-// state: the (possibly ideal-mode-grown) weight storage and, in ideal
-// mode, the PC→private-row map. The state shares nothing with the
-// predictor it came from, so one snapshot can restore many predictor
-// instances concurrently.
-type PerceptronState struct {
-	Weights   []int8
-	IdealRows map[uint64]int
-}
-
-// Snapshot deep-copies the perceptron's mutable state. Geometry
-// (rows, history lengths, theta, ideal flag) is configuration, not
-// state, and is not captured: Restore targets a predictor built from
-// the same configuration.
-func (p *Perceptron) Snapshot() PerceptronState {
-	s := PerceptronState{Weights: append([]int8(nil), p.weights...)}
-	if p.idealRows != nil {
-		s.IdealRows = make(map[uint64]int, len(p.idealRows))
-		for pc, r := range p.idealRows {
-			s.IdealRows[pc] = r
-		}
-	}
-	return s
-}
-
-// Restore reinstates a snapshot, replacing the weight storage
-// wholesale (ideal mode grows it, so lengths may differ from a fresh
-// build). The snapshot is only read, never aliased.
-func (p *Perceptron) Restore(s PerceptronState) {
-	p.weights = append(p.weights[:0:0], s.Weights...)
-	if s.IdealRows == nil {
-		if p.ideal {
-			p.idealRows = make(map[uint64]int)
-		} else {
-			p.idealRows = nil
-		}
-		return
-	}
-	p.idealRows = make(map[uint64]int, len(s.IdealRows))
-	for pc, r := range s.IdealRows {
-		p.idealRows[pc] = r
-	}
 }
 
 func abs32(v int32) int32 {

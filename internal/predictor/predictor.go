@@ -184,17 +184,6 @@ func (l *LocalHistoryTable) Set(pc uint64, v uint64) {
 	l.entries[l.Index(pc)] = v & ((1 << l.lhrBits) - 1)
 }
 
-// Snapshot deep-copies the table's local history registers.
-func (l *LocalHistoryTable) Snapshot() []uint64 {
-	return append([]uint64(nil), l.entries...)
-}
-
-// Restore reinstates a Snapshot. The table keeps its own storage; the
-// snapshot is only read, so one snapshot can restore many tables.
-func (l *LocalHistoryTable) Restore(entries []uint64) {
-	l.entries = append(l.entries[:0:0], entries...)
-}
-
 // LHRBits returns the local history length.
 func (l *LocalHistoryTable) LHRBits() uint { return l.lhrBits }
 

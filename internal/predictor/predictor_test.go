@@ -310,6 +310,27 @@ func TestRASSnapshotRestore(t *testing.T) {
 	}
 }
 
+// TestRASSnapshotIndependence pins that a snapshot shares no storage
+// with the stacks it restores: one snapshot restored into two stacks
+// must leave them independent.
+func TestRASSnapshotIndependence(t *testing.T) {
+	r := NewRAS(8)
+	for i := 1; i <= 5; i++ {
+		r.Push(i * 10)
+	}
+	snap := r.Snapshot()
+	a, b := NewRAS(8), NewRAS(8)
+	a.Restore(snap)
+	b.Restore(snap)
+	if got := a.Pop(); got != 50 {
+		t.Fatalf("restored stack popped %d, want 50", got)
+	}
+	a.Push(999)
+	if got := b.Pop(); got != 50 {
+		t.Errorf("sibling restore affected by mutation: popped %d, want 50", got)
+	}
+}
+
 func TestIndirectTable(t *testing.T) {
 	it := NewIndirectTable(8)
 	if it.Predict(0x123) != -1 {

@@ -76,14 +76,3 @@ func (t *IndirectTable) Predict(pc uint64) int {
 func (t *IndirectTable) Update(pc uint64, target int) {
 	t.targets[FoldPC(pc, t.idxBits)&((1<<t.idxBits)-1)] = target
 }
-
-// Snapshot deep-copies the last-target table.
-func (t *IndirectTable) Snapshot() []int {
-	return append([]int(nil), t.targets...)
-}
-
-// Restore reinstates a Snapshot. The table keeps its own storage; the
-// snapshot is only read, so one snapshot can restore many tables.
-func (t *IndirectTable) Restore(targets []int) {
-	t.targets = append(t.targets[:0:0], targets...)
-}

@@ -71,24 +71,3 @@ func (t *TwoLevel) Train(lk TwoLevelLookup, taken bool) {
 func (t *TwoLevel) Undo(lk TwoLevelLookup) {
 	t.lht.Set(lk.PC, lk.prevLHR)
 }
-
-// TwoLevelState is a deep checkpoint of the predictor's mutable state:
-// perceptron weights (plus ideal-mode rows) and the local history
-// table. It shares no storage with the predictor it came from.
-type TwoLevelState struct {
-	Perc PerceptronState
-	LHT  []uint64
-}
-
-// Snapshot deep-copies the predictor's mutable state for
-// checkpoint-based replay restart.
-func (t *TwoLevel) Snapshot() TwoLevelState {
-	return TwoLevelState{Perc: t.perc.Snapshot(), LHT: t.lht.Snapshot()}
-}
-
-// Restore reinstates a snapshot taken from a predictor built with the
-// same configuration. The snapshot is only read, never aliased.
-func (t *TwoLevel) Restore(s TwoLevelState) {
-	t.perc.Restore(s.Perc)
-	t.lht.Restore(s.LHT)
-}

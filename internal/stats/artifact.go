@@ -175,28 +175,6 @@ type ArtifactCursor struct {
 // Cursor returns a cursor over the artifact's notes.
 func (a *Artifact) Cursor() *ArtifactCursor { return &ArtifactCursor{buf: a.Notes} }
 
-// CursorAt returns a cursor positioned at a byte offset previously
-// obtained from ArtifactCursor.Offset with the delta base from Prev at
-// the same boundary, for checkpoint-based segment replay. An offset
-// outside the note stream yields a cursor whose Next reports a
-// corrupt stream.
-func (a *Artifact) CursorAt(offset int, prev uint64) *ArtifactCursor {
-	c := &ArtifactCursor{buf: a.Notes, pos: offset, prev: prev}
-	if offset < 0 || offset > len(a.Notes) {
-		c.err = fmt.Errorf("%w: cursor offset %d outside note stream of %d bytes", ErrArtifactCorrupt, offset, len(a.Notes))
-	}
-	return c
-}
-
-// Offset returns the cursor's byte position in the note stream: the
-// start of the next undecoded note. Valid as a seek target for
-// CursorAt (together with Prev) only at note boundaries.
-func (c *ArtifactCursor) Offset() int { return c.pos }
-
-// Prev returns the absolute step of the last decoded note — the delta
-// base a CursorAt resume needs alongside Offset.
-func (c *ArtifactCursor) Prev() uint64 { return c.prev }
-
 // Err reports a malformed-stream error encountered by Next.
 func (c *ArtifactCursor) Err() error { return c.err }
 

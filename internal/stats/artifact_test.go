@@ -316,41 +316,6 @@ func TestSessionArtifactAttachAndFallback(t *testing.T) {
 	}
 }
 
-// TestSessionArtifactParallel extends the equality oracle to the
-// checkpoint-based parallel path: an artifact-fed plan's segments must
-// merge to statistics bit-identical to a cold trace-fed serial replay,
-// both on the build pass and on the cached-plan rerun.
-func TestSessionArtifactParallel(t *testing.T) {
-	spec, err := bench.Find("vpr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const commits = 40000
-	tr, err := trace.Record(context.Background(), bench.Build(spec), trace.Options{MaxSteps: commits + 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgs := schemeCfgs()
-	want, err := ReplayAll(context.Background(), cfgs, tr, commits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := NewSession(tr)
-	if err := sess.SetArtifact(buildTestArtifact(t, tr, commits)); err != nil {
-		t.Fatal(err)
-	}
-	opt := ParallelOptions{Workers: 4, SegmentInstrs: 2048, WarmupInstrs: 256}
-	for pass := 0; pass < 2; pass++ {
-		got, err := sess.ReplayAllParallel(context.Background(), cfgs, commits, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("pass %d: artifact-fed parallel stats diverge from serial trace-fed", pass)
-		}
-	}
-}
-
 // TestBuildArtifactCancellation mirrors TestReplayCancellation for the
 // frontend-only build pass.
 func TestBuildArtifactCancellation(t *testing.T) {

@@ -310,26 +310,16 @@ type scratch struct {
 }
 
 func (s *scratch) replayAll(ctx context.Context, cfgs []config.Config, tr *trace.Trace, art *Artifact, commits uint64) ([]pipeline.Stats, error) {
-	return s.replay(ctx, cfgs, tr, art, commits, nil, nil, nil)
+	return s.replay(ctx, cfgs, tr, art, commits, nil, nil)
 }
 
-// replayHooked is replayAll with a checkpoint-capture hook armed — the
-// build pass of parallel segment replay (parallel.go). The hook only
-// reads state between batches, so the returned statistics are exact
-// serial results.
-func (s *scratch) replayHooked(ctx context.Context, cfgs []config.Config, tr *trace.Trace, art *Artifact, commits uint64, hook *planBuilder) ([]pipeline.Stats, error) {
-	return s.replay(ctx, cfgs, tr, art, commits, nil, nil, hook)
-}
-
-// replay is the shared body behind replayAll, replayAllTimed and
-// replayHooked. With tm/now nil the timed branches are dead and replay
-// is exactly the old untimed loop; with both set, phase durations
-// accumulate into tm once per batch (the clock reads sit between
-// phases, so the statistics are bit-identical either way). A non-nil
-// hook captures checkpoints between batches without perturbing the
-// replay. A non-nil art feeds each batch's notes from the artifact's
-// stream instead of the live frontend.
-func (s *scratch) replay(ctx context.Context, cfgs []config.Config, tr *trace.Trace, art *Artifact, commits uint64, tm *Timings, now func() int64, hook *planBuilder) ([]pipeline.Stats, error) {
+// replay is the shared body behind replayAll and replayAllTimed. With
+// tm/now nil the timed branches are dead and replay is exactly the
+// untimed loop; with both set, phase durations accumulate into tm once
+// per batch (the clock reads sit between phases, so the statistics are
+// bit-identical either way). A non-nil art feeds each batch's notes
+// from the artifact's stream instead of the live frontend.
+func (s *scratch) replay(ctx context.Context, cfgs []config.Config, tr *trace.Trace, art *Artifact, commits uint64, tm *Timings, now func() int64) ([]pipeline.Stats, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("stats: replay needs at least one configuration")
 	}
@@ -345,7 +335,7 @@ func (s *scratch) replay(ctx context.Context, cfgs []config.Config, tr *trace.Tr
 		s.evs = make([]trace.Event, batchEvents)
 		s.notes = make([]note, batchEvents)
 	}
-	err := s.run(ctx, engines, tr, art, commits, tm, now, hook)
+	err := s.run(ctx, engines, tr, art, commits, tm, now)
 	sts := make([]pipeline.Stats, len(engines))
 	for i, e := range engines {
 		sts[i] = e.st
@@ -357,7 +347,7 @@ func (s *scratch) replay(ctx context.Context, cfgs []config.Config, tr *trace.Tr
 // frontend (budget- and marker-aware, exactly as the per-scheme engine
 // looped) — or, artifact-fed, decode the batch's notes from the
 // materialized stream — then fan the admitted events to every engine.
-func (s *scratch) run(ctx context.Context, engines []*schemeEngine, tr *trace.Trace, art *Artifact, commits uint64, tm *Timings, now func() int64, hook *planBuilder) error {
+func (s *scratch) run(ctx context.Context, engines []*schemeEngine, tr *trace.Trace, art *Artifact, commits uint64, tm *Timings, now func() int64) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -416,8 +406,6 @@ func (s *scratch) run(ctx context.Context, engines []*schemeEngine, tr *trace.Tr
 					lastStep = committed
 				}
 				n++
-			} else if hook != nil {
-				hook.markerSeen()
 			}
 			if commits > 0 && committed >= commits {
 				done = true
@@ -447,13 +435,6 @@ func (s *scratch) run(ctx context.Context, engines []*schemeEngine, tr *trace.Tr
 				tm.EngineNS[k] += t1 - t0
 				t0 = t1
 			}
-		}
-		// Checkpoints are captured between batches, where the cursor
-		// sits at an event boundary and fe/engines are consistent with
-		// everything admitted so far; a finished replay needs no
-		// restart point.
-		if hook != nil && !done {
-			hook.maybeCapture(cur, acur, committed, &fe, engines)
 		}
 		// A replay that just reached its budget or halt is complete: a
 		// cancel racing completion must not turn its full statistics

@@ -19,13 +19,10 @@ import (
 // in-flight queues are fixed-size rings and never allocate.
 //
 // A Session is not safe for concurrent use; give each worker its own.
-// (A cached parallel-replay plan's segment workers are internal to one
-// ReplayAllParallel call and share only the immutable plan.)
 type Session struct {
-	tr   *trace.Trace
-	art  *Artifact
-	s    scratch
-	plan *replayPlan
+	tr  *trace.Trace
+	art *Artifact
+	s   scratch
 }
 
 // NewSession wraps a recorded trace for repeated replay.
@@ -89,27 +86,4 @@ func (s *Session) Replay(ctx context.Context, cfg config.Config, commits uint64)
 // ReplayAll).
 func (s *Session) ReplayAll(ctx context.Context, cfgs []config.Config, commits uint64) ([]pipeline.Stats, error) {
 	return s.s.replayAll(ctx, cfgs, s.tr, s.artifactFor(commits), commits)
-}
-
-// ReplayAllParallel is ReplayAll over checkpoint-based parallel
-// segment replay with plan caching — the amortization-via-restart
-// move. The first call for a (cfgs, commits, stride, warmup) key runs
-// the serial build pass, caches its checkpoints, and returns the build
-// pass's own exact statistics (one serial replay, nothing wasted);
-// every subsequent matching call replays the cached plan's segments on
-// the worker pool, bit-identical to serial replay at a fraction of the
-// wall time. A call with a different key rebuilds the plan (the cache
-// holds one plan — the session's unit of reuse is one trace replayed
-// under one configuration set).
-func (s *Session) ReplayAllParallel(ctx context.Context, cfgs []config.Config, commits uint64, opt ParallelOptions) ([]pipeline.Stats, error) {
-	stride := resolveStride(opt, commits, s.tr)
-	if p := s.plan; p != nil && p.matches(cfgs, commits, stride, opt.WarmupInstrs) {
-		return p.run(ctx, s.tr, opt.resolveWorkers())
-	}
-	plan, err := buildPlan(ctx, &s.s, cfgs, s.tr, s.artifactFor(commits), commits, stride, opt.WarmupInstrs)
-	if err != nil {
-		return nil, err
-	}
-	s.plan = plan
-	return append([]pipeline.Stats(nil), plan.sts...), nil
 }

@@ -43,6 +43,6 @@ func (s *Session) ReplayAllTimed(ctx context.Context, cfgs []config.Config, comm
 
 func (s *scratch) replayAllTimed(ctx context.Context, cfgs []config.Config, tr *trace.Trace, art *Artifact, commits uint64, now func() int64) ([]pipeline.Stats, *Timings, error) {
 	tm := &Timings{EngineNS: make([]int64, len(cfgs))}
-	sts, err := s.replay(ctx, cfgs, tr, art, commits, tm, now, nil)
+	sts, err := s.replay(ctx, cfgs, tr, art, commits, tm, now)
 	return sts, tm, err
 }

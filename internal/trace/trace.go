@@ -259,23 +259,6 @@ type Cursor struct {
 // EventCursor returns a cursor over the trace's events.
 func (t *Trace) EventCursor() *Cursor { return &Cursor{buf: t.Events} }
 
-// EventCursorAt returns a cursor positioned at a byte offset previously
-// obtained from Cursor.Offset, for checkpoint-based segment replay. An
-// offset outside the event stream yields a cursor whose Next reports a
-// malformed stream.
-func (t *Trace) EventCursorAt(offset int) *Cursor {
-	c := &Cursor{buf: t.Events, pos: offset}
-	if offset < 0 || offset > len(t.Events) {
-		c.err = fmt.Errorf("trace: cursor offset %d outside event stream of %d bytes", offset, len(t.Events))
-	}
-	return c
-}
-
-// Offset returns the cursor's byte position in the event stream: the
-// start of the next undecoded event. Valid as a seek target for
-// EventCursorAt only at event boundaries (after a completed Next).
-func (c *Cursor) Offset() int { return c.pos }
-
 // Err reports a malformed-stream error encountered by Next.
 func (c *Cursor) Err() error { return c.err }
 

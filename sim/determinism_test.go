@@ -55,3 +55,58 @@ func TestSweepEmissionByteIdentical(t *testing.T) {
 		t.Errorf("NDJSON output differs between identical runs:\nrun1:\n%s\nrun2:\n%s", json1, json2)
 	}
 }
+
+// experimentEmission runs the trace-mode gzip+vpr 3-scheme experiment
+// on a cell-worker pool of the given size and returns the exact bytes
+// its JSON and CSV result sinks emit. No observer is attached: with
+// more than one worker, fake-clock span values depend on interleaving.
+func experimentEmission(t *testing.T, dir string, workers int) (json, csv []byte) {
+	t.Helper()
+	wl, err := sim.PrepareWorkload([]string{"gzip", "vpr"}, 50000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := sim.New(
+		sim.WithWorkload(wl),
+		sim.WithSchemes("conventional", "predpred", "peppa"),
+		sim.WithCommits(60000),
+		sim.WithMode(sim.ModeTrace),
+		sim.WithTraceDir(dir),
+		sim.WithParallelism(workers),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := exp.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jsonBuf, csvBuf bytes.Buffer
+	if err := sim.EmitAll(sim.NewJSONSink(&jsonBuf), rs); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.EmitAll(sim.NewCSVSink(&csvBuf), rs); err != nil {
+		t.Fatal(err)
+	}
+	return jsonBuf.Bytes(), csvBuf.Bytes()
+}
+
+// TestParallelReplayByteIdenticalAcrossWorkerCounts is the determinism
+// contract for the runner's cell-worker pool, which replays trace-mode
+// cells in parallel: the JSON and CSV result sink bytes must not depend
+// on how many workers ran the cells. CI runs this leg under
+// GOMAXPROCS=1 as well.
+func TestParallelReplayByteIdenticalAcrossWorkerCounts(t *testing.T) {
+	dir := t.TempDir() // shared trace dir: the second run replays cached traces
+	json1, csv1 := experimentEmission(t, dir, 1)
+	json4, csv4 := experimentEmission(t, dir, 4)
+	if len(json1) == 0 || len(csv1) == 0 {
+		t.Fatal("experiment emitted no output")
+	}
+	if !bytes.Equal(json1, json4) {
+		t.Errorf("JSON sink bytes depend on worker count:\n1 worker:\n%s\n4 workers:\n%s", json1, json4)
+	}
+	if !bytes.Equal(csv1, csv4) {
+		t.Errorf("CSV sink bytes depend on worker count:\n1 worker:\n%s\n4 workers:\n%s", csv1, csv4)
+	}
+}

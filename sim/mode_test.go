@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -239,5 +240,48 @@ func TestSimulateProgramTraceMode(t *testing.T) {
 	}
 	if res.Mode == sim.ModeTrace && res.Stats.Cycles != 0 {
 		t.Fatal("trace mode must not report cycles")
+	}
+}
+
+// TestSimulateProgramSchemesMatchesSeparate pins the single-pass
+// multi-scheme path against the one-scheme path: under a non-nil
+// configuration mutator, each SimulateProgramSchemes result must equal
+// the Stats of a separate SimulateProgram call for that scheme.
+func TestSimulateProgramSchemesMatchesSeparate(t *testing.T) {
+	prog, err := sim.BuildBenchmark("vpr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := sim.ProgramRun{
+		Program:  prog,
+		Commits:  60000,
+		Mode:     sim.ModeTrace,
+		TraceDir: t.TempDir(),
+		Mutate: func(c *sim.Config) {
+			// 512 PVT rows: the pvt.entries knob's byte budget.
+			c.L2PredBytes = 512 * (int(c.L2PredGHRBits+c.L2PredLHRBits) + 1)
+		},
+	}
+	schemes := []string{"conventional", "predpred", "peppa"}
+	group, err := sim.SimulateProgramSchemes(context.Background(), run, schemes...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(group) != len(schemes) {
+		t.Fatalf("got %d results, want %d", len(group), len(schemes))
+	}
+	for i, s := range schemes {
+		one := run
+		one.Scheme = s
+		want, err := sim.SimulateProgram(context.Background(), one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if group[i].Scheme != s {
+			t.Errorf("result %d: scheme %q, want %q", i, group[i].Scheme, s)
+		}
+		if !reflect.DeepEqual(group[i].Stats, want.Stats) {
+			t.Errorf("%s: multi-scheme stats diverge from a separate run\ngroup:    %+v\nseparate: %+v", s, group[i].Stats, want.Stats)
+		}
 	}
 }

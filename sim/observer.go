@@ -35,7 +35,6 @@ const (
 	PhaseFrontend    = obs.PhaseFrontend
 	PhaseEngine      = obs.PhaseEngine
 	PhasePipeline    = obs.PhasePipeline
-	PhaseSegment     = obs.PhaseSegment
 	PhaseSink        = obs.PhaseSink
 )
 
@@ -90,7 +89,6 @@ func NewObserverWithClock(now func() int64) *Observer {
 			PhaseFrontend:    r.Histogram("span.frontend.ns"),
 			PhaseEngine:      r.Histogram("span.engine.ns"),
 			PhasePipeline:    r.Histogram("span.pipeline.ns"),
-			PhaseSegment:     r.Histogram("span.segment.ns"),
 			PhaseSink:        r.Histogram("span.sink.ns"),
 		},
 	}

@@ -403,7 +403,7 @@ func (e *Experiment) runTraceJob(ctx context.Context, traces *traceProvider, ses
 		for i := range out {
 			out[i].Err = err
 		}
-		e.observeTraceGroup(traces, j, meta, out, nil, nil, nil, -1)
+		e.observeTraceGroup(traces, j, meta, out, nil, nil, nil)
 		return out, true
 	}
 	var memo map[string]Stats
@@ -445,25 +445,12 @@ func (e *Experiment) runTraceJob(ctx context.Context, traces *traceProvider, ses
 		live = append(live, i)
 	}
 	var tm *stats.Timings
-	segNS := int64(-1)
 	if len(cfgs) > 0 {
 		var sts []pipeline.Stats
 		var err error
-		o := e.observer
-		switch {
-		case e.replayWorkers > 1:
-			// Parallel segment replay: a single wall-clock span covers the
-			// whole group (the per-phase decode/frontend/engine split does
-			// not exist when segments interleave across workers).
-			t0 := o.now()
-			sts, err = sess.ReplayAllParallel(ctx, cfgs, e.commits, stats.ParallelOptions{
-				Workers:      e.replayWorkers,
-				WarmupInstrs: e.replayWarmup,
-			})
-			segNS = o.now() - t0
-		case o != nil:
+		if o := e.observer; o != nil {
 			sts, tm, err = sess.ReplayAllTimed(ctx, cfgs, e.commits, o.clock)
-		default:
+		} else {
 			sts, err = sess.ReplayAll(ctx, cfgs, e.commits)
 		}
 		if canceled(err) {
@@ -486,7 +473,7 @@ func (e *Experiment) runTraceJob(ctx context.Context, traces *traceProvider, ses
 			}
 		}
 	}
-	e.observeTraceGroup(traces, j, meta, out, live, warmed, tm, segNS)
+	e.observeTraceGroup(traces, j, meta, out, live, warmed, tm)
 	return out, true
 }
 
@@ -495,13 +482,10 @@ func (e *Experiment) runTraceJob(ctx context.Context, traces *traceProvider, ses
 // manifest per cell. The shared decode and frontend costs are
 // attributed evenly across the live cells in each manifest (the group
 // totals are recoverable via GroupSchemes), while engine time is
-// exact per cell. Parallel segment replay has no per-phase split —
-// segments interleave decode, frontend and engine work across workers —
-// so those groups carry one segment span (segNS, -1 when absent) whose
-// wall time is shared evenly across the live cells. Warm-started cells
-// (warmed[i], nil = none) carry their provenance flag but no phase
-// timings — no replay ran for them. No-op without an observer.
-func (e *Experiment) observeTraceGroup(traces *traceProvider, j simJob, meta manifestMeta, out []Result, live []int, warmed []bool, tm *stats.Timings, segNS int64) {
+// exact per cell. Warm-started cells (warmed[i], nil = none) carry
+// their provenance flag but no phase timings — no replay ran for them.
+// No-op without an observer.
+func (e *Experiment) observeTraceGroup(traces *traceProvider, j simJob, meta manifestMeta, out []Result, live []int, warmed []bool, tm *stats.Timings) {
 	o := e.observer
 	if o == nil {
 		return
@@ -514,16 +498,12 @@ func (e *Experiment) observeTraceGroup(traces *traceProvider, j simJob, meta man
 			group[k] = j.schemes[i]
 		}
 	}
-	var decodeShare, frontendShare, segShare int64
+	var decodeShare, frontendShare int64
 	if tm != nil && len(live) > 0 {
 		o.span(PhaseDecode, tm.DecodeNS)
 		o.span(PhaseFrontend, tm.FrontendNS)
 		decodeShare = tm.DecodeNS / int64(len(live))
 		frontendShare = tm.FrontendNS / int64(len(live))
-	}
-	if segNS >= 0 && len(live) > 0 {
-		o.span(PhaseSegment, segNS)
-		segShare = segNS / int64(len(live))
 	}
 	liveIdx := make(map[int]int, len(live)) // out index -> cfgs position
 	for k, i := range live {
@@ -535,21 +515,15 @@ func (e *Experiment) observeTraceGroup(traces *traceProvider, j simJob, meta man
 		m.FrontendCache = artOutcome
 		m.WarmStart = warmed != nil && warmed[i]
 		m.GroupSchemes = group
-		if k, ok := liveIdx[i]; ok {
-			switch {
-			case tm != nil:
-				engineNS := tm.EngineNS[k]
-				o.span(PhaseEngine, engineNS)
-				m.PhasesNS = map[string]int64{
-					PhaseDecode:   decodeShare,
-					PhaseFrontend: frontendShare,
-					PhaseEngine:   engineNS,
-				}
-				m.InstrsPerSec = instrsPerSec(out[i].Stats.Committed, engineNS+decodeShare+frontendShare)
-			case segNS >= 0:
-				m.PhasesNS = map[string]int64{PhaseSegment: segShare}
-				m.InstrsPerSec = instrsPerSec(out[i].Stats.Committed, segShare)
+		if k, ok := liveIdx[i]; ok && tm != nil {
+			engineNS := tm.EngineNS[k]
+			o.span(PhaseEngine, engineNS)
+			m.PhasesNS = map[string]int64{
+				PhaseDecode:   decodeShare,
+				PhaseFrontend: frontendShare,
+				PhaseEngine:   engineNS,
 			}
+			m.InstrsPerSec = instrsPerSec(out[i].Stats.Committed, engineNS+decodeShare+frontendShare)
 		}
 		o.emit(m)
 		o.finishRun(out[i].Err)
@@ -641,22 +615,9 @@ type ProgramRun struct {
 	// into) that directory and replays are fed from the artifact's
 	// note stream, bit-identically to the live frontend.
 	FrontendDir string
-	// ReplayWorkers, when > 1, replays the trace in checkpointed
-	// segments on that many workers (ModeTrace only; merged statistics
-	// are bit-identical to serial replay). 0 or 1 means serial.
-	ReplayWorkers int
-	// ReplayWarmup is the per-segment warm-up window in committed
-	// instructions for parallel replay (see WithReplayWarmup).
-	ReplayWarmup uint64
 	// Observer, when non-nil, collects phase spans and a run manifest
 	// per result, exactly as WithObserver does for experiments.
 	Observer *Observer
-}
-
-// parallelOptions packages the run's parallel-replay knobs for the
-// stats layer.
-func (r ProgramRun) parallelOptions() stats.ParallelOptions {
-	return stats.ParallelOptions{Workers: r.ReplayWorkers, WarmupInstrs: r.ReplayWarmup}
 }
 
 // programManifest is the ProgramRun counterpart of cellManifest.
@@ -699,15 +660,6 @@ func SimulateProgram(ctx context.Context, r ProgramRun) (ProgramResult, error) {
 	}
 	if r.Mode == ModeTrace {
 		out.Mode = ModeTrace
-		if r.ReplayWorkers > 1 {
-			// Parallel segment replay shares the multi-scheme group path
-			// (one scheme is just a group of one).
-			rs, err := SimulateProgramSchemes(ctx, r, r.Scheme)
-			if len(rs) == 1 {
-				out = rs[0]
-			}
-			return out, err
-		}
 		o := r.Observer
 		tr, outcome, err := recordProgramTrace(ctx, r)
 		if err != nil {
@@ -747,9 +699,6 @@ func SimulateProgram(ctx context.Context, r ProgramRun) (ProgramResult, error) {
 	}
 	if r.Mode != 0 && r.Mode != ModePipeline {
 		return out, fmt.Errorf("sim: program run wants a single mode, got %v", r.Mode)
-	}
-	if r.ReplayWorkers > 1 {
-		return out, fmt.Errorf("sim: parallel replay (ReplayWorkers=%d) is trace-mode only", r.ReplayWorkers)
 	}
 	out.Mode = ModePipeline
 	o := r.Observer
@@ -808,16 +757,6 @@ func SimulateProgramSchemes(ctx context.Context, r ProgramRun, schemes ...string
 	}
 	sess := stats.NewSession(tr)
 	artOutcome := attachProgramArtifact(ctx, r, tr, sess)
-	return replaySchemeGroup(ctx, r, sess, outcome, artOutcome, schemes)
-}
-
-// replaySchemeGroup replays one recorded trace through every scheme's
-// configuration — serially in lockstep over a shared cursor, or (when
-// r.ReplayWorkers > 1) as parallel checkpointed segments — and emits
-// per-cell telemetry. Shared by SimulateProgramSchemes (one-shot
-// session) and ReplaySession.Replay (reused session, amortized build
-// pass).
-func replaySchemeGroup(ctx context.Context, r ProgramRun, sess *stats.Session, outcome, artOutcome string, schemes []string) ([]ProgramResult, error) {
 	cfgs := make([]Config, len(schemes))
 	for i, s := range schemes {
 		cfg, err := schemeConfig(s)
@@ -832,41 +771,28 @@ func replaySchemeGroup(ctx context.Context, r ProgramRun, sess *stats.Session, o
 	o := r.Observer
 	var sts []pipeline.Stats
 	var tm *stats.Timings
-	var err error
-	segNS := int64(-1)
-	switch {
-	case r.ReplayWorkers > 1:
-		t0 := o.now()
-		sts, err = sess.ReplayAllParallel(ctx, cfgs, r.Commits, r.parallelOptions())
-		if o != nil {
-			segNS = o.now() - t0
-		}
-	case o != nil:
+	if o != nil {
 		sts, tm, err = sess.ReplayAllTimed(ctx, cfgs, r.Commits, o.clock)
-	default:
+	} else {
 		sts, err = sess.ReplayAll(ctx, cfgs, r.Commits)
 	}
 	if err != nil {
 		return nil, err
 	}
 	out := make([]ProgramResult, len(schemes))
-	var decodeShare, frontendShare, segShare int64
+	var decodeShare, frontendShare int64
 	if tm != nil {
 		o.span(PhaseDecode, tm.DecodeNS)
 		o.span(PhaseFrontend, tm.FrontendNS)
 		decodeShare = tm.DecodeNS / int64(len(schemes))
 		frontendShare = tm.FrontendNS / int64(len(schemes))
 	}
-	if segNS >= 0 {
-		o.span(PhaseSegment, segNS)
-		segShare = segNS / int64(len(schemes))
-	}
 	for i := range out {
 		out[i].Bench = r.Program.Name
 		out[i].Scheme = schemes[i]
 		out[i].Mode = ModeTrace
 		out[i].Stats = sts[i]
-		if tm == nil && segNS < 0 {
+		if tm == nil {
 			continue
 		}
 		m := r.manifest(i, schemes[i], ModeTrace, sts[i])
@@ -875,18 +801,13 @@ func replaySchemeGroup(ctx context.Context, r ProgramRun, sess *stats.Session, o
 		if len(schemes) > 1 {
 			m.GroupSchemes = append([]string(nil), schemes...)
 		}
-		if tm != nil {
-			o.span(PhaseEngine, tm.EngineNS[i])
-			m.PhasesNS = map[string]int64{
-				PhaseDecode:   decodeShare,
-				PhaseFrontend: frontendShare,
-				PhaseEngine:   tm.EngineNS[i],
-			}
-			m.InstrsPerSec = instrsPerSec(sts[i].Committed, tm.EngineNS[i]+decodeShare+frontendShare)
-		} else {
-			m.PhasesNS = map[string]int64{PhaseSegment: segShare}
-			m.InstrsPerSec = instrsPerSec(sts[i].Committed, segShare)
+		o.span(PhaseEngine, tm.EngineNS[i])
+		m.PhasesNS = map[string]int64{
+			PhaseDecode:   decodeShare,
+			PhaseFrontend: frontendShare,
+			PhaseEngine:   tm.EngineNS[i],
 		}
+		m.InstrsPerSec = instrsPerSec(sts[i].Committed, tm.EngineNS[i]+decodeShare+frontendShare)
 		o.emit(m)
 		o.finishRun(nil)
 	}

@@ -127,23 +127,21 @@ func BuildSpec(s BenchSpec) (*Program, error) {
 // simulation matrix. Build one with New and run it with Start (for
 // streaming results) or Run (for a sorted slice).
 type Experiment struct {
-	suite         []string    // suite entries as given; empty = full suite
-	suiteSpecs    []BenchSpec // entries resolved at New time (nil when workload is set)
-	schemes       []string    // registry scheme names
-	ifConverted   bool
-	tag           string
-	commits       uint64
-	profileSteps  uint64
-	mode          Mode   // execution mode bitmask (WithMode)
-	traceDir      string // trace cache override (WithTraceDir)
-	frontendDir   string // frontend-artifact cache dir; "" = live frontend (WithFrontendCache)
-	mutate        func(*Config)
-	parallelism   int
-	replayWorkers int    // intra-trace segment replay workers (WithReplayParallelism)
-	replayWarmup  uint64 // segment warm-up window in instructions (WithReplayWarmup)
-	progress      func(Progress)
-	workload      *Workload
-	observer      *Observer
+	suite        []string    // suite entries as given; empty = full suite
+	suiteSpecs   []BenchSpec // entries resolved at New time (nil when workload is set)
+	schemes      []string    // registry scheme names
+	ifConverted  bool
+	tag          string
+	commits      uint64
+	profileSteps uint64
+	mode         Mode   // execution mode bitmask (WithMode)
+	traceDir     string // trace cache override (WithTraceDir)
+	frontendDir  string // frontend-artifact cache dir; "" = live frontend (WithFrontendCache)
+	mutate       func(*Config)
+	parallelism  int
+	progress     func(Progress)
+	workload     *Workload
+	observer     *Observer
 }
 
 // Option configures an Experiment under construction.
@@ -169,9 +167,6 @@ func New(opts ...Option) (*Experiment, error) {
 		if _, ok := ResolveScheme(s); !ok {
 			return nil, fmt.Errorf("sim: unknown scheme %q (registered: %v)", s, SchemeNames())
 		}
-	}
-	if e.replayWorkers > 1 && e.mode&ModeTrace == 0 {
-		return nil, fmt.Errorf("sim: parallel replay (WithReplayParallelism) is trace-mode only, got mode %v", e.mode)
 	}
 	if e.workload == nil {
 		// Resolve every suite entry — benchmark names, workload registry
@@ -288,35 +283,6 @@ func WithFrontendCache(dir string) Option {
 			dir = stats.ArtifactDefaultDir()
 		}
 		e.frontendDir = dir
-		return nil
-	}
-}
-
-// WithReplayParallelism splits each trace-mode replay into checkpointed
-// segments replayed concurrently on k workers (0 or 1 = serial). The
-// merged statistics are bit-identical to a serial replay: each segment
-// restores an engine snapshot taken during a one-time serial build pass
-// and re-runs a warm-up window before scoring. Only trace-mode cells are
-// affected; New rejects k > 1 without ModeTrace in the mode mask.
-func WithReplayParallelism(k int) Option {
-	return func(e *Experiment) error {
-		if k < 0 {
-			return fmt.Errorf("sim: replay parallelism %d < 0", k)
-		}
-		e.replayWorkers = k
-		return nil
-	}
-}
-
-// WithReplayWarmup sets the warm-up window, in committed instructions,
-// that each parallel replay segment re-runs from its checkpoint before
-// scoring (0 = score from the checkpoint). Warm-up never changes merged
-// statistics — checkpoints are exact — it only shifts where segment
-// boundaries land; it exists to prove that property and to absorb any
-// future lossy checkpoint compaction.
-func WithReplayWarmup(instrs uint64) Option {
-	return func(e *Experiment) error {
-		e.replayWarmup = instrs
 		return nil
 	}
 }
