@@ -260,10 +260,9 @@ func BenchmarkAblationGHRCorruption(b *testing.B) {
 // BenchmarkTraceVsPipeline measures simulated-instruction throughput of
 // both execution modes for each scheme on one benchmark — plus the
 // single-pass multi-scheme replay that decodes the trace once for all
-// three schemes, and the cold vs warm sweep pair — and writes the
-// comparison (with per-scheme, single-pass and sweep speedups) to
-// BENCH_trace.json so the perf trajectory of the trace engine is
-// tracked in-repo.
+// three schemes — and writes the comparison (with per-scheme and
+// single-pass speedups) to BENCH_trace.json so the perf trajectory of
+// the trace engine is tracked in-repo.
 func BenchmarkTraceVsPipeline(b *testing.B) {
 	prog, err := sim.BuildBenchmark("vpr")
 	if err != nil {
@@ -341,90 +340,8 @@ func BenchmarkTraceVsPipeline(b *testing.B) {
 		b.ReportMetric(v, "instrs/s")
 		ips["trace-singlepass"]["all"] = v
 	})
-	// The sweep pair: the same scheme-knob grid, cold (every cell
-	// replayed) and warm-started with a frontend-artifact cache (cells
-	// differing only in carryover knobs reused). Their ratio is the
-	// sweep_warm_speedup series CI floors; results are byte-identical
-	// (TestWarmSweepByteIdenticalToCold).
-	sweepIPS := map[string]float64{}
-	b.Run("sweep/cold", func(b *testing.B) {
-		sweepIPS["cold"] = sweepLeg(b, dir, "", false)
-	})
-	b.Run("sweep/warm", func(b *testing.B) {
-		sweepIPS["warm"] = sweepLeg(b, dir, b.TempDir(), true)
-	})
-	writeTraceBenchJSON(b, schemes, ips, sweepIPS)
+	writeTraceBenchJSON(b, schemes, ips)
 	writeObservedOutputs(b, obsv)
-}
-
-// Sweep benchmark parameters: an 8-point grid over one replay-visible
-// knob (pred.bytes) and one carryover knob (mispredict.penalty), two
-// benchmarks × two schemes per point. Two workers keep each warm-start
-// chunk long enough to amortize its one replay per coordinate.
-const (
-	sweepCommits = 50000
-	sweepWorkers = 2
-)
-
-// sweepLeg runs the benchmark sweep grid to completion b.N times and
-// returns the replayed-statistics throughput in scheme-instrs/s: cells
-// × commit budget over wall time. The warm leg's gain comes from
-// reusing replay statistics across the carryover axis, not from doing
-// less statistical work — every cell still yields its full Stats.
-func sweepLeg(b *testing.B, traceDir, frontendDir string, warm bool) float64 {
-	b.Helper()
-	wl, err := sim.PrepareWorkload([]string{"gzip", "vpr"}, sweepCommits)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := []sim.Option{
-		sim.WithWorkload(wl),
-		sim.WithSchemes("conventional", "predpred"),
-		sim.WithCommits(sweepCommits),
-		sim.WithMode(sim.ModeTrace),
-		sim.WithTraceDir(traceDir),
-		sim.WithParallelism(sweepWorkers),
-	}
-	if frontendDir != "" {
-		opts = append(opts, sim.WithFrontendCache(frontendDir))
-	}
-	exp, err := sim.New(opts...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sweep := func() int {
-		sw, err := sim.NewSweep(exp,
-			sim.WithAxis("pred.bytes", 75776, 151552),
-			sim.WithAxis("mispredict.penalty", 5, 10, 15, 20),
-			sim.WithWarmStart(warm),
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rs, err := sw.Run(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		cells := 0
-		for _, sr := range rs {
-			for _, r := range sr.Results {
-				if r.Err != nil {
-					b.Fatalf("point %d %s/%s: %v", sr.Point.Index, r.Bench, r.Scheme, r.Err)
-				}
-				cells++
-			}
-		}
-		return cells
-	}
-	cells := sweep() // warm-up: record traces, build artifacts
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sweep()
-	}
-	v := float64(cells) * sweepCommits * float64(b.N) / b.Elapsed().Seconds()
-	b.ReportMetric(v, "instrs/s")
-	return v
 }
 
 // writeObservedOutputs flushes the observer's metrics snapshot and run
@@ -464,10 +381,8 @@ func aggregateIPS(schemes []string, m map[string]float64) float64 {
 // "all-singlepass" speedup series (single-pass aggregate over pipeline
 // aggregate, machine-independent like the per-scheme ratios) and the
 // informational gain of the single pass over three independent
-// replays. The sweep pair lands as sweep_ips (cold/warm
-// replayed-statistics throughput) and sweep_warm_speedup (their
-// within-run ratio, a series CI floors).
-func writeTraceBenchJSON(b *testing.B, schemes []string, ips map[string]map[string]float64, sweepIPS map[string]float64) {
+// replays.
+func writeTraceBenchJSON(b *testing.B, schemes []string, ips map[string]map[string]float64) {
 	b.Helper()
 	if len(ips["pipeline"]) == 0 || len(ips["trace"]) == 0 {
 		return // sub-benchmarks filtered out; nothing comparable
@@ -498,10 +413,6 @@ func writeTraceBenchJSON(b *testing.B, schemes []string, ips map[string]map[stri
 		// missing that series — a partial refresh is not a valid
 		// baseline.
 		delete(ips, "trace-singlepass")
-	}
-	if c, w := sweepIPS["cold"], sweepIPS["warm"]; c > 0 && w > 0 {
-		doc["sweep_ips"] = sweepIPS
-		doc["sweep_warm_speedup"] = map[string]float64{"warm_vs_cold": w / c}
 	}
 	raw, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

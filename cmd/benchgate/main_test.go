@@ -176,104 +176,25 @@ func TestCompareEmptySeriesIsAnError(t *testing.T) {
 	}
 }
 
-// TestFloorMode is the table for ":min=F" floors: the fresh document
-// gates alone against an absolute floor, flagging values below it (and
-// non-finite values) in sorted key order, erroring on an absent series
-// rather than passing trivially.
-func TestFloorMode(t *testing.T) {
-	base := doc(map[string]float64{"conventional": 1e6}, map[string]float64{"conventional": 4e7})
-	cases := []struct {
-		name      string
-		sweep     map[string]float64
-		min       float64
-		wantBelow int
-		wantErr   bool
-	}{
-		{name: "all above", sweep: map[string]float64{"warm_vs_cold": 2.5, "warm_vs_cold_p4": 1.8}, min: 1.5},
-		{name: "exactly at the floor", sweep: map[string]float64{"warm_vs_cold": 1.5}, min: 1.5},
-		{name: "one below", sweep: map[string]float64{"warm_vs_cold": 2.5, "warm_vs_cold_p4": 1.1}, min: 1.5, wantBelow: 1},
-		{name: "all below", sweep: map[string]float64{"warm_vs_cold": 0.9, "warm_vs_cold_p4": 0.8}, min: 1.5, wantBelow: 2},
-		{name: "NaN is below any floor", sweep: map[string]float64{"warm_vs_cold": math.NaN()}, min: 1.5, wantBelow: 1},
-		{name: "Inf is not a measurement", sweep: map[string]float64{"warm_vs_cold": math.Inf(1)}, min: 1.5, wantBelow: 1},
-		{name: "no series is an error", sweep: nil, min: 1.5, wantErr: true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			d := base
-			d.SweepWarm = tc.sweep
-			below, err := floor(d, "sweep", tc.min)
-			if (err != nil) != tc.wantErr {
-				t.Fatalf("err = %v, want error=%v", err, tc.wantErr)
-			}
-			if len(below) != tc.wantBelow {
-				t.Fatalf("below = %v, want %d entries", below, tc.wantBelow)
-			}
-			for i := 1; i < len(below); i++ {
-				if below[i-1] >= below[i] {
-					t.Errorf("violations must be key-sorted: %v", below)
-				}
-			}
-		})
-	}
-	// The floor also applies to the other metrics (absolute ips floors).
-	if below, err := floor(base, "ips", 1e5); err != nil || len(below) != 0 {
-		t.Fatalf("ips floor: below=%v err=%v", below, err)
-	}
-}
-
 // TestGateListParsing is the table for the repeatable -metric flag:
-// bare names, per-metric ":min=F" floors, and the rejection set
-// (unknown metrics, duplicates, malformed options and floors).
+// bare metric names in order, and the rejection set (unknown or retired
+// metrics, option suffixes, duplicates).
 func TestGateListParsing(t *testing.T) {
 	var g gateList
-	for _, v := range []string{"speedup", "ips:min=1.25", "sweep:min=1.5"} {
+	for _, v := range []string{"speedup", "ips"} {
 		if err := g.Set(v); err != nil {
 			t.Fatalf("Set(%q): %v", v, err)
 		}
 	}
-	want := gateList{{metric: "speedup"}, {metric: "ips", min: 1.25}, {metric: "sweep", min: 1.5}}
-	if len(g) != len(want) {
-		t.Fatalf("parsed %d specs, want %d", len(g), len(want))
-	}
-	for i := range want {
-		if g[i] != want[i] {
-			t.Errorf("spec %d = %+v, want %+v", i, g[i], want[i])
-		}
-	}
-	if s := g.String(); s != "speedup,ips:min=1.25,sweep:min=1.5" {
+	if s := g.String(); s != "speedup,ips" {
 		t.Errorf("String() = %q", s)
 	}
 	for _, bad := range []string{
-		"nosuch", "parallel", "speedup:max=2", "sweep:min=", "sweep:min=zero",
-		"sweep:min=0", "sweep:min=-1", "speedup", // duplicate of the first Set
+		"nosuch", "parallel", "sweep", "speedup:min=1.5", "", "speedup", // duplicate of the first Set
 	} {
 		if err := g.Set(bad); err == nil {
 			t.Errorf("Set(%q) should fail", bad)
 		}
-	}
-}
-
-// TestSweepMetric pins the warm-start gate: -metric sweep reads only
-// sweep_warm_speedup, floors apply to it, and an absent series errors
-// instead of passing trivially.
-func TestSweepMetric(t *testing.T) {
-	d := doc(map[string]float64{"conventional": 1e6}, map[string]float64{"conventional": 4e7})
-	d.SweepIPS = map[string]float64{"cold": 2e7, "warm": 5e7}
-	d.SweepWarm = map[string]float64{"warm_vs_cold": 2.4}
-	if got := d.series("sweep"); len(got) != 1 || got["warm_vs_cold"] != 2.4 {
-		t.Fatalf("sweep series = %v", got)
-	}
-	if below, err := floor(d, "sweep", 1.5); err != nil || len(below) != 0 {
-		t.Fatalf("healthy sweep speedup should clear a 1.5 floor: below=%v err=%v", below, err)
-	}
-	d.SweepWarm["warm_vs_cold"] = 1.2
-	below, err := floor(d, "sweep", 1.5)
-	if err != nil || len(below) != 1 || !strings.Contains(below[0], "warm_vs_cold") {
-		t.Fatalf("collapsed sweep speedup should be below the floor: below=%v err=%v", below, err)
-	}
-	d.SweepWarm = nil
-	if _, err := floor(d, "sweep", 1.5); err == nil {
-		t.Fatal("absent sweep series should be an error")
 	}
 }
 

@@ -54,7 +54,6 @@ type driver struct {
 	workload *sim.Workload
 	commits  uint64
 	mode     sim.Mode
-	feCache  string // frontend-artifact cache dir ("" = live frontend)
 	verbose  bool
 	sink     sim.Sink      // non-nil in machine-readable mode
 	obsv     *sim.Observer // non-nil when -metrics/-manifest requested
@@ -72,13 +71,6 @@ func (d *driver) run(tag string, schemes []string, ifConverted bool, mutate func
 		sim.WithCommits(d.commits),
 		sim.WithConfigMutator(mutate),
 		sim.WithMode(d.mode),
-	}
-	if d.feCache != "" {
-		dir := d.feCache
-		if dir == "auto" {
-			dir = "" // WithFrontendCache resolves the default directory
-		}
-		opts = append(opts, sim.WithFrontendCache(dir))
 	}
 	if d.obsv != nil {
 		opts = append(opts, sim.WithObserver(d.obsv))
@@ -137,7 +129,6 @@ func main() {
 		workload  = flag.String("workload", "", "comma-separated workload entries — spec files (*.json/*.toml), registered workload names (all, int11, fp11, ...), or benchmark names (empty = the full suite)")
 		format    = flag.String("format", "text", "output format: text | json | csv")
 		mode      = flag.String("mode", "pipeline", "execution mode: pipeline (cycle model) or trace (record-once trace replay; accuracy figures only, ~10-100x faster)")
-		feCache   = flag.String("frontend-cache", "", `trace mode only: cache frontend artifacts in this directory ("auto" = PREDSIM_FRONTEND_DIR or the user cache dir; empty = live frontend)`)
 		verbose   = flag.Bool("v", false, "print per-run progress to stderr")
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprof   = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -159,10 +150,6 @@ func main() {
 		fatal(err)
 	}
 	d.mode = m
-	if *feCache != "" && m != sim.ModeTrace {
-		fatal(fmt.Errorf("-frontend-cache needs -mode trace (artifacts feed trace replay only)"))
-	}
-	d.feCache = *feCache
 	if *metrics != "" || *manifest != "" {
 		d.obsv = sim.NewObserver()
 	}

@@ -41,7 +41,6 @@ func main() {
 		ideal     = flag.Bool("ideal", false, "idealized predictors: no aliasing, perfect global history")
 		selectPr  = flag.Bool("select", false, "force select-µop predication (disable selective prediction)")
 		mode      = flag.String("mode", "pipeline", "execution mode: pipeline (cycle model) or trace (record-once trace replay, accuracy stats only)")
-		feCache   = flag.String("frontend-cache", "", `trace mode only: cache the frontend artifact in this directory ("auto" = PREDSIM_FRONTEND_DIR or the user cache dir; empty = live frontend)`)
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprof   = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		metrics   = flag.String("metrics", "", "write a metrics snapshot (spans, counters) to this JSON file at exit")
@@ -122,13 +121,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	frontendDir := *feCache
-	if frontendDir != "" && m != sim.ModeTrace {
-		fatal(fmt.Errorf("-frontend-cache needs -mode trace (artifacts feed trace replay only)"))
-	}
-	if frontendDir == "auto" {
-		frontendDir = sim.DefaultFrontendCacheDir()
-	}
 	var obsv *sim.Observer
 	if *metrics != "" || *manifest != "" {
 		obsv = sim.NewObserver()
@@ -148,12 +140,11 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	res, err := sim.SimulateProgram(ctx, sim.ProgramRun{
-		Program:     prog,
-		Scheme:      *scheme,
-		Commits:     *commits,
-		Mode:        m,
-		FrontendDir: frontendDir,
-		Observer:    obsv,
+		Program:  prog,
+		Scheme:   *scheme,
+		Commits:  *commits,
+		Mode:     m,
+		Observer: obsv,
 		Mutate: func(c *sim.Config) {
 			if *ideal {
 				c.IdealNoAlias, c.IdealPerfectGHR = true, true

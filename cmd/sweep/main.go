@@ -7,7 +7,9 @@
 //
 // Trace mode (the default) records each benchmark's trace once for
 // the whole sweep, so a thousand-point sweep costs a thousand cheap
-// replays per benchmark, not a thousand emulations.
+// replays per benchmark, not a thousand emulations — and fewer: points
+// that differ only in knobs the replay engine never reads (timing
+// knobs such as mispredict.penalty) share one replay.
 //
 // Examples:
 //
@@ -55,8 +57,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "subsample shuffle seed")
 		format    = flag.String("format", "csv", "output format: csv | json (long format, one row per run)")
 		par       = flag.Int("p", 0, "point worker parallelism (0 = GOMAXPROCS)")
-		feCache   = flag.String("frontend-cache", "", `trace mode only: cache frontend artifacts in this directory ("auto" = PREDSIM_FRONTEND_DIR or the user cache dir; empty = live frontend)`)
-		warmStart = flag.Bool("warm-start", false, "trace mode only: order points by knob-edit distance and reuse replay statistics across points differing only in carryover knobs (results byte-identical; see -knobs)")
 		summary   = flag.Bool("summary", true, "print best point and per-axis marginals to stderr")
 		verbose   = flag.Bool("v", false, "print a throttled progress heartbeat (point, elapsed, ETA) to stderr")
 		knobs     = flag.Bool("knobs", false, "list the registered sweep knobs and exit")
@@ -69,11 +69,7 @@ func main() {
 
 	if *knobs {
 		for _, k := range sim.Knobs() {
-			tag := ""
-			if k.Carryover {
-				tag = "  [carryover: timing-only, warm-start reusable]"
-			}
-			fmt.Printf("%-20s %s%s\n", k.Name, k.Doc, tag)
+			fmt.Printf("%-20s %s\n", k.Name, k.Doc)
 		}
 		return
 	}
@@ -101,13 +97,6 @@ func main() {
 		sim.WithMode(m),
 		sim.WithParallelism(*par),
 	}
-	if *feCache != "" {
-		dir := *feCache
-		if dir == "auto" {
-			dir = "" // WithFrontendCache resolves the default directory
-		}
-		opts = append(opts, sim.WithFrontendCache(dir))
-	}
 	if *verbose {
 		opts = append(opts, sim.WithProgress(heartbeat(os.Stderr)))
 	}
@@ -120,18 +109,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sweepOpts := make([]sim.SweepOption, 0, len(axes)+2)
+	sweepOpts := make([]sim.SweepOption, 0, len(axes)+1)
 	for _, ax := range axes {
 		sweepOpts = append(sweepOpts, sim.WithAxis(ax.name, ax.values...))
 	}
 	if *sample > 0 {
 		sweepOpts = append(sweepOpts, sim.WithSample(*sample, *seed))
-	}
-	if *warmStart {
-		if m != sim.ModeTrace {
-			fatal(fmt.Errorf("-warm-start needs -mode trace (warm starts reuse replay statistics)"))
-		}
-		sweepOpts = append(sweepOpts, sim.WithWarmStart(true))
 	}
 	sw, err := sim.NewSweep(exp, sweepOpts...)
 	if err != nil {

@@ -1,16 +1,13 @@
-// Package cachecore is the shared plumbing for the simulator's
-// content-addressed disk caches: the recorded-trace tier
-// (internal/trace) and the frontend-artifact tier (internal/stats).
-// Both tiers need the same four pieces — an env-overridable default
-// directory with a per-UID temp fallback, a stable key derivation from
-// format magic + content parts, private (0700) cache directories, and
-// atomic temp-file-plus-rename stores — and keeping one implementation
-// here keeps their on-disk hygiene identical by construction.
+// Package cachecore is the plumbing under the simulator's
+// content-addressed disk cache of recorded traces (internal/trace): an
+// env-overridable default directory with a per-UID temp fallback, a
+// stable key derivation from format magic + content parts, private
+// (0700) cache directories, and atomic temp-file-plus-rename stores.
 //
-// The caches built on this package are advisory: a Load miss (missing,
+// A cache built on this package is advisory: a Load miss (missing,
 // unreadable or corrupt file) must never be load-bearing, and Store
-// failures are safe to ignore. Tier-specific policy — what a valid hit
-// is, how misses count on the obs registry — stays with each tier.
+// failures are safe to ignore. Cache-specific policy — what a valid hit
+// is, how misses count on the obs registry — stays with the cache.
 package cachecore
 
 import (

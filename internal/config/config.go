@@ -231,6 +231,11 @@ func (c Config) Table1() string {
 
 // Validate checks the configuration for obviously broken values.
 func (c Config) Validate() error {
+	switch c.Scheme {
+	case SchemeConventional, SchemePredicate, SchemePEPPA:
+	default:
+		return fmt.Errorf("config: unknown scheme %v", c.Scheme)
+	}
 	if c.FetchWidth < 1 || c.ROBEntries < 8 {
 		return fmt.Errorf("config: fetch width %d / ROB %d too small", c.FetchWidth, c.ROBEntries)
 	}

@@ -41,6 +41,12 @@ func TestValidateCatchesBadValues(t *testing.T) {
 	if c.Validate() == nil {
 		t.Error("broken cache geometry accepted")
 	}
+
+	c = Default()
+	c.Scheme = Scheme(42)
+	if c.Validate() == nil {
+		t.Error("unknown scheme accepted")
+	}
 }
 
 func TestWithScheme(t *testing.T) {

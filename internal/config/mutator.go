@@ -18,12 +18,6 @@ type Mutator struct {
 	Name string
 	// Doc is a one-line description for listings.
 	Doc string
-	// Carryover declares that the knob only affects the cycle-timing
-	// model — Config fields the trace-replay engine never reads — so a
-	// warm-started sweep may reuse replay statistics across points
-	// differing only in this knob. Default false: declaring it on a
-	// knob the replay engine does read silently corrupts warm sweeps.
-	Carryover bool
 	// Apply parses value and mutates c.
 	Apply func(c *Config, value string) error
 }
@@ -161,11 +155,9 @@ func init() {
 		Apply: uintKnob("pred.lhtbits", func(c *Config, n uint) { c.L2PredLHTBits = n }),
 	})
 	mustRegisterMutator(Mutator{
-		Name: "pred.latency",
-		Doc:  "second-level predictor access latency in cycles (Table 1: 3)",
-		// L2PredLatency is read only by the pipeline's timing model.
-		Carryover: true,
-		Apply:     intKnob("pred.latency", func(c *Config, n int) { c.L2PredLatency = n }),
+		Name:  "pred.latency",
+		Doc:   "second-level predictor access latency in cycles (Table 1: 3)",
+		Apply: intKnob("pred.latency", func(c *Config, n int) { c.L2PredLatency = n }),
 	})
 	mustRegisterMutator(Mutator{
 		Name:  "conf.bits",
@@ -175,27 +167,20 @@ func init() {
 	mustRegisterMutator(Mutator{
 		Name: "gshare.idxbits",
 		Doc:  "first-level gshare index and history length (Table 1: 14)",
-		// The replay engine models the scheme predictors only; the
-		// first-level gshare exists in the pipeline's fetch stage alone.
-		Carryover: true,
 		Apply: uintKnob("gshare.idxbits", func(c *Config, n uint) {
 			c.GshareIdxBits = n
 			c.GshareGHRBits = n
 		}),
 	})
 	mustRegisterMutator(Mutator{
-		Name: "mispredict.penalty",
-		Doc:  "branch misprediction recovery cycles (Table 1: 10)",
-		// MispredictPenalty is read only by the pipeline's timing model.
-		Carryover: true,
-		Apply:     intKnob("mispredict.penalty", func(c *Config, n int) { c.MispredictPenalty = n }),
+		Name:  "mispredict.penalty",
+		Doc:   "branch misprediction recovery cycles (Table 1: 10)",
+		Apply: intKnob("mispredict.penalty", func(c *Config, n int) { c.MispredictPenalty = n }),
 	})
 	mustRegisterMutator(Mutator{
-		Name: "rob.entries",
-		Doc:  "reorder buffer entries (Table 1: 256)",
-		// ROBEntries bounds the pipeline's in-flight window only.
-		Carryover: true,
-		Apply:     intKnob("rob.entries", func(c *Config, n int) { c.ROBEntries = n }),
+		Name:  "rob.entries",
+		Doc:   "reorder buffer entries (Table 1: 256)",
+		Apply: intKnob("rob.entries", func(c *Config, n int) { c.ROBEntries = n }),
 	})
 	mustRegisterMutator(Mutator{
 		Name:  "ras.entries",

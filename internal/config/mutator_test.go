@@ -65,26 +65,6 @@ func TestSetErrors(t *testing.T) {
 	}
 }
 
-// TestCarryoverDeclarations pins the warm-start contract: exactly the
-// knobs whose Config fields are read only by the pipeline's timing
-// model — never by the trace-replay engine — may declare Carryover.
-// Adding a knob to this list requires re-auditing what the replay
-// engine (internal/stats, internal/predictor, internal/peppa) reads.
-func TestCarryoverDeclarations(t *testing.T) {
-	want := map[string]bool{
-		"gshare.idxbits":     true,
-		"mispredict.penalty": true,
-		"pred.latency":       true,
-		"rob.entries":        true,
-	}
-	for _, n := range MutatorNames() {
-		m, _ := ResolveMutator(n)
-		if m.Carryover != want[n] {
-			t.Errorf("knob %q: Carryover = %v, want %v", n, m.Carryover, want[n])
-		}
-	}
-}
-
 func TestMutatorRegistry(t *testing.T) {
 	names := MutatorNames()
 	if len(names) < 10 {

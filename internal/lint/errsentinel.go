@@ -8,13 +8,13 @@ import (
 	"strings"
 )
 
-// Errsentinel guards the artifact-cache error contract: sentinel
-// errors (ErrArtifactCorrupt and friends) are deliberately wrapped
-// with %w on every path so callers classify failures with errors.Is —
-// an identity comparison (==, !=, switch case) silently stops matching
-// the moment anyone adds context, and re-wrapping with %s/%v severs
-// the chain for everyone downstream. Both mistakes type-check and pass
-// every happy-path test.
+// Errsentinel guards the sentinel-error contract: package-level error
+// values named Err*/err* (the corpus's ErrCorrupt is the model: a
+// decoder's "malformed input" class) are wrapped with %w on every path
+// so callers classify failures with errors.Is — an identity comparison
+// (==, !=, switch case) silently stops matching the moment anyone adds
+// context, and re-wrapping with %s/%v severs the chain for everyone
+// downstream. Both mistakes type-check and pass every happy-path test.
 var Errsentinel = &Analyzer{
 	Name: "errsentinel",
 	Doc:  "sentinel errors must be matched with errors.Is and wrapped with %w",
@@ -49,7 +49,7 @@ func runErrsentinel(pass *Pass) {
 // collectSentinels gathers package-level error variables named like
 // sentinels (Err*/err*) from every loaded package and from the current
 // package's module-internal imports — the latter is what lets a vet
-// unit, which loads only itself, still see stats.ErrArtifactCorrupt.
+// unit, which loads only itself, still see another package's ErrCorrupt.
 func collectSentinels(pass *Pass) map[types.Object]bool {
 	out := map[types.Object]bool{}
 	scopes := []*types.Scope{}

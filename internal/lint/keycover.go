@@ -10,9 +10,8 @@ import (
 // Keycover guards the content-addressed caches: a struct that feeds a
 // Hash/key function (bench.Spec, program.Program, isa.Inst) must have
 // every field consumed by that function, because a field the hash
-// skips changes behaviour without changing the key — the trace and
-// frontend-artifact caches then return stale results that still look
-// bit-identical. Fields that genuinely carry no replay semantics (a
+// skips changes behaviour without changing the key — the trace cache
+// then returns stale results that still look bit-identical. Fields that genuinely carry no replay semantics (a
 // display name, a pre-assembly label) carry a reason-mandatory
 // //simlint:nonsemantic annotation.
 //

@@ -31,14 +31,13 @@ type Manifest struct {
 	Knobs map[string]string `json:"knobs,omitempty"`
 
 	// Execution record.
-	Cache         string           `json:"cache,omitempty"`          // "hit" | "record" | "" (pipeline)
-	FrontendCache string           `json:"frontend_cache,omitempty"` // frontend artifact: "hit" | "build" | "" (live frontend)
-	WarmStart     bool             `json:"warm_start,omitempty"`     // statistics reused from a warm-started sweep neighbor
-	GroupSchemes  []string         `json:"group_schemes,omitempty"`  // schemes sharing this single pass
-	Committed     uint64           `json:"committed"`                // committed instructions
-	PhasesNS      map[string]int64 `json:"phases_ns,omitempty"`
-	InstrsPerSec  float64          `json:"instrs_per_sec,omitempty"`
-	Err           string           `json:"err,omitempty"`
+	Cache        string           `json:"cache,omitempty"`         // "hit" | "record" | "" (pipeline)
+	Memo         bool             `json:"memo,omitempty"`          // statistics served from another cell's replay
+	GroupSchemes []string         `json:"group_schemes,omitempty"` // schemes sharing this single pass
+	Committed    uint64           `json:"committed"`               // committed instructions
+	PhasesNS     map[string]int64 `json:"phases_ns,omitempty"`
+	InstrsPerSec float64          `json:"instrs_per_sec,omitempty"`
+	Err          string           `json:"err,omitempty"`
 }
 
 // SortManifests orders manifests for emission: by sweep point, then

@@ -159,6 +159,49 @@ type specBit struct {
 	repair    bool
 }
 
+// EngineConfig is the replay-visible projection of a config.Config:
+// exactly the fields the trace-replay engine reads. Everything else in
+// a Config (widths, windows, caches, latencies, the first-level gshare,
+// the recovery penalty) shapes only the pipeline's timing model, so two
+// configurations with equal EngineConfigs replay to bit-identical
+// statistics. schemeEngine holds only this struct, which makes the
+// compiler enforce the projection; being comparable, it keys the
+// façade's replay memo directly.
+type EngineConfig struct {
+	Scheme           config.Scheme
+	Predication      config.PredicationMode
+	L2PredBytes      int
+	L2PredGHRBits    uint
+	L2PredLHRBits    uint
+	L2PredLHTBits    uint
+	ConfBits         uint
+	RASEntries       int
+	IdealNoAlias     bool
+	IdealPerfectGHR  bool
+	SplitPVT         bool
+	DisableGHRRepair bool
+}
+
+// EngineConfigOf projects a configuration onto its replay-visible
+// fields. It does not validate: callers that replay run the full
+// Config.Validate first.
+func EngineConfigOf(c config.Config) EngineConfig {
+	return EngineConfig{
+		Scheme:           c.Scheme,
+		Predication:      c.Predication,
+		L2PredBytes:      c.L2PredBytes,
+		L2PredGHRBits:    c.L2PredGHRBits,
+		L2PredLHRBits:    c.L2PredLHRBits,
+		L2PredLHTBits:    c.L2PredLHTBits,
+		ConfBits:         c.ConfBits,
+		RASEntries:       c.RASEntries,
+		IdealNoAlias:     c.IdealNoAlias,
+		IdealPerfectGHR:  c.IdealPerfectGHR,
+		SplitPVT:         c.SplitPVT,
+		DisableGHRRepair: c.DisableGHRRepair,
+	}
+}
+
 // schemeEngine is the per-scheme half of the trace-driven predictor
 // engine: one predictor organization replayed in commit order with
 // immediate training, touching none of the out-of-order machinery. The
@@ -173,7 +216,7 @@ type specBit struct {
 // in-flight overlap — training delay between fetch and commit,
 // early-resolution timing — are modeled, not simulated.
 type schemeEngine struct {
-	cfg config.Config
+	cfg EngineConfig
 
 	// PPRF prediction mirror (predicate scheme): the predicted value a
 	// speculative consumer would read for each architectural predicate
@@ -218,10 +261,11 @@ type schemeEngine struct {
 	st pipeline.Stats
 }
 
-func newSchemeEngine(cfg config.Config) (*schemeEngine, error) {
-	if err := cfg.Validate(); err != nil {
+func newSchemeEngine(full config.Config) (*schemeEngine, error) {
+	if err := full.Validate(); err != nil {
 		return nil, err
 	}
+	cfg := EngineConfigOf(full)
 	e := &schemeEngine{
 		cfg:  cfg,
 		ras:  predictor.NewRAS(cfg.RASEntries),
@@ -280,25 +324,7 @@ func ReplayContext(ctx context.Context, cfg config.Config, tr *trace.Trace, comm
 // accumulated so far are returned alongside the context error.
 func ReplayAll(ctx context.Context, cfgs []config.Config, tr *trace.Trace, commits uint64) ([]pipeline.Stats, error) {
 	var s scratch
-	return s.replayAll(ctx, cfgs, tr, nil, commits)
-}
-
-// ReplayAllArtifact is ReplayAll fed from a materialized frontend
-// artifact: the annotate pass is skipped and each batch's notes are
-// decoded from the artifact's stream instead. Statistics are
-// bit-identical to ReplayAll over the same trace and budget. Unlike
-// the Session path (which silently falls back to the live frontend
-// when an artifact cannot cover the budget), this strict form requires
-// the artifact and surfaces ErrArtifactMismatch / ErrArtifactDesync.
-func ReplayAllArtifact(ctx context.Context, cfgs []config.Config, tr *trace.Trace, art *Artifact, commits uint64) ([]pipeline.Stats, error) {
-	if art == nil {
-		return nil, fmt.Errorf("stats: nil frontend artifact")
-	}
-	if art.ProgHash != tr.ProgHash {
-		return nil, fmt.Errorf("%w: artifact program hash %016x, trace %016x", ErrArtifactMismatch, art.ProgHash, tr.ProgHash)
-	}
-	var s scratch
-	return s.replayAll(ctx, cfgs, tr, art, commits)
+	return s.replayAll(ctx, cfgs, tr, commits)
 }
 
 // scratch holds the reusable decode buffers of a single-pass replay —
@@ -309,17 +335,16 @@ type scratch struct {
 	notes []note
 }
 
-func (s *scratch) replayAll(ctx context.Context, cfgs []config.Config, tr *trace.Trace, art *Artifact, commits uint64) ([]pipeline.Stats, error) {
-	return s.replay(ctx, cfgs, tr, art, commits, nil, nil)
+func (s *scratch) replayAll(ctx context.Context, cfgs []config.Config, tr *trace.Trace, commits uint64) ([]pipeline.Stats, error) {
+	return s.replay(ctx, cfgs, tr, commits, nil, nil)
 }
 
 // replay is the shared body behind replayAll and replayAllTimed. With
 // tm/now nil the timed branches are dead and replay is exactly the
 // untimed loop; with both set, phase durations accumulate into tm once
 // per batch (the clock reads sit between phases, so the statistics are
-// bit-identical either way). A non-nil art feeds each batch's notes
-// from the artifact's stream instead of the live frontend.
-func (s *scratch) replay(ctx context.Context, cfgs []config.Config, tr *trace.Trace, art *Artifact, commits uint64, tm *Timings, now func() int64) ([]pipeline.Stats, error) {
+// bit-identical either way).
+func (s *scratch) replay(ctx context.Context, cfgs []config.Config, tr *trace.Trace, commits uint64, tm *Timings, now func() int64) ([]pipeline.Stats, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("stats: replay needs at least one configuration")
 	}
@@ -335,7 +360,7 @@ func (s *scratch) replay(ctx context.Context, cfgs []config.Config, tr *trace.Tr
 		s.evs = make([]trace.Event, batchEvents)
 		s.notes = make([]note, batchEvents)
 	}
-	err := s.run(ctx, engines, tr, art, commits, tm, now)
+	err := s.run(ctx, engines, tr, commits, tm, now)
 	sts := make([]pipeline.Stats, len(engines))
 	for i, e := range engines {
 		sts[i] = e.st
@@ -345,9 +370,8 @@ func (s *scratch) replay(ctx context.Context, cfgs []config.Config, tr *trace.Tr
 
 // run drives the shared cursor: decode a batch, annotate it through the
 // frontend (budget- and marker-aware, exactly as the per-scheme engine
-// looped) — or, artifact-fed, decode the batch's notes from the
-// materialized stream — then fan the admitted events to every engine.
-func (s *scratch) run(ctx context.Context, engines []*schemeEngine, tr *trace.Trace, art *Artifact, commits uint64, tm *Timings, now func() int64) error {
+// looped), then fan the admitted events to every engine.
+func (s *scratch) run(ctx context.Context, engines []*schemeEngine, tr *trace.Trace, commits uint64, tm *Timings, now func() int64) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -356,12 +380,7 @@ func (s *scratch) run(ctx context.Context, engines []*schemeEngine, tr *trace.Tr
 	fe.predVal[isa.P0] = true
 	fe.prevVal[isa.P0] = true
 	cur := tr.EventCursor()
-	var acur *ArtifactCursor
-	if art != nil {
-		acur = art.Cursor()
-	}
 	var committed uint64
-	var lastStep uint64 // step of the batch's last admitted event (artifact mode)
 	halted := false
 	done := false
 	var t0 int64
@@ -400,26 +419,12 @@ func (s *scratch) run(ctx context.Context, engines []*schemeEngine, tr *trace.Tr
 				if n != i {
 					s.evs[n] = *ev
 				}
-				if acur == nil {
-					fe.annotate(&s.evs[n], &s.notes[n])
-				} else {
-					lastStep = committed
-				}
+				fe.annotate(&s.evs[n], &s.notes[n])
 				n++
 			}
 			if commits > 0 && committed >= commits {
 				done = true
 				break
-			}
-		}
-		// Artifact-fed: the batch's notes come from the materialized
-		// stream instead of the annotate pass above. The count and the
-		// final step must line up exactly with the admitted events —
-		// anything else is an artifact built from a different trace or
-		// budget that slipped past the coverage gates.
-		if acur != nil && n > 0 {
-			if err := fillNotes(acur, s.notes[:n], lastStep); err != nil {
-				return err
 			}
 		}
 		if timed {
@@ -452,22 +457,6 @@ func (s *scratch) run(ctx context.Context, engines []*schemeEngine, tr *trace.Tr
 	for _, e := range engines {
 		e.st.Committed = committed
 		e.st.HaltSeen = halted
-	}
-	return nil
-}
-
-// fillNotes decodes one admitted batch's notes from the artifact
-// stream into buf, verifying the note count and the final step against
-// the admission loop's view (lastStep) — the desync guard.
-func fillNotes(acur *ArtifactCursor, buf []note, lastStep uint64) error {
-	if m := acur.NextBatch(buf); m != len(buf) {
-		if err := acur.Err(); err != nil {
-			return err
-		}
-		return fmt.Errorf("%w: note stream ended after %d of %d batch notes", ErrArtifactDesync, m, len(buf))
-	}
-	if got := buf[len(buf)-1].step; got != lastStep {
-		return fmt.Errorf("%w: batch ends at note step %d, trace step %d", ErrArtifactDesync, got, lastStep)
 	}
 	return nil
 }

@@ -30,19 +30,17 @@ type Timings struct {
 // clock reads sit between phases, never inside them.
 func ReplayAllTimed(ctx context.Context, cfgs []config.Config, tr *trace.Trace, commits uint64, now func() int64) ([]pipeline.Stats, *Timings, error) {
 	var s scratch
-	return s.replayAllTimed(ctx, cfgs, tr, nil, commits, now)
+	return s.replayAllTimed(ctx, cfgs, tr, commits, now)
 }
 
 // ReplayAllTimed is the Session form of the package-level
-// ReplayAllTimed, reusing the session's decode buffers. When the
-// session carries a covering frontend artifact the timed replay is fed
-// from it, with note decode attributed to the frontend phase.
+// ReplayAllTimed, reusing the session's decode buffers.
 func (s *Session) ReplayAllTimed(ctx context.Context, cfgs []config.Config, commits uint64, now func() int64) ([]pipeline.Stats, *Timings, error) {
-	return s.s.replayAllTimed(ctx, cfgs, s.tr, s.artifactFor(commits), commits, now)
+	return s.s.replayAllTimed(ctx, cfgs, s.tr, commits, now)
 }
 
-func (s *scratch) replayAllTimed(ctx context.Context, cfgs []config.Config, tr *trace.Trace, art *Artifact, commits uint64, now func() int64) ([]pipeline.Stats, *Timings, error) {
+func (s *scratch) replayAllTimed(ctx context.Context, cfgs []config.Config, tr *trace.Trace, commits uint64, now func() int64) ([]pipeline.Stats, *Timings, error) {
 	tm := &Timings{EngineNS: make([]int64, len(cfgs))}
-	sts, err := s.replay(ctx, cfgs, tr, art, commits, tm, now)
+	sts, err := s.replay(ctx, cfgs, tr, commits, tm, now)
 	return sts, tm, err
 }

@@ -48,13 +48,11 @@ type Observer struct {
 	reg   *obs.Registry
 	clock func() int64
 
-	runsCompleted  *obs.Counter
-	runsFailed     *obs.Counter
-	cacheHits      *obs.Counter
-	cacheRecords   *obs.Counter
-	frontendHits   *obs.Counter
-	frontendBuilds *obs.Counter
-	spans          map[string]*obs.Histogram
+	runsCompleted *obs.Counter
+	runsFailed    *obs.Counter
+	cacheHits     *obs.Counter
+	cacheRecords  *obs.Counter
+	spans         map[string]*obs.Histogram
 
 	mu        sync.Mutex
 	manifests []RunManifest
@@ -73,14 +71,12 @@ func NewObserverWithClock(now func() int64) *Observer {
 	}
 	r := obs.NewRegistry()
 	return &Observer{
-		reg:            r,
-		clock:          now,
-		runsCompleted:  r.Counter("runs.completed"),
-		runsFailed:     r.Counter("runs.failed"),
-		cacheHits:      r.Counter("trace.cache.hits"),
-		cacheRecords:   r.Counter("trace.cache.records"),
-		frontendHits:   r.Counter("frontend.cache.hits"),
-		frontendBuilds: r.Counter("frontend.cache.builds"),
+		reg:           r,
+		clock:         now,
+		runsCompleted: r.Counter("runs.completed"),
+		runsFailed:    r.Counter("runs.failed"),
+		cacheHits:     r.Counter("trace.cache.hits"),
+		cacheRecords:  r.Counter("trace.cache.records"),
 		spans: map[string]*obs.Histogram{
 			PhasePrepare:     r.Histogram("span.prepare.ns"),
 			PhaseCacheLookup: r.Histogram("span.cache-lookup.ns"),
@@ -135,21 +131,6 @@ func (o *Observer) cacheOutcome(outcome string) {
 		o.cacheHits.Inc()
 	case "record":
 		o.cacheRecords.Inc()
-	}
-}
-
-// frontendOutcome counts one frontend-artifact acquisition by
-// provenance ("hit" from the disk tier, "build" from a fresh frontend
-// pass); nil-safe.
-func (o *Observer) frontendOutcome(outcome string) {
-	if o == nil {
-		return
-	}
-	switch outcome {
-	case "hit":
-		o.frontendHits.Inc()
-	case "build":
-		o.frontendBuilds.Inc()
 	}
 }
 

@@ -10,36 +10,9 @@ import (
 	"time"
 
 	"repro/internal/isa"
-	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/stats"
 	"repro/internal/trace"
-)
-
-// Warm-start bookkeeping for sweeps: a warmCache memoizes validated
-// per-scheme replay statistics per (benchmark, non-carryover axis
-// coordinates), so a sweep point differing from an already-replayed
-// one only in carryover knobs — knobs the replay engine provably never
-// reads (config.Mutator.Carryover) — reuses the neighbor's statistics
-// instead of replaying. The memo is worker-local (no locking) and only
-// ever holds replay results the worker itself computed, so warm and
-// cold sweeps emit byte-identical rows.
-type warmCache struct {
-	m map[string]map[string]Stats // bench+"\x00"+warmKey -> scheme -> stats
-}
-
-// warmRef points one trace job at its sweep point's warm-start memo; a
-// zero warmRef (the plain runner's) disables reuse.
-type warmRef struct {
-	cache *warmCache
-	key   string // the point's non-carryover axis coordinates
-}
-
-// Warm-start reuse counters, on the process registry like the trace
-// and frontend cache tiers' own.
-var (
-	warmHits   = obs.Default().Counter("sweep.warmstart.hits")
-	warmMisses = obs.Default().Counter("sweep.warmstart.misses")
 )
 
 // Result is the outcome of simulating one benchmark under one scheme
@@ -212,7 +185,7 @@ func (e *Experiment) Start(ctx context.Context) (*Runner, error) {
 	}
 	var traces *traceProvider
 	if e.mode&ModeTrace != 0 {
-		traces = newTraceProvider(e.traceDir, e.frontendDir, wl.profileSteps, e.commits, e.observer)
+		traces = newTraceProvider(e.traceDir, wl.profileSteps, e.commits, e.observer)
 	}
 	jobs, total := e.buildJobs(wl)
 	r := &Runner{
@@ -365,7 +338,7 @@ func instrsPerSec(committed uint64, ns int64) float64 {
 // mid-simulation and the partial results must be discarded.
 func (e *Experiment) runJob(ctx context.Context, traces *traceProvider, sessions map[string]*stats.Session, j simJob, meta manifestMeta) ([]Result, bool) {
 	if j.mode == ModeTrace {
-		return e.runTraceJob(ctx, traces, sessions, j, e.baseConfig, meta, warmRef{})
+		return e.runTraceJob(ctx, traces, sessions, j, e.baseConfig, meta)
 	}
 	cfg, err := e.baseConfig(j.schemes[0])
 	if err != nil {
@@ -386,11 +359,18 @@ func (e *Experiment) runJob(ctx context.Context, traces *traceProvider, sessions
 // fully-built configuration — the seam the sweep engine shares with the
 // plain runner (a sweep point is the same group with extra axis
 // mutations applied). A cell whose configuration fails to build or
-// validate keeps its error while its siblings still replay; warm-start
-// sweeps serve memoized cells from warm before replaying the rest. ok
-// is false when the context was cancelled mid-replay and the whole
-// group must be discarded.
-func (e *Experiment) runTraceJob(ctx context.Context, traces *traceProvider, sessions map[string]*stats.Session, j simJob, buildCfg func(string) (Config, error), meta manifestMeta, warm warmRef) ([]Result, bool) {
+// validate keeps its error while its siblings still replay.
+//
+// Cells go through the provider's replay memo: the job claims every
+// cell key no one holds yet and replays those in one pass, then waits
+// for the keys other workers (or an earlier cell of this job) hold. A
+// job never waits while it holds an unsettled claim, so workers cannot
+// deadlock on each other. Validation has already rejected every
+// configuration a replay could fail on, so a failed pass is a property
+// of the trace (or a cancellation), and its waiters share its error.
+// ok is false when the context was cancelled and the whole group must
+// be discarded.
+func (e *Experiment) runTraceJob(ctx context.Context, traces *traceProvider, sessions map[string]*stats.Session, j simJob, buildCfg func(string) (Config, error), meta manifestMeta) ([]Result, bool) {
 	out := make([]Result, len(j.schemes))
 	for i := range j.schemes {
 		out[i] = j.result(e, i)
@@ -406,46 +386,32 @@ func (e *Experiment) runTraceJob(ctx context.Context, traces *traceProvider, ses
 		e.observeTraceGroup(traces, j, meta, out, nil, nil, nil)
 		return out, true
 	}
-	var memo map[string]Stats
-	memoKey := ""
-	if warm.cache != nil {
-		memoKey = j.bench + "\x00" + warm.key
-		memo = warm.cache.m[memoKey]
-	}
-	var warmed []bool
-	var cfgs []Config
-	var live []int // out index per cfgs entry
+	var live, waits []int // cells this job replays, cells it waits for
+	var cfgs []Config     // parallel to live
+	entries := make([]*memoEntry, len(out))
 	for i, s := range j.schemes {
 		cfg, err := buildCfg(s)
 		if err == nil {
 			// Pre-flight so one invalid configuration keeps its per-cell
-			// error instead of sinking the whole single-pass group. This
-			// runs before any warm-start reuse: a carryover knob can still
-			// make a configuration invalid, and such cells must keep their
-			// error rather than inherit a neighbor's statistics.
+			// error instead of sinking the whole single-pass group, and
+			// never reaches the memo.
 			err = cfg.Validate()
 		}
 		if err != nil {
 			out[i].Err = err
 			continue
 		}
-		if st, ok := memo[s]; ok {
-			out[i].Stats = st
-			if warmed == nil {
-				warmed = make([]bool, len(out))
-			}
-			warmed[i] = true
-			warmHits.Inc()
-			continue
+		m, created := traces.claim(memoKey{bench: j.bench, cfg: stats.EngineConfigOf(cfg)})
+		entries[i] = m
+		if created {
+			live = append(live, i)
+			cfgs = append(cfgs, cfg)
+		} else {
+			waits = append(waits, i)
 		}
-		if warm.cache != nil {
-			warmMisses.Inc()
-		}
-		cfgs = append(cfgs, cfg)
-		live = append(live, i)
 	}
 	var tm *stats.Timings
-	if len(cfgs) > 0 {
+	if len(live) > 0 {
 		var sts []pipeline.Stats
 		var err error
 		if o := e.observer; o != nil {
@@ -453,27 +419,36 @@ func (e *Experiment) runTraceJob(ctx context.Context, traces *traceProvider, ses
 		} else {
 			sts, err = sess.ReplayAll(ctx, cfgs, e.commits)
 		}
+		for k, i := range live {
+			if err == nil {
+				out[i].Stats = sts[k]
+			}
+			out[i].Err = err
+			traces.settle(entries[i], out[i].Stats, err)
+		}
 		if canceled(err) {
 			return nil, false
 		}
-		for k, i := range live {
-			if err != nil {
-				out[i].Err = err
-				continue
-			}
-			out[i].Stats = sts[k]
+		memoMisses.Add(uint64(len(live)))
+	}
+	memo := make([]bool, len(out))
+	for _, i := range waits {
+		m := entries[i]
+		select {
+		case <-m.done:
+		case <-ctx.Done():
+			return nil, false
 		}
-		if warm.cache != nil && err == nil {
-			if memo == nil {
-				memo = make(map[string]Stats, len(live))
-				warm.cache.m[memoKey] = memo
-			}
-			for k, i := range live {
-				memo[j.schemes[i]] = sts[k]
-			}
+		if canceled(m.err) {
+			return nil, false
+		}
+		out[i].Stats, out[i].Err = m.st, m.err
+		if m.err == nil {
+			memo[i] = true
+			memoHits.Inc()
 		}
 	}
-	e.observeTraceGroup(traces, j, meta, out, live, warmed, tm)
+	e.observeTraceGroup(traces, j, meta, out, live, memo, tm)
 	return out, true
 }
 
@@ -482,15 +457,15 @@ func (e *Experiment) runTraceJob(ctx context.Context, traces *traceProvider, ses
 // manifest per cell. The shared decode and frontend costs are
 // attributed evenly across the live cells in each manifest (the group
 // totals are recoverable via GroupSchemes), while engine time is
-// exact per cell. Warm-started cells (warmed[i], nil = none) carry
-// their provenance flag but no phase timings — no replay ran for them.
+// exact per cell. Memo-served cells (memo[i], nil = none) carry their
+// provenance flag but no phase timings — no replay ran for them.
 // No-op without an observer.
-func (e *Experiment) observeTraceGroup(traces *traceProvider, j simJob, meta manifestMeta, out []Result, live []int, warmed []bool, tm *stats.Timings) {
+func (e *Experiment) observeTraceGroup(traces *traceProvider, j simJob, meta manifestMeta, out []Result, live []int, memo []bool, tm *stats.Timings) {
 	o := e.observer
 	if o == nil {
 		return
 	}
-	outcome, artOutcome, _, _ := traces.info(j.bench)
+	outcome := traces.outcome(j.bench)
 	var group []string
 	if len(live) > 1 {
 		group = make([]string, len(live))
@@ -512,10 +487,9 @@ func (e *Experiment) observeTraceGroup(traces *traceProvider, j simJob, meta man
 	for i := range out {
 		m := e.cellManifest(j, i, meta, out[i])
 		m.Cache = outcome
-		m.FrontendCache = artOutcome
-		m.WarmStart = warmed != nil && warmed[i]
-		m.GroupSchemes = group
+		m.Memo = memo != nil && memo[i]
 		if k, ok := liveIdx[i]; ok && tm != nil {
+			m.GroupSchemes = group
 			engineNS := tm.EngineNS[k]
 			o.span(PhaseEngine, engineNS)
 			m.PhasesNS = map[string]int64{
@@ -609,12 +583,6 @@ type ProgramRun struct {
 	Mutate  func(*Config) // optional configuration adjustment
 	// TraceDir overrides the trace cache directory for ModeTrace.
 	TraceDir string
-	// FrontendDir, when non-empty, enables the second-level
-	// frontend-artifact cache for ModeTrace (see WithFrontendCache):
-	// the program's frontend pass is loaded from (or built and stored
-	// into) that directory and replays are fed from the artifact's
-	// note stream, bit-identically to the live frontend.
-	FrontendDir string
 	// Observer, when non-nil, collects phase spans and a run manifest
 	// per result, exactly as WithObserver does for experiments.
 	Observer *Observer
@@ -666,7 +634,6 @@ func SimulateProgram(ctx context.Context, r ProgramRun) (ProgramResult, error) {
 			return out, err
 		}
 		sess := stats.NewSession(tr)
-		artOutcome := attachProgramArtifact(ctx, r, tr, sess)
 		if o != nil {
 			sts, tm, err := sess.ReplayAllTimed(ctx, []Config{cfg}, r.Commits, o.clock)
 			if len(sts) == 1 {
@@ -677,7 +644,6 @@ func SimulateProgram(ctx context.Context, r ProgramRun) (ProgramResult, error) {
 			o.span(PhaseEngine, tm.EngineNS[0])
 			m := r.manifest(0, r.Scheme, ModeTrace, out.Stats)
 			m.Cache = outcome
-			m.FrontendCache = artOutcome
 			m.PhasesNS = map[string]int64{
 				PhaseDecode:   tm.DecodeNS,
 				PhaseFrontend: tm.FrontendNS,
@@ -756,7 +722,6 @@ func SimulateProgramSchemes(ctx context.Context, r ProgramRun, schemes ...string
 		return nil, err
 	}
 	sess := stats.NewSession(tr)
-	artOutcome := attachProgramArtifact(ctx, r, tr, sess)
 	cfgs := make([]Config, len(schemes))
 	for i, s := range schemes {
 		cfg, err := schemeConfig(s)
@@ -797,7 +762,6 @@ func SimulateProgramSchemes(ctx context.Context, r ProgramRun, schemes ...string
 		}
 		m := r.manifest(i, schemes[i], ModeTrace, sts[i])
 		m.Cache = outcome
-		m.FrontendCache = artOutcome
 		if len(schemes) > 1 {
 			m.GroupSchemes = append([]string(nil), schemes...)
 		}
@@ -812,38 +776,6 @@ func SimulateProgramSchemes(ctx context.Context, r ProgramRun, schemes ...string
 		o.finishRun(nil)
 	}
 	return out, nil
-}
-
-// attachProgramArtifact obtains (and attaches to sess) the program's
-// frontend artifact for the run's commit budget when r.FrontendDir
-// enables the tier: from the disk cache, or by one frontend-only pass
-// stored back for the next process. The returned provenance is "hit",
-// "build", or "" when the tier is off or the artifact could not be
-// obtained — in which case the session replays the live frontend,
-// bit-identically.
-func attachProgramArtifact(ctx context.Context, r ProgramRun, tr *trace.Trace, sess *stats.Session) string {
-	if r.FrontendDir == "" {
-		return ""
-	}
-	key := stats.ArtifactKey(
-		"program", r.Program.Name,
-		fmt.Sprintf("prog=%016x", tr.ProgHash),
-		fmt.Sprintf("commits=%d", r.Commits),
-	)
-	a, _ := stats.LoadArtifact(r.FrontendDir, key)
-	if a != nil && a.ProgHash == tr.ProgHash && (a.Covers(r.Commits) || a.Steps >= tr.Steps) {
-		if sess.SetArtifact(a) == nil {
-			r.Observer.frontendOutcome("hit")
-			return "hit"
-		}
-	}
-	a, err := stats.BuildArtifact(ctx, tr, r.Commits)
-	if err != nil || sess.SetArtifact(a) != nil {
-		return ""
-	}
-	r.Observer.frontendOutcome("build")
-	_ = stats.StoreArtifact(r.FrontendDir, key, a)
-	return "build"
 }
 
 // recordProgramTrace records (or loads from the cache) the trace of an

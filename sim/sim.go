@@ -48,7 +48,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/pipeline"
 	"repro/internal/program"
-	"repro/internal/stats"
 )
 
 // Config is the full machine configuration (the paper's Table 1). It
@@ -136,7 +135,6 @@ type Experiment struct {
 	profileSteps uint64
 	mode         Mode   // execution mode bitmask (WithMode)
 	traceDir     string // trace cache override (WithTraceDir)
-	frontendDir  string // frontend-artifact cache dir; "" = live frontend (WithFrontendCache)
 	mutate       func(*Config)
 	parallelism  int
 	progress     func(Progress)
@@ -257,32 +255,6 @@ func WithParallelism(k int) Option {
 			return fmt.Errorf("sim: parallelism %d < 0", k)
 		}
 		e.parallelism = k
-		return nil
-	}
-}
-
-// WithFrontendCache enables the second-level frontend-artifact cache
-// for trace-mode cells: each benchmark's scheme-independent frontend
-// pass (predicate reconstruction, resolution positions, selectors) is
-// materialized once per (trace, commit budget) — loaded from dir or
-// built and stored there — and every replay is fed from the artifact's
-// note stream instead of recomputing the frontend, bit-identically.
-// An empty dir selects the default cache directory (the
-// PREDSIM_FRONTEND_DIR environment variable, else the user cache
-// dir). The tier is advisory: any artifact failure falls back to the
-// live frontend.
-// DefaultFrontendCacheDir returns the default frontend-artifact cache
-// directory — the PREDSIM_FRONTEND_DIR environment variable when set,
-// else a predsim subdirectory of the user cache dir. It is the
-// directory WithFrontendCache("") selects.
-func DefaultFrontendCacheDir() string { return stats.ArtifactDefaultDir() }
-
-func WithFrontendCache(dir string) Option {
-	return func(e *Experiment) error {
-		if dir == "" {
-			dir = stats.ArtifactDefaultDir()
-		}
-		e.frontendDir = dir
 		return nil
 	}
 }

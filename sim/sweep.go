@@ -62,16 +62,11 @@ type SweepResult struct {
 }
 
 // sweepAxis pairs an axis's declared values with the mutation that
-// applies one of them to a configuration. carryover marks axes backed
-// by knobs the trace-replay engine provably never reads
-// (config.Mutator.Carryover): points differing only in carryover axes
-// have bit-identical replay statistics, which warm-started sweeps
-// exploit.
+// applies one of them to a configuration.
 type sweepAxis struct {
-	name      string
-	values    []string
-	carryover bool
-	apply     func(*Config, string) error
+	name   string
+	values []string
+	apply  func(*Config, string) error
 }
 
 // Sweep is a declarative parameter sweep over a base experiment: the
@@ -80,7 +75,9 @@ type sweepAxis struct {
 // benchmark × scheme matrix with the point's axis values applied on
 // top of the base configuration. Trace-mode sweeps record each
 // benchmark's trace once for the whole sweep, however many points
-// replay it.
+// replay it, and replay each replay-visible configuration once: points
+// differing only in timing-model knobs share one replay through the
+// provider's memo.
 //
 // Workers shard by point (each point's cells run serially, so results
 // arrive point-atomic): the intended regime is many points over a
@@ -88,11 +85,10 @@ type sweepAxis struct {
 // matrix, the plain Experiment runner — which shards by cell — is the
 // better tool.
 type Sweep struct {
-	base      *Experiment
-	axes      []sweepAxis
-	sample    int
-	seed      int64
-	warmStart bool
+	base   *Experiment
+	axes   []sweepAxis
+	sample int
+	seed   int64
 }
 
 // SweepOption configures a Sweep under construction.
@@ -162,17 +158,15 @@ func WithAxis(name string, values ...any) SweepOption {
 		if !ok {
 			return fmt.Errorf("sim: unknown sweep axis %q (registered knobs: %v)", name, config.MutatorNames())
 		}
-		return s.addAxis(sweepAxis{name: name, values: formatValues(values), carryover: m.Carryover, apply: m.Apply})
+		return s.addAxis(sweepAxis{name: name, values: formatValues(values), apply: m.Apply})
 	}
 }
 
 // Knob describes one registered configuration knob (a WithAxis axis
-// name), for listings. Carryover marks timing-model-only knobs whose
-// axes a warm-started sweep can reuse replay statistics across.
+// name), for listings.
 type Knob struct {
-	Name      string
-	Doc       string
-	Carryover bool
+	Name string
+	Doc  string
 }
 
 // Knobs returns every registered config knob, sorted by name — the
@@ -182,7 +176,7 @@ func Knobs() []Knob {
 	out := make([]Knob, len(names))
 	for i, n := range names {
 		m, _ := config.ResolveMutator(n)
-		out[i] = Knob{Name: m.Name, Doc: m.Doc, Carryover: m.Carryover}
+		out[i] = Knob{Name: m.Name, Doc: m.Doc}
 	}
 	return out
 }
@@ -208,24 +202,6 @@ func WithMutatorAxis(name string, apply func(*Config, string) error, values ...a
 			return fmt.Errorf("sim: mutator axis %q needs an apply function", name)
 		}
 		return s.addAxis(sweepAxis{name: name, values: formatValues(values), apply: apply})
-	}
-}
-
-// WithWarmStart enables warm-started scheduling for trace-mode cells:
-// points are ordered by knob-edit distance (greedy nearest-neighbor),
-// sharded contiguously across workers, and each worker memoizes the
-// validated replay statistics of every (benchmark, non-carryover axis
-// coordinates) it has already replayed — so a point differing from an
-// already-replayed neighbor only in carryover axes (knobs declared
-// timing-model-only in the registry, e.g. mispredict.penalty) reuses
-// the neighbor's statistics instead of replaying. Results are
-// byte-identical to a cold sweep: carryover knobs provably cannot
-// change replay statistics, per-point validation still runs, and
-// point indices (and therefore sink row order) are preserved.
-func WithWarmStart(on bool) SweepOption {
-	return func(s *Sweep) error {
-		s.warmStart = on
-		return nil
 	}
 }
 
@@ -321,75 +297,6 @@ func (s *Sweep) samplePoints() []Point {
 	return pts
 }
 
-// warmKey renders a point's non-carryover axis coordinates — the
-// warm-start memo key: two points with equal warmKeys differ only in
-// carryover knobs, so their replay statistics are interchangeable.
-func (s *Sweep) warmKey(pt Point) string {
-	var b strings.Builder
-	for j, av := range pt.Values {
-		if s.axes[j].carryover {
-			continue
-		}
-		b.WriteString(av.Axis)
-		b.WriteByte('=')
-		b.WriteString(av.Value)
-		b.WriteByte(';')
-	}
-	return b.String()
-}
-
-// editDistance counts the axes on which two points of the same sweep
-// differ.
-func editDistance(a, b Point) int {
-	d := 0
-	for j := range a.Values {
-		if a.Values[j].Value != b.Values[j].Value {
-			d++
-		}
-	}
-	return d
-}
-
-// warmOrderLimit caps the O(n²) greedy nearest-neighbor ordering;
-// larger sweeps keep grid order (which is already adjacent in the
-// fastest-varying axis, so warm starts still hit).
-const warmOrderLimit = 2048
-
-// orderPointsForWarmStart reorders points greedily by knob-edit
-// distance: start at the first point, repeatedly step to the nearest
-// unvisited point (ties to the lowest index). Adjacent points then
-// differ in as few axes as possible, maximizing warm-start reuse once
-// the ordered list is sharded contiguously across workers. Point
-// indices are untouched — SortSweepResults restores canonical order,
-// so ordering never changes sink output.
-func orderPointsForWarmStart(pts []Point) []Point {
-	if len(pts) <= 2 || len(pts) > warmOrderLimit {
-		return pts
-	}
-	out := make([]Point, 0, len(pts))
-	used := make([]bool, len(pts))
-	cur := 0
-	used[0] = true
-	out = append(out, pts[0])
-	for len(out) < len(pts) {
-		best, bestD := -1, -1
-		for i := range pts {
-			if used[i] {
-				continue
-			}
-			// pts arrive in index order, so the first strict improvement
-			// is also the lowest-index tie-break.
-			if d := editDistance(pts[cur], pts[i]); best < 0 || d < bestD {
-				best, bestD = i, d
-			}
-		}
-		used[best] = true
-		out = append(out, pts[best])
-		cur = best
-	}
-	return out
-}
-
 // applyPoint applies a point's axis mutations, in axis order, on top
 // of an already scheme- and base-mutated configuration.
 func (s *Sweep) applyPoint(c *Config, pt Point) error {
@@ -476,12 +383,9 @@ func (s *Sweep) Start(ctx context.Context) (*SweepRunner, error) {
 	}
 	var traces *traceProvider
 	if e.mode&ModeTrace != 0 {
-		traces = newTraceProvider(e.traceDir, e.frontendDir, wl.profileSteps, e.commits, e.observer)
+		traces = newTraceProvider(e.traceDir, wl.profileSteps, e.commits, e.observer)
 	}
 	pts := s.Points()
-	if s.warmStart {
-		pts = orderPointsForWarmStart(pts)
-	}
 	cellsPerPoint := wl.Len() * len(e.mode.modes()) * len(e.schemes)
 	r := &SweepRunner{
 		results: make(chan SweepResult, len(pts)),
@@ -498,62 +402,34 @@ func (s *Sweep) Start(ctx context.Context) (*SweepRunner, error) {
 	if k > len(pts) && len(pts) > 0 {
 		k = len(pts)
 	}
+	pointc := make(chan Point)
+	go func() {
+		defer close(pointc)
+		for _, pt := range pts {
+			select {
+			case pointc <- pt:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
 	var wg sync.WaitGroup
-	worker := func(next func() (Point, bool), wc *warmCache) {
-		defer wg.Done()
-		sessions := make(map[string]*stats.Session)
-		for {
-			pt, ok := next()
-			if !ok || ctx.Err() != nil {
-				return
-			}
-			var warm warmRef
-			if wc != nil {
-				warm = warmRef{cache: wc, key: s.warmKey(pt)}
-			}
-			sr, ok := s.runPoint(ctx, wl, traces, sessions, pt, r, warm)
-			if !ok { // cancelled mid-point: drop the partial point
-				return
-			}
-			r.results <- sr
-		}
-	}
-	if s.warmStart {
-		// Contiguous chunk per worker: the nearest-neighbor ordering only
-		// pays off if each worker sees adjacent points, which interleaved
-		// channel dispatch would destroy.
-		for i := 0; i < k; i++ {
-			chunk := pts[i*len(pts)/k : (i+1)*len(pts)/k]
-			idx := 0
-			wg.Add(1)
-			go worker(func() (Point, bool) {
-				if idx >= len(chunk) {
-					return Point{}, false
-				}
-				pt := chunk[idx]
-				idx++
-				return pt, true
-			}, &warmCache{m: make(map[string]map[string]Stats)})
-		}
-	} else {
-		pointc := make(chan Point)
+	for i := 0; i < k; i++ {
+		wg.Add(1)
 		go func() {
-			defer close(pointc)
-			for _, pt := range pts {
-				select {
-				case pointc <- pt:
-				case <-ctx.Done():
+			defer wg.Done()
+			sessions := make(map[string]*stats.Session)
+			for pt := range pointc {
+				if ctx.Err() != nil {
 					return
 				}
+				sr, ok := s.runPoint(ctx, wl, traces, sessions, pt, r)
+				if !ok { // cancelled mid-point: drop the partial point
+					return
+				}
+				r.results <- sr
 			}
 		}()
-		for i := 0; i < k; i++ {
-			wg.Add(1)
-			go worker(func() (Point, bool) {
-				pt, ok := <-pointc
-				return pt, ok
-			}, nil)
-		}
 	}
 	go func() {
 		wg.Wait()
@@ -577,7 +453,7 @@ func (s *Sweep) Start(ctx context.Context) (*SweepRunner, error) {
 // the plain runner's worker does, with the point's axis mutations
 // stacked on top of each scheme's base configuration. ok is false when
 // the context was cancelled mid-point.
-func (s *Sweep) runPoint(ctx context.Context, wl *Workload, traces *traceProvider, sessions map[string]*stats.Session, pt Point, r *SweepRunner, warm warmRef) (SweepResult, bool) {
+func (s *Sweep) runPoint(ctx context.Context, wl *Workload, traces *traceProvider, sessions map[string]*stats.Session, pt Point, r *SweepRunner) (SweepResult, bool) {
 	e := s.base
 	pointCfg := func(scheme string) (Config, error) {
 		cfg, err := e.baseConfig(scheme)
@@ -604,7 +480,7 @@ func (s *Sweep) runPoint(ctx context.Context, wl *Workload, traces *traceProvide
 					schemes: e.schemes, mode: m, prog: prog, pg: pg,
 				}
 				seq += len(e.schemes)
-				rs, ok := e.runTraceJob(ctx, traces, sessions, j, pointCfg, meta, warm)
+				rs, ok := e.runTraceJob(ctx, traces, sessions, j, pointCfg, meta)
 				if !ok {
 					return out, false
 				}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -17,22 +18,46 @@ import (
 // process run of the same experiment replays from disk without
 // re-emulating anything.
 //
-// With a frontend cache directory configured (WithFrontendCache) the
-// provider also materializes each benchmark's frontend artifact — the
-// scheme-independent note stream of a (trace, budget) replay — through
-// the second-level disk cache, so replays skip the annotate pass
-// entirely. The artifact tier is advisory end to end: any failure to
-// load, build or store one falls back to the live frontend.
+// The provider also holds the replay memo: the statistics of every
+// successful replay, keyed by benchmark and replay-visible
+// configuration (stats.EngineConfig). The commit budget and the
+// if-converted variant are fixed per provider, so that key determines
+// the statistics exactly, and any cell whose key was already replayed
+// — another sweep point differing only in timing knobs, a duplicate
+// scheme — is served without replaying.
 type traceProvider struct {
 	dir          string
-	frontendDir  string // frontend-artifact cache; "" disables the tier
 	profileSteps uint64
 	cap          uint64 // record budget: the experiment's commit budget
 	obsv         *Observer
 
 	mu      sync.Mutex
 	entries map[string]*traceEntry
+	memo    map[memoKey]*memoEntry
 }
+
+// memoKey identifies one replay of a provider's trace.
+type memoKey struct {
+	bench string
+	cfg   stats.EngineConfig
+}
+
+// memoEntry is one claimed replay. Its claimant fills st (on success)
+// or err, then closes done; readers wait on done before reading either.
+type memoEntry struct {
+	key  memoKey
+	done chan struct{}
+	st   Stats
+	err  error
+}
+
+// Replay memo counters, on the process registry beside the trace
+// cache's: a hit is a cell served from another cell's replay, a miss
+// a cell replayed.
+var (
+	memoHits   = obs.Default().Counter("replay.memo.hits")
+	memoMisses = obs.Default().Counter("replay.memo.misses")
+)
 
 type traceEntry struct {
 	once sync.Once
@@ -46,25 +71,19 @@ type traceEntry struct {
 	outcome  string
 	lookupNS int64
 	recordNS int64
-
-	// Frontend artifact and its provenance ("hit" from the disk tier,
-	// "build" from a fresh frontend pass, "" when the tier is off or
-	// the artifact could not be obtained). Same write/read discipline.
-	art        *stats.Artifact
-	artOutcome string
 }
 
-func newTraceProvider(dir, frontendDir string, profileSteps, cap uint64, o *Observer) *traceProvider {
+func newTraceProvider(dir string, profileSteps, cap uint64, o *Observer) *traceProvider {
 	if dir == "" {
 		dir = trace.DefaultDir()
 	}
 	return &traceProvider{
 		dir:          dir,
-		frontendDir:  frontendDir,
 		profileSteps: profileSteps,
 		cap:          cap,
 		obsv:         o,
 		entries:      make(map[string]*traceEntry),
+		memo:         make(map[memoKey]*memoEntry),
 	}
 }
 
@@ -90,20 +109,46 @@ func (p *traceProvider) entry(name string) *traceEntry {
 	return ent
 }
 
-// info reports a loaded benchmark's trace and frontend-artifact
-// provenance. Valid once get has returned for the benchmark (the
-// runner asks after session()).
-func (p *traceProvider) info(name string) (outcome, artOutcome string, lookupNS, recordNS int64) {
-	ent := p.entry(name)
-	return ent.outcome, ent.artOutcome, ent.lookupNS, ent.recordNS
+// claim returns the memo entry for k and whether the caller created
+// it. The creator owns the entry and must settle it; everyone else
+// waits on its done channel.
+func (p *traceProvider) claim(k memoKey) (*memoEntry, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if m := p.memo[k]; m != nil {
+		return m, false
+	}
+	m := &memoEntry{key: k, done: make(chan struct{})}
+	p.memo[k] = m
+	return m, true
+}
+
+// settle publishes a claimed entry's outcome and wakes its waiters. A
+// failed replay is withdrawn from the memo, so only successful replays
+// are stored; the waiters already parked on it share its error.
+func (p *traceProvider) settle(m *memoEntry, st Stats, err error) {
+	m.st, m.err = st, err
+	if err != nil {
+		p.mu.Lock()
+		delete(p.memo, m.key)
+		p.mu.Unlock()
+	}
+	close(m.done)
+}
+
+// outcome reports how a loaded benchmark's trace was obtained. Valid
+// once get has returned for the benchmark (the runner asks after
+// session()).
+func (p *traceProvider) outcome(name string) string {
+	return p.entry(name).outcome
 }
 
 // session returns a worker-local replay session for one prepared
 // benchmark, recording or loading its trace through the provider on
-// first use, with the provider's frontend artifact (if any) attached.
-// The cache map belongs to a single worker goroutine (sessions are not
-// concurrency-safe); the provider underneath still guarantees at most
-// one recording per benchmark however many workers ask.
+// first use. The cache map belongs to a single worker goroutine
+// (sessions are not concurrency-safe); the provider underneath still
+// guarantees at most one recording per benchmark however many workers
+// ask.
 func (p *traceProvider) session(ctx context.Context, cache map[string]*stats.Session, pg stats.Programs, converted bool) (*stats.Session, error) {
 	if s := cache[pg.Spec.Name]; s != nil {
 		return s, nil
@@ -113,12 +158,6 @@ func (p *traceProvider) session(ctx context.Context, cache map[string]*stats.Ses
 		return nil, err
 	}
 	s := stats.NewSession(tr)
-	if art := p.entry(pg.Spec.Name).art; art != nil {
-		// The provider validated the program hash before accepting the
-		// artifact, so the attach cannot fail; guard anyway — a session
-		// without an artifact replays the live frontend, bit-identically.
-		_ = s.SetArtifact(art)
-	}
 	cache[pg.Spec.Name] = s
 	return s, nil
 }
@@ -148,7 +187,6 @@ func (p *traceProvider) load(ctx context.Context, pg stats.Programs, converted b
 	if t != nil && t.ProgHash == hash && t.Covers(p.cap) {
 		ent.outcome = "hit"
 		o.cacheOutcome(ent.outcome)
-		p.attachArtifact(ctx, ent, t, parts)
 		return t, nil
 	}
 	var regions []trace.Region
@@ -169,34 +207,5 @@ func (p *traceProvider) load(ctx context.Context, pg stats.Programs, converted b
 	// The cache is advisory: a failed store costs a re-recording next
 	// process, never the run.
 	_ = trace.Store(p.dir, key, t)
-	p.attachArtifact(ctx, ent, t, parts)
 	return t, nil
-}
-
-// attachArtifact obtains the benchmark's frontend artifact for the
-// provider's commit budget: from the second-level disk cache keyed by
-// the trace's content parts plus the budget, or by running one
-// frontend-only pass (stored back for the next process). Failures
-// leave ent.art nil — replays silently fall back to the live frontend.
-func (p *traceProvider) attachArtifact(ctx context.Context, ent *traceEntry, tr *trace.Trace, parts []string) {
-	if p.frontendDir == "" {
-		return
-	}
-	akey := stats.ArtifactKey(append(append([]string(nil), parts...), fmt.Sprintf("commits=%d", p.cap))...)
-	a, _ := stats.LoadArtifact(p.frontendDir, akey)
-	if a != nil && a.ProgHash == tr.ProgHash && (a.Covers(p.cap) || a.Steps >= tr.Steps) {
-		ent.art, ent.artOutcome = a, "hit"
-		p.obsv.frontendOutcome(ent.artOutcome)
-		return
-	}
-	o := p.obsv
-	t0 := o.now()
-	a, err := stats.BuildArtifact(ctx, tr, p.cap)
-	if err != nil {
-		return
-	}
-	o.span(PhaseFrontend, o.now()-t0)
-	ent.art, ent.artOutcome = a, "build"
-	p.obsv.frontendOutcome(ent.artOutcome)
-	_ = stats.StoreArtifact(p.frontendDir, akey, a)
 }
