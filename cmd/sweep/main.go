@@ -56,7 +56,7 @@ func main() {
 		sample    = flag.Int("sample", 0, "Latin-hypercube subsample size (0 = full cross-product)")
 		seed      = flag.Int64("seed", 1, "subsample shuffle seed")
 		format    = flag.String("format", "csv", "output format: csv | json (long format, one row per run)")
-		par       = flag.Int("p", 0, "point worker parallelism (0 = GOMAXPROCS)")
+		par       = flag.Int("p", 0, "worker parallelism (0 = GOMAXPROCS)")
 		summary   = flag.Bool("summary", true, "print best point and per-axis marginals to stderr")
 		verbose   = flag.Bool("v", false, "print a throttled progress heartbeat (point, elapsed, ETA) to stderr")
 		knobs     = flag.Bool("knobs", false, "list the registered sweep knobs and exit")

@@ -299,16 +299,10 @@ func newSchemeEngine(full config.Config) (*schemeEngine, error) {
 }
 
 // Replay runs a recorded trace through the configured predictor
-// organization for a commit budget (0 = the whole trace).
+// organization for a commit budget (0 = the whole trace): the
+// one-configuration reference that ReplayAll is checked against.
 func Replay(cfg config.Config, tr *trace.Trace, commits uint64) (pipeline.Stats, error) {
-	return ReplayContext(context.Background(), cfg, tr, commits)
-}
-
-// ReplayContext is Replay under a context: cancellation is checked
-// every decoded batch, so even a full-suite replay stops within
-// milliseconds of a cancel.
-func ReplayContext(ctx context.Context, cfg config.Config, tr *trace.Trace, commits uint64) (pipeline.Stats, error) {
-	sts, err := ReplayAll(ctx, []config.Config{cfg}, tr, commits)
+	sts, _, err := ReplayAll(context.Background(), []config.Config{cfg}, tr, commits, nil)
 	if len(sts) != 1 {
 		return pipeline.Stats{}, err
 	}
@@ -320,62 +314,52 @@ func ReplayContext(ctx context.Context, cfg config.Config, tr *trace.Trace, comm
 // scheme-independent frontend is computed once, and every configuration
 // replays each decoded batch in lockstep. The returned slice is
 // parallel to cfgs, and each entry is bit-identical to an independent
-// Replay of that configuration. On cancellation the partial statistics
-// accumulated so far are returned alongside the context error.
-func ReplayAll(ctx context.Context, cfgs []config.Config, tr *trace.Trace, commits uint64) ([]pipeline.Stats, error) {
-	var s scratch
-	return s.replayAll(ctx, cfgs, tr, commits)
-}
-
-// scratch holds the reusable decode buffers of a single-pass replay —
-// the unit of reuse behind Session, where one trace is replayed for
-// many configurations without re-allocating the batch.
-type scratch struct {
-	evs   []trace.Event
-	notes []note
-}
-
-func (s *scratch) replayAll(ctx context.Context, cfgs []config.Config, tr *trace.Trace, commits uint64) ([]pipeline.Stats, error) {
-	return s.replay(ctx, cfgs, tr, commits, nil, nil)
-}
-
-// replay is the shared body behind replayAll and replayAllTimed. With
-// tm/now nil the timed branches are dead and replay is exactly the
-// untimed loop; with both set, phase durations accumulate into tm once
-// per batch (the clock reads sit between phases, so the statistics are
-// bit-identical either way).
-func (s *scratch) replay(ctx context.Context, cfgs []config.Config, tr *trace.Trace, commits uint64, tm *Timings, now func() int64) ([]pipeline.Stats, error) {
+// Replay of that configuration. Cancellation is checked every decoded
+// batch, so even a full-suite replay stops within milliseconds of a
+// cancel; the partial statistics accumulated so far are returned
+// alongside the context error.
+//
+// With a non-nil now (monotonic nanoseconds; tests inject fakes),
+// ReplayAll also returns the per-phase Timings sampled on that clock,
+// even when it fails. The clock reads sit between phases, never inside
+// them, so the statistics are bit-identical to an untimed replay. With
+// now nil the Timings are nil.
+func ReplayAll(ctx context.Context, cfgs []config.Config, tr *trace.Trace, commits uint64, now func() int64) ([]pipeline.Stats, *Timings, error) {
+	var tm *Timings
+	if now != nil {
+		tm = &Timings{EngineNS: make([]int64, len(cfgs))}
+	}
 	if len(cfgs) == 0 {
-		return nil, fmt.Errorf("stats: replay needs at least one configuration")
+		return nil, tm, fmt.Errorf("stats: replay needs at least one configuration")
 	}
 	engines := make([]*schemeEngine, len(cfgs))
 	for i, cfg := range cfgs {
 		e, err := newSchemeEngine(cfg)
 		if err != nil {
-			return nil, err
+			return nil, tm, err
 		}
 		engines[i] = e
 	}
-	if s.evs == nil {
-		s.evs = make([]trace.Event, batchEvents)
-		s.notes = make([]note, batchEvents)
-	}
-	err := s.run(ctx, engines, tr, commits, tm, now)
+	err := replay(ctx, engines, tr, commits, tm, now)
 	sts := make([]pipeline.Stats, len(engines))
 	for i, e := range engines {
 		sts[i] = e.st
 	}
-	return sts, err
+	return sts, tm, err
 }
 
-// run drives the shared cursor: decode a batch, annotate it through the
-// frontend (budget- and marker-aware, exactly as the per-scheme engine
-// looped), then fan the admitted events to every engine.
-func (s *scratch) run(ctx context.Context, engines []*schemeEngine, tr *trace.Trace, commits uint64, tm *Timings, now func() int64) error {
+// replay drives the shared cursor: decode a batch, annotate it through
+// the frontend (budget- and marker-aware, exactly as the per-scheme
+// engine looped), then fan the admitted events to every engine. With
+// tm nil the timed branches are dead and replay is exactly the untimed
+// loop; otherwise phase durations accumulate into tm once per batch.
+func replay(ctx context.Context, engines []*schemeEngine, tr *trace.Trace, commits uint64, tm *Timings, now func() int64) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	timed := tm != nil && now != nil
+	timed := tm != nil
+	evs := make([]trace.Event, batchEvents)
+	notes := make([]note, batchEvents)
 	var fe frontend
 	fe.predVal[isa.P0] = true
 	fe.prevVal[isa.P0] = true
@@ -388,7 +372,7 @@ func (s *scratch) run(ctx context.Context, engines []*schemeEngine, tr *trace.Tr
 		if timed {
 			t0 = now()
 		}
-		nDec := cur.NextBatch(s.evs)
+		nDec := cur.NextBatch(evs)
 		if nDec == 0 {
 			break
 		}
@@ -401,7 +385,7 @@ func (s *scratch) run(ctx context.Context, engines []*schemeEngine, tr *trace.Tr
 		// the halt record, which no engine acts on) out of the batch.
 		n := 0
 		for i := 0; i < nDec; i++ {
-			ev := &s.evs[i]
+			ev := &evs[i]
 			committed += ev.Gap
 			if commits > 0 && committed >= commits {
 				committed = commits
@@ -417,9 +401,9 @@ func (s *scratch) run(ctx context.Context, engines []*schemeEngine, tr *trace.Tr
 					break
 				}
 				if n != i {
-					s.evs[n] = *ev
+					evs[n] = *ev
 				}
-				fe.annotate(&s.evs[n], &s.notes[n])
+				fe.annotate(&evs[n], &notes[n])
 				n++
 			}
 			if commits > 0 && committed >= commits {
@@ -434,7 +418,7 @@ func (s *scratch) run(ctx context.Context, engines []*schemeEngine, tr *trace.Tr
 			tm.Batches++
 		}
 		for k, e := range engines {
-			e.applyBatch(s.evs[:n], s.notes[:n])
+			e.applyBatch(evs[:n], notes[:n])
 			if timed {
 				t1 := now()
 				tm.EngineNS[k] += t1 - t0

@@ -243,7 +243,7 @@ func TestReplayCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfg := config.Default().WithScheme(config.SchemePredicate)
-	if _, err := ReplayContext(ctx, cfg, tr, 0); err == nil {
+	if _, _, err := ReplayAll(ctx, []config.Config{cfg}, tr, 0, nil); err == nil {
 		t.Fatal("want context error from cancelled replay")
 	}
 }

@@ -38,7 +38,7 @@ func TestReplayAllMatchesIndependentReplays(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		all, err := ReplayAll(context.Background(), cfgs, tr, commits)
+		all, _, err := ReplayAll(context.Background(), cfgs, tr, commits, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,11 +58,11 @@ func TestReplayAllMatchesIndependentReplays(t *testing.T) {
 	}
 }
 
-// TestReplayAllMatchesSessionAndVariants extends the equality oracle to
-// the Session surface and to heterogeneous configuration sets (the
-// ablation and idealization knobs differing per entry), on one
-// benchmark so it stays cheap enough to run without -short.
-func TestReplayAllMatchesSessionAndVariants(t *testing.T) {
+// TestReplayAllRepeatsAndMatchesVariants extends the equality oracle to
+// heterogeneous configuration sets (the ablation and idealization knobs
+// differing per entry) replayed twice over one trace, on one benchmark
+// so it stays cheap enough to run without -short.
+func TestReplayAllRepeatsAndMatchesVariants(t *testing.T) {
 	spec, err := bench.Find("vpr")
 	if err != nil {
 		t.Fatal(err)
@@ -83,11 +83,10 @@ func TestReplayAllMatchesSessionAndVariants(t *testing.T) {
 		base, ideal, norepair, sel,
 		config.Default().WithScheme(config.SchemePEPPA),
 	}
-	sess := NewSession(tr)
-	// Two passes through one session: buffer reuse must not leak state
-	// between runs.
+	// Two passes over one trace: a replay must leave nothing behind that
+	// the next one reads.
 	for pass := 0; pass < 2; pass++ {
-		all, err := sess.ReplayAll(context.Background(), cfgs, 40000)
+		all, _, err := ReplayAll(context.Background(), cfgs, tr, 40000, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,12 +113,12 @@ func TestReplayAllRejectsBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReplayAll(context.Background(), nil, tr, 0); err == nil {
+	if _, _, err := ReplayAll(context.Background(), nil, tr, 0, nil); err == nil {
 		t.Error("empty config set should fail")
 	}
 	bad := config.Default().WithScheme(config.SchemePredicate)
 	bad.FetchWidth = 0
-	if _, err := ReplayAll(context.Background(), []config.Config{bad}, tr, 0); err == nil {
+	if _, _, err := ReplayAll(context.Background(), []config.Config{bad}, tr, 0, nil); err == nil {
 		t.Error("invalid configuration should fail")
 	}
 }
@@ -137,7 +136,7 @@ func TestReplayAllCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ReplayAll(ctx, schemeCfgs(), tr, 0); err == nil {
+	if _, _, err := ReplayAll(ctx, schemeCfgs(), tr, 0, nil); err == nil {
 		t.Fatal("want context error from cancelled single-pass replay")
 	}
 }
@@ -163,10 +162,9 @@ func BenchmarkReplayPerScheme(b *testing.B) {
 	for i, sch := range replaySchemes {
 		cfg := config.Default().WithScheme(sch)
 		b.Run(sch.String(), func(b *testing.B) {
-			sess := NewSession(tr)
 			b.ReportAllocs()
 			for n := 0; n < b.N; n++ {
-				if _, err := sess.Replay(context.Background(), cfg, commits); err != nil {
+				if _, err := Replay(cfg, tr, commits); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -184,11 +182,10 @@ func BenchmarkReplayAllSinglePass(b *testing.B) {
 	const commits = 50000
 	tr := recordBenchTrace(b, "vpr", commits)
 	cfgs := schemeCfgs()
-	sess := NewSession(tr)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		if _, err := sess.ReplayAll(context.Background(), cfgs, commits); err != nil {
+		if _, _, err := ReplayAll(context.Background(), cfgs, tr, commits, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,13 +7,15 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/config"
+	"repro/internal/pipeline"
 	"repro/internal/trace"
 )
 
 // TestReplayAllTimedMatchesUntimed extends the equality oracle to the
 // timed path: the clock reads sit between phases, so the statistics
-// must be bit-identical to the untimed replay, and the breakdown must
-// account every phase of every batch.
+// must be bit-identical to the untimed replay, the breakdown must
+// account every phase of every batch, and two identically clocked
+// replays must produce identical breakdowns.
 func TestReplayAllTimedMatchesUntimed(t *testing.T) {
 	spec, err := bench.Find("vpr")
 	if err != nil {
@@ -26,22 +28,29 @@ func TestReplayAllTimedMatchesUntimed(t *testing.T) {
 	cfgs := schemeCfgs()
 	const commits = 40000
 
-	plain, err := ReplayAll(context.Background(), cfgs, tr, commits)
+	plain, untimed, err := ReplayAll(context.Background(), cfgs, tr, commits, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if untimed != nil {
+		t.Errorf("untimed replay returned Timings %+v, want nil", untimed)
 	}
 
 	// A fake clock advancing a fixed step per read makes every phase
 	// duration a deterministic function of the read sequence.
-	var clock int64
-	now := func() int64 {
-		clock += 10
-		return clock
+	timedRun := func() ([]pipeline.Stats, *Timings) {
+		var clock int64
+		now := func() int64 {
+			clock += 10
+			return clock
+		}
+		sts, tm, err := ReplayAll(context.Background(), cfgs, tr, commits, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sts, tm
 	}
-	timed, tm, err := ReplayAllTimed(context.Background(), cfgs, tr, commits, now)
-	if err != nil {
-		t.Fatal(err)
-	}
+	timed, tm := timedRun()
 	if !reflect.DeepEqual(plain, timed) {
 		t.Errorf("timed replay stats diverge from untimed:\n timed: %+v\n plain: %+v", timed, plain)
 	}
@@ -63,35 +72,19 @@ func TestReplayAllTimedMatchesUntimed(t *testing.T) {
 			t.Errorf("EngineNS[%d] = %d, want %d", k, ns, want)
 		}
 	}
-}
+	if _, again := timedRun(); !reflect.DeepEqual(tm, again) {
+		t.Errorf("two identically-clocked timed replays differ:\n a: %+v\n b: %+v", tm, again)
+	}
 
-// TestSessionReplayAllTimed pins the Session surface and that two timed
-// runs under identical fake clocks produce identical breakdowns.
-func TestSessionReplayAllTimed(t *testing.T) {
-	spec, err := bench.Find("gzip")
-	if err != nil {
-		t.Fatal(err)
+	// A replay that fails before its first batch still reports an
+	// (empty) breakdown, so observed callers can attribute the cell.
+	bad := cfgs[0]
+	bad.FetchWidth = 0
+	_, tm, err = ReplayAll(context.Background(), []config.Config{bad}, tr, commits, func() int64 { return 0 })
+	if err == nil {
+		t.Fatal("invalid configuration should fail")
 	}
-	tr, err := trace.Record(context.Background(), bench.Build(spec), trace.Options{MaxSteps: 30000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgs := []config.Config{config.Default().WithScheme(config.SchemePredicate)}
-	sess := NewSession(tr)
-	run := func() *Timings {
-		var clock int64
-		now := func() int64 {
-			clock += 7
-			return clock
-		}
-		_, tm, err := sess.ReplayAllTimed(context.Background(), cfgs, 20000, now)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tm
-	}
-	a, b := run(), run()
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("two identically-clocked timed replays differ:\n a: %+v\n b: %+v", a, b)
+	if want := (&Timings{EngineNS: []int64{0}}); !reflect.DeepEqual(tm, want) {
+		t.Errorf("failed timed replay Timings = %+v, want %+v", tm, want)
 	}
 }

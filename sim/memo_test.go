@@ -86,10 +86,7 @@ func checkAgainstReplay(t *testing.T, wl *Workload, dir string, run memoRun) {
 	traces := memoTraces(t, wl, dir)
 	for _, sr := range run.rs {
 		for _, r := range sr.Results {
-			cfg, err := run.sw.base.baseConfig(r.Scheme)
-			if err == nil {
-				err = run.sw.applyPoint(&cfg, sr.Point)
-			}
+			cfg, err := run.sw.pointConfig(sr.Point)(r.Scheme)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,6 +3,7 @@ package sim_test
 import (
 	"context"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -246,7 +247,9 @@ func TestSimulateProgramTraceMode(t *testing.T) {
 // TestSimulateProgramSchemesMatchesSeparate pins the single-pass
 // multi-scheme path against the one-scheme path: under a non-nil
 // configuration mutator, each SimulateProgramSchemes result must equal
-// the Stats of a separate SimulateProgram call for that scheme.
+// the Stats of a separate SimulateProgram call for that scheme, and an
+// observed one-scheme run must emit the same manifest either way,
+// failed or not.
 func TestSimulateProgramSchemesMatchesSeparate(t *testing.T) {
 	prog, err := sim.BuildBenchmark("vpr")
 	if err != nil {
@@ -283,5 +286,77 @@ func TestSimulateProgramSchemesMatchesSeparate(t *testing.T) {
 		if !reflect.DeepEqual(group[i].Stats, want.Stats) {
 			t.Errorf("%s: multi-scheme stats diverge from a separate run\ngroup:    %+v\nseparate: %+v", s, group[i].Stats, want.Stats)
 		}
+	}
+
+	// Observed, on a fake clock ticking once per read: an observed
+	// one-scheme run emits exactly one manifest, the same through either
+	// entry point, and its timings are those of a lone replay pass
+	// (decode, frontend and engine one tick per batch each, no group).
+	observed := func(simulate func(sim.ProgramRun) error) sim.RunManifest {
+		var clock int64
+		o := sim.NewObserverWithClock(func() int64 { clock++; return clock })
+		one := run
+		one.Scheme = "predpred"
+		one.Observer = o
+		if err := simulate(one); err != nil {
+			t.Fatal(err)
+		}
+		ms := o.Manifests()
+		if len(ms) != 1 {
+			t.Fatalf("one-scheme run emitted %d manifests, want 1", len(ms))
+		}
+		return ms[0]
+	}
+	single := observed(func(r sim.ProgramRun) error {
+		_, err := sim.SimulateProgram(context.Background(), r)
+		return err
+	})
+	viaSchemes := observed(func(r sim.ProgramRun) error {
+		_, err := sim.SimulateProgramSchemes(context.Background(), r, r.Scheme)
+		return err
+	})
+	if !reflect.DeepEqual(single, viaSchemes) {
+		t.Errorf("one-scheme manifests differ:\nSimulateProgram:        %+v\nSimulateProgramSchemes: %+v", single, viaSchemes)
+	}
+	b := single.PhasesNS[sim.PhaseDecode]
+	if b <= 0 {
+		t.Fatalf("observed replay recorded no decode time: %+v", single)
+	}
+	ips, err := strconv.ParseFloat(strconv.FormatFloat(float64(single.Committed)/(float64(3*b)/1e9), 'f', 3, 64), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantM := sim.RunManifest{
+		Seq: 0, Point: -1, Bench: prog.Name, Scheme: "predpred", Mode: "trace",
+		Committed: group[1].Stats.Committed, Cache: "hit",
+		PhasesNS:     map[string]int64{sim.PhaseDecode: b, sim.PhaseFrontend: b, sim.PhaseEngine: b},
+		InstrsPerSec: ips,
+	}
+	if !reflect.DeepEqual(single, wantM) {
+		t.Errorf("one-scheme manifest:\n got: %+v\nwant: %+v", single, wantM)
+	}
+
+	// A replay that fails still emits its manifest, carrying the error,
+	// and returns the run's identity.
+	var clock int64
+	o := sim.NewObserverWithClock(func() int64 { clock++; return clock })
+	bad := run
+	bad.Scheme = "predpred"
+	bad.Observer = o
+	bad.Mutate = func(c *sim.Config) { c.FetchWidth = 0 }
+	res, err := sim.SimulateProgram(context.Background(), bad)
+	if err == nil {
+		t.Fatal("an invalid configuration should fail the replay")
+	}
+	if res.Bench != prog.Name || res.Scheme != "predpred" || res.Mode != sim.ModeTrace {
+		t.Errorf("failed run lost its identity: %+v", res.Result)
+	}
+	wantM = sim.RunManifest{
+		Seq: 0, Point: -1, Bench: prog.Name, Scheme: "predpred", Mode: "trace",
+		Cache: "hit", Err: err.Error(),
+		PhasesNS: map[string]int64{sim.PhaseDecode: 0, sim.PhaseFrontend: 0, sim.PhaseEngine: 0},
+	}
+	if ms := o.Manifests(); len(ms) != 1 || !reflect.DeepEqual(ms[0], wantM) {
+		t.Errorf("failed run manifests:\n got: %+v\nwant: [%+v]", ms, wantM)
 	}
 }

@@ -99,6 +99,15 @@ func (o *Observer) now() int64 {
 	return o.clock()
 }
 
+// replayClock is the clock replays sample their phase timings on: the
+// observer's, or nil (an untimed replay) without an observer.
+func (o *Observer) replayClock() func() int64 {
+	if o == nil {
+		return nil
+	}
+	return o.clock
+}
+
 // span accumulates one phase duration; nil-safe no-op.
 func (o *Observer) span(phase string, ns int64) {
 	if o == nil {

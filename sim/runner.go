@@ -82,23 +82,11 @@ func eta(elapsed time.Duration, done, total int) time.Duration {
 	return elapsed / time.Duration(done) * time.Duration(total-done)
 }
 
-// Runner is a started experiment: a bounded worker pool streaming
-// results over a channel as simulations complete.
+// Runner is a started experiment: the worker pool streaming results
+// over a channel as simulations complete.
 type Runner struct {
+	*pool
 	results chan Result
-	done    chan struct{}
-	total   int
-	obsv    *Observer // nil when the experiment is unobserved
-	startNS int64     // Start time on the observer's (or process) clock
-
-	mu  sync.Mutex
-	err error
-
-	// progressMu serializes the WithProgress callback (and guards the
-	// finished counter) without entangling user code with the state
-	// mutex above.
-	progressMu sync.Mutex
-	finished   int
 }
 
 // Results returns the stream of completed runs. The channel closes
@@ -106,25 +94,43 @@ type Runner struct {
 // arrive in completion order, not matrix order (see SortResults).
 func (r *Runner) Results() <-chan Result { return r.results }
 
-// Total returns the number of runs in the experiment matrix.
-func (r *Runner) Total() int { return r.total }
+// pool is the one bounded worker pool behind experiments and sweeps:
+// it runs cell jobs and counts and reports their finished cells.
+type pool struct {
+	done    chan struct{}
+	total   int
+	obsv    *Observer // nil when the experiment is unobserved
+	startNS int64     // Start time on the observer's (or process) clock
+
+	// mu guards err and finished and serializes deliveries and the
+	// WithProgress callback, so invocations never overlap and Done
+	// values arrive monotonically.
+	mu       sync.Mutex
+	err      error
+	finished int
+}
+
+// Total returns the number of simulation cells: the experiment matrix,
+// times the number of points for a sweep. It is the Total reported to
+// WithProgress callbacks.
+func (p *pool) Total() int { return p.total }
 
 // Wait blocks until the worker pool has shut down and returns the
-// context's error if the run was cancelled. Per-run simulation
+// context's error if the run was cut short. Per-run simulation
 // failures are reported on each Result, not here.
-func (r *Runner) Wait() error {
-	<-r.done
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
+func (p *pool) Wait() error {
+	<-p.done
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.err
 }
 
 // simJob is one unit of worker-pool work: a benchmark × mode cell
-// group. Pipeline-mode cells are one scheme per job; trace-mode jobs
-// coalesce every scheme of the benchmark into a single job, replayed in
-// one pass over the shared trace cursor (stats.Session.ReplayAll). The
-// job's cells occupy consecutive matrix positions starting at seq, in
-// scheme order.
+// group of one experiment matrix (of one point's matrix, in a sweep).
+// Pipeline-mode cells are one scheme per job; trace-mode jobs coalesce
+// every scheme of the benchmark into a single job, replayed in one
+// pass over the shared trace (stats.ReplayAll). The job's cells occupy
+// consecutive matrix positions starting at seq, in scheme order.
 type simJob struct {
 	seq     int
 	bench   string
@@ -133,13 +139,18 @@ type simJob struct {
 	mode    Mode
 	prog    *Program
 	pg      stats.Programs // prepared benchmark (trace recording needs spec + regions)
+	// cfg builds one cell's configuration from its scheme name: the
+	// experiment's baseConfig, plus the point's axis mutations in a
+	// sweep.
+	cfg  func(scheme string) (Config, error)
+	meta manifestMeta // sweep-point identity; meta.point is -1 outside sweeps
 }
 
-// buildJobs expands the experiment matrix into worker jobs in matrix
+// buildJobs expands one experiment matrix into worker jobs in matrix
 // order (benchmark-major, then mode, then scheme) and returns them with
-// the total cell count — larger than len(jobs) whenever trace-mode
+// the matrix's cell count — larger than len(jobs) whenever trace-mode
 // scheme cells were coalesced.
-func (e *Experiment) buildJobs(wl *Workload) ([]simJob, int) {
+func (e *Experiment) buildJobs(wl *Workload, cfg func(string) (Config, error), meta manifestMeta) ([]simJob, int) {
 	var jobs []simJob
 	seq := 0
 	for _, pg := range wl.progs {
@@ -148,19 +159,19 @@ func (e *Experiment) buildJobs(wl *Workload) ([]simJob, int) {
 			p = pg.Converted
 		}
 		for _, m := range e.mode.modes() {
+			j := simJob{
+				seq: seq, bench: pg.Spec.Name, class: pg.Spec.Class,
+				mode: m, prog: p, pg: pg, cfg: cfg, meta: meta,
+			}
 			if m == ModeTrace {
-				jobs = append(jobs, simJob{
-					seq: seq, bench: pg.Spec.Name, class: pg.Spec.Class,
-					schemes: e.schemes, mode: m, prog: p, pg: pg,
-				})
+				j.schemes = e.schemes
+				jobs = append(jobs, j)
 				seq += len(e.schemes)
 				continue
 			}
 			for _, s := range e.schemes {
-				jobs = append(jobs, simJob{
-					seq: seq, bench: pg.Spec.Name, class: pg.Spec.Class,
-					schemes: []string{s}, mode: m, prog: p, pg: pg,
-				})
+				j.seq, j.schemes = seq, []string{s}
+				jobs = append(jobs, j)
 				seq++
 			}
 		}
@@ -168,18 +179,18 @@ func (e *Experiment) buildJobs(wl *Workload) ([]simJob, int) {
 	return jobs, seq
 }
 
-// Start validates nothing further (New did), prepares the workload if
-// one was not supplied, and launches the worker pool under ctx.
-// Cancelling ctx stops workers promptly: queued runs are abandoned and
-// in-flight simulations stop at the next commit slice.
-func (e *Experiment) Start(ctx context.Context) (*Runner, error) {
+// prepare resolves what every job of a run shares: the workload
+// (prepared here if WithWorkload did not supply one) and, in trace
+// mode, the trace provider, which records each benchmark at most once
+// for the whole run.
+func (e *Experiment) prepare(ctx context.Context) (*Workload, *traceProvider, error) {
 	wl := e.workload
 	if wl == nil {
 		t0 := e.observer.now()
 		var err error
 		wl, err = prepareSpecs(ctx, e.suiteSpecs, e.profileSteps)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		e.observer.span(PhasePrepare, e.observer.now()-t0)
 	}
@@ -187,9 +198,35 @@ func (e *Experiment) Start(ctx context.Context) (*Runner, error) {
 	if e.mode&ModeTrace != 0 {
 		traces = newTraceProvider(e.traceDir, wl.profileSteps, e.commits, e.observer)
 	}
-	jobs, total := e.buildJobs(wl)
-	r := &Runner{
-		results: make(chan Result, total),
+	return wl, traces, nil
+}
+
+// Start prepares the workload if one was not supplied and launches the
+// worker pool under ctx. Cancelling ctx stops workers promptly: queued
+// runs are abandoned and in-flight simulations stop at the next commit
+// slice.
+func (e *Experiment) Start(ctx context.Context) (*Runner, error) {
+	wl, traces, err := e.prepare(ctx)
+	if err != nil {
+		return nil, err
+	}
+	jobs, total := e.buildJobs(wl, e.baseConfig, noMeta)
+	r := &Runner{results: make(chan Result, total)}
+	r.pool = e.launch(ctx, traces, jobs, total, func(_ simJob, rs []Result) {
+		for _, res := range rs {
+			r.results <- res
+		}
+	}, func() { close(r.results) })
+	return r, nil
+}
+
+// launch starts the worker pool over jobs (total cells between them)
+// under ctx. Each finished job's results go to deliver, under the
+// pool's lock and in completion order, before its cells are counted
+// and reported to WithProgress; closeOut runs once every worker has
+// exited.
+func (e *Experiment) launch(ctx context.Context, traces *traceProvider, jobs []simJob, total int, deliver func(simJob, []Result), closeOut func()) *pool {
+	p := &pool{
 		done:    make(chan struct{}),
 		total:   total,
 		obsv:    e.observer,
@@ -218,22 +255,15 @@ func (e *Experiment) Start(ctx context.Context) (*Runner, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Worker-local replay sessions: within one worker, every
-			// trace-mode job of the same benchmark replays through one
-			// reused engine (see stats.Session).
-			sessions := make(map[string]*stats.Session)
 			for j := range jobc {
 				if ctx.Err() != nil {
 					return
 				}
-				rs, ok := e.runJob(ctx, traces, sessions, j, noMeta)
+				rs, ok := e.runJob(ctx, traces, j)
 				if !ok { // cancelled mid-run: partial stats, drop them
 					return
 				}
-				for _, res := range rs {
-					r.results <- res
-					r.report(e.progress, res)
-				}
+				p.finish(e.progress, j, rs, deliver)
 			}
 		}()
 	}
@@ -241,36 +271,35 @@ func (e *Experiment) Start(ctx context.Context) (*Runner, error) {
 		wg.Wait()
 		// Report cancellation only when it actually cost us runs: a
 		// context cancelled after the last job finished is not an
-		// error for this experiment.
-		r.progressMu.Lock()
-		done := r.finished
-		r.progressMu.Unlock()
-		if done < r.total {
-			r.mu.Lock()
-			r.err = ctx.Err()
-			r.mu.Unlock()
+		// error for this run.
+		p.mu.Lock()
+		if p.finished < p.total {
+			p.err = ctx.Err()
 		}
-		close(r.results)
-		close(r.done)
+		p.mu.Unlock()
+		closeOut()
+		close(p.done)
 	}()
-	return r, nil
+	return p
 }
 
-// report serializes progress callbacks and the finished counter: the
-// callback runs under progressMu, so invocations never overlap and
-// Done values arrive monotonically.
-func (r *Runner) report(f func(Progress), res Result) {
-	r.progressMu.Lock()
-	defer r.progressMu.Unlock()
-	r.finished++
-	if f != nil {
-		elapsed := durationNS(r.obsv.now() - r.startNS)
-		f(Progress{
-			Done: r.finished, Total: r.total, Point: -1,
-			Bench: res.Bench, Scheme: res.Scheme,
-			Elapsed: elapsed, ETA: eta(elapsed, r.finished, r.total),
-			Err: res.Err,
-		})
+// finish delivers one finished job's results, then counts and reports
+// each of its cells.
+func (p *pool) finish(f func(Progress), j simJob, rs []Result, deliver func(simJob, []Result)) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	deliver(j, rs)
+	for _, res := range rs {
+		p.finished++
+		if f != nil {
+			elapsed := durationNS(p.obsv.now() - p.startNS)
+			f(Progress{
+				Done: p.finished, Total: p.total, Point: j.meta.point,
+				Bench: res.Bench, Scheme: res.Scheme,
+				Elapsed: elapsed, ETA: eta(elapsed, p.finished, p.total),
+				Err: res.Err,
+			})
+		}
 	}
 }
 
@@ -303,10 +332,10 @@ func (e *Experiment) baseConfig(scheme string) (Config, error) {
 // cellManifest builds cell i's run manifest from its finished result:
 // the identity half plus committed count and error; the caller fills
 // in the timing half.
-func (e *Experiment) cellManifest(j simJob, i int, meta manifestMeta, res Result) RunManifest {
+func (e *Experiment) cellManifest(j simJob, i int, res Result) RunManifest {
 	m := RunManifest{
 		Seq:         j.seq + i,
-		Point:       meta.point,
+		Point:       j.meta.point,
 		Tag:         e.tag,
 		Bench:       j.bench,
 		Class:       j.class,
@@ -314,8 +343,8 @@ func (e *Experiment) cellManifest(j simJob, i int, meta manifestMeta, res Result
 		Mode:        modeName(j.mode),
 		IfConverted: e.ifConverted,
 		SpecHash:    fmt.Sprintf("%016x", j.pg.Spec.Hash()),
-		Seed:        meta.seed,
-		Knobs:       meta.knobs,
+		Seed:        j.meta.seed,
+		Knobs:       j.meta.knobs,
 		Committed:   res.Stats.Committed,
 	}
 	if res.Err != nil {
@@ -336,30 +365,27 @@ func instrsPerSec(committed uint64, ns int64) float64 {
 // runJob simulates one matrix job (a pipeline cell, or a coalesced
 // trace-mode cell group). ok is false when the context was cancelled
 // mid-simulation and the partial results must be discarded.
-func (e *Experiment) runJob(ctx context.Context, traces *traceProvider, sessions map[string]*stats.Session, j simJob, meta manifestMeta) ([]Result, bool) {
+func (e *Experiment) runJob(ctx context.Context, traces *traceProvider, j simJob) ([]Result, bool) {
 	if j.mode == ModeTrace {
-		return e.runTraceJob(ctx, traces, sessions, j, e.baseConfig, meta)
+		return e.runTraceJob(ctx, traces, j)
 	}
-	cfg, err := e.baseConfig(j.schemes[0])
+	cfg, err := j.cfg(j.schemes[0])
 	if err != nil {
 		res := j.result(e, 0)
 		res.Err = err
 		if o := e.observer; o != nil {
-			o.emit(e.cellManifest(j, 0, meta, res))
+			o.emit(e.cellManifest(j, 0, res))
 			o.finishRun(err)
 		}
 		return []Result{res}, true
 	}
-	res, ok := e.runCell(ctx, cfg, j, 0, meta)
+	res, ok := e.runCell(ctx, cfg, j)
 	return []Result{res}, ok
 }
 
 // runTraceJob replays every scheme cell of one benchmark in a single
-// pass over the shared trace cursor. buildCfg produces each cell's
-// fully-built configuration — the seam the sweep engine shares with the
-// plain runner (a sweep point is the same group with extra axis
-// mutations applied). A cell whose configuration fails to build or
-// validate keeps its error while its siblings still replay.
+// pass over the shared trace. A cell whose configuration fails to
+// build or validate keeps its error while its siblings still replay.
 //
 // Cells go through the provider's replay memo: the job claims every
 // cell key no one holds yet and replays those in one pass, then waits
@@ -370,12 +396,12 @@ func (e *Experiment) runJob(ctx context.Context, traces *traceProvider, sessions
 // of the trace (or a cancellation), and its waiters share its error.
 // ok is false when the context was cancelled and the whole group must
 // be discarded.
-func (e *Experiment) runTraceJob(ctx context.Context, traces *traceProvider, sessions map[string]*stats.Session, j simJob, buildCfg func(string) (Config, error), meta manifestMeta) ([]Result, bool) {
+func (e *Experiment) runTraceJob(ctx context.Context, traces *traceProvider, j simJob) ([]Result, bool) {
 	out := make([]Result, len(j.schemes))
 	for i := range j.schemes {
 		out[i] = j.result(e, i)
 	}
-	sess, err := traces.session(ctx, sessions, j.pg, e.ifConverted)
+	tr, err := traces.get(ctx, j.pg, e.ifConverted)
 	if canceled(err) {
 		return nil, false
 	}
@@ -383,14 +409,14 @@ func (e *Experiment) runTraceJob(ctx context.Context, traces *traceProvider, ses
 		for i := range out {
 			out[i].Err = err
 		}
-		e.observeTraceGroup(traces, j, meta, out, nil, nil, nil)
+		e.observeTraceGroup(traces, j, out, nil, nil, nil)
 		return out, true
 	}
 	var live, waits []int // cells this job replays, cells it waits for
 	var cfgs []Config     // parallel to live
 	entries := make([]*memoEntry, len(out))
 	for i, s := range j.schemes {
-		cfg, err := buildCfg(s)
+		cfg, err := j.cfg(s)
 		if err == nil {
 			// Pre-flight so one invalid configuration keeps its per-cell
 			// error instead of sinking the whole single-pass group, and
@@ -414,11 +440,7 @@ func (e *Experiment) runTraceJob(ctx context.Context, traces *traceProvider, ses
 	if len(live) > 0 {
 		var sts []pipeline.Stats
 		var err error
-		if o := e.observer; o != nil {
-			sts, tm, err = sess.ReplayAllTimed(ctx, cfgs, e.commits, o.clock)
-		} else {
-			sts, err = sess.ReplayAll(ctx, cfgs, e.commits)
-		}
+		sts, tm, err = stats.ReplayAll(ctx, cfgs, tr, e.commits, e.observer.replayClock())
 		for k, i := range live {
 			if err == nil {
 				out[i].Stats = sts[k]
@@ -448,7 +470,7 @@ func (e *Experiment) runTraceJob(ctx context.Context, traces *traceProvider, ses
 			memoHits.Inc()
 		}
 	}
-	e.observeTraceGroup(traces, j, meta, out, live, memo, tm)
+	e.observeTraceGroup(traces, j, out, live, memo, tm)
 	return out, true
 }
 
@@ -460,7 +482,7 @@ func (e *Experiment) runTraceJob(ctx context.Context, traces *traceProvider, ses
 // exact per cell. Memo-served cells (memo[i], nil = none) carry their
 // provenance flag but no phase timings — no replay ran for them.
 // No-op without an observer.
-func (e *Experiment) observeTraceGroup(traces *traceProvider, j simJob, meta manifestMeta, out []Result, live []int, memo []bool, tm *stats.Timings) {
+func (e *Experiment) observeTraceGroup(traces *traceProvider, j simJob, out []Result, live []int, memo []bool, tm *stats.Timings) {
 	o := e.observer
 	if o == nil {
 		return
@@ -485,7 +507,7 @@ func (e *Experiment) observeTraceGroup(traces *traceProvider, j simJob, meta man
 		liveIdx[i] = k
 	}
 	for i := range out {
-		m := e.cellManifest(j, i, meta, out[i])
+		m := e.cellManifest(j, i, out[i])
 		m.Cache = outcome
 		m.Memo = memo != nil && memo[i]
 		if k, ok := liveIdx[i]; ok && tm != nil {
@@ -507,8 +529,8 @@ func (e *Experiment) observeTraceGroup(traces *traceProvider, j simJob, meta man
 // runCell simulates one pipeline-mode matrix cell under an explicit,
 // fully-built configuration. ok is false when the context was cancelled
 // mid-simulation.
-func (e *Experiment) runCell(ctx context.Context, cfg Config, j simJob, i int, meta manifestMeta) (Result, bool) {
-	res := j.result(e, i)
+func (e *Experiment) runCell(ctx context.Context, cfg Config, j simJob) (Result, bool) {
+	res := j.result(e, 0)
 	o := e.observer
 	var t0 int64
 	if o != nil {
@@ -529,7 +551,7 @@ func (e *Experiment) runCell(ctx context.Context, cfg Config, j simJob, i int, m
 	if o != nil {
 		ns := o.now() - t0
 		o.span(PhasePipeline, ns)
-		m := e.cellManifest(j, i, meta, res)
+		m := e.cellManifest(j, 0, res)
 		m.PhasesNS = map[string]int64{PhasePipeline: ns}
 		m.InstrsPerSec = instrsPerSec(res.Stats.Committed, ns)
 		o.emit(m)
@@ -608,10 +630,10 @@ type ProgramResult struct {
 }
 
 // SimulateProgram runs one program under one named scheme, honoring
-// ctx cancellation mid-run. With Mode == ModeTrace the program is
-// recorded by the functional emulator (through the disk cache) and
-// replayed by the trace engine; the GPR snapshot and memory statistics
-// stay zero in that mode.
+// ctx cancellation mid-run. With Mode == ModeTrace it is the one-scheme
+// SimulateProgramSchemes: the program is recorded by the functional
+// emulator (through the disk cache) and replayed by the trace engine,
+// and the GPR snapshot and memory statistics stay zero.
 func SimulateProgram(ctx context.Context, r ProgramRun) (ProgramResult, error) {
 	var out ProgramResult
 	if r.Program == nil {
@@ -619,49 +641,20 @@ func SimulateProgram(ctx context.Context, r ProgramRun) (ProgramResult, error) {
 	}
 	out.Bench = r.Program.Name
 	out.Scheme = r.Scheme
+	if r.Mode == ModeTrace {
+		out.Mode = ModeTrace
+		rs, err := SimulateProgramSchemes(ctx, r, r.Scheme)
+		if len(rs) == 1 {
+			out = rs[0]
+		}
+		return out, err
+	}
 	cfg, err := schemeConfig(r.Scheme)
 	if err != nil {
 		return out, err
 	}
 	if r.Mutate != nil {
 		r.Mutate(&cfg)
-	}
-	if r.Mode == ModeTrace {
-		out.Mode = ModeTrace
-		o := r.Observer
-		tr, outcome, err := recordProgramTrace(ctx, r)
-		if err != nil {
-			return out, err
-		}
-		sess := stats.NewSession(tr)
-		if o != nil {
-			sts, tm, err := sess.ReplayAllTimed(ctx, []Config{cfg}, r.Commits, o.clock)
-			if len(sts) == 1 {
-				out.Stats = sts[0]
-			}
-			o.span(PhaseDecode, tm.DecodeNS)
-			o.span(PhaseFrontend, tm.FrontendNS)
-			o.span(PhaseEngine, tm.EngineNS[0])
-			m := r.manifest(0, r.Scheme, ModeTrace, out.Stats)
-			m.Cache = outcome
-			m.PhasesNS = map[string]int64{
-				PhaseDecode:   tm.DecodeNS,
-				PhaseFrontend: tm.FrontendNS,
-				PhaseEngine:   tm.EngineNS[0],
-			}
-			m.InstrsPerSec = instrsPerSec(out.Stats.Committed, tm.EngineNS[0]+tm.DecodeNS+tm.FrontendNS)
-			if err != nil {
-				m.Err = err.Error()
-			}
-			o.emit(m)
-			o.finishRun(err)
-			return out, err
-		}
-		sts, err := sess.ReplayAll(ctx, []Config{cfg}, r.Commits)
-		if len(sts) == 1 {
-			out.Stats = sts[0]
-		}
-		return out, err
 	}
 	if r.Mode != 0 && r.Mode != ModePipeline {
 		return out, fmt.Errorf("sim: program run wants a single mode, got %v", r.Mode)
@@ -706,7 +699,9 @@ func SimulateProgram(ctx context.Context, r ProgramRun) (ProgramResult, error) {
 // another full decode. r.Mode must be ModeTrace (the pipeline cannot be
 // fanned this way) and r.Scheme is ignored in favor of the schemes
 // argument. Results are returned in scheme order, each bit-identical to
-// a separate SimulateProgram call with that scheme.
+// a one-scheme run. A replay that fails still returns every scheme's
+// partial statistics alongside the error, and each scheme's manifest
+// carries it.
 func SimulateProgramSchemes(ctx context.Context, r ProgramRun, schemes ...string) ([]ProgramResult, error) {
 	if r.Program == nil {
 		return nil, fmt.Errorf("sim: nil program")
@@ -717,11 +712,6 @@ func SimulateProgramSchemes(ctx context.Context, r ProgramRun, schemes ...string
 	if r.Mode != ModeTrace {
 		return nil, fmt.Errorf("sim: single-pass multi-scheme replay is trace-mode only, got %v", r.Mode)
 	}
-	tr, outcome, err := recordProgramTrace(ctx, r)
-	if err != nil {
-		return nil, err
-	}
-	sess := stats.NewSession(tr)
 	cfgs := make([]Config, len(schemes))
 	for i, s := range schemes {
 		cfg, err := schemeConfig(s)
@@ -733,17 +723,12 @@ func SimulateProgramSchemes(ctx context.Context, r ProgramRun, schemes ...string
 		}
 		cfgs[i] = cfg
 	}
-	o := r.Observer
-	var sts []pipeline.Stats
-	var tm *stats.Timings
-	if o != nil {
-		sts, tm, err = sess.ReplayAllTimed(ctx, cfgs, r.Commits, o.clock)
-	} else {
-		sts, err = sess.ReplayAll(ctx, cfgs, r.Commits)
-	}
+	tr, outcome, err := recordProgramTrace(ctx, r)
 	if err != nil {
 		return nil, err
 	}
+	o := r.Observer
+	sts, tm, err := stats.ReplayAll(ctx, cfgs, tr, r.Commits, o.replayClock())
 	out := make([]ProgramResult, len(schemes))
 	var decodeShare, frontendShare int64
 	if tm != nil {
@@ -756,11 +741,13 @@ func SimulateProgramSchemes(ctx context.Context, r ProgramRun, schemes ...string
 		out[i].Bench = r.Program.Name
 		out[i].Scheme = schemes[i]
 		out[i].Mode = ModeTrace
-		out[i].Stats = sts[i]
+		if i < len(sts) {
+			out[i].Stats = sts[i]
+		}
 		if tm == nil {
 			continue
 		}
-		m := r.manifest(i, schemes[i], ModeTrace, sts[i])
+		m := r.manifest(i, schemes[i], ModeTrace, out[i].Stats)
 		m.Cache = outcome
 		if len(schemes) > 1 {
 			m.GroupSchemes = append([]string(nil), schemes...)
@@ -771,11 +758,14 @@ func SimulateProgramSchemes(ctx context.Context, r ProgramRun, schemes ...string
 			PhaseFrontend: frontendShare,
 			PhaseEngine:   tm.EngineNS[i],
 		}
-		m.InstrsPerSec = instrsPerSec(sts[i].Committed, tm.EngineNS[i]+decodeShare+frontendShare)
+		m.InstrsPerSec = instrsPerSec(out[i].Stats.Committed, tm.EngineNS[i]+decodeShare+frontendShare)
+		if err != nil {
+			m.Err = err.Error()
+		}
 		o.emit(m)
-		o.finishRun(nil)
+		o.finishRun(err)
 	}
-	return out, nil
+	return out, err
 }
 
 // recordProgramTrace records (or loads from the cache) the trace of an

@@ -248,7 +248,8 @@ func WithConfigMutator(f func(*Config)) Option {
 	}
 }
 
-// WithParallelism bounds the worker pool (default GOMAXPROCS).
+// WithParallelism bounds the worker pool's cell workers, for the
+// experiment and for any sweep built on it (default GOMAXPROCS).
 func WithParallelism(k int) Option {
 	return func(e *Experiment) error {
 		if k < 0 {

@@ -4,13 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/config"
-	"repro/internal/stats"
 )
 
 // maxGridPoints bounds an unsampled cross-product: a grid larger than
@@ -70,8 +67,8 @@ type sweepAxis struct {
 }
 
 // Sweep is a declarative parameter sweep over a base experiment: the
-// cross-product of its axes (optionally Latin-hypercube subsampled) is
-// executed point by point, each point running the base experiment's
+// cross-product of its axes (optionally Latin-hypercube subsampled)
+// expands into points, each point running the base experiment's
 // benchmark × scheme matrix with the point's axis values applied on
 // top of the base configuration. Trace-mode sweeps record each
 // benchmark's trace once for the whole sweep, however many points
@@ -79,11 +76,10 @@ type sweepAxis struct {
 // differing only in timing-model knobs share one replay through the
 // provider's memo.
 //
-// Workers shard by point (each point's cells run serially, so results
-// arrive point-atomic): the intended regime is many points over a
-// cheap trace-mode matrix. For one or two configurations of a large
-// matrix, the plain Experiment runner — which shards by cell — is the
-// better tool.
+// A sweep runs on the plain Experiment runner's worker pool: every
+// point's cells are jobs, queued point-major, that any worker may
+// take, and the finished cells are regrouped by point so results
+// arrive point-atomic.
 type Sweep struct {
 	base   *Experiment
 	axes   []sweepAxis
@@ -297,226 +293,77 @@ func (s *Sweep) samplePoints() []Point {
 	return pts
 }
 
-// applyPoint applies a point's axis mutations, in axis order, on top
-// of an already scheme- and base-mutated configuration.
-func (s *Sweep) applyPoint(c *Config, pt Point) error {
-	for j, av := range pt.Values {
-		if err := s.axes[j].apply(c, av.Value); err != nil {
-			return fmt.Errorf("sim: point %d, axis %s: %w", pt.Index, av.Axis, err)
+// pointConfig returns a point's cell configuration builder: the
+// scheme's base configuration with the point's axis mutations applied
+// on top, in axis order.
+func (s *Sweep) pointConfig(pt Point) func(string) (Config, error) {
+	return func(scheme string) (Config, error) {
+		c, err := s.base.baseConfig(scheme)
+		if err != nil {
+			return c, err
 		}
+		for j, av := range pt.Values {
+			if err := s.axes[j].apply(&c, av.Value); err != nil {
+				return c, fmt.Errorf("sim: point %d, axis %s: %w", pt.Index, av.Axis, err)
+			}
+		}
+		return c, nil
 	}
-	return nil
 }
 
-// SweepRunner is a started sweep: a sharded worker pool streaming one
-// SweepResult per completed point.
+// SweepRunner is a started sweep: the experiment worker pool running
+// every point's cells, streaming one SweepResult per completed point.
 type SweepRunner struct {
+	*pool
 	results chan SweepResult
-	done    chan struct{}
 	points  int
-	cells   int
-	obsv    *Observer // nil when the base experiment is unobserved
-	startNS int64     // Start time on the observer's (or process) clock
-
-	mu  sync.Mutex
-	err error
-
-	progressMu sync.Mutex
-	finished   int // completed cells (not points), for WithProgress
 }
 
 // Results returns the stream of completed points. The channel closes
 // once every point has finished or the context is cancelled; points
-// arrive in completion order (see SortSweepResults).
+// arrive in completion order (see SortSweepResults), each with its
+// cells in matrix order.
 func (r *SweepRunner) Results() <-chan SweepResult { return r.results }
 
 // Points returns the number of points in the sweep.
 func (r *SweepRunner) Points() int { return r.points }
 
-// Total returns the number of simulation cells in the sweep
-// (points × benchmarks × modes × schemes) — the Total reported to
-// WithProgress callbacks.
-func (r *SweepRunner) Total() int { return r.cells }
-
-// Wait blocks until the worker pool has shut down and returns the
-// context's error if the sweep was cut short. Per-run failures are
-// reported on each Result, not here.
-func (r *SweepRunner) Wait() error {
-	<-r.done
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
-}
-
-func (r *SweepRunner) reportCell(f func(Progress), point int, res Result) {
-	r.progressMu.Lock()
-	defer r.progressMu.Unlock()
-	r.finished++
-	if f != nil {
-		elapsed := durationNS(r.obsv.now() - r.startNS)
-		f(Progress{
-			Done: r.finished, Total: r.cells, Point: point,
-			Bench: res.Bench, Scheme: res.Scheme,
-			Elapsed: elapsed, ETA: eta(elapsed, r.finished, r.cells),
-			Err: res.Err,
-		})
-	}
-}
-
 // Start prepares the workload (once, shared by every point) and
-// launches the point worker pool under ctx. In trace mode one shared
-// provider records each benchmark's trace exactly once for the whole
-// sweep — an N-point sweep over the full suite records 22 traces, not
-// 22×N — and every worker replays through reused per-benchmark
-// engines.
+// launches the experiment worker pool over every point's cell jobs,
+// point-major. In trace mode one shared provider records each
+// benchmark's trace exactly once for the whole sweep — an N-point sweep
+// over the full suite records 22 traces, not 22×N.
 func (s *Sweep) Start(ctx context.Context) (*SweepRunner, error) {
 	e := s.base
-	wl := e.workload
-	if wl == nil {
-		t0 := e.observer.now()
-		var err error
-		wl, err = prepareSpecs(ctx, e.suiteSpecs, e.profileSteps)
-		if err != nil {
-			return nil, err
-		}
-		e.observer.span(PhasePrepare, e.observer.now()-t0)
-	}
-	var traces *traceProvider
-	if e.mode&ModeTrace != 0 {
-		traces = newTraceProvider(e.traceDir, wl.profileSteps, e.commits, e.observer)
+	wl, traces, err := e.prepare(ctx)
+	if err != nil {
+		return nil, err
 	}
 	pts := s.Points()
-	cellsPerPoint := wl.Len() * len(e.mode.modes()) * len(e.schemes)
-	r := &SweepRunner{
-		results: make(chan SweepResult, len(pts)),
-		done:    make(chan struct{}),
-		points:  len(pts),
-		cells:   len(pts) * cellsPerPoint,
-		obsv:    e.observer,
-		startNS: e.observer.now(),
-	}
-	k := e.parallelism
-	if k <= 0 {
-		k = runtime.GOMAXPROCS(0)
-	}
-	if k > len(pts) && len(pts) > 0 {
-		k = len(pts)
-	}
-	pointc := make(chan Point)
-	go func() {
-		defer close(pointc)
-		for _, pt := range pts {
-			select {
-			case pointc <- pt:
-			case <-ctx.Done():
-				return
-			}
+	var jobs []simJob
+	perPoint := 0
+	for _, pt := range pts {
+		meta := manifestMeta{point: pt.Index, knobs: pointKnobs(pt)}
+		if s.sample > 0 {
+			meta.seed = s.seed
 		}
-	}()
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sessions := make(map[string]*stats.Session)
-			for pt := range pointc {
-				if ctx.Err() != nil {
-					return
-				}
-				sr, ok := s.runPoint(ctx, wl, traces, sessions, pt, r)
-				if !ok { // cancelled mid-point: drop the partial point
-					return
-				}
-				r.results <- sr
-			}
-		}()
+		var js []simJob
+		js, perPoint = e.buildJobs(wl, s.pointConfig(pt), meta)
+		jobs = append(jobs, js...)
 	}
-	go func() {
-		wg.Wait()
-		r.progressMu.Lock()
-		finished := r.finished
-		r.progressMu.Unlock()
-		if finished < r.cells {
-			r.mu.Lock()
-			r.err = ctx.Err()
-			r.mu.Unlock()
+	r := &SweepRunner{results: make(chan SweepResult, len(pts)), points: len(pts)}
+	// cells collects each point's finished cells until its last one
+	// arrives; a point cut short by cancellation is never delivered.
+	cells := make([][]Result, len(pts))
+	r.pool = e.launch(ctx, traces, jobs, len(pts)*perPoint, func(j simJob, rs []Result) {
+		i := j.meta.point
+		cells[i] = append(cells[i], rs...)
+		if len(cells[i]) == perPoint {
+			SortResults(cells[i])
+			r.results <- SweepResult{Point: pts[i], Results: cells[i]}
 		}
-		close(r.results)
-		close(r.done)
-	}()
+	}, func() { close(r.results) })
 	return r, nil
-}
-
-// runPoint executes the base experiment's full cell matrix under one
-// point's configuration, serially within the owning worker. Trace-mode
-// cells coalesce into one single-pass replay per benchmark, exactly as
-// the plain runner's worker does, with the point's axis mutations
-// stacked on top of each scheme's base configuration. ok is false when
-// the context was cancelled mid-point.
-func (s *Sweep) runPoint(ctx context.Context, wl *Workload, traces *traceProvider, sessions map[string]*stats.Session, pt Point, r *SweepRunner) (SweepResult, bool) {
-	e := s.base
-	pointCfg := func(scheme string) (Config, error) {
-		cfg, err := e.baseConfig(scheme)
-		if err != nil {
-			return cfg, err
-		}
-		return cfg, s.applyPoint(&cfg, pt)
-	}
-	meta := manifestMeta{point: pt.Index, knobs: pointKnobs(pt)}
-	if s.sample > 0 {
-		meta.seed = s.seed
-	}
-	out := SweepResult{Point: pt}
-	seq := 0
-	for _, pg := range wl.progs {
-		prog := pg.Plain
-		if e.ifConverted {
-			prog = pg.Converted
-		}
-		for _, m := range e.mode.modes() {
-			if m == ModeTrace {
-				j := simJob{
-					seq: seq, bench: pg.Spec.Name, class: pg.Spec.Class,
-					schemes: e.schemes, mode: m, prog: prog, pg: pg,
-				}
-				seq += len(e.schemes)
-				rs, ok := e.runTraceJob(ctx, traces, sessions, j, pointCfg, meta)
-				if !ok {
-					return out, false
-				}
-				for _, res := range rs {
-					out.Results = append(out.Results, res)
-					r.reportCell(e.progress, pt.Index, res)
-				}
-				continue
-			}
-			for _, scheme := range e.schemes {
-				j := simJob{
-					seq: seq, bench: pg.Spec.Name, class: pg.Spec.Class,
-					schemes: []string{scheme}, mode: m, prog: prog, pg: pg,
-				}
-				seq++
-				var res Result
-				if cfg, err := pointCfg(scheme); err != nil {
-					res = j.result(e, 0)
-					res.Err = err
-					if o := e.observer; o != nil {
-						o.emit(e.cellManifest(j, 0, meta, res))
-						o.finishRun(err)
-					}
-				} else {
-					var ok bool
-					res, ok = e.runCell(ctx, cfg, j, 0, meta)
-					if !ok {
-						return out, false
-					}
-				}
-				out.Results = append(out.Results, res)
-				r.reportCell(e.progress, pt.Index, res)
-			}
-		}
-	}
-	return out, true
 }
 
 // pointKnobs renders a point's axis coordinates as the manifest's

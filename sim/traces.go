@@ -137,29 +137,9 @@ func (p *traceProvider) settle(m *memoEntry, st Stats, err error) {
 }
 
 // outcome reports how a loaded benchmark's trace was obtained. Valid
-// once get has returned for the benchmark (the runner asks after
-// session()).
+// once get has returned for the benchmark.
 func (p *traceProvider) outcome(name string) string {
 	return p.entry(name).outcome
-}
-
-// session returns a worker-local replay session for one prepared
-// benchmark, recording or loading its trace through the provider on
-// first use. The cache map belongs to a single worker goroutine
-// (sessions are not concurrency-safe); the provider underneath still
-// guarantees at most one recording per benchmark however many workers
-// ask.
-func (p *traceProvider) session(ctx context.Context, cache map[string]*stats.Session, pg stats.Programs, converted bool) (*stats.Session, error) {
-	if s := cache[pg.Spec.Name]; s != nil {
-		return s, nil
-	}
-	tr, err := p.get(ctx, pg, converted)
-	if err != nil {
-		return nil, err
-	}
-	s := stats.NewSession(tr)
-	cache[pg.Spec.Name] = s
-	return s, nil
 }
 
 func (p *traceProvider) load(ctx context.Context, pg stats.Programs, converted bool, ent *traceEntry) (*trace.Trace, error) {
