@@ -7,15 +7,13 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/config"
-	"repro/internal/pipeline"
 	"repro/internal/trace"
 )
 
 // TestReplayAllTimedMatchesUntimed extends the equality oracle to the
 // timed path: the clock reads sit between phases, so the statistics
-// must be bit-identical to the untimed replay, the breakdown must
-// account every phase of every batch, and two identically clocked
-// replays must produce identical breakdowns.
+// must be bit-identical to the untimed replay, and the breakdown must
+// account every phase of every batch.
 func TestReplayAllTimedMatchesUntimed(t *testing.T) {
 	spec, err := bench.Find("vpr")
 	if err != nil {
@@ -38,19 +36,15 @@ func TestReplayAllTimedMatchesUntimed(t *testing.T) {
 
 	// A fake clock advancing a fixed step per read makes every phase
 	// duration a deterministic function of the read sequence.
-	timedRun := func() ([]pipeline.Stats, *Timings) {
-		var clock int64
-		now := func() int64 {
-			clock += 10
-			return clock
-		}
-		sts, tm, err := ReplayAll(context.Background(), cfgs, tr, commits, now)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sts, tm
+	var clock int64
+	now := func() int64 {
+		clock += 10
+		return clock
 	}
-	timed, tm := timedRun()
+	timed, tm, err := ReplayAll(context.Background(), cfgs, tr, commits, now)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(plain, timed) {
 		t.Errorf("timed replay stats diverge from untimed:\n timed: %+v\n plain: %+v", timed, plain)
 	}
@@ -72,10 +66,6 @@ func TestReplayAllTimedMatchesUntimed(t *testing.T) {
 			t.Errorf("EngineNS[%d] = %d, want %d", k, ns, want)
 		}
 	}
-	if _, again := timedRun(); !reflect.DeepEqual(tm, again) {
-		t.Errorf("two identically-clocked timed replays differ:\n a: %+v\n b: %+v", tm, again)
-	}
-
 	// A replay that fails before its first batch still reports an
 	// (empty) breakdown, so observed callers can attribute the cell.
 	bad := cfgs[0]
@@ -86,5 +76,36 @@ func TestReplayAllTimedMatchesUntimed(t *testing.T) {
 	}
 	if want := (&Timings{EngineNS: []int64{0}}); !reflect.DeepEqual(tm, want) {
 		t.Errorf("failed timed replay Timings = %+v, want %+v", tm, want)
+	}
+}
+
+// TestSessionReplayAllTimed pins that two timed replays under identical
+// fake clocks produce identical breakdowns. (The name is kept from the
+// replay-session type this test once drove.)
+func TestSessionReplayAllTimed(t *testing.T) {
+	spec, err := bench.Find("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Record(context.Background(), bench.Build(spec), trace.Options{MaxSteps: 30000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := []config.Config{config.Default().WithScheme(config.SchemePredicate)}
+	run := func() *Timings {
+		var clock int64
+		now := func() int64 {
+			clock += 7
+			return clock
+		}
+		_, tm, err := ReplayAll(context.Background(), cfgs, tr, 20000, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tm
+	}
+	a, b := run(), run()
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("two identically-clocked timed replays differ:\n a: %+v\n b: %+v", a, b)
 	}
 }
