@@ -12,9 +12,11 @@ import (
 // architectural memory, predictors train on the resolved outcomes, and
 // statistics are collected (committed path only, so wrong-path activity
 // never pollutes the accuracy numbers).
+//
+//simlint:hotpath
 func (pl *Pipeline) commit() {
-	for n := 0; n < pl.cfg.CommitWidth && len(pl.rob) > 0; n++ {
-		u := pl.rob[0]
+	for n := 0; n < pl.cfg.CommitWidth && pl.head < pl.mid; n++ {
+		u := pl.slot(pl.head)
 		if !u.done {
 			return
 		}
@@ -39,9 +41,10 @@ func (pl *Pipeline) commit() {
 		pl.retireRename(u)
 		pl.retireStats(u)
 
-		pl.rob = pl.rob[1:]
+		halt := u.in.Op == isa.OpHalt
+		pl.head++ // u leaves the window; fetch may now reuse its slot
 		pl.Stats.Committed++
-		if u.in.Op == isa.OpHalt {
+		if halt {
 			pl.halted = true
 			pl.Stats.HaltSeen = true
 			return

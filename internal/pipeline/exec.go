@@ -9,9 +9,12 @@ import (
 
 // issue selects ready uops oldest-first, up to the function-unit counts,
 // computes their results functionally, and schedules their completion.
+//
+//simlint:hotpath
 func (pl *Pipeline) issue() {
 	intFU, fpFU, memFU, brFU := pl.cfg.IntALUs, pl.cfg.FPALUs, pl.cfg.MemPorts, pl.cfg.BrUnits
-	for _, u := range pl.rob {
+	for i := pl.head; i < pl.mid; i++ {
+		u := pl.slot(i)
 		if u.issued || u.done || u.class == classNone {
 			continue
 		}
@@ -56,18 +59,20 @@ func (pl *Pipeline) issue() {
 }
 
 // ready reports whether all of a uop's physical sources are available.
+//
+//simlint:hotpath
 func (pl *Pipeline) ready(u *uop) bool {
-	for _, p := range u.srcI {
+	for _, p := range u.srcI[:u.nSrcI] {
 		if !pl.physI[p].ready {
 			return false
 		}
 	}
-	for _, p := range u.srcF {
+	for _, p := range u.srcF[:u.nSrcF] {
 		if !pl.physF[p].ready {
 			return false
 		}
 	}
-	for _, p := range u.srcP {
+	for _, p := range u.srcP[:u.nSrcP] {
 		if !pl.pprf[p].computed {
 			return false
 		}
@@ -81,7 +86,8 @@ func (pl *Pipeline) ready(u *uop) bool {
 // address with a different base (exact matches forward).
 func (pl *Pipeline) loadMayIssue(u *uop) bool {
 	addr := pl.effAddr(u)
-	for _, s := range pl.rob {
+	for i := pl.head; i < pl.mid; i++ {
+		s := pl.slot(i)
 		if s.seq >= u.seq {
 			break
 		}
@@ -134,6 +140,8 @@ func (pl *Pipeline) qpValue(u *uop) bool {
 // execute computes a uop's result and schedules its completion cycle.
 // Values mirror emulator semantics exactly (shared helpers), keeping
 // the pipeline value-accurate for co-simulation.
+//
+//simlint:hotpath
 func (pl *Pipeline) execute(u *uop) {
 	in := u.in
 	lat := in.Latency()
@@ -165,27 +173,26 @@ func (pl *Pipeline) execALU(u *uop) {
 		}
 		return
 	}
-	a := func(i int) int64 { return pl.physI[u.srcI[i]].val }
-	af := func(i int) float64 { return pl.physF[u.srcF[i]].val }
+	physI, physF := pl.physI, pl.physF
 	switch in.Op {
 	case isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpDiv, isa.OpAnd, isa.OpOr, isa.OpXor, isa.OpShl, isa.OpShr:
-		u.resI = emulator.ExecALU(in.Op, a(0), a(1))
+		u.resI = emulator.ExecALU(in.Op, physI[u.srcI[0]].val, physI[u.srcI[1]].val)
 	case isa.OpAddI, isa.OpSubI, isa.OpMulI, isa.OpAndI, isa.OpOrI, isa.OpXorI, isa.OpShlI, isa.OpShrI:
-		u.resI = emulator.ExecImmALU(in.Op, a(0), in.Imm)
+		u.resI = emulator.ExecImmALU(in.Op, physI[u.srcI[0]].val, in.Imm)
 	case isa.OpMov:
-		u.resI = a(0)
+		u.resI = physI[u.srcI[0]].val
 	case isa.OpMovI:
 		u.resI = in.Imm
 	case isa.OpFAdd, isa.OpFSub, isa.OpFMul, isa.OpFDiv:
-		u.resF = emulator.ExecFPALU(in.Op, af(0), af(1))
+		u.resF = emulator.ExecFPALU(in.Op, physF[u.srcF[0]].val, physF[u.srcF[1]].val)
 	case isa.OpFMov:
-		u.resF = af(0)
+		u.resF = physF[u.srcF[0]].val
 	case isa.OpFMovI:
 		u.resF = math.Float64frombits(uint64(in.Imm))
 	case isa.OpFCvtIF:
-		u.resF = float64(a(0))
+		u.resF = float64(physI[u.srcI[0]].val)
 	case isa.OpFCvtFI:
-		u.resI = int64(af(0))
+		u.resI = int64(physF[u.srcF[0]].val)
 	}
 }
 
@@ -271,8 +278,8 @@ func (pl *Pipeline) execLoad(u *uop) int {
 // forward searches older effective stores youngest-first for an exact
 // address match and returns the forwarded bits.
 func (pl *Pipeline) forward(u *uop) (uint64, bool) {
-	for i := len(pl.rob) - 1; i >= 0; i-- {
-		s := pl.rob[i]
+	for i := pl.mid - 1; i >= pl.head; i-- {
+		s := pl.slot(i)
 		if s.seq >= u.seq {
 			continue
 		}
@@ -307,8 +314,11 @@ func (pl *Pipeline) execStore(u *uop) {
 // flush), and branches verify their predictions (possibly triggering a
 // branch-misprediction flush). One flush per cycle; remaining
 // completions slip to the next cycle.
+//
+//simlint:hotpath
 func (pl *Pipeline) writeback() {
-	for _, u := range pl.rob {
+	for i := pl.head; i < pl.mid; i++ {
+		u := pl.slot(i)
 		if !u.issued || u.done || u.doneCycle > pl.cycle {
 			continue
 		}
@@ -361,8 +371,8 @@ func (pl *Pipeline) compareWriteback(u *uop) bool {
 	// Flush from the first speculative consumer (§3.2: the ROB pointer
 	// marks the first instruction that used the prediction).
 	var consumer *uop
-	for _, c := range pl.rob {
-		if c.seq == flushSeq {
+	for i := pl.head; i < pl.mid; i++ {
+		if c := pl.slot(i); c.seq == flushSeq {
 			consumer = c
 			break
 		}
@@ -397,14 +407,10 @@ func (pl *Pipeline) repairGHRBit(u *uop) {
 	if !u.pushedPGHR || u.cmpLk.Val1 == u.resP[0] {
 		return
 	}
+	// Count the younger pushes, in the ROB and the front-end queue.
 	pos := uint(0)
-	for _, s := range pl.rob {
-		if s.seq > u.seq && s.pushedPGHR {
-			pos++
-		}
-	}
-	for _, s := range pl.frontend {
-		if s.pushedPGHR {
+	for i := pl.head; i < pl.tail; i++ {
+		if s := pl.slot(i); s.seq > u.seq && s.pushedPGHR {
 			pos++
 		}
 	}

@@ -13,8 +13,10 @@ const maxFrontend = 48
 // lookups are initiated here; slow (multi-cycle) predictions become
 // usable at rename, which the front-end depth guarantees is at least
 // L2PredLatency cycles later.
+//
+//simlint:hotpath
 func (pl *Pipeline) fetch() {
-	if pl.fetchHalted || pl.cycle < pl.fetchStall || len(pl.frontend) >= maxFrontend {
+	if pl.fetchHalted || pl.cycle < pl.fetchStall || pl.tail-pl.mid >= maxFrontend {
 		return
 	}
 	if pl.fetchPC < 0 || pl.fetchPC >= pl.prog.Len() {
@@ -37,17 +39,17 @@ func (pl *Pipeline) fetch() {
 		}
 		in := pl.prog.At(pl.fetchPC)
 		pl.seq++
-		u := &uop{
-			seq:    pl.seq,
-			pc:     pl.fetchPC,
-			in:     in,
-			wake:   pl.cycle + uint64(pl.cfg.FrontendDepth),
-			qpPhys: -1,
-		}
+		u := pl.slot(pl.tail)
+		*u = uop{} // zeroed in place: a literal would be built, then copied
+		u.seq = pl.seq
+		u.pc = pl.fetchPC
+		u.in = in
+		u.wake = pl.cycle + uint64(pl.cfg.FrontendDepth)
+		u.qpPhys = -1
+		pl.tail++
 		pl.Stats.Fetched++
 
 		redirect := pl.fetchPredict(u)
-		pl.frontend = append(pl.frontend, u)
 
 		if in.Op == isa.OpHalt {
 			pl.fetchHalted = true
@@ -62,6 +64,8 @@ func (pl *Pipeline) fetch() {
 
 // fetchPredict performs fetch-stage predictor work for one uop and
 // reports whether fetch redirected (predicted-taken branch).
+//
+//simlint:hotpath
 func (pl *Pipeline) fetchPredict(u *uop) bool {
 	in := u.in
 	addr := instAddr(u.pc)

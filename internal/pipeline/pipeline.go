@@ -57,8 +57,18 @@ type Pipeline struct {
 	fetchPC     int
 	fetchHalted bool
 	fetchStall  uint64 // fetch suppressed until this cycle
-	frontend    []*uop
-	rob         []*uop
+
+	// Uop window. Every in-flight uop lives in win, a ring indexed by
+	// monotonically increasing positions masked to its power-of-two
+	// length. Positions [head, mid) are the ROB and [mid, tail) the
+	// front-end queue, both in seq order: fetch appends at tail, rename
+	// advances mid, commit advances head, and flushAfter pulls tail (and
+	// mid) back. A slot is rewritten only when fetch reuses it, after
+	// the uop it held has committed or been squashed; nothing reads a
+	// uop once it has left the window.
+	win             []uop
+	mask            int
+	head, mid, tail int
 
 	// Rename state.
 	ratI  [isa.NumGPR]int
@@ -78,10 +88,10 @@ type Pipeline struct {
 	// writeback (the §4.3 caveat).
 	lastPredVal [isa.NumPred]bool
 
-	// Branch PCs awaiting their post-consumer-flush refetch; those
-	// refetched instances are trivially "early" and are excluded from
-	// the early-resolved attribution statistics.
-	pendingRefetch map[int]int
+	// Per branch PC, the post-consumer-flush refetches still to come;
+	// those refetched instances are trivially "early" and are excluded
+	// from the early-resolved attribution statistics.
+	pendingRefetch []int32
 
 	// Co-simulation oracle (tests): stepped at each commit.
 	CoSim    *emulator.Emulator
@@ -109,7 +119,16 @@ func New(cfg config.Config, prog *program.Program) (*Pipeline, error) {
 		ras:    predictor.NewRAS(cfg.RASEntries),
 		itab:   predictor.NewIndirectTable(10),
 	}
-	pl.pendingRefetch = make(map[int]int)
+	pl.pendingRefetch = make([]int32, prog.Len())
+	// The ROB holds at most ROBEntries uops and the front-end queue at
+	// most maxFrontend-1+FetchWidth (fetch starts a group only below
+	// maxFrontend).
+	n := 1
+	for n < cfg.ROBEntries+maxFrontend+cfg.FetchWidth {
+		n <<= 1
+	}
+	pl.win = make([]uop, n)
+	pl.mask = n - 1
 	pl.brGHR.N = cfg.GshareGHRBits
 	pl.pGHR.N = cfg.L2PredGHRBits
 	pl.retiredPGHR.N = cfg.L2PredGHRBits
@@ -160,6 +179,9 @@ func New(cfg config.Config, prog *program.Program) (*Pipeline, error) {
 	for p := 0; p < isa.NumPred; p++ {
 		pl.ratP[p] = p
 	}
+	pl.freeI = make([]int, 0, cfg.IntPhysRegs)
+	pl.freeF = make([]int, 0, cfg.FPPhysRegs)
+	pl.freeP = make([]int, 0, cfg.PredPhysRegs)
 	for i := isa.NumGPR; i < cfg.IntPhysRegs; i++ {
 		pl.freeI = append(pl.freeI, i)
 	}
@@ -207,7 +229,7 @@ func (pl *Pipeline) Run(maxCommits uint64) error {
 			stuck++
 			if stuck > 200000 {
 				return fmt.Errorf("pipeline: no commit for %d cycles at cycle %d (pc=%d, rob=%d, frontend=%d)",
-					stuck, pl.cycle, pl.fetchPC, len(pl.rob), len(pl.frontend))
+					stuck, pl.cycle, pl.fetchPC, pl.mid-pl.head, pl.tail-pl.mid)
 			}
 		} else {
 			stuck = 0
@@ -241,6 +263,9 @@ func (pl *Pipeline) predGHR() uint64 {
 	return pl.pGHR.Snapshot()
 }
 
+// slot returns the window slot at position i.
+func (pl *Pipeline) slot(i int) *uop { return &pl.win[i&pl.mask] }
+
 // instAddr maps an instruction index to its byte address.
 func instAddr(pc int) uint64 { return codeBase + uint64(pc)*instBytes }
 
@@ -254,25 +279,20 @@ func InstAddr(pc int) uint64 { return instAddr(pc) }
 // PPRF consumer pointers, and redirects fetch to newPC after penalty
 // bubble cycles.
 func (pl *Pipeline) flushAfter(boundary int64, newPC int, penalty int) {
-	// Front-end uops are all younger than ROB uops; undo youngest first.
-	for i := len(pl.frontend) - 1; i >= 0; i-- {
-		u := pl.frontend[i]
+	// Undo youngest first: the front-end queue, then the ROB.
+	for pl.tail > pl.head {
+		i := pl.tail - 1
+		u := pl.slot(i)
 		if u.seq <= boundary {
 			break
 		}
-		pl.undoFetch(u)
-		pl.frontend = pl.frontend[:i]
-	}
-	for i := len(pl.rob) - 1; i >= 0; i-- {
-		u := pl.rob[i]
-		if u.seq <= boundary {
-			break
+		if i < pl.mid {
+			pl.undoRename(u)
+			pl.Stats.Squashed++
+			pl.mid = i
 		}
-		pl.undoRename(u)
 		pl.undoFetch(u)
-		u.squashed = true
-		pl.Stats.Squashed++
-		pl.rob = pl.rob[:i]
+		pl.tail = i
 	}
 	for i := range pl.pprf {
 		if pl.pprf[i].robPtr > boundary {

@@ -73,6 +73,37 @@ func TestResourceConstrainedStillCorrect(t *testing.T) {
 	}
 }
 
+// TestSteadyStateAllocFree pins the window's recycling: once warm, the
+// cycle model runs without a single heap allocation.
+func TestSteadyStateAllocFree(t *testing.T) {
+	plain := buildHardLoop(1 << 40)
+	res, err := ifconvert.Convert(plain, ifconvert.Options{MaxBlockLen: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*program.Program{plain, res.Prog} {
+		for _, s := range allSchemes() {
+			pl, err := New(config.Default().WithScheme(s), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := pl.Run(20000); err != nil {
+				t.Fatal(err)
+			}
+			target := pl.Stats.Committed
+			allocs := testing.AllocsPerRun(1, func() {
+				target += 20000
+				if err := pl.Run(target); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s/%v: %v allocations per 20k commits, want 0", p.Name, s, allocs)
+			}
+		}
+	}
+}
+
 func TestIdealModesRun(t *testing.T) {
 	p := buildHardLoop(400)
 	for _, s := range []config.Scheme{config.SchemeConventional, config.SchemePredicate} {

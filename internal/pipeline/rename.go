@@ -10,23 +10,22 @@ import (
 // (select micro-ops or the paper's selective cancellation/unguarding),
 // reading branch predictions from the PPRF under the predicate scheme,
 // and performing second-level override flushes.
+//
+//simlint:hotpath
 func (pl *Pipeline) rename() {
-	for n := 0; n < pl.cfg.RenameWidth && len(pl.frontend) > 0; n++ {
-		u := pl.frontend[0]
+	for n := 0; n < pl.cfg.RenameWidth && pl.mid < pl.tail; n++ {
+		u := pl.slot(pl.mid)
 		if u.wake > pl.cycle {
 			return
 		}
-		if len(pl.rob) >= pl.cfg.ROBEntries {
+		if pl.mid-pl.head >= pl.cfg.ROBEntries {
 			return
 		}
 		if !pl.resourcesFor(u) {
 			return
 		}
-		pl.frontend = pl.frontend[1:]
-
-		override := pl.renameOne(u)
-		pl.rob = append(pl.rob, u)
-		if override {
+		pl.mid++ // u moves from the front-end queue into the ROB
+		if pl.renameOne(u) {
 			return // front-end flushed; nothing younger to rename
 		}
 	}
@@ -74,6 +73,8 @@ func (pl *Pipeline) resourcesFor(u *uop) bool {
 
 // renameOne renames a single uop and reports whether it triggered a
 // front-end override flush.
+//
+//simlint:hotpath
 func (pl *Pipeline) renameOne(u *uop) bool {
 	in := u.in
 	u.renamed = true
@@ -99,31 +100,30 @@ func (pl *Pipeline) renameOne(u *uop) bool {
 	}
 
 	// Sources (before destination renaming).
-	for _, r := range in.GPRSources() {
-		u.srcI = append(u.srcI, pl.ratI[r])
-	}
-	for _, r := range in.FPRSources() {
-		u.srcF = append(u.srcF, pl.ratF[r])
-	}
-	if u.uncFalse {
-		// Cancelled unc compare still writes false/false but evaluates
-		// nothing: drop data sources.
-		u.srcI, u.srcF = nil, nil
+	// Cancelled unc compares still write false/false but evaluate
+	// nothing: they have no data sources.
+	if !u.uncFalse {
+		for _, r := range in.GPRSources() {
+			u.addSrcI(pl.ratI[r])
+		}
+		for _, r := range in.FPRSources() {
+			u.addSrcF(pl.ratF[r])
+		}
 	}
 
 	// The guard becomes a data source for select micro-ops and branches.
 	if guarded && (u.selectOp || in.IsBranch()) {
-		u.srcP = append(u.srcP, u.qpPhys)
+		u.addSrcP(u.qpPhys)
 	}
 	// Select micro-ops also read the previous destination mapping.
 	if u.selectOp && !in.IsCompare() {
 		switch {
 		case in.WritesGPR():
 			u.oldPhys = pl.ratI[in.Rd]
-			u.srcI = append(u.srcI, pl.ratI[in.Rd])
+			u.addSrcI(u.oldPhys)
 		case in.WritesFPR():
 			u.oldPhys = pl.ratF[in.Rd]
-			u.srcF = append(u.srcF, pl.ratF[in.Rd])
+			u.addSrcF(u.oldPhys)
 		}
 	}
 
@@ -212,7 +212,7 @@ func (pl *Pipeline) renameCompare(u *uop) {
 		d.rmw = rmw
 		d.oldP = pl.ratP[arch]
 		if rmw {
-			u.srcP = append(u.srcP, d.oldP)
+			u.addSrcP(d.oldP)
 		}
 		d.newP = pl.allocP()
 		e := &pl.pprf[d.newP]

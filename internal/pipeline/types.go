@@ -69,7 +69,7 @@ type predDest struct {
 	predVal bool // predicted final value (predicate scheme)
 }
 
-// uop is one in-flight instruction.
+// uop is one in-flight instruction, held in a Pipeline window slot.
 type uop struct {
 	seq  int64
 	pc   int
@@ -100,17 +100,20 @@ type uop struct {
 	newPhys   int
 	oldPhys   int
 	pDests    [2]predDest
-	srcI      []int // int physical sources
-	srcF      []int // fp physical sources
-	srcP      []int // predicate physical sources that must be computed
-	qpPhys    int   // physical reg of the qualifying predicate (-1 if p0)
-	selectOp  bool  // select-style micro-op: result may be the old dest value
-	canceled  bool  // nullified at rename (selective predication, predicted false)
-	unguarded bool  // guard dropped at rename (selective predication, predicted true)
-	uncFalse  bool  // canceled unc compare: still writes false/false
-	usedSpec  bool  // consumed a speculative PPRF value at rename
-	early     bool  // branch guard was computed at rename (early-resolved)
-	refetched bool  // refetch after this branch's own consumer-flush
+	srcI      [3]int // int physical sources: 2 ISA sources + a select op's old destination
+	srcF      [3]int // fp physical sources, likewise
+	srcP      [3]int // predicate physical sources that must be computed: guard + 2 RMW destinations
+	nSrcI     uint8
+	nSrcF     uint8
+	nSrcP     uint8
+	qpPhys    int  // physical reg of the qualifying predicate (-1 if p0)
+	selectOp  bool // select-style micro-op: result may be the old dest value
+	canceled  bool // nullified at rename (selective predication, predicted false)
+	unguarded bool // guard dropped at rename (selective predication, predicted true)
+	uncFalse  bool // canceled unc compare: still writes false/false
+	usedSpec  bool // consumed a speculative PPRF value at rename
+	early     bool // branch guard was computed at rename (early-resolved)
+	refetched bool // refetch after this branch's own consumer-flush
 	renamed   bool
 
 	// Execution state.
@@ -127,9 +130,12 @@ type uop struct {
 	qpVal       bool // computed guard value (valid at execute)
 	stData      int64
 	stDataF     float64
-	squashed    bool
 	isCondBr    bool
 }
+
+func (u *uop) addSrcI(p int) { u.srcI[u.nSrcI] = p; u.nSrcI++ }
+func (u *uop) addSrcF(p int) { u.srcF[u.nSrcF] = p; u.nSrcF++ }
+func (u *uop) addSrcP(p int) { u.srcP[u.nSrcP] = p; u.nSrcP++ }
 
 // Stats aggregates the run's observable behaviour. Branch statistics
 // count committed instructions only.
