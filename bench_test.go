@@ -9,12 +9,7 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
-	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
@@ -30,18 +25,6 @@ const benchCommits = 60000
 // `go test -bench=. -args -simmode=trace` regenerates every figure from
 // record-once traces instead of the cycle model.
 var simMode = flag.String("simmode", "pipeline", "figure benchmark execution mode: pipeline | trace")
-
-// observed attaches a metrics observer to every BenchmarkTraceVsPipeline
-// run, so the written document measures the instrumented replay path.
-// CI compares it against the committed (uninstrumented) baseline to
-// report instrumentation overhead; the observer's metrics snapshot and
-// run manifests land next to -benchout.
-var observed = flag.Bool("observed", false, "instrument BenchmarkTraceVsPipeline runs with a sim.Observer; writes metrics + manifests next to -benchout")
-
-// benchout is where BenchmarkTraceVsPipeline writes its comparison
-// document. The default is the committed baseline path; observed runs
-// pass a scratch path so they never clobber the baseline.
-var benchout = flag.String("benchout", "BENCH_trace.json", "output path for the trace-vs-pipeline benchmark JSON")
 
 func benchMode(b *testing.B) sim.Mode {
 	b.Helper()
@@ -254,177 +237,6 @@ func BenchmarkAblationGHRCorruption(b *testing.B) {
 			p += 100 * perf[j].Stats.MispredictRate()
 		}
 		b.ReportMetric((a-p)/float64(len(spec)), "corruption-cost-pp")
-	}
-}
-
-// BenchmarkTraceVsPipeline measures simulated-instruction throughput of
-// both execution modes for each scheme on one benchmark — plus the
-// single-pass multi-scheme replay that decodes the trace once for all
-// three schemes — and writes the comparison (with per-scheme and
-// single-pass speedups) to BENCH_trace.json so the perf trajectory of
-// the trace engine is tracked in-repo.
-func BenchmarkTraceVsPipeline(b *testing.B) {
-	prog, err := sim.BuildBenchmark("vpr")
-	if err != nil {
-		b.Fatal(err)
-	}
-	const runCommits = 50000
-	schemes := []string{"conventional", "predpred", "peppa"}
-	dir := b.TempDir()
-	var obsv *sim.Observer
-	if *observed {
-		obsv = sim.NewObserver()
-	}
-	ips := map[string]map[string]float64{
-		"pipeline": {}, "trace": {}, "trace-singlepass": {},
-	}
-	for _, mode := range []sim.Mode{sim.ModePipeline, sim.ModeTrace} {
-		mode := mode
-		for _, s := range schemes {
-			s := s
-			b.Run(fmt.Sprintf("%s/%s", mode, s), func(b *testing.B) {
-				run := sim.ProgramRun{
-					Program: prog, Scheme: s, Commits: runCommits,
-					Mode: mode, TraceDir: dir, Observer: obsv,
-				}
-				if mode == sim.ModeTrace {
-					// Warm the trace cache: recording happens once per
-					// benchmark, replaying once per scheme × config.
-					if _, err := sim.SimulateProgram(context.Background(), run); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ResetTimer()
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					res, err := sim.SimulateProgram(context.Background(), run)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Stats.Committed < runCommits-1 {
-						b.Fatalf("short run: %d", res.Stats.Committed)
-					}
-				}
-				v := runCommits * float64(b.N) / b.Elapsed().Seconds()
-				b.ReportMetric(v, "instrs/s")
-				ips[mode.String()][s] = v
-			})
-		}
-	}
-	// The three-scheme comparison in one pass: trace decoded once, all
-	// engines fed in lockstep. The metric is aggregate scheme-instrs/s
-	// (scheme-replays × committed instructions per wall second), directly
-	// comparable to summing the three per-scheme trace legs above.
-	b.Run("trace/all-singlepass", func(b *testing.B) {
-		run := sim.ProgramRun{
-			Program: prog, Commits: runCommits, Mode: sim.ModeTrace, TraceDir: dir,
-			Observer: obsv,
-		}
-		if _, err := sim.SimulateProgramSchemes(context.Background(), run, schemes...); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rs, err := sim.SimulateProgramSchemes(context.Background(), run, schemes...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, res := range rs {
-				if res.Stats.Committed < runCommits-1 {
-					b.Fatalf("short run: %d", res.Stats.Committed)
-				}
-			}
-		}
-		v := float64(len(schemes)) * runCommits * float64(b.N) / b.Elapsed().Seconds()
-		b.ReportMetric(v, "instrs/s")
-		ips["trace-singlepass"]["all"] = v
-	})
-	writeTraceBenchJSON(b, schemes, ips)
-	writeObservedOutputs(b, obsv)
-}
-
-// writeObservedOutputs flushes the observer's metrics snapshot and run
-// manifests next to -benchout, so CI can archive the instrumented
-// run's telemetry as an artifact.
-func writeObservedOutputs(b *testing.B, obsv *sim.Observer) {
-	b.Helper()
-	if obsv == nil {
-		return
-	}
-	stem := strings.TrimSuffix(*benchout, ".json")
-	if err := obsv.WriteMetricsFile(stem + ".metrics.json"); err != nil {
-		b.Fatal(err)
-	}
-	if err := obsv.WriteManifestsFile(stem + ".manifests.ndjson"); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// aggregateIPS folds per-scheme instrs/s into the aggregate throughput
-// of running every scheme once (total scheme-instructions over total
-// wall time — the harmonic composition). Zero if any leg is absent.
-func aggregateIPS(schemes []string, m map[string]float64) float64 {
-	var inv float64
-	for _, s := range schemes {
-		v := m[s]
-		if v <= 0 {
-			return 0
-		}
-		inv += 1 / v
-	}
-	return float64(len(schemes)) / inv
-}
-
-// writeTraceBenchJSON records both modes' instructions-per-second, the
-// resulting per-scheme speedups, the single-pass figures — the
-// "all-singlepass" speedup series (single-pass aggregate over pipeline
-// aggregate, machine-independent like the per-scheme ratios) and the
-// informational gain of the single pass over three independent
-// replays.
-func writeTraceBenchJSON(b *testing.B, schemes []string, ips map[string]map[string]float64) {
-	b.Helper()
-	if len(ips["pipeline"]) == 0 || len(ips["trace"]) == 0 {
-		return // sub-benchmarks filtered out; nothing comparable
-	}
-	speedup := map[string]float64{}
-	for _, s := range schemes {
-		if p, t := ips["pipeline"][s], ips["trace"][s]; p > 0 && t > 0 {
-			speedup[s] = t / p
-		}
-	}
-	doc := map[string]any{
-		"benchmark":          "vpr",
-		"commits_per_run":    50000,
-		"instrs_per_second":  ips,
-		"trace_mode_speedup": speedup,
-	}
-	pipeAgg := aggregateIPS(schemes, ips["pipeline"])
-	traceAgg := aggregateIPS(schemes, ips["trace"])
-	if sp := ips["trace-singlepass"]["all"]; sp > 0 && pipeAgg > 0 {
-		speedup["all-singlepass"] = sp / pipeAgg
-		if traceAgg > 0 {
-			doc["trace_singlepass_gain"] = sp / traceAgg
-		}
-	} else {
-		// The single-pass leg was filtered out: drop the hollow series
-		// instead of serializing an empty map. Against a full committed
-		// baseline the gate still (correctly) fails the document as
-		// missing that series — a partial refresh is not a valid
-		// baseline.
-		delete(ips, "trace-singlepass")
-	}
-	raw, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if dir := filepath.Dir(*benchout); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := os.WriteFile(*benchout, append(raw, '\n'), 0o644); err != nil {
-		b.Fatal(err)
 	}
 }
 

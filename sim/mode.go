@@ -52,12 +52,12 @@ func (m Mode) String() string {
 	return strings.Join(parts, "|")
 }
 
-// ParseMode parses a -mode flag value: "pipeline", "trace", "both", or
-// a |-separated combination. Empty input is an error, not a silent
+// parseMode parses a mode set: "pipeline", "trace", "both", or a
+// |-separated combination. Empty input is an error, not a silent
 // default: every mode flag (-mode on the CLIs, -simmode on the bench
 // harness) goes through here, so an explicitly empty value is named
 // as such instead of being mistaken for a mode.
-func ParseMode(s string) (Mode, error) {
+func parseMode(s string) (Mode, error) {
 	if strings.TrimSpace(s) == "" {
 		return 0, fmt.Errorf("sim: empty mode; valid modes are pipeline, trace, and both (or a |-combination)")
 	}
@@ -83,7 +83,7 @@ func ParseMode(s string) (Mode, error) {
 // execution mode — the contract of every per-run surface (-mode on the
 // CLIs, -simmode on the bench harness, ProgramRun.Mode).
 func ParseSingleMode(s string) (Mode, error) {
-	m, err := ParseMode(s)
+	m, err := parseMode(s)
 	if err != nil {
 		return 0, err
 	}

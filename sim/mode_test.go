@@ -4,68 +4,11 @@ import (
 	"context"
 	"reflect"
 	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/trace"
 	"repro/sim"
 )
-
-func TestParseMode(t *testing.T) {
-	cases := []struct {
-		in   string
-		want sim.Mode
-		ok   bool
-	}{
-		{"pipeline", sim.ModePipeline, true},
-		{"trace", sim.ModeTrace, true},
-		{"both", sim.ModePipeline | sim.ModeTrace, true},
-		{"pipeline|trace", sim.ModePipeline | sim.ModeTrace, true},
-		{"warp", 0, false},
-		{"", 0, false},
-		{"   ", 0, false},
-		{"pipeline|", 0, false},
-		{"|trace", 0, false},
-	}
-	for _, c := range cases {
-		got, err := sim.ParseMode(c.in)
-		if c.ok != (err == nil) || got != c.want {
-			t.Errorf("ParseMode(%q) = %v, %v; want %v, ok=%v", c.in, got, err, c.want, c.ok)
-		}
-	}
-	if s := (sim.ModePipeline | sim.ModeTrace).String(); s != "pipeline|trace" {
-		t.Errorf("String() = %q", s)
-	}
-	if err := func() error {
-		_, err := sim.New(sim.WithSchemes("conventional"), sim.WithMode(0))
-		return err
-	}(); err == nil {
-		t.Error("WithMode(0) should fail validation")
-	}
-}
-
-// TestParseModeEmptyNamesValidModes pins the contract shared by every
-// mode flag (cmd/predsim -mode, cmd/experiments -mode, cmd/sweep
-// -mode, the harness -simmode): an empty value is rejected with an
-// error that names the valid modes, in both the multi- and
-// single-mode parsers.
-func TestParseModeEmptyNamesValidModes(t *testing.T) {
-	for _, in := range []string{"", "  "} {
-		for name, parse := range map[string]func(string) (sim.Mode, error){
-			"ParseMode":       sim.ParseMode,
-			"ParseSingleMode": sim.ParseSingleMode,
-		} {
-			_, err := parse(in)
-			if err == nil {
-				t.Fatalf("%s(%q) should fail", name, in)
-			}
-			msg := err.Error()
-			if !strings.Contains(msg, "pipeline") || !strings.Contains(msg, "trace") {
-				t.Errorf("%s(%q) error should name the valid modes, got %q", name, in, msg)
-			}
-		}
-	}
-}
 
 // TestTraceModeExperiment runs a small matrix in both modes and checks
 // the mode plumbing end to end: per-mode results, plausible trace

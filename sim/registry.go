@@ -67,9 +67,9 @@ func RegisterScheme(s SchemeSpec) error {
 	return nil
 }
 
-// MustRegisterScheme is RegisterScheme that panics on error, for
+// mustRegisterScheme is RegisterScheme that panics on error, for
 // package-init registration.
-func MustRegisterScheme(s SchemeSpec) {
+func mustRegisterScheme(s SchemeSpec) {
 	if err := RegisterScheme(s); err != nil {
 		panic(err)
 	}
@@ -111,21 +111,21 @@ func schemeConfig(name string) (Config, error) {
 
 // The paper's three organizations, under their figure names.
 func init() {
-	MustRegisterScheme(SchemeSpec{
+	mustRegisterScheme(SchemeSpec{
 		Name: "conventional",
 		Doc:  "Table 1 baseline: gshare first level + 148 KB perceptron second level",
 		Configure: func(c *Config) {
 			*c = c.WithScheme(config.SchemeConventional)
 		},
 	})
-	MustRegisterScheme(SchemeSpec{
+	mustRegisterScheme(SchemeSpec{
 		Name: "predpred",
 		Doc:  "the paper's proposal: second-level prediction from the predicate predictor via the PPRF",
 		Configure: func(c *Config) {
 			*c = c.WithScheme(config.SchemePredicate)
 		},
 	})
-	MustRegisterScheme(SchemeSpec{
+	mustRegisterScheme(SchemeSpec{
 		Name: "peppa",
 		Doc:  "August et al.'s 144 KB PEP-PA second level (the Figure 6a comparator)",
 		Configure: func(c *Config) {

@@ -84,16 +84,6 @@ func DefaultConfig() Config { return config.Default() }
 // stand-in suite in the paper's presentation order.
 func Benchmarks() []BenchSpec { return bench.Suite() }
 
-// SuiteNames returns the benchmark names of the full suite, in order.
-func SuiteNames() []string {
-	specs := bench.Suite()
-	names := make([]string, len(specs))
-	for i, s := range specs {
-		names[i] = s.Name
-	}
-	return names
-}
-
 // BuildBenchmark generates the (non-if-converted) binary for a named
 // suite benchmark.
 func BuildBenchmark(name string) (*Program, error) {

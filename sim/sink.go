@@ -19,16 +19,6 @@ type Sink interface {
 	Close() error
 }
 
-// EmitAll feeds a result slice through a sink and closes it.
-func EmitAll(s Sink, rs []Result) error {
-	for _, r := range rs {
-		if err := s.Emit(r); err != nil {
-			return err
-		}
-	}
-	return s.Close()
-}
-
 // record is the machine-readable projection of a Result shared by the
 // JSON and CSV emitters. Field order is the CSV column order.
 type record struct {
@@ -206,38 +196,4 @@ func (s *CSVSink) Emit(r Result) error {
 func (s *CSVSink) Close() error {
 	s.w.Flush()
 	return s.w.Error()
-}
-
-// TableSink accumulates results and renders the paper-style text table
-// on Close — the original text output, behind the same interface as
-// the machine-readable emitters.
-type TableSink struct {
-	out     io.Writer
-	title   string
-	schemes []string
-	rs      []Result
-}
-
-// NewTableSink creates a sink rendering a text table titled title with
-// the given scheme columns to w on Close.
-func NewTableSink(w io.Writer, title string, schemes []string) *TableSink {
-	return &TableSink{out: w, title: title, schemes: append([]string(nil), schemes...)}
-}
-
-// Emit buffers one result.
-func (s *TableSink) Emit(r Result) error {
-	s.rs = append(s.rs, r)
-	return nil
-}
-
-// Close sorts the buffered results into matrix order, renders the
-// table, and writes it out.
-func (s *TableSink) Close() error {
-	SortResults(s.rs)
-	tab, err := Tabulate(s.title, s.schemes, s.rs)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprint(s.out, tab.Render())
-	return err
 }

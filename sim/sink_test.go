@@ -158,20 +158,3 @@ func TestSinksOmitTraceModeMemCells(t *testing.T) {
 		}
 	}
 }
-
-func TestTableSink(t *testing.T) {
-	rs := fixedResults()[:2] // drop the errored run: tables reject errors
-	var buf bytes.Buffer
-	sink := sim.NewTableSink(&buf, "sink table", []string{"conventional", "predpred"})
-	if err := sim.EmitAll(sink, rs); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "sink table") || !strings.Contains(out, "gzip") {
-		t.Errorf("table sink output:\n%s", out)
-	}
-	var errBuf bytes.Buffer
-	if err := sim.EmitAll(sim.NewTableSink(&errBuf, "t", []string{"predpred"}), fixedResults()); err == nil {
-		t.Error("table sink must surface per-run errors on Close")
-	}
-}

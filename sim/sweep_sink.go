@@ -19,16 +19,6 @@ type SweepSink interface {
 	Close() error
 }
 
-// EmitAllSweep feeds a sweep result slice through a sink and closes it.
-func EmitAllSweep(s SweepSink, rs []SweepResult) error {
-	for _, r := range rs {
-		if err := s.Emit(r); err != nil {
-			return err
-		}
-	}
-	return s.Close()
-}
-
 // sweepRecord is the long-format NDJSON projection of one run of one
 // sweep point: the point coordinates, then the shared record fields.
 type sweepRecord struct {

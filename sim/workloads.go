@@ -67,9 +67,9 @@ func RegisterWorkload(w WorkloadSpec) error {
 	return nil
 }
 
-// MustRegisterWorkload is RegisterWorkload that panics on error, for
+// mustRegisterWorkload is RegisterWorkload that panics on error, for
 // package-init registration.
-func MustRegisterWorkload(w WorkloadSpec) {
+func mustRegisterWorkload(w WorkloadSpec) {
 	if err := RegisterWorkload(w); err != nil {
 		panic(err)
 	}
@@ -110,15 +110,15 @@ func init() {
 			ints = append(ints, s)
 		}
 	}
-	MustRegisterWorkload(WorkloadSpec{
+	mustRegisterWorkload(WorkloadSpec{
 		Name: "all", Doc: "the full 22-benchmark synthetic SPEC2000 stand-in suite",
 		Specs: bench.Suite(),
 	})
-	MustRegisterWorkload(WorkloadSpec{
+	mustRegisterWorkload(WorkloadSpec{
 		Name: "int11", Doc: "the 11 integer benchmarks (gzip..twolf)",
 		Specs: ints,
 	})
-	MustRegisterWorkload(WorkloadSpec{
+	mustRegisterWorkload(WorkloadSpec{
 		Name: "fp11", Doc: "the 11 floating-point benchmarks (wupwise..lucas)",
 		Specs: fps,
 	})
