@@ -7,77 +7,29 @@ import (
 	"repro/internal/isa"
 )
 
-// issue selects ready uops oldest-first, up to the function-unit counts,
-// computes their results functionally, and schedules their completion.
+// issue walks the ready list oldest-first and issues each uop whose
+// class still has a free function unit this cycle (a load also waits
+// for loadMayIssue): it computes the result functionally, schedules the
+// completion and moves the uop to the in-flight list.
 //
 //simlint:hotpath
 func (pl *Pipeline) issue() {
-	intFU, fpFU, memFU, brFU := pl.cfg.IntALUs, pl.cfg.FPALUs, pl.cfg.MemPorts, pl.cfg.BrUnits
-	for i := pl.head; i < pl.mid; i++ {
-		u := pl.slot(i)
-		if u.issued || u.done || u.class == classNone {
-			continue
-		}
-		switch u.class {
-		case classInt:
-			if intFU == 0 {
-				continue
-			}
-		case classFP:
-			if fpFU == 0 {
-				continue
-			}
-		case classMem:
-			if memFU == 0 {
-				continue
-			}
-		case classBr:
-			if brFU == 0 {
-				continue
-			}
-		}
-		if !pl.ready(u) {
-			continue
-		}
-		if u.in.IsLoad() && !pl.loadMayIssue(u) {
+	free := [classNone]int{pl.cfg.IntALUs, pl.cfg.FPALUs, pl.cfg.MemPorts, pl.cfg.BrUnits}
+	kept := 0
+	for _, pos := range pl.readyList {
+		u := pl.slot(pos)
+		if free[u.class] == 0 || (u.in.IsLoad() && !pl.loadMayIssue(u)) {
+			pl.readyList[kept] = pos
+			kept++
 			continue
 		}
 		pl.execute(u)
 		u.issued = true
 		pl.releaseIQ(u)
-		switch u.class {
-		case classInt:
-			intFU--
-		case classFP:
-			fpFU--
-		case classMem:
-			memFU--
-		case classBr:
-			brFU--
-		}
+		free[u.class]--
+		pl.inflight = insertPos(pl.inflight, pos)
 	}
-}
-
-// ready reports whether all of a uop's physical sources are available.
-//
-//simlint:hotpath
-func (pl *Pipeline) ready(u *uop) bool {
-	for _, p := range u.srcI[:u.nSrcI] {
-		if !pl.physI[p].ready {
-			return false
-		}
-	}
-	for _, p := range u.srcF[:u.nSrcF] {
-		if !pl.physF[p].ready {
-			return false
-		}
-	}
-	for _, p := range u.srcP[:u.nSrcP] {
-		if !pl.pprf[p].computed {
-			return false
-		}
-	}
-	return true
+	pl.readyList = pl.readyList[:kept]
 }
 
 // loadMayIssue enforces conservative memory disambiguation: a load
@@ -308,8 +260,9 @@ func (pl *Pipeline) execStore(u *uop) {
 	}
 }
 
-// writeback completes executions whose latency has elapsed: results
-// become architecturally visible in the physical registers, compare
+// writeback walks the in-flight list oldest-first and completes each
+// uop whose latency has elapsed: its result becomes visible in the
+// physical registers and wakes the consumers waiting on them, compare
 // results update the PPRF (possibly triggering a predicate-consumer
 // flush), and branches verify their predictions (possibly triggering a
 // branch-misprediction flush). One flush per cycle; remaining
@@ -317,17 +270,22 @@ func (pl *Pipeline) execStore(u *uop) {
 //
 //simlint:hotpath
 func (pl *Pipeline) writeback() {
-	for i := pl.head; i < pl.mid; i++ {
-		u := pl.slot(i)
-		if !u.issued || u.done || u.doneCycle > pl.cycle {
+	for i := 0; i < len(pl.inflight); {
+		u := pl.slot(pl.inflight[i])
+		if u.doneCycle > pl.cycle {
+			i++
 			continue
 		}
+		n := copy(pl.inflight[i:], pl.inflight[i+1:])
+		pl.inflight = pl.inflight[:i+n]
 		u.done = true
 		switch u.dKind {
 		case destInt:
 			pl.physI[u.newPhys] = physReg{val: u.resI, ready: true}
+			pl.wake(&pl.waitI[u.newPhys])
 		case destFP:
 			pl.physF[u.newPhys] = physRegF{val: u.resF, ready: true}
+			pl.wake(&pl.waitF[u.newPhys])
 		}
 		if u.in.IsCompare() {
 			if pl.compareWriteback(u) {
@@ -340,6 +298,25 @@ func (pl *Pipeline) writeback() {
 			}
 		}
 	}
+}
+
+// wake empties a register's consumer stack once its value is
+// published. A consumer whose last missing source this was joins the
+// ready list.
+//
+//simlint:hotpath
+func (pl *Pipeline) wake(stack *int32) {
+	for l := *stack; l != noLink; l = pl.linkNext[l] {
+		s := int(l / srcLinks)
+		u := &pl.win[s]
+		u.pending--
+		if u.pending == 0 {
+			// A waiting uop is in the ROB, so its position is the
+			// one in [head, mid) that maps to slot s.
+			pl.readyList = insertPos(pl.readyList, pl.head+(s-pl.head)&pl.mask)
+		}
+	}
+	*stack = noLink
 }
 
 // compareWriteback publishes computed predicate values into the PPRF,
@@ -357,6 +334,7 @@ func (pl *Pipeline) compareWriteback(u *uop) bool {
 		mispredicted := u.cmpLkValid && !e.computed && d.predVal != u.resP[i]
 		e.val = u.resP[i]
 		e.computed = true
+		pl.wake(&pl.waitP[d.newP])
 		pl.lastPredVal[d.arch] = u.resP[i]
 		if mispredicted && e.robPtr != -1 && (flushSeq == -1 || e.robPtr < flushSeq) {
 			flushSeq = e.robPtr

@@ -70,6 +70,18 @@ type Pipeline struct {
 	mask            int
 	head, mid, tail int
 
+	// Scheduling lists of window positions, each in seq order:
+	// readyList holds dispatched uops whose sources are all ready but
+	// that have not issued, inflight issued uops that have not
+	// completed.
+	readyList, inflight []int
+
+	// Dependency wakeup. waitI, waitF and waitP head, per physical
+	// register, a stack of the consumer links waiting for its value
+	// (noLink when empty); linkNext threads each stack.
+	waitI, waitF, waitP []int32
+	linkNext            []int32
+
 	// Rename state.
 	ratI  [isa.NumGPR]int
 	ratF  [isa.NumFPR]int
@@ -129,6 +141,9 @@ func New(cfg config.Config, prog *program.Program) (*Pipeline, error) {
 	}
 	pl.win = make([]uop, n)
 	pl.mask = n - 1
+	pl.readyList = make([]int, 0, n)
+	pl.inflight = make([]int, 0, n)
+	pl.linkNext = make([]int32, n*srcLinks)
 	pl.brGHR.N = cfg.GshareGHRBits
 	pl.pGHR.N = cfg.L2PredGHRBits
 	pl.retiredPGHR.N = cfg.L2PredGHRBits
@@ -160,6 +175,9 @@ func New(cfg config.Config, prog *program.Program) (*Pipeline, error) {
 	pl.physI = make([]physReg, cfg.IntPhysRegs)
 	pl.physF = make([]physRegF, cfg.FPPhysRegs)
 	pl.pprf = make([]pprfEntry, cfg.PredPhysRegs)
+	pl.waitI = emptyStacks(cfg.IntPhysRegs)
+	pl.waitF = emptyStacks(cfg.FPPhysRegs)
+	pl.waitP = emptyStacks(cfg.PredPhysRegs)
 	for i := range pl.physI {
 		pl.physI[i].ready = true
 	}
@@ -192,6 +210,14 @@ func New(cfg config.Config, prog *program.Program) (*Pipeline, error) {
 		pl.freeP = append(pl.freeP, i)
 	}
 	return pl, nil
+}
+
+func emptyStacks(n int) []int32 {
+	s := make([]int32, n)
+	for i := range s {
+		s[i] = noLink
+	}
+	return s
 }
 
 // Memory exposes the committed architectural memory (programs often
@@ -266,6 +292,31 @@ func (pl *Pipeline) predGHR() uint64 {
 // slot returns the window slot at position i.
 func (pl *Pipeline) slot(i int) *uop { return &pl.win[i&pl.mask] }
 
+// insertPos inserts window position pos into l, which is in seq order,
+// and returns the longer list. Every list has capacity for the whole
+// window.
+//
+//simlint:hotpath
+func insertPos(l []int, pos int) []int {
+	n := len(l)
+	l = l[:n+1]
+	for ; n > 0 && l[n-1] > pos; n-- {
+		l[n] = l[n-1]
+	}
+	l[n] = pos
+	return l
+}
+
+// trimFrom drops the tail of l, which is in seq order, from the first
+// position at or beyond end.
+func trimFrom(l []int, end int) []int {
+	n := len(l)
+	for n > 0 && l[n-1] >= end {
+		n--
+	}
+	return l[:n]
+}
+
 // instAddr maps an instruction index to its byte address.
 func instAddr(pc int) uint64 { return codeBase + uint64(pc)*instBytes }
 
@@ -294,6 +345,8 @@ func (pl *Pipeline) flushAfter(boundary int64, newPC int, penalty int) {
 		pl.undoFetch(u)
 		pl.tail = i
 	}
+	pl.readyList = trimFrom(pl.readyList, pl.mid)
+	pl.inflight = trimFrom(pl.inflight, pl.mid)
 	for i := range pl.pprf {
 		if pl.pprf[i].robPtr > boundary {
 			pl.pprf[i].robPtr = -1
@@ -358,6 +411,9 @@ func (pl *Pipeline) undoRename(u *uop) {
 	}
 	if !u.issued {
 		pl.releaseIQ(u)
+		if u.pending > 0 {
+			pl.unlink(u)
+		}
 	}
 	if u.in.IsLoad() && !u.canceled {
 		pl.ldQ--

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/config"
@@ -135,12 +136,39 @@ func TestDisableGHRRepairRuns(t *testing.T) {
 	}
 }
 
-func TestWatchdogReportsDeadlock(t *testing.T) {
+func TestNewRejectsTinyROB(t *testing.T) {
 	// A pathological config caught by Validate, not the watchdog.
 	cfg := config.Default()
 	cfg.ROBEntries = 4
 	if _, err := New(cfg, buildHardLoop(10)); err == nil {
 		t.Error("expected config validation error for tiny ROB")
+	}
+}
+
+// TestWatchdogReportsDeadlock loses a wakeup on purpose: the register
+// the first instruction reads never becomes ready, so nothing commits,
+// and Run's no-commit detector must end the run with an error that
+// reports how long it waited.
+func TestWatchdogReportsDeadlock(t *testing.T) {
+	b := program.NewBuilder("stuck")
+	b.MovI(2, 5).Add(3, 1, 2).Halt()
+	pl, err := New(config.Default(), b.Program())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl.physI[pl.ratI[1]].ready = false
+	done := make(chan error, 1)
+	go func() { done <- pl.Run(0) }()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "no commit for 200001 cycles") {
+			t.Fatalf("Run = %v, want the no-commit error after 200001 cycles", err)
+		}
+		if pl.Stats.Committed != 1 {
+			t.Errorf("committed %d instructions, want only the movi", pl.Stats.Committed)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("Run still going after a minute: the no-commit detector never fired")
 	}
 }
 

@@ -155,9 +155,67 @@ func (pl *Pipeline) renameOne(u *uop) bool {
 		u.doneCycle = pl.cycle
 	} else {
 		pl.acquireIQ(u)
+		pl.dispatch(u, pl.mid-1)
 	}
 	pl.trackMemQueues(u)
 	return override
+}
+
+// dispatch hands a renamed uop at window position pos to the scheduler.
+// Each source that is not ready yet gets a consumer link on its
+// register's stack and counts in pending; a uop with every source ready
+// goes straight onto the ready list.
+//
+//simlint:hotpath
+func (pl *Pipeline) dispatch(u *uop, pos int) {
+	base := int32(pos&pl.mask) * srcLinks
+	for k, p := range u.srcI[:u.nSrcI] {
+		if !pl.physI[p].ready {
+			l := base + int32(k)
+			pl.linkNext[l], pl.waitI[p] = pl.waitI[p], l
+			u.pending++
+		}
+	}
+	for k, p := range u.srcF[:u.nSrcF] {
+		if !pl.physF[p].ready {
+			l := base + 3 + int32(k)
+			pl.linkNext[l], pl.waitF[p] = pl.waitF[p], l
+			u.pending++
+		}
+	}
+	for k, p := range u.srcP[:u.nSrcP] {
+		if !pl.pprf[p].computed {
+			l := base + 6 + int32(k)
+			pl.linkNext[l], pl.waitP[p] = pl.waitP[p], l
+			u.pending++
+		}
+	}
+	if u.pending == 0 {
+		pl.readyList = insertPos(pl.readyList, pos)
+	}
+}
+
+// unlink takes a squashed uop that is still waiting off the consumer
+// stacks of its sources that are not ready. Squashes undo youngest
+// first and dispatch links in seq order, so the uop's links are the
+// tops of those stacks; popping each class's sources in reverse
+// dispatch order keeps that true when a uop reads a register twice.
+func (pl *Pipeline) unlink(u *uop) {
+	for k := int(u.nSrcI) - 1; k >= 0; k-- {
+		if p := u.srcI[k]; !pl.physI[p].ready {
+			pl.waitI[p] = pl.linkNext[pl.waitI[p]]
+		}
+	}
+	for k := int(u.nSrcF) - 1; k >= 0; k-- {
+		if p := u.srcF[k]; !pl.physF[p].ready {
+			pl.waitF[p] = pl.linkNext[pl.waitF[p]]
+		}
+	}
+	for k := int(u.nSrcP) - 1; k >= 0; k-- {
+		if p := u.srcP[k]; !pl.pprf[p].computed {
+			pl.waitP[p] = pl.linkNext[pl.waitP[p]]
+		}
+	}
 }
 
 // applyPredication decides how a guarded non-branch uop is handled:

@@ -69,6 +69,14 @@ type predDest struct {
 	predVal bool // predicted final value (predicate scheme)
 }
 
+// A consumer link names one source operand of a window slot: slot*srcLinks
+// plus 0–2 for the integer sources, 3–5 for the FP sources and 6–8 for
+// the predicate sources.
+const (
+	srcLinks = 9
+	noLink   = -1
+)
+
 // uop is one in-flight instruction, held in a Pipeline window slot.
 type uop struct {
 	seq  int64
@@ -117,6 +125,7 @@ type uop struct {
 	renamed   bool
 
 	// Execution state.
+	pending     uint8 // sources not yet ready, while dispatched and waiting
 	issued      bool
 	done        bool
 	doneCycle   uint64
