@@ -31,7 +31,12 @@ func main() {
 	for pc, bp := range prof {
 		hard = append(hard, hb{pc, bp.MispredictRate(), bp.Execs})
 	}
-	sort.Slice(hard, func(i, j int) bool { return hard[i].rate > hard[j].rate })
+	sort.Slice(hard, func(i, j int) bool {
+		if hard[i].rate != hard[j].rate {
+			return hard[i].rate > hard[j].rate
+		}
+		return hard[i].pc < hard[j].pc // map order must not reorder ties
+	})
 	fmt.Println("hardest branches by profile (bimodal reference predictor):")
 	for _, h := range hard[:6] {
 		fmt.Printf("  @%-4d %-28s mispredict %5.1f%%  (%d execs)\n",

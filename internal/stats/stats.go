@@ -47,9 +47,6 @@ type Programs struct {
 	Plain     *program.Program
 	Converted *program.Program
 	Regions   int
-	// Hammocks lists the if-converted regions; trace recording embeds
-	// them as region markers.
-	Hammocks []program.Hammock
 }
 
 // Prepare builds both binary sets for every benchmark.
@@ -84,8 +81,7 @@ func PrepareContext(ctx context.Context, suite []bench.Spec, profileSteps uint64
 				errs[i] = fmt.Errorf("%s: %w", s.Name, err)
 				return
 			}
-			out[i] = Programs{Spec: s, Plain: p, Converted: res.Prog,
-				Regions: len(res.Converted), Hammocks: res.Converted}
+			out[i] = Programs{Spec: s, Plain: p, Converted: res.Prog, Regions: len(res.Converted)}
 		}(i, s)
 	}
 	wg.Wait()

@@ -19,9 +19,6 @@ type Options struct {
 	// MaxSteps bounds the recording (0 = run to halt). The bound is
 	// stored in the trace so cache hits can check sufficiency.
 	MaxSteps uint64
-	// Regions is the static region table to embed (typically the
-	// if-converted hammocks of the traced binary); may be nil.
-	Regions []Region
 }
 
 // recorder accumulates the event stream while observing emulator steps
@@ -146,11 +143,6 @@ func (r *recorder) observe(info emulator.StepInfo) {
 // long recording is promptly cancellable.
 func Record(ctx context.Context, p *program.Program, opt Options) (*Trace, error) {
 	rec := &recorder{prog: p}
-	if n := len(opt.Regions); n > 0 {
-		rec.event(EvMarker)
-		putUvarint(&rec.buf, MarkerRegions)
-		putUvarint(&rec.buf, uint64(n))
-	}
 	em := emulator.New(p)
 	em.StepHook = rec.observe
 	for !em.Halted {
@@ -178,14 +170,12 @@ func Record(ctx context.Context, p *program.Program, opt Options) (*Trace, error
 		putUvarint(&rec.buf, 0)
 	}
 	t := &Trace{
-		Name:         p.Name,
 		ProgHash:     HashProgram(p),
 		Cap:          opt.MaxSteps,
 		Steps:        em.Steps,
 		Halted:       em.Halted,
 		CondBranches: rec.condBranches,
 		Compares:     rec.compares,
-		Regions:      append([]Region(nil), opt.Regions...),
 		Events:       rec.buf.Bytes(),
 	}
 	recordings.Inc()

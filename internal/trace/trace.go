@@ -2,19 +2,18 @@
 // subsystem: a compact varint-encoded binary format for the committed
 // instruction stream of one benchmark run, a context-aware recorder
 // driven by the functional emulator (package emulator's StepHook seam),
-// and a content-keyed disk cache so a trace is recorded once per
-// prepared benchmark and reused across processes.
+// and a disk cache keyed by the traced binary, so a binary is recorded
+// once and its trace reused across entry points and processes.
 //
 // A trace captures exactly the events the branch-prediction schemes
 // observe on the committed path — conditional-branch outcomes, compare
 // predicate outcomes, compare→branch producer distances, indirect
-// targets, calls/returns, and region markers — and none of the value
-// or timing state. Replaying it through a predictor organization
-// (internal/stats.Replay) reproduces the predictor's commit-order
-// behaviour one to two orders of magnitude faster than the full
-// out-of-order pipeline, which is what makes full-suite predictor
-// sweeps cheap (the Figure 5/6 questions are functions of this stream,
-// not of cycle timing).
+// targets, calls/returns — and none of the value or timing state.
+// Replaying it through a predictor organization (internal/stats.Replay)
+// reproduces the predictor's commit-order behaviour one to two orders
+// of magnitude faster than the full out-of-order pipeline, which is
+// what makes full-suite predictor sweeps cheap (the Figure 5/6
+// questions are functions of this stream, not of cycle timing).
 package trace
 
 import (
@@ -31,7 +30,7 @@ import (
 // magic identifies a trace stream; the trailing digit is the format
 // version and must change with any encoding change (it also feeds the
 // disk-cache key, so stale files are never misread as current).
-const magic = "PPTRACE1"
+const magic = "PPTRACE2"
 
 // Event kinds (low 3 bits of the kind byte).
 const (
@@ -41,7 +40,7 @@ const (
 	EvRet     = 4 // return (RAS pop, indirect target)
 	EvBrInd   = 5 // indirect branch (target-table consumer)
 	EvHalt    = 6 // halt committed
-	EvMarker  = 7 // out-of-band marker (region / tooling)
+	EvMarker  = 7 // out-of-band marker
 )
 
 // Kind-specific flag bits (high 5 bits of the kind byte).
@@ -55,23 +54,10 @@ const (
 	fCmpUnc     = 1 << 6 // EvCompare: unc-type compare
 )
 
-// Marker ids.
-const (
-	// MarkerRegions carries the static region count for tools that scan
-	// the event stream without parsing the header table.
-	MarkerRegions = 1
-	// MarkerEnd terminates the stream, carrying the trailing gap of
-	// plain instructions after the last control event so replay
-	// accounts for every recorded instruction.
-	MarkerEnd = 2
-)
-
-// Region describes one if-converted (or otherwise interesting) static
-// region of the traced program, keyed by its head branch PC.
-type Region struct {
-	Kind     uint8
-	BranchPC int
-}
+// MarkerEnd is the marker id that terminates the stream, carrying the
+// trailing gap of plain instructions after the last control event so
+// replay accounts for every recorded instruction.
+const MarkerEnd = 2
 
 // Event is one decoded trace record. A single Event value is reused
 // across Cursor.Next calls; fields are only meaningful for the kinds
@@ -104,7 +90,6 @@ type Event struct {
 
 // Trace is one recorded committed-instruction stream.
 type Trace struct {
-	Name     string
 	ProgHash uint64 // HashProgram of the traced binary
 	Cap      uint64 // step budget at record time (0 = ran to halt)
 	Steps    uint64 // committed instructions recorded
@@ -113,8 +98,7 @@ type Trace struct {
 	CondBranches uint64 // conditional direct branches in the stream
 	Compares     uint64 // compares in the stream
 
-	Regions []Region // static region table (if-conversion markers)
-	Events  []byte   // varint-encoded event stream
+	Events []byte // varint-encoded event stream
 }
 
 // Covers reports whether the trace is sufficient to replay a run of
@@ -150,8 +134,6 @@ func HashProgram(p *program.Program) uint64 {
 func (t *Trace) EncodeTo(w io.Writer) error {
 	var b bytes.Buffer
 	b.WriteString(magic)
-	putUvarint(&b, uint64(len(t.Name)))
-	b.WriteString(t.Name)
 	var raw [8]byte
 	binary.LittleEndian.PutUint64(raw[:], t.ProgHash)
 	b.Write(raw[:])
@@ -164,88 +146,67 @@ func (t *Trace) EncodeTo(w io.Writer) error {
 	}
 	putUvarint(&b, t.CondBranches)
 	putUvarint(&b, t.Compares)
-	putUvarint(&b, uint64(len(t.Regions)))
-	for _, r := range t.Regions {
-		b.WriteByte(r.Kind)
-		putUvarint(&b, uint64(r.BranchPC))
-	}
 	putUvarint(&b, uint64(len(t.Events)))
 	b.Write(t.Events)
 	_, err := w.Write(b.Bytes())
 	return err
 }
 
-// Decode parses a serialized trace.
+// Decode parses a serialized trace. Malformed input of any shape is an
+// error, never a panic or an allocation larger than the input.
 func Decode(r io.Reader) (*Trace, error) {
-	br := newByteReader(r)
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("trace: short header: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("trace: read: %w", err)
 	}
-	if string(head) != magic {
-		return nil, fmt.Errorf("trace: bad magic %q", head)
+	return decode(data)
+}
+
+// decode parses a serialized trace held in data. The event stream
+// aliases data, so a loaded file is read into memory once.
+func decode(data []byte) (*Trace, error) {
+	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
+		return nil, fmt.Errorf("trace: bad magic %q", data[:min(len(data), len(magic))])
+	}
+	rest := data[len(magic):]
+	uvarint := func(what string) (uint64, error) {
+		v, n := binary.Uvarint(rest)
+		if n <= 0 {
+			return 0, fmt.Errorf("trace: %s: malformed varint", what)
+		}
+		rest = rest[n:]
+		return v, nil
 	}
 	t := &Trace{}
-	nameLen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("trace: name length: %w", err)
+	if len(rest) < 8 {
+		return nil, fmt.Errorf("trace: short program hash")
 	}
-	if nameLen > 1<<16 {
-		return nil, fmt.Errorf("trace: implausible name length %d", nameLen)
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, fmt.Errorf("trace: name: %w", err)
-	}
-	t.Name = string(name)
-	var raw [8]byte
-	if _, err := io.ReadFull(br, raw[:]); err != nil {
-		return nil, fmt.Errorf("trace: program hash: %w", err)
-	}
-	t.ProgHash = binary.LittleEndian.Uint64(raw[:])
-	fields := []*uint64{&t.Cap, &t.Steps}
-	for _, f := range fields {
-		if *f, err = binary.ReadUvarint(br); err != nil {
-			return nil, fmt.Errorf("trace: header field: %w", err)
+	t.ProgHash = binary.LittleEndian.Uint64(rest)
+	rest = rest[8:]
+	var err error
+	for _, f := range []*uint64{&t.Cap, &t.Steps} {
+		if *f, err = uvarint("header field"); err != nil {
+			return nil, err
 		}
 	}
-	hb, err := br.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("trace: halted flag: %w", err)
+	if len(rest) == 0 {
+		return nil, fmt.Errorf("trace: missing halted flag")
 	}
-	t.Halted = hb != 0
+	t.Halted = rest[0] != 0
+	rest = rest[1:]
 	for _, f := range []*uint64{&t.CondBranches, &t.Compares} {
-		if *f, err = binary.ReadUvarint(br); err != nil {
-			return nil, fmt.Errorf("trace: header count: %w", err)
+		if *f, err = uvarint("header count"); err != nil {
+			return nil, err
 		}
 	}
-	nRegions, err := binary.ReadUvarint(br)
+	evLen, err := uvarint("event length")
 	if err != nil {
-		return nil, fmt.Errorf("trace: region count: %w", err)
+		return nil, err
 	}
-	if nRegions > 1<<24 {
-		return nil, fmt.Errorf("trace: implausible region count %d", nRegions)
+	if evLen != uint64(len(rest)) {
+		return nil, fmt.Errorf("trace: event length %d, but %d bytes remain", evLen, len(rest))
 	}
-	t.Regions = make([]Region, nRegions)
-	for i := range t.Regions {
-		k, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("trace: region kind: %w", err)
-		}
-		pc, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: region pc: %w", err)
-		}
-		t.Regions[i] = Region{Kind: k, BranchPC: int(pc)}
-	}
-	evLen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("trace: event length: %w", err)
-	}
-	t.Events = make([]byte, evLen)
-	if _, err := io.ReadFull(br, t.Events); err != nil {
-		return nil, fmt.Errorf("trace: events: %w", err)
-	}
+	t.Events = rest
 	return t, nil
 }
 
@@ -357,31 +318,4 @@ func putUvarint(b *bytes.Buffer, v uint64) {
 	var tmp [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(tmp[:], v)
 	b.Write(tmp[:n])
-}
-
-// byteReader adapts any reader for binary.ReadUvarint without double
-// buffering when the source is already a byte reader.
-type byteReaderT struct {
-	r io.Reader
-	b [1]byte
-}
-
-func newByteReader(r io.Reader) interface {
-	io.Reader
-	io.ByteReader
-} {
-	if br, ok := r.(interface {
-		io.Reader
-		io.ByteReader
-	}); ok {
-		return br
-	}
-	return &byteReaderT{r: r}
-}
-
-func (b *byteReaderT) Read(p []byte) (int, error) { return b.r.Read(p) }
-
-func (b *byteReaderT) ReadByte() (byte, error) {
-	_, err := io.ReadFull(b.r, b.b[:])
-	return b.b[0], err
 }

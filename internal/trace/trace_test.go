@@ -114,7 +114,6 @@ func TestRecordMatchesEmulator(t *testing.T) {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	tr := recordBench(t, "twolf", 30000)
-	tr.Regions = []Region{{Kind: 1, BranchPC: 42}, {Kind: 0, BranchPC: 7}}
 	var buf bytes.Buffer
 	if err := tr.EncodeTo(&buf); err != nil {
 		t.Fatal(err)
@@ -123,13 +122,10 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Name != tr.Name || got.ProgHash != tr.ProgHash || got.Cap != tr.Cap ||
+	if got.ProgHash != tr.ProgHash || got.Cap != tr.Cap ||
 		got.Steps != tr.Steps || got.Halted != tr.Halted ||
 		got.CondBranches != tr.CondBranches || got.Compares != tr.Compares {
 		t.Fatalf("header mismatch: %+v vs %+v", got, tr)
-	}
-	if len(got.Regions) != 2 || got.Regions[0] != tr.Regions[0] || got.Regions[1] != tr.Regions[1] {
-		t.Fatalf("region table mismatch: %+v", got.Regions)
 	}
 	if !bytes.Equal(got.Events, tr.Events) {
 		t.Fatal("event stream mismatch after round trip")
@@ -233,21 +229,18 @@ func TestCoversAndCache(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	key := Key("spec", "gzip", "test")
-	if got, err := Load(dir, key); err != nil || got != nil {
+	k := key(tr.ProgHash)
+	if got, err := Load(dir, k); err != nil || got != nil {
 		t.Fatalf("empty cache: got %v, %v", got, err)
 	}
-	if err := Store(dir, key, tr); err != nil {
+	if err := Store(dir, k, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(dir, key)
+	got, err := Load(dir, k)
 	if err != nil || got == nil {
 		t.Fatalf("cache load: %v, %v", got, err)
 	}
 	if got.ProgHash != tr.ProgHash || got.Steps != tr.Steps {
 		t.Fatal("cache round trip corrupted the trace")
-	}
-	if Key("spec", "gzip", "test2") == key {
-		t.Fatal("different parts must produce different keys")
 	}
 }

@@ -10,37 +10,45 @@ import (
 )
 
 // TestObserverOverheadAB interleaves observed and unobserved
-// single-pass multi-scheme replays in one process and reports median
-// wall times; informational.
+// single-pass 3-scheme trace experiments in one process and reports
+// median wall times; informational.
 func TestObserverOverheadAB(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measurement, not a correctness test")
 	}
-	prog, err := sim.BuildBenchmark("vpr")
+	wl, err := sim.PrepareWorkload([]string{"vpr"}, 50000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	schemes := []string{"conventional", "predpred", "peppa"}
-	run := sim.ProgramRun{Program: prog, Commits: 50000, Mode: sim.ModeTrace, TraceDir: dir}
-	if _, err := sim.SimulateProgramSchemes(context.Background(), run, schemes...); err != nil {
-		t.Fatal(err)
+	experiment := func(extra ...sim.Option) *sim.Experiment {
+		exp, err := sim.New(append([]sim.Option{
+			sim.WithWorkload(wl),
+			sim.WithSchemes("conventional", "predpred", "peppa"),
+			sim.WithCommits(50000),
+			sim.WithMode(sim.ModeTrace),
+			sim.WithTraceDir(dir),
+		}, extra...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return exp
 	}
-	obsv := sim.NewObserver()
-	orun := run
-	orun.Observer = obsv
+	run := func(exp *sim.Experiment) {
+		if _, err := exp.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plain, observed := experiment(), experiment(sim.WithObserver(sim.NewObserver()))
+	run(plain) // records the trace into dir
 	const reps = 30
 	var base, obs []float64
 	for i := 0; i < reps; i++ {
 		t0 := time.Now()
-		if _, err := sim.SimulateProgramSchemes(context.Background(), run, schemes...); err != nil {
-			t.Fatal(err)
-		}
+		run(plain)
 		base = append(base, time.Since(t0).Seconds())
 		t0 = time.Now()
-		if _, err := sim.SimulateProgramSchemes(context.Background(), orun, schemes...); err != nil {
-			t.Fatal(err)
-		}
+		run(observed)
 		obs = append(obs, time.Since(t0).Seconds())
 	}
 	sort.Float64s(base)

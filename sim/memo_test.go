@@ -66,10 +66,10 @@ func runMemoSweep(t *testing.T, wl *Workload, dir string, par int, schemes []str
 // memo-test sweep over wl replays, by benchmark.
 func memoTraces(t *testing.T, wl *Workload, dir string) map[string]*trace.Trace {
 	t.Helper()
-	p := newTraceProvider(dir, wl.profileSteps, memoCommits, nil)
+	p := newTraceProvider(dir, memoCommits, nil)
 	traces := map[string]*trace.Trace{}
 	for _, pg := range wl.progs {
-		tr, err := p.get(context.Background(), pg, false)
+		tr, err := p.get(context.Background(), pg.Spec.Name, pg.Plain)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,9 +6,14 @@ import (
 	"strconv"
 	"testing"
 
-	"repro/internal/trace"
 	"repro/sim"
 )
+
+// processCounter reads one counter of the process-wide metrics registry,
+// where the trace subsystem counts its recordings and cache hits.
+func processCounter(name string) uint64 {
+	return sim.ProcessMetrics().CounterValue(name)
+}
 
 // TestTraceModeExperiment runs a small matrix in both modes and checks
 // the mode plumbing end to end: per-mode results, plausible trace
@@ -104,14 +109,14 @@ func TestTraceDiskCache(t *testing.T) {
 			t.Fatalf("unexpected results: %+v", rs)
 		}
 	}
-	before := trace.Recordings()
+	before := processCounter("trace.recordings")
 	run()
-	afterFirst := trace.Recordings()
+	afterFirst := processCounter("trace.recordings")
 	if afterFirst != before+1 {
 		t.Fatalf("first run should record exactly once: %d -> %d", before, afterFirst)
 	}
 	run()
-	if got := trace.Recordings(); got != afterFirst {
+	if got := processCounter("trace.recordings"); got != afterFirst {
 		t.Fatalf("second run must hit the disk cache, but recorded %d more times", got-afterFirst)
 	}
 
@@ -130,7 +135,7 @@ func TestTraceDiskCache(t *testing.T) {
 	if _, err := exp.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := trace.Recordings(); got != afterFirst+1 {
+	if got := processCounter("trace.recordings"); got != afterFirst+1 {
 		t.Fatalf("larger budget should re-record once, got %d extra", got-afterFirst)
 	}
 }
@@ -187,12 +192,97 @@ func TestSimulateProgramTraceMode(t *testing.T) {
 	}
 }
 
-// TestSimulateProgramSchemesMatchesSeparate pins the single-pass
-// multi-scheme path against the one-scheme path: under a non-nil
-// configuration mutator, each SimulateProgramSchemes result must equal
-// the Stats of a separate SimulateProgram call for that scheme, and an
-// observed one-scheme run must emit the same manifest either way,
-// failed or not.
+// TestSimulateProgramMatchesExperimentCell proves SimulateProgram is a
+// one-cell experiment: on a suite binary, plain and if-converted, in
+// pipeline and trace mode, it returns the Stats and Mem of the matching
+// Experiment cell. In trace mode against one cache directory the
+// second entry point records nothing, whichever runs first: a trace is
+// keyed by its binary alone.
+func TestSimulateProgramMatchesExperimentCell(t *testing.T) {
+	const commits, profile = 60000, 60000
+	wl, err := sim.PrepareWorkload([]string{"vpr"}, profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := sim.BuildBenchmark("vpr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conv, err := sim.IfConvert(plain, sim.DefaultIfConvertOptions(sim.ProfileProgram(plain, profile)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, v := range []struct {
+		name        string
+		ifConverted bool
+		prog        *sim.Program
+	}{{"plain", false, plain}, {"ifconverted", true, conv.Prog}} {
+		for _, mode := range []sim.Mode{sim.ModePipeline, sim.ModeTrace} {
+			t.Run(v.name+"/"+mode.String(), func(t *testing.T) {
+				dir := t.TempDir()
+				experiment := func() sim.Result {
+					exp, err := sim.New(
+						sim.WithWorkload(wl),
+						sim.WithSchemes("predpred"),
+						sim.WithIfConversion(v.ifConverted),
+						sim.WithCommits(commits),
+						sim.WithMode(mode),
+						sim.WithTraceDir(dir),
+					)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rs, err := exp.Run(ctx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(rs) != 1 || rs[0].Err != nil {
+						t.Fatalf("experiment results: %+v", rs)
+					}
+					return rs[0]
+				}
+				program := func() sim.Result {
+					res, err := sim.SimulateProgram(ctx, sim.ProgramRun{
+						Program: v.prog, Scheme: "predpred", Commits: commits,
+						Mode: mode, TraceDir: dir,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res.Result
+				}
+				first, second := experiment, program
+				if v.ifConverted { // the other order: the program run records
+					first, second = program, experiment
+				}
+				a := first()
+				recs := processCounter("trace.recordings")
+				b := second()
+				if d := processCounter("trace.recordings") - recs; mode == sim.ModeTrace && d != 0 {
+					t.Errorf("second entry point recorded %d traces; the first one's trace should serve it", d)
+				}
+				if !reflect.DeepEqual(a.Stats, b.Stats) {
+					t.Errorf("Stats differ between the entry points:\n%+v\n%+v", a.Stats, b.Stats)
+				}
+				if a.Mem != b.Mem {
+					t.Errorf("Mem differs between the entry points: %+v vs %+v", a.Mem, b.Mem)
+				}
+				if a.Stats.Committed < commits {
+					t.Errorf("implausible run: %+v", a.Stats)
+				}
+			})
+		}
+	}
+}
+
+// TestSimulateProgramSchemesMatchesSeparate pins the manifests of a
+// trace-mode SimulateProgram, a one-cell experiment: an observed run
+// emits exactly one manifest, with the cell's identity and the timings
+// of a lone replay pass, and leaves the statistics unchanged; a run
+// whose configuration fails validation keeps its identity and emits its
+// error manifest. Multi-scheme replays are pinned against one-scheme
+// replays by TestReplayAllMatchesIndependentReplays and the memo tests.
 func TestSimulateProgramSchemesMatchesSeparate(t *testing.T) {
 	prog, err := sim.BuildBenchmark("vpr")
 	if err != nil {
@@ -200,6 +290,7 @@ func TestSimulateProgramSchemesMatchesSeparate(t *testing.T) {
 	}
 	run := sim.ProgramRun{
 		Program:  prog,
+		Scheme:   "predpred",
 		Commits:  60000,
 		Mode:     sim.ModeTrace,
 		TraceDir: t.TempDir(),
@@ -208,59 +299,29 @@ func TestSimulateProgramSchemesMatchesSeparate(t *testing.T) {
 			c.L2PredBytes = 512 * (int(c.L2PredGHRBits+c.L2PredLHRBits) + 1)
 		},
 	}
-	schemes := []string{"conventional", "predpred", "peppa"}
-	group, err := sim.SimulateProgramSchemes(context.Background(), run, schemes...)
+	want, err := sim.SimulateProgram(context.Background(), run) // records the trace
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(group) != len(schemes) {
-		t.Fatalf("got %d results, want %d", len(group), len(schemes))
-	}
-	for i, s := range schemes {
-		one := run
-		one.Scheme = s
-		want, err := sim.SimulateProgram(context.Background(), one)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if group[i].Scheme != s {
-			t.Errorf("result %d: scheme %q, want %q", i, group[i].Scheme, s)
-		}
-		if !reflect.DeepEqual(group[i].Stats, want.Stats) {
-			t.Errorf("%s: multi-scheme stats diverge from a separate run\ngroup:    %+v\nseparate: %+v", s, group[i].Stats, want.Stats)
-		}
-	}
 
-	// Observed, on a fake clock ticking once per read: an observed
-	// one-scheme run emits exactly one manifest, the same through either
-	// entry point, and its timings are those of a lone replay pass
-	// (decode, frontend and engine one tick per batch each, no group).
-	observed := func(simulate func(sim.ProgramRun) error) sim.RunManifest {
-		var clock int64
-		o := sim.NewObserverWithClock(func() int64 { clock++; return clock })
-		one := run
-		one.Scheme = "predpred"
-		one.Observer = o
-		if err := simulate(one); err != nil {
-			t.Fatal(err)
-		}
-		ms := o.Manifests()
-		if len(ms) != 1 {
-			t.Fatalf("one-scheme run emitted %d manifests, want 1", len(ms))
-		}
-		return ms[0]
+	// Observed, on a fake clock ticking once per read: decode, frontend
+	// and engine one tick per batch each, no group.
+	var clock int64
+	o := sim.NewObserverWithClock(func() int64 { clock++; return clock })
+	one := run
+	one.Observer = o
+	got, err := sim.SimulateProgram(context.Background(), one)
+	if err != nil {
+		t.Fatal(err)
 	}
-	single := observed(func(r sim.ProgramRun) error {
-		_, err := sim.SimulateProgram(context.Background(), r)
-		return err
-	})
-	viaSchemes := observed(func(r sim.ProgramRun) error {
-		_, err := sim.SimulateProgramSchemes(context.Background(), r, r.Scheme)
-		return err
-	})
-	if !reflect.DeepEqual(single, viaSchemes) {
-		t.Errorf("one-scheme manifests differ:\nSimulateProgram:        %+v\nSimulateProgramSchemes: %+v", single, viaSchemes)
+	if !reflect.DeepEqual(got.Stats, want.Stats) {
+		t.Errorf("observing changed the stats:\nobserved:   %+v\nunobserved: %+v", got.Stats, want.Stats)
 	}
+	ms := o.Manifests()
+	if len(ms) != 1 {
+		t.Fatalf("one-scheme run emitted %d manifests, want 1", len(ms))
+	}
+	single := ms[0]
 	b := single.PhasesNS[sim.PhaseDecode]
 	if b <= 0 {
 		t.Fatalf("observed replay recorded no decode time: %+v", single)
@@ -271,7 +332,7 @@ func TestSimulateProgramSchemesMatchesSeparate(t *testing.T) {
 	}
 	wantM := sim.RunManifest{
 		Seq: 0, Point: -1, Bench: prog.Name, Scheme: "predpred", Mode: "trace",
-		Committed: group[1].Stats.Committed, Cache: "hit",
+		Committed: want.Stats.Committed, Cache: "hit",
 		PhasesNS:     map[string]int64{sim.PhaseDecode: b, sim.PhaseFrontend: b, sim.PhaseEngine: b},
 		InstrsPerSec: ips,
 	}
@@ -279,25 +340,24 @@ func TestSimulateProgramSchemesMatchesSeparate(t *testing.T) {
 		t.Errorf("one-scheme manifest:\n got: %+v\nwant: %+v", single, wantM)
 	}
 
-	// A replay that fails still emits its manifest, carrying the error,
-	// and returns the run's identity.
-	var clock int64
-	o := sim.NewObserverWithClock(func() int64 { clock++; return clock })
+	// A run that fails still emits its manifest, carrying the error,
+	// and returns the run's identity. Validation rejects the
+	// configuration before any replay, so no phase ran.
+	clock = 0
+	o = sim.NewObserverWithClock(func() int64 { clock++; return clock })
 	bad := run
-	bad.Scheme = "predpred"
 	bad.Observer = o
 	bad.Mutate = func(c *sim.Config) { c.FetchWidth = 0 }
 	res, err := sim.SimulateProgram(context.Background(), bad)
 	if err == nil {
 		t.Fatal("an invalid configuration should fail the replay")
 	}
-	if res.Bench != prog.Name || res.Scheme != "predpred" || res.Mode != sim.ModeTrace {
+	if res.Bench != prog.Name || res.Scheme != "predpred" || res.Mode != sim.ModeTrace || res.Err != err {
 		t.Errorf("failed run lost its identity: %+v", res.Result)
 	}
 	wantM = sim.RunManifest{
 		Seq: 0, Point: -1, Bench: prog.Name, Scheme: "predpred", Mode: "trace",
 		Cache: "hit", Err: err.Error(),
-		PhasesNS: map[string]int64{sim.PhaseDecode: 0, sim.PhaseFrontend: 0, sim.PhaseEngine: 0},
 	}
 	if ms := o.Manifests(); len(ms) != 1 || !reflect.DeepEqual(ms[0], wantM) {
 		t.Errorf("failed run manifests:\n got: %+v\nwant: [%+v]", ms, wantM)

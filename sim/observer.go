@@ -99,8 +99,9 @@ func (o *Observer) now() int64 {
 	return o.clock()
 }
 
-// replayClock is the clock replays sample their phase timings on: the
-// observer's, or nil (an untimed replay) without an observer.
+// replayClock is the clock trace acquisition and replay sample their
+// phase timings on: the observer's, or nil (untimed) without an
+// observer.
 func (o *Observer) replayClock() func() int64 {
 	if o == nil {
 		return nil

@@ -12,7 +12,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/pipeline"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // Result is the outcome of simulating one benchmark under one scheme
@@ -132,13 +131,13 @@ func (p *pool) Wait() error {
 // pass over the shared trace (stats.ReplayAll). The job's cells occupy
 // consecutive matrix positions starting at seq, in scheme order.
 type simJob struct {
-	seq     int
-	bench   string
-	class   string
-	schemes []string // one per cell; >1 only for coalesced trace-mode jobs
-	mode    Mode
-	prog    *Program
-	pg      stats.Programs // prepared benchmark (trace recording needs spec + regions)
+	seq      int
+	bench    string
+	class    string
+	specHash string   // %016x of the benchmark spec's hash; "" for an arbitrary program
+	schemes  []string // one per cell; >1 only for coalesced trace-mode jobs
+	mode     Mode
+	prog     *Program
 	// cfg builds one cell's configuration from its scheme name: the
 	// experiment's baseConfig, plus the point's axis mutations in a
 	// sweep.
@@ -158,10 +157,11 @@ func (e *Experiment) buildJobs(wl *Workload, cfg func(string) (Config, error), m
 		if e.ifConverted {
 			p = pg.Converted
 		}
+		specHash := fmt.Sprintf("%016x", pg.Spec.Hash())
 		for _, m := range e.mode.modes() {
 			j := simJob{
-				seq: seq, bench: pg.Spec.Name, class: pg.Spec.Class,
-				mode: m, prog: p, pg: pg, cfg: cfg, meta: meta,
+				seq: seq, bench: pg.Spec.Name, class: pg.Spec.Class, specHash: specHash,
+				mode: m, prog: p, cfg: cfg, meta: meta,
 			}
 			if m == ModeTrace {
 				j.schemes = e.schemes
@@ -196,7 +196,7 @@ func (e *Experiment) prepare(ctx context.Context) (*Workload, *traceProvider, er
 	}
 	var traces *traceProvider
 	if e.mode&ModeTrace != 0 {
-		traces = newTraceProvider(e.traceDir, wl.profileSteps, e.commits, e.observer)
+		traces = newTraceProvider(e.traceDir, e.commits, e.observer)
 	}
 	return wl, traces, nil
 }
@@ -342,7 +342,7 @@ func (e *Experiment) cellManifest(j simJob, i int, res Result) RunManifest {
 		Scheme:      j.schemes[i],
 		Mode:        modeName(j.mode),
 		IfConverted: e.ifConverted,
-		SpecHash:    fmt.Sprintf("%016x", j.pg.Spec.Hash()),
+		SpecHash:    j.specHash,
 		Seed:        j.meta.seed,
 		Knobs:       j.meta.knobs,
 		Committed:   res.Stats.Committed,
@@ -369,17 +369,7 @@ func (e *Experiment) runJob(ctx context.Context, traces *traceProvider, j simJob
 	if j.mode == ModeTrace {
 		return e.runTraceJob(ctx, traces, j)
 	}
-	cfg, err := j.cfg(j.schemes[0])
-	if err != nil {
-		res := j.result(e, 0)
-		res.Err = err
-		if o := e.observer; o != nil {
-			o.emit(e.cellManifest(j, 0, res))
-			o.finishRun(err)
-		}
-		return []Result{res}, true
-	}
-	res, ok := e.runCell(ctx, cfg, j)
+	res, _, ok := e.runCell(ctx, j)
 	return []Result{res}, ok
 }
 
@@ -401,7 +391,7 @@ func (e *Experiment) runTraceJob(ctx context.Context, traces *traceProvider, j s
 	for i := range j.schemes {
 		out[i] = j.result(e, i)
 	}
-	tr, err := traces.get(ctx, j.pg, e.ifConverted)
+	tr, err := traces.get(ctx, j.bench, j.prog)
 	if canceled(err) {
 		return nil, false
 	}
@@ -526,12 +516,21 @@ func (e *Experiment) observeTraceGroup(traces *traceProvider, j simJob, out []Re
 	}
 }
 
-// runCell simulates one pipeline-mode matrix cell under an explicit,
-// fully-built configuration. ok is false when the context was cancelled
-// mid-simulation.
-func (e *Experiment) runCell(ctx context.Context, cfg Config, j simJob) (Result, bool) {
+// runCell simulates one pipeline-mode matrix cell and hands back the
+// finished pipeline (nil when the configuration failed to build). ok is
+// false when the context was cancelled mid-simulation.
+func (e *Experiment) runCell(ctx context.Context, j simJob) (Result, *pipeline.Pipeline, bool) {
 	res := j.result(e, 0)
 	o := e.observer
+	cfg, err := j.cfg(j.schemes[0])
+	if err != nil {
+		res.Err = err
+		if o != nil {
+			o.emit(e.cellManifest(j, 0, res))
+			o.finishRun(err)
+		}
+		return res, nil, true
+	}
 	var t0 int64
 	if o != nil {
 		t0 = o.now()
@@ -541,7 +540,7 @@ func (e *Experiment) runCell(ctx context.Context, cfg Config, j simJob) (Result,
 	// context cancelled after the run completed (err == nil, or a real
 	// pipeline error) still produced a full, reportable result.
 	if canceled(err) {
-		return res, false
+		return res, nil, false
 	}
 	if pl != nil {
 		res.Stats = pl.Stats
@@ -557,7 +556,7 @@ func (e *Experiment) runCell(ctx context.Context, cfg Config, j simJob) (Result,
 		o.emit(m)
 		o.finishRun(res.Err)
 	}
-	return res, true
+	return res, pl, true
 }
 
 func captureMem(pl *pipeline.Pipeline) MemStats {
@@ -610,18 +609,6 @@ type ProgramRun struct {
 	Observer *Observer
 }
 
-// programManifest is the ProgramRun counterpart of cellManifest.
-func (r ProgramRun) manifest(seq int, scheme string, mode Mode, st Stats) RunManifest {
-	return RunManifest{
-		Seq:       seq,
-		Point:     -1,
-		Bench:     r.Program.Name,
-		Scheme:    scheme,
-		Mode:      modeName(mode),
-		Committed: st.Committed,
-	}
-}
-
 // ProgramResult is a single-program outcome, including the committed
 // architectural integer register file for functional checks.
 type ProgramResult struct {
@@ -630,169 +617,47 @@ type ProgramResult struct {
 }
 
 // SimulateProgram runs one program under one named scheme, honoring
-// ctx cancellation mid-run. With Mode == ModeTrace it is the one-scheme
-// SimulateProgramSchemes: the program is recorded by the functional
-// emulator (through the disk cache) and replayed by the trace engine,
-// and the GPR snapshot and memory statistics stay zero.
+// ctx cancellation mid-run. It is a one-cell experiment: the same cell
+// runner, trace cache and manifests as Experiment, so a suite binary
+// gives the Stats of the matching Experiment cell and, in ModeTrace,
+// shares its cached trace. In ModeTrace the program is recorded by the
+// functional emulator (through the disk cache) and replayed by the
+// trace engine, and the GPR snapshot and memory statistics stay zero.
 func SimulateProgram(ctx context.Context, r ProgramRun) (ProgramResult, error) {
 	var out ProgramResult
 	if r.Program == nil {
 		return out, fmt.Errorf("sim: nil program")
 	}
-	out.Bench = r.Program.Name
-	out.Scheme = r.Scheme
-	if r.Mode == ModeTrace {
-		out.Mode = ModeTrace
-		rs, err := SimulateProgramSchemes(ctx, r, r.Scheme)
-		if len(rs) == 1 {
-			out = rs[0]
-		}
-		return out, err
+	mode := r.Mode
+	if mode == 0 {
+		mode = ModePipeline
 	}
-	cfg, err := schemeConfig(r.Scheme)
-	if err != nil {
-		return out, err
-	}
-	if r.Mutate != nil {
-		r.Mutate(&cfg)
-	}
-	if r.Mode != 0 && r.Mode != ModePipeline {
+	out.Bench, out.Scheme, out.Mode = r.Program.Name, r.Scheme, mode
+	if mode != ModePipeline && mode != ModeTrace {
 		return out, fmt.Errorf("sim: program run wants a single mode, got %v", r.Mode)
 	}
-	out.Mode = ModePipeline
-	o := r.Observer
-	var t0 int64
-	if o != nil {
-		t0 = o.now()
+	e := &Experiment{commits: r.Commits, mutate: r.Mutate, observer: r.Observer}
+	j := simJob{
+		bench: r.Program.Name, schemes: []string{r.Scheme}, mode: mode,
+		prog: r.Program, cfg: e.baseConfig, meta: noMeta,
 	}
-	pl, err := stats.SimulateContext(ctx, cfg, r.Program, r.Commits)
+	if mode == ModeTrace {
+		rs, ok := e.runTraceJob(ctx, newTraceProvider(r.TraceDir, r.Commits, r.Observer), j)
+		if !ok {
+			return out, ctx.Err()
+		}
+		out.Result = rs[0]
+		return out, out.Err
+	}
+	res, pl, ok := e.runCell(ctx, j)
+	if !ok {
+		return out, ctx.Err()
+	}
+	out.Result = res
 	if pl != nil {
-		out.Stats = pl.Stats
-		out.Mem = captureMem(pl)
 		for i := 0; i < isa.NumGPR; i++ {
 			out.GPR[i] = pl.ArchGPR(isa.Reg(i))
 		}
 	}
-	if o != nil {
-		ns := o.now() - t0
-		o.span(PhasePipeline, ns)
-		m := r.manifest(0, r.Scheme, ModePipeline, out.Stats)
-		m.PhasesNS = map[string]int64{PhasePipeline: ns}
-		m.InstrsPerSec = instrsPerSec(out.Stats.Committed, ns)
-		if err != nil {
-			m.Err = err.Error()
-		}
-		o.emit(m)
-		o.finishRun(err)
-	}
-	if err != nil {
-		return out, err
-	}
-	return out, nil
-}
-
-// SimulateProgramSchemes runs one program under several named schemes
-// in a single trace-mode pass: the program's trace is recorded (or
-// loaded from the disk cache) once and replayed through every scheme's
-// predictor organization in lockstep over one shared cursor, so adding
-// a scheme to the comparison costs its predictor work alone rather than
-// another full decode. r.Mode must be ModeTrace (the pipeline cannot be
-// fanned this way) and r.Scheme is ignored in favor of the schemes
-// argument. Results are returned in scheme order, each bit-identical to
-// a one-scheme run. A replay that fails still returns every scheme's
-// partial statistics alongside the error, and each scheme's manifest
-// carries it.
-func SimulateProgramSchemes(ctx context.Context, r ProgramRun, schemes ...string) ([]ProgramResult, error) {
-	if r.Program == nil {
-		return nil, fmt.Errorf("sim: nil program")
-	}
-	if len(schemes) == 0 {
-		return nil, fmt.Errorf("sim: no schemes given")
-	}
-	if r.Mode != ModeTrace {
-		return nil, fmt.Errorf("sim: single-pass multi-scheme replay is trace-mode only, got %v", r.Mode)
-	}
-	cfgs := make([]Config, len(schemes))
-	for i, s := range schemes {
-		cfg, err := schemeConfig(s)
-		if err != nil {
-			return nil, err
-		}
-		if r.Mutate != nil {
-			r.Mutate(&cfg)
-		}
-		cfgs[i] = cfg
-	}
-	tr, outcome, err := recordProgramTrace(ctx, r)
-	if err != nil {
-		return nil, err
-	}
-	o := r.Observer
-	sts, tm, err := stats.ReplayAll(ctx, cfgs, tr, r.Commits, o.replayClock())
-	out := make([]ProgramResult, len(schemes))
-	var decodeShare, frontendShare int64
-	if tm != nil {
-		o.span(PhaseDecode, tm.DecodeNS)
-		o.span(PhaseFrontend, tm.FrontendNS)
-		decodeShare = tm.DecodeNS / int64(len(schemes))
-		frontendShare = tm.FrontendNS / int64(len(schemes))
-	}
-	for i := range out {
-		out[i].Bench = r.Program.Name
-		out[i].Scheme = schemes[i]
-		out[i].Mode = ModeTrace
-		if i < len(sts) {
-			out[i].Stats = sts[i]
-		}
-		if tm == nil {
-			continue
-		}
-		m := r.manifest(i, schemes[i], ModeTrace, out[i].Stats)
-		m.Cache = outcome
-		if len(schemes) > 1 {
-			m.GroupSchemes = append([]string(nil), schemes...)
-		}
-		o.span(PhaseEngine, tm.EngineNS[i])
-		m.PhasesNS = map[string]int64{
-			PhaseDecode:   decodeShare,
-			PhaseFrontend: frontendShare,
-			PhaseEngine:   tm.EngineNS[i],
-		}
-		m.InstrsPerSec = instrsPerSec(out[i].Stats.Committed, tm.EngineNS[i]+decodeShare+frontendShare)
-		if err != nil {
-			m.Err = err.Error()
-		}
-		o.emit(m)
-		o.finishRun(err)
-	}
-	return out, err
-}
-
-// recordProgramTrace records (or loads from the cache) the trace of an
-// arbitrary program, keyed by the binary's content hash. The outcome
-// names the trace's provenance ("hit" or "record") for manifests.
-func recordProgramTrace(ctx context.Context, r ProgramRun) (*trace.Trace, string, error) {
-	dir := r.TraceDir
-	if dir == "" {
-		dir = trace.DefaultDir()
-	}
-	o := r.Observer
-	hash := trace.HashProgram(r.Program)
-	key := trace.Key("program", r.Program.Name, fmt.Sprintf("prog=%016x", hash))
-	t0 := o.now()
-	t, _ := trace.Load(dir, key)
-	o.span(PhaseCacheLookup, o.now()-t0)
-	if t != nil && t.ProgHash == hash && t.Covers(r.Commits) {
-		o.cacheOutcome("hit")
-		return t, "hit", nil
-	}
-	t0 = o.now()
-	t, err := trace.Record(ctx, r.Program, trace.Options{MaxSteps: r.Commits})
-	if err != nil {
-		return nil, "", err
-	}
-	o.span(PhaseRecord, o.now()-t0)
-	o.cacheOutcome("record")
-	_ = trace.Store(dir, key, t)
-	return t, "record", nil
+	return out, out.Err
 }

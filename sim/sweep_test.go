@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/trace"
 	"repro/sim"
 )
 
@@ -166,14 +165,13 @@ func TestSweepRecordsTracesOnce(t *testing.T) {
 		return rs
 	}
 
-	before := trace.SnapshotCounters()
+	recs, hits := processCounter("trace.recordings"), processCounter("trace.cache.hits")
 	rs := sweep()
-	delta := trace.SnapshotCounters().Since(before)
-	if delta.Recordings != 2 {
-		t.Errorf("6-point sweep over 2 benchmarks should record exactly 2 traces, recorded %d", delta.Recordings)
+	if d := processCounter("trace.recordings") - recs; d != 2 {
+		t.Errorf("6-point sweep over 2 benchmarks should record exactly 2 traces, recorded %d", d)
 	}
-	if delta.CacheHits != 0 {
-		t.Errorf("first sweep into an empty cache dir should not hit, got %d hits", delta.CacheHits)
+	if d := processCounter("trace.cache.hits") - hits; d != 0 {
+		t.Errorf("first sweep into an empty cache dir should not hit, got %d hits", d)
 	}
 
 	if len(rs) != 6 {
@@ -212,14 +210,13 @@ func TestSweepRecordsTracesOnce(t *testing.T) {
 
 	// Second sweep, fresh provider, same disk cache: zero recordings,
 	// one disk hit per benchmark.
-	mid := trace.SnapshotCounters()
+	recs, hits = processCounter("trace.recordings"), processCounter("trace.cache.hits")
 	sweep()
-	delta = trace.SnapshotCounters().Since(mid)
-	if delta.Recordings != 0 {
-		t.Errorf("second sweep must not re-record, recorded %d more times", delta.Recordings)
+	if d := processCounter("trace.recordings") - recs; d != 0 {
+		t.Errorf("second sweep must not re-record, recorded %d more times", d)
 	}
-	if delta.CacheHits != 2 {
-		t.Errorf("second sweep should load each benchmark's trace from disk once, got %d hits", delta.CacheHits)
+	if d := processCounter("trace.cache.hits") - hits; d != 2 {
+		t.Errorf("second sweep should load each benchmark's trace from disk once, got %d hits", d)
 	}
 }
 

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"repro/internal/obs"
@@ -13,10 +12,9 @@ import (
 // traceProvider hands out the recorded trace for each benchmark of a
 // trace-mode experiment. Every benchmark is recorded at most once per
 // provider (all schemes replay the same trace), and recordings are
-// cached on disk keyed by the benchmark spec, the profiling budget,
-// the binary variant and the binary's content hash — so a second
-// process run of the same experiment replays from disk without
-// re-emulating anything.
+// cached on disk keyed by the binary alone (trace.Acquire) — so a
+// second process run of the same experiment, or SimulateProgram on the
+// same binary, replays from disk without re-emulating anything.
 //
 // The provider also holds the replay memo: the statistics of every
 // successful replay, keyed by benchmark and replay-visible
@@ -26,10 +24,9 @@ import (
 // — another sweep point differing only in timing knobs, a duplicate
 // scheme — is served without replaying.
 type traceProvider struct {
-	dir          string
-	profileSteps uint64
-	cap          uint64 // record budget: the experiment's commit budget
-	obsv         *Observer
+	dir  string
+	cap  uint64 // record budget: the experiment's commit budget
+	obsv *Observer
 
 	mu      sync.Mutex
 	entries map[string]*traceEntry
@@ -64,36 +61,43 @@ type traceEntry struct {
 	tr   *trace.Trace
 	err  error
 
-	// Provenance, for manifests and spans: how this benchmark's trace
-	// was obtained ("hit" from the disk cache, "record" by emulation)
-	// and what each step cost on the observer's clock. Written inside
-	// once.Do, read only after it returns.
-	outcome  string
-	lookupNS int64
-	recordNS int64
+	// Provenance, for manifests: how this benchmark's trace was
+	// obtained ("hit" from the disk cache, "record" by emulation).
+	// Written inside once.Do, read only after it returns.
+	outcome string
 }
 
-func newTraceProvider(dir string, profileSteps, cap uint64, o *Observer) *traceProvider {
-	if dir == "" {
-		dir = trace.DefaultDir()
-	}
+// newTraceProvider returns a provider over the trace cache in dir
+// ("" = the default directory) recording cap commits per binary.
+func newTraceProvider(dir string, cap uint64, o *Observer) *traceProvider {
 	return &traceProvider{
-		dir:          dir,
-		profileSteps: profileSteps,
-		cap:          cap,
-		obsv:         o,
-		entries:      make(map[string]*traceEntry),
-		memo:         make(map[memoKey]*memoEntry),
+		dir:     dir,
+		cap:     cap,
+		obsv:    o,
+		entries: make(map[string]*traceEntry),
+		memo:    make(map[memoKey]*memoEntry),
 	}
 }
 
-// get returns the trace for one prepared benchmark variant, loading it
+// get returns the trace of the named benchmark's binary, loading it
 // from the disk cache or recording it (once, however many scheme jobs
-// ask concurrently).
-func (p *traceProvider) get(ctx context.Context, pg stats.Programs, converted bool) (*trace.Trace, error) {
-	ent := p.entry(pg.Spec.Name)
+// ask concurrently), and spans the lookup and any recording on the
+// observer's clock.
+func (p *traceProvider) get(ctx context.Context, name string, prog *Program) (*trace.Trace, error) {
+	ent := p.entry(name)
 	ent.once.Do(func() {
-		ent.tr, ent.err = p.load(ctx, pg, converted, ent)
+		o := p.obsv
+		var pv trace.Provenance
+		ent.tr, pv, ent.err = trace.Acquire(ctx, p.dir, prog, p.cap, o.replayClock())
+		o.span(PhaseCacheLookup, pv.LookupNS)
+		if ent.err != nil {
+			return
+		}
+		if pv.Outcome == "record" {
+			o.span(PhaseRecord, pv.RecordNS)
+		}
+		ent.outcome = pv.Outcome
+		o.cacheOutcome(pv.Outcome)
 	})
 	return ent.tr, ent.err
 }
@@ -140,52 +144,4 @@ func (p *traceProvider) settle(m *memoEntry, st Stats, err error) {
 // once get has returned for the benchmark.
 func (p *traceProvider) outcome(name string) string {
 	return p.entry(name).outcome
-}
-
-func (p *traceProvider) load(ctx context.Context, pg stats.Programs, converted bool, ent *traceEntry) (*trace.Trace, error) {
-	prog := pg.Plain
-	if converted {
-		prog = pg.Converted
-	}
-	hash := trace.HashProgram(prog)
-	// The key carries the full spec hash (every generator knob,
-	// including the optional behaviour fields at their resolved
-	// defaults), so user-authored workloads — which are free to reuse a
-	// built-in name with different parameters — cache correctly.
-	parts := []string{
-		fmt.Sprintf("spec=%016x", pg.Spec.Hash()),
-		fmt.Sprintf("profile=%d", p.profileSteps),
-		fmt.Sprintf("converted=%v", converted),
-		fmt.Sprintf("prog=%016x", hash),
-	}
-	key := trace.Key(parts...)
-	o := p.obsv
-	t0 := o.now()
-	t, _ := trace.Load(p.dir, key)
-	ent.lookupNS = o.now() - t0
-	o.span(PhaseCacheLookup, ent.lookupNS)
-	if t != nil && t.ProgHash == hash && t.Covers(p.cap) {
-		ent.outcome = "hit"
-		o.cacheOutcome(ent.outcome)
-		return t, nil
-	}
-	var regions []trace.Region
-	if converted {
-		for _, h := range pg.Hammocks {
-			regions = append(regions, trace.Region{Kind: uint8(h.Kind), BranchPC: h.Branch})
-		}
-	}
-	t0 = o.now()
-	t, err := trace.Record(ctx, prog, trace.Options{MaxSteps: p.cap, Regions: regions})
-	if err != nil {
-		return nil, err
-	}
-	ent.recordNS = o.now() - t0
-	ent.outcome = "record"
-	o.span(PhaseRecord, ent.recordNS)
-	o.cacheOutcome(ent.outcome)
-	// The cache is advisory: a failed store costs a re-recording next
-	// process, never the run.
-	_ = trace.Store(p.dir, key, t)
-	return t, nil
 }

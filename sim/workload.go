@@ -14,8 +14,7 @@ import (
 // convert per benchmark), so a Workload is built once and shared
 // across experiments via WithWorkload.
 type Workload struct {
-	progs        []stats.Programs
-	profileSteps uint64
+	progs []stats.Programs
 }
 
 // PrepareWorkload builds and profiles the named benchmarks in
@@ -93,7 +92,7 @@ func prepareSpecs(ctx context.Context, specs []bench.Spec, profileSteps uint64) 
 	if err != nil {
 		return nil, fmt.Errorf("sim: prepare workload: %w", err)
 	}
-	return &Workload{progs: progs, profileSteps: profileSteps}, nil
+	return &Workload{progs: progs}, nil
 }
 
 // Len returns the number of prepared benchmarks.
@@ -124,7 +123,7 @@ func (w *Workload) Regions(name string) (int, bool) {
 // Subset returns a Workload restricted to the named benchmarks, in
 // the given order, reusing the already-prepared binaries.
 func (w *Workload) Subset(names ...string) (*Workload, error) {
-	sub := &Workload{profileSteps: w.profileSteps}
+	sub := &Workload{}
 	for _, n := range names {
 		found := false
 		for _, pg := range w.progs {

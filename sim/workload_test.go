@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/trace"
 	"repro/sim"
 )
 
@@ -197,13 +196,12 @@ func TestSpecFileRoundTrip(t *testing.T) {
 	}
 
 	run() // records the trace into dir
-	before := trace.SnapshotCounters()
+	recs, hits := processCounter("trace.recordings"), processCounter("trace.cache.hits")
 	run() // must replay purely from the disk cache
-	delta := trace.SnapshotCounters().Since(before)
-	if delta.Recordings != 0 {
-		t.Errorf("second run re-recorded %d traces, want 0", delta.Recordings)
+	if d := processCounter("trace.recordings") - recs; d != 0 {
+		t.Errorf("second run re-recorded %d traces, want 0", d)
 	}
-	if delta.CacheHits == 0 {
+	if processCounter("trace.cache.hits") == hits {
 		t.Error("second run served no trace-cache hits")
 	}
 }
