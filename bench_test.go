@@ -28,7 +28,7 @@ var simMode = flag.String("simmode", "pipeline", "figure benchmark execution mod
 
 func benchMode(b *testing.B) sim.Mode {
 	b.Helper()
-	m, err := sim.ParseSingleMode(*simMode)
+	m, err := sim.ParseMode(*simMode)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -207,6 +207,9 @@ func BenchmarkAblationSplitPVT(b *testing.B) {
 // BenchmarkAblationSelectivePredication compares selective predication
 // against the select-µop baseline on IPC (§3.2).
 func BenchmarkAblationSelectivePredication(b *testing.B) {
+	if benchMode(b) == sim.ModeTrace {
+		b.Skip("needs the pipeline timing model: trace mode has no cycles")
+	}
 	wl := ablationWorkload(b)
 	one := []string{"predpred"}
 	for i := 0; i < b.N; i++ {

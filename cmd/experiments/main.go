@@ -20,7 +20,7 @@
 // pipeline and are skipped in that mode.
 //
 // -workload swaps the benchmark set: any mix of spec files
-// (*.json/*.toml), registered workload names (all, int11, fp11) and
+// (*.json/*.toml), workload preset names (all, int11, fp11) and
 // suite benchmark names, so every figure can be regenerated over
 // user-authored branch behaviours.
 //
@@ -126,7 +126,7 @@ func main() {
 		all       = flag.Bool("all", false, "run everything")
 		commits   = flag.Uint64("n", 300000, "committed instructions per run")
 		profSteps = flag.Uint64("profile", 200000, "profiling steps for if-conversion")
-		workload  = flag.String("workload", "", "comma-separated workload entries — spec files (*.json/*.toml), registered workload names (all, int11, fp11, ...), or benchmark names (empty = the full suite)")
+		workload  = flag.String("workload", "", "comma-separated workload entries — spec files (*.json/*.toml), workload preset names (all, int11, fp11), or benchmark names (empty = the full suite)")
 		format    = flag.String("format", "text", "output format: text | json | csv")
 		mode      = flag.String("mode", "pipeline", "execution mode: pipeline (cycle model) or trace (record-once trace replay; accuracy figures only, ~10-100x faster)")
 		verbose   = flag.Bool("v", false, "print per-run progress to stderr")
@@ -145,7 +145,7 @@ func main() {
 	}
 
 	d := &driver{commits: *commits, verbose: *verbose}
-	m, err := sim.ParseSingleMode(*mode)
+	m, err := sim.ParseMode(*mode)
 	if err != nil {
 		fatal(err)
 	}

@@ -29,14 +29,14 @@ func main() {
 	var (
 		asmFile   = flag.String("asm", "", "assemble and run this file instead of a suite benchmark")
 		benchName = flag.String("bench", "gzip", "benchmark name (see -list)")
-		workload  = flag.String("workload", "", "run a workload entry instead of -bench: a spec file (*.json/*.toml), a registered workload name (see -workloads), or a benchmark name; must resolve to exactly one benchmark")
+		workload  = flag.String("workload", "", "run a workload entry instead of -bench: a spec file (*.json/*.toml), a workload preset name (see -workloads), or a benchmark name; must resolve to exactly one benchmark")
 		scheme    = flag.String("scheme", "predpred", "prediction scheme (see -schemes)")
 		ifconv    = flag.Bool("ifconvert", false, "run the if-converted binary (profile-guided)")
 		commits   = flag.Uint64("n", 300000, "committed-instruction budget")
 		profile   = flag.Uint64("profile", 200000, "profiling steps for if-conversion")
 		list      = flag.Bool("list", false, "list the benchmark suite and exit")
 		schemes   = flag.Bool("schemes", false, "list the registered prediction schemes and exit")
-		workloads = flag.Bool("workloads", false, "list the registered workloads and exit")
+		workloads = flag.Bool("workloads", false, "list the workload presets and exit")
 		disasm    = flag.Bool("disasm", false, "disassemble the (possibly converted) binary and exit")
 		ideal     = flag.Bool("ideal", false, "idealized predictors: no aliasing, perfect global history")
 		selectPr  = flag.Bool("select", false, "force select-µop predication (disable selective prediction)")
@@ -117,7 +117,7 @@ func main() {
 	if _, ok := sim.ResolveScheme(*scheme); !ok {
 		fatal(fmt.Errorf("unknown scheme %q (registered: %v)", *scheme, sim.SchemeNames()))
 	}
-	m, err := sim.ParseSingleMode(*mode)
+	m, err := sim.ParseMode(*mode)
 	if err != nil {
 		fatal(err)
 	}

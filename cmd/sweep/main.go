@@ -21,10 +21,9 @@
 //	sweep -knobs
 //
 // -suite and -workload entries are interchangeable: each may be a
-// suite benchmark name, a registered workload name (all, int11, fp11,
-// or anything sim.RegisterWorkload added), or the path of a
-// user-authored spec file (*.json / *.toml) — making every sweep a
-// two-axis study over config knobs × workload shape.
+// suite benchmark name, a workload preset name (all, int11, fp11), or
+// the path of a user-authored spec file (*.json / *.toml) — making
+// every sweep a two-axis study over config knobs × workload shape.
 //
 // A summary (best point per scheme plus per-axis marginal tables)
 // prints to stderr after the sweep, keeping stdout machine-readable.
@@ -48,7 +47,7 @@ func main() {
 		axesFlag  = flag.String("axes", "", `sweep axes: "knob=v1,v2,...", ";"-separated (see -knobs)`)
 		schemes   = flag.String("schemes", "conventional,predpred", "comma-separated prediction schemes")
 		suite     = flag.String("suite", "", "comma-separated benchmark subset (empty = full suite)")
-		workload  = flag.String("workload", "", "comma-separated extra workload entries — spec files (*.json/*.toml), registered workload names, or benchmark names — merged with -suite")
+		workload  = flag.String("workload", "", "comma-separated extra workload entries — spec files (*.json/*.toml), workload preset names, or benchmark names — merged with -suite")
 		mode      = flag.String("mode", "trace", "execution mode: trace (record-once replay) or pipeline (cycle model)")
 		ifconv    = flag.Bool("ifconvert", false, "run the if-converted binary set")
 		commits   = flag.Uint64("n", 300000, "committed-instruction budget per run")
@@ -59,7 +58,7 @@ func main() {
 		par       = flag.Int("p", 0, "worker parallelism (0 = GOMAXPROCS)")
 		summary   = flag.Bool("summary", true, "print best point and per-axis marginals to stderr")
 		verbose   = flag.Bool("v", false, "print a throttled progress heartbeat (point, elapsed, ETA) to stderr")
-		knobs     = flag.Bool("knobs", false, "list the registered sweep knobs and exit")
+		knobs     = flag.Bool("knobs", false, "list the sweep knobs and exit")
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprof   = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		metrics   = flag.String("metrics", "", "write a metrics snapshot (spans, counters) to this JSON file at exit")
@@ -79,7 +78,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	m, err := sim.ParseSingleMode(*mode)
+	m, err := sim.ParseMode(*mode)
 	if err != nil {
 		fatal(err)
 	}

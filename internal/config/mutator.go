@@ -2,9 +2,9 @@ package config
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
-	"sync"
 )
 
 // Mutator is a named, string-addressable configuration knob: the
@@ -13,7 +13,7 @@ import (
 // a parse failure returns an error naming the knob, never a partial
 // write.
 type Mutator struct {
-	// Name is the registry key, conventionally "group.field"
+	// Name is the knob's key, conventionally "group.field"
 	// (e.g. "pvt.entries", "conf.bits").
 	Name string
 	// Doc is a one-line description for listings.
@@ -22,50 +22,21 @@ type Mutator struct {
 	Apply func(c *Config, value string) error
 }
 
-var mutatorReg = struct {
-	sync.RWMutex
-	m map[string]Mutator
-}{m: map[string]Mutator{}}
-
-// RegisterMutator adds a named knob to the registry. It fails on an
-// empty or duplicate name and on a nil Apply.
-func RegisterMutator(m Mutator) error {
-	if m.Name == "" {
-		return fmt.Errorf("config: mutator name must not be empty")
-	}
-	if m.Apply == nil {
-		return fmt.Errorf("config: mutator %q needs an Apply function", m.Name)
-	}
-	mutatorReg.Lock()
-	defer mutatorReg.Unlock()
-	if _, dup := mutatorReg.m[m.Name]; dup {
-		return fmt.Errorf("config: mutator %q already registered", m.Name)
-	}
-	mutatorReg.m[m.Name] = m
-	return nil
-}
-
-func mustRegisterMutator(m Mutator) {
-	if err := RegisterMutator(m); err != nil {
-		panic(err)
-	}
-}
-
 // ResolveMutator looks a knob up by name.
 func ResolveMutator(name string) (Mutator, bool) {
-	mutatorReg.RLock()
-	defer mutatorReg.RUnlock()
-	m, ok := mutatorReg.m[name]
-	return m, ok
+	for _, m := range mutators {
+		if m.Name == name {
+			return m, true
+		}
+	}
+	return Mutator{}, false
 }
 
-// MutatorNames returns every registered knob name, sorted.
+// MutatorNames returns every knob name, sorted.
 func MutatorNames() []string {
-	mutatorReg.RLock()
-	defer mutatorReg.RUnlock()
-	names := make([]string, 0, len(mutatorReg.m))
-	for n := range mutatorReg.m {
-		names = append(names, n)
+	names := make([]string, len(mutators))
+	for i, m := range mutators {
+		names[i] = m.Name
 	}
 	sort.Strings(names)
 	return names
@@ -117,87 +88,85 @@ func boolKnob(name string, set func(*Config, bool)) func(*Config, string) error 
 	}
 }
 
-// The built-in knobs: the §3.3/§4 sensitivity axes of the paper plus
-// the machine parameters the ROADMAP sweeps care about. Predictor
+// mutators are the knobs: the §3.3/§4 sensitivity axes of the paper
+// plus the machine parameters the ROADMAP sweeps care about. Predictor
 // byte budgets are shared by the conventional second level and the
 // predicate predictor's PVT (both are sized from L2PredBytes); PEP-PA
 // sizes itself and does not respond to these knobs.
-func init() {
-	mustRegisterMutator(Mutator{
+var mutators = []Mutator{
+	{
 		Name: "pvt.entries",
 		Doc:  "second-level predictor rows (PVT/perceptron); sets the byte budget as rows × (GHR+LHR+1) weights — apply history-width knobs first",
-		// The row size is read from the current history widths, so in a
-		// sweep this knob must be declared after pred.ghrbits /
-		// pred.lhrbits axes (axes apply in declaration order) or the
-		// byte budget is computed from stale widths.
+		// The row size is read from the current history widths; see
+		// knobReads.
 		Apply: intKnob("pvt.entries", func(c *Config, n int) {
 			c.L2PredBytes = n * (int(c.L2PredGHRBits+c.L2PredLHRBits) + 1)
 		}),
-	})
-	mustRegisterMutator(Mutator{
+	},
+	{
 		Name:  "pred.bytes",
 		Doc:   "second-level predictor byte budget (Table 1: 151552 = 148 KB)",
 		Apply: intKnob("pred.bytes", func(c *Config, n int) { c.L2PredBytes = n }),
-	})
-	mustRegisterMutator(Mutator{
+	},
+	{
 		Name:  "pred.ghrbits",
 		Doc:   "second-level global history length (Table 1: 30)",
 		Apply: uintKnob("pred.ghrbits", func(c *Config, n uint) { c.L2PredGHRBits = n }),
-	})
-	mustRegisterMutator(Mutator{
+	},
+	{
 		Name:  "pred.lhrbits",
 		Doc:   "second-level local history length (Table 1: 10)",
 		Apply: uintKnob("pred.lhrbits", func(c *Config, n uint) { c.L2PredLHRBits = n }),
-	})
-	mustRegisterMutator(Mutator{
+	},
+	{
 		Name:  "pred.lhtbits",
 		Doc:   "log2 of local-history-table entries (Table 1: 12)",
 		Apply: uintKnob("pred.lhtbits", func(c *Config, n uint) { c.L2PredLHTBits = n }),
-	})
-	mustRegisterMutator(Mutator{
+	},
+	{
 		Name:  "pred.latency",
 		Doc:   "second-level predictor access latency in cycles (Table 1: 3)",
 		Apply: intKnob("pred.latency", func(c *Config, n int) { c.L2PredLatency = n }),
-	})
-	mustRegisterMutator(Mutator{
+	},
+	{
 		Name:  "conf.bits",
 		Doc:   "predicate confidence counter width (Table 1: 3; saturated == confident)",
 		Apply: uintKnob("conf.bits", func(c *Config, n uint) { c.ConfBits = n }),
-	})
-	mustRegisterMutator(Mutator{
+	},
+	{
 		Name: "gshare.idxbits",
 		Doc:  "first-level gshare index and history length (Table 1: 14)",
 		Apply: uintKnob("gshare.idxbits", func(c *Config, n uint) {
 			c.GshareIdxBits = n
 			c.GshareGHRBits = n
 		}),
-	})
-	mustRegisterMutator(Mutator{
+	},
+	{
 		Name:  "mispredict.penalty",
 		Doc:   "branch misprediction recovery cycles (Table 1: 10)",
 		Apply: intKnob("mispredict.penalty", func(c *Config, n int) { c.MispredictPenalty = n }),
-	})
-	mustRegisterMutator(Mutator{
+	},
+	{
 		Name:  "rob.entries",
 		Doc:   "reorder buffer entries (Table 1: 256)",
 		Apply: intKnob("rob.entries", func(c *Config, n int) { c.ROBEntries = n }),
-	})
-	mustRegisterMutator(Mutator{
+	},
+	{
 		Name:  "ras.entries",
 		Doc:   "return address stack entries (Table 1: 32)",
 		Apply: intKnob("ras.entries", func(c *Config, n int) { c.RASEntries = n }),
-	})
-	mustRegisterMutator(Mutator{
+	},
+	{
 		Name:  "pvt.split",
 		Doc:   "statically split the PVT instead of sharing it through two hash functions (§3.3 ablation)",
 		Apply: boolKnob("pvt.split", func(c *Config, b bool) { c.SplitPVT = b }),
-	})
-	mustRegisterMutator(Mutator{
+	},
+	{
 		Name:  "ghr.repair",
 		Doc:   "repair a resolved compare's speculative GHR bit in place (§3.3; false = leave corrupted)",
 		Apply: boolKnob("ghr.repair", func(c *Config, b bool) { c.DisableGHRRepair = !b }),
-	})
-	mustRegisterMutator(Mutator{
+	},
+	{
 		Name: "predication",
 		Doc:  "guarded-instruction handling at rename: select | selective (§3.2)",
 		Apply: func(c *Config, v string) error {
@@ -211,5 +180,26 @@ func init() {
 			}
 			return nil
 		},
-	})
+	},
+}
+
+// knobReads maps a knob to the knobs whose fields its Apply reads:
+// pvt.entries turns rows into a byte budget through the history
+// widths current when it applies. Applied in the wrong order, the
+// same knob values give a different configuration.
+var knobReads = map[string][]string{
+	"pvt.entries": {"pred.ghrbits", "pred.lhrbits"},
+}
+
+// CheckOrder rejects a knob sequence, applied in order, in which a knob
+// comes before a knob whose field it reads.
+func CheckOrder(names []string) error {
+	for i, name := range names {
+		for _, dep := range knobReads[name] {
+			if slices.Contains(names[i+1:], dep) {
+				return fmt.Errorf("config: %s reads %s when it applies; declare %s before %s", name, dep, dep, name)
+			}
+		}
+	}
+	return nil
 }

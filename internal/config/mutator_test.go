@@ -81,13 +81,11 @@ func TestMutatorRegistry(t *testing.T) {
 			t.Errorf("knob %q should resolve with a doc line", n)
 		}
 	}
-	if err := RegisterMutator(Mutator{Name: "conf.bits", Apply: func(*Config, string) error { return nil }}); err == nil {
-		t.Error("duplicate registration should fail")
-	}
-	if err := RegisterMutator(Mutator{Name: "", Apply: func(*Config, string) error { return nil }}); err == nil {
-		t.Error("empty name should fail")
-	}
-	if err := RegisterMutator(Mutator{Name: "x.y"}); err == nil {
-		t.Error("nil Apply should fail")
+	for knob, deps := range knobReads {
+		for _, n := range append([]string{knob}, deps...) {
+			if _, ok := ResolveMutator(n); !ok {
+				t.Errorf("knobReads names %q, which is not a knob", n)
+			}
+		}
 	}
 }

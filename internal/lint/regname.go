@@ -51,8 +51,9 @@ func runRegname(pass *Pass) {
 
 // collectRegistrations harvests registered names from one package:
 // SchemeSpec/WorkloadSpec/Mutator composite literals with a literal
-// Name field, RegisterKnob's first argument, and the benchmark names
-// born inside bench.Suite (first string argument of its spec-builder
+// Name field (registry calls and fixed tables alike), the metric names
+// of obs Counter/Gauge/Histogram calls, and the benchmark names born
+// inside bench.Suite (first string argument of its spec-builder
 // calls).
 func collectRegistrations(p *Package, reg map[string]map[string]bool) {
 	for _, f := range p.Files {
@@ -80,10 +81,6 @@ func collectRegistrations(p *Package, reg map[string]map[string]bool) {
 					return true
 				}
 				switch fn.Name() {
-				case "RegisterKnob":
-					if s, ok := stringLit(v.Args[0]); ok {
-						reg[nsKnob][s] = true
-					}
 				case "Counter", "Gauge", "Histogram":
 					// obs.(*Registry).Counter and friends are
 					// get-or-create: every literal-named call is a

@@ -9,7 +9,7 @@ type SchemeSpec struct {
 	Base string
 }
 
-// WorkloadSpec mirrors the workload registration record.
+// WorkloadSpec mirrors the workload preset record.
 type WorkloadSpec struct {
 	Name string
 	Doc  string
@@ -17,9 +17,6 @@ type WorkloadSpec struct {
 
 // RegisterScheme registers a scheme.
 func RegisterScheme(s SchemeSpec) {}
-
-// RegisterWorkload registers a workload.
-func RegisterWorkload(w WorkloadSpec) {}
 
 // ResolveScheme looks up a scheme by name.
 func ResolveScheme(name string) (SchemeSpec, bool) { return SchemeSpec{}, false }
@@ -39,6 +36,3 @@ func SuiteSpecs(entries ...string) error { return nil }
 
 // WithAxis selects a sweep knob by name.
 func WithAxis(name string, values ...any) {}
-
-// RegisterKnob registers a sweep knob.
-func RegisterKnob(name, doc string) error { return nil }

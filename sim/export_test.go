@@ -1,10 +1,10 @@
 package sim
 
 // Test-only helpers, shared by the package's internal and external
-// tests: every production caller streams through a sink as results
-// arrive instead.
+// tests.
 
-// EmitAll feeds a result slice through a sink and closes it.
+// EmitAll feeds a result slice through a sink and closes it; every
+// production caller streams through a sink as results arrive instead.
 func EmitAll(s Sink, rs []Result) error {
 	for _, r := range rs {
 		if err := s.Emit(r); err != nil {
@@ -23,3 +23,7 @@ func EmitAllSweep(s SweepSink, rs []SweepResult) error {
 	}
 	return s.Close()
 }
+
+// IsSpecFile exposes the suite lookup's spec-file test to the preset
+// table check.
+var IsSpecFile = isSpecFile

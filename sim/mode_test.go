@@ -15,36 +15,42 @@ func processCounter(name string) uint64 {
 	return sim.ProcessMetrics().CounterValue(name)
 }
 
-// TestTraceModeExperiment runs a small matrix in both modes and checks
-// the mode plumbing end to end: per-mode results, plausible trace
-// statistics, empty memory counters in trace mode, and agreement
+// TestTraceModeExperiment runs a small matrix once in each mode and
+// checks the mode plumbing end to end: per-mode results, plausible
+// trace statistics, empty memory counters in trace mode, and agreement
 // between the modes on the committed stream.
 func TestTraceModeExperiment(t *testing.T) {
 	wl, err := sim.PrepareWorkload([]string{"gzip", "vpr"}, 60000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp, err := sim.New(
-		sim.WithWorkload(wl),
-		sim.WithSchemes("conventional", "predpred"),
-		sim.WithCommits(60000),
-		sim.WithMode(sim.ModePipeline|sim.ModeTrace),
-		sim.WithTraceDir(t.TempDir()),
-	)
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	run := func(m sim.Mode) []sim.Result {
+		exp, err := sim.New(
+			sim.WithWorkload(wl),
+			sim.WithSchemes("conventional", "predpred"),
+			sim.WithCommits(60000),
+			sim.WithMode(m),
+			sim.WithTraceDir(dir),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := exp.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range results {
+			if r.Mode != m {
+				t.Errorf("%s/%s: Mode = %v in a %v experiment", r.Bench, r.Scheme, r.Mode, m)
+			}
+		}
+		return results
 	}
-	results, err := exp.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2*2*2 {
-		t.Fatalf("want 8 results (2 bench × 2 modes × 2 schemes), got %d", len(results))
-	}
-	pipe := sim.FilterMode(results, sim.ModePipeline)
-	tr := sim.FilterMode(results, sim.ModeTrace)
+	pipe := run(sim.ModePipeline)
+	tr := run(sim.ModeTrace)
 	if len(pipe) != 4 || len(tr) != 4 {
-		t.Fatalf("mode split: %d pipeline, %d trace", len(pipe), len(tr))
+		t.Fatalf("want 4 results per mode (2 bench × 2 schemes), got %d pipeline, %d trace", len(pipe), len(tr))
 	}
 	for i := range tr {
 		r := tr[i]

@@ -15,17 +15,17 @@ import (
 )
 
 // Result is the outcome of simulating one benchmark under one scheme
-// in one execution mode.
+// in the experiment's execution mode.
 type Result struct {
 	// Seq is the run's stable position in the experiment matrix
-	// (benchmark-major, then mode, then scheme); SortResults restores
-	// matrix order after streaming delivery.
+	// (benchmark-major, then scheme); SortResults restores matrix order
+	// after streaming delivery.
 	Seq         int
 	Tag         string // experiment label from WithTag, "" if unset
 	Bench       string
 	Class       string
 	Scheme      string
-	Mode        Mode // the single mode bit that produced this result
+	Mode        Mode // the mode that produced this result
 	IfConverted bool
 	Stats       Stats
 	Mem         MemStats // zero in trace mode (no memory hierarchy)
@@ -124,8 +124,8 @@ func (p *pool) Wait() error {
 	return p.err
 }
 
-// simJob is one unit of worker-pool work: a benchmark × mode cell
-// group of one experiment matrix (of one point's matrix, in a sweep).
+// simJob is one unit of worker-pool work: one benchmark's cell group
+// of one experiment matrix (of one point's matrix, in a sweep).
 // Pipeline-mode cells are one scheme per job; trace-mode jobs coalesce
 // every scheme of the benchmark into a single job, replayed in one
 // pass over the shared trace (stats.ReplayAll). The job's cells occupy
@@ -146,9 +146,9 @@ type simJob struct {
 }
 
 // buildJobs expands one experiment matrix into worker jobs in matrix
-// order (benchmark-major, then mode, then scheme) and returns them with
-// the matrix's cell count — larger than len(jobs) whenever trace-mode
-// scheme cells were coalesced.
+// order (benchmark-major, then scheme) and returns them with the
+// matrix's cell count — larger than len(jobs) when trace-mode scheme
+// cells were coalesced.
 func (e *Experiment) buildJobs(wl *Workload, cfg func(string) (Config, error), meta manifestMeta) ([]simJob, int) {
 	var jobs []simJob
 	seq := 0
@@ -158,22 +158,20 @@ func (e *Experiment) buildJobs(wl *Workload, cfg func(string) (Config, error), m
 			p = pg.Converted
 		}
 		specHash := fmt.Sprintf("%016x", pg.Spec.Hash())
-		for _, m := range e.mode.modes() {
-			j := simJob{
-				seq: seq, bench: pg.Spec.Name, class: pg.Spec.Class, specHash: specHash,
-				mode: m, prog: p, cfg: cfg, meta: meta,
-			}
-			if m == ModeTrace {
-				j.schemes = e.schemes
-				jobs = append(jobs, j)
-				seq += len(e.schemes)
-				continue
-			}
-			for _, s := range e.schemes {
-				j.seq, j.schemes = seq, []string{s}
-				jobs = append(jobs, j)
-				seq++
-			}
+		j := simJob{
+			seq: seq, bench: pg.Spec.Name, class: pg.Spec.Class, specHash: specHash,
+			mode: e.mode, prog: p, cfg: cfg, meta: meta,
+		}
+		if e.mode == ModeTrace {
+			j.schemes = e.schemes
+			jobs = append(jobs, j)
+			seq += len(e.schemes)
+			continue
+		}
+		for _, s := range e.schemes {
+			j.seq, j.schemes = seq, []string{s}
+			jobs = append(jobs, j)
+			seq++
 		}
 	}
 	return jobs, seq
@@ -195,7 +193,7 @@ func (e *Experiment) prepare(ctx context.Context) (*Workload, *traceProvider, er
 		e.observer.span(PhasePrepare, e.observer.now()-t0)
 	}
 	var traces *traceProvider
-	if e.mode&ModeTrace != 0 {
+	if e.mode == ModeTrace {
 		traces = newTraceProvider(e.traceDir, e.commits, e.observer)
 	}
 	return wl, traces, nil
@@ -340,7 +338,7 @@ func (e *Experiment) cellManifest(j simJob, i int, res Result) RunManifest {
 		Bench:       j.bench,
 		Class:       j.class,
 		Scheme:      j.schemes[i],
-		Mode:        modeName(j.mode),
+		Mode:        j.mode.String(),
 		IfConverted: e.ifConverted,
 		SpecHash:    j.specHash,
 		Seed:        j.meta.seed,
@@ -600,7 +598,7 @@ type ProgramRun struct {
 	Program *Program
 	Scheme  string        // registry scheme name
 	Commits uint64        // committed-instruction budget (0 = run to halt)
-	Mode    Mode          // ModePipeline (default 0 means pipeline) or ModeTrace
+	Mode    Mode          // ModePipeline (the zero value) or ModeTrace
 	Mutate  func(*Config) // optional configuration adjustment
 	// TraceDir overrides the trace cache directory for ModeTrace.
 	TraceDir string
@@ -628,20 +626,16 @@ func SimulateProgram(ctx context.Context, r ProgramRun) (ProgramResult, error) {
 	if r.Program == nil {
 		return out, fmt.Errorf("sim: nil program")
 	}
-	mode := r.Mode
-	if mode == 0 {
-		mode = ModePipeline
-	}
-	out.Bench, out.Scheme, out.Mode = r.Program.Name, r.Scheme, mode
-	if mode != ModePipeline && mode != ModeTrace {
-		return out, fmt.Errorf("sim: program run wants a single mode, got %v", r.Mode)
-	}
+	out.Bench, out.Scheme, out.Mode = r.Program.Name, r.Scheme, r.Mode
 	e := &Experiment{commits: r.Commits, mutate: r.Mutate, observer: r.Observer}
+	if err := WithMode(r.Mode)(e); err != nil {
+		return out, err
+	}
 	j := simJob{
-		bench: r.Program.Name, schemes: []string{r.Scheme}, mode: mode,
+		bench: r.Program.Name, schemes: []string{r.Scheme}, mode: r.Mode,
 		prog: r.Program, cfg: e.baseConfig, meta: noMeta,
 	}
-	if mode == ModeTrace {
+	if r.Mode == ModeTrace {
 		rs, ok := e.runTraceJob(ctx, newTraceProvider(r.TraceDir, r.Commits, r.Observer), j)
 		if !ok {
 			return out, ctx.Err()

@@ -10,11 +10,10 @@
 //     WithSchemes(...), WithIfConversion(true), WithCommits(n), ...)
 //     describes a benchmark × scheme matrix declaratively;
 //
-//   - two execution modes per run: the full out-of-order cycle model
-//     (ModePipeline, the default) and a record-once trace replay
-//     (ModeTrace) that drives the predictor organizations from a
-//     disk-cached branch/predicate trace, 15-80x faster — select with
-//     WithMode(sim.ModeTrace | sim.ModePipeline);
+//   - two execution modes, one per experiment: the full out-of-order
+//     cycle model (ModePipeline, the default) and a record-once trace
+//     replay (ModeTrace) that drives the predictor organizations from a
+//     disk-cached branch/predicate trace, 15-80x faster;
 //
 //   - a streaming Runner: Start launches a bounded worker pool under a
 //     context.Context; results arrive on a channel as each simulation
@@ -123,7 +122,7 @@ type Experiment struct {
 	tag          string
 	commits      uint64
 	profileSteps uint64
-	mode         Mode   // execution mode bitmask (WithMode)
+	mode         Mode   // execution mode (WithMode)
 	traceDir     string // trace cache override (WithTraceDir)
 	mutate       func(*Config)
 	parallelism  int
@@ -141,7 +140,6 @@ func New(opts ...Option) (*Experiment, error) {
 	e := &Experiment{
 		commits:      300000,
 		profileSteps: 200000,
-		mode:         ModePipeline,
 	}
 	for _, opt := range opts {
 		if err := opt(e); err != nil {
@@ -157,7 +155,7 @@ func New(opts ...Option) (*Experiment, error) {
 		}
 	}
 	if e.workload == nil {
-		// Resolve every suite entry — benchmark names, workload registry
+		// Resolve every suite entry — benchmark names, workload preset
 		// names, spec files — now, so a typo fails at build time instead
 		// of mid-prepare. Start prepares from the resolved specs, not
 		// the entries: a spec file edited or deleted between New and
@@ -172,10 +170,9 @@ func New(opts ...Option) (*Experiment, error) {
 }
 
 // WithSuite restricts the experiment to the named benchmarks (in the
-// given order). Each entry may be a suite benchmark name, a registered
-// workload name ("all", "int11", "fp11", or anything RegisterWorkload
-// added), or a spec file path (*.json / *.toml). With no arguments the
-// full suite runs.
+// given order). Each entry may be a suite benchmark name, a workload
+// preset name ("all", "int11" or "fp11"), or a spec file path
+// (*.json / *.toml). With no arguments the full suite runs.
 func WithSuite(names ...string) Option {
 	return func(e *Experiment) error {
 		e.suite = append([]string(nil), names...)

@@ -57,7 +57,7 @@ func toRecord(r Result) record {
 		Bench:            r.Bench,
 		Class:            r.Class,
 		Scheme:           r.Scheme,
-		Mode:             modeName(r.Mode),
+		Mode:             r.Mode.String(),
 		IfConverted:      r.IfConverted,
 		Cycles:           st.Cycles,
 		Committed:        st.Committed,
@@ -85,15 +85,6 @@ func toRecord(r Result) record {
 		rec.Err = r.Err.Error()
 	}
 	return rec
-}
-
-// modeName renders a result's mode, defaulting the zero value to
-// "pipeline" (hand-built Results predate the mode field).
-func modeName(m Mode) string {
-	if m == 0 {
-		return "pipeline"
-	}
-	return m.String()
 }
 
 // round3 keeps emitted rates readable and diff-stable.

@@ -51,7 +51,7 @@ func (p Point) String() string {
 }
 
 // SweepResult is the outcome of one sweep point: the point's
-// coordinates plus the full benchmark × mode × scheme result matrix of
+// coordinates plus the full benchmark × scheme result matrix of
 // the base experiment run under that configuration.
 type SweepResult struct {
 	Point   Point
@@ -108,6 +108,11 @@ func NewSweep(base *Experiment, opts ...SweepOption) (*Sweep, error) {
 	if len(s.axes) == 0 {
 		return nil, fmt.Errorf("sim: sweep needs at least one axis (WithAxis)")
 	}
+	// Axes apply in declaration order, so a knob that reads another
+	// knob's field must come after it.
+	if err := config.CheckOrder(s.AxisNames()); err != nil {
+		return nil, fmt.Errorf("sim: axis order: %w", err)
+	}
 	for _, ax := range s.axes {
 		for _, v := range ax.values {
 			c := config.Default()
@@ -145,9 +150,9 @@ func formatValues(values []any) []string {
 	return out
 }
 
-// WithAxis adds a named axis backed by the config knob registry
-// (config.RegisterMutator): WithAxis("pvt.entries", 256, 512, 1024)
-// sweeps the predictor table size through three points.
+// WithAxis adds a named axis backed by one of the config knobs (see
+// Knobs): WithAxis("pvt.entries", 256, 512, 1024) sweeps the predictor
+// table size through three points.
 func WithAxis(name string, values ...any) SweepOption {
 	return func(s *Sweep) error {
 		m, ok := config.ResolveMutator(name)
@@ -158,15 +163,15 @@ func WithAxis(name string, values ...any) SweepOption {
 	}
 }
 
-// Knob describes one registered configuration knob (a WithAxis axis
-// name), for listings.
+// Knob describes one configuration knob (a WithAxis axis name), for
+// listings.
 type Knob struct {
 	Name string
 	Doc  string
 }
 
-// Knobs returns every registered config knob, sorted by name — the
-// valid WithAxis axes.
+// Knobs returns every config knob, sorted by name — the valid WithAxis
+// axes.
 func Knobs() []Knob {
 	names := config.MutatorNames()
 	out := make([]Knob, len(names))
@@ -177,18 +182,9 @@ func Knobs() []Knob {
 	return out
 }
 
-// RegisterKnob adds a named, string-addressable config knob to the
-// registry behind WithAxis (and cmd/sweep -axes): apply parses a
-// value and mutates the configuration, returning an error (and
-// writing nothing) on a bad value. It fails on an empty or duplicate
-// name.
-func RegisterKnob(name, doc string, apply func(*Config, string) error) error {
-	return config.RegisterMutator(config.Mutator{Name: name, Doc: doc, Apply: apply})
-}
-
 // WithMutatorAxis adds a free-form axis: apply receives each swept
 // value as a string and may touch any Config field, so axes are not
-// limited to registered knobs.
+// limited to the config knobs.
 func WithMutatorAxis(name string, apply func(*Config, string) error, values ...any) SweepOption {
 	return func(s *Sweep) error {
 		if name == "" {

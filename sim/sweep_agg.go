@@ -5,27 +5,11 @@ import (
 	"strings"
 )
 
-// FilterSweepMode narrows every point's runs to those produced by the
-// given mode — the required first step before aggregating a dual-mode
-// sweep (BestPoint and MarginalTable refuse mixed-mode input rather
-// than average two differently-modeled rates together).
-func FilterSweepMode(rs []SweepResult, m Mode) []SweepResult {
-	out := make([]SweepResult, len(rs))
-	for i, sr := range rs {
-		out[i] = SweepResult{Point: sr.Point, Results: FilterMode(sr.Results, m)}
-	}
-	return out
-}
-
 // pointMispredict returns a point's mean misprediction rate (percent)
 // across its runs of one scheme, and how many runs contributed. A
-// failed run poisons the aggregate, mirroring Tabulate, and so does a
-// mix of execution modes: a pipeline rate and a trace rate are not
-// comparable quantities, so dual-mode sweeps must FilterSweepMode
-// before aggregating.
+// failed run poisons the aggregate, mirroring Tabulate.
 func pointMispredict(sr SweepResult, scheme string) (float64, int, error) {
 	var sum float64
-	var mode Mode
 	n := 0
 	for _, r := range sr.Results {
 		if r.Scheme != scheme {
@@ -34,10 +18,6 @@ func pointMispredict(sr SweepResult, scheme string) (float64, int, error) {
 		if r.Err != nil {
 			return 0, 0, fmt.Errorf("sim: point %d, %s/%s: %w", sr.Point.Index, r.Bench, r.Scheme, r.Err)
 		}
-		if n > 0 && r.Mode != mode {
-			return 0, 0, fmt.Errorf("sim: point %d mixes execution modes (%v and %v); narrow with FilterSweepMode before aggregating", sr.Point.Index, mode, r.Mode)
-		}
-		mode = r.Mode
 		sum += 100 * r.Stats.MispredictRate()
 		n++
 	}

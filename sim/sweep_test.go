@@ -90,6 +90,27 @@ func TestSweepValidation(t *testing.T) {
 	}
 }
 
+// TestSweepAxisOrder pins the knob-order rule: pvt.entries sizes its
+// byte budget from the history widths current when it applies, so a
+// sweep declaring it before a history-width axis would label one
+// configuration with another's numbers. NewSweep rejects that order
+// and names the one to use.
+func TestSweepAxisOrder(t *testing.T) {
+	exp, err := sim.New(sim.WithSchemes("predpred"), sim.WithSuite("vpr"), sim.WithMode(sim.ModeTrace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, hist := range []string{"pred.ghrbits", "pred.lhrbits"} {
+		_, err := sim.NewSweep(exp, sim.WithAxis("pvt.entries", 1024), sim.WithAxis("conf.bits", 2), sim.WithAxis(hist, 20))
+		if err == nil || !strings.Contains(err.Error(), "declare "+hist+" before pvt.entries") {
+			t.Errorf("pvt.entries before %s: NewSweep error = %v, want one naming the order to use", hist, err)
+		}
+		if _, err := sim.NewSweep(exp, sim.WithAxis(hist, 20), sim.WithAxis("pvt.entries", 1024)); err != nil {
+			t.Errorf("%s before pvt.entries should be accepted: %v", hist, err)
+		}
+	}
+}
+
 // TestSweepLatinHypercube pins the subsample contract: deterministic
 // under a seed, n points, and every axis stratified (each value
 // appearing ⌊n/k⌋..⌈n/k⌉ times).
@@ -267,35 +288,6 @@ func TestSweepAggregation(t *testing.T) {
 	}
 	if _, err := sim.MarginalTable(rs, "nosuch", []string{"predpred"}); err == nil {
 		t.Error("MarginalTable should fail for an absent axis")
-	}
-}
-
-// TestSweepAggregationRejectsMixedModes pins the dual-mode contract:
-// pipeline and trace rates are not comparable, so the aggregation
-// layer refuses mixed input until FilterSweepMode narrows it.
-func TestSweepAggregationRejectsMixedModes(t *testing.T) {
-	mixed := []sim.SweepResult{{
-		Point: sim.Point{Index: 0, Values: []sim.AxisValue{{Axis: "conf.bits", Value: "2"}}},
-		Results: []sim.Result{
-			{Seq: 0, Bench: "gzip", Scheme: "predpred", Mode: sim.ModePipeline,
-				Stats: sim.Stats{CondBranches: 1000, BranchMispred: 40}},
-			{Seq: 1, Bench: "gzip", Scheme: "predpred", Mode: sim.ModeTrace,
-				Stats: sim.Stats{CondBranches: 1000, BranchMispred: 60}},
-		},
-	}}
-	if _, _, err := sim.BestPoint(mixed, "predpred"); err == nil || !strings.Contains(err.Error(), "FilterSweepMode") {
-		t.Fatalf("BestPoint should refuse mixed modes and name the fix, got %v", err)
-	}
-	if _, err := sim.MarginalTable(mixed, "conf.bits", []string{"predpred"}); err == nil {
-		t.Fatal("MarginalTable should refuse mixed modes")
-	}
-	narrowed := sim.FilterSweepMode(mixed, sim.ModeTrace)
-	best, rate, err := sim.BestPoint(narrowed, "predpred")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(best.Results) != 1 || rate != 6 {
-		t.Fatalf("narrowed aggregate should use the trace run only: %d results, %.2f%%", len(best.Results), rate)
 	}
 }
 

@@ -19,10 +19,9 @@ type Workload struct {
 
 // PrepareWorkload builds and profiles the named benchmarks in
 // parallel. Each entry may be a built-in suite benchmark name, a
-// registered workload name (see RegisterWorkload; the presets are
-// "all", "int11" and "fp11"), or the path of a user-authored spec file
-// (*.json / *.toml, loaded through bench.Load). Nil or empty names =
-// the full 22-benchmark suite. A benchmark reachable through two
+// workload preset name ("all", "int11" or "fp11"), or the path of a
+// user-authored spec file (*.json / *.toml, loaded through bench.Load).
+// Nil or empty names = the full 22-benchmark suite. A benchmark reachable through two
 // entries is an error naming the duplicate, never a silently
 // double-prepared (and double-counted) run.
 func PrepareWorkload(names []string, profileSteps uint64) (*Workload, error) {
@@ -43,7 +42,7 @@ func PrepareWorkloadContext(ctx context.Context, names []string, profileSteps ui
 
 // PrepareSpecs builds and profiles explicit, possibly user-authored
 // benchmark specs — the in-memory path behind PrepareWorkload's
-// file/registry lookup, for callers that construct or mutate specs
+// file/preset lookup, for callers that construct or mutate specs
 // programmatically (workload-shape sweeps). Every spec is validated
 // and duplicate names are rejected.
 func PrepareSpecs(specs []BenchSpec, profileSteps uint64) (*Workload, error) {

@@ -44,27 +44,33 @@ func TestWorkloadRegistryPresets(t *testing.T) {
 	}
 }
 
-func TestRegisterWorkloadErrors(t *testing.T) {
-	gzip := mustFindSpec(t, "gzip")
-	cases := []struct {
-		w       sim.WorkloadSpec
-		wantSub string
-	}{
-		{sim.WorkloadSpec{Name: "", Specs: []sim.BenchSpec{gzip}}, "empty"},
-		{sim.WorkloadSpec{Name: "gzip", Specs: []sim.BenchSpec{gzip}}, "shadow"},
-		{sim.WorkloadSpec{Name: "empty-wl"}, "no benchmark specs"},
-		{sim.WorkloadSpec{Name: "dup-wl", Specs: []sim.BenchSpec{gzip, gzip}}, "twice"},
-		{sim.WorkloadSpec{Name: "all", Specs: []sim.BenchSpec{gzip}}, "already registered"},
-		{sim.WorkloadSpec{Name: "bad-wl", Specs: []sim.BenchSpec{{Name: "x"}}}, "Class"},
-		// Names the lookup path would route to bench.Load instead of
-		// the registry must be rejected as unreachable.
-		{sim.WorkloadSpec{Name: "my/set", Specs: []sim.BenchSpec{gzip}}, "never"},
-		{sim.WorkloadSpec{Name: "set.json", Specs: []sim.BenchSpec{gzip}}, "never"},
+// TestWorkloadPresetTable checks the fixed preset table against the
+// lookup order (spec file, then preset, then suite benchmark): no
+// preset may look like a spec file path or shadow a suite benchmark,
+// since either would make one of the two unreachable, and no preset
+// may list a member twice.
+func TestWorkloadPresetTable(t *testing.T) {
+	benchmarks := map[string]bool{}
+	for _, s := range sim.Benchmarks() {
+		benchmarks[s.Name] = true
 	}
-	for _, c := range cases {
-		err := sim.RegisterWorkload(c.w)
-		if err == nil || !strings.Contains(err.Error(), c.wantSub) {
-			t.Errorf("RegisterWorkload(%q) = %v, want error containing %q", c.w.Name, err, c.wantSub)
+	for _, name := range sim.WorkloadNames() {
+		if sim.IsSpecFile(name) {
+			t.Errorf("preset %q looks like a spec file path", name)
+		}
+		if benchmarks[name] {
+			t.Errorf("preset %q shadows the suite benchmark of the same name", name)
+		}
+		w, ok := sim.ResolveWorkload(name)
+		if !ok || w.Name != name || w.Doc == "" || len(w.Specs) == 0 {
+			t.Errorf("preset %q = %+v, %v; want a named, documented, non-empty spec set", name, w, ok)
+		}
+		seen := map[string]bool{}
+		for _, s := range w.Specs {
+			if seen[s.Name] {
+				t.Errorf("preset %q lists %q twice", name, s.Name)
+			}
+			seen[s.Name] = true
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/bench"
 )
@@ -12,11 +11,10 @@ import (
 // WorkloadSpec names a reusable set of benchmark specs — the workload
 // counterpart of the scheme registry. Anywhere a suite entry is
 // accepted (WithSuite, PrepareWorkload, the CLIs' -suite/-workload
-// flags) a registered workload name expands to its spec set, so
-// experiments select workload shapes the same way they select
-// predictor organizations.
+// flags) a preset name expands to its spec set, so experiments select
+// workload shapes the same way they select predictor organizations.
 type WorkloadSpec struct {
-	// Name is the registry key, used in suite entries.
+	// Name is the preset's key, used in suite entries.
 	Name string
 	// Doc is a one-line description for listings.
 	Doc string
@@ -24,108 +22,51 @@ type WorkloadSpec struct {
 	Specs []bench.Spec
 }
 
-var workloadReg = struct {
-	sync.RWMutex
-	specs map[string]WorkloadSpec
-}{specs: map[string]WorkloadSpec{}}
-
-// RegisterWorkload adds a named workload to the registry. It fails on
-// an empty or duplicate name, on a name that shadows a built-in suite
-// benchmark (lookup resolves benchmarks last, so a shadow would make
-// them unreachable), on an empty spec set, on a member spec that fails
-// bench validation, and on duplicate member names.
-func RegisterWorkload(w WorkloadSpec) error {
-	if w.Name == "" {
-		return fmt.Errorf("sim: workload name must not be empty")
-	}
-	if isSpecFile(w.Name) {
-		return fmt.Errorf("sim: workload name %q looks like a spec file path (path separator or .json/.toml suffix) and lookup would never reach the registry", w.Name)
-	}
-	if _, err := bench.Find(w.Name); err == nil {
-		return fmt.Errorf("sim: workload %q would shadow the suite benchmark of the same name", w.Name)
-	}
-	if len(w.Specs) == 0 {
-		return fmt.Errorf("sim: workload %q has no benchmark specs", w.Name)
-	}
-	seen := map[string]bool{}
-	for _, s := range w.Specs {
-		if err := checkSpec(s); err != nil {
-			return fmt.Errorf("sim: workload %q: %w", w.Name, err)
-		}
-		if seen[s.Name] {
-			return fmt.Errorf("sim: workload %q lists benchmark %q twice", w.Name, s.Name)
-		}
-		seen[s.Name] = true
-	}
-	workloadReg.Lock()
-	defer workloadReg.Unlock()
-	if _, dup := workloadReg.specs[w.Name]; dup {
-		return fmt.Errorf("sim: workload %q already registered", w.Name)
-	}
-	w.Specs = append([]bench.Spec(nil), w.Specs...)
-	workloadReg.specs[w.Name] = w
-	return nil
+// workloadPresets are the built-in suite presets: the full 22-benchmark
+// suite and its two 11-benchmark class halves, in the paper's
+// presentation order. Lookup tries presets before suite benchmarks, so
+// no preset may share a benchmark's name or look like a spec file path.
+var workloadPresets = []WorkloadSpec{
+	{Name: "all", Doc: "the full 22-benchmark synthetic SPEC2000 stand-in suite", Specs: bench.Suite()},
+	{Name: "int11", Doc: "the 11 integer benchmarks (gzip..twolf)", Specs: suiteClass("int")},
+	{Name: "fp11", Doc: "the 11 floating-point benchmarks (wupwise..lucas)", Specs: suiteClass("fp")},
 }
 
-// mustRegisterWorkload is RegisterWorkload that panics on error, for
-// package-init registration.
-func mustRegisterWorkload(w WorkloadSpec) {
-	if err := RegisterWorkload(w); err != nil {
-		panic(err)
+// suiteClass returns the suite benchmarks of one class, in order.
+func suiteClass(class string) []bench.Spec {
+	var out []bench.Spec
+	for _, s := range bench.Suite() {
+		if s.Class == class {
+			out = append(out, s)
+		}
 	}
+	return out
 }
 
-// ResolveWorkload looks a workload up by name. The returned spec set
-// is a copy: mutating it cannot corrupt the registered workload.
+// ResolveWorkload looks a preset up by name. The returned spec set is a
+// copy: mutating it cannot corrupt the preset.
 func ResolveWorkload(name string) (WorkloadSpec, bool) {
-	workloadReg.RLock()
-	defer workloadReg.RUnlock()
-	w, ok := workloadReg.specs[name]
-	if ok {
-		w.Specs = append([]bench.Spec(nil), w.Specs...)
+	for _, w := range workloadPresets {
+		if w.Name == name {
+			w.Specs = append([]bench.Spec(nil), w.Specs...)
+			return w, true
+		}
 	}
-	return w, ok
+	return WorkloadSpec{}, false
 }
 
-// WorkloadNames returns every registered workload name, sorted.
+// WorkloadNames returns every preset name, sorted.
 func WorkloadNames() []string {
-	workloadReg.RLock()
-	defer workloadReg.RUnlock()
-	names := make([]string, 0, len(workloadReg.specs))
-	for n := range workloadReg.specs {
-		names = append(names, n)
+	names := make([]string, len(workloadPresets))
+	for i, w := range workloadPresets {
+		names[i] = w.Name
 	}
 	sort.Strings(names)
 	return names
 }
 
-// The built-in suite presets: the full 22-benchmark suite and its two
-// 11-benchmark class halves, under the paper's presentation order.
-func init() {
-	var ints, fps []bench.Spec
-	for _, s := range bench.Suite() {
-		if s.Class == "fp" {
-			fps = append(fps, s)
-		} else {
-			ints = append(ints, s)
-		}
-	}
-	mustRegisterWorkload(WorkloadSpec{
-		Name: "all", Doc: "the full 22-benchmark synthetic SPEC2000 stand-in suite",
-		Specs: bench.Suite(),
-	})
-	mustRegisterWorkload(WorkloadSpec{
-		Name: "int11", Doc: "the 11 integer benchmarks (gzip..twolf)",
-		Specs: ints,
-	})
-	mustRegisterWorkload(WorkloadSpec{
-		Name: "fp11", Doc: "the 11 floating-point benchmarks (wupwise..lucas)",
-		Specs: fps,
-	})
-}
-
-// SuiteSpecs resolves suite entries — benchmark names, registered
-// workload names, spec file paths — into their validated,
+// SuiteSpecs resolves suite entries — benchmark names, workload
+// preset names, spec file paths — into their validated,
 // duplicate-free spec list: the lookup behind WithSuite and
 // PrepareWorkload, exported for tools that need the specs without
 // preparing binaries (cmd/predsim's -workload flag).
@@ -148,7 +89,7 @@ func SplitEntries(s string) []string {
 }
 
 // isSpecFile reports whether a suite entry names a spec file on disk
-// rather than a registered workload or suite benchmark.
+// rather than a workload preset or suite benchmark.
 func isSpecFile(entry string) bool {
 	return strings.HasSuffix(entry, ".json") || strings.HasSuffix(entry, ".toml") ||
 		strings.ContainsAny(entry, `/\`)
@@ -156,7 +97,7 @@ func isSpecFile(entry string) bool {
 
 // expandSuite resolves suite entries into a validated, duplicate-free
 // spec list. Each entry may be a spec file path (*.json / *.toml,
-// loaded and validated), a registered workload name (expanded to its
+// loaded and validated), a workload preset name (expanded to its
 // members), or a built-in suite benchmark name — tried in that order.
 // Nil or empty entries select the full built-in suite. A benchmark
 // appearing twice — a literally repeated entry, or two workloads
@@ -198,7 +139,7 @@ func expandSuite(entries []string) ([]bench.Spec, error) {
 			}
 			s, err := bench.Find(entry)
 			if err != nil {
-				return nil, fmt.Errorf("sim: %w; registered workloads: %s; spec files end in .json or .toml",
+				return nil, fmt.Errorf("sim: %w; workload presets: %s; spec files end in .json or .toml",
 					err, strings.Join(WorkloadNames(), ", "))
 			}
 			if err := add(entry, s); err != nil {
