@@ -297,26 +297,6 @@ func bestOther(t *sim.Table) string {
 	return best
 }
 
-// ablationSchemes registers the §3.2/§3.3 design-choice variants as
-// derived schemes — the registry path, no enum edits — and returns
-// their names keyed by ablation.
-func ablationSchemes() (split, selectOnly string) {
-	split, selectOnly = "predpred-splitpvt", "predpred-selectonly"
-	// Ignore duplicate-registration errors so -ablate can run twice in
-	// one process (e.g. under tests).
-	_ = sim.RegisterScheme(sim.SchemeSpec{
-		Name: split, Base: "predpred",
-		Doc:       "predicate predictor with a statically split PVT (§3.3)",
-		Configure: func(c *sim.Config) { c.SplitPVT = true },
-	})
-	_ = sim.RegisterScheme(sim.SchemeSpec{
-		Name: selectOnly, Base: "predpred",
-		Doc:       "predicate predictor with select-µop predication only (§3.2 baseline)",
-		Configure: func(c *sim.Config) { c.Predication = sim.PredicationSelect },
-	})
-	return split, selectOnly
-}
-
 // runAblations exercises the §3.2/§3.3 design choices on a benchmark
 // subset: shared-PVT-with-two-hashes vs split PVT, selective
 // predication vs select µops (IPC), confidence counter width, and the
@@ -340,18 +320,18 @@ func runAblations(d *driver) {
 		d.fatal(err)
 	}
 	sd := &driver{ctx: d.ctx, workload: subset, commits: d.commits, mode: d.mode, verbose: d.verbose, sink: d.sink}
-	splitScheme, selectScheme := ablationSchemes()
 	one := []string{"predpred"}
 
 	d.text("Ablation 1: shared PVT + two hash functions vs statically split PVT (§3.3)\n")
-	both := sd.run("ablate-pvt", []string{"predpred", splitScheme}, true, nil)
-	tab := sd.mustTab("  pvt", []string{"predpred", splitScheme}, both)
+	shared := sd.mustTab("  pvt", one, sd.run("ablate-pvt", one, true, nil))
+	split := sd.mustTab("  pvt", one, sd.run("ablate-pvt-split", one, true,
+		func(c *sim.Config) { c.SplitPVT = true }))
 	d.text("%-10s %10s %10s\n", "benchmark", "shared", "split")
-	for _, r := range tab.Rows {
-		d.text("%-10s %9.2f%% %9.2f%%\n", r.Bench, r.Rate["predpred"], r.Rate[splitScheme])
+	for i, r := range shared.Rows {
+		d.text("%-10s %9.2f%% %9.2f%%\n", r.Bench, r.Rate["predpred"], split.Rows[i].Rate["predpred"])
 	}
 	d.text("%-10s %9.2f%% %9.2f%%  (shared should not be worse: it avoids wasting rows on p0 destinations)\n\n",
-		"AVG", tab.Average("predpred"), tab.Average(splitScheme))
+		"AVG", shared.Average("predpred"), split.Average("predpred"))
 
 	if d.mode == sim.ModeTrace {
 		// Ablations 2 and 3 report IPC and rename-stage predication
@@ -362,18 +342,19 @@ func runAblations(d *driver) {
 	}
 
 	d.text("Ablation 2: selective predication vs select-µop baseline (IPC on if-converted code, §3.2)\n")
-	pair := sd.run("ablate-predication", []string{"predpred", selectScheme}, true, nil)
-	ipcTab := sd.mustTab("  predication", []string{"predpred", selectScheme}, pair)
+	selective := sd.mustTab("  predication", one, sd.run("ablate-predication", one, true, nil))
+	selectOnly := sd.mustTab("  predication", one, sd.run("ablate-predication-select", one, true,
+		func(c *sim.Config) { c.Predication = sim.PredicationSelect }))
 	d.text("%-10s %10s %10s %8s\n", "benchmark", "selective", "select", "speedup")
 	var sSel, sBase float64
-	for _, r := range ipcTab.Rows {
-		selSt, baseSt := r.Runs["predpred"], r.Runs[selectScheme]
+	for i, r := range selective.Rows {
+		selSt, baseSt := r.Runs["predpred"], selectOnly.Rows[i].Runs["predpred"]
 		a, b := selSt.IPC(), baseSt.IPC()
 		sSel += a
 		sBase += b
 		d.text("%-10s %10.3f %10.3f %7.1f%%\n", r.Bench, a, b, 100*(a/b-1))
 	}
-	n := float64(len(ipcTab.Rows))
+	n := float64(len(selective.Rows))
 	d.text("%-10s %10.3f %10.3f %7.1f%%\n", "AVG", sSel/n, sBase/n, 100*(sSel/sBase-1))
 	d.text("  note: the paper cites +11%% IPC from [16] against weaker predication\n")
 	d.text("  baselines (e.g. predict-all + selective replay); our baseline is already\n")

@@ -1,8 +1,9 @@
 // Command predsim runs one benchmark (or an assembled file) on the
 // out-of-order pipeline under a chosen branch-prediction scheme and
 // prints the resulting statistics. All simulation driving goes through
-// the public repro/sim façade; scheme names resolve against its
-// registry, so -scheme accepts anything sim.RegisterScheme added.
+// the public repro/sim façade; -scheme names one of its fixed table of
+// the paper's three organizations (-schemes lists them), and -ideal
+// and -select vary that organization's configuration.
 //
 // Examples:
 //
@@ -35,7 +36,7 @@ func main() {
 		commits   = flag.Uint64("n", 300000, "committed-instruction budget")
 		profile   = flag.Uint64("profile", 200000, "profiling steps for if-conversion")
 		list      = flag.Bool("list", false, "list the benchmark suite and exit")
-		schemes   = flag.Bool("schemes", false, "list the registered prediction schemes and exit")
+		schemes   = flag.Bool("schemes", false, "list the prediction schemes (the paper's three organizations) and exit")
 		workloads = flag.Bool("workloads", false, "list the workload presets and exit")
 		disasm    = flag.Bool("disasm", false, "disassemble the (possibly converted) binary and exit")
 		ideal     = flag.Bool("ideal", false, "idealized predictors: no aliasing, perfect global history")
@@ -115,7 +116,7 @@ func main() {
 	}
 
 	if _, ok := sim.ResolveScheme(*scheme); !ok {
-		fatal(fmt.Errorf("unknown scheme %q (registered: %v)", *scheme, sim.SchemeNames()))
+		fatal(fmt.Errorf("unknown scheme %q (schemes: %v)", *scheme, sim.SchemeNames()))
 	}
 	m, err := sim.ParseMode(*mode)
 	if err != nil {

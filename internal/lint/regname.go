@@ -51,8 +51,8 @@ func runRegname(pass *Pass) {
 
 // collectRegistrations harvests registered names from one package:
 // SchemeSpec/WorkloadSpec/Mutator composite literals with a literal
-// Name field (registry calls and fixed tables alike), the metric names
-// of obs Counter/Gauge/Histogram calls, and the benchmark names born
+// Name field (the fixed scheme, preset and knob tables), the metric
+// names of obs Counter/Histogram calls, and the benchmark names born
 // inside bench.Suite (first string argument of its spec-builder
 // calls).
 func collectRegistrations(p *Package, reg map[string]map[string]bool) {
@@ -81,7 +81,7 @@ func collectRegistrations(p *Package, reg map[string]map[string]bool) {
 					return true
 				}
 				switch fn.Name() {
-				case "Counter", "Gauge", "Histogram":
+				case "Counter", "Histogram":
 					// obs.(*Registry).Counter and friends are
 					// get-or-create: every literal-named call is a
 					// registration the Snapshot lookups resolve against.
@@ -116,19 +116,8 @@ func collectRegistrations(p *Package, reg map[string]map[string]bool) {
 func checkLookups(pass *Pass, p *Package, reg map[string]map[string]bool) {
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch v := n.(type) {
-			case *ast.CompositeLit:
-				// A SchemeSpec's Base field names the scheme it derives
-				// from — a lookup, resolved at registration time.
-				if namedTypeName(p, v) == "SchemeSpec" {
-					if base, ok := litFieldString(v, "Base"); ok && base != "" {
-						if !reg[nsScheme][base] {
-							reportUnknown(pass, p, fieldValuePos(v, "Base"), nsScheme, base, reg)
-						}
-					}
-				}
-			case *ast.CallExpr:
-				checkLookupCall(pass, p, v, reg)
+			if call, ok := n.(*ast.CallExpr); ok {
+				checkLookupCall(pass, p, call, reg)
 			}
 			return true
 		})
@@ -180,9 +169,9 @@ func checkLookupCall(pass *Pass, p *Package, call *ast.CallExpr, reg map[string]
 		if pkgName == "bench" {
 			checkArg(0, nsBench)
 		}
-	case "CounterValue", "GaugeValue", "HistogramValue":
+	case "CounterValue", "HistogramValue":
 		// Snapshot lookups miss silently (zero value, ok=false) on a
-		// typo; resolve them against the Counter/Gauge/Histogram
+		// typo; resolve them against the Counter/Histogram
 		// registrations instead.
 		if pkgName == "obs" {
 			checkArg(0, nsMetric)
@@ -276,20 +265,6 @@ func litFieldString(lit *ast.CompositeLit, field string) (string, bool) {
 		return stringLit(kv.Value)
 	}
 	return "", false
-}
-
-// fieldValuePos locates field's value position for reporting.
-func fieldValuePos(lit *ast.CompositeLit, field string) token.Pos {
-	for _, el := range lit.Elts {
-		kv, ok := el.(*ast.KeyValueExpr)
-		if !ok {
-			continue
-		}
-		if id, ok := kv.Key.(*ast.Ident); ok && id.Name == field {
-			return kv.Value.Pos()
-		}
-	}
-	return lit.Pos()
 }
 
 // stringLit unwraps a string literal expression.

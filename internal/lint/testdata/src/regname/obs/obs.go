@@ -9,17 +9,11 @@ type Registry struct{}
 // Counter is a mock counter handle.
 type Counter struct{}
 
-// Gauge is a mock gauge handle.
-type Gauge struct{}
-
 // Histogram is a mock histogram handle.
 type Histogram struct{}
 
 // Counter returns the named counter, creating (registering) it.
 func (r *Registry) Counter(name string) *Counter { return &Counter{} }
-
-// Gauge returns the named gauge, creating (registering) it.
-func (r *Registry) Gauge(name string) *Gauge { return &Gauge{} }
 
 // Histogram returns the named histogram, creating (registering) it.
 func (r *Registry) Histogram(name string) *Histogram { return &Histogram{} }
@@ -35,9 +29,6 @@ type Snapshot struct{}
 
 // CounterValue looks a counter up by name (0 when absent).
 func (s Snapshot) CounterValue(name string) uint64 { return 0 }
-
-// GaugeValue looks a gauge up by name (0 when absent).
-func (s Snapshot) GaugeValue(name string) int64 { return 0 }
 
 // HistogramValue looks a histogram up by name.
 func (s Snapshot) HistogramValue(name string) (HistogramSample, bool) {

@@ -1,9 +1,9 @@
 package sim
 
-func init() {
-	RegisterScheme(SchemeSpec{Name: "conventional", Doc: "baseline"})
-	RegisterScheme(SchemeSpec{Name: "predpred", Doc: "derived", Base: "conventional"})
-	RegisterScheme(SchemeSpec{Name: "broken", Doc: "typo in base", Base: "conventionl"}) // want `"conventionl" is not a registered scheme`
+// schemes is the fixed scheme table.
+var schemes = []SchemeSpec{
+	{Name: "conventional", Doc: "baseline"},
+	{Name: "predpred", Doc: "predicate predictor"},
 }
 
 // workloadPresets is the fixed preset table.

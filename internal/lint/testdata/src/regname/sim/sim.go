@@ -2,11 +2,10 @@
 // function names regname keys on in the real module.
 package sim
 
-// SchemeSpec mirrors the real registration record.
+// SchemeSpec mirrors the scheme table record.
 type SchemeSpec struct {
 	Name string
 	Doc  string
-	Base string
 }
 
 // WorkloadSpec mirrors the workload preset record.
@@ -14,9 +13,6 @@ type WorkloadSpec struct {
 	Name string
 	Doc  string
 }
-
-// RegisterScheme registers a scheme.
-func RegisterScheme(s SchemeSpec) {}
 
 // ResolveScheme looks up a scheme by name.
 func ResolveScheme(name string) (SchemeSpec, bool) { return SchemeSpec{}, false }

@@ -33,19 +33,16 @@ func lookups() {
 	sim.ResolveScheme(name)
 }
 
-// metricSites exercises the metric name-space: Counter/Gauge/Histogram
+// metricSites exercises the metric name-space: Counter/Histogram
 // calls register, snapshot Value lookups must resolve.
 func metricSites() {
 	r := obs.Default()
 	r.Counter("runs.completed")
-	r.Gauge("queue.depth")
 	r.Histogram("span.engine.ns")
 
 	var s obs.Snapshot
 	s.CounterValue("runs.completed")
 	s.CounterValue("runs.compelted") // want `"runs.compelted" is not a registered metric`
-	s.GaugeValue("queue.depth")
-	s.GaugeValue("queue.dpeth") // want `"queue.dpeth" is not a registered metric`
 	s.HistogramValue("span.engine.ns")
 	s.HistogramValue("span.engin.ns") // want `"span.engin.ns" is not a registered metric`
 

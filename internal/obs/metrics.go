@@ -1,9 +1,9 @@
 // Package obs is the simulator's stdlib-only instrumentation
-// subsystem: a metrics registry of atomic counters, gauges and
-// histograms with deterministic snapshot ordering, a run-lifecycle
-// span taxonomy timing each phase of a simulation, structured NDJSON
-// run manifests attributing every result row of an experiment or
-// sweep, and pprof-based profiling hooks.
+// subsystem: a metrics registry of atomic counters and histograms with
+// deterministic snapshot ordering, a run-lifecycle span taxonomy
+// timing each phase of a simulation, structured NDJSON run manifests
+// attributing every result row of an experiment or sweep, and
+// pprof-based profiling hooks.
 //
 // The package sits below everything else in the layering (it imports
 // only the standard library), so any internal package may count into
@@ -50,20 +50,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Load returns the current count.
 func (c *Counter) Load() uint64 { return c.v.Load() }
-
-// Gauge is an atomic instantaneous value (queue depth, live workers).
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add moves the value by d (negative to decrease).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // histBuckets is one bucket per possible bit length of a uint64
 // sample (0..64): bucket i counts samples whose value has bit length
@@ -112,12 +98,11 @@ func (h *Histogram) Sum() uint64 { return h.sum.Load() }
 // without ever touching the registry lock again.
 //
 // A name may be bound to at most one metric kind; asking for a
-// counter where a gauge is registered panics — that is a programming
-// error, not a runtime condition.
+// counter where a histogram is registered panics — that is a
+// programming error, not a runtime condition.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
@@ -125,7 +110,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
 	}
 }
@@ -141,9 +125,6 @@ func Default() *Registry { return defaultRegistry }
 func (r *Registry) checkFree(name, want string) {
 	if _, ok := r.counters[name]; ok && want != "counter" {
 		panic("obs: metric " + name + " already registered as a counter")
-	}
-	if _, ok := r.gauges[name]; ok && want != "gauge" {
-		panic("obs: metric " + name + " already registered as a gauge")
 	}
 	if _, ok := r.hists[name]; ok && want != "histogram" {
 		panic("obs: metric " + name + " already registered as a histogram")
@@ -161,19 +142,6 @@ func (r *Registry) Counter(name string) *Counter {
 	c := &Counter{}
 	r.counters[name] = c
 	return c
-}
-
-// Gauge returns the named gauge, registering it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	r.checkFree(name, "gauge")
-	g := &Gauge{}
-	r.gauges[name] = g
-	return g
 }
 
 // Histogram returns the named histogram, registering it on first use.

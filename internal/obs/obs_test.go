@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-func TestCounterGaugeHistogram(t *testing.T) {
+func TestCounterHistogram(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")
 	c.Inc()
@@ -18,13 +18,6 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	}
 	if r.Counter("c") != c {
 		t.Error("second lookup returned a different counter")
-	}
-
-	g := r.Gauge("g")
-	g.Set(7)
-	g.Add(-3)
-	if got := g.Load(); got != 4 {
-		t.Errorf("gauge = %d, want 4", got)
 	}
 
 	h := r.Histogram("h")
@@ -45,10 +38,10 @@ func TestRegistryKindConflictPanics(t *testing.T) {
 	r.Counter("x")
 	defer func() {
 		if recover() == nil {
-			t.Error("Gauge(\"x\") after Counter(\"x\") did not panic")
+			t.Error("Histogram(\"x\") after Counter(\"x\") did not panic")
 		}
 	}()
-	r.Gauge("x")
+	r.Histogram("x")
 }
 
 func TestSnapshotSortedAndLookups(t *testing.T) {
@@ -56,7 +49,6 @@ func TestSnapshotSortedAndLookups(t *testing.T) {
 	// Register in deliberately unsorted order.
 	r.Counter("z.last").Add(3)
 	r.Counter("a.first").Inc()
-	r.Gauge("m.mid").Set(-2)
 	r.Histogram("q.h").Observe(5)
 	r.Histogram("b.h").Observe(1)
 
@@ -77,9 +69,6 @@ func TestSnapshotSortedAndLookups(t *testing.T) {
 	if got := s.CounterValue("missing"); got != 0 {
 		t.Errorf("CounterValue(missing) = %d, want 0", got)
 	}
-	if got := s.GaugeValue("m.mid"); got != -2 {
-		t.Errorf("GaugeValue(m.mid) = %d, want -2", got)
-	}
 	h, ok := s.HistogramValue("q.h")
 	if !ok || h.Count != 1 || h.Sum != 5 {
 		t.Errorf("HistogramValue(q.h) = %+v, %v; want count=1 sum=5, true", h, ok)
@@ -93,7 +82,6 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 	build := func() Snapshot {
 		r := NewRegistry()
 		r.Counter("runs").Add(2)
-		r.Gauge("depth").Set(3)
 		h := r.Histogram("span.decode.ns")
 		h.Observe(100)
 		h.Observe(900)

@@ -12,12 +12,6 @@ type CounterSample struct {
 	Value uint64 `json:"value"`
 }
 
-// GaugeSample is one gauge's value at snapshot time.
-type GaugeSample struct {
-	Name  string `json:"name"`
-	Value int64  `json:"value"`
-}
-
 // HistogramSample is one histogram's state at snapshot time. Buckets
 // are reported sparsely as {bit-length, count} pairs in ascending
 // bit-length order; a bucket's upper bound is 2^len - 1.
@@ -47,7 +41,6 @@ func (h HistogramSample) Mean() float64 {
 // clock, so identical metric states serialize byte-identically.
 type Snapshot struct {
 	Counters   []CounterSample   `json:"counters,omitempty"`
-	Gauges     []GaugeSample     `json:"gauges,omitempty"`
 	Histograms []HistogramSample `json:"histograms,omitempty"`
 }
 
@@ -61,10 +54,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, c := range r.counters {
 		counters = append(counters, CounterSample{Name: name, Value: c.Load()})
 	}
-	gauges := make([]GaugeSample, 0, len(r.gauges))
-	for name, g := range r.gauges {
-		gauges = append(gauges, GaugeSample{Name: name, Value: g.Load()})
-	}
 	hists := make([]HistogramSample, 0, len(r.hists))
 	for name, h := range r.hists {
 		hists = append(hists, sampleHistogram(name, h))
@@ -72,9 +61,8 @@ func (r *Registry) Snapshot() Snapshot {
 	r.mu.Unlock()
 
 	sort.Slice(counters, func(i, j int) bool { return counters[i].Name < counters[j].Name })
-	sort.Slice(gauges, func(i, j int) bool { return gauges[i].Name < gauges[j].Name })
 	sort.Slice(hists, func(i, j int) bool { return hists[i].Name < hists[j].Name })
-	return Snapshot{Counters: counters, Gauges: gauges, Histograms: hists}
+	return Snapshot{Counters: counters, Histograms: hists}
 }
 
 func sampleHistogram(name string, h *Histogram) HistogramSample {
@@ -96,16 +84,6 @@ func (s Snapshot) CounterValue(name string) uint64 {
 	for _, c := range s.Counters {
 		if c.Name == name {
 			return c.Value
-		}
-	}
-	return 0
-}
-
-// GaugeValue returns the named gauge's value, or 0 if absent.
-func (s Snapshot) GaugeValue(name string) int64 {
-	for _, g := range s.Gauges {
-		if g.Name == name {
-			return g.Value
 		}
 	}
 	return 0

@@ -7,7 +7,7 @@
 // correlation breakdown), the §4.2/§4.3 idealized variants, and the
 // ablations motivated by the §3.3 design discussion.
 //
-// External consumers (cmd/, examples/, the root benchmark harness)
+// External consumers (cmd/, examples/, the benchmark/ module)
 // should not import this package directly; they drive everything
 // through repro/sim.
 package stats
@@ -28,9 +28,9 @@ import (
 )
 
 // Run is the result of simulating one benchmark under one scheme.
-// Scheme is the scheme's display name (an enum String() or a
-// registry name from repro/sim), so tables work for predictor
-// organizations that are not part of the config.Scheme enum.
+// Scheme is the column name the run is tabulated under: a repro/sim
+// scheme table name, which for the paper's three organizations equals
+// the config.Scheme String().
 type Run struct {
 	Bench  string
 	Class  string
@@ -298,8 +298,9 @@ type Breakdown struct {
 
 // BreakdownTable computes Figure 6b from predicate-scheme runs. Runs
 // are selected semantically — only a predicate-predictor pipeline
-// accumulates shadow conventional-predictor statistics — so
-// registry-defined predicate variants are included without name
+// accumulates shadow conventional-predictor statistics — so a
+// predpred run under a configuration mutator (a split PVT, the
+// idealized variants) is included like any other, without name
 // matching.
 func BreakdownTable(runs []Run) ([]Breakdown, error) {
 	var out []Breakdown

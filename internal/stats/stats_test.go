@@ -47,7 +47,7 @@ func runMatrix(t *testing.T, progs []Programs, schemes []config.Scheme, ifConver
 }
 
 // miniSuite picks a few representative benchmarks to keep test runtime
-// bounded; full-suite runs live in the benchmark harness.
+// bounded; full-suite runs live in cmd/experiments.
 func miniSuite(t *testing.T) []Programs {
 	t.Helper()
 	suite := []bench.Spec{}

@@ -211,21 +211,11 @@ func TestMemoSweepManifests(t *testing.T) {
 
 // TestMemoCatchesUndeclaredReuse covers reuse that per-knob
 // declarations could not see — a free-form axis touching only a
-// pipeline field, and a derived scheme that sets a knob to its Table 1
-// default — plus gshare.idxbits, whose reuse used to rest on such a
-// declaration. Every cell must still match a direct replay.
+// pipeline field, and one scheme listed twice, whose second cell waits
+// on the key its own job's first cell claimed — plus
+// gshare.idxbits, whose reuse used to rest on such a declaration.
+// Every cell must still match a direct replay.
 func TestMemoCatchesUndeclaredReuse(t *testing.T) {
-	const table1 = "predpred-table1-conf"
-	if _, ok := ResolveScheme(table1); !ok {
-		if err := RegisterScheme(SchemeSpec{
-			Name:      table1,
-			Doc:       "predpred with its confidence width restated at the Table 1 default",
-			Base:      "predpred",
-			Configure: func(c *Config) { c.ConfBits = 3 },
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
 	depth := func(c *Config, v string) error {
 		_, err := fmt.Sscan(v, &c.FrontendDepth)
 		return err
@@ -239,7 +229,7 @@ func TestMemoCatchesUndeclaredReuse(t *testing.T) {
 	}{
 		{"frontend-depth mutator axis", []string{"conventional", "predpred"},
 			[]SweepOption{WithMutatorAxis("frontend.depth", depth, 3, 5, 7)}, 4, 2},
-		{"knob at its default", []string{"predpred", table1},
+		{"duplicate scheme", []string{"predpred", "predpred"},
 			[]SweepOption{WithAxis("pred.bytes", 75776, 151552)}, 2, 2},
 		{"gshare.idxbits", []string{"conventional", "predpred"},
 			[]SweepOption{WithAxis("gshare.idxbits", 10, 12, 14)}, 4, 2},

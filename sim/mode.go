@@ -36,9 +36,8 @@ func (m Mode) String() string {
 
 // ParseMode parses a mode flag value: "pipeline" or "trace". Empty
 // input is an error, not a silent default: every mode flag (-mode on
-// the CLIs, -simmode on the bench harness) goes through here, so an
-// explicitly empty value is named as such instead of being mistaken
-// for a mode.
+// the CLIs) goes through here, so an explicitly empty value is named
+// as such instead of being mistaken for a mode.
 func ParseMode(s string) (Mode, error) {
 	switch strings.TrimSpace(s) {
 	case "pipeline":

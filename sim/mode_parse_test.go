@@ -44,7 +44,7 @@ func TestParseMode(t *testing.T) {
 
 // TestParseModeEmptyNamesValidModes pins the contract shared by every
 // mode flag (cmd/predsim -mode, cmd/experiments -mode, cmd/sweep
-// -mode, the harness -simmode): an empty value is rejected with an
+// -mode): an empty value is rejected with an
 // error that names the valid modes.
 func TestParseModeEmptyNamesValidModes(t *testing.T) {
 	for _, in := range []string{"", "  "} {

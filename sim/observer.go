@@ -13,9 +13,9 @@ import (
 )
 
 // MetricsSnapshot is a deterministic, name-sorted point-in-time copy
-// of a metrics registry (see internal/obs): counters, gauges and
-// power-of-two histograms, serialized the same way however the
-// underlying maps iterated.
+// of a metrics registry (see internal/obs): counters and power-of-two
+// histograms, serialized the same way however the underlying maps
+// iterated.
 type MetricsSnapshot = obs.Snapshot
 
 // RunManifest attributes one simulated cell: identity (benchmark,

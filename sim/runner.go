@@ -314,8 +314,8 @@ func canceled(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// baseConfig builds one cell's configuration: the scheme's registry
-// base with the experiment mutator applied.
+// baseConfig builds one cell's configuration: the scheme table entry's
+// configuration with the experiment mutator applied.
 func (e *Experiment) baseConfig(scheme string) (Config, error) {
 	cfg, err := schemeConfig(scheme)
 	if err != nil {
@@ -596,7 +596,7 @@ func SortResults(rs []Result) {
 // the predsim/examples path, as opposed to the Experiment matrix.
 type ProgramRun struct {
 	Program *Program
-	Scheme  string        // registry scheme name
+	Scheme  string        // scheme table name
 	Commits uint64        // committed-instruction budget (0 = run to halt)
 	Mode    Mode          // ModePipeline (the zero value) or ModeTrace
 	Mutate  func(*Config) // optional configuration adjustment

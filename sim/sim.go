@@ -1,7 +1,7 @@
 // Package sim is the public façade for driving the predicate-prediction
 // simulator of Quiñones, Parcerisa & González (HPCA 2007). It is the
 // single entry point for every consumer — the CLIs, the examples, and
-// the benchmark harness — and the seam future scaling work (sharded
+// the benchmark/ module — and the seam future scaling work (sharded
 // suites, new workloads, alternative backends) plugs into.
 //
 // The package offers five pieces:
@@ -21,9 +21,11 @@
 //     cancellation (simulations are sliced into small commit budgets
 //     so a cancel lands mid-run, not after it);
 //
-//   - a named scheme registry: RegisterScheme adds new predictor
-//     organizations — typically derived from a built-in base — without
-//     editing the internal config.Scheme enum or its switch statements;
+//   - a fixed scheme table: the paper's three organizations
+//     (conventional, predpred, peppa) by name, resolved with
+//     ResolveScheme; a variant of one (a split PVT, select-only
+//     predication, the idealized runs) is a WithConfigMutator over its
+//     entry, not a scheme of its own;
 //
 //   - pluggable result sinks: the paper's text tables plus JSON and
 //     CSV emitters for machine-readable figures.
@@ -97,10 +99,6 @@ func BuildBenchmark(name string) (*Program, error) {
 // from a JSON or TOML file (see DESIGN.md "Workloads" for the format).
 func LoadBenchSpec(path string) (BenchSpec, error) { return bench.Load(path) }
 
-// ValidateBenchSpec range checks every field of a spec, returning an
-// error that names the offending field and its legal range.
-func ValidateBenchSpec(s BenchSpec) error { return bench.Validate(s) }
-
 // BuildSpec validates a benchmark spec (range checks plus the
 // site-allocation guard, built-in suite specs exempt from the latter)
 // and generates its (non-if-converted) binary.
@@ -117,7 +115,7 @@ func BuildSpec(s BenchSpec) (*Program, error) {
 type Experiment struct {
 	suite        []string    // suite entries as given; empty = full suite
 	suiteSpecs   []BenchSpec // entries resolved at New time (nil when workload is set)
-	schemes      []string    // registry scheme names
+	schemes      []string    // scheme table names
 	ifConverted  bool
 	tag          string
 	commits      uint64
@@ -151,7 +149,7 @@ func New(opts ...Option) (*Experiment, error) {
 	}
 	for _, s := range e.schemes {
 		if _, ok := ResolveScheme(s); !ok {
-			return nil, fmt.Errorf("sim: unknown scheme %q (registered: %v)", s, SchemeNames())
+			return nil, fmt.Errorf("sim: unknown scheme %q (schemes: %v)", s, SchemeNames())
 		}
 	}
 	if e.workload == nil {
@@ -180,7 +178,7 @@ func WithSuite(names ...string) Option {
 	}
 }
 
-// WithSchemes sets the prediction schemes (registry names) each
+// WithSchemes sets the prediction schemes (scheme table names) each
 // benchmark is simulated under, in table column order.
 func WithSchemes(names ...string) Option {
 	return func(e *Experiment) error {

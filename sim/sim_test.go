@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/stats"
 	"repro/sim"
 )
 
@@ -47,44 +48,39 @@ func TestNewValidatesOptions(t *testing.T) {
 	}
 }
 
-// TestSchemeRegistryRoundTrip registers a derived predictor
-// organization, resolves it, and simulates under it — the extension
-// path that used to require editing the config.Scheme enum.
-func TestSchemeRegistryRoundTrip(t *testing.T) {
-	spec := sim.SchemeSpec{
-		Name: "predpred-split",
-		Doc:  "predicate predictor with a statically split PVT (§3.3 ablation)",
-		Base: "predpred",
-		Configure: func(c *sim.Config) {
-			c.SplitPVT = true
-		},
+// TestSchemeTable checks the fixed scheme table: unique names, every
+// entry's configuration valid, and no two entries projecting to the
+// same replay-visible config (they would alias in the replay memo).
+// It then simulates under a resolved scheme.
+func TestSchemeTable(t *testing.T) {
+	names := sim.SchemeNames()
+	if len(names) != 3 {
+		t.Fatalf("SchemeNames = %v, want the paper's three organizations", names)
 	}
-	if err := sim.RegisterScheme(spec); err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.RegisterScheme(spec); err == nil {
-		t.Error("duplicate registration must fail")
-	}
-	if err := sim.RegisterScheme(sim.SchemeSpec{Name: "orphan", Base: "no-such-base"}); err == nil {
-		t.Error("unregistered base must fail")
-	}
-	got, ok := sim.ResolveScheme("predpred-split")
-	if !ok || got.Base != "predpred" {
-		t.Fatalf("resolve: %+v ok=%v", got, ok)
-	}
-	found := false
-	for _, n := range sim.SchemeNames() {
-		if n == "predpred-split" {
-			found = true
+	seen := map[stats.EngineConfig]string{}
+	for i, n := range names {
+		if i > 0 && names[i-1] == n {
+			t.Errorf("scheme %q listed twice", n)
 		}
-	}
-	if !found {
-		t.Errorf("SchemeNames misses the new scheme: %v", sim.SchemeNames())
+		spec, ok := sim.ResolveScheme(n)
+		if !ok || spec.Name != n {
+			t.Fatalf("ResolveScheme(%q) = %+v, %v", n, spec, ok)
+		}
+		cfg := sim.DefaultConfig()
+		spec.Configure(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("scheme %q: %v", n, err)
+		}
+		ec := stats.EngineConfigOf(cfg)
+		if prev, dup := seen[ec]; dup {
+			t.Errorf("schemes %q and %q share the replay config %+v", prev, n, ec)
+		}
+		seen[ec] = n
 	}
 
 	exp, err := sim.New(
 		sim.WithWorkload(testWorkload(t)),
-		sim.WithSchemes("predpred-split"),
+		sim.WithSchemes("predpred"),
 		sim.WithCommits(20000),
 	)
 	if err != nil {
@@ -101,14 +97,14 @@ func TestSchemeRegistryRoundTrip(t *testing.T) {
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}
-	if r.Scheme != "predpred-split" || r.Bench != "gzip" {
+	if r.Scheme != "predpred" || r.Bench != "gzip" {
 		t.Errorf("result labels: %+v", r)
 	}
 	if r.Stats.Committed < 20000 {
 		t.Errorf("committed %d < budget", r.Stats.Committed)
 	}
 	if r.Stats.PredPredictions == 0 {
-		t.Error("derived scheme did not run the predicate predictor")
+		t.Error("predpred did not run the predicate predictor")
 	}
 }
 

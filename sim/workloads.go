@@ -9,7 +9,7 @@ import (
 )
 
 // WorkloadSpec names a reusable set of benchmark specs — the workload
-// counterpart of the scheme registry. Anywhere a suite entry is
+// counterpart of the scheme table. Anywhere a suite entry is
 // accepted (WithSuite, PrepareWorkload, the CLIs' -suite/-workload
 // flags) a preset name expands to its spec set, so experiments select
 // workload shapes the same way they select predictor organizations.
