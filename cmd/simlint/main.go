@@ -2,34 +2,23 @@
 // (internal/lint): determinism, layering and hot-path invariants that
 // plain go vet cannot see.
 //
-// It runs in two modes:
-//
-//   - Standalone: `simlint ./...` loads the whole module from the
-//     working directory and runs every analyzer, including the
-//     module-level ones (regname needs all registration sites at
-//     once) and the stale-suppression audit. This is the mode CI
-//     gates on.
-//
-//   - Vet tool: `go vet -vettool=$(which simlint) ./...` speaks the
-//     go vet driver protocol (-V=full fingerprinting, per-package
-//     *.cfg units, export-data importing). Only the per-package
-//     analyzers run here; regname and whole-module staleness are the
-//     standalone mode's job.
+// `simlint ./...` loads the whole module containing the working
+// directory, _test.go files included, and runs every analyzer plus the
+// stale-suppression audit. Package patterns are accepted for
+// familiarity, but the unit of analysis is always the module: regname
+// needs every registration site at once, and a suppression is only
+// stale against the full build. This is the one driver; CI gates on
+// its JSON report.
 //
 // Exit status is 0 when clean, 1 on usage or load errors, 2 when
 // diagnostics were reported (mirroring go vet).
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/importer"
-	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"repro/internal/lint"
 )
@@ -39,20 +28,11 @@ func main() {
 }
 
 func run() int {
-	versionFlag := flag.String("V", "", "version protocol for the go vet driver (-V=full)")
-	flagsFlag := flag.Bool("flags", false, "print the tool's flags as JSON for the go vet driver")
-	checksFlag := flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	formatFlag := flag.String("format", "text", "diagnostic output format: text (stderr lines) or json (machine-readable array on stdout)")
 	listFlag := flag.Bool("list", false, "list the suite's checks and exit")
 	flag.Usage = usage
 	flag.Parse()
 
-	if *versionFlag != "" {
-		return printVersion(*versionFlag)
-	}
-	if *flagsFlag {
-		return printFlags()
-	}
 	if *listFlag {
 		for _, a := range lint.Analyzers() {
 			scope := "package"
@@ -63,111 +43,11 @@ func run() int {
 		}
 		return 0
 	}
-	analyzers, err := selectChecks(*checksFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
 	if *formatFlag != "text" && *formatFlag != "json" {
 		fmt.Fprintf(os.Stderr, "simlint: unknown -format %q (valid: text, json)\n", *formatFlag)
 		return 1
 	}
 
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		return runVetUnit(args[0], analyzers)
-	}
-	return runStandalone(analyzers, *formatFlag)
-}
-
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage:
-  simlint [-checks c1,c2] [-format text|json] [packages]
-                                         analyze the module containing the working directory
-  go vet -vettool=$(which simlint) ./... run the per-package checks under the vet driver
-  simlint -list                          list checks
-`)
-	flag.PrintDefaults()
-}
-
-// printVersion implements the vet driver's -V protocol: -V=full must
-// print a line ending in a fingerprint of the executable so the driver
-// can cache results against the tool build.
-func printVersion(mode string) int {
-	if mode != "full" {
-		fmt.Printf("%s version devel\n", progName())
-		return 0
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Printf("%s version devel buildID=%02x\n", progName(), h.Sum(nil))
-	return 0
-}
-
-// printFlags implements the driver's flag-discovery probe: `simlint
-// -flags` prints the tool's flag inventory as JSON so go vet knows
-// which of its own flags it may forward.
-func printFlags() int {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var out []jsonFlag
-	flag.VisitAll(func(f *flag.Flag) {
-		b, ok := f.Value.(interface{ IsBoolFlag() bool })
-		out = append(out, jsonFlag{f.Name, ok && b.IsBoolFlag(), f.Usage})
-	})
-	data, err := json.MarshalIndent(out, "", "\t")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	os.Stdout.Write(data)
-	return 0
-}
-
-func progName() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "simlint"
-	}
-	return filepath.Base(exe)
-}
-
-// selectChecks resolves -checks against the suite.
-func selectChecks(list string) ([]*lint.Analyzer, error) {
-	if list == "" {
-		return lint.Analyzers(), nil
-	}
-	var names []string
-	for _, n := range strings.Split(list, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			names = append(names, n)
-		}
-	}
-	return lint.Select(names)
-}
-
-// runStandalone analyzes the whole module containing the working
-// directory. Package patterns on the command line are accepted for
-// familiarity but the unit of analysis is always the module: regname
-// and the staleness audit only mean something against the full build.
-func runStandalone(analyzers []*lint.Analyzer, format string) int {
 	wd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -183,8 +63,8 @@ func runStandalone(analyzers []*lint.Analyzer, format string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	ds := lint.Run(lint.Fset(), pkgs, analyzers, cfg, lint.RunOptions{Stale: true})
-	if format == "json" {
+	ds := lint.Run(lint.Fset(), pkgs, lint.Analyzers(), cfg)
+	if *formatFlag == "json" {
 		if err := lint.WriteJSON(os.Stdout, lint.Fset(), root, ds); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -200,132 +80,10 @@ func runStandalone(analyzers []*lint.Analyzer, format string) int {
 	return 0
 }
 
-// vetConfig is the JSON unit description the go vet driver writes for
-// each package (cmd/go/internal/work's vetConfig).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// runVetUnit analyzes one compilation unit under the vet driver.
-func runVetUnit(cfgPath string, analyzers []*lint.Analyzer) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	var u vetConfig
-	if err := json.Unmarshal(data, &u); err != nil {
-		fmt.Fprintf(os.Stderr, "simlint: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-	// The driver expects a facts file no matter what; the suite carries
-	// no cross-package facts, so it is always empty.
-	if u.VetxOutput != "" {
-		if err := os.WriteFile(u.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-	}
-	if u.VetxOnly {
-		return 0
-	}
-
-	// Only per-package analyzers can run on a single unit.
-	var unitAnalyzers []*lint.Analyzer
-	for _, a := range analyzers {
-		if !a.Module {
-			unitAnalyzers = append(unitAnalyzers, a)
-		}
-	}
-	if len(unitAnalyzers) == 0 {
-		return 0
-	}
-
-	imp := importer.ForCompiler(lint.Fset(), compilerFor(&u), func(path string) (io.ReadCloser, error) {
-		if canonical, ok := u.ImportMap[path]; ok {
-			path = canonical
-		}
-		file, ok := u.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	pkg, err := lint.LoadUnit(u.ImportPath, absFiles(u.Dir, u.GoFiles), imp)
-	if err != nil {
-		if u.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	cfg, err := lint.LoadConfig(filepath.Join(findConfigRoot(u.Dir), lint.ConfigFile))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	// Stale checking is on: judged only against the checks that ran,
-	// so module-level suppressions are left for the standalone mode.
-	ds := lint.Run(lint.Fset(), []*lint.Package{pkg}, unitAnalyzers, cfg, lint.RunOptions{Stale: true})
-	for _, d := range ds {
-		fmt.Fprintln(os.Stderr, d.String(lint.Fset()))
-	}
-	if len(ds) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// compilerFor maps the unit's compiler ("gc" in practice) to an
-// importer flavor, defaulting to gc export data.
-func compilerFor(u *vetConfig) string {
-	if u.Compiler != "" {
-		return u.Compiler
-	}
-	return "gc"
-}
-
-// absFiles resolves the unit's file list against its directory (the
-// driver writes them absolute already; this is belt and braces).
-func absFiles(dir string, files []string) []string {
-	out := make([]string, len(files))
-	for i, f := range files {
-		if filepath.IsAbs(f) {
-			out[i] = f
-			continue
-		}
-		out[i] = filepath.Join(dir, f)
-	}
-	return out
-}
-
-// findConfigRoot walks up from dir to the nearest directory holding
-// either the config file or go.mod, falling back to dir itself.
-func findConfigRoot(dir string) string {
-	for d := dir; ; {
-		if _, err := os.Stat(filepath.Join(d, lint.ConfigFile)); err == nil {
-			return d
-		}
-		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
-			return d
-		}
-		parent := filepath.Dir(d)
-		if parent == d {
-			return dir
-		}
-		d = parent
-	}
+func usage() {
+	fmt.Fprintf(os.Stderr, `usage:
+  simlint [-format text|json] [packages]  analyze the module containing the working directory
+  simlint -list                           list checks
+`)
+	flag.PrintDefaults()
 }

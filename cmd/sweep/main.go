@@ -150,7 +150,6 @@ func main() {
 		fatal(err)
 	}
 	var results []sim.SweepResult
-	//simlint:ignore ctxflow the runner closes Results when the signal context cancels, so ^C ends the drain
 	for sr := range runner.Results() {
 		// Stream each point as it completes, so ^C mid-sweep still
 		// leaves the finished points on stdout.

@@ -13,6 +13,9 @@ package lint_test
 // specification of each analyzer's behaviour.
 
 import (
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -32,9 +35,9 @@ type want struct {
 	matched bool
 }
 
-// runCorpus loads testdata/src/<dir>, runs the analyzers with cfg and
-// opts, and diffs the diagnostics against the corpus's want comments.
-func runCorpus(t *testing.T, dir string, analyzers []*lint.Analyzer, cfg *lint.Config, opts lint.RunOptions) {
+// runCorpus loads testdata/src/<dir>, runs the analyzers with cfg,
+// and diffs the diagnostics against the corpus's want comments.
+func runCorpus(t *testing.T, dir string, analyzers []*lint.Analyzer, cfg *lint.Config) {
 	t.Helper()
 	root, err := filepath.Abs(filepath.Join("testdata", "src", dir))
 	if err != nil {
@@ -44,8 +47,8 @@ func runCorpus(t *testing.T, dir string, analyzers []*lint.Analyzer, cfg *lint.C
 	if err != nil {
 		t.Fatalf("load corpus %s: %v", dir, err)
 	}
-	wants := collectWants(t, pkgs)
-	ds := lint.Run(lint.Fset(), pkgs, analyzers, cfg, opts)
+	wants := collectWants(t, root)
+	ds := lint.Run(lint.Fset(), pkgs, analyzers, cfg)
 	for _, d := range ds {
 		pos := d.Position(lint.Fset())
 		if w := matchWant(wants, pos.Filename, pos.Line, d.Message); w != nil {
@@ -61,39 +64,52 @@ func runCorpus(t *testing.T, dir string, analyzers []*lint.Analyzer, cfg *lint.C
 	}
 }
 
-// collectWants parses every want comment in the corpus.
-func collectWants(t *testing.T, pkgs []*lint.Package) []*want {
+// collectWants parses every want comment in the corpus. It reads the
+// .go files from disk itself rather than from the loaded packages, so
+// a file the loader drops (a _test.go file, say) leaves its wants
+// unmatched instead of silently untested.
+func collectWants(t *testing.T, root string) []*want {
 	t.Helper()
+	fset := token.NewFileSet()
 	var out []*want
-	for _, p := range pkgs {
-		for _, f := range p.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					text := strings.TrimPrefix(c.Text, "//")
-					text = strings.TrimSpace(text)
-					rest, ok := strings.CutPrefix(text, "want ")
-					if !ok {
-						continue
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				text := strings.TrimPrefix(c.Text, "//")
+				text = strings.TrimSpace(text)
+				rest, ok := strings.CutPrefix(text, "want ")
+				if !ok {
+					continue
+				}
+				pos := fset.Position(c.Pos())
+				groups := wantRe.FindAllStringSubmatch(rest, -1)
+				if len(groups) == 0 {
+					t.Fatalf("%s:%d: malformed want comment %q", pos.Filename, pos.Line, c.Text)
+				}
+				for _, g := range groups {
+					pat := g[1]
+					if pat == "" {
+						pat = g[2]
 					}
-					pos := lint.Fset().Position(c.Pos())
-					groups := wantRe.FindAllStringSubmatch(rest, -1)
-					if len(groups) == 0 {
-						t.Fatalf("%s:%d: malformed want comment %q", pos.Filename, pos.Line, c.Text)
+					re, err := regexp.Compile(pat)
+					if err != nil {
+						t.Fatalf("%s:%d: bad want pattern %q: %v", pos.Filename, pos.Line, pat, err)
 					}
-					for _, g := range groups {
-						pat := g[1]
-						if pat == "" {
-							pat = g[2]
-						}
-						re, err := regexp.Compile(pat)
-						if err != nil {
-							t.Fatalf("%s:%d: bad want pattern %q: %v", pos.Filename, pos.Line, pat, err)
-						}
-						out = append(out, &want{file: pos.Filename, line: pos.Line, pattern: re})
-					}
+					out = append(out, &want{file: pos.Filename, line: pos.Line, pattern: re})
 				}
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return out
 }
@@ -111,6 +127,6 @@ func matchWant(wants []*want, file string, line int, msg string) *want {
 	return nil
 }
 
-// one is the common case: a single analyzer, default config, stale
-// checking on (so corpora also prove their ignores are load-bearing).
+// one is the common case: a single analyzer (stale checking is always
+// on, so corpora also prove their ignores are load-bearing).
 func one(a *lint.Analyzer) []*lint.Analyzer { return []*lint.Analyzer{a} }

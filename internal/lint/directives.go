@@ -72,11 +72,10 @@ func parseIgnores(fset *token.FileSet, p *Package, report func(Diagnostic)) []*i
 
 // applyIgnores filters diagnostics through the package set's ignore
 // directives. A directive at line L suppresses diagnostics of its
-// check at line L (trailing comment) or L+1 (the statement below).
-// With stale set, a directive whose check ran but matched nothing is
-// itself reported — suppressions cannot outlive the violation they
-// justify.
-func applyIgnores(fset *token.FileSet, pkgs []*Package, ran []*Analyzer, ds []Diagnostic, stale bool) []Diagnostic {
+// check at line L (trailing comment) or L+1 (the statement below). A
+// directive whose check ran but matched nothing is itself reported —
+// suppressions cannot outlive the violation they justify.
+func applyIgnores(fset *token.FileSet, pkgs []*Package, ran []*Analyzer, ds []Diagnostic) []Diagnostic {
 	var malformed []Diagnostic
 	var ignores []*ignoreDirective
 	for _, p := range pkgs {
@@ -104,23 +103,20 @@ func applyIgnores(fset *token.FileSet, pkgs []*Package, ran []*Analyzer, ds []Di
 		kept = append(kept, d)
 	}
 	kept = append(kept, malformed...)
-	if stale {
-		ranSet := make(map[string]bool, len(ran))
-		for _, a := range ran {
-			ranSet[a.Name] = true
-		}
-		for _, ig := range ignores {
-			switch {
-			case ig.used:
-			case !ranSet[ig.check]:
-				// The suppressed check did not run (e.g. a module-level
-				// check under the per-package vet protocol, or a -checks
-				// subset): staleness cannot be judged.
-			default:
-				kept = append(kept, Diagnostic{Check: "ignore", Pos: ig.pos,
-					Message: "stale //simlint:ignore " + ig.check + " (reason: " + strconv.Quote(ig.reason) + "): no " + ig.check +
-						" diagnostic on this or the next line; remove the suppression"})
-			}
+	ranSet := make(map[string]bool, len(ran))
+	for _, a := range ran {
+		ranSet[a.Name] = true
+	}
+	for _, ig := range ignores {
+		switch {
+		case ig.used:
+		case !ranSet[ig.check]:
+			// The suppressed check did not run (an analyzer test runs
+			// one check at a time): staleness cannot be judged.
+		default:
+			kept = append(kept, Diagnostic{Check: "ignore", Pos: ig.pos,
+				Message: "stale //simlint:ignore " + ig.check + " (reason: " + strconv.Quote(ig.reason) + "): no " + ig.check +
+					" diagnostic on this or the next line; remove the suppression"})
 		}
 	}
 	sortDiagnostics(fset, kept)

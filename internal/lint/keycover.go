@@ -110,8 +110,8 @@ func checkHashFunc(pass *Pass, fd *ast.FuncDecl, subject *types.Named, seed type
 		}
 		p, st := findNamedStruct(pass.All, n)
 		if st == nil {
-			// The struct's source is outside the loaded set (a vet unit
-			// sees one package): the standalone run owns this check.
+			// The struct's source is outside the loaded set (a
+			// standard-library type): there are no fields to audit.
 			continue
 		}
 		for _, field := range st.Fields.List {
@@ -255,8 +255,8 @@ func fieldReads(pass *Pass, fd *ast.FuncDecl, derived map[types.Object]*types.Na
 
 // findNamedStruct locates a named struct type's declaration among the
 // loaded packages, returning the owning package and the struct AST
-// (nil when its source is not in the load — e.g. an import resolved
-// from export data under the vet protocol).
+// (nil when its source is not in the load, as for a standard-library
+// type).
 func findNamedStruct(all []*Package, n *types.Named) (*Package, *ast.StructType) {
 	for _, p := range all {
 		if p.Types != n.Obj().Pkg() {

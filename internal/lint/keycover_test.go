@@ -8,5 +8,5 @@ import (
 
 func TestKeycover(t *testing.T) {
 	// Stale on: the corpus's retry-bound ignore must be load-bearing.
-	runCorpus(t, "keycover", one(lint.Keycover), nil, lint.RunOptions{Stale: true})
+	runCorpus(t, "keycover", one(lint.Keycover), nil)
 }

@@ -12,7 +12,7 @@ func TestLayering(t *testing.T) {
 		To:     "internal/...",
 		Reason: "corpus: deliberate engine-level tool",
 	}}}}
-	runCorpus(t, "layering", one(lint.Layering), cfg, lint.RunOptions{Stale: true})
+	runCorpus(t, "layering", one(lint.Layering), cfg)
 }
 
 func TestLayeringAllows(t *testing.T) {

@@ -26,15 +26,14 @@ import (
 // package (or, for Module analyzers, the whole build) and reports
 // diagnostics through the pass.
 type Analyzer struct {
-	// Name is the check's registry key: the -checks selector, the
-	// diagnostic prefix and the name //simlint:ignore directives use.
+	// Name is the check's registry key: the diagnostic prefix and the
+	// name //simlint:ignore directives use.
 	Name string
 	// Doc is a one-line description for listings.
 	Doc string
 	// Module marks a whole-build analyzer: Run is invoked once with
-	// Pass.All populated instead of once per package. Module analyzers
-	// need every registration site in the build (regname), so they
-	// cannot run under the per-package vet protocol.
+	// Pass.All populated instead of once per package, because it needs
+	// every registration site in the build at once (regname).
 	Module bool
 	// Run performs the check.
 	Run func(*Pass)
@@ -43,11 +42,13 @@ type Analyzer struct {
 // Package is one loaded, type-checked package.
 type Package struct {
 	// Path is the package's import path ("repro/sim", or the
-	// testdata-relative path in analyzer tests).
+	// testdata-relative path in analyzer tests); an external test
+	// package's path ends in "_test".
 	Path string
 	// Dir is the directory the files were read from.
 	Dir string
-	// Files holds the parsed non-test files, parallel to Filenames.
+	// Files holds the parsed files, _test.go files of the same package
+	// included, parallel to Filenames.
 	Files []*ast.File
 	// Filenames holds the absolute file paths.
 	Filenames []string
@@ -64,8 +65,7 @@ type Pass struct {
 	// Pkg is the package under analysis (nil for Module analyzers).
 	Pkg *Package
 	// All is every package of the build, for Module analyzers (and for
-	// per-package analyzers that want context; it may be a single
-	// package under the vet protocol).
+	// per-package analyzers that want context).
 	All []*Package
 	// Cfg is the loaded .simlint.json configuration (never nil).
 	Cfg *Config
@@ -100,52 +100,15 @@ func (d Diagnostic) String(fset *token.FileSet) string {
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		Layering, Detorder, Hotalloc, Regname, Ctxflow, Seedrand,
-		Keycover, Errsentinel,
+		Layering, Detorder, Hotalloc, Regname, Seedrand, Keycover,
 	}
-}
-
-// PackageAnalyzers returns the subset of the suite that runs
-// per-package — the checks available under go vet -vettool, which
-// analyzes one compilation unit at a time.
-func PackageAnalyzers() []*Analyzer {
-	var out []*Analyzer
-	for _, a := range Analyzers() {
-		if !a.Module {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// Select resolves a comma-separated -checks list against the suite.
-func Select(names []string) ([]*Analyzer, error) {
-	all := Analyzers()
-	if len(names) == 0 {
-		return all, nil
-	}
-	byName := make(map[string]*Analyzer, len(all))
-	valid := make([]string, 0, len(all))
-	for _, a := range all {
-		byName[a.Name] = a
-		valid = append(valid, a.Name)
-	}
-	var out []*Analyzer
-	for _, n := range names {
-		a, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("lint: unknown check %q (valid: %v)", n, valid)
-		}
-		out = append(out, a)
-	}
-	return out, nil
 }
 
 // isTestFile reports whether the file is a _test.go file. The
-// standalone loader never parses tests, but the vet driver hands the
-// tool test units too, and the determinism and cancellation rules are
-// scoped to non-test code (a test's drain loop is bounded by the test
-// timeout; a test's collection order is the test's own business).
+// determinism and hash-coverage rules are scoped to non-test code (a
+// test's collection order is the test's own business), and regname
+// skips tests because they pass unregistered names on purpose to
+// exercise the lookup errors.
 func (p *Pass) isTestFile(f *ast.File) bool {
 	return strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go")
 }

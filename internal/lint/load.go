@@ -45,11 +45,15 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	return stdImp.Import(path)
 }
 
-// Load parses and type-checks every non-test package under root.
-// modPath is the module path prefix for import paths ("repro" for the
-// real module); with modPath == "" the import path is the
-// root-relative directory, which is how analyzer test corpora under
-// testdata/src are addressed. Packages are returned sorted by path.
+// Load parses and type-checks every package under root, test files
+// included. modPath is the module path prefix for import paths
+// ("repro" for the real module); with modPath == "" the import path is
+// the root-relative directory, which is how analyzer test corpora
+// under testdata/src are addressed. In-package _test.go files are
+// type-checked with their package (export_test.go files widen it for
+// the external tests); an external foo_test package becomes its own
+// Package with path "<import path>_test". Packages are returned
+// sorted by path.
 func Load(root, modPath string) ([]*Package, error) {
 	loadMu.Lock()
 	defer loadMu.Unlock()
@@ -58,57 +62,37 @@ func Load(root, modPath string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	pkgs := make([]*Package, 0, len(dirs))
+	var pkgs, xtests []*Package
 	byPath := make(map[string]*Package, len(dirs))
 	for _, dir := range dirs {
-		p, err := parseDir(root, modPath, dir)
+		p, xtest, err := parseDir(root, modPath, dir)
 		if err != nil {
 			return nil, err
 		}
-		if p == nil {
-			continue
+		if p != nil {
+			pkgs = append(pkgs, p)
+			byPath[p.Path] = p
 		}
-		pkgs = append(pkgs, p)
-		byPath[p.Path] = p
+		if xtest != nil {
+			xtests = append(xtests, xtest)
+		}
 	}
 	ordered, err := topoSort(pkgs, byPath)
 	if err != nil {
 		return nil, err
 	}
+	// Nothing imports an external test package, so checking them after
+	// every other package satisfies all of their imports.
 	imp := &moduleImporter{loaded: make(map[string]*types.Package, len(ordered))}
-	for _, p := range ordered {
+	for _, p := range append(ordered, xtests...) {
 		if err := typeCheck(p, imp); err != nil {
 			return nil, err
 		}
 		imp.loaded[p.Path] = p.Types
 	}
+	pkgs = append(pkgs, xtests...)
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
 	return pkgs, nil
-}
-
-// LoadUnit parses and type-checks one externally resolved compilation
-// unit — the shape the go vet driver hands a vettool: an import path,
-// the unit's Go files, and an importer that resolves dependencies from
-// compiler export data. Positions resolve against Fset().
-func LoadUnit(path string, gofiles []string, imp types.Importer) (*Package, error) {
-	loadMu.Lock()
-	defer loadMu.Unlock()
-	p := &Package{Path: path}
-	if len(gofiles) > 0 {
-		p.Dir = filepath.Dir(gofiles[0])
-	}
-	for _, full := range gofiles {
-		f, err := parser.ParseFile(loadFset, full, nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("lint: %w", err)
-		}
-		p.Files = append(p.Files, f)
-		p.Filenames = append(p.Filenames, full)
-	}
-	if err := typeCheck(p, imp); err != nil {
-		return nil, err
-	}
-	return p, nil
 }
 
 // LoadModule locates the module root at or above dir (by go.mod) and
@@ -170,34 +154,44 @@ func packageDirs(root string) ([]string, error) {
 	return dirs, err
 }
 
-// parseDir parses one directory's non-test files, returning nil when
-// the directory holds no buildable Go files.
-func parseDir(root, modPath, dir string) (*Package, error) {
+// parseDir parses one directory's Go files into its package (test
+// files of the same package included) and its external test package,
+// either of which is nil when the directory holds none of its files.
+func parseDir(root, modPath, dir string) (*Package, *Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	p := &Package{Dir: dir, Path: importPath(root, modPath, dir)}
+	path := importPath(root, modPath, dir)
+	p := &Package{Dir: dir, Path: path}
+	xtest := &Package{Dir: dir, Path: path + "_test"}
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") {
 			continue
 		}
 		full := filepath.Join(dir, name)
 		f, err := parser.ParseFile(loadFset, full, nil, parser.ParseComments)
 		if err != nil {
-			return nil, fmt.Errorf("lint: %w", err)
+			return nil, nil, fmt.Errorf("lint: %w", err)
 		}
 		if ignoredByBuildTag(f) {
 			continue
 		}
-		p.Files = append(p.Files, f)
-		p.Filenames = append(p.Filenames, full)
+		dst := p
+		if strings.HasSuffix(name, "_test.go") && strings.HasSuffix(f.Name.Name, "_test") {
+			dst = xtest
+		}
+		dst.Files = append(dst.Files, f)
+		dst.Filenames = append(dst.Filenames, full)
 	}
 	if len(p.Files) == 0 {
-		return nil, nil
+		p = nil
 	}
-	return p, nil
+	if len(xtest.Files) == 0 {
+		xtest = nil
+	}
+	return p, xtest, nil
 }
 
 // ignoredByBuildTag reports a file opting out of the build entirely

@@ -15,8 +15,9 @@ import (
 // registries resolve names at run time, so a typo in
 // WithAxis("pvt.entires", ...) is otherwise discovered two hours into
 // a sweep instead of in CI. The analyzer needs every registration site
-// at once, so it is module-level and does not run under the
-// per-package vet protocol.
+// at once, so it is module-level. Test files are out of scope on both
+// sides: tests pass unregistered names on purpose to exercise the
+// lookup errors, and a test fixture registers nothing in the build.
 var Regname = &Analyzer{
 	Name:   "regname",
 	Doc:    "string literals in registry lookups must name something registered in the build",
@@ -42,7 +43,7 @@ func runRegname(pass *Pass) {
 		nsMetric:   {},
 	}
 	for _, p := range pass.All {
-		collectRegistrations(p, reg)
+		collectRegistrations(pass, p, reg)
 	}
 	for _, p := range pass.All {
 		checkLookups(pass, p, reg)
@@ -55,8 +56,11 @@ func runRegname(pass *Pass) {
 // names of obs Counter/Histogram calls, and the benchmark names born
 // inside bench.Suite (first string argument of its spec-builder
 // calls).
-func collectRegistrations(p *Package, reg map[string]map[string]bool) {
+func collectRegistrations(pass *Pass, p *Package, reg map[string]map[string]bool) {
 	for _, f := range p.Files {
+		if pass.isTestFile(f) {
+			continue
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch v := n.(type) {
 			case *ast.CompositeLit:
@@ -115,6 +119,9 @@ func collectRegistrations(p *Package, reg map[string]map[string]bool) {
 // against the collected registrations.
 func checkLookups(pass *Pass, p *Package, reg map[string]map[string]bool) {
 	for _, f := range p.Files {
+		if pass.isTestFile(f) {
+			continue
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
 				checkLookupCall(pass, p, call, reg)

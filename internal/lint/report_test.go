@@ -24,7 +24,7 @@ func TestWriteJSONShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := lint.Run(lint.Fset(), pkgs, one(lint.Keycover), nil, lint.RunOptions{Stale: true})
+	ds := lint.Run(lint.Fset(), pkgs, one(lint.Keycover), nil)
 	if len(ds) == 0 {
 		t.Fatal("corpus produced no diagnostics to report")
 	}
@@ -76,7 +76,7 @@ func TestWriteJSONStable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds := lint.Run(lint.Fset(), pkgs, one(lint.Keycover), nil, lint.RunOptions{Stale: true})
+		ds := lint.Run(lint.Fset(), pkgs, one(lint.Keycover), nil)
 		var buf bytes.Buffer
 		if err := lint.WriteJSON(&buf, lint.Fset(), root, ds); err != nil {
 			t.Fatal(err)

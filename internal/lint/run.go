@@ -2,20 +2,11 @@ package lint
 
 import "go/token"
 
-// RunOptions configures one suite run.
-type RunOptions struct {
-	// Stale enables stale-ignore verification (on for the standalone
-	// multichecker; off per default under -checks subsets where it
-	// would misfire is handled internally — only checks that actually
-	// ran are judged).
-	Stale bool
-}
-
 // Run executes the analyzers over the loaded packages and returns the
 // surviving diagnostics: raw findings minus honored //simlint:ignore
-// suppressions, plus malformed-directive and (with opts.Stale) stale-
-// suppression findings, sorted by position.
-func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, cfg *Config, opts RunOptions) []Diagnostic {
+// suppressions, plus malformed-directive and stale-suppression
+// findings, sorted by position.
+func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, cfg *Config) []Diagnostic {
 	if cfg == nil {
 		cfg = &Config{}
 	}
@@ -30,5 +21,5 @@ func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, cfg *Confi
 			a.Run(&Pass{Analyzer: a, Fset: fset, Pkg: p, All: pkgs, Cfg: cfg, report: report})
 		}
 	}
-	return applyIgnores(fset, pkgs, analyzers, raw, opts.Stale)
+	return applyIgnores(fset, pkgs, analyzers, raw)
 }

@@ -133,23 +133,6 @@ func (pl *Pipeline) retireStats(u *uop) {
 		if u.early && !u.refetched {
 			pl.Stats.EarlyResolved++
 		}
-		if pl.DebugPerPC != nil {
-			st := pl.DebugPerPC[u.pc]
-			if st == nil {
-				st = &PCStat{}
-				pl.DebugPerPC[u.pc] = st
-			}
-			st.Execs++
-			if u.predTaken != u.actualTaken {
-				st.Mispred++
-			}
-			if u.early && !u.refetched {
-				st.Early++
-			}
-			if u.actualTaken {
-				st.Taken++
-			}
-		}
 	}
 	if u.in.IsBranch() && !u.in.IsDirect() {
 		predNext := u.pc + 1

@@ -109,10 +109,6 @@ type Pipeline struct {
 	CoSim    *emulator.Emulator
 	CoSimErr error
 
-	// DebugPerPC, when non-nil, accumulates per-branch-PC statistics at
-	// commit (diagnostic aid).
-	DebugPerPC map[int]*PCStat
-
 	halted bool
 	Stats  Stats
 }

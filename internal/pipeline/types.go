@@ -204,8 +204,3 @@ func (s *Stats) IPC() float64 {
 	}
 	return float64(s.Committed) / float64(s.Cycles)
 }
-
-// PCStat is a per-branch-PC diagnostic record (see Pipeline.DebugPerPC).
-type PCStat struct {
-	Execs, Mispred, Early, Taken uint64
-}

@@ -575,7 +575,6 @@ func (e *Experiment) Run(ctx context.Context) ([]Result, error) {
 		return nil, err
 	}
 	var out []Result
-	//simlint:ignore ctxflow the runner's workers watch ctx and close Results on cancellation, so the drain terminates
 	for res := range r.Results() {
 		out = append(out, res)
 	}

@@ -4,13 +4,16 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 )
 
 // TestRunnerCancellationAccounting pins the runner's bookkeeping when a
 // run is cut short: cancelling mid-run leaves finished < total, Wait
 // reports the context error, every streamed result was a completed cell
-// (partial cells are dropped), and Progress.Done stays monotone. Both
+// (partial cells are dropped), Progress.Done stays monotone, and no
+// goroutine of the pool outlives Wait (a job feeder that ignored the
+// cancelled context would block forever on its next send). Both
 // modes are exercised — trace mode additionally covers dropping a
 // coalesced multi-scheme job whole.
 func TestRunnerCancellationAccounting(t *testing.T) {
@@ -44,6 +47,7 @@ func TestRunnerCancellationAccounting(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			before := runtime.NumGoroutine()
 			r, err := exp.Start(ctx)
 			if err != nil {
 				t.Fatal(err)
@@ -58,6 +62,7 @@ func TestRunnerCancellationAccounting(t *testing.T) {
 			if err := r.Wait(); !errors.Is(err, context.Canceled) {
 				t.Fatalf("Wait() = %v, want context.Canceled", err)
 			}
+			WaitGoroutines(t, before)
 			if streamed >= r.Total() {
 				t.Fatalf("cancelled run must leave finished < total, got %d of %d", streamed, r.Total())
 			}

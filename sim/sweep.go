@@ -385,7 +385,6 @@ func (s *Sweep) Run(ctx context.Context) ([]SweepResult, error) {
 		return nil, err
 	}
 	var out []SweepResult
-	//simlint:ignore ctxflow the sweep runner's workers watch ctx and close Results on cancellation, so the drain terminates
 	for sr := range r.Results() {
 		out = append(out, sr)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -291,17 +292,37 @@ func TestSweepAggregation(t *testing.T) {
 	}
 }
 
+// TestSweepCancellation: a sweep started under a cancelled context
+// reports the context error and leaves no goroutine behind. Its 8 jobs
+// outnumber its one worker, so a job feeder that ignored the context
+// would block forever on a send no worker takes.
 func TestSweepCancellation(t *testing.T) {
-	exp := baseExperiment(t, t.TempDir(), "predpred")
+	wl, err := sim.PrepareWorkload([]string{"gzip", "vpr"}, 50000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := sim.New(
+		sim.WithWorkload(wl),
+		sim.WithSchemes("predpred"),
+		sim.WithCommits(60000),
+		sim.WithMode(sim.ModeTrace),
+		sim.WithTraceDir(t.TempDir()),
+		sim.WithParallelism(1),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sw, err := sim.NewSweep(exp, sim.WithAxis("conf.bits", 1, 2, 3, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	before := runtime.NumGoroutine()
 	if _, err := sw.Run(ctx); err == nil {
 		t.Fatal("cancelled sweep should report the context error")
 	}
+	sim.WaitGoroutines(t, before)
 }
 
 // TestSweepCellsRunConcurrently pins that a sweep's cells, not its
