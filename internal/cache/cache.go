@@ -15,8 +15,11 @@ type Cache struct {
 	next    Level // next level, or nil (then missLat applies)
 	missLat int   // latency of the level below when next == nil
 
-	// MSHRs: block address -> cycle at which the miss resolves.
-	mshrs map[uint64]uint64
+	// MSHRs: the first nMSHR entries are the outstanding misses, each a
+	// block address and the cycle at which its miss resolves (an entry
+	// lingers until the next miss expires it).
+	mshrs []mshr
+	nMSHR int
 	// Write buffer occupancy: cycle at which each entry drains.
 	writeBuf []uint64
 
@@ -48,10 +51,15 @@ type set struct {
 	ways []way
 }
 
+type mshr struct {
+	block uint64
+	done  uint64
+}
+
 // New builds a cache level. next may be nil, in which case missLat is
 // charged for every miss (used for main memory behind the L2).
 func New(p config.CacheParams, next Level, missLat int) *Cache {
-	c := &Cache{params: p, next: next, missLat: missLat, mshrs: make(map[uint64]uint64)}
+	c := &Cache{params: p, next: next, missLat: missLat, mshrs: make([]mshr, p.MSHRs)}
 	c.sets = make([]set, p.Sets())
 	for i := range c.sets {
 		c.sets[i].ways = make([]way, p.Ways)
@@ -95,6 +103,8 @@ func (c *Cache) fill(si int, block uint64, cycle uint64) {
 }
 
 // Access models one access and returns its latency in cycles.
+//
+//simlint:hotpath
 func (c *Cache) Access(addr uint64, cycle uint64, isWrite bool) int {
 	c.Stats.Accesses++
 	block := c.blockAddr(addr)
@@ -103,9 +113,9 @@ func (c *Cache) Access(addr uint64, cycle uint64, isWrite bool) int {
 		c.sets[si].ways[wi].lru = cycle
 		// The block may still be in flight (fill registered at miss
 		// time): an access before the miss resolves merges with it.
-		if done, ok := c.mshrs[block]; ok && done > cycle {
+		if m := c.findMSHR(block); m >= 0 && c.mshrs[m].done > cycle {
 			c.Stats.MSHRMerges++
-			return int(done - cycle)
+			return int(c.mshrs[m].done - cycle)
 		}
 		lat := c.params.LatCycles
 		if isWrite {
@@ -119,11 +129,11 @@ func (c *Cache) Access(addr uint64, cycle uint64, isWrite bool) int {
 	stall := 0
 	if c.params.MSHRs > 0 {
 		c.expireMSHRs(cycle)
-		if len(c.mshrs) >= c.params.MSHRs {
+		if c.nMSHR >= c.params.MSHRs {
 			earliest := ^uint64(0)
-			for _, done := range c.mshrs {
-				if done < earliest {
-					earliest = done
+			for _, m := range c.mshrs[:c.nMSHR] {
+				if m.done < earliest {
+					earliest = m.done
 				}
 			}
 			if earliest > cycle {
@@ -143,16 +153,38 @@ func (c *Cache) Access(addr uint64, cycle uint64, isWrite bool) int {
 	}
 	c.fill(si, block, cycle)
 	if c.params.MSHRs > 0 {
-		c.mshrs[block] = cycle + uint64(lat)
+		// The expiry above left a free entry unless block already has
+		// one, which the new miss then overwrites.
+		m := c.findMSHR(block)
+		if m < 0 {
+			m = c.nMSHR
+			c.nMSHR++
+		}
+		c.mshrs[m] = mshr{block: block, done: cycle + uint64(lat)}
 	}
 	return lat
 }
 
-func (c *Cache) expireMSHRs(cycle uint64) {
-	for b, done := range c.mshrs {
-		if done <= cycle {
-			delete(c.mshrs, b)
+// findMSHR returns the index of block's MSHR entry, or -1.
+func (c *Cache) findMSHR(block uint64) int {
+	for i, m := range c.mshrs[:c.nMSHR] {
+		if m.block == block {
+			return i
 		}
+	}
+	return -1
+}
+
+// expireMSHRs frees every entry whose miss resolved by cycle, moving the
+// last entry into each freed one.
+func (c *Cache) expireMSHRs(cycle uint64) {
+	for i := 0; i < c.nMSHR; {
+		if c.mshrs[i].done <= cycle {
+			c.nMSHR--
+			c.mshrs[i] = c.mshrs[c.nMSHR]
+			continue
+		}
+		i++
 	}
 }
 
@@ -188,40 +220,67 @@ func (c *Cache) MissRate() float64 {
 }
 
 // TLB is a timing-only fully-associative TLB with LRU replacement over
-// 4 KB pages.
+// 4 KB pages. Entries fill slots 0, 1, 2, … in order; a miss on a full
+// TLB evicts the slot with the oldest last use, the lowest slot among
+// equals.
 type TLB struct {
-	entries  map[uint64]uint64 // page -> last-use cycle
-	size     int
+	pages   []uint64 // page held by each filled slot
+	lastUse []uint64 // cycle of each filled slot's last access
+	slotOf  map[uint64]int32
+	// The slot of the last page accessed, consulted before slotOf
+	// (-1 before the first access).
+	mruPage uint64
+	mruSlot int32
+
 	penalty  int
 	Misses   uint64
 	Accesses uint64
 }
 
-// NewTLB builds a TLB with the given number of entries and miss penalty.
+// NewTLB builds a TLB with the given number (at least 1) of entries and
+// miss penalty.
 func NewTLB(size, penalty int) *TLB {
-	return &TLB{entries: make(map[uint64]uint64, size), size: size, penalty: penalty}
+	return &TLB{
+		pages:   make([]uint64, 0, size),
+		lastUse: make([]uint64, 0, size),
+		slotOf:  make(map[uint64]int32, size),
+		mruSlot: -1,
+		penalty: penalty,
+	}
 }
 
 // Access returns the extra cycles charged for translating addr.
+//
+//simlint:hotpath
 func (t *TLB) Access(addr uint64, cycle uint64) int {
 	t.Accesses++
 	page := addr >> 12
-	if _, ok := t.entries[page]; ok {
-		t.entries[page] = cycle
+	if t.mruSlot >= 0 && t.mruPage == page {
+		t.lastUse[t.mruSlot] = cycle
+		return 0
+	}
+	if s, ok := t.slotOf[page]; ok {
+		t.lastUse[s] = cycle
+		t.mruPage, t.mruSlot = page, s
 		return 0
 	}
 	t.Misses++
-	if len(t.entries) >= t.size {
-		var lruPage uint64
-		lru := ^uint64(0)
-		for p, c := range t.entries {
-			if c < lru {
-				lru, lruPage = c, p
+	s := int32(len(t.pages))
+	if len(t.pages) < cap(t.pages) {
+		t.pages = t.pages[:s+1]
+		t.lastUse = t.lastUse[:s+1]
+	} else {
+		s = 0
+		for i, c := range t.lastUse {
+			if c < t.lastUse[s] {
+				s = int32(i)
 			}
 		}
-		delete(t.entries, lruPage)
+		delete(t.slotOf, t.pages[s])
 	}
-	t.entries[page] = cycle
+	t.pages[s], t.lastUse[s] = page, cycle
+	t.slotOf[page] = s
+	t.mruPage, t.mruSlot = page, s
 	return t.penalty
 }
 

@@ -124,6 +124,24 @@ func TestTLB(t *testing.T) {
 	}
 }
 
+// TestTLBTieBreakDeterministic fills a 2-entry TLB with two pages on
+// one cycle and then misses: the tie on last use must always evict the
+// lowest slot (page 1, filled first), never a page picked at random.
+func TestTLBTieBreakDeterministic(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		tlb := NewTLB(2, 10)
+		tlb.Access(0x1000, 5)
+		tlb.Access(0x2000, 5)
+		tlb.Access(0x3000, 6)
+		if lat := tlb.Access(0x2000, 7); lat != 0 {
+			t.Fatalf("TLB %d: page 2 evicted on a last-use tie, want page 1 (lowest slot)", i)
+		}
+		if lat := tlb.Access(0x1000, 8); lat != 10 {
+			t.Fatalf("TLB %d: page 1 still mapped after the tie eviction", i)
+		}
+	}
+}
+
 func TestHierarchyTable1(t *testing.T) {
 	cfg := config.Default()
 	if err := cfg.Validate(); err != nil {

@@ -252,6 +252,12 @@ func (c Config) Validate() error {
 		if cp.Sets()*cp.Ways*cp.BlockBytes != cp.SizeBytes {
 			return fmt.Errorf("config: cache geometry %+v does not divide evenly", cp)
 		}
+		if cp.MSHRs < 0 {
+			return fmt.Errorf("config: cache %+v has a negative MSHR count", cp)
+		}
+	}
+	if c.DTLBSize < 1 || c.ITLBSize < 1 {
+		return fmt.Errorf("config: TLBs of %d (data) and %d (instruction) entries, need at least 1", c.DTLBSize, c.ITLBSize)
 	}
 	return nil
 }

@@ -43,6 +43,18 @@ func TestValidateCatchesBadValues(t *testing.T) {
 	}
 
 	c = Default()
+	c.L2.MSHRs = -1
+	if c.Validate() == nil {
+		t.Error("negative MSHR count accepted")
+	}
+
+	c = Default()
+	c.DTLBSize = 0
+	if c.Validate() == nil {
+		t.Error("empty data TLB accepted")
+	}
+
+	c = Default()
 	c.Scheme = Scheme(42)
 	if c.Validate() == nil {
 		t.Error("unknown scheme accepted")

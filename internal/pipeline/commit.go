@@ -28,16 +28,12 @@ func (pl *Pipeline) commit() {
 		}
 
 		// Architectural memory update.
-		if u.in.IsStore() && !u.canceled && u.qpVal {
-			if u.in.Op == isa.OpFStore {
-				pl.mem.Write64(u.memAddr, math.Float64bits(u.stDataF))
-			} else {
-				pl.mem.Write64(u.memAddr, uint64(u.stData))
-			}
+		if u.st.isStore && !u.canceled && u.qpVal {
+			pl.mem.Write64(u.memAddr, u.stBits)
 			pl.hier.DataAccess(u.memAddr, pl.cycle, true)
 		}
 
-		pl.trainPredictors(u)
+		pl.trainPredictors(u, pl.coldSlot(pl.head))
 		pl.retireRename(u)
 		pl.retireStats(u)
 
@@ -52,21 +48,21 @@ func (pl *Pipeline) commit() {
 	}
 }
 
-// trainPredictors updates every predictor with the committed outcome.
-func (pl *Pipeline) trainPredictors(u *uop) {
-	in := u.in
+// trainPredictors updates every predictor with the committed outcome;
+// c is the uop's cold state.
+func (pl *Pipeline) trainPredictors(u *uop, c *uopCold) {
 	if u.isCondBr {
-		addr := instAddr(u.pc)
-		pl.gshare.Update(addr, u.gshareGHR, u.actualTaken)
+		addr := instAddr(int(u.pc))
+		pl.gshare.Update(addr, u.brGHRSnap, u.actualTaken)
 		switch pl.cfg.Scheme {
 		case config.SchemeConventional:
 			if u.brLkValid {
-				pl.twolevel.Train(u.brLk, u.actualTaken)
+				pl.twolevel.Train(c.brLk, u.actualTaken)
 			}
 			pl.retiredPGHR.Push(u.actualTaken)
 		case config.SchemePEPPA:
 			if u.pepLkValid {
-				pl.pep.Update(u.pepLk, u.actualTaken)
+				pl.pep.Update(c.pepLk, u.actualTaken)
 			}
 		case config.SchemePredicate:
 			// Shadow conventional predictor: scores what the Table 1
@@ -83,21 +79,21 @@ func (pl *Pipeline) trainPredictors(u *uop) {
 			pl.shadowGHR.Push(u.actualTaken)
 		}
 	}
-	if in.IsCompare() && pl.cfg.Scheme == config.SchemePredicate {
+	if u.st.isCompare && pl.cfg.Scheme == config.SchemePredicate {
 		if u.cmpLkValid && !(u.canceled && !u.uncFalse) {
-			pl.pp.Train(u.cmpLk, u.resP[0], u.resP[1])
+			pl.pp.Train(c.cmpLk, u.resP[0], u.resP[1])
 			pl.Stats.PredPredictions += 2
-			if u.cmpLk.Val1 != u.resP[0] {
+			if c.cmpLk.Val1 != u.resP[0] {
 				pl.Stats.PredMispredicts++
 			}
-			if u.cmpLk.Val2 != u.resP[1] {
+			if c.cmpLk.Val2 != u.resP[1] {
 				pl.Stats.PredMispredicts++
 			}
 			pl.retiredPGHR.Push(u.resP[0])
 		}
 	}
-	if in.Op == isa.OpBrInd {
-		pl.itab.Update(instAddr(u.pc), u.actualTgt)
+	if u.in.Op == isa.OpBrInd {
+		pl.itab.Update(instAddr(int(u.pc)), u.actualTgt)
 	}
 }
 
@@ -115,11 +111,12 @@ func (pl *Pipeline) retireRename(u *uop) {
 			pl.freeP = append(pl.freeP, u.pDests[i].oldP)
 		}
 	}
-	if u.in.IsLoad() && !u.canceled {
+	if u.st.isLoad && !u.canceled {
 		pl.ldQ--
 	}
-	if u.in.IsStore() && !u.canceled {
-		pl.stQ--
+	if u.st.isStore && !u.canceled {
+		n := copy(pl.stores, pl.stores[1:]) // u is the oldest store on the list
+		pl.stores = pl.stores[:n]
 	}
 }
 
@@ -134,20 +131,10 @@ func (pl *Pipeline) retireStats(u *uop) {
 			pl.Stats.EarlyResolved++
 		}
 	}
-	if u.in.IsBranch() && !u.in.IsDirect() {
-		predNext := u.pc + 1
-		if u.predTaken {
-			predNext = u.predTarget
-		}
-		actualNext := u.pc + 1
-		if u.actualTaken {
-			actualNext = u.actualTgt
-		}
-		if predNext != actualNext {
-			pl.Stats.TargetMispred++
-		}
+	if u.st.isBranch && !u.st.isDirect && u.predNext() != u.actualNext() {
+		pl.Stats.TargetMispred++
 	}
-	if u.in.IsCompare() {
+	if u.st.isCompare {
 		pl.Stats.Compares++
 	}
 	switch {
@@ -167,7 +154,7 @@ func (pl *Pipeline) cosimCheck(u *uop) error {
 	if em.Halted {
 		return fmt.Errorf("cosim: pipeline commits @%d after oracle halted", u.pc)
 	}
-	if em.State.PC != u.pc {
+	if em.State.PC != int(u.pc) {
 		return fmt.Errorf("cosim: commit pc=%d but oracle pc=%d (seq %d, %s)", u.pc, em.State.PC, u.seq, u.in)
 	}
 	em.Step()
@@ -194,23 +181,13 @@ func (pl *Pipeline) cosimCheck(u *uop) error {
 			}
 		}
 	}
-	if in.IsStore() && !u.canceled && u.qpVal {
-		var bits uint64
-		if in.Op == isa.OpFStore {
-			bits = math.Float64bits(u.stDataF)
-		} else {
-			bits = uint64(u.stData)
-		}
-		if want := em.State.Mem.Read64(u.memAddr); want != bits {
-			return fmt.Errorf("cosim: @%d %s: stores %#x at %#x, oracle %#x", u.pc, in, bits, u.memAddr, want)
+	if u.st.isStore && !u.canceled && u.qpVal {
+		if want := em.State.Mem.Read64(u.memAddr); want != u.stBits {
+			return fmt.Errorf("cosim: @%d %s: stores %#x at %#x, oracle %#x", u.pc, in, u.stBits, u.memAddr, want)
 		}
 	}
-	if in.IsBranch() {
-		nextPC := u.pc + 1
-		if u.actualTaken {
-			nextPC = u.actualTgt
-		}
-		if em.State.PC != nextPC {
+	if u.st.isBranch {
+		if nextPC := u.actualNext(); em.State.PC != nextPC {
 			return fmt.Errorf("cosim: @%d %s: next pc %d, oracle %d", u.pc, in, nextPC, em.State.PC)
 		}
 	}

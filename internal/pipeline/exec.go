@@ -18,7 +18,7 @@ func (pl *Pipeline) issue() {
 	kept := 0
 	for _, pos := range pl.readyList {
 		u := pl.slot(pos)
-		if free[u.class] == 0 || (u.in.IsLoad() && !pl.loadMayIssue(u)) {
+		if free[u.class] == 0 || (u.st.isLoad && !pl.loadMayIssue(u)) {
 			pl.readyList[kept] = pos
 			kept++
 			continue
@@ -35,16 +35,16 @@ func (pl *Pipeline) issue() {
 // loadMayIssue enforces conservative memory disambiguation: a load
 // issues only after every older store has issued (addresses and guard
 // values known) and no older effective store overlaps the load's
-// address with a different base (exact matches forward).
+// address with a different base (exact matches forward). It walks the
+// store list, oldest first.
+//
+//simlint:hotpath
 func (pl *Pipeline) loadMayIssue(u *uop) bool {
 	addr := pl.effAddr(u)
-	for i := pl.head; i < pl.mid; i++ {
-		s := pl.slot(i)
+	for _, pos := range pl.stores {
+		s := pl.slot(pos)
 		if s.seq >= u.seq {
 			break
-		}
-		if !s.in.IsStore() || s.canceled {
-			continue
 		}
 		if !s.issued {
 			return false
@@ -75,7 +75,7 @@ func (pl *Pipeline) effAddr(u *uop) uint64 {
 
 // addrPhys returns the physical register holding the address base
 // (always the first integer source of a memory uop).
-func (pl *Pipeline) addrPhys(u *uop) int { return u.srcI[0] }
+func (pl *Pipeline) addrPhys(u *uop) int32 { return u.srcI[0] }
 
 // qpValue resolves the guard value at execute time.
 func (pl *Pipeline) qpValue(u *uop) bool {
@@ -95,18 +95,18 @@ func (pl *Pipeline) qpValue(u *uop) bool {
 //
 //simlint:hotpath
 func (pl *Pipeline) execute(u *uop) {
-	in := u.in
-	lat := in.Latency()
+	st := u.st
+	lat := int(st.lat)
 	u.qpVal = pl.qpValue(u)
 
 	switch {
-	case in.IsCompare():
+	case st.isCompare:
 		pl.execCompare(u)
-	case in.IsBranch():
+	case st.isBranch:
 		pl.execBranch(u)
-	case in.IsLoad():
+	case st.isLoad:
 		lat += pl.execLoad(u)
-	case in.IsStore():
+	case st.isStore:
 		pl.execStore(u)
 	default:
 		pl.execALU(u)
@@ -191,7 +191,7 @@ func (pl *Pipeline) execBranch(u *uop) {
 	case isa.OpCall:
 		u.actualTaken = true
 		u.actualTgt = in.Target
-		u.resI = int64(u.pc + 1)
+		u.resI = int64(u.pc) + 1
 	case isa.OpRet, isa.OpBrInd:
 		u.actualTaken = u.qpVal
 		u.actualTgt = int(pl.physI[u.srcI[0]].val)
@@ -227,24 +227,17 @@ func (pl *Pipeline) execLoad(u *uop) int {
 	return pl.hier.DataAccess(u.memAddr, pl.cycle, false)
 }
 
-// forward searches older effective stores youngest-first for an exact
-// address match and returns the forwarded bits.
+// forward searches the older stores of the store list youngest-first
+// for an exact address match and returns the forwarded bits.
+//
+//simlint:hotpath
 func (pl *Pipeline) forward(u *uop) (uint64, bool) {
-	for i := pl.mid - 1; i >= pl.head; i-- {
-		s := pl.slot(i)
-		if s.seq >= u.seq {
+	for k := len(pl.stores) - 1; k >= 0; k-- {
+		s := pl.slot(pl.stores[k])
+		if s.seq >= u.seq || !s.issued || !s.qpVal || s.memAddr != u.memAddr {
 			continue
 		}
-		if !s.in.IsStore() || s.canceled || !s.issued || !s.qpVal {
-			continue
-		}
-		if s.memAddr != u.memAddr {
-			continue
-		}
-		if s.in.Op == isa.OpFStore {
-			return math.Float64bits(s.stDataF), true
-		}
-		return uint64(s.stData), true
+		return s.stBits, true
 	}
 	return 0, false
 }
@@ -252,11 +245,10 @@ func (pl *Pipeline) forward(u *uop) (uint64, bool) {
 // execStore latches the address and data; memory is written at commit.
 func (pl *Pipeline) execStore(u *uop) {
 	u.memAddr = pl.effAddr(u)
-	u.memIsWrite = true
 	if u.in.Op == isa.OpFStore {
-		u.stDataF = pl.physF[u.srcF[0]].val
+		u.stBits = math.Float64bits(pl.physF[u.srcF[0]].val)
 	} else {
-		u.stData = pl.physI[u.srcI[1]].val
+		u.stBits = uint64(pl.physI[u.srcI[1]].val)
 	}
 }
 
@@ -271,7 +263,8 @@ func (pl *Pipeline) execStore(u *uop) {
 //simlint:hotpath
 func (pl *Pipeline) writeback() {
 	for i := 0; i < len(pl.inflight); {
-		u := pl.slot(pl.inflight[i])
+		pos := pl.inflight[i]
+		u := pl.slot(pos)
 		if u.doneCycle > pl.cycle {
 			i++
 			continue
@@ -287,12 +280,12 @@ func (pl *Pipeline) writeback() {
 			pl.physF[u.newPhys] = physRegF{val: u.resF, ready: true}
 			pl.wake(&pl.waitF[u.newPhys])
 		}
-		if u.in.IsCompare() {
-			if pl.compareWriteback(u) {
+		if u.st.isCompare {
+			if pl.compareWriteback(u, pl.coldSlot(pos)) {
 				return // flushed
 			}
 		}
-		if u.in.IsBranch() {
+		if u.st.isBranch {
 			if pl.branchWriteback(u) {
 				return // flushed
 			}
@@ -323,7 +316,7 @@ func (pl *Pipeline) wake(stack *int32) {
 // clears the speculative bit, updates PEP-PA's logical predicate file,
 // and flushes from the first speculative consumer when a predicate
 // prediction was wrong. Reports whether a flush happened.
-func (pl *Pipeline) compareWriteback(u *uop) bool {
+func (pl *Pipeline) compareWriteback(u *uop, c *uopCold) bool {
 	var flushSeq int64 = -1
 	for i := 0; i < 2; i++ {
 		d := &u.pDests[i]
@@ -342,7 +335,7 @@ func (pl *Pipeline) compareWriteback(u *uop) bool {
 	}
 	if flushSeq == -1 {
 		if u.cmpLkValid {
-			pl.repairGHRBit(u)
+			pl.repairGHRBit(u, c)
 		}
 		return false
 	}
@@ -366,9 +359,9 @@ func (pl *Pipeline) compareWriteback(u *uop) bool {
 		pl.pendingRefetch[consumer.pc]++
 	}
 	pl.Stats.PredFlushes++
-	pl.flushAfter(flushSeq-1, consumer.pc, pl.cfg.MispredictPenalty)
+	pl.flushAfter(flushSeq-1, int(consumer.pc), pl.cfg.MispredictPenalty)
 	if u.cmpLkValid {
-		pl.repairGHRBit(u) // after the flush unwound younger pushes
+		pl.repairGHRBit(u, c) // after the flush unwound younger pushes
 	}
 	return true
 }
@@ -378,11 +371,11 @@ func (pl *Pipeline) compareWriteback(u *uop) bool {
 // the corresponding recovery actions"). Compares fetched between the
 // producer and the repair already predicted with the corrupted history
 // — the residual negative effect the paper measures.
-func (pl *Pipeline) repairGHRBit(u *uop) {
+func (pl *Pipeline) repairGHRBit(u *uop, c *uopCold) {
 	if pl.cfg.DisableGHRRepair {
 		return
 	}
-	if !u.pushedPGHR || u.cmpLk.Val1 == u.resP[0] {
+	if !u.pushedPGHR || c.cmpLk.Val1 == u.resP[0] {
 		return
 	}
 	// Count the younger pushes, in the ROB and the front-end queue.
@@ -398,15 +391,8 @@ func (pl *Pipeline) repairGHRBit(u *uop) {
 // branchWriteback verifies a branch against the prediction it used and
 // recovers on a misprediction. Reports whether a flush happened.
 func (pl *Pipeline) branchWriteback(u *uop) bool {
-	actualNext := u.pc + 1
-	if u.actualTaken {
-		actualNext = u.actualTgt
-	}
-	predNext := u.pc + 1
-	if u.predTaken {
-		predNext = u.predTarget
-	}
-	if actualNext == predNext {
+	actualNext := u.actualNext()
+	if actualNext == u.predNext() {
 		return false
 	}
 	pl.Stats.ExecFlushes++

@@ -37,21 +37,19 @@ func (pl *Pipeline) fetch() {
 			pl.fetchHalted = true
 			return
 		}
-		in := pl.prog.At(pl.fetchPC)
 		pl.seq++
 		u := pl.slot(pl.tail)
-		*u = uop{} // zeroed in place: a literal would be built, then copied
 		u.seq = pl.seq
-		u.pc = pl.fetchPC
-		u.in = in
+		u.st = &pl.static[pl.fetchPC]
+		u.in = pl.prog.At(pl.fetchPC)
 		u.wake = pl.cycle + uint64(pl.cfg.FrontendDepth)
-		u.qpPhys = -1
+		u.pc = int32(pl.fetchPC)
+		u.uopState = uopState{} // zeroed in place: a literal would be built, then copied
+		redirect := pl.fetchPredict(u, pl.coldSlot(pl.tail))
 		pl.tail++
 		pl.Stats.Fetched++
 
-		redirect := pl.fetchPredict(u)
-
-		if in.Op == isa.OpHalt {
+		if u.in.Op == isa.OpHalt {
 			pl.fetchHalted = true
 			return
 		}
@@ -62,38 +60,39 @@ func (pl *Pipeline) fetch() {
 	}
 }
 
-// fetchPredict performs fetch-stage predictor work for one uop and
-// reports whether fetch redirected (predicted-taken branch).
+// fetchPredict performs fetch-stage predictor work for one uop, whose
+// slot's cold state is c, and reports whether fetch redirected
+// (predicted-taken branch).
 //
 //simlint:hotpath
-func (pl *Pipeline) fetchPredict(u *uop) bool {
+func (pl *Pipeline) fetchPredict(u *uop, c *uopCold) bool {
 	in := u.in
-	addr := instAddr(u.pc)
+	addr := instAddr(int(u.pc))
 
 	// Predicate predictor: one lookup per fetched compare; the GHR is
 	// speculatively updated ONCE, with the first predicted value (§3.3).
-	if in.IsCompare() && pl.cfg.Scheme == config.SchemePredicate {
-		u.cmpLk = pl.pp.Predict(addr, pl.predGHR())
+	if u.st.isCompare && pl.cfg.Scheme == config.SchemePredicate {
+		c.cmpLk = pl.pp.Predict(addr, pl.predGHR())
 		u.cmpLkValid = true
 		u.pGHRSnap = pl.pGHR.Snapshot()
 		u.pushedPGHR = true
-		pl.pGHR.Push(u.cmpLk.Val1)
+		pl.pGHR.Push(c.cmpLk.Val1)
 	}
 
-	if !in.IsBranch() {
+	if !u.st.isBranch {
 		return false
 	}
 
 	switch in.Op {
 	case isa.OpCall:
-		u.rasSnap = pl.ras.Snapshot()
+		c.rasSnap = pl.ras.Snapshot()
 		u.touchedRAS = true
-		pl.ras.Push(u.pc + 1)
+		pl.ras.Push(int(u.pc) + 1)
 		u.predTaken, u.predTarget = true, in.Target
 		pl.fetchPC = in.Target
 		return true
 	case isa.OpRet:
-		u.rasSnap = pl.ras.Snapshot()
+		c.rasSnap = pl.ras.Snapshot()
 		u.touchedRAS = true
 		u.predTaken, u.predTarget = true, pl.ras.Pop()
 		pl.fetchPC = u.predTarget
@@ -106,7 +105,7 @@ func (pl *Pipeline) fetchPredict(u *uop) bool {
 
 	// Direct branch.
 	u.predTarget = in.Target
-	if !in.IsConditional() {
+	if !u.st.isCond {
 		u.predTaken = true
 		pl.fetchPC = in.Target
 		return true
@@ -118,9 +117,8 @@ func (pl *Pipeline) fetchPredict(u *uop) bool {
 		u.refetched = true
 		pl.pendingRefetch[u.pc]--
 	}
-	u.gshareGHR = pl.brGHR.Snapshot()
-	u.fetchPredTaken = pl.gshare.Predict(addr, u.gshareGHR)
-	u.brGHRSnap = u.gshareGHR
+	u.brGHRSnap = pl.brGHR.Snapshot()
+	u.fetchPredTaken = pl.gshare.Predict(addr, u.brGHRSnap)
 	u.pushedBrGHR = true
 	pl.brGHR.Push(u.fetchPredTaken)
 	u.predTaken = u.fetchPredTaken
@@ -128,13 +126,13 @@ func (pl *Pipeline) fetchPredict(u *uop) bool {
 	// Second-level lookup (delivered at rename).
 	switch pl.cfg.Scheme {
 	case config.SchemeConventional:
-		u.brLk = pl.twolevel.Predict(addr, pl.predGHR())
+		c.brLk = pl.twolevel.Predict(addr, pl.predGHR())
 		u.brLkValid = true
 		u.pGHRSnap = pl.pGHR.Snapshot()
 		u.pushedPGHR = true
-		pl.pGHR.Push(u.brLk.Taken)
+		pl.pGHR.Push(c.brLk.Taken)
 	case config.SchemePEPPA:
-		u.pepLk = pl.pep.Predict(addr, pl.lastPredVal[in.QP])
+		c.pepLk = pl.pep.Predict(addr, pl.lastPredVal[in.QP])
 		u.pepLkValid = true
 	case config.SchemePredicate:
 		// The branch's prediction is read from the PPRF at rename; no

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cache"
 	"repro/internal/config"
@@ -24,10 +25,11 @@ const codeBase = 0x4000_0000
 
 // Pipeline is the out-of-order core.
 type Pipeline struct {
-	cfg  config.Config
-	prog *program.Program
-	mem  *emulator.Memory
-	hier *cache.Hierarchy
+	cfg    config.Config
+	prog   *program.Program
+	static []static // predecoded instructions, indexed by PC
+	mem    *emulator.Memory
+	hier   *cache.Hierarchy
 
 	// First-level predictor (all schemes).
 	gshare *predictor.Gshare
@@ -65,8 +67,10 @@ type Pipeline struct {
 	// advances mid, commit advances head, and flushAfter pulls tail (and
 	// mid) back. A slot is rewritten only when fetch reuses it, after
 	// the uop it held has committed or been squashed; nothing reads a
-	// uop once it has left the window.
+	// uop once it has left the window. cold holds each slot's
+	// scheme-exclusive fetch state, at the same index.
 	win             []uop
+	cold            []uopCold
 	mask            int
 	head, mid, tail int
 
@@ -76,6 +80,13 @@ type Pipeline struct {
 	// completed.
 	readyList, inflight []int
 
+	// stores lists the window positions of the ROB's effective
+	// (renamed, not cancelled) stores in seq order: rename appends,
+	// commit removes the first, flushAfter trims. Its length is the
+	// store-queue occupancy, and memory disambiguation and forwarding
+	// walk it instead of the ROB.
+	stores []int
+
 	// Dependency wakeup. waitI, waitF and waitP head, per physical
 	// register, a stack of the consumer links waiting for its value
 	// (noLink when empty); linkNext threads each stack.
@@ -83,18 +94,18 @@ type Pipeline struct {
 	linkNext            []int32
 
 	// Rename state.
-	ratI  [isa.NumGPR]int
-	ratF  [isa.NumFPR]int
-	ratP  [isa.NumPred]int
+	ratI  [isa.NumGPR]int32
+	ratF  [isa.NumFPR]int32
+	ratP  [isa.NumPred]int32
 	physI []physReg
 	physF []physRegF
 	pprf  []pprfEntry
-	freeI []int
-	freeF []int
-	freeP []int
+	freeI []int32
+	freeF []int32
+	freeP []int32
 
 	// Issue-queue occupancy.
-	intIQ, fpIQ, brIQ, ldQ, stQ int
+	intIQ, fpIQ, brIQ, ldQ int
 
 	// PEP-PA's logical predicate register file, updated out of order at
 	// writeback (the §4.3 caveat).
@@ -118,6 +129,9 @@ func New(cfg config.Config, prog *program.Program) (*Pipeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if max(prog.Len(), cfg.IntPhysRegs, cfg.FPPhysRegs, cfg.PredPhysRegs) > math.MaxInt32 {
+		return nil, fmt.Errorf("pipeline: program or register file too large for int32 indices")
+	}
 	pl := &Pipeline{
 		cfg:    cfg,
 		prog:   prog,
@@ -128,6 +142,10 @@ func New(cfg config.Config, prog *program.Program) (*Pipeline, error) {
 		itab:   predictor.NewIndirectTable(10),
 	}
 	pl.pendingRefetch = make([]int32, prog.Len())
+	pl.static = make([]static, prog.Len())
+	for pc := range pl.static {
+		pl.static[pc] = decode(prog.At(pc))
+	}
 	// The ROB holds at most ROBEntries uops and the front-end queue at
 	// most maxFrontend-1+FetchWidth (fetch starts a group only below
 	// maxFrontend).
@@ -136,9 +154,11 @@ func New(cfg config.Config, prog *program.Program) (*Pipeline, error) {
 		n <<= 1
 	}
 	pl.win = make([]uop, n)
+	pl.cold = make([]uopCold, n)
 	pl.mask = n - 1
 	pl.readyList = make([]int, 0, n)
 	pl.inflight = make([]int, 0, n)
+	pl.stores = make([]int, 0, n)
 	pl.linkNext = make([]int32, n*srcLinks)
 	pl.brGHR.N = cfg.GshareGHRBits
 	pl.pGHR.N = cfg.L2PredGHRBits
@@ -184,26 +204,26 @@ func New(cfg config.Config, prog *program.Program) (*Pipeline, error) {
 		pl.pprf[i] = pprfEntry{computed: true, robPtr: -1}
 	}
 	pl.pprf[0].val = true // p0 hardwired true
-	for r := 0; r < isa.NumGPR; r++ {
-		pl.ratI[r] = r
+	for r := range pl.ratI {
+		pl.ratI[r] = int32(r)
 	}
-	for r := 0; r < isa.NumFPR; r++ {
-		pl.ratF[r] = r
+	for r := range pl.ratF {
+		pl.ratF[r] = int32(r)
 	}
-	for p := 0; p < isa.NumPred; p++ {
-		pl.ratP[p] = p
+	for p := range pl.ratP {
+		pl.ratP[p] = int32(p)
 	}
-	pl.freeI = make([]int, 0, cfg.IntPhysRegs)
-	pl.freeF = make([]int, 0, cfg.FPPhysRegs)
-	pl.freeP = make([]int, 0, cfg.PredPhysRegs)
+	pl.freeI = make([]int32, 0, cfg.IntPhysRegs)
+	pl.freeF = make([]int32, 0, cfg.FPPhysRegs)
+	pl.freeP = make([]int32, 0, cfg.PredPhysRegs)
 	for i := isa.NumGPR; i < cfg.IntPhysRegs; i++ {
-		pl.freeI = append(pl.freeI, i)
+		pl.freeI = append(pl.freeI, int32(i))
 	}
 	for i := isa.NumFPR; i < cfg.FPPhysRegs; i++ {
-		pl.freeF = append(pl.freeF, i)
+		pl.freeF = append(pl.freeF, int32(i))
 	}
 	for i := isa.NumPred; i < cfg.PredPhysRegs; i++ {
-		pl.freeP = append(pl.freeP, i)
+		pl.freeP = append(pl.freeP, int32(i))
 	}
 	return pl, nil
 }
@@ -288,6 +308,9 @@ func (pl *Pipeline) predGHR() uint64 {
 // slot returns the window slot at position i.
 func (pl *Pipeline) slot(i int) *uop { return &pl.win[i&pl.mask] }
 
+// coldSlot returns the cold state of the window slot at position i.
+func (pl *Pipeline) coldSlot(i int) *uopCold { return &pl.cold[i&pl.mask] }
+
 // insertPos inserts window position pos into l, which is in seq order,
 // and returns the longer list. Every list has capacity for the whole
 // window.
@@ -338,11 +361,12 @@ func (pl *Pipeline) flushAfter(boundary int64, newPC int, penalty int) {
 			pl.Stats.Squashed++
 			pl.mid = i
 		}
-		pl.undoFetch(u)
+		pl.undoFetch(u, pl.coldSlot(i))
 		pl.tail = i
 	}
 	pl.readyList = trimFrom(pl.readyList, pl.mid)
 	pl.inflight = trimFrom(pl.inflight, pl.mid)
+	pl.stores = trimFrom(pl.stores, pl.mid)
 	for i := range pl.pprf {
 		if pl.pprf[i].robPtr > boundary {
 			pl.pprf[i].robPtr = -1
@@ -356,18 +380,18 @@ func (pl *Pipeline) flushAfter(boundary int64, newPC int, penalty int) {
 }
 
 // undoFetch reverses the speculative predictor updates a uop performed
-// at fetch time.
-func (pl *Pipeline) undoFetch(u *uop) {
+// at fetch time; c is its slot's cold state.
+func (pl *Pipeline) undoFetch(u *uop, c *uopCold) {
 	if u.brLkValid {
-		pl.twolevel.Undo(u.brLk)
+		pl.twolevel.Undo(c.brLk)
 		u.brLkValid = false
 	}
 	if u.cmpLkValid {
-		pl.pp.Undo(u.cmpLk)
+		pl.pp.Undo(c.cmpLk)
 		u.cmpLkValid = false
 	}
 	if u.pepLkValid {
-		pl.pep.Undo(u.pepLk)
+		pl.pep.Undo(c.pepLk)
 		u.pepLkValid = false
 	}
 	if u.pushedPGHR {
@@ -379,13 +403,13 @@ func (pl *Pipeline) undoFetch(u *uop) {
 		u.pushedBrGHR = false
 	}
 	if u.touchedRAS {
-		pl.ras.Restore(u.rasSnap)
+		pl.ras.Restore(c.rasSnap)
 		u.touchedRAS = false
 	}
 }
 
 // undoRename reverses a uop's rename-stage effects: RAT mappings, free
-// lists and issue-queue occupancy.
+// lists and issue-queue occupancy. flushAfter trims the store list.
 func (pl *Pipeline) undoRename(u *uop) {
 	if !u.renamed {
 		return
@@ -411,11 +435,8 @@ func (pl *Pipeline) undoRename(u *uop) {
 			pl.unlink(u)
 		}
 	}
-	if u.in.IsLoad() && !u.canceled {
+	if u.st.isLoad && !u.canceled {
 		pl.ldQ--
-	}
-	if u.in.IsStore() && !u.canceled {
-		pl.stQ--
 	}
 }
 

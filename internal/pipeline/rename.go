@@ -34,36 +34,36 @@ func (pl *Pipeline) rename() {
 // resourcesFor conservatively checks free physical registers and queue
 // slots before renaming a uop.
 func (pl *Pipeline) resourcesFor(u *uop) bool {
-	in := u.in
-	if in.WritesGPR() && len(pl.freeI) < 1 {
+	st := u.st
+	if st.writesGPR && len(pl.freeI) < 1 {
 		return false
 	}
-	if in.WritesFPR() && len(pl.freeF) < 1 {
+	if st.writesFPR && len(pl.freeF) < 1 {
 		return false
 	}
-	if in.IsCompare() && len(pl.freeP) < 2 {
+	if st.isCompare && len(pl.freeP) < 2 {
 		return false
 	}
-	switch {
-	case in.IsBranch():
+	switch st.class {
+	case classBr:
 		if pl.brIQ >= pl.cfg.BrIQEntries {
 			return false
 		}
-	case in.IsMem():
+	case classMem:
 		if pl.intIQ >= pl.cfg.IntIQEntries {
 			return false
 		}
-		if in.IsLoad() && pl.ldQ >= pl.cfg.LoadQEntries {
+		if st.isLoad && pl.ldQ >= pl.cfg.LoadQEntries {
 			return false
 		}
-		if in.IsStore() && pl.stQ >= pl.cfg.StoreQEntries {
+		if st.isStore && len(pl.stores) >= pl.cfg.StoreQEntries {
 			return false
 		}
-	case in.IsFP():
+	case classFP:
 		if pl.fpIQ >= pl.cfg.FPIQEntries {
 			return false
 		}
-	default:
+	default: // classInt, and nops and halts (classNone)
 		if pl.intIQ >= pl.cfg.IntIQEntries {
 			return false
 		}
@@ -76,17 +76,19 @@ func (pl *Pipeline) resourcesFor(u *uop) bool {
 //
 //simlint:hotpath
 func (pl *Pipeline) renameOne(u *uop) bool {
-	in := u.in
+	in, st := u.in, u.st
+	pos := pl.mid - 1
 	u.renamed = true
-	u.class = classify(in)
+	u.class = st.class
 
 	guarded := in.QP != isa.P0
+	u.qpPhys = -1
 	if guarded {
 		u.qpPhys = pl.ratP[in.QP]
 	}
 
 	// Predication policy for guarded non-branch instructions.
-	if guarded && !in.IsBranch() && in.Op != isa.OpHalt {
+	if guarded && !st.isBranch && in.Op != isa.OpHalt {
 		pl.applyPredication(u)
 	}
 
@@ -95,7 +97,7 @@ func (pl *Pipeline) renameOne(u *uop) bool {
 		u.class = classNone
 		u.done = true
 		u.doneCycle = pl.cycle
-		pl.trackMemQueues(u)
+		pl.trackMemQueues(u, pos)
 		return false
 	}
 
@@ -103,25 +105,25 @@ func (pl *Pipeline) renameOne(u *uop) bool {
 	// Cancelled unc compares still write false/false but evaluate
 	// nothing: they have no data sources.
 	if !u.uncFalse {
-		for _, r := range in.GPRSources() {
+		for _, r := range st.srcI[:st.nSrcI] {
 			u.addSrcI(pl.ratI[r])
 		}
-		for _, r := range in.FPRSources() {
+		for _, r := range st.srcF[:st.nSrcF] {
 			u.addSrcF(pl.ratF[r])
 		}
 	}
 
 	// The guard becomes a data source for select micro-ops and branches.
-	if guarded && (u.selectOp || in.IsBranch()) {
+	if guarded && (u.selectOp || st.isBranch) {
 		u.addSrcP(u.qpPhys)
 	}
 	// Select micro-ops also read the previous destination mapping.
-	if u.selectOp && !in.IsCompare() {
+	if u.selectOp && !st.isCompare {
 		switch {
-		case in.WritesGPR():
+		case st.writesGPR:
 			u.oldPhys = pl.ratI[in.Rd]
 			u.addSrcI(u.oldPhys)
-		case in.WritesFPR():
+		case st.writesFPR:
 			u.oldPhys = pl.ratF[in.Rd]
 			u.addSrcF(u.oldPhys)
 		}
@@ -129,25 +131,25 @@ func (pl *Pipeline) renameOne(u *uop) bool {
 
 	// Destination renaming.
 	switch {
-	case in.WritesGPR():
+	case st.writesGPR:
 		u.dKind = destInt
 		u.newPhys = pl.allocI()
 		u.oldPhys = pl.ratI[in.Rd]
 		pl.ratI[in.Rd] = u.newPhys
-	case in.WritesFPR():
+	case st.writesFPR:
 		u.dKind = destFP
 		u.newPhys = pl.allocF()
 		u.oldPhys = pl.ratF[in.Rd]
 		pl.ratF[in.Rd] = u.newPhys
 	}
 
-	if in.IsCompare() && !(u.canceled && !u.uncFalse) {
-		pl.renameCompare(u)
+	if st.isCompare && !(u.canceled && !u.uncFalse) {
+		pl.renameCompare(u, pl.coldSlot(pos))
 	}
 
 	var override bool
-	if in.IsBranch() {
-		override = pl.renameBranch(u)
+	if st.isBranch {
+		override = pl.renameBranch(u, pl.coldSlot(pos))
 	}
 
 	if u.class == classNone {
@@ -155,9 +157,9 @@ func (pl *Pipeline) renameOne(u *uop) bool {
 		u.doneCycle = pl.cycle
 	} else {
 		pl.acquireIQ(u)
-		pl.dispatch(u, pl.mid-1)
+		pl.dispatch(u, pos)
 	}
-	pl.trackMemQueues(u)
+	pl.trackMemQueues(u, pos)
 	return override
 }
 
@@ -237,12 +239,10 @@ func (pl *Pipeline) applyPredication(u *uop) {
 				u.unguarded = true
 			} else {
 				u.canceled = true
-				if u.in.Op == isa.OpCmp || u.in.Op == isa.OpCmpI || u.in.Op == isa.OpFCmp {
-					if u.in.CType == isa.CmpUnc {
-						// A nullified unc compare still clears both
-						// destinations: keep it executable.
-						u.uncFalse = true
-					}
+				if u.st.isCompare && u.in.CType == isa.CmpUnc {
+					// A nullified unc compare still clears both
+					// destinations: keep it executable.
+					u.uncFalse = true
 				}
 			}
 			return
@@ -252,8 +252,8 @@ func (pl *Pipeline) applyPredication(u *uop) {
 }
 
 // renameCompare renames the two predicate destinations and records
-// RMW semantics and predicted values.
-func (pl *Pipeline) renameCompare(u *uop) {
+// RMW semantics and predicted values; c is the uop's cold state.
+func (pl *Pipeline) renameCompare(u *uop, c *uopCold) {
 	in := u.in
 	// norm compares under a select-op guard, and all and/or compares,
 	// may leave their destinations unwritten: the computed result is
@@ -277,9 +277,9 @@ func (pl *Pipeline) renameCompare(u *uop) {
 		*e = pprfEntry{computed: false, robPtr: -1}
 		if u.cmpLkValid {
 			if i == 0 {
-				e.val, e.conf, d.predVal = u.cmpLk.Val1, u.cmpLk.Conf1, u.cmpLk.Val1
+				e.val, e.conf, d.predVal = c.cmpLk.Val1, c.cmpLk.Conf1, c.cmpLk.Val1
 			} else {
-				e.val, e.conf, d.predVal = u.cmpLk.Val2, u.cmpLk.Conf2, u.cmpLk.Val2
+				e.val, e.conf, d.predVal = c.cmpLk.Val2, c.cmpLk.Conf2, c.cmpLk.Val2
 			}
 		}
 		pl.ratP[arch] = d.newP
@@ -290,17 +290,17 @@ func (pl *Pipeline) renameCompare(u *uop) {
 // the predicate scheme it reads the branch's guard from the PPRF —
 // computed value (early-resolved) or prediction — per §3.1. A
 // disagreement with the fetch-stage gshare flushes the front-end.
-// Reports whether a flush happened.
-func (pl *Pipeline) renameBranch(u *uop) bool {
+// Reports whether a flush happened. c is the uop's cold state.
+func (pl *Pipeline) renameBranch(u *uop, c *uopCold) bool {
 	if !u.isCondBr {
 		return false
 	}
 	finalPred := u.predTaken
 	switch pl.cfg.Scheme {
 	case config.SchemeConventional:
-		finalPred = u.brLk.Taken
+		finalPred = c.brLk.Taken
 	case config.SchemePEPPA:
-		finalPred = u.pepLk.Taken
+		finalPred = c.pepLk.Taken
 	case config.SchemePredicate:
 		e := &pl.pprf[u.qpPhys]
 		if e.computed {
@@ -321,7 +321,7 @@ func (pl *Pipeline) renameBranch(u *uop) bool {
 	// front-end and redirect fetch along the new direction.
 	u.predTaken = finalPred
 	pl.Stats.OverrideFlushes++
-	newPC := u.pc + 1
+	newPC := int(u.pc) + 1
 	if finalPred {
 		newPC = u.in.Target
 	}
@@ -331,23 +331,7 @@ func (pl *Pipeline) renameBranch(u *uop) bool {
 	return true
 }
 
-// classify routes an instruction to an issue class.
-func classify(in *isa.Inst) uopClass {
-	switch {
-	case in.Op == isa.OpNop || in.Op == isa.OpHalt:
-		return classNone
-	case in.IsBranch():
-		return classBr
-	case in.IsMem():
-		return classMem
-	case in.IsFP():
-		return classFP
-	default:
-		return classInt
-	}
-}
-
-func (pl *Pipeline) allocI() int {
+func (pl *Pipeline) allocI() int32 {
 	n := len(pl.freeI) - 1
 	p := pl.freeI[n]
 	pl.freeI = pl.freeI[:n]
@@ -355,7 +339,7 @@ func (pl *Pipeline) allocI() int {
 	return p
 }
 
-func (pl *Pipeline) allocF() int {
+func (pl *Pipeline) allocF() int32 {
 	n := len(pl.freeF) - 1
 	p := pl.freeF[n]
 	pl.freeF = pl.freeF[:n]
@@ -363,7 +347,7 @@ func (pl *Pipeline) allocF() int {
 	return p
 }
 
-func (pl *Pipeline) allocP() int {
+func (pl *Pipeline) allocP() int32 {
 	n := len(pl.freeP) - 1
 	p := pl.freeP[n]
 	pl.freeP = pl.freeP[:n]
@@ -381,14 +365,16 @@ func (pl *Pipeline) acquireIQ(u *uop) {
 	}
 }
 
-func (pl *Pipeline) trackMemQueues(u *uop) {
+// trackMemQueues counts an effective load in the load queue and puts an
+// effective store, at window position pos, on the store list.
+func (pl *Pipeline) trackMemQueues(u *uop, pos int) {
 	if u.canceled {
 		return
 	}
-	if u.in.IsLoad() {
+	if u.st.isLoad {
 		pl.ldQ++
 	}
-	if u.in.IsStore() {
-		pl.stQ++
+	if u.st.isStore {
+		pl.stores = append(pl.stores, pos)
 	}
 }

@@ -13,13 +13,16 @@ import (
 
 // checkSchedule recomputes the scheduler's state by scanning the whole
 // ROB, as issue and writeback did before dependency wakeup, and reports
-// the first way the ready list, the in-flight list, a pending count or
-// a consumer link disagrees with it.
+// the first way the ready list, the in-flight list, the store list, a
+// pending count or a consumer link disagrees with it.
 func checkSchedule(pl *Pipeline) error {
-	var ready, inflight []int
+	var ready, inflight, stores []int
 	waiting := 0
 	for i := pl.head; i < pl.mid; i++ {
 		u := pl.slot(i)
+		if u.st.isStore && !u.canceled {
+			stores = append(stores, i)
+		}
 		switch {
 		case u.issued && !u.done:
 			inflight = append(inflight, i)
@@ -55,6 +58,9 @@ func checkSchedule(pl *Pipeline) error {
 	if err := sameList("in-flight", pl.inflight, inflight); err != nil {
 		return err
 	}
+	if err := sameList("store", pl.stores, stores); err != nil {
+		return err
+	}
 
 	// Every link names a source operand of a live, waiting uop that
 	// reads the register whose stack holds it, and that register is
@@ -66,11 +72,11 @@ func checkSchedule(pl *Pipeline) error {
 		stacks []int32
 		first  int32
 		ready  func(p int) bool
-		srcs   func(u *uop) []int
+		srcs   func(u *uop) []int32
 	}{
-		{"int", pl.waitI, 0, func(p int) bool { return pl.physI[p].ready }, func(u *uop) []int { return u.srcI[:u.nSrcI] }},
-		{"fp", pl.waitF, 3, func(p int) bool { return pl.physF[p].ready }, func(u *uop) []int { return u.srcF[:u.nSrcF] }},
-		{"pred", pl.waitP, 6, func(p int) bool { return pl.pprf[p].computed }, func(u *uop) []int { return u.srcP[:u.nSrcP] }},
+		{"int", pl.waitI, 0, func(p int) bool { return pl.physI[p].ready }, func(u *uop) []int32 { return u.srcI[:u.nSrcI] }},
+		{"fp", pl.waitF, 3, func(p int) bool { return pl.physF[p].ready }, func(u *uop) []int32 { return u.srcF[:u.nSrcF] }},
+		{"pred", pl.waitP, 6, func(p int) bool { return pl.pprf[p].computed }, func(u *uop) []int32 { return u.srcP[:u.nSrcP] }},
 	} {
 		for p, top := range c.stacks {
 			for l := top; l != noLink; l = pl.linkNext[l] {
@@ -88,7 +94,7 @@ func checkSchedule(pl *Pipeline) error {
 				if pos >= pl.mid || u.issued || u.done || u.class == classNone {
 					return fmt.Errorf("%s p%d: link %d names slot %d (pos %d, rob [%d,%d)), not a waiting uop", c.name, p, l, s, pos, pl.head, pl.mid)
 				}
-				if srcs := c.srcs(u); k < 0 || int(k) >= len(srcs) || srcs[k] != p {
+				if srcs := c.srcs(u); k < 0 || int(k) >= len(srcs) || srcs[k] != int32(p) {
 					return fmt.Errorf("%s p%d: link %d names source %d of seq %d, which reads %v", c.name, p, l, k, u.seq, srcs)
 				}
 			}
@@ -187,14 +193,18 @@ func TestSchedulingInvariants(t *testing.T) {
 // uop slots writeback and issue visit: the full-ROB scan they used to
 // make (mid-head at the stage's entry) against the in-flight and ready
 // lists they walk now (each list's length at entry). Both walks stop at
-// the same flush, so the entry sizes bound the visits alike. The counts
-// are exact and do not depend on the host; EXPERIMENTS.md records them.
+// the same flush, so the entry sizes bound the visits alike. The ld
+// columns do the same for memory disambiguation: for each load on the
+// ready list at issue's entry, the ROB entries older than it (the scan
+// loadMayIssue and forward used to make) against the store-list entries
+// older than it. The counts are exact and do not depend on the host;
+// EXPERIMENTS.md records them.
 func TestSchedulingVisitsPerCommit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
 	const commits = 120000
-	t.Logf("%-6s %-23s %6s %9s %9s %9s %9s", "bench", "binary/scheme", "CPI", "wb scan", "wb list", "is scan", "is list")
+	t.Logf("%-6s %-23s %6s %9s %9s %9s %9s %9s %9s", "bench", "binary/scheme", "CPI", "wb scan", "wb list", "is scan", "is list", "ld scan", "ld list")
 	for _, name := range []string{"gzip", "twolf", "swim", "mcf", "vpr", "art"} {
 		spec, err := bench.Find(name)
 		if err != nil {
@@ -218,7 +228,7 @@ func TestSchedulingVisitsPerCommit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var wbScan, wbList, isScan, isList int
+			var wbScan, wbList, isScan, isList, ldScan, ldList int
 			// The stages of step, in its order, with the counts taken
 			// between them.
 			for !pl.halted && pl.Stats.Committed < commits {
@@ -229,6 +239,15 @@ func TestSchedulingVisitsPerCommit(t *testing.T) {
 					pl.writeback()
 					isScan += pl.mid - pl.head
 					isList += len(pl.readyList)
+					for _, pos := range pl.readyList {
+						if !pl.slot(pos).st.isLoad {
+							continue
+						}
+						ldScan += pos - pl.head
+						for k := 0; k < len(pl.stores) && pl.stores[k] < pos; k++ {
+							ldList++
+						}
+					}
 					pl.issue()
 					pl.rename()
 					pl.fetch()
@@ -248,8 +267,9 @@ func TestSchedulingVisitsPerCommit(t *testing.T) {
 				t.Fatalf("%s/%s: stage loop drifted from step:\n got  %+v\n want %+v", name, run.label, pl.Stats, ref.Stats)
 			}
 			c := float64(pl.Stats.Committed)
-			t.Logf("%-6s %-23s %6.3f %9.2f %9.2f %9.2f %9.2f", name, run.label, float64(pl.Stats.Cycles)/c,
-				float64(wbScan)/c, float64(wbList)/c, float64(isScan)/c, float64(isList)/c)
+			t.Logf("%-6s %-23s %6.3f %9.2f %9.2f %9.2f %9.2f %9.2f %9.2f", name, run.label, float64(pl.Stats.Cycles)/c,
+				float64(wbScan)/c, float64(wbList)/c, float64(isScan)/c, float64(isList)/c,
+				float64(ldScan)/c, float64(ldList)/c)
 		}
 	}
 }

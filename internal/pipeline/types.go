@@ -61,9 +61,9 @@ type pprfEntry struct {
 
 // predDest records the renaming of one predicate destination.
 type predDest struct {
+	newP    int32
+	oldP    int32
 	arch    isa.PredReg
-	newP    int
-	oldP    int
 	valid   bool
 	rmw     bool // final value may be the old value (norm/and/or semantics)
 	predVal bool // predicted final value (predicate scheme)
@@ -78,73 +78,105 @@ const (
 )
 
 // uop is one in-flight instruction, held in a Pipeline window slot.
+// Fetch writes the five header fields and zeroes the embedded uopState.
+// Physical-register indices and the uop's own PC are int32: New rejects
+// a configuration or program they cannot index. Branch targets stay int,
+// because an indirect target is a register value.
 type uop struct {
 	seq  int64
-	pc   int
-	in   *isa.Inst
-	wake uint64 // cycle at which the uop is visible to rename (front-end delay)
+	st   *static   // predecoded opcode class, latency and sources of in
+	in   *isa.Inst // operand fields and Op
+	wake uint64    // cycle at which the uop is visible to rename (front-end delay)
+	pc   int32
+	uopState
+}
 
-	// Fetch-time prediction state.
-	fetchPredTaken bool // first-level (gshare) direction
-	predTaken      bool // final direction prediction used
-	predTarget     int  // predicted target when taken
-	gshareGHR      uint64
-	brGHRSnap      uint64 // gshare GHR before this uop's push
-	pushedBrGHR    bool
+// uopState is the part of a uop that fetch does not write itself.
+type uopState struct {
+	// Fetch-time prediction state. The scheme-exclusive lookups and
+	// the RAS snapshot live in the slot's uopCold; the flags below say
+	// which of them are live.
+	brGHRSnap      uint64 // gshare GHR before this uop's push: gshare's index history and the restore point
 	pGHRSnap       uint64 // perceptron GHR before this uop's push
+	predTarget     int    // predicted target when taken
+	fetchPredTaken bool   // first-level (gshare) direction
+	predTaken      bool   // final direction prediction used
+	pushedBrGHR    bool
 	pushedPGHR     bool
-	rasSnap        predictor.RASSnapshot
 	touchedRAS     bool
-	brLk           predictor.TwoLevelLookup
 	brLkValid      bool
-	pepLk          peppa.Lookup
 	pepLkValid     bool
-	cmpLk          core.Lookup
 	cmpLkValid     bool
+	isCondBr       bool
+	refetched      bool // refetch after this branch's own consumer-flush
 
 	// Rename results.
+	newPhys   int32
+	oldPhys   int32
+	qpPhys    int32    // physical reg of the qualifying predicate (-1 if p0)
+	srcI      [3]int32 // int physical sources: 2 ISA sources + a select op's old destination
+	srcF      [3]int32 // fp physical sources, likewise
+	srcP      [3]int32 // predicate physical sources that must be computed: guard + 2 RMW destinations
+	pDests    [2]predDest
 	class     uopClass
 	dKind     destKind
-	newPhys   int
-	oldPhys   int
-	pDests    [2]predDest
-	srcI      [3]int // int physical sources: 2 ISA sources + a select op's old destination
-	srcF      [3]int // fp physical sources, likewise
-	srcP      [3]int // predicate physical sources that must be computed: guard + 2 RMW destinations
 	nSrcI     uint8
 	nSrcF     uint8
 	nSrcP     uint8
-	qpPhys    int  // physical reg of the qualifying predicate (-1 if p0)
 	selectOp  bool // select-style micro-op: result may be the old dest value
 	canceled  bool // nullified at rename (selective predication, predicted false)
 	unguarded bool // guard dropped at rename (selective predication, predicted true)
 	uncFalse  bool // canceled unc compare: still writes false/false
 	usedSpec  bool // consumed a speculative PPRF value at rename
 	early     bool // branch guard was computed at rename (early-resolved)
-	refetched bool // refetch after this branch's own consumer-flush
 	renamed   bool
 
 	// Execution state.
-	pending     uint8 // sources not yet ready, while dispatched and waiting
-	issued      bool
-	done        bool
 	doneCycle   uint64
 	resI        int64
 	resF        float64
-	resP        [2]bool
-	actualTaken bool
-	actualTgt   int
 	memAddr     uint64
-	memIsWrite  bool
+	stBits      uint64 // store data, as the bits memory receives
+	actualTgt   int    // a register value for ret and brind: not bounded by the program
+	pending     uint8  // sources not yet ready, while dispatched and waiting
+	issued      bool
+	done        bool
+	actualTaken bool
 	qpVal       bool // computed guard value (valid at execute)
-	stData      int64
-	stDataF     float64
-	isCondBr    bool
+	resP        [2]bool
 }
 
-func (u *uop) addSrcI(p int) { u.srcI[u.nSrcI] = p; u.nSrcI++ }
-func (u *uop) addSrcF(p int) { u.srcF[u.nSrcF] = p; u.nSrcF++ }
-func (u *uop) addSrcP(p int) { u.srcP[u.nSrcP] = p; u.nSrcP++ }
+// uopCold is a window slot's scheme-exclusive fetch state: the
+// second-level lookup of whichever scheme runs and the RAS snapshot of
+// a call or return. Each is read only at rename, writeback, commit or a
+// squash, and only while its flag in the slot's uop is set, so fetch
+// never clears it and the hot uop stays small.
+type uopCold struct {
+	rasSnap predictor.RASSnapshot
+	brLk    predictor.TwoLevelLookup
+	pepLk   peppa.Lookup
+	cmpLk   core.Lookup
+}
+
+// predNext is the PC fetch followed after a branch uop.
+func (u *uop) predNext() int {
+	if u.predTaken {
+		return u.predTarget
+	}
+	return int(u.pc) + 1
+}
+
+// actualNext is the PC that follows an executed branch uop.
+func (u *uop) actualNext() int {
+	if u.actualTaken {
+		return u.actualTgt
+	}
+	return int(u.pc) + 1
+}
+
+func (u *uop) addSrcI(p int32) { u.srcI[u.nSrcI] = p; u.nSrcI++ }
+func (u *uop) addSrcF(p int32) { u.srcF[u.nSrcF] = p; u.nSrcF++ }
+func (u *uop) addSrcP(p int32) { u.srcP[u.nSrcP] = p; u.nSrcP++ }
 
 // Stats aggregates the run's observable behaviour. Branch statistics
 // count committed instructions only.
