@@ -96,6 +96,12 @@ func main() {
 		sim.WithMode(m),
 		sim.WithParallelism(*par),
 	}
+	for _, ax := range axes {
+		opts = append(opts, sim.WithAxis(ax.name, ax.values...))
+	}
+	if *sample > 0 {
+		opts = append(opts, sim.WithSample(*sample, *seed))
+	}
 	if *verbose {
 		opts = append(opts, sim.WithProgress(heartbeat(os.Stderr)))
 	}
@@ -108,28 +114,17 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sweepOpts := make([]sim.SweepOption, 0, len(axes)+1)
-	for _, ax := range axes {
-		sweepOpts = append(sweepOpts, sim.WithAxis(ax.name, ax.values...))
-	}
-	if *sample > 0 {
-		sweepOpts = append(sweepOpts, sim.WithSample(*sample, *seed))
-	}
-	sw, err := sim.NewSweep(exp, sweepOpts...)
-	if err != nil {
-		fatal(err)
-	}
 
-	var sink sim.SweepSink
+	var sink sim.Sink
 	switch *format {
 	case "csv":
-		sink = sim.NewSweepCSVSink(os.Stdout, sw.AxisNames())
+		sink = sim.NewCSVSink(os.Stdout, exp.AxisNames()...)
 	case "json":
-		sink = sim.NewSweepJSONSink(os.Stdout)
+		sink = sim.NewJSONSink(os.Stdout)
 	default:
 		fatal(fmt.Errorf("unknown format %q (want csv or json)", *format))
 	}
-	sink = sim.ObservedSweepSink(obsv, sink)
+	sink = sim.ObservedSink(obsv, sink)
 
 	if *cpuprof != "" {
 		stopProf, err := sim.StartCPUProfile(*cpuprof)
@@ -145,18 +140,18 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	runner, err := sw.Start(ctx)
+	runner, err := exp.Start(ctx)
 	if err != nil {
 		fatal(err)
 	}
-	var results []sim.SweepResult
-	for sr := range runner.Results() {
-		// Stream each point as it completes, so ^C mid-sweep still
-		// leaves the finished points on stdout.
-		if err := sink.Emit(sr); err != nil {
+	var results []sim.Result
+	for r := range runner.Results() {
+		// Stream each cell as it completes, so ^C mid-sweep still
+		// leaves every finished cell on stdout.
+		if err := sink.Emit(r); err != nil {
 			fatal(err)
 		}
-		results = append(results, sr)
+		results = append(results, r)
 	}
 	if err := sink.Close(); err != nil {
 		fatal(err)
@@ -164,10 +159,10 @@ func main() {
 	if err := runner.Wait(); err != nil {
 		fatal(err)
 	}
-	sim.SortSweepResults(results)
+	sim.SortResults(results)
 
 	if *summary {
-		printSummary(sw, split(*schemes), results)
+		printSummary(exp, split(*schemes), results)
 	}
 
 	if *metrics != "" {
@@ -211,30 +206,22 @@ func heartbeat(w io.Writer) func(sim.Progress) {
 
 // printSummary writes the aggregation layer's view — best point per
 // scheme, then one marginal table per axis — to stderr.
-func printSummary(sw *sim.Sweep, schemes []string, results []sim.SweepResult) {
-	fmt.Fprintf(os.Stderr, "\n%d points, %d runs\n", len(results), totalRuns(results))
+func printSummary(exp *sim.Experiment, schemes []string, results []sim.Result) {
+	fmt.Fprintf(os.Stderr, "\n%d points, %d runs\n", len(exp.Points()), len(results))
 	for _, s := range schemes {
 		best, rate, err := sim.BestPoint(results, s)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "best for %-14s %s  (%.2f%% mispredict)\n", s+":", best.Point, rate)
+		fmt.Fprintf(os.Stderr, "best for %-14s %s  (%.2f%% mispredict)\n", s+":", best, rate)
 	}
-	for _, axis := range sw.AxisNames() {
+	for _, axis := range exp.AxisNames() {
 		rows, err := sim.MarginalTable(results, axis, schemes)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "\n%s", sim.RenderMarginals(axis, schemes, rows))
 	}
-}
-
-func totalRuns(rs []sim.SweepResult) int {
-	n := 0
-	for _, sr := range rs {
-		n += len(sr.Results)
-	}
-	return n
 }
 
 type axisSpec struct {

@@ -32,17 +32,15 @@ func main() {
 		sim.WithSchemes(schemes...),
 		sim.WithCommits(*commits),
 		sim.WithMode(sim.ModeTrace),
+		// 3696 rows is the paper's 148 KB operating point; the bottom
+		// of the axis is deep in aliasing territory for the synthetic
+		// suite.
+		sim.WithAxis("pvt.entries", 16, 64, 256, 1024, 3696, 8192),
 	)
 	if err != nil {
 		log.Fatal(err)
 	}
-	// 3696 rows is the paper's 148 KB operating point; the bottom of
-	// the axis is deep in aliasing territory for the synthetic suite.
-	sw, err := sim.NewSweep(exp, sim.WithAxis("pvt.entries", 16, 64, 256, 1024, 3696, 8192))
-	if err != nil {
-		log.Fatal(err)
-	}
-	results, err := sw.Run(context.Background())
+	results, err := exp.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +56,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("\nbest %s point: %s (%.2f%% mispredict)", s, best.Point, rate)
+		fmt.Printf("\nbest %s point: %s (%.2f%% mispredict)", s, best, rate)
 	}
 	fmt.Println()
 	fmt.Println("\nThe predicate predictor holds its accuracy lead over the conventional")

@@ -13,23 +13,19 @@ import (
 // exact bytes the CSV and NDJSON sinks emit.
 func sweepEmission(t *testing.T, dir string) (csv, ndjson []byte) {
 	t.Helper()
-	exp := baseExperiment(t, dir, "conventional", "predpred")
-	sw, err := sim.NewSweep(exp,
+	exp := sweepExperiment(t, dir, []string{"conventional", "predpred"},
 		sim.WithAxis("pvt.entries", 256, 1024),
 		sim.WithAxis("conf.bits", 2),
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := sw.Run(context.Background())
+	results, err := exp.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var csvBuf, jsonBuf bytes.Buffer
-	if err := sim.EmitAllSweep(sim.NewSweepCSVSink(&csvBuf, sw.AxisNames()), results); err != nil {
+	if err := sim.EmitAll(sim.NewCSVSink(&csvBuf, exp.AxisNames()...), results); err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.EmitAllSweep(sim.NewSweepJSONSink(&jsonBuf), results); err != nil {
+	if err := sim.EmitAll(sim.NewJSONSink(&jsonBuf), results); err != nil {
 		t.Fatal(err)
 	}
 	return csvBuf.Bytes(), jsonBuf.Bytes()

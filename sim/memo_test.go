@@ -18,8 +18,8 @@ const memoCommits = 50000
 
 // memoRun is one finished memo-test sweep.
 type memoRun struct {
-	sw           *Sweep
-	rs           []SweepResult
+	exp          *Experiment
+	rs           []Result
 	hits, misses uint64 // replay.memo.* counter deltas
 	manifests    []RunManifest
 }
@@ -28,10 +28,10 @@ type memoRun struct {
 // observed on a constant clock (so phase timings carry no scheduling
 // noise), and returns its sorted results with the process memo counter
 // deltas.
-func runMemoSweep(t *testing.T, wl *Workload, dir string, par int, schemes []string, axes ...SweepOption) memoRun {
+func runMemoSweep(t *testing.T, wl *Workload, dir string, par int, schemes []string, axes ...Option) memoRun {
 	t.Helper()
 	o := NewObserverWithClock(func() int64 { return 0 })
-	exp, err := New(
+	exp, err := New(append([]Option{
 		WithWorkload(wl),
 		WithSchemes(schemes...),
 		WithCommits(memoCommits),
@@ -39,22 +39,18 @@ func runMemoSweep(t *testing.T, wl *Workload, dir string, par int, schemes []str
 		WithTraceDir(dir),
 		WithParallelism(par),
 		WithObserver(o),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw, err := NewSweep(exp, axes...)
+	}, axes...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := ProcessMetrics()
-	rs, err := sw.Run(context.Background())
+	rs, err := exp.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	after := ProcessMetrics()
 	return memoRun{
-		sw:        sw,
+		exp:       exp,
 		rs:        rs,
 		hits:      after.CounterValue("replay.memo.hits") - before.CounterValue("replay.memo.hits"),
 		misses:    after.CounterValue("replay.memo.misses") - before.CounterValue("replay.memo.misses"),
@@ -84,23 +80,21 @@ func memoTraces(t *testing.T, wl *Workload, dir string) map[string]*trace.Trace 
 func checkAgainstReplay(t *testing.T, wl *Workload, dir string, run memoRun) {
 	t.Helper()
 	traces := memoTraces(t, wl, dir)
-	for _, sr := range run.rs {
-		for _, r := range sr.Results {
-			cfg, err := run.sw.pointConfig(sr.Point)(r.Scheme)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := stats.Replay(cfg, traces[r.Bench], memoCommits)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.Err != nil {
-				t.Fatalf("point %d %s/%s: %v", sr.Point.Index, r.Bench, r.Scheme, r.Err)
-			}
-			if !reflect.DeepEqual(r.Stats, want) {
-				t.Errorf("point %d %s/%s: memo sweep stats differ from a direct replay:\n got: %+v\nwant: %+v",
-					sr.Point.Index, r.Bench, r.Scheme, r.Stats, want)
-			}
+	for _, r := range run.rs {
+		cfg, err := run.exp.cellConfig(r.Point, r.Scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := stats.Replay(cfg, traces[r.Bench], memoCommits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Err != nil {
+			t.Fatalf("point %d %s/%s: %v", r.Point.Index, r.Bench, r.Scheme, r.Err)
+		}
+		if !reflect.DeepEqual(r.Stats, want) {
+			t.Errorf("point %d %s/%s: memo sweep stats differ from a direct replay:\n got: %+v\nwant: %+v",
+				r.Point.Index, r.Bench, r.Scheme, r.Stats, want)
 		}
 	}
 }
@@ -138,22 +132,29 @@ func TestMemoSweepExactCounts(t *testing.T) {
 		if run.hits != 24 || run.misses != 8 {
 			t.Errorf("p=%d: want 24 memo hits / 8 replayed cells, got %d / %d", par, run.hits, run.misses)
 		}
-		if len(run.rs) != 8 {
-			t.Fatalf("p=%d: want 8 points, got %d", par, len(run.rs))
+		if len(run.rs) != 32 {
+			t.Fatalf("p=%d: want 8 points of 4 cells, got %d cells", par, len(run.rs))
 		}
 		checkAgainstReplay(t, wl, dir, run)
 		// The timing-only axis leaves replay stats alone; the
 		// replay-visible one does not.
+		point := func(i int) []Stats {
+			var sts []Stats
+			for _, r := range run.rs[4*i : 4*i+4] {
+				sts = append(sts, r.Stats)
+			}
+			return sts
+		}
 		for i := 1; i < 4; i++ {
-			if !reflect.DeepEqual(run.rs[0].Results, run.rs[i].Results) {
+			if !reflect.DeepEqual(point(0), point(i)) {
 				t.Errorf("p=%d: points 0 and %d differ only in mispredict.penalty but have different stats", par, i)
 			}
 		}
-		if reflect.DeepEqual(run.rs[0].Results, run.rs[4].Results) {
+		if reflect.DeepEqual(point(0), point(4)) {
 			t.Errorf("p=%d: sweeping pred.bytes 75776→151552 changed nothing; axis not applied?", par)
 		}
 		var buf bytes.Buffer
-		if err := EmitAllSweep(NewSweepCSVSink(&buf, run.sw.AxisNames()), run.rs); err != nil {
+		if err := EmitAll(NewCSVSink(&buf, run.exp.AxisNames()...), run.rs); err != nil {
 			t.Fatal(err)
 		}
 		csvs = append(csvs, buf.Bytes())
@@ -224,15 +225,15 @@ func TestMemoCatchesUndeclaredReuse(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
 		schemes      []string
-		axes         []SweepOption
+		axes         []Option
 		hits, misses uint64
 	}{
 		{"frontend-depth mutator axis", []string{"conventional", "predpred"},
-			[]SweepOption{WithMutatorAxis("frontend.depth", depth, 3, 5, 7)}, 4, 2},
+			[]Option{WithMutatorAxis("frontend.depth", depth, 3, 5, 7)}, 4, 2},
 		{"duplicate scheme", []string{"predpred", "predpred"},
-			[]SweepOption{WithAxis("pred.bytes", 75776, 151552)}, 2, 2},
+			[]Option{WithAxis("pred.bytes", 75776, 151552)}, 2, 2},
 		{"gshare.idxbits", []string{"conventional", "predpred"},
-			[]SweepOption{WithAxis("gshare.idxbits", 10, 12, 14)}, 4, 2},
+			[]Option{WithAxis("gshare.idxbits", 10, 12, 14)}, 4, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -268,7 +269,7 @@ func TestMemoKeepsValidationErrors(t *testing.T) {
 		if run.hits != 1 || run.misses != 2 {
 			t.Errorf("p=%d: want 1 hit / 2 misses, got %d / %d", par, run.hits, run.misses)
 		}
-		valid, rob, scheme := run.rs[0].Results, run.rs[1].Results, run.rs[2].Results
+		valid, rob, scheme := run.rs[0:2], run.rs[2:4], run.rs[4:6]
 		for _, r := range valid {
 			if r.Err != nil || r.Stats.Committed == 0 {
 				t.Errorf("p=%d: valid %s: err %v, committed %d", par, r.Scheme, r.Err, r.Stats.Committed)

@@ -38,7 +38,7 @@ const (
 	PhaseSink        = obs.PhaseSink
 )
 
-// Observer collects per-run telemetry for one experiment or sweep: a
+// Observer collects per-run telemetry for one or more experiments: a
 // private metrics registry (span histograms and run counters, so
 // concurrent experiments don't blur together), an injectable clock,
 // and a buffer of run manifests. Attach one with WithObserver (or
@@ -252,18 +252,6 @@ func WithObserver(o *Observer) Option {
 	}
 }
 
-// manifestMeta carries the sweep-point identity down to the cell
-// runners: the point index (-1 outside sweeps), the sampling seed and
-// the point's knob values.
-type manifestMeta struct {
-	point int
-	seed  int64
-	knobs map[string]string
-}
-
-// noMeta is the plain (non-sweep) runner's manifest identity.
-var noMeta = manifestMeta{point: -1}
-
 // durations converts clock nanoseconds to a time.Duration for
 // Progress reporting.
 func durationNS(ns int64) time.Duration { return time.Duration(ns) }
@@ -293,36 +281,6 @@ func (w observedSink) Emit(r Result) error {
 }
 
 func (w observedSink) Close() error {
-	t0 := w.o.now()
-	err := w.s.Close()
-	w.o.span(PhaseSink, w.o.now()-t0)
-	return err
-}
-
-// observedSweepSink is observedSink for SweepSinks.
-type observedSweepSink struct {
-	o *Observer
-	s SweepSink
-}
-
-// ObservedSweepSink returns a SweepSink that forwards to s and
-// accumulates emission time into the observer's sink span. A nil
-// observer returns s unchanged.
-func ObservedSweepSink(o *Observer, s SweepSink) SweepSink {
-	if o == nil {
-		return s
-	}
-	return observedSweepSink{o: o, s: s}
-}
-
-func (w observedSweepSink) Emit(sr SweepResult) error {
-	t0 := w.o.now()
-	err := w.s.Emit(sr)
-	w.o.span(PhaseSink, w.o.now()-t0)
-	return err
-}
-
-func (w observedSweepSink) Close() error {
 	t0 := w.o.now()
 	err := w.s.Close()
 	w.o.span(PhaseSink, w.o.now()-t0)

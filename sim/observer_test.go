@@ -36,15 +36,12 @@ func observedSweep(t *testing.T, dir string) (metrics, manifests []byte) {
 		sim.WithTraceDir(dir),
 		sim.WithParallelism(1),
 		sim.WithObserver(o),
+		sim.WithAxis("pvt.entries", 256, 1024),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := sim.NewSweep(exp, sim.WithAxis("pvt.entries", 256, 1024))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sw.Run(context.Background()); err != nil {
+	if _, err := exp.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	var mbuf, nbuf bytes.Buffer
@@ -99,15 +96,12 @@ func TestObserverManifestContents(t *testing.T) {
 		sim.WithTraceDir(t.TempDir()),
 		sim.WithParallelism(1),
 		sim.WithObserver(o),
+		sim.WithAxis("pvt.entries", 256, 1024),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := sim.NewSweep(exp, sim.WithAxis("pvt.entries", 256, 1024))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sw.Run(context.Background()); err != nil {
+	if _, err := exp.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	ms := o.Manifests()
@@ -158,7 +152,7 @@ func TestObserverManifestContents(t *testing.T) {
 	}
 }
 
-// TestObservedSinksForwardAndTime checks the sink wrappers: results
+// TestObservedSinksForwardAndTime checks the sink wrapper: results
 // pass through unchanged and emission time lands in the sink span;
 // a nil observer returns the sink untouched.
 func TestObservedSinksForwardAndTime(t *testing.T) {
@@ -180,10 +174,6 @@ func TestObservedSinksForwardAndTime(t *testing.T) {
 	plain := sim.NewJSONSink(&buf)
 	if got := sim.ObservedSink(nil, plain); got != sim.Sink(plain) {
 		t.Error("nil-observer ObservedSink should return the sink unchanged")
-	}
-	sweepPlain := sim.NewSweepJSONSink(&buf)
-	if got := sim.ObservedSweepSink(nil, sweepPlain); got != sim.SweepSink(sweepPlain) {
-		t.Error("nil-observer ObservedSweepSink should return the sink unchanged")
 	}
 }
 

@@ -15,11 +15,14 @@ import (
 )
 
 // Result is the outcome of simulating one benchmark under one scheme
-// in the experiment's execution mode.
+// at one point, in the experiment's execution mode.
 type Result struct {
+	// Point is the sweep point the run belongs to: the zero Point for
+	// an experiment without axes.
+	Point Point
 	// Seq is the run's stable position in the experiment matrix
-	// (benchmark-major, then scheme); SortResults restores matrix order
-	// after streaming delivery.
+	// (benchmark-major, then scheme); SortResults restores point and
+	// matrix order after streaming delivery.
 	Seq         int
 	Tag         string // experiment label from WithTag, "" if unset
 	Bench       string
@@ -60,8 +63,8 @@ func (m MemStats) L2MissRate() float64 { return rate(m.L2Misses, m.L2Accesses) }
 // Progress reports one completed run to a WithProgress callback.
 type Progress struct {
 	Done   int // runs completed so far, including this one
-	Total  int // runs in the experiment matrix
-	Point  int // sweep point index of this run; -1 outside sweeps
+	Total  int // runs in the experiment: the matrix times the points
+	Point  int // sweep point index of this run; -1 without axes
 	Bench  string
 	Scheme string
 	// Elapsed is the time since Start on the runner's clock (the
@@ -81,21 +84,11 @@ func eta(elapsed time.Duration, done, total int) time.Duration {
 	return elapsed / time.Duration(done) * time.Duration(total-done)
 }
 
-// Runner is a started experiment: the worker pool streaming results
-// over a channel as simulations complete.
+// Runner is a started experiment: the one bounded worker pool running
+// every point's cell jobs, streaming one Result per cell as
+// simulations complete.
 type Runner struct {
-	*pool
 	results chan Result
-}
-
-// Results returns the stream of completed runs. The channel closes
-// once every run has finished or the context is cancelled; results
-// arrive in completion order, not matrix order (see SortResults).
-func (r *Runner) Results() <-chan Result { return r.results }
-
-// pool is the one bounded worker pool behind experiments and sweeps:
-// it runs cell jobs and counts and reports their finished cells.
-type pool struct {
 	done    chan struct{}
 	total   int
 	obsv    *Observer // nil when the experiment is unobserved
@@ -109,23 +102,29 @@ type pool struct {
 	finished int
 }
 
-// Total returns the number of simulation cells: the experiment matrix,
-// times the number of points for a sweep. It is the Total reported to
-// WithProgress callbacks.
-func (p *pool) Total() int { return p.total }
+// Results returns the stream of completed runs. The channel closes
+// once every run has finished or the context is cancelled; results
+// arrive in completion order, not point and matrix order (see
+// SortResults).
+func (r *Runner) Results() <-chan Result { return r.results }
+
+// Total returns the number of simulation cells: the experiment matrix
+// times the number of points. It is the Total reported to WithProgress
+// callbacks.
+func (r *Runner) Total() int { return r.total }
 
 // Wait blocks until the worker pool has shut down and returns the
 // context's error if the run was cut short. Per-run simulation
 // failures are reported on each Result, not here.
-func (p *pool) Wait() error {
-	<-p.done
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.err
+func (r *Runner) Wait() error {
+	<-r.done
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.err
 }
 
 // simJob is one unit of worker-pool work: one benchmark's cell group
-// of one experiment matrix (of one point's matrix, in a sweep).
+// of one point's experiment matrix.
 // Pipeline-mode cells are one scheme per job; trace-mode jobs coalesce
 // every scheme of the benchmark into a single job, replayed in one
 // pass over the shared trace (stats.ReplayAll). The job's cells occupy
@@ -138,18 +137,14 @@ type simJob struct {
 	schemes  []string // one per cell; >1 only for coalesced trace-mode jobs
 	mode     Mode
 	prog     *Program
-	// cfg builds one cell's configuration from its scheme name: the
-	// experiment's baseConfig, plus the point's axis mutations in a
-	// sweep.
-	cfg  func(scheme string) (Config, error)
-	meta manifestMeta // sweep-point identity; meta.point is -1 outside sweeps
+	point    Point // the cells' configuration is the point's (cellConfig)
 }
 
-// buildJobs expands one experiment matrix into worker jobs in matrix
-// order (benchmark-major, then scheme) and returns them with the
+// buildJobs expands one point's experiment matrix into worker jobs in
+// matrix order (benchmark-major, then scheme) and returns them with the
 // matrix's cell count — larger than len(jobs) when trace-mode scheme
 // cells were coalesced.
-func (e *Experiment) buildJobs(wl *Workload, cfg func(string) (Config, error), meta manifestMeta) ([]simJob, int) {
+func (e *Experiment) buildJobs(wl *Workload, pt Point) ([]simJob, int) {
 	var jobs []simJob
 	seq := 0
 	for _, pg := range wl.progs {
@@ -160,7 +155,7 @@ func (e *Experiment) buildJobs(wl *Workload, cfg func(string) (Config, error), m
 		specHash := fmt.Sprintf("%016x", pg.Spec.Hash())
 		j := simJob{
 			seq: seq, bench: pg.Spec.Name, class: pg.Spec.Class, specHash: specHash,
-			mode: e.mode, prog: p, cfg: cfg, meta: meta,
+			mode: e.mode, prog: p, point: pt,
 		}
 		if e.mode == ModeTrace {
 			j.schemes = e.schemes
@@ -199,32 +194,27 @@ func (e *Experiment) prepare(ctx context.Context) (*Workload, *traceProvider, er
 	return wl, traces, nil
 }
 
-// Start prepares the workload if one was not supplied and launches the
-// worker pool under ctx. Cancelling ctx stops workers promptly: queued
-// runs are abandoned and in-flight simulations stop at the next commit
-// slice.
+// Start prepares the workload (once, shared by every point) if one was
+// not supplied and launches the worker pool under ctx over every
+// point's cell jobs, point-major. In trace mode one shared provider
+// records each benchmark's trace exactly once for the whole run — an
+// N-point sweep over the full suite records 22 traces, not 22×N.
+// Cancelling ctx stops workers promptly: queued runs are abandoned and
+// in-flight simulations stop at the next commit slice.
 func (e *Experiment) Start(ctx context.Context) (*Runner, error) {
 	wl, traces, err := e.prepare(ctx)
 	if err != nil {
 		return nil, err
 	}
-	jobs, total := e.buildJobs(wl, e.baseConfig, noMeta)
-	r := &Runner{results: make(chan Result, total)}
-	r.pool = e.launch(ctx, traces, jobs, total, func(_ simJob, rs []Result) {
-		for _, res := range rs {
-			r.results <- res
-		}
-	}, func() { close(r.results) })
-	return r, nil
-}
-
-// launch starts the worker pool over jobs (total cells between them)
-// under ctx. Each finished job's results go to deliver, under the
-// pool's lock and in completion order, before its cells are counted
-// and reported to WithProgress; closeOut runs once every worker has
-// exited.
-func (e *Experiment) launch(ctx context.Context, traces *traceProvider, jobs []simJob, total int, deliver func(simJob, []Result), closeOut func()) *pool {
-	p := &pool{
+	var jobs []simJob
+	total := 0
+	for _, pt := range e.Points() {
+		js, n := e.buildJobs(wl, pt)
+		jobs = append(jobs, js...)
+		total += n
+	}
+	r := &Runner{
+		results: make(chan Result, total),
 		done:    make(chan struct{}),
 		total:   total,
 		obsv:    e.observer,
@@ -261,7 +251,7 @@ func (e *Experiment) launch(ctx context.Context, traces *traceProvider, jobs []s
 				if !ok { // cancelled mid-run: partial stats, drop them
 					return
 				}
-				p.finish(e.progress, j, rs, deliver)
+				r.finish(e.progress, j, rs)
 			}
 		}()
 	}
@@ -270,31 +260,31 @@ func (e *Experiment) launch(ctx context.Context, traces *traceProvider, jobs []s
 		// Report cancellation only when it actually cost us runs: a
 		// context cancelled after the last job finished is not an
 		// error for this run.
-		p.mu.Lock()
-		if p.finished < p.total {
-			p.err = ctx.Err()
+		r.mu.Lock()
+		if r.finished < r.total {
+			r.err = ctx.Err()
 		}
-		p.mu.Unlock()
-		closeOut()
-		close(p.done)
+		r.mu.Unlock()
+		close(r.results)
+		close(r.done)
 	}()
-	return p
+	return r, nil
 }
 
-// finish delivers one finished job's results, then counts and reports
-// each of its cells.
-func (p *pool) finish(f func(Progress), j simJob, rs []Result, deliver func(simJob, []Result)) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	deliver(j, rs)
+// finish delivers, counts and reports each of one finished job's
+// cells.
+func (r *Runner) finish(f func(Progress), j simJob, rs []Result) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	for _, res := range rs {
-		p.finished++
+		r.results <- res
+		r.finished++
 		if f != nil {
-			elapsed := durationNS(p.obsv.now() - p.startNS)
+			elapsed := durationNS(r.obsv.now() - r.startNS)
 			f(Progress{
-				Done: p.finished, Total: p.total, Point: j.meta.point,
+				Done: r.finished, Total: r.total, Point: j.point.id(),
 				Bench: res.Bench, Scheme: res.Scheme,
-				Elapsed: elapsed, ETA: eta(elapsed, p.finished, p.total),
+				Elapsed: elapsed, ETA: eta(elapsed, r.finished, r.total),
 				Err: res.Err,
 			})
 		}
@@ -305,7 +295,7 @@ func (p *pool) finish(f func(Progress), j simJob, rs []Result, deliver func(simJ
 // statistics still empty.
 func (j simJob) result(e *Experiment, i int) Result {
 	return Result{
-		Seq: j.seq + i, Tag: e.tag, Bench: j.bench, Class: j.class,
+		Point: j.point, Seq: j.seq + i, Tag: e.tag, Bench: j.bench, Class: j.class,
 		Scheme: j.schemes[i], Mode: j.mode, IfConverted: e.ifConverted,
 	}
 }
@@ -333,7 +323,7 @@ func (e *Experiment) baseConfig(scheme string) (Config, error) {
 func (e *Experiment) cellManifest(j simJob, i int, res Result) RunManifest {
 	m := RunManifest{
 		Seq:         j.seq + i,
-		Point:       j.meta.point,
+		Point:       j.point.id(),
 		Tag:         e.tag,
 		Bench:       j.bench,
 		Class:       j.class,
@@ -341,9 +331,11 @@ func (e *Experiment) cellManifest(j simJob, i int, res Result) RunManifest {
 		Mode:        j.mode.String(),
 		IfConverted: e.ifConverted,
 		SpecHash:    j.specHash,
-		Seed:        j.meta.seed,
-		Knobs:       j.meta.knobs,
+		Knobs:       j.point.knobs(),
 		Committed:   res.Stats.Committed,
+	}
+	if e.sample > 0 {
+		m.Seed = e.seed
 	}
 	if res.Err != nil {
 		m.Err = res.Err.Error()
@@ -404,7 +396,7 @@ func (e *Experiment) runTraceJob(ctx context.Context, traces *traceProvider, j s
 	var cfgs []Config     // parallel to live
 	entries := make([]*memoEntry, len(out))
 	for i, s := range j.schemes {
-		cfg, err := j.cfg(s)
+		cfg, err := e.cellConfig(j.point, s)
 		if err == nil {
 			// Pre-flight so one invalid configuration keeps its per-cell
 			// error instead of sinking the whole single-pass group, and
@@ -520,7 +512,7 @@ func (e *Experiment) observeTraceGroup(traces *traceProvider, j simJob, out []Re
 func (e *Experiment) runCell(ctx context.Context, j simJob) (Result, *pipeline.Pipeline, bool) {
 	res := j.result(e, 0)
 	o := e.observer
-	cfg, err := j.cfg(j.schemes[0])
+	cfg, err := e.cellConfig(j.point, j.schemes[0])
 	if err != nil {
 		res.Err = err
 		if o != nil {
@@ -567,8 +559,9 @@ func captureMem(pl *pipeline.Pipeline) MemStats {
 }
 
 // Run starts the experiment, drains the stream, and returns every
-// result in matrix order. It fails on cancellation but not on per-run
-// errors (inspect Result.Err, or let Tabulate surface them).
+// result in point and matrix order. It fails on cancellation but not
+// on per-run errors (inspect Result.Err, or let Tabulate surface
+// them).
 func (e *Experiment) Run(ctx context.Context) ([]Result, error) {
 	r, err := e.Start(ctx)
 	if err != nil {
@@ -585,10 +578,16 @@ func (e *Experiment) Run(ctx context.Context) ([]Result, error) {
 	return out, nil
 }
 
-// SortResults restores matrix order (benchmark-major, scheme-minor)
-// on a slice of streamed results.
+// SortResults restores point order, then matrix order
+// (benchmark-major, scheme-minor) within each point, on a slice of
+// streamed results.
 func SortResults(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Seq < rs[j].Seq })
+	sort.Slice(rs, func(i, j int) bool {
+		if rs[i].Point.Index != rs[j].Point.Index {
+			return rs[i].Point.Index < rs[j].Point.Index
+		}
+		return rs[i].Seq < rs[j].Seq
+	})
 }
 
 // ProgramRun describes a single simulation of an arbitrary program —
@@ -632,7 +631,7 @@ func SimulateProgram(ctx context.Context, r ProgramRun) (ProgramResult, error) {
 	}
 	j := simJob{
 		bench: r.Program.Name, schemes: []string{r.Scheme}, mode: r.Mode,
-		prog: r.Program, cfg: e.baseConfig, meta: noMeta,
+		prog: r.Program,
 	}
 	if r.Mode == ModeTrace {
 		rs, ok := e.runTraceJob(ctx, newTraceProvider(r.TraceDir, r.Commits, r.Observer), j)

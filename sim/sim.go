@@ -8,7 +8,10 @@
 //
 //   - a functional-options experiment builder: New(WithSuite(...),
 //     WithSchemes(...), WithIfConversion(true), WithCommits(n), ...)
-//     describes a benchmark × scheme matrix declaratively;
+//     describes a benchmark × scheme matrix declaratively, and
+//     WithAxis / WithMutatorAxis / WithSample turn it into a sweep: the
+//     matrix runs once per point of the axes' grid (or Latin-hypercube
+//     sample); an experiment without axes is the one empty point;
 //
 //   - two execution modes, one per experiment: the full out-of-order
 //     cycle model (ModePipeline, the default) and a record-once trace
@@ -16,10 +19,10 @@
 //     disk-cached branch/predicate trace, 15-80x faster;
 //
 //   - a streaming Runner: Start launches a bounded worker pool under a
-//     context.Context; results arrive on a channel as each simulation
-//     completes, with per-run progress callbacks and prompt
-//     cancellation (simulations are sliced into small commit budgets
-//     so a cancel lands mid-run, not after it);
+//     context.Context; one Result per cell, carrying its Point, arrives
+//     on a channel as each simulation completes, with per-run progress
+//     callbacks and prompt cancellation (simulations are sliced into
+//     small commit budgets so a cancel lands mid-run, not after it);
 //
 //   - a fixed scheme table: the paper's three organizations
 //     (conventional, predpred, peppa) by name, resolved with
@@ -28,7 +31,8 @@
 //     entry, not a scheme of its own;
 //
 //   - pluggable result sinks: the paper's text tables plus JSON and
-//     CSV emitters for machine-readable figures.
+//     CSV emitters for machine-readable figures, writing a sweep's
+//     point and axis columns when it has them.
 //
 // A minimal experiment:
 //
@@ -110,8 +114,9 @@ func BuildSpec(s BenchSpec) (*Program, error) {
 }
 
 // Experiment is an immutable description of a benchmark × scheme
-// simulation matrix. Build one with New and run it with Start (for
-// streaming results) or Run (for a sorted slice).
+// simulation matrix, run at every point of its axes. Build one with New
+// and run it with Start (for streaming results) or Run (for a sorted
+// slice).
 type Experiment struct {
 	suite        []string    // suite entries as given; empty = full suite
 	suiteSpecs   []BenchSpec // entries resolved at New time (nil when workload is set)
@@ -127,6 +132,9 @@ type Experiment struct {
 	progress     func(Progress)
 	workload     *Workload
 	observer     *Observer
+	axes         []axis // sweep axes, in declaration order (WithAxis)
+	sample       int    // Latin-hypercube sample size; 0 = full grid
+	seed         int64  // sample shuffle seed
 }
 
 // Option configures an Experiment under construction.
@@ -163,6 +171,9 @@ func New(opts ...Option) (*Experiment, error) {
 			return nil, err
 		}
 		e.suiteSpecs = specs
+	}
+	if err := e.checkAxes(); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
@@ -233,8 +244,8 @@ func WithConfigMutator(f func(*Config)) Option {
 	}
 }
 
-// WithParallelism bounds the worker pool's cell workers, for the
-// experiment and for any sweep built on it (default GOMAXPROCS).
+// WithParallelism bounds the worker pool's cell workers (default
+// GOMAXPROCS).
 func WithParallelism(k int) Option {
 	return func(e *Experiment) error {
 		if k < 0 {

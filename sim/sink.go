@@ -97,7 +97,8 @@ func round3(v float64) float64 {
 }
 
 // JSONSink writes one JSON object per line (NDJSON), streaming-safe
-// and machine-readable for figure post-processing.
+// and machine-readable for figure post-processing. A result of a sweep
+// point leads with the point's "point" index and "axes" map.
 type JSONSink struct {
 	enc *json.Encoder
 }
@@ -108,7 +109,16 @@ func NewJSONSink(w io.Writer) *JSONSink {
 }
 
 // Emit writes one record line.
-func (s *JSONSink) Emit(r Result) error { return s.enc.Encode(toRecord(r)) }
+func (s *JSONSink) Emit(r Result) error {
+	if len(r.Point.Values) == 0 {
+		return s.enc.Encode(toRecord(r))
+	}
+	return s.enc.Encode(struct {
+		Point int               `json:"point"`
+		Axes  map[string]string `json:"axes"`
+		record
+	}{r.Point.Index, r.Point.knobs(), toRecord(r)})
+}
 
 // Close is a no-op: every Emit already flushed a full line.
 func (s *JSONSink) Close() error { return nil }
@@ -124,20 +134,24 @@ var csvHeader = func() []string {
 	return names
 }()
 
-// CSVSink writes a header row followed by one row per result.
+// CSVSink writes a header row followed by one row per result. Given
+// axes, every row leads with a "point" column and one "axis:<name>"
+// column per axis.
 type CSVSink struct {
 	w      *csv.Writer
+	axes   []string
 	wroteH bool
 }
 
-// NewCSVSink creates a sink writing CSV to w.
-func NewCSVSink(w io.Writer) *CSVSink {
-	return &CSVSink{w: csv.NewWriter(w)}
+// NewCSVSink creates a sink writing CSV to w, with one axis column per
+// name, in the given order (take them from Experiment.AxisNames, so the
+// header is stable however results stream in).
+func NewCSVSink(w io.Writer, axes ...string) *CSVSink {
+	return &CSVSink{w: csv.NewWriter(w), axes: append([]string(nil), axes...)}
 }
 
 // recordRow renders a record as CSV cells, field-by-field in struct
-// order — shared by the plain and sweep CSV sinks so their row format
-// cannot drift.
+// order.
 func recordRow(rec record) ([]string, error) {
 	v := reflect.ValueOf(rec)
 	row := make([]string, v.NumField())
@@ -171,16 +185,32 @@ func recordRow(rec record) ([]string, error) {
 // Emit writes one CSV row (and the header before the first row).
 func (s *CSVSink) Emit(r Result) error {
 	if !s.wroteH {
-		if err := s.w.Write(csvHeader); err != nil {
+		header := make([]string, 0, 1+len(s.axes)+len(csvHeader))
+		if len(s.axes) > 0 {
+			header = append(header, "point")
+			for _, name := range s.axes {
+				header = append(header, "axis:"+name)
+			}
+		}
+		if err := s.w.Write(append(header, csvHeader...)); err != nil {
 			return err
 		}
 		s.wroteH = true
 	}
-	row, err := recordRow(toRecord(r))
+	cells, err := recordRow(toRecord(r))
 	if err != nil {
 		return err
 	}
-	return s.w.Write(row)
+	if len(s.axes) == 0 {
+		return s.w.Write(cells)
+	}
+	row := make([]string, 0, 1+len(s.axes)+len(cells))
+	row = append(row, strconv.Itoa(r.Point.Index))
+	for _, name := range s.axes {
+		v, _ := r.Point.Value(name) // a missing axis renders empty, not misaligned
+		row = append(row, v)
+	}
+	return s.w.Write(append(row, cells...))
 }
 
 // Close flushes the CSV writer.

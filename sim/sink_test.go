@@ -158,3 +158,83 @@ func TestSinksOmitTraceModeMemCells(t *testing.T) {
 		}
 	}
 }
+
+// fixedPointResults is a deterministic 2-axis, 2-point sweep over the
+// first two fixedResults runs, in point and matrix order.
+func fixedPointResults() []sim.Result {
+	mk := func(idx int, entries, bits string) sim.Point {
+		return sim.Point{Index: idx, Values: []sim.AxisValue{
+			{Axis: "pvt.entries", Value: entries},
+			{Axis: "conf.bits", Value: bits},
+		}}
+	}
+	var out []sim.Result
+	for _, pt := range []sim.Point{mk(0, "1024", "2"), mk(3, "2048", "3")} {
+		for _, r := range fixedResults()[:2] {
+			r.Point = pt
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+var sweepAxes = []string{"pvt.entries", "conf.bits"}
+
+func TestSweepCSVSinkGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := sim.EmitAll(sim.NewCSVSink(&buf, sweepAxes...), fixedPointResults()); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if n := strings.Count(out, "\n"); n != 5 { // header + 2 points × 2 runs
+		t.Errorf("expected 5 CSV lines, got %d:\n%s", n, out)
+	}
+	header := out[:strings.Index(out, "\n")]
+	for _, col := range []string{"point", "axis:pvt.entries", "axis:conf.bits", "bench", "scheme", "mispredict_pct"} {
+		if !strings.Contains(header, col) {
+			t.Errorf("header missing column %q: %s", col, header)
+		}
+	}
+	checkGolden(t, "sweep.csv.golden", buf.Bytes())
+}
+
+func TestSweepJSONSinkGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := sim.EmitAll(sim.NewJSONSink(&buf), fixedPointResults()); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if n := strings.Count(out, "\n"); n != 4 { // 2 points × 2 runs
+		t.Errorf("expected 4 NDJSON lines, got %d:\n%s", n, out)
+	}
+	if !strings.Contains(out, `"axes":{"conf.bits":"2","pvt.entries":"1024"}`) {
+		t.Errorf("NDJSON should carry the axis map:\n%s", out)
+	}
+	checkGolden(t, "sweep.ndjson.golden", buf.Bytes())
+}
+
+// TestSortResults pins the ordering contract: parallel delivery
+// shuffles cells across points and within them; sorting restores point
+// order, then matrix order within each point, and the sorted stream
+// renders exactly as point- and matrix-order delivery does.
+func TestSortResults(t *testing.T) {
+	rs := fixedPointResults()
+	shuffled := []sim.Result{rs[3], rs[0], rs[2], rs[1]}
+	sim.SortResults(shuffled)
+	for i := range rs {
+		if shuffled[i].Point.Index != rs[i].Point.Index || shuffled[i].Seq != rs[i].Seq {
+			t.Fatalf("cell %d is point %d seq %d, want point %d seq %d",
+				i, shuffled[i].Point.Index, shuffled[i].Seq, rs[i].Point.Index, rs[i].Seq)
+		}
+	}
+	var want, got bytes.Buffer
+	if err := sim.EmitAll(sim.NewCSVSink(&want, sweepAxes...), rs); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.EmitAll(sim.NewCSVSink(&got, sweepAxes...), shuffled); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+		t.Errorf("sorted stream should render identically:\n--- want ---\n%s\n--- got ---\n%s", want.String(), got.String())
+	}
+}

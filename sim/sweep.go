@@ -1,18 +1,17 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"repro/internal/config"
 )
 
-// maxGridPoints bounds an unsampled cross-product: a grid larger than
-// this must opt into Latin-hypercube subsampling (WithSample) instead
-// of silently enqueueing millions of points.
+// maxGridPoints bounds the points an experiment expands into: a grid
+// larger than this must opt into Latin-hypercube subsampling
+// (WithSample) instead of silently enqueueing millions of points, and a
+// sample may not exceed it either.
 const maxGridPoints = 1 << 20
 
 // AxisValue is one axis coordinate of a sweep point.
@@ -21,11 +20,11 @@ type AxisValue struct {
 	Value string // the swept value, as given
 }
 
-// Point is one configuration of a sweep: a coordinate per axis, in
-// axis declaration order. Index is the point's stable position in the
-// sweep's point list (the row-major grid position, or the sample
-// position under WithSample); SortSweepResults restores it after
-// parallel delivery.
+// Point is one configuration of an experiment: a coordinate per axis,
+// in axis declaration order. Index is the point's stable position in
+// the point list (the row-major grid position, or the sample position
+// under WithSample); SortResults restores it after parallel delivery.
+// An experiment without axes has one point, the zero Point.
 type Point struct {
 	Index  int
 	Values []AxisValue
@@ -50,93 +49,71 @@ func (p Point) String() string {
 	return strings.Join(parts, " ")
 }
 
-// SweepResult is the outcome of one sweep point: the point's
-// coordinates plus the full benchmark × scheme result matrix of
-// the base experiment run under that configuration.
-type SweepResult struct {
-	Point   Point
-	Results []Result
+// id is the point as run manifests and Progress report it: its index,
+// or -1 for the empty point of an experiment without axes.
+func (p Point) id() int {
+	if len(p.Values) == 0 {
+		return -1
+	}
+	return p.Index
 }
 
-// sweepAxis pairs an axis's declared values with the mutation that
-// applies one of them to a configuration.
-type sweepAxis struct {
+// knobs renders the point's coordinates as the manifest's knob map.
+func (p Point) knobs() map[string]string {
+	if len(p.Values) == 0 {
+		return nil
+	}
+	knobs := make(map[string]string, len(p.Values))
+	for _, av := range p.Values {
+		knobs[av.Axis] = av.Value
+	}
+	return knobs
+}
+
+// axis pairs an axis's declared values with the mutation that applies
+// one of them to a configuration.
+type axis struct {
 	name   string
 	values []string
 	apply  func(*Config, string) error
 }
 
-// Sweep is a declarative parameter sweep over a base experiment: the
-// cross-product of its axes (optionally Latin-hypercube subsampled)
-// expands into points, each point running the base experiment's
-// benchmark × scheme matrix with the point's axis values applied on
-// top of the base configuration. Trace-mode sweeps record each
-// benchmark's trace once for the whole sweep, however many points
-// replay it, and replay each replay-visible configuration once: points
-// differing only in timing-model knobs share one replay through the
-// provider's memo.
-//
-// A sweep runs on the plain Experiment runner's worker pool: every
-// point's cells are jobs, queued point-major, that any worker may
-// take, and the finished cells are regrouped by point so results
-// arrive point-atomic.
-type Sweep struct {
-	base   *Experiment
-	axes   []sweepAxis
-	sample int
-	seed   int64
-}
-
-// SweepOption configures a Sweep under construction.
-type SweepOption func(*Sweep) error
-
-// NewSweep validates the options and builds a Sweep over a base
-// experiment (built with New; its suite, schemes, mode, commit budget,
-// tag, parallelism and config mutator all carry over). At least one
-// axis is required, and every axis value is dry-run against a scratch
-// configuration so parse errors surface here, not per cell.
-func NewSweep(base *Experiment, opts ...SweepOption) (*Sweep, error) {
-	if base == nil {
-		return nil, fmt.Errorf("sim: sweep needs a base experiment")
-	}
-	s := &Sweep{base: base}
-	for _, opt := range opts {
-		if err := opt(s); err != nil {
-			return nil, err
-		}
-	}
-	if len(s.axes) == 0 {
-		return nil, fmt.Errorf("sim: sweep needs at least one axis (WithAxis)")
-	}
-	// Axes apply in declaration order, so a knob that reads another
-	// knob's field must come after it.
-	if err := config.CheckOrder(s.AxisNames()); err != nil {
-		return nil, fmt.Errorf("sim: axis order: %w", err)
-	}
-	for _, ax := range s.axes {
-		for _, v := range ax.values {
-			c := config.Default()
-			if err := ax.apply(&c, v); err != nil {
-				return nil, fmt.Errorf("sim: axis %s: %w", ax.name, err)
-			}
-		}
-	}
-	if n := s.gridSize(); s.sample == 0 && n > maxGridPoints {
-		return nil, fmt.Errorf("sim: sweep grid has %d points; subsample with WithSample", n)
-	}
-	return s, nil
-}
-
-func (s *Sweep) addAxis(ax sweepAxis) error {
+func (e *Experiment) addAxis(ax axis) error {
 	if len(ax.values) == 0 {
 		return fmt.Errorf("sim: axis %q needs at least one value", ax.name)
 	}
-	for _, prev := range s.axes {
+	for _, prev := range e.axes {
 		if prev.name == ax.name {
 			return fmt.Errorf("sim: duplicate sweep axis %q", ax.name)
 		}
 	}
-	s.axes = append(s.axes, ax)
+	e.axes = append(e.axes, ax)
+	return nil
+}
+
+// checkAxes validates the axes as a whole: their order, every value
+// dry-run against a scratch configuration (so parse errors surface at
+// New, not per cell), and the grid's size.
+func (e *Experiment) checkAxes() error {
+	if e.sample > 0 && len(e.axes) == 0 {
+		return fmt.Errorf("sim: WithSample needs at least one axis (WithAxis)")
+	}
+	// Axes apply in declaration order, so a knob that reads another
+	// knob's field must come after it.
+	if err := config.CheckOrder(e.AxisNames()); err != nil {
+		return fmt.Errorf("sim: axis order: %w", err)
+	}
+	for _, ax := range e.axes {
+		for _, v := range ax.values {
+			c := config.Default()
+			if err := ax.apply(&c, v); err != nil {
+				return fmt.Errorf("sim: axis %s: %w", ax.name, err)
+			}
+		}
+	}
+	if e.sample == 0 && e.gridSize() > maxGridPoints {
+		return fmt.Errorf("sim: sweep grid has more than %d points; subsample with WithSample", maxGridPoints)
+	}
 	return nil
 }
 
@@ -151,15 +128,15 @@ func formatValues(values []any) []string {
 }
 
 // WithAxis adds a named axis backed by one of the config knobs (see
-// Knobs): WithAxis("pvt.entries", 256, 512, 1024) sweeps the predictor
-// table size through three points.
-func WithAxis(name string, values ...any) SweepOption {
-	return func(s *Sweep) error {
+// Knobs): WithAxis("pvt.entries", 256, 512, 1024) runs the benchmark ×
+// scheme matrix at three points. Axes cross into a grid.
+func WithAxis(name string, values ...any) Option {
+	return func(e *Experiment) error {
 		m, ok := config.ResolveMutator(name)
 		if !ok {
 			return fmt.Errorf("sim: unknown sweep axis %q (registered knobs: %v)", name, config.MutatorNames())
 		}
-		return s.addAxis(sweepAxis{name: name, values: formatValues(values), apply: m.Apply})
+		return e.addAxis(axis{name: name, values: formatValues(values), apply: m.Apply})
 	}
 }
 
@@ -185,76 +162,80 @@ func Knobs() []Knob {
 // WithMutatorAxis adds a free-form axis: apply receives each swept
 // value as a string and may touch any Config field, so axes are not
 // limited to the config knobs.
-func WithMutatorAxis(name string, apply func(*Config, string) error, values ...any) SweepOption {
-	return func(s *Sweep) error {
+func WithMutatorAxis(name string, apply func(*Config, string) error, values ...any) Option {
+	return func(e *Experiment) error {
 		if name == "" {
 			return fmt.Errorf("sim: mutator axis needs a name")
 		}
 		if apply == nil {
 			return fmt.Errorf("sim: mutator axis %q needs an apply function", name)
 		}
-		return s.addAxis(sweepAxis{name: name, values: formatValues(values), apply: apply})
+		return e.addAxis(axis{name: name, values: formatValues(values), apply: apply})
 	}
 }
 
-// WithSample switches the sweep from the full cross-product to a
+// WithSample switches the axes from their full cross-product to a
 // Latin-hypercube subsample of n points: each axis's values are
 // stratified evenly across the sample and shuffled independently
 // (deterministically, from seed), so every axis is covered uniformly
 // even when the full grid is unaffordable. A sample at least as large
-// as the grid falls back to the full grid.
-func WithSample(n int, seed int64) SweepOption {
-	return func(s *Sweep) error {
-		if n < 1 {
-			return fmt.Errorf("sim: sample size %d < 1", n)
+// as the grid falls back to the full grid; n may not exceed 2^20.
+func WithSample(n int, seed int64) Option {
+	return func(e *Experiment) error {
+		if n < 1 || n > maxGridPoints {
+			return fmt.Errorf("sim: sample size %d outside 1..%d", n, maxGridPoints)
 		}
-		s.sample = n
-		s.seed = seed
+		e.sample = n
+		e.seed = seed
 		return nil
 	}
 }
 
-// AxisNames returns the axis names in declaration order — the column
-// order of the sweep sinks.
-func (s *Sweep) AxisNames() []string {
-	names := make([]string, len(s.axes))
-	for i, ax := range s.axes {
+// AxisNames returns the axis names in declaration order — the axis
+// column order of the sinks.
+func (e *Experiment) AxisNames() []string {
+	names := make([]string, len(e.axes))
+	for i, ax := range e.axes {
 		names[i] = ax.name
 	}
 	return names
 }
 
-// gridSize returns the full cross-product size (capped to avoid
-// overflow).
-func (s *Sweep) gridSize() int {
+// gridSize returns the full cross-product size, saturating at
+// maxGridPoints+1.
+func (e *Experiment) gridSize() int {
 	n := 1
-	for _, ax := range s.axes {
-		if n > maxGridPoints { // further multiplication cannot shrink it
-			return n
-		}
+	for _, ax := range e.axes {
 		n *= len(ax.values)
+		if n > maxGridPoints {
+			return maxGridPoints + 1
+		}
 	}
 	return n
 }
 
-// Points expands the sweep into its point list: the row-major
-// cross-product (first axis slowest), or the Latin-hypercube subsample
-// when WithSample is in effect and smaller than the grid.
-func (s *Sweep) Points() []Point {
-	if s.sample > 0 && s.sample < s.gridSize() {
-		return s.samplePoints()
+// Points expands the axes into the experiment's point list: the
+// row-major cross-product (first axis slowest), or the Latin-hypercube
+// subsample when WithSample is in effect and smaller than the grid.
+// Without axes it is the one empty point.
+func (e *Experiment) Points() []Point {
+	if len(e.axes) == 0 {
+		return []Point{{}}
 	}
-	return s.gridPoints()
+	if e.sample > 0 && e.sample < e.gridSize() {
+		return e.samplePoints()
+	}
+	return e.gridPoints()
 }
 
-func (s *Sweep) gridPoints() []Point {
-	pts := make([]Point, s.gridSize())
+func (e *Experiment) gridPoints() []Point {
+	pts := make([]Point, e.gridSize())
 	for i := range pts {
-		vals := make([]AxisValue, len(s.axes))
+		vals := make([]AxisValue, len(e.axes))
 		rem := i
-		for j := len(s.axes) - 1; j >= 0; j-- {
-			k := len(s.axes[j].values)
-			vals[j] = AxisValue{Axis: s.axes[j].name, Value: s.axes[j].values[rem%k]}
+		for j := len(e.axes) - 1; j >= 0; j-- {
+			k := len(e.axes[j].values)
+			vals[j] = AxisValue{Axis: e.axes[j].name, Value: e.axes[j].values[rem%k]}
 			rem /= k
 		}
 		pts[i] = Point{Index: i, Values: vals}
@@ -265,11 +246,11 @@ func (s *Sweep) gridPoints() []Point {
 // samplePoints draws the Latin-hypercube sample: per axis, a stratified
 // value column (each value appearing ⌊n/k⌋ or ⌈n/k⌉ times) shuffled
 // independently, then combined row-wise into points.
-func (s *Sweep) samplePoints() []Point {
-	n := s.sample
-	rng := rand.New(rand.NewSource(s.seed))
-	cols := make([][]string, len(s.axes))
-	for j, ax := range s.axes {
+func (e *Experiment) samplePoints() []Point {
+	n := e.sample
+	rng := rand.New(rand.NewSource(e.seed))
+	cols := make([][]string, len(e.axes))
+	for j, ax := range e.axes {
 		k := len(ax.values)
 		col := make([]string, n)
 		for i := 0; i < n; i++ {
@@ -280,126 +261,27 @@ func (s *Sweep) samplePoints() []Point {
 	}
 	pts := make([]Point, n)
 	for i := range pts {
-		vals := make([]AxisValue, len(s.axes))
-		for j := range s.axes {
-			vals[j] = AxisValue{Axis: s.axes[j].name, Value: cols[j][i]}
+		vals := make([]AxisValue, len(e.axes))
+		for j := range e.axes {
+			vals[j] = AxisValue{Axis: e.axes[j].name, Value: cols[j][i]}
 		}
 		pts[i] = Point{Index: i, Values: vals}
 	}
 	return pts
 }
 
-// pointConfig returns a point's cell configuration builder: the
-// scheme's base configuration with the point's axis mutations applied
-// on top, in axis order.
-func (s *Sweep) pointConfig(pt Point) func(string) (Config, error) {
-	return func(scheme string) (Config, error) {
-		c, err := s.base.baseConfig(scheme)
-		if err != nil {
-			return c, err
-		}
-		for j, av := range pt.Values {
-			if err := s.axes[j].apply(&c, av.Value); err != nil {
-				return c, fmt.Errorf("sim: point %d, axis %s: %w", pt.Index, av.Axis, err)
-			}
-		}
-		return c, nil
-	}
-}
-
-// SweepRunner is a started sweep: the experiment worker pool running
-// every point's cells, streaming one SweepResult per completed point.
-type SweepRunner struct {
-	*pool
-	results chan SweepResult
-	points  int
-}
-
-// Results returns the stream of completed points. The channel closes
-// once every point has finished or the context is cancelled; points
-// arrive in completion order (see SortSweepResults), each with its
-// cells in matrix order.
-func (r *SweepRunner) Results() <-chan SweepResult { return r.results }
-
-// Points returns the number of points in the sweep.
-func (r *SweepRunner) Points() int { return r.points }
-
-// Start prepares the workload (once, shared by every point) and
-// launches the experiment worker pool over every point's cell jobs,
-// point-major. In trace mode one shared provider records each
-// benchmark's trace exactly once for the whole sweep — an N-point sweep
-// over the full suite records 22 traces, not 22×N.
-func (s *Sweep) Start(ctx context.Context) (*SweepRunner, error) {
-	e := s.base
-	wl, traces, err := e.prepare(ctx)
+// cellConfig builds one cell's configuration: the scheme's base
+// configuration with the point's axis mutations applied on top, in
+// axis order.
+func (e *Experiment) cellConfig(pt Point, scheme string) (Config, error) {
+	c, err := e.baseConfig(scheme)
 	if err != nil {
-		return nil, err
+		return c, err
 	}
-	pts := s.Points()
-	var jobs []simJob
-	perPoint := 0
-	for _, pt := range pts {
-		meta := manifestMeta{point: pt.Index, knobs: pointKnobs(pt)}
-		if s.sample > 0 {
-			meta.seed = s.seed
+	for j, av := range pt.Values {
+		if err := e.axes[j].apply(&c, av.Value); err != nil {
+			return c, fmt.Errorf("sim: point %d, axis %s: %w", pt.Index, av.Axis, err)
 		}
-		var js []simJob
-		js, perPoint = e.buildJobs(wl, s.pointConfig(pt), meta)
-		jobs = append(jobs, js...)
 	}
-	r := &SweepRunner{results: make(chan SweepResult, len(pts)), points: len(pts)}
-	// cells collects each point's finished cells until its last one
-	// arrives; a point cut short by cancellation is never delivered.
-	cells := make([][]Result, len(pts))
-	r.pool = e.launch(ctx, traces, jobs, len(pts)*perPoint, func(j simJob, rs []Result) {
-		i := j.meta.point
-		cells[i] = append(cells[i], rs...)
-		if len(cells[i]) == perPoint {
-			SortResults(cells[i])
-			r.results <- SweepResult{Point: pts[i], Results: cells[i]}
-		}
-	}, func() { close(r.results) })
-	return r, nil
-}
-
-// pointKnobs renders a point's axis coordinates as the manifest's
-// knob map.
-func pointKnobs(pt Point) map[string]string {
-	if len(pt.Values) == 0 {
-		return nil
-	}
-	knobs := make(map[string]string, len(pt.Values))
-	for _, av := range pt.Values {
-		knobs[av.Axis] = av.Value
-	}
-	return knobs
-}
-
-// Run starts the sweep, drains the stream, and returns every point in
-// matrix order. It fails on cancellation but not on per-run errors
-// (inspect each Result.Err, or let the aggregation layer surface
-// them).
-func (s *Sweep) Run(ctx context.Context) ([]SweepResult, error) {
-	r, err := s.Start(ctx)
-	if err != nil {
-		return nil, err
-	}
-	var out []SweepResult
-	for sr := range r.Results() {
-		out = append(out, sr)
-	}
-	if err := r.Wait(); err != nil {
-		return out, err
-	}
-	SortSweepResults(out)
-	return out, nil
-}
-
-// SortSweepResults restores point order (and matrix order within each
-// point) on a slice of streamed sweep results.
-func SortSweepResults(rs []SweepResult) {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Point.Index < rs[j].Point.Index })
-	for i := range rs {
-		SortResults(rs[i].Results)
-	}
+	return c, nil
 }

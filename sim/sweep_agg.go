@@ -5,18 +5,35 @@ import (
 	"strings"
 )
 
-// pointMispredict returns a point's mean misprediction rate (percent)
-// across its runs of one scheme, and how many runs contributed. A
-// failed run poisons the aggregate, mirroring Tabulate.
-func pointMispredict(sr SweepResult, scheme string) (float64, int, error) {
+// byPoint groups results by sweep point, in first-appearance order
+// (point order, for results from Run or SortResults).
+func byPoint(rs []Result) [][]Result {
+	at := map[int]int{}
+	var out [][]Result
+	for _, r := range rs {
+		i, ok := at[r.Point.Index]
+		if !ok {
+			i = len(out)
+			at[r.Point.Index] = i
+			out = append(out, nil)
+		}
+		out[i] = append(out[i], r)
+	}
+	return out
+}
+
+// pointMispredict returns one point's mean misprediction rate
+// (percent) across its runs of one scheme, and how many runs
+// contributed. A failed run poisons the aggregate, mirroring Tabulate.
+func pointMispredict(cells []Result, scheme string) (float64, int, error) {
 	var sum float64
 	n := 0
-	for _, r := range sr.Results {
+	for _, r := range cells {
 		if r.Scheme != scheme {
 			continue
 		}
 		if r.Err != nil {
-			return 0, 0, fmt.Errorf("sim: point %d, %s/%s: %w", sr.Point.Index, r.Bench, r.Scheme, r.Err)
+			return 0, 0, fmt.Errorf("sim: point %d, %s/%s: %w", r.Point.Index, r.Bench, r.Scheme, r.Err)
 		}
 		sum += 100 * r.Stats.MispredictRate()
 		n++
@@ -29,25 +46,25 @@ func pointMispredict(sr SweepResult, scheme string) (float64, int, error) {
 
 // BestPoint returns the sweep point with the lowest mean misprediction
 // rate for a scheme, and that rate in percent.
-func BestPoint(rs []SweepResult, scheme string) (SweepResult, float64, error) {
-	best := -1
+func BestPoint(rs []Result, scheme string) (Point, float64, error) {
+	var best []Result
 	bestRate := 0.0
-	for i := range rs {
-		rate, n, err := pointMispredict(rs[i], scheme)
+	for _, cells := range byPoint(rs) {
+		rate, n, err := pointMispredict(cells, scheme)
 		if err != nil {
-			return SweepResult{}, 0, err
+			return Point{}, 0, err
 		}
 		if n == 0 {
 			continue
 		}
-		if best < 0 || rate < bestRate {
-			best, bestRate = i, rate
+		if best == nil || rate < bestRate {
+			best, bestRate = cells, rate
 		}
 	}
-	if best < 0 {
-		return SweepResult{}, 0, fmt.Errorf("sim: no runs for scheme %q in sweep results", scheme)
+	if best == nil {
+		return Point{}, 0, fmt.Errorf("sim: no runs for scheme %q in sweep results", scheme)
 	}
-	return rs[best], bestRate, nil
+	return best[0].Point, bestRate, nil
 }
 
 // Marginal is one row of a per-axis marginal table: one axis value,
@@ -61,7 +78,7 @@ type Marginal struct {
 
 // MarginalTable folds sweep results into the named axis's marginal
 // rows, in first-appearance (axis declaration) order.
-func MarginalTable(rs []SweepResult, axis string, schemes []string) ([]Marginal, error) {
+func MarginalTable(rs []Result, axis string, schemes []string) ([]Marginal, error) {
 	type acc struct {
 		sum map[string]float64
 		n   map[string]int
@@ -69,8 +86,8 @@ func MarginalTable(rs []SweepResult, axis string, schemes []string) ([]Marginal,
 	}
 	byValue := map[string]*acc{}
 	var order []string
-	for _, sr := range rs {
-		v, ok := sr.Point.Value(axis)
+	for _, cells := range byPoint(rs) {
+		v, ok := cells[0].Point.Value(axis)
 		if !ok {
 			return nil, fmt.Errorf("sim: sweep results have no axis %q", axis)
 		}
@@ -82,7 +99,7 @@ func MarginalTable(rs []SweepResult, axis string, schemes []string) ([]Marginal,
 		}
 		a.pts++
 		for _, scheme := range schemes {
-			rate, n, err := pointMispredict(sr, scheme)
+			rate, n, err := pointMispredict(cells, scheme)
 			if err != nil {
 				return nil, err
 			}

@@ -1,8 +1,10 @@
 package sim_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -13,19 +15,27 @@ import (
 	"repro/sim"
 )
 
-func baseExperiment(t *testing.T, dir string, schemes ...string) *sim.Experiment {
+// sweepOptions are the options of the tests' trace-mode gzip+vpr
+// experiment over schemes, with opts (the axes) appended.
+func sweepOptions(t *testing.T, dir string, schemes []string, opts ...sim.Option) []sim.Option {
 	t.Helper()
 	wl, err := sim.PrepareWorkload([]string{"gzip", "vpr"}, 50000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp, err := sim.New(
+	return append([]sim.Option{
 		sim.WithWorkload(wl),
 		sim.WithSchemes(schemes...),
 		sim.WithCommits(60000),
 		sim.WithMode(sim.ModeTrace),
 		sim.WithTraceDir(dir),
-	)
+	}, opts...)
+}
+
+// sweepExperiment builds the sweepOptions experiment.
+func sweepExperiment(t *testing.T, dir string, schemes []string, axes ...sim.Option) *sim.Experiment {
+	t.Helper()
+	exp, err := sim.New(sweepOptions(t, dir, schemes, axes...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,18 +43,14 @@ func baseExperiment(t *testing.T, dir string, schemes ...string) *sim.Experiment
 }
 
 func TestSweepGridExpansion(t *testing.T) {
-	exp := baseExperiment(t, t.TempDir(), "predpred")
-	sw, err := sim.NewSweep(exp,
+	exp := sweepExperiment(t, t.TempDir(), []string{"predpred"},
 		sim.WithAxis("pvt.entries", 256, 1024, 4096),
 		sim.WithAxis("conf.bits", 2, 3),
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sw.AxisNames(); !reflect.DeepEqual(got, []string{"pvt.entries", "conf.bits"}) {
+	if got := exp.AxisNames(); !reflect.DeepEqual(got, []string{"pvt.entries", "conf.bits"}) {
 		t.Fatalf("AxisNames = %v", got)
 	}
-	pts := sw.Points()
+	pts := exp.Points()
 	if len(pts) != 6 {
 		t.Fatalf("3×2 grid should have 6 points, got %d", len(pts))
 	}
@@ -67,46 +73,58 @@ func TestSweepGridExpansion(t *testing.T) {
 	}
 }
 
+// wideAxes returns three free-form axes of 2000 values each: a true
+// grid of 8×10^9 points, far past the unsampled bound.
+func wideAxes() []sim.Option {
+	values := make([]any, 2000)
+	for i := range values {
+		values[i] = i
+	}
+	noop := func(*sim.Config, string) error { return nil }
+	return []sim.Option{
+		sim.WithMutatorAxis("a", noop, values...),
+		sim.WithMutatorAxis("b", noop, values...),
+		sim.WithMutatorAxis("c", noop, values...),
+	}
+}
+
 func TestSweepValidation(t *testing.T) {
-	exp := baseExperiment(t, t.TempDir(), "predpred")
 	cases := []struct {
 		name string
-		opts []sim.SweepOption
+		opts []sim.Option
 	}{
-		{"no axes", nil},
-		{"unknown knob", []sim.SweepOption{sim.WithAxis("nosuch.knob", 1)}},
-		{"no values", []sim.SweepOption{sim.WithAxis("conf.bits")}},
-		{"bad value", []sim.SweepOption{sim.WithAxis("conf.bits", "many")}},
-		{"duplicate axis", []sim.SweepOption{sim.WithAxis("conf.bits", 2), sim.WithAxis("conf.bits", 3)}},
-		{"nil mutator", []sim.SweepOption{sim.WithMutatorAxis("x", nil, 1)}},
-		{"bad sample", []sim.SweepOption{sim.WithAxis("conf.bits", 2), sim.WithSample(0, 1)}},
+		{"sample without axes", []sim.Option{sim.WithSample(2, 1)}},
+		{"unknown knob", []sim.Option{sim.WithAxis("nosuch.knob", 1)}},
+		{"no values", []sim.Option{sim.WithAxis("conf.bits")}},
+		{"bad value", []sim.Option{sim.WithAxis("conf.bits", "many")}},
+		{"duplicate axis", []sim.Option{sim.WithAxis("conf.bits", 2), sim.WithAxis("conf.bits", 3)}},
+		{"nil mutator", []sim.Option{sim.WithMutatorAxis("x", nil, 1)}},
+		{"bad sample", []sim.Option{sim.WithAxis("conf.bits", 2), sim.WithSample(0, 1)}},
+		{"unsampled grid past the bound", wideAxes()},
+		// A sample past the bound used to fall back to a truncated
+		// prefix of the grid once the grid's size saturated.
+		{"sample past the bound", append(wideAxes(), sim.WithSample(5_000_000, 1))},
 	}
 	for _, c := range cases {
-		if _, err := sim.NewSweep(exp, c.opts...); err == nil {
-			t.Errorf("%s: NewSweep should fail", c.name)
+		if _, err := sim.New(sweepOptions(t, t.TempDir(), []string{"predpred"}, c.opts...)...); err == nil {
+			t.Errorf("%s: New should fail", c.name)
 		}
-	}
-	if _, err := sim.NewSweep(nil, sim.WithAxis("conf.bits", 2)); err == nil {
-		t.Error("nil base experiment should fail")
 	}
 }
 
 // TestSweepAxisOrder pins the knob-order rule: pvt.entries sizes its
 // byte budget from the history widths current when it applies, so a
 // sweep declaring it before a history-width axis would label one
-// configuration with another's numbers. NewSweep rejects that order
+// configuration with another's numbers. New rejects that order
 // and names the one to use.
 func TestSweepAxisOrder(t *testing.T) {
-	exp, err := sim.New(sim.WithSchemes("predpred"), sim.WithSuite("vpr"), sim.WithMode(sim.ModeTrace))
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := []sim.Option{sim.WithSchemes("predpred"), sim.WithSuite("vpr"), sim.WithMode(sim.ModeTrace)}
 	for _, hist := range []string{"pred.ghrbits", "pred.lhrbits"} {
-		_, err := sim.NewSweep(exp, sim.WithAxis("pvt.entries", 1024), sim.WithAxis("conf.bits", 2), sim.WithAxis(hist, 20))
+		_, err := sim.New(append(base, sim.WithAxis("pvt.entries", 1024), sim.WithAxis("conf.bits", 2), sim.WithAxis(hist, 20))...)
 		if err == nil || !strings.Contains(err.Error(), "declare "+hist+" before pvt.entries") {
-			t.Errorf("pvt.entries before %s: NewSweep error = %v, want one naming the order to use", hist, err)
+			t.Errorf("pvt.entries before %s: New error = %v, want one naming the order to use", hist, err)
 		}
-		if _, err := sim.NewSweep(exp, sim.WithAxis(hist, 20), sim.WithAxis("pvt.entries", 1024)); err != nil {
+		if _, err := sim.New(append(base, sim.WithAxis(hist, 20), sim.WithAxis("pvt.entries", 1024))...); err != nil {
 			t.Errorf("%s before pvt.entries should be accepted: %v", hist, err)
 		}
 	}
@@ -116,17 +134,13 @@ func TestSweepAxisOrder(t *testing.T) {
 // under a seed, n points, and every axis stratified (each value
 // appearing ⌊n/k⌋..⌈n/k⌉ times).
 func TestSweepLatinHypercube(t *testing.T) {
-	exp := baseExperiment(t, t.TempDir(), "predpred")
-	mk := func() *sim.Sweep {
-		sw, err := sim.NewSweep(exp,
+	dir := t.TempDir()
+	mk := func() *sim.Experiment {
+		return sweepExperiment(t, dir, []string{"predpred"},
 			sim.WithAxis("pvt.entries", 256, 512, 1024, 2048),
 			sim.WithAxis("conf.bits", 1, 2, 3),
 			sim.WithSample(6, 42),
 		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sw
 	}
 	pts := mk().Points()
 	if len(pts) != 6 {
@@ -155,12 +169,14 @@ func TestSweepLatinHypercube(t *testing.T) {
 		}
 	}
 	// A sample at least as large as the grid falls back to the full grid.
-	sw, err := sim.NewSweep(exp, sim.WithAxis("conf.bits", 2, 3), sim.WithSample(10, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(sw.Points()); got != 2 {
+	exp := sweepExperiment(t, dir, []string{"predpred"}, sim.WithAxis("conf.bits", 2, 3), sim.WithSample(10, 1))
+	if got := len(exp.Points()); got != 2 {
 		t.Errorf("oversized sample should fall back to the 2-point grid, got %d", got)
+	}
+	// A grid past the bound is sampled, however far past it is.
+	exp = sweepExperiment(t, dir, []string{"predpred"}, append(wideAxes(), sim.WithSample(4, 1))...)
+	if got := len(exp.Points()); got != 4 {
+		t.Errorf("a sample of 4 over a 2000^3 grid should yield 4 points, got %d", got)
 	}
 }
 
@@ -171,16 +187,12 @@ func TestSweepLatinHypercube(t *testing.T) {
 // the disk cache, observed through the cache-hit counter.
 func TestSweepRecordsTracesOnce(t *testing.T) {
 	dir := t.TempDir()
-	exp := baseExperiment(t, dir, "conventional", "predpred")
-	sweep := func() []sim.SweepResult {
-		sw, err := sim.NewSweep(exp,
-			sim.WithAxis("pvt.entries", 256, 1024, 4096),
-			sim.WithAxis("conf.bits", 2, 3),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := sw.Run(context.Background())
+	exp := sweepExperiment(t, dir, []string{"conventional", "predpred"},
+		sim.WithAxis("pvt.entries", 256, 1024, 4096),
+		sim.WithAxis("conf.bits", 2, 3),
+	)
+	sweep := func() []sim.Result {
+		rs, err := exp.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,33 +208,28 @@ func TestSweepRecordsTracesOnce(t *testing.T) {
 		t.Errorf("first sweep into an empty cache dir should not hit, got %d hits", d)
 	}
 
-	if len(rs) != 6 {
-		t.Fatalf("want 6 sweep points, got %d", len(rs))
+	if len(rs) != 6*4 { // 6 points × 2 benchmarks × 2 schemes
+		t.Fatalf("want 24 cells, got %d", len(rs))
 	}
-	for i, sr := range rs {
-		if sr.Point.Index != i {
-			t.Fatalf("Run should deliver matrix order, point %d has index %d", i, sr.Point.Index)
+	for i, r := range rs {
+		if r.Point.Index != i/4 || r.Seq != i%4 {
+			t.Fatalf("Run should deliver point and matrix order, cell %d is point %d seq %d", i, r.Point.Index, r.Seq)
 		}
-		if len(sr.Results) != 4 { // 2 benchmarks × 2 schemes
-			t.Fatalf("point %d: want 4 runs, got %d", i, len(sr.Results))
+		if r.Err != nil {
+			t.Fatalf("point %d %s/%s: %v", r.Point.Index, r.Bench, r.Scheme, r.Err)
 		}
-		for _, r := range sr.Results {
-			if r.Err != nil {
-				t.Fatalf("point %d %s/%s: %v", i, r.Bench, r.Scheme, r.Err)
-			}
-			if r.Stats.CondBranches == 0 || r.Stats.Committed < 59000 {
-				t.Errorf("point %d %s/%s: implausible stats %+v", i, r.Bench, r.Scheme, r.Stats)
-			}
+		if r.Stats.CondBranches == 0 || r.Stats.Committed < 59000 {
+			t.Errorf("point %d %s/%s: implausible stats %+v", r.Point.Index, r.Bench, r.Scheme, r.Stats)
 		}
 	}
 
 	// The axis must actually reach the predictors: a 256-entry table
 	// cannot match a 4096-entry table's misprediction count on both
 	// schemes across both benchmarks.
-	small, large := rs[0], rs[4] // conf.bits=2 at entries=256 vs 4096
+	small, large := rs[0:4], rs[16:20] // conf.bits=2 at entries=256 vs 4096
 	var diff bool
-	for j := range small.Results {
-		if small.Results[j].Stats.BranchMispred != large.Results[j].Stats.BranchMispred {
+	for j := range small {
+		if small[j].Stats.BranchMispred != large[j].Stats.BranchMispred {
 			diff = true
 		}
 	}
@@ -243,12 +250,8 @@ func TestSweepRecordsTracesOnce(t *testing.T) {
 }
 
 func TestSweepAggregation(t *testing.T) {
-	exp := baseExperiment(t, t.TempDir(), "conventional", "predpred")
-	sw, err := sim.NewSweep(exp, sim.WithAxis("pvt.entries", 128, 4096))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := sw.Run(context.Background())
+	exp := sweepExperiment(t, t.TempDir(), []string{"conventional", "predpred"}, sim.WithAxis("pvt.entries", 128, 4096))
+	rs, err := exp.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,8 +259,8 @@ func TestSweepAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := best.Point.Value("pvt.entries"); v != "4096" {
-		t.Errorf("a 4096-entry table should beat 128 entries, best = %s (%.2f%%)", best.Point, rate)
+	if v, _ := best.Value("pvt.entries"); v != "4096" {
+		t.Errorf("a 4096-entry table should beat 128 entries, best = %s (%.2f%%)", best, rate)
 	}
 	rows, err := sim.MarginalTable(rs, "pvt.entries", []string{"conventional", "predpred"})
 	if err != nil {
@@ -295,34 +298,67 @@ func TestSweepAggregation(t *testing.T) {
 // TestSweepCancellation: a sweep started under a cancelled context
 // reports the context error and leaves no goroutine behind. Its 8 jobs
 // outnumber its one worker, so a job feeder that ignored the context
-// would block forever on a send no worker takes.
+// would block forever on a send no worker takes. Cancelled after its
+// first delivered cell instead, a sweep streams only whole cells, each
+// carrying a point of the sweep, and Wait reports the context error.
 func TestSweepCancellation(t *testing.T) {
 	wl, err := sim.PrepareWorkload([]string{"gzip", "vpr"}, 50000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp, err := sim.New(
-		sim.WithWorkload(wl),
-		sim.WithSchemes("predpred"),
-		sim.WithCommits(60000),
-		sim.WithMode(sim.ModeTrace),
-		sim.WithTraceDir(t.TempDir()),
-		sim.WithParallelism(1),
-	)
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	newSweep := func() *sim.Experiment {
+		exp, err := sim.New(
+			sim.WithWorkload(wl),
+			sim.WithSchemes("predpred"),
+			sim.WithCommits(60000),
+			sim.WithMode(sim.ModeTrace),
+			sim.WithTraceDir(dir),
+			sim.WithParallelism(1),
+			sim.WithAxis("conf.bits", 1, 2, 3, 4),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return exp
 	}
-	sw, err := sim.NewSweep(exp, sim.WithAxis("conf.bits", 1, 2, 3, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
+
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	before := runtime.NumGoroutine()
-	if _, err := sw.Run(ctx); err == nil {
+	if _, err := newSweep().Run(ctx); err == nil {
 		t.Fatal("cancelled sweep should report the context error")
 	}
 	sim.WaitGoroutines(t, before)
+
+	exp := newSweep()
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	r, err := exp.Start(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := exp.Points()
+	streamed := 0
+	for res := range r.Results() {
+		if streamed == 0 {
+			cancel()
+		}
+		streamed++
+		p := res.Point
+		if p.Index < 0 || p.Index >= len(points) || !reflect.DeepEqual(p, points[p.Index]) {
+			t.Errorf("cell %s/%s carries point %+v, not one of the sweep's", res.Bench, res.Scheme, p)
+		}
+		if res.Err != nil || res.Stats.Committed == 0 {
+			t.Errorf("point %d %s/%s: streamed an unfinished cell (err %v)", p.Index, res.Bench, res.Scheme, res.Err)
+		}
+	}
+	if err := r.Wait(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Wait() = %v, want context.Canceled", err)
+	}
+	if streamed == 0 || streamed >= r.Total() {
+		t.Errorf("cancelled after the first cell, streamed %d of %d", streamed, r.Total())
+	}
 }
 
 // TestSweepCellsRunConcurrently pins that a sweep's cells, not its
@@ -335,18 +371,7 @@ func TestSweepCellsRunConcurrently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp, err := sim.New(
-		sim.WithWorkload(wl),
-		sim.WithSchemes("predpred"),
-		sim.WithCommits(20000),
-		sim.WithMode(sim.ModeTrace),
-		sim.WithTraceDir(t.TempDir()),
-		sim.WithParallelism(2),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var armed atomic.Bool // NewSweep's dry run also calls apply; count only cell builds
+	var armed atomic.Bool // New's dry run also calls apply; count only cell builds
 	var arrived atomic.Int32
 	both := make(chan struct{})
 	rendezvous := func(*sim.Config, string) error {
@@ -363,24 +388,104 @@ func TestSweepCellsRunConcurrently(t *testing.T) {
 			return errors.New("no second cell arrived: the point's cells ran one after another")
 		}
 	}
-	sw, err := sim.NewSweep(exp, sim.WithMutatorAxis("rendezvous", rendezvous, 1))
+	exp, err := sim.New(
+		sim.WithWorkload(wl),
+		sim.WithSchemes("predpred"),
+		sim.WithCommits(20000),
+		sim.WithMode(sim.ModeTrace),
+		sim.WithTraceDir(t.TempDir()),
+		sim.WithParallelism(2),
+		sim.WithMutatorAxis("rendezvous", rendezvous, 1),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	armed.Store(true)
-	rs, err := sw.Run(context.Background())
+	rs, err := exp.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs) != 1 || len(rs[0].Results) != 2 {
+	if len(rs) != 2 {
 		t.Fatalf("want one point of 2 cells, got %+v", rs)
 	}
-	for i, r := range rs[0].Results {
+	for i, r := range rs {
 		if r.Seq != i {
-			t.Errorf("cell %d has Seq %d; a point's cells must arrive in matrix order", i, r.Seq)
+			t.Errorf("cell %d has Seq %d; Run must return matrix order", i, r.Seq)
 		}
 		if r.Err != nil {
 			t.Errorf("%s/%s: %v", r.Bench, r.Scheme, r.Err)
+		}
+	}
+}
+
+// TestPlainExperimentIsTheEmptyPoint pins the unification of sweeps
+// and experiments: a one-point sweep whose single axis sets a knob to
+// its Table 1 default simulates exactly the plain experiment, cell for
+// cell, and its CSV rows are the plain rows behind the point and axis
+// columns. The plain experiment's results carry the zero Point.
+func TestPlainExperimentIsTheEmptyPoint(t *testing.T) {
+	wl, err := sim.PrepareWorkload([]string{"gzip", "vpr"}, 50000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(opts ...sim.Option) []sim.Result {
+		exp, err := sim.New(append([]sim.Option{
+			sim.WithWorkload(wl),
+			sim.WithSchemes("conventional", "predpred"),
+			sim.WithCommits(20000),
+		}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := exp.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
+	}
+	def := sim.DefaultConfig().ROBEntries
+	plain := run()
+	swept := run(sim.WithAxis("rob.entries", def))
+	if len(plain) != 4 || len(swept) != len(plain) {
+		t.Fatalf("want 4 cells each, got %d plain and %d swept", len(plain), len(swept))
+	}
+	for i := range plain {
+		p, s := plain[i], swept[i]
+		if !reflect.DeepEqual(p.Point, sim.Point{}) {
+			t.Errorf("plain cell %d carries point %+v, want the zero Point", i, p.Point)
+		}
+		if v, _ := s.Point.Value("rob.entries"); s.Point.Index != 0 || v != fmt.Sprint(def) {
+			t.Errorf("swept cell %d carries point %+v", i, s.Point)
+		}
+		if p.Err != nil || s.Err != nil {
+			t.Fatalf("cell %d: errors %v / %v", i, p.Err, s.Err)
+		}
+		if !reflect.DeepEqual(p.Stats, s.Stats) || p.Mem != s.Mem {
+			t.Errorf("cell %d %s/%s: the default-valued point differs from the plain experiment", i, p.Bench, p.Scheme)
+		}
+	}
+	var plainCSV, sweptCSV bytes.Buffer
+	if err := sim.EmitAll(sim.NewCSVSink(&plainCSV), plain); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.EmitAll(sim.NewCSVSink(&sweptCSV, "rob.entries"), swept); err != nil {
+		t.Fatal(err)
+	}
+	plainRows := strings.Split(plainCSV.String(), "\n")
+	sweptRows := strings.Split(sweptCSV.String(), "\n")
+	if len(plainRows) != len(sweptRows) {
+		t.Fatalf("%d plain lines, %d swept lines", len(plainRows), len(sweptRows))
+	}
+	for i := range plainRows {
+		want := plainRows[i]
+		if want == "" {
+			continue
+		}
+		// Drop the point and axis:rob.entries columns.
+		_, got, _ := strings.Cut(sweptRows[i], ",")
+		_, got, _ = strings.Cut(got, ",")
+		if got != want {
+			t.Errorf("line %d: swept row without its point columns\n got %s\nwant %s", i, got, want)
 		}
 	}
 }
