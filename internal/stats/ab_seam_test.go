@@ -25,7 +25,7 @@ func TestSeamOverheadAB(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := bench.Build(spec)
-	tr, err := trace.Record(context.Background(), prog, trace.Options{MaxSteps: 200000})
+	tr, err := trace.Record(context.Background(), prog, 200000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func TestReplaySteadyStateAllocFree(t *testing.T) {
 	}
 	cfgs := schemeCfgs()
 	for _, prog := range []*program.Program{progs[0].Plain, progs[0].Converted} {
-		tr, err := trace.Record(context.Background(), prog, trace.Options{MaxSteps: 200000})
+		tr, err := trace.Record(context.Background(), prog, 200000)
 		if err != nil {
 			t.Fatal(err)
 		}

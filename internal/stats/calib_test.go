@@ -38,7 +38,7 @@ func TestCalibrate(t *testing.T) {
 			if conv {
 				p = pg.Converted
 			}
-			tr, err := trace.Record(context.Background(), p, trace.Options{MaxSteps: commits + 64})
+			tr, err := trace.Record(context.Background(), p, commits+64)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -90,7 +90,7 @@ func TestEngineConfigProjection(t *testing.T) {
 	}
 	// The if-converted binary carries the guarded compares selective
 	// predication cancels, so every engine path is exercised.
-	tr, err := trace.Record(context.Background(), pgs[0].Converted, trace.Options{MaxSteps: commits})
+	tr, err := trace.Record(context.Background(), pgs[0].Converted, commits)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -349,8 +349,8 @@ func ReplayAll(ctx context.Context, cfgs []config.Config, tr *trace.Trace, commi
 }
 
 // replay drives the shared cursor: decode a batch, annotate it through
-// the frontend (budget- and marker-aware, exactly as the per-scheme
-// engine looped), then fan the admitted events to every engine. With
+// the frontend up to the commit budget or the halt record (which no
+// engine acts on), then fan the admitted events to every engine. With
 // tm nil the timed branches are dead and replay is exactly the untimed
 // loop; otherwise phase durations accumulate into tm once per batch.
 func replay(ctx context.Context, engines []*schemeEngine, tr *trace.Trace, commits uint64, tm *Timings, now func() int64) error {
@@ -381,35 +381,26 @@ func replay(ctx context.Context, engines []*schemeEngine, tr *trace.Trace, commi
 			tm.DecodeNS += t1 - t0
 			t0 = t1
 		}
-		// Admit events up to the commit budget, compacting markers (and
-		// the halt record, which no engine acts on) out of the batch.
+		// Admit events up to the commit budget.
 		n := 0
-		for i := 0; i < nDec; i++ {
-			ev := &evs[i]
+		for n < nDec && !done {
+			ev := &evs[n]
 			committed += ev.Gap
 			if commits > 0 && committed >= commits {
 				committed = commits
 				done = true
 				break
 			}
-			if ev.Kind != trace.EvMarker {
-				committed++
-				fe.step = committed
-				if ev.Kind == trace.EvHalt {
-					halted = true
-					done = true
-					break
-				}
-				if n != i {
-					evs[n] = *ev
-				}
-				fe.annotate(&evs[n], &notes[n])
-				n++
-			}
-			if commits > 0 && committed >= commits {
+			committed++
+			fe.step = committed
+			if ev.Kind == trace.EvHalt {
+				halted = true
 				done = true
 				break
 			}
+			fe.annotate(ev, &notes[n])
+			n++
+			done = commits > 0 && committed >= commits
 		}
 		if timed {
 			t1 := now()
@@ -437,6 +428,14 @@ func replay(ctx context.Context, engines []*schemeEngine, tr *trace.Trace, commi
 	}
 	if err := cur.Err(); err != nil {
 		return err
+	}
+	if !done {
+		// The stream ended in plain instructions, which have no record:
+		// the trace's step count accounts for them.
+		committed = tr.Steps
+		if commits > 0 {
+			committed = min(committed, commits)
+		}
 	}
 	for _, e := range engines {
 		e.st.Committed = committed
@@ -532,7 +531,7 @@ func (e *schemeEngine) batchPredicate(evs []trace.Event, notes []note) {
 			// they clear their destinations even when nullified — the
 			// pipeline's uncFalse path).
 			usable := e.resolvedAt(ev.QP, nt.step) || e.predConf[ev.QP]
-			canceled := selective && ev.Guarded && !ev.QPTrue && !ev.Unc && usable
+			canceled := selective && ev.QP != uint8(isa.P0) && !ev.QPTrue && !ev.Unc && usable
 
 			// Apply the trainings that have left the in-flight window,
 			// as commit would have by this compare's fetch, then predict

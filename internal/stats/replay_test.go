@@ -7,7 +7,9 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/config"
+	"repro/internal/isa"
 	"repro/internal/pipeline"
+	"repro/internal/program"
 	"repro/internal/trace"
 )
 
@@ -102,7 +104,7 @@ func TestTraceReplayEquivalence(t *testing.T) {
 			if converted {
 				p = pg.Converted
 			}
-			tr, err := trace.Record(context.Background(), p, trace.Options{MaxSteps: equivCommits + 64})
+			tr, err := trace.Record(context.Background(), p, equivCommits+64)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,6 +175,55 @@ func TestTraceReplayEquivalence(t *testing.T) {
 	}
 }
 
+// guardedCompareProgram is a loop whose guarded compare reads a guard
+// produced by the compare right before it from a pseudo-random bit: the
+// guard is unresolved at rename and rarely confidently predicted, so
+// selective predication issues nearly every false-guarded compare as a
+// select micro-op instead of cancelling it. The program halts after
+// trips iterations.
+func guardedCompareProgram(trips int64) *program.Program {
+	b := program.NewBuilder("guarded-compare")
+	b.MovI(1, 12345).MovI(2, 0).MovI(7, trips)
+	b.Label("loop").
+		MulI(1, 1, 1103515245).AddI(1, 1, 12345).
+		ShrI(3, 1, 16).AndI(3, 3, 1).
+		CmpI(isa.RelEQ, isa.CmpNorm, 3, 4, 3, 1).
+		G(3).CmpI(isa.RelLT, isa.CmpNorm, 5, 6, 2, trips/2).
+		AddI(2, 2, 1).
+		Cmp(isa.RelLT, isa.CmpUnc, 8, 9, 2, 7).
+		G(8).Br("loop").
+		Halt()
+	return b.Program()
+}
+
+// TestReplayReadsCompareGuard is the regression test for a guarded
+// compare's guard: replay must decide cancellation from the compare's
+// own guard, as the pipeline does, so the predicate predictions it
+// scores match the pipeline's. A trace that drops the guard reads it as
+// p0, cancels every false-guarded compare, and scores about a sixth of
+// the predictions short (1,000 false guards of 6,000 compares here).
+// The confident cancellations that remain are modeled, not simulated:
+// trace mode makes about twice as many as the pipeline, 8 predictions'
+// worth at this length (DESIGN.md, fidelity contract).
+func TestReplayReadsCompareGuard(t *testing.T) {
+	p := guardedCompareProgram(2000)
+	tr, err := trace.Record(context.Background(), p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := config.Default().WithScheme(config.SchemePredicate)
+	pst, err := Simulate(cfg, p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tst, err := Replay(cfg, tr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withinCount(t, "committed", tst.Committed, pst.Committed, countSlack)
+	withinCount(t, "pred predictions", tst.PredPredictions, pst.PredPredictions, 2*countSlack)
+}
+
 // TestReplayIdealizedVariants exercises the §4.2 idealized knobs and
 // the ablation configurations through the trace engine.
 func TestReplayIdealizedVariants(t *testing.T) {
@@ -181,7 +232,7 @@ func TestReplayIdealizedVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := bench.Build(spec)
-	tr, err := trace.Record(context.Background(), p, trace.Options{MaxSteps: 60000})
+	tr, err := trace.Record(context.Background(), p, 60000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +287,7 @@ func TestReplayCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := trace.Record(context.Background(), bench.Build(spec), trace.Options{MaxSteps: 400000})
+	tr, err := trace.Record(context.Background(), bench.Build(spec), 400000)
 	if err != nil {
 		t.Fatal(err)
 	}

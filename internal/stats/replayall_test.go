@@ -34,7 +34,7 @@ func TestReplayAllMatchesIndependentReplays(t *testing.T) {
 	const commits = 40000
 	cfgs := schemeCfgs()
 	for _, spec := range bench.Suite() {
-		tr, err := trace.Record(context.Background(), bench.Build(spec), trace.Options{MaxSteps: commits + 64})
+		tr, err := trace.Record(context.Background(), bench.Build(spec), commits+64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,13 +61,14 @@ func TestReplayAllMatchesIndependentReplays(t *testing.T) {
 // TestReplayAllRepeatsAndMatchesVariants extends the equality oracle to
 // heterogeneous configuration sets (the ablation and idealization knobs
 // differing per entry) replayed twice over one trace, on one benchmark
-// so it stays cheap enough to run without -short.
+// so it stays cheap enough to run without -short. It also pins how a
+// replay counts the end of the stream.
 func TestReplayAllRepeatsAndMatchesVariants(t *testing.T) {
 	spec, err := bench.Find("vpr")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := trace.Record(context.Background(), bench.Build(spec), trace.Options{MaxSteps: 50000})
+	tr, err := trace.Record(context.Background(), bench.Build(spec), 50000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,6 +101,48 @@ func TestReplayAllRepeatsAndMatchesVariants(t *testing.T) {
 			}
 		}
 	}
+
+	// End-of-stream accounting: plain instructions after the last event
+	// have no record, so every replay commits min(Steps, budget), with
+	// budget 0 meaning the whole trace.
+	var recorded uint64
+	cur := tr.EventCursor()
+	var ev trace.Event
+	for cur.Next(&ev) {
+		recorded += ev.Gap + 1
+	}
+	if recorded >= tr.Steps {
+		t.Fatalf("vpr's recording ends in an event (%d of %d steps); the trailing-gap case needs one that ends in plain instructions", recorded, tr.Steps)
+	}
+	halting, err := trace.Record(context.Background(), guardedCompareProgram(100), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		tr     *trace.Trace
+		budget uint64
+	}{
+		{"halting program", halting, 0},
+		{"halting program, budget past the halt", halting, halting.Steps + 100},
+		{"trailing gap", tr, 0},
+		{"trailing gap, budget past the recording", tr, tr.Steps + 100},
+		{"budget below Steps", tr, 40000},
+	} {
+		want := c.tr.Steps
+		if c.budget > 0 {
+			want = min(want, c.budget)
+		}
+		all, _, err := ReplayAll(context.Background(), cfgs, c.tr, c.budget, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, st := range all {
+			if st.Committed != want {
+				t.Errorf("%s, cfg %d: committed %d, want min(Steps, budget) = %d", c.name, i, st.Committed, want)
+			}
+		}
+	}
 }
 
 // TestReplayAllRejectsBadInput pins the error paths: an empty config
@@ -109,7 +152,7 @@ func TestReplayAllRejectsBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := trace.Record(context.Background(), bench.Build(spec), trace.Options{MaxSteps: 1000})
+	tr, err := trace.Record(context.Background(), bench.Build(spec), 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +173,7 @@ func TestReplayAllCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := trace.Record(context.Background(), bench.Build(spec), trace.Options{MaxSteps: 400000})
+	tr, err := trace.Record(context.Background(), bench.Build(spec), 400000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +190,7 @@ func recordBenchTrace(b *testing.B, name string, commits uint64) *trace.Trace {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr, err := trace.Record(context.Background(), bench.Build(spec), trace.Options{MaxSteps: commits + 64})
+	tr, err := trace.Record(context.Background(), bench.Build(spec), commits+64)
 	if err != nil {
 		b.Fatal(err)
 	}

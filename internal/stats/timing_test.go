@@ -19,7 +19,7 @@ func TestReplayAllTimedMatchesUntimed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := trace.Record(context.Background(), bench.Build(spec), trace.Options{MaxSteps: 50000})
+	tr, err := trace.Record(context.Background(), bench.Build(spec), 50000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestSessionReplayAllTimed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := trace.Record(context.Background(), bench.Build(spec), trace.Options{MaxSteps: 30000})
+	tr, err := trace.Record(context.Background(), bench.Build(spec), 30000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ func Acquire(ctx context.Context, dir string, p *program.Program, budget uint64,
 		return t, pv, nil
 	}
 	t0 = now()
-	t, err := Record(ctx, p, Options{MaxSteps: budget})
+	t, err := Record(ctx, p, budget)
 	if err != nil {
 		return nil, pv, err
 	}

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/isa"
 )
 
 // oversizedEventLength is a 32-byte trace file whose header is valid
@@ -49,4 +51,49 @@ func TestDecodeRejectsOversizedEventLength(t *testing.T) {
 		t.Errorf("Load counted %d misses and %d hits, want 1 and 0",
 			cacheMisses.Load()-misses, cacheHits.Load()-hits)
 	}
+}
+
+// FuzzDecode holds the decoder to its contract on arbitrary bytes:
+// Decode followed by a full batched cursor walk never panics or hangs,
+// reports every failure as an error, and yields only events replay can
+// index its per-register tables with. A trace that decodes re-encodes
+// to one that decodes the same. The seed corpus (testdata/fuzz) is a
+// small recorded trace holding every event kind, truncations of it, the
+// oversized event length and a branch guarded by register 64.
+func FuzzDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Decode(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := tr.EncodeTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Decode(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded trace does not decode: %v", err)
+		}
+		if again.ProgHash != tr.ProgHash || again.Steps != tr.Steps || again.Halted != tr.Halted ||
+			!bytes.Equal(again.Events, tr.Events) {
+			t.Fatal("re-encoded trace decodes differently")
+		}
+
+		c := tr.EventCursor()
+		evs := make([]Event, 7)
+		for {
+			n := c.NextBatch(evs)
+			if n == 0 {
+				break
+			}
+			for _, ev := range evs[:n] {
+				if ev.QP >= isa.NumPred || ev.P1 >= isa.NumPred || ev.P2 >= isa.NumPred {
+					t.Fatalf("decoded %+v: predicate register out of range", ev)
+				}
+			}
+		}
+		if c.Err() == nil && c.pos != len(c.buf) {
+			t.Fatalf("cursor stopped at offset %d of %d without an error", c.pos, len(c.buf))
+		}
+	})
 }

@@ -14,29 +14,12 @@ import (
 // without the check appearing in profiles.
 const recordChunk = 65536
 
-// Options configures one recording.
-type Options struct {
-	// MaxSteps bounds the recording (0 = run to halt). The bound is
-	// stored in the trace so cache hits can check sufficiency.
-	MaxSteps uint64
-}
-
 // recorder accumulates the event stream while observing emulator steps
 // through the StepHook seam.
 type recorder struct {
 	prog *program.Program
 	buf  bytes.Buffer
 	gap  uint64 // uninteresting instructions since the last event
-
-	// lastDest[p] is 1 + the step index of the most recent compare that
-	// renames predicate p (a compare listing p as a destination whose
-	// qualifying predicate was true, or an unc compare, which writes its
-	// destinations even when nullified); 0 means never.
-	lastDest [isa.NumPred]uint64
-	step     uint64
-
-	condBranches uint64
-	compares     uint64
 }
 
 func (r *recorder) event(kind byte) {
@@ -50,7 +33,6 @@ func (r *recorder) observe(info emulator.StepInfo) {
 	switch {
 	case info.Op == isa.OpHalt:
 		r.event(EvHalt)
-		putUvarint(&r.buf, uint64(info.PC))
 	case info.IsCmp:
 		kind := byte(EvCompare)
 		if info.QPTrue {
@@ -80,68 +62,43 @@ func (r *recorder) observe(info emulator.StepInfo) {
 		putUvarint(&r.buf, uint64(info.PC))
 		r.buf.WriteByte(byte(in.P1))
 		r.buf.WriteByte(byte(in.P2))
-		r.compares++
-		// Renaming view: a compare claims its destinations when it is
-		// not nullified, and unconditionally for unc compares (which
-		// clear their destinations even under a false guard).
-		if info.QPTrue || in.CType == isa.CmpUnc {
-			if in.P1 != isa.P0 {
-				r.lastDest[in.P1] = r.step + 1
-			}
-			if in.P2 != isa.P0 {
-				r.lastDest[in.P2] = r.step + 1
-			}
-		}
-	case info.IsBranch:
-		switch in.Op {
-		case isa.OpCall:
-			r.event(EvCall)
-			putUvarint(&r.buf, uint64(info.PC))
-		case isa.OpRet, isa.OpBrInd:
-			kind := byte(EvRet)
-			if in.Op == isa.OpBrInd {
-				kind = EvBrInd
-			}
-			if info.Taken {
-				kind |= flagTaken
-			}
-			r.event(kind)
-			putUvarint(&r.buf, uint64(info.PC))
-			putUvarint(&r.buf, uint64(info.Target))
-		case isa.OpBr:
-			if !in.IsConditional() {
-				// Unconditional direct: predictor-invisible, but still a
-				// committed instruction for distance accounting.
-				r.gap++
-				r.step++
-				return
-			}
-			kind := byte(EvCondBr)
-			if info.Taken {
-				kind |= flagTaken
-			}
-			last := r.lastDest[in.QP]
-			if last > 0 {
-				kind |= fBrProducer
-			}
-			r.event(kind)
-			putUvarint(&r.buf, uint64(info.PC))
+		if in.QP != isa.P0 {
 			r.buf.WriteByte(byte(in.QP))
-			if last > 0 {
-				putUvarint(&r.buf, r.step-(last-1))
-			}
-			r.condBranches++
 		}
+	case in.Op == isa.OpCall:
+		r.event(EvCall)
+		putUvarint(&r.buf, uint64(info.PC))
+	case in.Op == isa.OpRet || in.Op == isa.OpBrInd:
+		kind := byte(EvRet)
+		if in.Op == isa.OpBrInd {
+			kind = EvBrInd
+		}
+		if info.Taken {
+			kind |= flagTaken
+		}
+		r.event(kind)
+		putUvarint(&r.buf, uint64(info.PC))
+		putUvarint(&r.buf, uint64(info.Target))
+	case in.Op == isa.OpBr && in.IsConditional():
+		kind := byte(EvCondBr)
+		if info.Taken {
+			kind |= flagTaken
+		}
+		r.event(kind)
+		putUvarint(&r.buf, uint64(info.PC))
+		r.buf.WriteByte(byte(in.QP))
 	default:
+		// Plain instructions, unconditional direct branches included
+		// (predictor-invisible), count towards the next event's gap.
 		r.gap++
 	}
-	r.step++
 }
 
-// Record runs the program on the functional emulator and returns its
-// committed-stream trace. It checks ctx between step slices, so a
-// long recording is promptly cancellable.
-func Record(ctx context.Context, p *program.Program, opt Options) (*Trace, error) {
+// Record runs the program on the functional emulator for at most
+// maxSteps committed instructions (0 = run to halt) and returns its
+// committed-stream trace. It checks ctx between step slices, so a long
+// recording is promptly cancellable.
+func Record(ctx context.Context, p *program.Program, maxSteps uint64) (*Trace, error) {
 	rec := &recorder{prog: p}
 	em := emulator.New(p)
 	em.StepHook = rec.observe
@@ -150,8 +107,8 @@ func Record(ctx context.Context, p *program.Program, opt Options) (*Trace, error
 			return nil, err
 		}
 		chunk := uint64(recordChunk)
-		if opt.MaxSteps > 0 {
-			left := opt.MaxSteps - em.Steps
+		if maxSteps > 0 {
+			left := maxSteps - em.Steps
 			if left == 0 {
 				break
 			}
@@ -163,20 +120,11 @@ func Record(ctx context.Context, p *program.Program, opt Options) (*Trace, error
 			break
 		}
 	}
-	// Flush the trailing gap so replay accounts for every instruction.
-	if rec.gap > 0 {
-		rec.event(EvMarker)
-		putUvarint(&rec.buf, MarkerEnd)
-		putUvarint(&rec.buf, 0)
-	}
 	t := &Trace{
-		ProgHash:     HashProgram(p),
-		Cap:          opt.MaxSteps,
-		Steps:        em.Steps,
-		Halted:       em.Halted,
-		CondBranches: rec.condBranches,
-		Compares:     rec.compares,
-		Events:       rec.buf.Bytes(),
+		ProgHash: HashProgram(p),
+		Steps:    em.Steps,
+		Halted:   em.Halted,
+		Events:   rec.buf.Bytes(),
 	}
 	recordings.Inc()
 	return t, nil

