@@ -319,7 +319,9 @@ func runAblations(d *driver) {
 	if err != nil {
 		d.fatal(err)
 	}
-	sd := &driver{ctx: d.ctx, workload: subset, commits: d.commits, mode: d.mode, verbose: d.verbose, sink: d.sink}
+	sub := *d // every shared piece, the observer included
+	sub.workload = subset
+	sd := &sub
 	one := []string{"predpred"}
 
 	d.text("Ablation 1: shared PVT + two hash functions vs statically split PVT (§3.3)\n")

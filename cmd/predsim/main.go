@@ -211,13 +211,6 @@ func report(p *sim.Program, res sim.ProgramResult) {
 		100*m.L1IMissRate(), 100*m.L1DMissRate(), 100*m.L2MissRate(), st.LoadForwards)
 }
 
-func max(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "predsim:", err)
 	os.Exit(1)

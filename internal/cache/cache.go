@@ -103,8 +103,6 @@ func (c *Cache) fill(si int, block uint64, cycle uint64) {
 }
 
 // Access models one access and returns its latency in cycles.
-//
-//simlint:hotpath
 func (c *Cache) Access(addr uint64, cycle uint64, isWrite bool) int {
 	c.Stats.Accesses++
 	block := c.blockAddr(addr)
@@ -250,8 +248,6 @@ func NewTLB(size, penalty int) *TLB {
 }
 
 // Access returns the extra cycles charged for translating addr.
-//
-//simlint:hotpath
 func (t *TLB) Access(addr uint64, cycle uint64) int {
 	t.Accesses++
 	page := addr >> 12

@@ -8,15 +8,12 @@ import (
 )
 
 // Directive prefixes. A //simlint:ignore suppresses one check's
-// diagnostics on its own line or the line directly below; a
-// //simlint:hotpath line in a function's doc comment opts the function
-// into the hotalloc allocation rules. The field annotation
-// //simlint:nonsemantic (keycover) exempts one struct field from its
-// coverage rule — with a mandatory reason, because an escape hatch
-// nobody can audit is just a hole.
+// diagnostics on its own line or the line directly below. The field
+// annotation //simlint:nonsemantic (keycover) exempts one struct field
+// from its coverage rule — with a mandatory reason, because an escape
+// hatch nobody can audit is just a hole.
 const (
 	ignorePrefix      = "//simlint:ignore"
-	hotpathBare       = "//simlint:hotpath"
 	nonsemanticPrefix = "//simlint:nonsemantic"
 )
 
@@ -150,25 +147,4 @@ func fieldAnnotation(fset *token.FileSet, files []*ast.File, pos token.Pos, pref
 		}
 	}
 	return "", false
-}
-
-// hotpathFuncs returns the package's functions whose doc comment
-// carries a //simlint:hotpath line.
-func hotpathFuncs(p *Package) []*ast.FuncDecl {
-	var out []*ast.FuncDecl
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil {
-				continue
-			}
-			for _, c := range fd.Doc.List {
-				if strings.TrimSpace(c.Text) == hotpathBare {
-					out = append(out, fd)
-					break
-				}
-			}
-		}
-	}
-	return out
 }

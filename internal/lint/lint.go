@@ -100,7 +100,7 @@ func (d Diagnostic) String(fset *token.FileSet) string {
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		Layering, Detorder, Hotalloc, Regname, Seedrand, Keycover,
+		Layering, Detorder, Regname, Seedrand, Keycover,
 	}
 }
 

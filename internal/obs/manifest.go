@@ -26,6 +26,10 @@ type Manifest struct {
 	IfConverted bool   `json:"if_converted"`
 	SpecHash    string `json:"spec_hash,omitempty"` // %016x of the workload spec hash
 	Seed        int64  `json:"seed,omitempty"`      // sweep sampling seed, if any
+	// Experiment numbers the manifest's experiment in the order the
+	// experiments started on one observer. It orders emission and is
+	// not serialized.
+	Experiment int `json:"-"`
 
 	// Knob values pinned for this cell (sweep axis values).
 	Knobs map[string]string `json:"knobs,omitempty"`
@@ -40,15 +44,19 @@ type Manifest struct {
 	Err          string           `json:"err,omitempty"`
 }
 
-// SortManifests orders manifests for emission: by sweep point, then
-// by per-point sequence. This is the canonical NDJSON order, chosen
-// so concurrent workers produce byte-identical files.
+// SortManifests orders manifests for emission: by experiment, then by
+// sweep point, then by per-point sequence. This is the canonical NDJSON
+// order, chosen so concurrent workers produce byte-identical files.
 func SortManifests(ms []Manifest) {
 	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].Point != ms[j].Point {
-			return ms[i].Point < ms[j].Point
+		a, b := &ms[i], &ms[j]
+		if a.Experiment != b.Experiment {
+			return a.Experiment < b.Experiment
 		}
-		return ms[i].Seq < ms[j].Seq
+		if a.Point != b.Point {
+			return a.Point < b.Point
+		}
+		return a.Seq < b.Seq
 	})
 }
 

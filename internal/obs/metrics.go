@@ -13,10 +13,10 @@
 // Two invariants shape the design:
 //
 //   - the increment path is zero-alloc and lock-free (atomic adds on
-//     pre-resolved metric pointers), so counters are legal inside
-//     //simlint:hotpath functions — one allocation per event at 55M
-//     events/s is the difference between the bench gate passing and
-//     failing;
+//     pre-resolved metric pointers), so a per-event loop such as
+//     trace replay may count into it — one allocation per event at
+//     55M events/s is the difference between the bench gate passing
+//     and failing. TestHandlesAllocFree pins it;
 //
 //   - the snapshot path is deterministic and wall-clock-free: metrics
 //     are emitted in sorted name order (detorder-clean) and nothing on
@@ -32,20 +32,15 @@ import (
 
 // Counter is a monotonically increasing atomic counter. The zero
 // value is ready to use; obtain shared named instances from a
-// Registry. Inc/Add are safe for concurrent use and never allocate,
-// so they are legal on //simlint:hotpath functions.
+// Registry. Inc/Add are safe for concurrent use and never allocate.
 type Counter struct {
 	v atomic.Uint64
 }
 
 // Inc adds one.
-//
-//simlint:hotpath
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n.
-//
-//simlint:hotpath
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Load returns the current count.
@@ -58,8 +53,7 @@ const histBuckets = 65
 
 // Histogram accumulates non-negative integer samples (typically
 // nanoseconds or byte sizes) into power-of-two buckets plus an exact
-// count and sum. Observe is lock-free and never allocates, so it is
-// legal on //simlint:hotpath functions.
+// count and sum. Observe is lock-free and never allocates.
 type Histogram struct {
 	count   atomic.Uint64
 	sum     atomic.Uint64
@@ -67,8 +61,6 @@ type Histogram struct {
 }
 
 // Observe records one sample.
-//
-//simlint:hotpath
 func (h *Histogram) Observe(v uint64) {
 	h.count.Add(1)
 	h.sum.Add(v)
@@ -77,8 +69,6 @@ func (h *Histogram) Observe(v uint64) {
 
 // ObserveNS records one duration sample given as int64 nanoseconds,
 // clamping negatives (a clock that jumped) to zero.
-//
-//simlint:hotpath
 func (h *Histogram) ObserveNS(ns int64) {
 	if ns < 0 {
 		ns = 0

@@ -33,6 +33,24 @@ func TestCounterHistogram(t *testing.T) {
 	}
 }
 
+// TestHandlesAllocFree checks the increment path's contract: a counter
+// or histogram handle, once resolved, records without allocating, the
+// negative-duration clamp included.
+func TestHandlesAllocFree(t *testing.T) {
+	r := NewRegistry()
+	c, h := r.Counter("c"), r.Histogram("h")
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Inc()
+		c.Add(3)
+		h.Observe(9)
+		h.ObserveNS(1500)
+		h.ObserveNS(-5)
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations per increment round, want 0", allocs)
+	}
+}
+
 func TestRegistryKindConflictPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("x")

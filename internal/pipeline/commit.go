@@ -12,8 +12,6 @@ import (
 // architectural memory, predictors train on the resolved outcomes, and
 // statistics are collected (committed path only, so wrong-path activity
 // never pollutes the accuracy numbers).
-//
-//simlint:hotpath
 func (pl *Pipeline) commit() {
 	for n := 0; n < pl.cfg.CommitWidth && pl.head < pl.mid; n++ {
 		u := pl.slot(pl.head)

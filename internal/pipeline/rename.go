@@ -10,8 +10,6 @@ import (
 // (select micro-ops or the paper's selective cancellation/unguarding),
 // reading branch predictions from the PPRF under the predicate scheme,
 // and performing second-level override flushes.
-//
-//simlint:hotpath
 func (pl *Pipeline) rename() {
 	for n := 0; n < pl.cfg.RenameWidth && pl.mid < pl.tail; n++ {
 		u := pl.slot(pl.mid)
@@ -73,8 +71,6 @@ func (pl *Pipeline) resourcesFor(u *uop) bool {
 
 // renameOne renames a single uop and reports whether it triggered a
 // front-end override flush.
-//
-//simlint:hotpath
 func (pl *Pipeline) renameOne(u *uop) bool {
 	in, st := u.in, u.st
 	pos := pl.mid - 1
@@ -167,8 +163,6 @@ func (pl *Pipeline) renameOne(u *uop) bool {
 // Each source that is not ready yet gets a consumer link on its
 // register's stack and counts in pending; a uop with every source ready
 // goes straight onto the ready list.
-//
-//simlint:hotpath
 func (pl *Pipeline) dispatch(u *uop, pos int) {
 	base := int32(pos&pl.mask) * srcLinks
 	for k, p := range u.srcI[:u.nSrcI] {

@@ -301,7 +301,8 @@ func TestRASSnapshotRestore(t *testing.T) {
 	r := NewRAS(8)
 	r.Push(1)
 	r.Push(2)
-	snap := r.Snapshot()
+	var snap RASSnapshot
+	r.SnapshotInto(&snap)
 	r.Pop()
 	r.Push(99)
 	r.Restore(snap)
@@ -318,7 +319,8 @@ func TestRASSnapshotIndependence(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		r.Push(i * 10)
 	}
-	snap := r.Snapshot()
+	var snap RASSnapshot
+	r.SnapshotInto(&snap)
 	a, b := NewRAS(8), NewRAS(8)
 	a.Restore(snap)
 	b.Restore(snap)

@@ -32,11 +32,15 @@ func (r *RAS) Pop() int {
 	return v
 }
 
-// Snapshot copies the stack state for checkpoint-based recovery.
-func (r *RAS) Snapshot() RASSnapshot {
-	s := RASSnapshot{top: r.top, stack: make([]int, len(r.stack))}
+// SnapshotInto copies the stack state into s for checkpoint-based
+// recovery. It reuses s's storage, so a recycled snapshot costs no
+// allocation.
+func (r *RAS) SnapshotInto(s *RASSnapshot) {
+	if len(s.stack) != len(r.stack) {
+		s.stack = make([]int, len(r.stack))
+	}
+	s.top = r.top
 	copy(s.stack, r.stack)
-	return s
 }
 
 // Restore reinstates a snapshot.

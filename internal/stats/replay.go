@@ -92,8 +92,6 @@ type note struct {
 // as resolved (written back) before the current instruction renames: no
 // in-flight producer, or a producer at least earlyResolveDist committed
 // instructions upstream.
-//
-//simlint:hotpath
 func (f *frontend) resolved(p uint8) bool {
 	last := f.prodStep[p]
 	return last == 0 || f.step-last >= earlyResolveDist
@@ -102,8 +100,6 @@ func (f *frontend) resolved(p uint8) bool {
 // annotate computes one event's note and advances the shared
 // architectural state. It must be called in stream order, before any
 // engine replays the event.
-//
-//simlint:hotpath
 func (f *frontend) annotate(ev *trace.Event, nt *note) {
 	nt.step = f.step
 	switch ev.Kind {
@@ -447,8 +443,6 @@ func replay(ctx context.Context, engines []*schemeEngine, tr *trace.Trace, commi
 // applyBatch replays one annotated batch through the engine's
 // configured organization. The per-scheme loops are split so each
 // engine's hot path stays monomorphic over a whole batch.
-//
-//simlint:hotpath
 func (e *schemeEngine) applyBatch(evs []trace.Event, notes []note) {
 	switch e.cfg.Scheme {
 	case config.SchemeConventional:
@@ -460,7 +454,6 @@ func (e *schemeEngine) applyBatch(evs []trace.Event, notes []note) {
 	}
 }
 
-//simlint:hotpath
 func (e *schemeEngine) batchConventional(evs []trace.Event) {
 	for i := range evs {
 		ev := &evs[i]
@@ -485,7 +478,6 @@ func (e *schemeEngine) batchConventional(evs []trace.Event) {
 	}
 }
 
-//simlint:hotpath
 func (e *schemeEngine) batchPEPPA(evs []trace.Event, notes []note) {
 	for i := range evs {
 		ev := &evs[i]
@@ -509,7 +501,6 @@ func (e *schemeEngine) batchPEPPA(evs []trace.Event, notes []note) {
 	}
 }
 
-//simlint:hotpath
 func (e *schemeEngine) batchPredicate(evs []trace.Event, notes []note) {
 	selective := e.cfg.Predication == config.PredicationSelective
 	perfect := e.cfg.IdealPerfectGHR
@@ -617,8 +608,6 @@ func (e *schemeEngine) batchPredicate(evs []trace.Event, notes []note) {
 
 // target replays one target-predicted event (call/return/indirect)
 // against the engine's RAS and last-target table.
-//
-//simlint:hotpath
 func (e *schemeEngine) target(ev *trace.Event) {
 	switch ev.Kind {
 	case trace.EvCall:
@@ -643,14 +632,11 @@ func (e *schemeEngine) target(ev *trace.Event) {
 
 // resolvedAt is the frontend's resolution model over the engine's own
 // cancellation-aware renaming positions (predicate scheme).
-//
-//simlint:hotpath
 func (e *schemeEngine) resolvedAt(p uint8, step uint64) bool {
 	last := e.prodStep[p]
 	return last == 0 || step-last >= earlyResolveDist
 }
 
-//simlint:hotpath
 func (e *schemeEngine) pushTraining(p pendingTrain) {
 	i := e.trainHead + e.trainLen
 	if i >= trainWindow {
@@ -661,8 +647,6 @@ func (e *schemeEngine) pushTraining(p pendingTrain) {
 }
 
 // popTraining applies the oldest deferred training.
-//
-//simlint:hotpath
 func (e *schemeEngine) popTraining() {
 	p := &e.trainQ[e.trainHead]
 	if e.trainHead++; e.trainHead == trainWindow {
@@ -674,8 +658,6 @@ func (e *schemeEngine) popTraining() {
 
 // pushSpecBit appends a speculative history bit, evicting (and
 // repairing) the oldest once the writeback window is full.
-//
-//simlint:hotpath
 func (e *schemeEngine) pushSpecBit(b specBit) {
 	if e.ringLen >= repairWindow {
 		e.evictSpecBit()
@@ -692,7 +674,6 @@ func (e *schemeEngine) pushSpecBit(b specBit) {
 	}
 }
 
-//simlint:hotpath
 func (e *schemeEngine) evictSpecBit() {
 	b := &e.ring[e.ringHead]
 	if e.ringHead++; e.ringHead == repairWindow {
@@ -709,8 +690,6 @@ func (e *schemeEngine) evictSpecBit() {
 
 // specGHR composes the history a fetched compare sees: repaired bits
 // beyond the writeback window, predicted bits inside it.
-//
-//simlint:hotpath
 func (e *schemeEngine) specGHR() uint64 {
 	v := e.pGHR.Snapshot()<<uint(e.ringLen) | e.ringBits
 	if n := e.pGHR.N; n < 64 {
@@ -721,8 +700,6 @@ func (e *schemeEngine) specGHR() uint64 {
 
 // drainWindows models a recovery flush: every pending training is
 // applied and every speculative history bit repaired.
-//
-//simlint:hotpath
 func (e *schemeEngine) drainWindows() {
 	for e.trainLen > 0 {
 		e.popTraining()

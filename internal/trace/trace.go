@@ -198,21 +198,19 @@ func (t *Trace) EventCursor() *Cursor { return &Cursor{buf: t.Events} }
 // Err reports a malformed-stream error encountered by Next.
 func (c *Cursor) Err() error { return c.err }
 
-//simlint:hotpath
 func (c *Cursor) uvarint() uint64 {
 	v, n := binary.Uvarint(c.buf[c.pos:])
 	if n <= 0 {
-		c.err = fmt.Errorf("trace: truncated varint at offset %d", c.pos) //simlint:ignore hotalloc cold malformed-stream path, taken at most once per cursor
+		c.err = fmt.Errorf("trace: truncated varint at offset %d", c.pos)
 		return 0
 	}
 	c.pos += n
 	return v
 }
 
-//simlint:hotpath
 func (c *Cursor) byte() byte {
 	if c.pos >= len(c.buf) {
-		c.err = fmt.Errorf("trace: truncated event at offset %d", c.pos) //simlint:ignore hotalloc cold malformed-stream path, taken at most once per cursor
+		c.err = fmt.Errorf("trace: truncated event at offset %d", c.pos)
 		return 0
 	}
 	b := c.buf[c.pos]
@@ -222,8 +220,6 @@ func (c *Cursor) byte() byte {
 
 // Next decodes the next event into ev. It returns false at end of
 // stream or on a malformed stream (check Err to distinguish).
-//
-//simlint:hotpath
 func (c *Cursor) Next(ev *Event) bool {
 	if c.err != nil || c.pos >= len(c.buf) {
 		return false
@@ -259,12 +255,12 @@ func (c *Cursor) Next(ev *Event) bool {
 		ev.Target = int(c.uvarint())
 	case EvHalt:
 	default:
-		c.err = fmt.Errorf("trace: unknown event kind %d at offset %d", ev.Kind, c.pos) //simlint:ignore hotalloc cold malformed-stream path, taken at most once per cursor
+		c.err = fmt.Errorf("trace: unknown event kind %d at offset %d", ev.Kind, c.pos)
 		return false
 	}
 	// Replay indexes fixed per-register tables with these.
 	if c.err == nil && (ev.QP >= isa.NumPred || ev.P1 >= isa.NumPred || ev.P2 >= isa.NumPred) {
-		c.err = fmt.Errorf("trace: predicate register out of range before offset %d", c.pos) //simlint:ignore hotalloc cold malformed-stream path, taken at most once per cursor
+		c.err = fmt.Errorf("trace: predicate register out of range before offset %d", c.pos)
 	}
 	return c.err == nil
 }
@@ -277,8 +273,6 @@ func (c *Cursor) Next(ev *Event) bool {
 // stream or on a malformed stream (check Err to distinguish); a short
 // batch (0 < n < len(buf)) means the stream ended or turned malformed
 // mid-batch, and the n decoded events are still valid.
-//
-//simlint:hotpath
 func (c *Cursor) NextBatch(buf []Event) int {
 	n := 0
 	for n < len(buf) && c.Next(&buf[n]) {

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -54,8 +53,9 @@ type Observer struct {
 	cacheRecords  *obs.Counter
 	spans         map[string]*obs.Histogram
 
-	mu        sync.Mutex
-	manifests []RunManifest
+	mu          sync.Mutex
+	manifests   []RunManifest
+	experiments int // experiments started so far
 }
 
 // NewObserver returns an Observer on the process monotonic clock.
@@ -144,6 +144,18 @@ func (o *Observer) cacheOutcome(outcome string) {
 	}
 }
 
+// startExperiment numbers one experiment in start order from 0, the
+// first key of the manifest order; nil-safe.
+func (o *Observer) startExperiment() int {
+	if o == nil {
+		return 0
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.experiments++
+	return o.experiments - 1
+}
+
 // emit buffers one run manifest; nil-safe no-op.
 func (o *Observer) emit(m RunManifest) {
 	if o == nil {
@@ -159,8 +171,8 @@ func (o *Observer) emit(m RunManifest) {
 func (o *Observer) Metrics() MetricsSnapshot { return o.reg.Snapshot() }
 
 // Manifests returns a copy of the buffered run manifests in canonical
-// order (sweep point, then cell sequence), independent of the
-// completion order the workers produced them in.
+// order (experiment start order, sweep point, then cell sequence),
+// independent of the completion order the workers produced them in.
 func (o *Observer) Manifests() []RunManifest {
 	o.mu.Lock()
 	out := append([]RunManifest(nil), o.manifests...)
@@ -251,10 +263,6 @@ func WithObserver(o *Observer) Option {
 		return nil
 	}
 }
-
-// durations converts clock nanoseconds to a time.Duration for
-// Progress reporting.
-func durationNS(ns int64) time.Duration { return time.Duration(ns) }
 
 // observedSink wraps a Sink, timing Emit and Close into the sink
 // span.

@@ -82,6 +82,61 @@ func TestObservedSweepByteIdentical(t *testing.T) {
 // TestObserverManifestContents checks the per-cell attribution of one
 // observed sweep: every cell gets a manifest with identity, knob
 // values, phase timings and a throughput figure.
+// observedPair runs two tagged four-cell experiments, one after the
+// other, on one observer whose clock never advances, so no phase timing
+// depends on how the four workers interleave. It returns the
+// observer's manifests and their NDJSON stream.
+func observedPair(t *testing.T, wl *sim.Workload) ([]sim.RunManifest, []byte) {
+	t.Helper()
+	o := sim.NewObserverWithClock(fakeClock(0))
+	for _, tag := range []string{"first", "second"} {
+		exp, err := sim.New(
+			sim.WithWorkload(wl),
+			sim.WithTag(tag),
+			sim.WithSchemes("conventional", "predpred"),
+			sim.WithCommits(20000),
+			sim.WithParallelism(4),
+			sim.WithObserver(o),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := exp.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := o.WriteManifests(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return o.Manifests(), buf.Bytes()
+}
+
+// TestManifestsOrderedByExperiment checks the manifest order when one
+// observer watches several experiments: outside a sweep every cell has
+// point -1 and each experiment numbers its cells from 0, so only the
+// experiments' start order keeps their manifests apart and the stream
+// independent of worker completion order.
+func TestManifestsOrderedByExperiment(t *testing.T) {
+	wl, err := sim.PrepareWorkload([]string{"gzip", "vpr"}, 50000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, n1 := observedPair(t, wl)
+	_, n2 := observedPair(t, wl)
+	if len(ms) != 8 {
+		t.Fatalf("%d manifests, want 8", len(ms))
+	}
+	for i, m := range ms {
+		if want := []string{"first", "second"}[i/4]; m.Tag != want {
+			t.Errorf("manifest %d is %s's (seq %d), want %s's", i, m.Tag, m.Seq, want)
+		}
+	}
+	if !bytes.Equal(n1, n2) {
+		t.Errorf("manifest streams differ between identical runs:\nrun1:\n%s\nrun2:\n%s", n1, n2)
+	}
+}
+
 func TestObserverManifestContents(t *testing.T) {
 	o := sim.NewObserverWithClock(fakeClock(7))
 	wl, err := sim.PrepareWorkload([]string{"gzip"}, 50000)

@@ -138,13 +138,16 @@ type simJob struct {
 	mode     Mode
 	prog     *Program
 	point    Point // the cells' configuration is the point's (cellConfig)
+	// experiment is the run's start order on its observer, from 0 (0
+	// without one): the first key of the manifest order.
+	experiment int
 }
 
 // buildJobs expands one point's experiment matrix into worker jobs in
 // matrix order (benchmark-major, then scheme) and returns them with the
 // matrix's cell count — larger than len(jobs) when trace-mode scheme
 // cells were coalesced.
-func (e *Experiment) buildJobs(wl *Workload, pt Point) ([]simJob, int) {
+func (e *Experiment) buildJobs(wl *Workload, pt Point, experiment int) ([]simJob, int) {
 	var jobs []simJob
 	seq := 0
 	for _, pg := range wl.progs {
@@ -155,7 +158,7 @@ func (e *Experiment) buildJobs(wl *Workload, pt Point) ([]simJob, int) {
 		specHash := fmt.Sprintf("%016x", pg.Spec.Hash())
 		j := simJob{
 			seq: seq, bench: pg.Spec.Name, class: pg.Spec.Class, specHash: specHash,
-			mode: e.mode, prog: p, point: pt,
+			mode: e.mode, prog: p, point: pt, experiment: experiment,
 		}
 		if e.mode == ModeTrace {
 			j.schemes = e.schemes
@@ -208,8 +211,9 @@ func (e *Experiment) Start(ctx context.Context) (*Runner, error) {
 	}
 	var jobs []simJob
 	total := 0
+	experiment := e.observer.startExperiment()
 	for _, pt := range e.Points() {
-		js, n := e.buildJobs(wl, pt)
+		js, n := e.buildJobs(wl, pt, experiment)
 		jobs = append(jobs, js...)
 		total += n
 	}
@@ -280,7 +284,7 @@ func (r *Runner) finish(f func(Progress), j simJob, rs []Result) {
 		r.results <- res
 		r.finished++
 		if f != nil {
-			elapsed := durationNS(r.obsv.now() - r.startNS)
+			elapsed := time.Duration(r.obsv.now() - r.startNS)
 			f(Progress{
 				Done: r.finished, Total: r.total, Point: j.point.id(),
 				Bench: res.Bench, Scheme: res.Scheme,
@@ -324,6 +328,7 @@ func (e *Experiment) cellManifest(j simJob, i int, res Result) RunManifest {
 	m := RunManifest{
 		Seq:         j.seq + i,
 		Point:       j.point.id(),
+		Experiment:  j.experiment,
 		Tag:         e.tag,
 		Bench:       j.bench,
 		Class:       j.class,
@@ -631,7 +636,7 @@ func SimulateProgram(ctx context.Context, r ProgramRun) (ProgramResult, error) {
 	}
 	j := simJob{
 		bench: r.Program.Name, schemes: []string{r.Scheme}, mode: r.Mode,
-		prog: r.Program,
+		prog: r.Program, experiment: r.Observer.startExperiment(),
 	}
 	if r.Mode == ModeTrace {
 		rs, ok := e.runTraceJob(ctx, newTraceProvider(r.TraceDir, r.Commits, r.Observer), j)
