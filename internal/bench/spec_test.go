@@ -393,3 +393,33 @@ func TestNewFamiliesIfConvertible(t *testing.T) {
 		t.Fatalf("converted program halted after %d steps", n)
 	}
 }
+
+// FuzzLoad feeds arbitrary bytes to Load as a .json file and as a
+// .toml file. Each call must return a spec that passes Validate and
+// CheckSiteAllocation, or an error with the zero Spec; it must never
+// panic. The seeds in testdata/fuzz/FuzzLoad are the committed
+// example and benchmark specs.
+func FuzzLoad(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		for _, ext := range []string{".json", ".toml"} {
+			path := filepath.Join(dir, "spec"+ext)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Load(path)
+			if err != nil {
+				if s != (Spec{}) {
+					t.Errorf("%s: error %v returned with a non-zero spec %+v", ext, err, s)
+				}
+				continue
+			}
+			if err := Validate(s); err != nil {
+				t.Errorf("%s: loaded spec fails Validate: %v", ext, err)
+			}
+			if err := CheckSiteAllocation(s); err != nil {
+				t.Errorf("%s: loaded spec fails CheckSiteAllocation: %v", ext, err)
+			}
+		}
+	})
+}

@@ -6,6 +6,8 @@ package config
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/predictor"
 )
 
 // Scheme selects the branch-prediction organization under test.
@@ -229,6 +231,17 @@ func (c Config) Table1() string {
 	return b.String()
 }
 
+// Limits on the predictor geometry, each far above Table 1. The table
+// and budget limits keep one cell's predictor tables within tens of
+// megabytes of host memory. Every history (Table 1: 14, 30 and 10
+// bits) is one word, and confidence counters are bytes.
+const (
+	maxTableBits   = 20      // gshare and local history table index bits (Table 1: 14 and 12)
+	maxPredBytes   = 8 << 20 // second-level predictor budget (Table 1: 148 KB)
+	maxConfBits    = 8       // predicate confidence counter width (Table 1: 3)
+	maxHistoryBits = predictor.MaxHistoryBits
+)
+
 // Validate checks the configuration for obviously broken values.
 func (c Config) Validate() error {
 	switch c.Scheme {
@@ -258,6 +271,31 @@ func (c Config) Validate() error {
 	}
 	if c.DTLBSize < 1 || c.ITLBSize < 1 {
 		return fmt.Errorf("config: TLBs of %d (data) and %d (instruction) entries, need at least 1", c.DTLBSize, c.ITLBSize)
+	}
+	return c.validatePredictor()
+}
+
+// validatePredictor bounds the predictor geometry by the limits above.
+func (c Config) validatePredictor() error {
+	for _, f := range []struct {
+		name     string
+		val, max uint
+	}{
+		{"gshare index bits", c.GshareIdxBits, maxTableBits},
+		{"local history table index bits", c.L2PredLHTBits, maxTableBits},
+		{"gshare history bits", c.GshareGHRBits, maxHistoryBits},
+		{"second-level global history bits", c.L2PredGHRBits, maxHistoryBits},
+		{"second-level local history bits", c.L2PredLHRBits, maxHistoryBits},
+	} {
+		if f.val > f.max {
+			return fmt.Errorf("config: %s %d exceed the maximum of %d", f.name, f.val, f.max)
+		}
+	}
+	if c.L2PredBytes < 1 || c.L2PredBytes > maxPredBytes {
+		return fmt.Errorf("config: second-level predictor budget of %d bytes is outside 1..%d", c.L2PredBytes, maxPredBytes)
+	}
+	if c.ConfBits < 1 || c.ConfBits > maxConfBits {
+		return fmt.Errorf("config: confidence counters of %d bits are outside 1..%d", c.ConfBits, maxConfBits)
 	}
 	return nil
 }

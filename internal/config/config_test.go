@@ -114,3 +114,60 @@ func TestTable1MentionsEverySubsystem(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateBoundsPredictorKnobs drives each predictor-geometry knob
+// through Apply one step past its bound, where Validate must reject it,
+// and onto the bound itself, where Validate must accept it. Past the
+// bound these values used to panic (pred.lhtbits=63), exhaust memory
+// (gshare.idxbits=40) or silently act as a smaller value (conf.bits=9).
+func TestValidateBoundsPredictorKnobs(t *testing.T) {
+	for _, tc := range []struct {
+		knob     string
+		ok, over string
+	}{
+		{"gshare.idxbits", "20", "21"},
+		{"gshare.idxbits", "20", "40"},
+		{"pred.lhtbits", "20", "63"},
+		{"pred.ghrbits", "63", ""}, // the knob parses at most 63
+		{"pred.lhrbits", "63", ""},
+		{"conf.bits", "8", "9"},
+		{"conf.bits", "1", "63"},
+		{"pred.bytes", "8388608", "8388609"},
+		{"pvt.entries", "204600", "204601"}, // × 41 weights per row
+	} {
+		c := Default()
+		if err := Set(&c, tc.knob, tc.ok); err != nil {
+			t.Fatalf("%s=%s: %v", tc.knob, tc.ok, err)
+		}
+		if err := c.Validate(); err != nil {
+			t.Errorf("%s=%s is at its bound and must validate: %v", tc.knob, tc.ok, err)
+		}
+		if tc.over == "" {
+			continue
+		}
+		c = Default()
+		if err := Set(&c, tc.knob, tc.over); err != nil {
+			t.Fatalf("%s=%s: %v", tc.knob, tc.over, err)
+		}
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s=%s is past its bound and must not validate", tc.knob, tc.over)
+		}
+	}
+	// Fields the knobs cannot reach past their bound directly.
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"GshareGHRBits=64", func(c *Config) { c.GshareGHRBits = 64 }},
+		{"L2PredGHRBits=64", func(c *Config) { c.L2PredGHRBits = 64 }},
+		{"L2PredLHRBits=64", func(c *Config) { c.L2PredLHRBits = 64 }},
+		{"L2PredBytes=0", func(c *Config) { c.L2PredBytes = 0 }},
+		{"ConfBits=0", func(c *Config) { c.ConfBits = 0 }},
+	} {
+		c := Default()
+		tc.set(&c)
+		if c.Validate() == nil {
+			t.Errorf("%s must not validate", tc.name)
+		}
+	}
+}

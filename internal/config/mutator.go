@@ -105,7 +105,7 @@ var mutators = []Mutator{
 	},
 	{
 		Name:  "pred.bytes",
-		Doc:   "second-level predictor byte budget (Table 1: 151552 = 148 KB)",
+		Doc:   "second-level predictor byte budget (Table 1: 151552 = 148 KB; at most 8 MB)",
 		Apply: intKnob("pred.bytes", func(c *Config, n int) { c.L2PredBytes = n }),
 	},
 	{
@@ -120,7 +120,7 @@ var mutators = []Mutator{
 	},
 	{
 		Name:  "pred.lhtbits",
-		Doc:   "log2 of local-history-table entries (Table 1: 12)",
+		Doc:   "log2 of local-history-table entries (Table 1: 12; at most 20)",
 		Apply: uintKnob("pred.lhtbits", func(c *Config, n uint) { c.L2PredLHTBits = n }),
 	},
 	{
@@ -130,12 +130,12 @@ var mutators = []Mutator{
 	},
 	{
 		Name:  "conf.bits",
-		Doc:   "predicate confidence counter width (Table 1: 3; saturated == confident)",
+		Doc:   "predicate confidence counter width (Table 1: 3; 1..8; saturated == confident)",
 		Apply: uintKnob("conf.bits", func(c *Config, n uint) { c.ConfBits = n }),
 	},
 	{
 		Name: "gshare.idxbits",
-		Doc:  "first-level gshare index and history length (Table 1: 14)",
+		Doc:  "first-level gshare index and history length (Table 1: 14; at most 20)",
 		Apply: uintKnob("gshare.idxbits", func(c *Config, n uint) {
 			c.GshareIdxBits = n
 			c.GshareGHRBits = n

@@ -1,5 +1,7 @@
 package predictor
 
+import "math/bits"
+
 // Perceptron is the Jiménez-Lin perceptron predictor extended with local
 // history inputs, as configured in Table 1 of the paper: 30 bits of
 // global history, 10 bits of local history, one bias weight, 8-bit
@@ -10,13 +12,23 @@ package predictor
 // The caller owns the speculative global history and the local history
 // table; Predict is a pure function of (row, ghr, lhr) and Train updates
 // the row's weights.
+//
+// Weights are stored eight to a 64-bit word, one byte lane each, biased
+// by 128 so lane arithmetic is unsigned (lane value b = w+128). A row is
+// gw words of global-history weights followed by lw words of
+// local-history weights. The bias weight is the global lane just above
+// the last history bit, read as a history bit that is always set.
+// Lanes past the last input are pad: they hold weight 0 and never
+// train, so they add nothing to a sum.
 type Perceptron struct {
-	weights []int8 // rows × weightsPerRow, flattened
+	weights []uint64 // rows × stride words, flattened
 	rows    int
 	ghrBits uint
 	lhrBits uint
 	theta   int32
-	perRow  int
+	perRow  int // weights per row (history + bias): the Table 1 budget unit
+	stride  int // words per row: gw + lw
+	gw      int // words of global weights (bias included)
 	// ideal-mode aliasing elimination: PC -> private row
 	ideal     bool
 	idealRows map[uint64]int
@@ -29,18 +41,46 @@ type PerceptronOutput struct {
 	Sum   int32
 }
 
+// MaxHistoryBits is the longest global or local history a perceptron
+// takes: one history word, whose top bit is left for the bias input.
+const MaxHistoryBits = 63
+
+const (
+	laneLSB  = 0x0101010101010101 // 1 in every byte lane
+	laneLow7 = 0x7f7f7f7f7f7f7f7f
+	pairLow  = 0x00ff00ff00ff00ff // the low byte of every 16-bit pair
+	zeroLane = 0x8080808080808080 // eight weights of 0, biased
+)
+
+// laneMask[b] is 0xff in byte lane i exactly when bit i of b is set.
+var laneMask = func() (t [256]uint64) {
+	for b := range t {
+		for i := 0; i < 8; i++ {
+			if b>>i&1 == 1 {
+				t[b] |= 0xff << (8 * i)
+			}
+		}
+	}
+	return t
+}()
+
 // NewPerceptron builds a perceptron predictor with the given number of
-// rows and history lengths. Theta follows Jiménez-Lin:
-// 1.93*history + 14.
+// rows and history lengths, each at most MaxHistoryBits. Theta follows
+// Jiménez-Lin: 1.93*history + 14.
 func NewPerceptron(rows int, ghrBits, lhrBits uint) *Perceptron {
-	per := int(ghrBits+lhrBits) + 1
+	if ghrBits > MaxHistoryBits || lhrBits > MaxHistoryBits {
+		panic("predictor: perceptron history longer than MaxHistoryBits")
+	}
 	hist := int(ghrBits + lhrBits)
+	gw, lw := int(ghrBits+1+7)/8, int(lhrBits+7)/8
 	return &Perceptron{
-		weights: make([]int8, rows*per),
+		weights: zeroRows(nil, rows*(gw+lw)),
 		rows:    rows,
 		ghrBits: ghrBits,
 		lhrBits: lhrBits,
-		perRow:  per,
+		perRow:  hist + 1,
+		stride:  gw + lw,
+		gw:      gw,
 		theta:   int32(1.93*float64(hist) + 14),
 	}
 }
@@ -57,6 +97,16 @@ func NewPerceptronBudget(bytes int, ghrBits, lhrBits uint) *Perceptron {
 	return NewPerceptron(rows, ghrBits, lhrBits)
 }
 
+// zeroRows returns w extended by n words of zero weights.
+func zeroRows(w []uint64, n int) []uint64 {
+	w = append(w, make([]uint64, n)...)
+	tail := w[len(w)-n:]
+	for i := range tail {
+		tail[i] = zeroLane
+	}
+	return w
+}
+
 // SetIdeal enables the idealized no-aliasing mode of §4.2: every static
 // PC gets a private weight row, allocated on demand.
 func (p *Perceptron) SetIdeal(on bool) {
@@ -69,8 +119,9 @@ func (p *Perceptron) SetIdeal(on bool) {
 // Rows returns the number of weight rows.
 func (p *Perceptron) Rows() int { return p.rows }
 
-// SizeBytes returns the storage budget (1 byte per weight).
-func (p *Perceptron) SizeBytes() int { return len(p.weights) }
+// SizeBytes returns the storage budget (1 byte per weight; pad lanes
+// are a host layout detail and do not count).
+func (p *Perceptron) SizeBytes() int { return len(p.weights) / p.stride * p.perRow }
 
 // Theta returns the training threshold.
 func (p *Perceptron) Theta() int32 { return p.theta }
@@ -83,8 +134,8 @@ func (p *Perceptron) Index(pc uint64) int {
 			r = len(p.idealRows)
 			p.idealRows[pc] = r
 			// grow storage as new static instructions appear
-			for r*p.perRow+p.perRow > len(p.weights) {
-				p.weights = append(p.weights, make([]int8, p.perRow*64)...)
+			for (r+1)*p.stride > len(p.weights) {
+				p.weights = zeroRows(p.weights, 64*p.stride)
 			}
 		}
 		return r
@@ -104,48 +155,37 @@ func (p *Perceptron) IndexSecond(pc uint64) int {
 	return (i + p.rows/2) % p.rows
 }
 
-// hist packs the global and local history bits into one word in weight
-// order (ghr bits 0..ghrBits-1, then lhr bits 0..lhrBits-1), so the
-// predict/train loops walk a single shift register branchlessly. Only
-// valid when the combined history fits a word; callers fall back to the
-// two-loop form otherwise.
-func (p *Perceptron) hist(ghr, lhr uint64) uint64 {
-	return ghr&(1<<p.ghrBits-1) | lhr&(1<<p.lhrBits-1)<<p.ghrBits
+// inputs returns the row's input bits in lane order: the global word
+// (history, then the always-set bias bit) and the local word.
+func (p *Perceptron) inputs(ghr, lhr uint64) (g, l uint64) {
+	return ghr&(1<<p.ghrBits-1) | 1<<p.ghrBits, lhr & (1<<p.lhrBits - 1)
 }
 
 // PredictRow computes the perceptron output for an explicit row.
-func (p *Perceptron) PredictRow(row int, ghr uint64, lhr uint64) PerceptronOutput {
-	w := p.weights[row*p.perRow : row*p.perRow+p.perRow]
-	sum := int32(w[0]) // bias
-	if p.ghrBits+p.lhrBits < 64 {
-		// Branchless hot path: m is 0 when the history bit is set (add
-		// the weight) and -1 when clear ((x^-1)-(-1) = -x), so the sum
-		// accumulates ±weight without a data-dependent branch per bit.
-		h := p.hist(ghr, lhr)
-		for _, x := range w[1:] {
-			m := int32(h&1) - 1
-			sum += (int32(x) ^ m) - m
-			h >>= 1
+//
+// Each word x is XORed with the complement of its lanes' input mask, so
+// a lane whose input is set keeps b = w+128 and a lane whose input is
+// clear becomes 255-b = 127-w. The lanes are summed as 16-bit pairs and
+// folded with one multiply into V = Σset(w+128) + Σclear(127-w). Over
+// N lanes with n inputs set, V = Σset w - Σclear w + 127N + n, which
+// the last line removes (pad lanes are clear with w = 0, so they only
+// add to 127N). V is at most 255 × 128 lanes, so no 16-bit pair sum or
+// fold carries.
+func (p *Perceptron) PredictRow(row int, ghr, lhr uint64) PerceptronOutput {
+	w := p.weights[row*p.stride : row*p.stride+p.stride]
+	g, l := p.inputs(ghr, lhr)
+	h, gw := g, p.gw
+	var acc uint64
+	for i, x := range w {
+		if i == gw {
+			h = l
 		}
-		return PerceptronOutput{Taken: sum >= 0, Sum: sum}
+		v := x ^ ^laneMask[uint8(h)]
+		acc += v&pairLow + v>>8&pairLow
+		h >>= 8
 	}
-	k := 1
-	for i := uint(0); i < p.ghrBits; i++ {
-		if ghr>>i&1 == 1 {
-			sum += int32(w[k])
-		} else {
-			sum -= int32(w[k])
-		}
-		k++
-	}
-	for i := uint(0); i < p.lhrBits; i++ {
-		if lhr>>i&1 == 1 {
-			sum += int32(w[k])
-		} else {
-			sum -= int32(w[k])
-		}
-		k++
-	}
+	v := int32(acc * 0x0001000100010001 >> 48)
+	sum := v - int32(127*8*len(w)+bits.OnesCount64(g)+bits.OnesCount64(l))
 	return PerceptronOutput{Taken: sum >= 0, Sum: sum}
 }
 
@@ -157,43 +197,42 @@ func (p *Perceptron) Predict(pc uint64, ghr, lhr uint64) PerceptronOutput {
 // TrainRow applies the perceptron learning rule to an explicit row: train
 // when the prediction was wrong or the output magnitude is below theta.
 // ghr and lhr must be the history values used at prediction time.
+//
+// Every weight moves one step toward agreement with the outcome and
+// saturates at -128 and 127, one word at a time: agreeing lanes gain 1
+// unless they hold 0xff, disagreeing lanes lose 1 unless they hold 0.
+// The guards make every lane's step carry- and borrow-free, so this is
+// the scalar clamp exactly. Pad lanes are neither agreeing nor
+// disagreeing.
 func (p *Perceptron) TrainRow(row int, ghr, lhr uint64, taken bool, out PerceptronOutput) {
 	if out.Taken == taken && abs32(out.Sum) > p.theta {
 		return
 	}
-	w := p.weights[row*p.perRow : row*p.perRow+p.perRow]
-	w[0] = bump(w[0], taken)
-	if p.ghrBits+p.lhrBits < 64 {
-		// Branchless agreement: t repeats the outcome bit, so h&1^t is
-		// 1 exactly when the history bit disagrees with the outcome and
-		// d is ∓1 accordingly; only the (rare) clamp branches remain.
-		h := p.hist(ghr, lhr)
-		t := uint64(0)
-		if taken {
-			t = 1
+	w := p.weights[row*p.stride : row*p.stride+p.stride]
+	g, l := p.inputs(ghr, lhr)
+	var t uint64 // all ones when taken: h^t has a 1 where an input disagrees
+	if taken {
+		t = ^uint64(0)
+	}
+	live := uint64(1)<<(p.ghrBits+1) - 1 // the global inputs; a shift by 64 gives 0
+	h, gw := g^t, p.gw
+	for i, x := range w {
+		if i == gw {
+			h, live = l^t, 1<<p.lhrBits-1
 		}
-		for k := range w[1:] {
-			d := int32(h&1^t)*-2 + 1
-			v := int32(w[k+1]) + d
-			if v > 127 {
-				v = 127
-			} else if v < -128 {
-				v = -128
-			}
-			w[k+1] = int8(v)
-			h >>= 1
-		}
-		return
+		dis := laneMask[uint8(h&live)] & laneLSB
+		agree := laneMask[uint8(^h&live)] & laneLSB
+		w[i] = x + agree&nonzero(^x) - dis&nonzero(x)
+		h >>= 8
+		live >>= 8
 	}
-	k := 1
-	for i := uint(0); i < p.ghrBits; i++ {
-		w[k] = bump(w[k], taken == (ghr>>i&1 == 1))
-		k++
-	}
-	for i := uint(0); i < p.lhrBits; i++ {
-		w[k] = bump(w[k], taken == (lhr>>i&1 == 1))
-		k++
-	}
+}
+
+// nonzero returns 1 in each byte lane of v that is not zero. Adding 0x7f
+// to a lane's low seven bits sets its top bit unless they are all zero,
+// and never carries into the next lane.
+func nonzero(v uint64) uint64 {
+	return ((v&laneLow7 + laneLow7) | v) >> 7 & laneLSB
 }
 
 // Train trains the row selected by pc.
@@ -206,18 +245,4 @@ func abs32(v int32) int32 {
 		return -v
 	}
 	return v
-}
-
-// bump moves a weight toward +1 (agree) or -1 (disagree) with clamping.
-func bump(w int8, agree bool) int8 {
-	if agree {
-		if w < 127 {
-			return w + 1
-		}
-		return w
-	}
-	if w > -128 {
-		return w - 1
-	}
-	return w
 }

@@ -498,3 +498,59 @@ func containsAll(s string, subs ...string) bool {
 	}
 	return true
 }
+
+// TestSweepPredictorGeometryPastBounds sweeps predictor-geometry knobs
+// one value inside and one past their bounds. Past the bound a cell
+// used to panic in a worker (pred.lhtbits=63 in trace mode) or exhaust
+// memory (gshare.idxbits=40 in pipeline mode); now Validate fails that
+// cell alone, and its sibling point still simulates.
+func TestSweepPredictorGeometryPastBounds(t *testing.T) {
+	wl, err := sim.PrepareWorkload([]string{"gzip"}, 50000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		mode      sim.Mode
+		knob      string
+		good, bad any
+	}{
+		{sim.ModeTrace, "pred.lhtbits", 12, 63},
+		{sim.ModePipeline, "pred.lhtbits", 12, 63},
+		{sim.ModePipeline, "gshare.idxbits", 14, 40},
+		{sim.ModeTrace, "conf.bits", 3, 9},
+	} {
+		exp, err := sim.New(
+			sim.WithWorkload(wl),
+			sim.WithSchemes("predpred"),
+			sim.WithCommits(20000),
+			sim.WithMode(tc.mode),
+			sim.WithTraceDir(t.TempDir()),
+			sim.WithAxis(tc.knob, tc.good, tc.bad),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := exp.Run(context.Background())
+		if err != nil {
+			t.Fatalf("%v %s: %v", tc.mode, tc.knob, err)
+		}
+		if len(rs) != 2 {
+			t.Fatalf("%v %s: want 2 cells, got %d", tc.mode, tc.knob, len(rs))
+		}
+		for _, r := range rs {
+			v, _ := r.Point.Value(tc.knob)
+			switch v {
+			case fmt.Sprint(tc.good):
+				if r.Err != nil || r.Stats.Committed == 0 {
+					t.Errorf("%v %s=%s: err %v, committed %d", tc.mode, tc.knob, v, r.Err, r.Stats.Committed)
+				}
+			case fmt.Sprint(tc.bad):
+				if r.Err == nil || !strings.Contains(r.Err.Error(), "maximum") && !strings.Contains(r.Err.Error(), "outside") {
+					t.Errorf("%v %s=%s: want a validation error, got %v", tc.mode, tc.knob, v, r.Err)
+				}
+			default:
+				t.Errorf("%v: cell with unexpected point %+v", tc.mode, r.Point)
+			}
+		}
+	}
+}
