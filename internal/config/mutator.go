@@ -2,6 +2,7 @@ package config
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -52,12 +53,21 @@ func Set(c *Config, name, value string) error {
 	return m.Apply(c, value)
 }
 
+// parsePositive parses a knob's positive integer value.
+func parsePositive(name, v string) (int, error) {
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 1 {
+		return 0, fmt.Errorf("config: %s: want a positive integer, got %q", name, v)
+	}
+	return n, nil
+}
+
 // intKnob builds an Apply that parses a positive integer into set.
 func intKnob(name string, set func(*Config, int)) func(*Config, string) error {
 	return func(c *Config, v string) error {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			return fmt.Errorf("config: %s: want a positive integer, got %q", name, v)
+		n, err := parsePositive(name, v)
+		if err != nil {
+			return err
 		}
 		set(c, n)
 		return nil
@@ -99,9 +109,23 @@ var mutators = []Mutator{
 		Doc:  "second-level predictor rows (PVT/perceptron); sets the byte budget as rows × (GHR+LHR+1) weights — apply history-width knobs first",
 		// The row size is read from the current history widths; see
 		// knobReads.
-		Apply: intKnob("pvt.entries", func(c *Config, n int) {
-			c.L2PredBytes = n * (int(c.L2PredGHRBits+c.L2PredLHRBits) + 1)
-		}),
+		Apply: func(c *Config, v string) error {
+			n, err := parsePositive("pvt.entries", v)
+			if err != nil {
+				return err
+			}
+			// A product that overflows could wrap into a budget that
+			// Validate accepts. Anything short of that is left to
+			// Validate's 8 MB bound, because New dry-runs this knob on
+			// the default widths and a later point's narrower
+			// histories may fit the same row count.
+			row := int(c.L2PredGHRBits+c.L2PredLHRBits) + 1
+			if n > math.MaxInt/row {
+				return fmt.Errorf("config: pvt.entries: %d rows of %d weights overflow the byte budget", n, row)
+			}
+			c.L2PredBytes = n * row
+			return nil
+		},
 	},
 	{
 		Name:  "pred.bytes",

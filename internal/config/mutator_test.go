@@ -43,6 +43,32 @@ func TestSetAppliesKnobs(t *testing.T) {
 	}
 }
 
+// TestPVTEntriesBudgetFollowsWidths pins where pvt.entries is bounded:
+// Apply rejects only a row count whose byte budget overflows, and
+// Validate applies the 8 MB bound to the budget at the point's own
+// history widths. New dry-runs every axis value on the default widths,
+// so a bound in Apply would reject 300000 rows, which fit once
+// pred.ghrbits=5 narrows each row to 16 weights.
+func TestPVTEntriesBudgetFollowsWidths(t *testing.T) {
+	c := Default()
+	if err := Set(&c, "pvt.entries", "300000"); err != nil {
+		t.Fatal(err)
+	}
+	if c.Validate() == nil {
+		t.Errorf("300000 rows × 41 weights = %d bytes must not validate", c.L2PredBytes)
+	}
+	c = Default()
+	if err := Set(&c, "pred.ghrbits", "5"); err != nil {
+		t.Fatal(err)
+	}
+	if err := Set(&c, "pvt.entries", "300000"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Validate(); err != nil || c.L2PredBytes != 300000*16 {
+		t.Errorf("300000 rows × 16 weights: budget %d, Validate %v; want %d and valid", c.L2PredBytes, err, 300000*16)
+	}
+}
+
 func TestSetErrors(t *testing.T) {
 	c := Default()
 	if err := Set(&c, "nosuch.knob", "1"); err == nil || !strings.Contains(err.Error(), "registered:") {
@@ -51,6 +77,7 @@ func TestSetErrors(t *testing.T) {
 	for _, tc := range [][2]string{
 		{"pvt.entries", "zero"},
 		{"pvt.entries", "0"},
+		{"pvt.entries", "1799682348654592000"}, // × 41 weights per row wraps to 65536 bytes
 		{"conf.bits", "-1"},
 		{"pvt.split", "maybe"},
 		{"predication", "always"},

@@ -9,7 +9,11 @@
 // is what the paper's predicate predictor exploits.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"strconv"
+)
 
 // Architectural sizes. P0 is hardwired to true and R0 to zero, as in IA-64.
 const (
@@ -410,19 +414,19 @@ func (in *Inst) String() string {
 	case OpMovI:
 		return fmt.Sprintf("%smovi r%d = %d", guard, in.Rd, in.Imm)
 	case OpLoad:
-		return fmt.Sprintf("%sld r%d = [r%d+%d]", guard, in.Rd, in.Rs1, in.Imm)
+		return fmt.Sprintf("%sld r%d = [r%d%+d]", guard, in.Rd, in.Rs1, in.Imm)
 	case OpStore:
-		return fmt.Sprintf("%sst [r%d+%d] = r%d", guard, in.Rs1, in.Imm, in.Rs2)
+		return fmt.Sprintf("%sst [r%d%+d] = r%d", guard, in.Rs1, in.Imm, in.Rs2)
 	case OpFLoad:
-		return fmt.Sprintf("%sfld f%d = [r%d+%d]", guard, in.Rd, in.Rs1, in.Imm)
+		return fmt.Sprintf("%sfld f%d = [r%d%+d]", guard, in.Rd, in.Rs1, in.Imm)
 	case OpFStore:
-		return fmt.Sprintf("%sfst [r%d+%d] = f%d", guard, in.Rs1, in.Imm, in.Rs2)
+		return fmt.Sprintf("%sfst [r%d%+d] = f%d", guard, in.Rs1, in.Imm, in.Rs2)
 	case OpFAdd, OpFSub, OpFMul, OpFDiv:
 		return fmt.Sprintf("%s%s f%d = f%d, f%d", guard, in.Op, in.Rd, in.Rs1, in.Rs2)
 	case OpFMov:
 		return fmt.Sprintf("%sfmov f%d = f%d", guard, in.Rd, in.Rs1)
 	case OpFMovI:
-		return fmt.Sprintf("%sfmovi f%d = #%d", guard, in.Rd, in.Imm)
+		return fmt.Sprintf("%sfmovi f%d = %s", guard, in.Rd, strconv.FormatFloat(math.Float64frombits(uint64(in.Imm)), 'g', -1, 64))
 	case OpFCvtIF:
 		return fmt.Sprintf("%sfcvt.if f%d = r%d", guard, in.Rd, in.Rs1)
 	case OpFCvtFI:

@@ -167,16 +167,7 @@ func parseInst(line string) (isa.Inst, error) {
 			return in, err
 		}
 		in.Rd = rd
-		v := strings.TrimSpace(rhs)
-		if strings.HasPrefix(v, "#") {
-			bits, err := strconv.ParseInt(strings.TrimPrefix(v, "#"), 10, 64)
-			if err != nil {
-				return in, err
-			}
-			in.Imm = bits
-			return in, nil
-		}
-		f, err := strconv.ParseFloat(v, 64)
+		f, err := strconv.ParseFloat(strings.TrimSpace(rhs), 64)
 		if err != nil {
 			return in, err
 		}
@@ -184,12 +175,13 @@ func parseInst(line string) (isa.Inst, error) {
 		return in, nil
 	}
 
-	// Remaining ops share the "OP dst = src[, src2|imm]" shape.
-	op, ok := aluOps[mnemonic]
+	// Remaining ops share the "OP dst = srcs" shape, with the sources
+	// the opcode reads and no others.
+	alu, ok := aluOps[mnemonic]
 	if !ok {
 		return in, fmt.Errorf("unknown mnemonic %q", mnemonic)
 	}
-	in.Op = op
+	in.Op = alu.op
 	lhs, rhs, found := strings.Cut(rest, "=")
 	if !found {
 		return in, fmt.Errorf("%s needs dst = operands: %q", mnemonic, rest)
@@ -200,34 +192,24 @@ func parseInst(line string) (isa.Inst, error) {
 	}
 	in.Rd = rd
 	ops := splitOperands(rhs)
-	switch len(ops) {
-	case 1:
-		if imm, err := strconv.ParseInt(ops[0], 10, 64); err == nil {
-			in.Imm = imm
-		} else {
-			r, err := parseReg(ops[0])
+	if len(ops) != len(alu.srcs) {
+		return in, fmt.Errorf("%s: expected %d operands, got %d", mnemonic, len(alu.srcs), len(ops))
+	}
+	regs := []*isa.Reg{&in.Rs1, &in.Rs2}
+	for k, kind := range alu.srcs {
+		if kind == 'i' {
+			imm, err := strconv.ParseInt(ops[k], 10, 64)
 			if err != nil {
-				return in, err
+				return in, fmt.Errorf("%s needs an immediate operand: %q", mnemonic, ops[k])
 			}
-			in.Rs1 = r
+			in.Imm = imm
+			continue
 		}
-	case 2:
-		r, err := parseReg(ops[0])
+		r, err := parseReg(ops[k])
 		if err != nil {
 			return in, err
 		}
-		in.Rs1 = r
-		if imm, err := strconv.ParseInt(ops[1], 10, 64); err == nil {
-			in.Imm = imm
-		} else {
-			r2, err := parseReg(ops[1])
-			if err != nil {
-				return in, err
-			}
-			in.Rs2 = r2
-		}
-	default:
-		return in, fmt.Errorf("%s: expected 1 or 2 operands, got %d", mnemonic, len(ops))
+		*regs[0], regs = r, regs[1:]
 	}
 	return in, nil
 }
@@ -236,14 +218,20 @@ var cmpOps = map[string]isa.Op{
 	"cmp": isa.OpCmp, "cmpi": isa.OpCmpI, "fcmp": isa.OpFCmp,
 }
 
-var aluOps = map[string]isa.Op{
-	"add": isa.OpAdd, "sub": isa.OpSub, "mul": isa.OpMul, "div": isa.OpDiv,
-	"and": isa.OpAnd, "or": isa.OpOr, "xor": isa.OpXor, "shl": isa.OpShl, "shr": isa.OpShr,
-	"addi": isa.OpAddI, "subi": isa.OpSubI, "muli": isa.OpMulI, "andi": isa.OpAndI,
-	"ori": isa.OpOrI, "xori": isa.OpXorI, "shli": isa.OpShlI, "shri": isa.OpShrI,
-	"mov": isa.OpMov, "movi": isa.OpMovI,
-	"fadd": isa.OpFAdd, "fsub": isa.OpFSub, "fmul": isa.OpFMul, "fdiv": isa.OpFDiv,
-	"fmov": isa.OpFMov, "fcvt.if": isa.OpFCvtIF, "fcvt.fi": isa.OpFCvtFI,
+// aluOps maps the remaining mnemonics to their opcode and sources, one
+// letter per operand after '=': r a register, i an immediate.
+var aluOps = map[string]struct {
+	op   isa.Op
+	srcs string
+}{
+	"add": {isa.OpAdd, "rr"}, "sub": {isa.OpSub, "rr"}, "mul": {isa.OpMul, "rr"}, "div": {isa.OpDiv, "rr"},
+	"and": {isa.OpAnd, "rr"}, "or": {isa.OpOr, "rr"}, "xor": {isa.OpXor, "rr"},
+	"shl": {isa.OpShl, "rr"}, "shr": {isa.OpShr, "rr"},
+	"addi": {isa.OpAddI, "ri"}, "subi": {isa.OpSubI, "ri"}, "muli": {isa.OpMulI, "ri"}, "andi": {isa.OpAndI, "ri"},
+	"ori": {isa.OpOrI, "ri"}, "xori": {isa.OpXorI, "ri"}, "shli": {isa.OpShlI, "ri"}, "shri": {isa.OpShrI, "ri"},
+	"mov": {isa.OpMov, "r"}, "movi": {isa.OpMovI, "i"},
+	"fadd": {isa.OpFAdd, "rr"}, "fsub": {isa.OpFSub, "rr"}, "fmul": {isa.OpFMul, "rr"}, "fdiv": {isa.OpFDiv, "rr"},
+	"fmov": {isa.OpFMov, "r"}, "fcvt.if": {isa.OpFCvtIF, "r"}, "fcvt.fi": {isa.OpFCvtFI, "r"},
 }
 
 var relNames = map[string]isa.Rel{
@@ -322,6 +310,9 @@ func parseMemRef(in *isa.Inst, s string) error {
 		return fmt.Errorf("memory operand must be [base+off]: %q", s)
 	}
 	body := s[1 : len(s)-1]
+	if body == "" {
+		return fmt.Errorf("memory operand needs a base register: %q", s)
+	}
 	sep := strings.IndexAny(body[1:], "+-")
 	base, off := body, "0"
 	if sep >= 0 {

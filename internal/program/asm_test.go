@@ -110,10 +110,25 @@ func TestAssembleErrors(t *testing.T) {
 		"br nowhere\nhalt",               // undefined label
 		"movi r999 = 0\nhalt",            // bad register
 		"add r1 = r2, r3, r4\nhalt",      // too many operands
+		"mov r1 = 1\nhalt",               // immediate where mov reads a register
+		"add r1 = r2, 5\nhalt",           // immediate where add reads a register
+		"movi r1 = r2\nhalt",             // register where movi reads an immediate
+		"addi r1 = r2\nhalt",             // addi without its immediate
 	}
 	for _, src := range cases {
 		if _, err := Assemble("bad", src); err == nil {
 			t.Errorf("expected error for %q", src)
+		}
+	}
+}
+
+// TestAssembleEmptyMemRef is the regression test for a memory operand
+// with no base register, which once panicked slicing the empty operand
+// body instead of returning an error.
+func TestAssembleEmptyMemRef(t *testing.T) {
+	for _, src := range []string{"ld r1 = []\nhalt", "st [] = r1\nhalt", "fld f1 = []\nhalt"} {
+		if _, err := Assemble("bad", src); err == nil || !strings.Contains(err.Error(), "base register") {
+			t.Errorf("%q: want a missing-base-register error, got %v", src, err)
 		}
 	}
 }
@@ -124,37 +139,55 @@ func TestAssembleErrors(t *testing.T) {
 func TestAssembleDisassembleRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 10; trial++ {
-		orig := randomAsmProgram(rng)
-		text := orig.Disassemble()
-		// Strip the index column Disassemble prints.
-		var clean strings.Builder
-		for _, line := range strings.Split(text, "\n") {
-			trimmed := strings.TrimSpace(line)
-			if trimmed == "" {
-				continue
-			}
-			if strings.HasSuffix(trimmed, ":") {
-				clean.WriteString(trimmed + "\n")
-				continue
-			}
-			fields := strings.SplitN(trimmed, "  ", 2)
-			if len(fields) == 2 {
-				clean.WriteString(strings.TrimSpace(fields[1]) + "\n")
-			}
-		}
-		back, err := Assemble(orig.Name, clean.String())
+		checkRoundTrip(t, randomAsmProgram(rng))
+	}
+}
+
+// FuzzAssemble feeds arbitrary text to the assembler, the input
+// predsim -asm reads. It must return a program or an error, never
+// panic, and a program it accepts must survive the disassembly round
+// trip. Seeds live in testdata/fuzz/FuzzAssemble.
+func FuzzAssemble(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src string) {
+		p, err := Assemble("fuzz", src)
 		if err != nil {
-			t.Fatalf("trial %d: %v\nsource:\n%s", trial, err, clean.String())
+			return
 		}
-		if back.Len() != orig.Len() {
-			t.Fatalf("trial %d: length %d -> %d", trial, orig.Len(), back.Len())
+		checkRoundTrip(t, p)
+	})
+}
+
+// checkRoundTrip assembles orig's disassembly, index column stripped,
+// and fails t unless it reproduces orig instruction for instruction.
+func checkRoundTrip(t *testing.T, orig *Program) {
+	t.Helper()
+	var clean strings.Builder
+	for _, line := range strings.Split(orig.Disassemble(), "\n") {
+		trimmed := strings.TrimSpace(line)
+		if trimmed == "" {
+			continue
 		}
-		for i := range orig.Insts {
-			a, b := orig.Insts[i], back.Insts[i]
-			b.Label = a.Label // labels are resolved; compare semantics only
-			if a != b {
-				t.Fatalf("trial %d @%d: %s != %s", trial, i, a.String(), b.String())
-			}
+		if strings.HasSuffix(trimmed, ":") {
+			clean.WriteString(trimmed + "\n")
+			continue
+		}
+		fields := strings.SplitN(trimmed, "  ", 2)
+		if len(fields) == 2 {
+			clean.WriteString(strings.TrimSpace(fields[1]) + "\n")
+		}
+	}
+	back, err := Assemble(orig.Name, clean.String())
+	if err != nil {
+		t.Fatalf("%v\nsource:\n%s", err, clean.String())
+	}
+	if back.Len() != orig.Len() {
+		t.Fatalf("length %d -> %d\nsource:\n%s", orig.Len(), back.Len(), clean.String())
+	}
+	for i := range orig.Insts {
+		a, b := orig.Insts[i], back.Insts[i]
+		b.Label = a.Label // labels are resolved; compare semantics only
+		if a != b {
+			t.Fatalf("@%d: %s != %s", i, a.String(), b.String())
 		}
 	}
 }

@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -53,6 +55,57 @@ func TestDecodeRejectsOversizedEventLength(t *testing.T) {
 	}
 }
 
+// failingReader fails every read.
+type failingReader struct{ err error }
+
+func (r failingReader) Read([]byte) (int, error) { return 0, r.err }
+
+// TestDecodeErrorsWrapErrCorrupt pins the decoder's error types: every
+// malformed header and event stream reports ErrCorrupt, still visible
+// through a caller's %w wrapping, while a failed read keeps the
+// reader's own error and is not reported as corruption.
+func TestDecodeErrorsWrapErrCorrupt(t *testing.T) {
+	var good bytes.Buffer
+	if err := (&Trace{Events: []byte{0, EvHalt}}).EncodeTo(&good); err != nil {
+		t.Fatal(err)
+	}
+	header := good.Bytes()[:good.Len()-3] // magic, hash, steps, halted
+	for name, data := range map[string][]byte{
+		"bad magic":       []byte("PPTRACE0"),
+		"short hash":      []byte(magic + "1234"),
+		"no halted flag":  header[:len(header)-1],
+		"no event length": header,
+		"oversized":       oversizedEventLength(t),
+	} {
+		_, err := Decode(bytes.NewReader(data))
+		if wrapped := fmt.Errorf("load: %w", err); !errors.Is(wrapped, ErrCorrupt) {
+			t.Errorf("%s: Decode error %v does not wrap ErrCorrupt", name, err)
+		}
+	}
+	for name, events := range map[string][]byte{
+		"truncated varint": {0x80},
+		"truncated event":  {0},
+		"unknown kind":     {0, 7},
+		"guard register":   {0, EvCondBr, 0, isa.NumPred},
+	} {
+		c := (&Trace{Events: events}).EventCursor()
+		var ev Event
+		for c.Next(&ev) {
+		}
+		if wrapped := fmt.Errorf("replay: %w", c.Err()); !errors.Is(wrapped, ErrCorrupt) {
+			t.Errorf("%s: cursor error %v does not wrap ErrCorrupt", name, c.Err())
+		}
+	}
+	readErr := errors.New("disk on fire")
+	_, err := Decode(failingReader{readErr})
+	if !errors.Is(err, readErr) || errors.Is(err, ErrCorrupt) {
+		t.Errorf("failed read: got %v, want the reader's error and not ErrCorrupt", err)
+	}
+	if _, err := Decode(bytes.NewReader(good.Bytes())); err != nil {
+		t.Fatalf("well-formed trace: %v", err)
+	}
+}
+
 // FuzzDecode holds the decoder to its contract on arbitrary bytes:
 // Decode followed by a full batched cursor walk never panics or hangs,
 // reports every failure as an error, and yields only events replay can
@@ -64,6 +117,9 @@ func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Decode(bytes.NewReader(data))
 		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Decode error %v does not wrap ErrCorrupt", err)
+			}
 			return
 		}
 		var buf bytes.Buffer
@@ -94,6 +150,9 @@ func FuzzDecode(f *testing.F) {
 		}
 		if c.Err() == nil && c.pos != len(c.buf) {
 			t.Fatalf("cursor stopped at offset %d of %d without an error", c.pos, len(c.buf))
+		}
+		if c.Err() != nil && !errors.Is(c.Err(), ErrCorrupt) {
+			t.Fatalf("cursor error %v does not wrap ErrCorrupt", c.Err())
 		}
 	})
 }

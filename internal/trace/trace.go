@@ -20,6 +20,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -134,8 +135,19 @@ func (t *Trace) EncodeTo(w io.Writer) error {
 	return err
 }
 
+// ErrCorrupt is wrapped by every error Decode and Cursor report for a
+// malformed stream, so a caller can tell a corrupt trace (errors.Is)
+// from a failed read, which Decode wraps on its own.
+var ErrCorrupt = errors.New("trace: corrupt stream")
+
+// corrupt builds a malformed-stream error wrapping ErrCorrupt.
+func corrupt(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
+}
+
 // Decode parses a serialized trace. Malformed input of any shape is an
-// error, never a panic or an allocation larger than the input.
+// error wrapping ErrCorrupt, never a panic or an allocation larger than
+// the input.
 func Decode(r io.Reader) (*Trace, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -148,20 +160,20 @@ func Decode(r io.Reader) (*Trace, error) {
 // aliases data, so a loaded file is read into memory once.
 func decode(data []byte) (*Trace, error) {
 	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
-		return nil, fmt.Errorf("trace: bad magic %q", data[:min(len(data), len(magic))])
+		return nil, corrupt("bad magic %q", data[:min(len(data), len(magic))])
 	}
 	rest := data[len(magic):]
 	uvarint := func(what string) (uint64, error) {
 		v, n := binary.Uvarint(rest)
 		if n <= 0 {
-			return 0, fmt.Errorf("trace: %s: malformed varint", what)
+			return 0, corrupt("%s: malformed varint", what)
 		}
 		rest = rest[n:]
 		return v, nil
 	}
 	t := &Trace{}
 	if len(rest) < 8 {
-		return nil, fmt.Errorf("trace: short program hash")
+		return nil, corrupt("short program hash")
 	}
 	t.ProgHash = binary.LittleEndian.Uint64(rest)
 	rest = rest[8:]
@@ -170,7 +182,7 @@ func decode(data []byte) (*Trace, error) {
 		return nil, err
 	}
 	if len(rest) == 0 {
-		return nil, fmt.Errorf("trace: missing halted flag")
+		return nil, corrupt("missing halted flag")
 	}
 	t.Halted = rest[0] != 0
 	rest = rest[1:]
@@ -179,7 +191,7 @@ func decode(data []byte) (*Trace, error) {
 		return nil, err
 	}
 	if evLen != uint64(len(rest)) {
-		return nil, fmt.Errorf("trace: event length %d, but %d bytes remain", evLen, len(rest))
+		return nil, corrupt("event length %d, but %d bytes remain", evLen, len(rest))
 	}
 	t.Events = rest
 	return t, nil
@@ -201,7 +213,7 @@ func (c *Cursor) Err() error { return c.err }
 func (c *Cursor) uvarint() uint64 {
 	v, n := binary.Uvarint(c.buf[c.pos:])
 	if n <= 0 {
-		c.err = fmt.Errorf("trace: truncated varint at offset %d", c.pos)
+		c.err = corrupt("truncated varint at offset %d", c.pos)
 		return 0
 	}
 	c.pos += n
@@ -210,7 +222,7 @@ func (c *Cursor) uvarint() uint64 {
 
 func (c *Cursor) byte() byte {
 	if c.pos >= len(c.buf) {
-		c.err = fmt.Errorf("trace: truncated event at offset %d", c.pos)
+		c.err = corrupt("truncated event at offset %d", c.pos)
 		return 0
 	}
 	b := c.buf[c.pos]
@@ -255,12 +267,12 @@ func (c *Cursor) Next(ev *Event) bool {
 		ev.Target = int(c.uvarint())
 	case EvHalt:
 	default:
-		c.err = fmt.Errorf("trace: unknown event kind %d at offset %d", ev.Kind, c.pos)
+		c.err = corrupt("unknown event kind %d at offset %d", ev.Kind, c.pos)
 		return false
 	}
 	// Replay indexes fixed per-register tables with these.
 	if c.err == nil && (ev.QP >= isa.NumPred || ev.P1 >= isa.NumPred || ev.P2 >= isa.NumPred) {
-		c.err = fmt.Errorf("trace: predicate register out of range before offset %d", c.pos)
+		c.err = corrupt("predicate register out of range before offset %d", c.pos)
 	}
 	return c.err == nil
 }

@@ -164,11 +164,41 @@ func TestMemoSweepExactCounts(t *testing.T) {
 	}
 }
 
+// TestMemoPlanOwnsKeysAtFirstPoint pins the plan behind the memo: on
+// the canonical grid each pred.bytes value's first point (0 and 4) owns
+// its two replays, so the 32 cells are 4 jobs, one per (owning point,
+// benchmark), each replaying 2 configurations and delivering 8 cells;
+// the six points with nothing left to replay get no job at all.
+func TestMemoPlanOwnsKeysAtFirstPoint(t *testing.T) {
+	wl := memoWorkload(t, "gzip", "vpr")
+	exp, err := New(WithWorkload(wl), WithSchemes("conventional", "predpred"), WithMode(ModeTrace),
+		WithAxis("pred.bytes", 75776, 151552), WithAxis("mispredict.penalty", 5, 10, 15, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := exp.buildJobs(wl, exp.plan(exp.Points()), 0)
+	if len(jobs) != 4 {
+		t.Fatalf("want 4 jobs, got %d", len(jobs))
+	}
+	for k, j := range jobs {
+		owner := 4 * (k / 2)
+		if len(j.cfgs) != 2 || len(j.cells) != 8 || j.bench != wl.progs[k%2].Spec.Name {
+			t.Fatalf("job %d: %s, %d configurations, %d cells; want %s, 2, 8", k, j.bench, len(j.cfgs), len(j.cells), wl.progs[k%2].Spec.Name)
+		}
+		for _, c := range j.cells {
+			if c.memo != (c.point.Index != owner) || c.err != nil {
+				t.Errorf("job %d: cell at point %d has memo %v, err %v; only point %d's cells replay", k, c.point.Index, c.memo, c.err, owner)
+			}
+		}
+	}
+}
+
 // TestMemoSweepManifests pins memo provenance in run manifests:
 // memo-served cells are flagged and carry no phase timings, replayed
-// cells carry their pass's phases, and — once the fields that record
-// which cell of a shared key happened to replay it are set aside — the
-// manifest stream is byte-identical across worker counts.
+// cells carry their pass's phases, and the manifest stream, memo flags
+// and phase fields included, is byte-identical across worker counts:
+// which cell replays a shared key is planned at Start, not raced for by
+// the workers.
 func TestMemoSweepManifests(t *testing.T) {
 	wl := memoWorkload(t, "gzip", "vpr")
 	dir := t.TempDir()
@@ -193,12 +223,6 @@ func TestMemoSweepManifests(t *testing.T) {
 		if memo != 24 {
 			t.Errorf("p=%d: want 24 memo-served manifests, got %d", par, memo)
 		}
-		// Which cell of a shared key replays it is a scheduling race
-		// at p>1; everything else is deterministic.
-		for i := range run.manifests {
-			m := &run.manifests[i]
-			m.Memo, m.PhasesNS, m.GroupSchemes, m.InstrsPerSec = false, nil, nil, 0
-		}
 		var buf bytes.Buffer
 		if err := obs.WriteManifests(&buf, run.manifests); err != nil {
 			t.Fatal(err)
@@ -212,8 +236,8 @@ func TestMemoSweepManifests(t *testing.T) {
 
 // TestMemoCatchesUndeclaredReuse covers reuse that per-knob
 // declarations could not see — a free-form axis touching only a
-// pipeline field, and one scheme listed twice, whose second cell waits
-// on the key its own job's first cell claimed — plus
+// pipeline field, and one scheme listed twice, whose second cell is
+// served from its first cell's replay — plus
 // gshare.idxbits, whose reuse used to rest on such a declaration.
 // Every cell must still match a direct replay.
 func TestMemoCatchesUndeclaredReuse(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/isa"
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/stats"
 )
@@ -123,56 +124,117 @@ func (r *Runner) Wait() error {
 	return r.err
 }
 
-// simJob is one unit of worker-pool work: one benchmark's cell group
-// of one point's experiment matrix.
-// Pipeline-mode cells are one scheme per job; trace-mode jobs coalesce
-// every scheme of the benchmark into a single job, replayed in one
-// pass over the shared trace (stats.ReplayAll). The job's cells occupy
-// consecutive matrix positions starting at seq, in scheme order.
+// simJob is one unit of worker-pool work: cells of one benchmark. A
+// pipeline-mode job is one cell. A trace-mode job is one benchmark at
+// one owning point of the plan: it replays the point's configurations
+// in a single pass over the shared trace (stats.ReplayAll) and delivers
+// every cell planned onto them.
 type simJob struct {
-	seq      int
 	bench    string
 	class    string
-	specHash string   // %016x of the benchmark spec's hash; "" for an arbitrary program
-	schemes  []string // one per cell; >1 only for coalesced trace-mode jobs
-	mode     Mode
+	specHash string // %016x of the benchmark spec's hash; "" for an arbitrary program
 	prog     *Program
-	point    Point // the cells' configuration is the point's (cellConfig)
+	// matrix is the benchmark's first matrix position (benchmark-major,
+	// then scheme): a cell's Seq is matrix plus its scheme position.
+	matrix int
+	cells  []cellPlan
+	cfgs   []Config // trace mode: the configurations replayed, by cellPlan.key
 	// experiment is the run's start order on its observer, from 0 (0
 	// without one): the first key of the manifest order.
 	experiment int
 }
 
-// buildJobs expands one point's experiment matrix into worker jobs in
-// matrix order (benchmark-major, then scheme) and returns them with the
-// matrix's cell count — larger than len(jobs) when trace-mode scheme
-// cells were coalesced.
-func (e *Experiment) buildJobs(wl *Workload, pt Point, experiment int) ([]simJob, int) {
-	var jobs []simJob
-	seq := 0
-	for _, pg := range wl.progs {
-		p := pg.Plain
-		if e.ifConverted {
-			p = pg.Converted
-		}
-		specHash := fmt.Sprintf("%016x", pg.Spec.Hash())
-		j := simJob{
-			seq: seq, bench: pg.Spec.Name, class: pg.Spec.Class, specHash: specHash,
-			mode: e.mode, prog: p, point: pt, experiment: experiment,
-		}
-		if e.mode == ModeTrace {
-			j.schemes = e.schemes
-			jobs = append(jobs, j)
-			seq += len(e.schemes)
-			continue
-		}
-		for _, s := range e.schemes {
-			j.seq, j.schemes = seq, []string{s}
-			jobs = append(jobs, j)
-			seq++
+// cellPlan is one (point, scheme) cell of an experiment's plan, shared
+// by every benchmark: Start builds its configuration once.
+type cellPlan struct {
+	point  Point
+	scheme int    // position in the experiment's scheme list
+	cfg    Config // cellConfig's configuration
+	err    error  // cellConfig's error or, in trace mode, Validate's
+	// Trace mode, valid cells only: the cell's replay among its owning
+	// point's configurations (-1 otherwise), and whether an earlier
+	// cell of the plan owns that replay, so this one is memo-served.
+	key  int
+	memo bool
+}
+
+// replays reports whether the cell's owning job replays it for the cell
+// itself, rather than serving it from the memo or failing it unreplayed.
+func (c cellPlan) replays() bool { return c.key >= 0 && !c.memo }
+
+// pointPlan is the work one point owns: the cells its jobs deliver and,
+// in trace mode, the distinct configurations they replay.
+type pointPlan struct {
+	cells []cellPlan
+	cfgs  []Config
+}
+
+// plan builds every (point, scheme) configuration once and assigns each
+// cell to the point whose jobs deliver it. In pipeline mode that is the
+// cell's own point. In trace mode each distinct replay-visible
+// configuration (stats.EngineConfig) belongs to the first point, in
+// point order, that needs it: that point's jobs replay it once per
+// benchmark and deliver every cell that shares it, later points'
+// included. An invalid cell stays with its own point and never reaches
+// a replay.
+func (e *Experiment) plan(points []Point) []pointPlan {
+	plans := make([]pointPlan, len(points))
+	type owner struct{ point, key int }
+	owners := map[stats.EngineConfig]owner{}
+	for i, pt := range points {
+		for s, scheme := range e.schemes {
+			c := cellPlan{point: pt, scheme: s, key: -1}
+			c.cfg, c.err = e.cellConfig(pt, scheme)
+			at := i
+			if e.mode == ModeTrace {
+				if c.err == nil {
+					c.err = c.cfg.Validate()
+				}
+				if c.err == nil {
+					k := stats.EngineConfigOf(c.cfg)
+					o, seen := owners[k]
+					if !seen {
+						o = owner{i, len(plans[i].cfgs)}
+						owners[k] = o
+						plans[i].cfgs = append(plans[i].cfgs, c.cfg)
+					}
+					at, c.key, c.memo = o.point, o.key, seen
+				}
+			}
+			plans[at].cells = append(plans[at].cells, c)
 		}
 	}
-	return jobs, seq
+	return plans
+}
+
+// buildJobs expands the plan into worker jobs: owning point-major, then
+// benchmark, then (pipeline mode) scheme.
+func (e *Experiment) buildJobs(wl *Workload, plans []pointPlan, experiment int) []simJob {
+	var jobs []simJob
+	for _, pp := range plans {
+		if len(pp.cells) == 0 {
+			continue // an earlier point's jobs serve every cell
+		}
+		for b, pg := range wl.progs {
+			p := pg.Plain
+			if e.ifConverted {
+				p = pg.Converted
+			}
+			j := simJob{
+				bench: pg.Spec.Name, class: pg.Spec.Class, specHash: fmt.Sprintf("%016x", pg.Spec.Hash()),
+				prog: p, matrix: b * len(e.schemes), cells: pp.cells, cfgs: pp.cfgs, experiment: experiment,
+			}
+			if e.mode == ModeTrace {
+				jobs = append(jobs, j)
+				continue
+			}
+			for i := range pp.cells {
+				j.cells = pp.cells[i : i+1]
+				jobs = append(jobs, j)
+			}
+		}
+	}
+	return jobs
 }
 
 // prepare resolves what every job of a run shares: the workload
@@ -198,25 +260,26 @@ func (e *Experiment) prepare(ctx context.Context) (*Workload, *traceProvider, er
 }
 
 // Start prepares the workload (once, shared by every point) if one was
-// not supplied and launches the worker pool under ctx over every
-// point's cell jobs, point-major. In trace mode one shared provider
-// records each benchmark's trace exactly once for the whole run — an
-// N-point sweep over the full suite records 22 traces, not 22×N.
-// Cancelling ctx stops workers promptly: queued runs are abandoned and
-// in-flight simulations stop at the next commit slice.
+// not supplied, plans every point's cells (plan) and launches the
+// worker pool under ctx over the planned jobs, point-major. In trace
+// mode one shared provider records each benchmark's trace exactly once
+// for the whole run — an N-point sweep over the full suite records 22
+// traces, not 22×N. Cancelling ctx stops workers promptly: queued runs
+// are abandoned and in-flight simulations stop at the next commit
+// slice.
 func (e *Experiment) Start(ctx context.Context) (*Runner, error) {
+	return e.start(ctx, e.runJob)
+}
+
+// start is Start with the function each worker runs a job through.
+func (e *Experiment) start(ctx context.Context, run func(context.Context, *traceProvider, simJob) ([]Result, bool)) (*Runner, error) {
 	wl, traces, err := e.prepare(ctx)
 	if err != nil {
 		return nil, err
 	}
-	var jobs []simJob
-	total := 0
-	experiment := e.observer.startExperiment()
-	for _, pt := range e.Points() {
-		js, n := e.buildJobs(wl, pt, experiment)
-		jobs = append(jobs, js...)
-		total += n
-	}
+	points := e.Points()
+	jobs := e.buildJobs(wl, e.plan(points), e.observer.startExperiment())
+	total := len(points) * len(wl.progs) * len(e.schemes)
 	r := &Runner{
 		results: make(chan Result, total),
 		done:    make(chan struct{}),
@@ -251,11 +314,11 @@ func (e *Experiment) Start(ctx context.Context) (*Runner, error) {
 				if ctx.Err() != nil {
 					return
 				}
-				rs, ok := e.runJob(ctx, traces, j)
+				rs, ok := run(ctx, traces, j)
 				if !ok { // cancelled mid-run: partial stats, drop them
 					return
 				}
-				r.finish(e.progress, j, rs)
+				r.finish(e.progress, rs)
 			}
 		}()
 	}
@@ -277,7 +340,7 @@ func (e *Experiment) Start(ctx context.Context) (*Runner, error) {
 
 // finish delivers, counts and reports each of one finished job's
 // cells.
-func (r *Runner) finish(f func(Progress), j simJob, rs []Result) {
+func (r *Runner) finish(f func(Progress), rs []Result) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, res := range rs {
@@ -286,7 +349,7 @@ func (r *Runner) finish(f func(Progress), j simJob, rs []Result) {
 		if f != nil {
 			elapsed := time.Duration(r.obsv.now() - r.startNS)
 			f(Progress{
-				Done: r.finished, Total: r.total, Point: j.point.id(),
+				Done: r.finished, Total: r.total, Point: res.Point.id(),
 				Bench: res.Bench, Scheme: res.Scheme,
 				Elapsed: elapsed, ETA: eta(elapsed, r.finished, r.total),
 				Err: res.Err,
@@ -298,9 +361,10 @@ func (r *Runner) finish(f func(Progress), j simJob, rs []Result) {
 // result is cell i's Result prologue: identity fields filled in,
 // statistics still empty.
 func (j simJob) result(e *Experiment, i int) Result {
+	c := j.cells[i]
 	return Result{
-		Point: j.point, Seq: j.seq + i, Tag: e.tag, Bench: j.bench, Class: j.class,
-		Scheme: j.schemes[i], Mode: j.mode, IfConverted: e.ifConverted,
+		Point: c.point, Seq: j.matrix + c.scheme, Tag: e.tag, Bench: j.bench, Class: j.class,
+		Scheme: e.schemes[c.scheme], Mode: e.mode, IfConverted: e.ifConverted,
 	}
 }
 
@@ -321,22 +385,22 @@ func (e *Experiment) baseConfig(scheme string) (Config, error) {
 	return cfg, nil
 }
 
-// cellManifest builds cell i's run manifest from its finished result:
+// cellManifest builds a cell's run manifest from its finished result:
 // the identity half plus committed count and error; the caller fills
 // in the timing half.
-func (e *Experiment) cellManifest(j simJob, i int, res Result) RunManifest {
+func (e *Experiment) cellManifest(j simJob, res Result) RunManifest {
 	m := RunManifest{
-		Seq:         j.seq + i,
-		Point:       j.point.id(),
+		Seq:         res.Seq,
+		Point:       res.Point.id(),
 		Experiment:  j.experiment,
-		Tag:         e.tag,
-		Bench:       j.bench,
-		Class:       j.class,
-		Scheme:      j.schemes[i],
-		Mode:        j.mode.String(),
-		IfConverted: e.ifConverted,
+		Tag:         res.Tag,
+		Bench:       res.Bench,
+		Class:       res.Class,
+		Scheme:      res.Scheme,
+		Mode:        res.Mode.String(),
+		IfConverted: res.IfConverted,
 		SpecHash:    j.specHash,
-		Knobs:       j.point.knobs(),
+		Knobs:       res.Point.knobs(),
 		Committed:   res.Stats.Committed,
 	}
 	if e.sample > 0 {
@@ -357,147 +421,101 @@ func instrsPerSec(committed uint64, ns int64) float64 {
 	return round3(float64(committed) / (float64(ns) / 1e9))
 }
 
-// runJob simulates one matrix job (a pipeline cell, or a coalesced
-// trace-mode cell group). ok is false when the context was cancelled
-// mid-simulation and the partial results must be discarded.
+// runJob simulates one job (a pipeline cell, or a trace-mode replay
+// pass with the cells it serves). ok is false when the context was
+// cancelled mid-simulation and the partial results must be discarded.
 func (e *Experiment) runJob(ctx context.Context, traces *traceProvider, j simJob) ([]Result, bool) {
-	if j.mode == ModeTrace {
+	if e.mode == ModeTrace {
 		return e.runTraceJob(ctx, traces, j)
 	}
 	res, _, ok := e.runCell(ctx, j)
 	return []Result{res}, ok
 }
 
-// runTraceJob replays every scheme cell of one benchmark in a single
-// pass over the shared trace. A cell whose configuration fails to
-// build or validate keeps its error while its siblings still replay.
-//
-// Cells go through the provider's replay memo: the job claims every
-// cell key no one holds yet and replays those in one pass, then waits
-// for the keys other workers (or an earlier cell of this job) hold. A
-// job never waits while it holds an unsettled claim, so workers cannot
-// deadlock on each other. Validation has already rejected every
-// configuration a replay could fail on, so a failed pass is a property
-// of the trace (or a cancellation), and its waiters share its error.
-// ok is false when the context was cancelled and the whole group must
-// be discarded.
+// Replay memo counters, on the process registry beside the trace
+// cache's: a hit is a cell served from another cell's replay, a miss
+// a cell replayed.
+var (
+	memoHits   = obs.Default().Counter("replay.memo.hits")
+	memoMisses = obs.Default().Counter("replay.memo.misses")
+)
+
+// runTraceJob replays the job's configurations in a single pass over
+// its benchmark's trace and fills in every cell planned onto them; an
+// invalid cell keeps its own error. Validation has already rejected
+// every configuration a replay could fail on, so a failed pass is a
+// property of the trace (or a cancellation), and every cell it serves
+// shares its error. ok is false when the context was cancelled and the
+// whole job must be discarded.
 func (e *Experiment) runTraceJob(ctx context.Context, traces *traceProvider, j simJob) ([]Result, bool) {
-	out := make([]Result, len(j.schemes))
-	for i := range j.schemes {
-		out[i] = j.result(e, i)
-	}
-	tr, err := traces.get(ctx, j.bench, j.prog)
-	if canceled(err) {
+	tr, traceErr := traces.get(ctx, j.bench, j.prog)
+	if canceled(traceErr) {
 		return nil, false
 	}
-	if err != nil {
-		for i := range out {
-			out[i].Err = err
-		}
-		e.observeTraceGroup(traces, j, out, nil, nil, nil)
-		return out, true
-	}
-	var live, waits []int // cells this job replays, cells it waits for
-	var cfgs []Config     // parallel to live
-	entries := make([]*memoEntry, len(out))
-	for i, s := range j.schemes {
-		cfg, err := e.cellConfig(j.point, s)
-		if err == nil {
-			// Pre-flight so one invalid configuration keeps its per-cell
-			// error instead of sinking the whole single-pass group, and
-			// never reaches the memo.
-			err = cfg.Validate()
-		}
-		if err != nil {
-			out[i].Err = err
-			continue
-		}
-		m, created := traces.claim(memoKey{bench: j.bench, cfg: stats.EngineConfigOf(cfg)})
-		entries[i] = m
-		if created {
-			live = append(live, i)
-			cfgs = append(cfgs, cfg)
-		} else {
-			waits = append(waits, i)
-		}
-	}
+	var sts []pipeline.Stats
 	var tm *stats.Timings
-	if len(live) > 0 {
-		var sts []pipeline.Stats
-		var err error
-		sts, tm, err = stats.ReplayAll(ctx, cfgs, tr, e.commits, e.observer.replayClock())
-		for k, i := range live {
-			if err == nil {
-				out[i].Stats = sts[k]
+	var replayErr error
+	if traceErr == nil && len(j.cfgs) > 0 {
+		sts, tm, replayErr = stats.ReplayAll(ctx, j.cfgs, tr, e.commits, e.observer.replayClock())
+		if canceled(replayErr) {
+			return nil, false
+		}
+		memoMisses.Add(uint64(len(j.cfgs)))
+	}
+	out := make([]Result, len(j.cells))
+	for i, c := range j.cells {
+		out[i] = j.result(e, i)
+		switch {
+		case traceErr != nil:
+			out[i].Err = traceErr
+		case c.err != nil:
+			out[i].Err = c.err
+		case replayErr != nil:
+			out[i].Err = replayErr
+		default:
+			out[i].Stats = sts[c.key]
+			if c.memo {
+				memoHits.Inc()
 			}
-			out[i].Err = err
-			traces.settle(entries[i], out[i].Stats, err)
-		}
-		if canceled(err) {
-			return nil, false
-		}
-		memoMisses.Add(uint64(len(live)))
-	}
-	memo := make([]bool, len(out))
-	for _, i := range waits {
-		m := entries[i]
-		select {
-		case <-m.done:
-		case <-ctx.Done():
-			return nil, false
-		}
-		if canceled(m.err) {
-			return nil, false
-		}
-		out[i].Stats, out[i].Err = m.st, m.err
-		if m.err == nil {
-			memo[i] = true
-			memoHits.Inc()
 		}
 	}
-	e.observeTraceGroup(traces, j, out, live, memo, tm)
+	e.observeTraceGroup(traces, j, out, tm)
 	return out, true
 }
 
-// observeTraceGroup records one coalesced trace job's telemetry: the
-// group-level decode/frontend spans, a per-cell engine span, and one
-// manifest per cell. The shared decode and frontend costs are
-// attributed evenly across the live cells in each manifest (the group
-// totals are recoverable via GroupSchemes), while engine time is
-// exact per cell. Memo-served cells (memo[i], nil = none) carry their
-// provenance flag but no phase timings — no replay ran for them.
-// No-op without an observer.
-func (e *Experiment) observeTraceGroup(traces *traceProvider, j simJob, out []Result, live []int, memo []bool, tm *stats.Timings) {
+// observeTraceGroup records one trace job's telemetry: the pass's
+// decode/frontend spans, a per-cell engine span, and one manifest per
+// cell. The shared decode and frontend costs are attributed evenly
+// across the replayed cells in each manifest (the pass totals are
+// recoverable via GroupSchemes), while engine time is exact per cell.
+// Memo-served cells carry their provenance flag but no phase timings —
+// no replay ran for them. No-op without an observer.
+func (e *Experiment) observeTraceGroup(traces *traceProvider, j simJob, out []Result, tm *stats.Timings) {
 	o := e.observer
 	if o == nil {
 		return
 	}
 	outcome := traces.outcome(j.bench)
-	var group []string
-	if len(live) > 1 {
-		group = make([]string, len(live))
-		for k, i := range live {
-			group[k] = j.schemes[i]
-		}
-	}
+	var group []string // the replayed cells' schemes, when there are several
 	var decodeShare, frontendShare int64
-	if tm != nil && len(live) > 0 {
+	if tm != nil {
 		o.span(PhaseDecode, tm.DecodeNS)
 		o.span(PhaseFrontend, tm.FrontendNS)
-		decodeShare = tm.DecodeNS / int64(len(live))
-		frontendShare = tm.FrontendNS / int64(len(live))
+		decodeShare = tm.DecodeNS / int64(len(j.cfgs))
+		frontendShare = tm.FrontendNS / int64(len(j.cfgs))
+		for _, c := range j.cells {
+			if len(j.cfgs) > 1 && c.replays() {
+				group = append(group, e.schemes[c.scheme])
+			}
+		}
 	}
-	liveIdx := make(map[int]int, len(live)) // out index -> cfgs position
-	for k, i := range live {
-		liveIdx[i] = k
-	}
-	for i := range out {
-		m := e.cellManifest(j, i, out[i])
+	for i, c := range j.cells {
+		m := e.cellManifest(j, out[i])
 		m.Cache = outcome
-		m.Memo = memo != nil && memo[i]
-		if k, ok := liveIdx[i]; ok && tm != nil {
+		m.Memo = c.memo && out[i].Err == nil
+		if tm != nil && c.replays() {
 			m.GroupSchemes = group
-			engineNS := tm.EngineNS[k]
+			engineNS := tm.EngineNS[c.key]
 			o.span(PhaseEngine, engineNS)
 			m.PhasesNS = map[string]int64{
 				PhaseDecode:   decodeShare,
@@ -511,18 +529,18 @@ func (e *Experiment) observeTraceGroup(traces *traceProvider, j simJob, out []Re
 	}
 }
 
-// runCell simulates one pipeline-mode matrix cell and hands back the
+// runCell simulates one pipeline-mode job's cell and hands back the
 // finished pipeline (nil when the configuration failed to build). ok is
 // false when the context was cancelled mid-simulation.
 func (e *Experiment) runCell(ctx context.Context, j simJob) (Result, *pipeline.Pipeline, bool) {
 	res := j.result(e, 0)
 	o := e.observer
-	cfg, err := e.cellConfig(j.point, j.schemes[0])
-	if err != nil {
-		res.Err = err
+	c := j.cells[0]
+	if c.err != nil {
+		res.Err = c.err
 		if o != nil {
-			o.emit(e.cellManifest(j, 0, res))
-			o.finishRun(err)
+			o.emit(e.cellManifest(j, res))
+			o.finishRun(c.err)
 		}
 		return res, nil, true
 	}
@@ -530,7 +548,7 @@ func (e *Experiment) runCell(ctx context.Context, j simJob) (Result, *pipeline.P
 	if o != nil {
 		t0 = o.now()
 	}
-	pl, err := stats.SimulateContext(ctx, cfg, j.prog, e.commits)
+	pl, err := stats.SimulateContext(ctx, c.cfg, j.prog, e.commits)
 	// Drop the result only when the simulation itself was cut short: a
 	// context cancelled after the run completed (err == nil, or a real
 	// pipeline error) still produced a full, reportable result.
@@ -545,7 +563,7 @@ func (e *Experiment) runCell(ctx context.Context, j simJob) (Result, *pipeline.P
 	if o != nil {
 		ns := o.now() - t0
 		o.span(PhasePipeline, ns)
-		m := e.cellManifest(j, 0, res)
+		m := e.cellManifest(j, res)
 		m.PhasesNS = map[string]int64{PhasePipeline: ns}
 		m.InstrsPerSec = instrsPerSec(res.Stats.Committed, ns)
 		o.emit(m)
@@ -630,13 +648,14 @@ func SimulateProgram(ctx context.Context, r ProgramRun) (ProgramResult, error) {
 		return out, fmt.Errorf("sim: nil program")
 	}
 	out.Bench, out.Scheme, out.Mode = r.Program.Name, r.Scheme, r.Mode
-	e := &Experiment{commits: r.Commits, mutate: r.Mutate, observer: r.Observer}
+	e := &Experiment{schemes: []string{r.Scheme}, commits: r.Commits, mutate: r.Mutate, observer: r.Observer}
 	if err := WithMode(r.Mode)(e); err != nil {
 		return out, err
 	}
+	pp := e.plan([]Point{{}})[0]
 	j := simJob{
-		bench: r.Program.Name, schemes: []string{r.Scheme}, mode: r.Mode,
-		prog: r.Program, experiment: r.Observer.startExperiment(),
+		bench: r.Program.Name, prog: r.Program, cells: pp.cells, cfgs: pp.cfgs,
+		experiment: r.Observer.startExperiment(),
 	}
 	if r.Mode == ModeTrace {
 		rs, ok := e.runTraceJob(ctx, newTraceProvider(r.TraceDir, r.Commits, r.Observer), j)

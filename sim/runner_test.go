@@ -5,7 +5,9 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestRunnerCancellationAccounting pins the runner's bookkeeping when a
@@ -133,6 +135,67 @@ func TestMemStatsZeroValue(t *testing.T) {
 	} {
 		if got != 0 {
 			t.Errorf("%s on zero MemStats = %v, want 0", name, got)
+		}
+	}
+}
+
+// TestSweepCellsRunConcurrently pins that a sweep's cells, not its
+// points, are the unit of parallel work: the two benchmarks of a
+// one-point trace sweep are two jobs, and they run on two workers at
+// once. Every job first meets another at a two-party rendezvous, so a
+// pool that runs the point's jobs one after another times out on the
+// first.
+func TestSweepCellsRunConcurrently(t *testing.T) {
+	wl, err := PrepareWorkload([]string{"gzip", "vpr"}, 50000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := New(
+		WithWorkload(wl),
+		WithSchemes("predpred"),
+		WithCommits(20000),
+		WithMode(ModeTrace),
+		WithTraceDir(t.TempDir()),
+		WithParallelism(2),
+		WithAxis("mispredict.penalty", 10),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var arrived atomic.Int32
+	both := make(chan struct{})
+	rendezvous := func(ctx context.Context, traces *traceProvider, j simJob) ([]Result, bool) {
+		if arrived.Add(1) == 2 {
+			close(both)
+		}
+		select {
+		case <-both:
+		case <-time.After(10 * time.Second):
+			t.Errorf("%s: no second job arrived: the point's jobs ran one after another", j.bench)
+		}
+		return exp.runJob(ctx, traces, j)
+	}
+	r, err := exp.start(context.Background(), rendezvous)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rs []Result
+	for res := range r.Results() {
+		rs = append(rs, res)
+	}
+	if err := r.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	SortResults(rs)
+	if len(rs) != 2 || arrived.Load() != 2 {
+		t.Fatalf("want one point of 2 cells from 2 jobs, got %d jobs and cells %+v", arrived.Load(), rs)
+	}
+	for i, r := range rs {
+		if r.Seq != i || r.Bench != wl.progs[i].Spec.Name {
+			t.Errorf("cell %d is %s at Seq %d; want %s at Seq %d", i, r.Bench, r.Seq, wl.progs[i].Spec.Name, i)
+		}
+		if r.Err != nil {
+			t.Errorf("%s/%s: %v", r.Bench, r.Scheme, r.Err)
 		}
 	}
 }

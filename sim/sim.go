@@ -235,8 +235,9 @@ func WithProfileSteps(n uint64) Option {
 }
 
 // WithConfigMutator adjusts each run's configuration after the scheme
-// is applied — idealizations, ablations, resource sweeps. The mutator
-// must be safe for concurrent calls (it receives a private copy).
+// is applied — idealizations, ablations, resource sweeps. Start calls
+// the mutator once per (point, scheme), on its own goroutine, with a
+// private copy of the configuration; no worker calls it.
 func WithConfigMutator(f func(*Config)) Option {
 	return func(e *Experiment) error {
 		e.mutate = f

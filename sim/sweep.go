@@ -161,7 +161,9 @@ func Knobs() []Knob {
 
 // WithMutatorAxis adds a free-form axis: apply receives each swept
 // value as a string and may touch any Config field, so axes are not
-// limited to the config knobs.
+// limited to the config knobs. New dry-runs apply on every value; Start
+// then calls it once per (point, scheme), on its own goroutine, when it
+// plans the experiment.
 func WithMutatorAxis(name string, apply func(*Config, string) error, values ...any) Option {
 	return func(e *Experiment) error {
 		if name == "" {

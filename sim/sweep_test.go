@@ -8,9 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/sim"
 )
@@ -358,63 +356,6 @@ func TestSweepCancellation(t *testing.T) {
 	}
 	if streamed == 0 || streamed >= r.Total() {
 		t.Errorf("cancelled after the first cell, streamed %d of %d", streamed, r.Total())
-	}
-}
-
-// TestSweepCellsRunConcurrently pins that a sweep's cells, not its
-// points, are the unit of parallel work: the two benchmarks of a
-// one-point sweep must run on two workers at once. The axis's apply is
-// a two-party rendezvous, so a pool that hands the whole point to one
-// worker times out on the first cell.
-func TestSweepCellsRunConcurrently(t *testing.T) {
-	wl, err := sim.PrepareWorkload([]string{"gzip", "vpr"}, 50000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var armed atomic.Bool // New's dry run also calls apply; count only cell builds
-	var arrived atomic.Int32
-	both := make(chan struct{})
-	rendezvous := func(*sim.Config, string) error {
-		if !armed.Load() {
-			return nil
-		}
-		if arrived.Add(1) == 2 {
-			close(both)
-		}
-		select {
-		case <-both:
-			return nil
-		case <-time.After(10 * time.Second):
-			return errors.New("no second cell arrived: the point's cells ran one after another")
-		}
-	}
-	exp, err := sim.New(
-		sim.WithWorkload(wl),
-		sim.WithSchemes("predpred"),
-		sim.WithCommits(20000),
-		sim.WithMode(sim.ModeTrace),
-		sim.WithTraceDir(t.TempDir()),
-		sim.WithParallelism(2),
-		sim.WithMutatorAxis("rendezvous", rendezvous, 1),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	armed.Store(true)
-	rs, err := exp.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 2 {
-		t.Fatalf("want one point of 2 cells, got %+v", rs)
-	}
-	for i, r := range rs {
-		if r.Seq != i {
-			t.Errorf("cell %d has Seq %d; Run must return matrix order", i, r.Seq)
-		}
-		if r.Err != nil {
-			t.Errorf("%s/%s: %v", r.Bench, r.Scheme, r.Err)
-		}
 	}
 }
 
