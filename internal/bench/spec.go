@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/bits"
@@ -24,6 +25,12 @@ func (s Spec) Hash() uint64 {
 	return h.Sum64()
 }
 
+// ErrSpec is wrapped by every error that rejects a spec: a malformed
+// file, an unknown or repeated key, a field out of range, or a site
+// family the budget truncates away. A file that cannot be read is a
+// different failure, and Load reports it without ErrSpec.
+var ErrSpec = errors.New("bench: invalid spec")
+
 // Validation bounds. Fractions live in [0,1]; the structural knobs get
 // generous but finite ranges so a typo (Sites: 3000000) is an error,
 // not an out-of-memory build.
@@ -40,10 +47,10 @@ const (
 // everything else must be explicit.
 func Validate(s Spec) error {
 	bad := func(field string, got any, legal string) error {
-		return fmt.Errorf("bench: spec %q: %s = %v out of range (legal: %s)", s.Name, field, got, legal)
+		return fmt.Errorf("%w %q: %s = %v out of range (legal: %s)", ErrSpec, s.Name, field, got, legal)
 	}
 	if s.Name == "" {
-		return fmt.Errorf("bench: spec has no name (legal: any non-empty string)")
+		return fmt.Errorf("%w: no name (legal: any non-empty string)", ErrSpec)
 	}
 	if s.Class != "int" && s.Class != "fp" {
 		return bad("Class", strconv.Quote(s.Class), `"int" or "fp"`)
@@ -91,8 +98,8 @@ func Validate(s Spec) error {
 func CheckSiteAllocation(s Spec) error {
 	for _, f := range allocSites(s) {
 		if f.frac > 0 && f.n == 0 {
-			return fmt.Errorf("bench: spec %q: %s = %v allocates no sites (fractions before it sum to the %d-site budget, or the fraction rounds below one site); lower earlier fractions, raise %s, or raise Sites",
-				s.Name, f.field, f.frac, s.Sites, f.field)
+			return fmt.Errorf("%w %q: %s = %v allocates no sites (fractions before it sum to the %d-site budget, or the fraction rounds below one site); lower earlier fractions, raise %s, or raise Sites",
+				ErrSpec, s.Name, f.field, f.frac, s.Sites, f.field)
 		}
 	}
 	return nil
@@ -113,20 +120,20 @@ func Load(path string) (Spec, error) {
 		dec := json.NewDecoder(bytes.NewReader(data))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&s); err != nil {
-			return Spec{}, fmt.Errorf("bench: spec %s: %w (legal keys: %s)", path, err, strings.Join(specKeys, ", "))
+			return Spec{}, fmt.Errorf("%w %s: %w (legal keys: %s)", ErrSpec, path, err, strings.Join(specKeys, ", "))
 		}
 		// One spec per file: trailing content would be silently dropped
 		// by a single Decode, which is how a second definition goes
 		// missing without a word.
 		if dec.More() {
-			return Spec{}, fmt.Errorf("bench: spec %s: trailing content after the spec object (one spec per file)", path)
+			return Spec{}, fmt.Errorf("%w %s: trailing content after the spec object (one spec per file)", ErrSpec, path)
 		}
 	case ".toml":
 		if err := parseTOML(data, &s); err != nil {
-			return Spec{}, fmt.Errorf("bench: spec %s: %w", path, err)
+			return Spec{}, fmt.Errorf("%w %s: %w", ErrSpec, path, err)
 		}
 	default:
-		return Spec{}, fmt.Errorf("bench: spec %s: unsupported extension %q (want .json or .toml)", path, ext)
+		return Spec{}, fmt.Errorf("%w %s: unsupported extension %q (want .json or .toml)", ErrSpec, path, ext)
 	}
 	if err := Validate(s); err != nil {
 		return Spec{}, fmt.Errorf("%w (in %s)", err, path)

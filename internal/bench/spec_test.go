@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -399,6 +401,29 @@ func TestNewFamiliesIfConvertible(t *testing.T) {
 // CheckSiteAllocation, or an error with the zero Spec; it must never
 // panic. The seeds in testdata/fuzz/FuzzLoad are the committed
 // example and benchmark specs.
+// TestLoadErrorsWrapErrSpec pins Load's error types: a rejected spec
+// wraps ErrSpec, and a file that cannot be read does not.
+func TestLoadErrorsWrapErrSpec(t *testing.T) {
+	dir := t.TempDir()
+	for name, body := range map[string]string{
+		"bad.json":   `{"Name": "x", "Class": "int"`,
+		"range.json": `{"Name": "x", "Class": "vector"}`,
+		"keys.toml":  "Name = \"x\"\nwarp = 1\n",
+		"spec.yaml":  "Name: x\n",
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); !errors.Is(err, ErrSpec) {
+			t.Errorf("%s: got %v, want an error wrapping ErrSpec", name, err)
+		}
+	}
+	if _, err := Load(filepath.Join(dir, "missing.json")); err == nil || errors.Is(err, ErrSpec) {
+		t.Errorf("unreadable file: got %v, want a read error without ErrSpec", err)
+	}
+}
+
 func FuzzLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -411,6 +436,9 @@ func FuzzLoad(f *testing.F) {
 			if err != nil {
 				if s != (Spec{}) {
 					t.Errorf("%s: error %v returned with a non-zero spec %+v", ext, err, s)
+				}
+				if !errors.Is(fmt.Errorf("workload: %w", err), ErrSpec) {
+					t.Errorf("%s: rejection %v does not wrap ErrSpec", ext, err)
 				}
 				continue
 			}

@@ -297,5 +297,10 @@ func (c Config) validatePredictor() error {
 	if c.ConfBits < 1 || c.ConfBits > maxConfBits {
 		return fmt.Errorf("config: confidence counters of %d bits are outside 1..%d", c.ConfBits, maxConfBits)
 	}
+	// A split PVT gives each predicate output half the rows, so it needs
+	// two (rows as predictor.NewPerceptronBudget counts them).
+	if rows := c.L2PredBytes / int(c.L2PredGHRBits+c.L2PredLHRBits+1); c.SplitPVT && rows < 2 {
+		return fmt.Errorf("config: a split PVT needs at least 2 rows, and %d bytes of %d-weight rows hold %d", c.L2PredBytes, c.L2PredGHRBits+c.L2PredLHRBits+1, rows)
+	}
 	return nil
 }

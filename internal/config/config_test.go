@@ -163,6 +163,7 @@ func TestValidateBoundsPredictorKnobs(t *testing.T) {
 		{"L2PredLHRBits=64", func(c *Config) { c.L2PredLHRBits = 64 }},
 		{"L2PredBytes=0", func(c *Config) { c.L2PredBytes = 0 }},
 		{"ConfBits=0", func(c *Config) { c.ConfBits = 0 }},
+		{"SplitPVT with one row", func(c *Config) { c.SplitPVT, c.L2PredBytes = true, 81 }},
 	} {
 		c := Default()
 		tc.set(&c)

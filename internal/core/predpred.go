@@ -65,7 +65,6 @@ func New(cfg Config) *Predictor {
 		pvt: predictor.NewPerceptronBudget(cfg.SizeBytes, cfg.GHRBits, cfg.LHRBits),
 		lht: predictor.NewLocalHistoryTable(cfg.LHTBits, cfg.LHRBits),
 	}
-	p.pvt.SetIdeal(cfg.Ideal)
 	p.conf = make([]predictor.SatCounter, p.pvt.Rows())
 	for i := range p.conf {
 		p.conf[i].Bits = uint8(cfg.ConfBits)
@@ -82,12 +81,46 @@ func (p *Predictor) SizeBytes() int { return p.pvt.SizeBytes() }
 // GHRBits returns the global history length the predictor expects.
 func (p *Predictor) GHRBits() uint { return p.cfg.GHRBits }
 
+// Site is a static compare's place in the predictor: the PVT rows of
+// its two destinations and its local history slot.
+type Site struct {
+	row1, row2, slot int32
+}
+
+// Site builds the site of the compare at pc. In ideal mode each call
+// allocates two private rows, so build one site per static compare.
+func (p *Predictor) Site(pc uint64) Site {
+	s := Site{slot: int32(p.lht.Slot(pc))}
+	switch {
+	case p.cfg.Ideal:
+		s.row1, s.row2 = int32(p.privateRow()), int32(p.privateRow())
+	case p.cfg.SplitPVT:
+		// Static halves: first destinations hash into the lower half,
+		// second destinations into the upper half.
+		half := p.pvt.Rows() / 2
+		r := p.pvt.Row(pc)
+		s.row1, s.row2 = int32(r%half), int32(half+r%half)
+	default:
+		r := p.pvt.Row(pc)
+		s.row1, s.row2 = int32(r), int32(p.pvt.SecondRow(r))
+	}
+	return s
+}
+
+// privateRow allocates a private PVT row with its confidence counter.
+func (p *Predictor) privateRow() int {
+	r := p.pvt.PrivateRow()
+	for r >= len(p.conf) {
+		p.conf = append(p.conf, predictor.SatCounter{Bits: uint8(p.cfg.ConfBits)})
+	}
+	return r
+}
+
 // Lookup describes the two predictions made for one fetched compare.
 // The pipeline stores it with the in-flight compare and passes it back
 // to Train (on resolve) or Undo (on squash).
 type Lookup struct {
-	PC           uint64
-	Row1, Row2   int
+	site         Site
 	Out1, Out2   predictor.PerceptronOutput
 	Val1, Val2   bool // predicted final values of the two destinations
 	Conf1, Conf2 bool // confidence at prediction time
@@ -96,67 +129,50 @@ type Lookup struct {
 	prevLHR      uint64 // LHT value before the speculative push
 }
 
-// Predict generates the two predicate predictions for a compare fetched
-// at pc under speculative global history ghr. It speculatively pushes
-// the first predicted value into the compare's local history (undone by
-// Undo on squash, corrected by Train on a wrong prediction).
+// Predict generates the two predicate predictions for the compare at
+// site s, fetched under speculative global history ghr. It
+// speculatively pushes the first predicted value into the compare's
+// local history (undone by Undo on squash, corrected by Train on a
+// wrong prediction).
 //
 // The GHR push itself is the pipeline's job (it owns snapshots): push
 // Lookup.Val1, once per compare, per §3.3.
-func (p *Predictor) Predict(pc uint64, ghr uint64) Lookup {
-	lhr := p.lht.Get(pc)
-	var r1, r2 int
-	if p.cfg.SplitPVT && !p.cfg.Ideal {
-		// Static halves: first destinations hash into the lower half,
-		// second destinations into the upper half.
-		half := p.pvt.Rows() / 2
-		r1 = p.pvt.Index(pc) % half
-		r2 = half + p.pvt.Index(pc)%half
-	} else {
-		r1 = p.pvt.Index(pc)
-		r2 = p.pvt.IndexSecond(pc)
-	}
-	o1 := p.pvt.PredictRow(r1, ghr, lhr)
-	o2 := p.pvt.PredictRow(r2, ghr, lhr)
+func (p *Predictor) Predict(s Site, ghr uint64) Lookup {
+	lhr := p.lht.Get(int(s.slot))
+	o1 := p.pvt.PredictRow(int(s.row1), ghr, lhr)
+	o2 := p.pvt.PredictRow(int(s.row2), ghr, lhr)
 	lk := Lookup{
-		PC: pc, Row1: r1, Row2: r2, Out1: o1, Out2: o2,
+		site: s, Out1: o1, Out2: o2,
 		Val1: o1.Taken, Val2: o2.Taken,
-		Conf1: p.confAt(r1).Saturated(), Conf2: p.confAt(r2).Saturated(),
+		Conf1: p.conf[s.row1].Saturated(), Conf2: p.conf[s.row2].Saturated(),
 		GHR: ghr, LHR: lhr,
 	}
-	lk.prevLHR = p.lht.Push(pc, lk.Val1)
+	lk.prevLHR = p.lht.Push(int(s.slot), lk.Val1)
 	return lk
-}
-
-func (p *Predictor) confAt(row int) *predictor.SatCounter {
-	for row >= len(p.conf) { // ideal mode grows rows on demand
-		c := predictor.SatCounter{Bits: uint8(p.cfg.ConfBits)}
-		p.conf = append(p.conf, c)
-	}
-	return &p.conf[row]
 }
 
 // Train updates the PVT and confidence counters with the computed
 // predicate values. If the first prediction was wrong, the speculative
 // local-history bit is corrected in place.
 func (p *Predictor) Train(lk Lookup, actual1, actual2 bool) {
-	p.pvt.TrainRow(lk.Row1, lk.GHR, lk.LHR, actual1, lk.Out1)
-	p.pvt.TrainRow(lk.Row2, lk.GHR, lk.LHR, actual2, lk.Out2)
-	trainConf(p.confAt(lk.Row1), lk.Val1 == actual1)
-	trainConf(p.confAt(lk.Row2), lk.Val2 == actual2)
+	s := lk.site
+	p.pvt.TrainRow(int(s.row1), lk.GHR, lk.LHR, actual1, lk.Out1)
+	p.pvt.TrainRow(int(s.row2), lk.GHR, lk.LHR, actual2, lk.Out2)
+	trainConf(&p.conf[s.row1], lk.Val1 == actual1)
+	trainConf(&p.conf[s.row2], lk.Val2 == actual2)
 	if actual1 != lk.Val1 {
 		next := lk.prevLHR << 1
 		if actual1 {
 			next |= 1
 		}
-		p.lht.Set(lk.PC, next)
+		p.lht.Set(int(s.slot), next)
 	}
 }
 
 // Undo rolls back the speculative local-history push of a squashed
 // (wrong-path) compare.
 func (p *Predictor) Undo(lk Lookup) {
-	p.lht.Set(lk.PC, lk.prevLHR)
+	p.lht.Set(int(lk.site.slot), lk.prevLHR)
 }
 
 func trainConf(c *predictor.SatCounter, correct bool) {

@@ -17,8 +17,7 @@ func TestDefaultConfigSize(t *testing.T) {
 
 func TestTwoHashesDistinct(t *testing.T) {
 	p := New(DefaultConfig())
-	lk := p.Predict(0x1234, 0)
-	if lk.Row1 == lk.Row2 {
+	if s := p.Site(0x1234); s.row1 == s.row2 {
 		t.Error("the two hash functions must select different rows")
 	}
 }
@@ -27,7 +26,7 @@ func TestLearnsComplementaryPredicates(t *testing.T) {
 	// A cmp.unc writes p1 = cond and p2 = !cond. The two rows must
 	// learn opposite values for a biased condition.
 	p := New(DefaultConfig())
-	pc := uint64(0x40)
+	pc := p.Site(0x40)
 	var ghr uint64
 	for i := 0; i < 64; i++ {
 		lk := p.Predict(pc, ghr)
@@ -47,7 +46,7 @@ func TestConfidenceSaturation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ConfBits = 3
 	p := New(cfg)
-	pc := uint64(0x80)
+	pc := p.Site(0x80)
 	lk := p.Predict(pc, 0)
 	if lk.Conf1 || lk.Conf2 {
 		t.Error("cold entries must not be confident")
@@ -75,23 +74,23 @@ func TestConfidenceSaturation(t *testing.T) {
 
 func TestLocalHistoryUndo(t *testing.T) {
 	p := New(DefaultConfig())
-	pc := uint64(0x99)
+	pc := p.Site(0x99)
 	lk1 := p.Predict(pc, 0)
 	p.Train(lk1, true, false)
-	before := p.lht.Get(pc)
+	before := p.lht.Get(int(pc.slot))
 	lk2 := p.Predict(pc, 0) // speculative push
 	p.Undo(lk2)
-	if p.lht.Get(pc) != before {
+	if p.lht.Get(int(pc.slot)) != before {
 		t.Error("undo must restore the local history")
 	}
 }
 
 func TestTrainCorrectsLocalHistoryBit(t *testing.T) {
 	p := New(DefaultConfig())
-	pc := uint64(0xaa)
+	pc := p.Site(0xaa)
 	lk := p.Predict(pc, 0) // cold: predicts Val1 (deterministic)
 	p.Train(lk, !lk.Val1, lk.Val2)
-	got := p.lht.Get(pc) & 1
+	got := p.lht.Get(int(pc.slot)) & 1
 	want := uint64(0)
 	if !lk.Val1 {
 		want = 1
@@ -105,7 +104,7 @@ func TestGlobalCorrelationLearned(t *testing.T) {
 	// Condition equals GHR bit 2 — the predicate predictor must pick up
 	// global correlation just like a branch perceptron would.
 	p := New(DefaultConfig())
-	pc := uint64(0x4000)
+	pc := p.Site(0x4000)
 	var ghr uint64
 	correct := 0
 	for i := 0; i < 600; i++ {
@@ -129,24 +128,24 @@ func TestIdealModeNoAliasing(t *testing.T) {
 	cfg.SizeBytes = 41 * 2 // absurdly small: guaranteed aliasing if real
 	cfg.Ideal = true
 	p := New(cfg)
-	lkA := p.Predict(0x1000, 0)
-	lkB := p.Predict(0x2000, 0)
-	rows := map[int]bool{lkA.Row1: true, lkA.Row2: true, lkB.Row1: true, lkB.Row2: true}
+	a, b := p.Site(0x1000), p.Site(0x2000)
+	rows := map[int32]bool{a.row1: true, a.row2: true, b.row1: true, b.row2: true}
 	if len(rows) != 4 {
 		t.Errorf("ideal mode must give 4 distinct rows, got %d", len(rows))
 	}
 	// Training must work on grown rows without panicking.
-	p.Train(lkB, true, false)
+	p.Train(p.Predict(b, 0), true, false)
 }
 
 func TestLookupCarriesHistories(t *testing.T) {
 	p := New(DefaultConfig())
-	lk := p.Predict(0x777, 0x3f)
+	s := p.Site(0x777)
+	lk := p.Predict(s, 0x3f)
 	if lk.GHR != 0x3f {
 		t.Errorf("lookup GHR = %#x, want 0x3f", lk.GHR)
 	}
-	if lk.PC != 0x777 {
-		t.Errorf("lookup PC = %#x", lk.PC)
+	if lk.site != s {
+		t.Errorf("lookup site = %+v, want %+v", lk.site, s)
 	}
 }
 
@@ -154,16 +153,15 @@ func TestSplitPVTDistinctHalves(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SplitPVT = true
 	p := New(cfg)
-	half := p.Rows() / 2
+	half := int32(p.Rows() / 2)
 	for _, pc := range []uint64{0x10, 0x999, 0x123456} {
-		lk := p.Predict(pc, 0)
-		if lk.Row1 >= half {
-			t.Errorf("pc %#x: first destination row %d not in lower half", pc, lk.Row1)
+		s := p.Site(pc)
+		if s.row1 >= half {
+			t.Errorf("pc %#x: first destination row %d not in lower half", pc, s.row1)
 		}
-		if lk.Row2 < half {
-			t.Errorf("pc %#x: second destination row %d not in upper half", pc, lk.Row2)
+		if s.row2 < half {
+			t.Errorf("pc %#x: second destination row %d not in upper half", pc, s.row2)
 		}
-		p.Undo(lk)
 	}
 }
 
@@ -171,7 +169,7 @@ func TestSplitPVTStillLearns(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SplitPVT = true
 	p := New(cfg)
-	pc := uint64(0x500)
+	pc := p.Site(0x500)
 	for i := 0; i < 64; i++ {
 		lk := p.Predict(pc, 0)
 		p.Train(lk, true, false)

@@ -18,7 +18,7 @@ const (
 	PhaseCacheLookup = "cache-lookup" // trace disk-cache probe
 	PhaseRecord      = "trace-record" // functional-emulator trace recording
 	PhaseDecode      = "decode"       // cursor batch decode
-	PhaseFrontend    = "frontend"     // shared scheme-independent annotate
+	PhaseFrontend    = "frontend"     // shared annotate and conventional predictors
 	PhaseEngine      = "engine"       // per-scheme engine fan-out
 	PhasePipeline    = "pipeline"     // cycle-accurate model (non-trace cells)
 	PhaseSink        = "sink"         // result emission

@@ -52,47 +52,53 @@ func (p *Predictor) SizeBytes() int {
 	return (lhtBits + phtBits) / 8
 }
 
-func (p *Predictor) lhtIndex(pc uint64) int {
-	return int(predictor.FoldPC(pc, 20) % uint64(p.cfg.LHTEntries))
+// Site is a static branch's place in the predictor: its local history
+// table entry and its PC folded to the pattern table's index width.
+type Site struct {
+	lht  int32
+	fold uint32
 }
 
-func (p *Predictor) phtIndex(pc, hist uint64) int {
-	mask := uint64(1)<<p.cfg.PHTBits - 1
-	return int((hist ^ predictor.FoldPC(pc, p.cfg.PHTBits)) & mask)
+// Site builds the site of the branch at pc.
+func (p *Predictor) Site(pc uint64) Site {
+	return Site{
+		lht:  int32(predictor.FoldPC(pc, 20) % uint64(p.cfg.LHTEntries)),
+		fold: uint32(predictor.FoldPC(pc, p.cfg.PHTBits) & (1<<p.cfg.PHTBits - 1)),
+	}
 }
 
 // Lookup describes one prediction; the pipeline stores it with the
 // in-flight branch and passes it back to Update/Undo.
 type Lookup struct {
 	Taken   bool
-	PC      uint64
 	Sel     int    // which local history was selected (0/1)
 	Hist    uint64 // local history value used for the PHT index
-	lhtIdx  int
+	lht     int32  // the branch's local history table entry
+	pht     int32  // the pattern table entry read
 	prevLHR uint64 // history before the speculative push (for Undo)
 }
 
-// Predict reads the prediction for branch pc given the previous value of
-// its guarding predicate, and speculatively pushes the predicted outcome
-// into the selected local history (speculative update with undo, per
-// §4.1: "local histories are updated speculatively and correctly
-// recovered on a branch misprediction").
-func (p *Predictor) Predict(pc uint64, prevPred bool) Lookup {
+// Predict reads the prediction for the branch at site s given the
+// previous value of its guarding predicate, and speculatively pushes
+// the predicted outcome into the selected local history (speculative
+// update with undo, per §4.1: "local histories are updated
+// speculatively and correctly recovered on a branch misprediction").
+func (p *Predictor) Predict(s Site, prevPred bool) Lookup {
 	sel := 0
 	if prevPred {
 		sel = 1
 	}
-	li := p.lhtIndex(pc)
-	hist := p.lht[li][sel]
-	taken := p.pht[p.phtIndex(pc, hist)].Taken()
+	hist := p.lht[s.lht][sel]
+	pht := int32((hist ^ uint64(s.fold)) & (1<<p.cfg.PHTBits - 1))
+	taken := p.pht[pht].Taken()
 
-	lk := Lookup{Taken: taken, PC: pc, Sel: sel, Hist: hist, lhtIdx: li, prevLHR: hist}
+	lk := Lookup{Taken: taken, Sel: sel, Hist: hist, lht: s.lht, pht: pht, prevLHR: hist}
 	mask := uint64(1)<<p.cfg.LHRBits - 1
 	next := hist << 1
 	if taken {
 		next |= 1
 	}
-	p.lht[li][sel] = next & mask
+	p.lht[s.lht][sel] = next & mask
 	return lk
 }
 
@@ -100,7 +106,7 @@ func (p *Predictor) Predict(pc uint64, prevPred bool) Lookup {
 // direction prediction was wrong, the speculatively-pushed history bit
 // is corrected in place.
 func (p *Predictor) Update(lk Lookup, taken bool) {
-	p.pht[p.phtIndex(lk.PC, lk.Hist)].Train(taken)
+	p.pht[lk.pht].Train(taken)
 	if taken != lk.Taken {
 		// Correct the speculative bit: rebuild from the pre-push value.
 		mask := uint64(1)<<p.cfg.LHRBits - 1
@@ -108,12 +114,12 @@ func (p *Predictor) Update(lk Lookup, taken bool) {
 		if taken {
 			next |= 1
 		}
-		p.lht[lk.lhtIdx][lk.Sel] = next & mask
+		p.lht[lk.lht][lk.Sel] = next & mask
 	}
 }
 
 // Undo rolls back the speculative history push of a squashed prediction
 // (wrong-path branch that never resolves).
 func (p *Predictor) Undo(lk Lookup) {
-	p.lht[lk.lhtIdx][lk.Sel] = lk.prevLHR
+	p.lht[lk.lht][lk.Sel] = lk.prevLHR
 }

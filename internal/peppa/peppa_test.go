@@ -12,7 +12,7 @@ func TestSizeBudget(t *testing.T) {
 
 func TestLearnsBiasedBranch(t *testing.T) {
 	p := New(DefaultConfig())
-	pc := uint64(0x100)
+	pc := p.Site(0x100)
 	for i := 0; i < 32; i++ {
 		lk := p.Predict(pc, false)
 		p.Update(lk, true)
@@ -28,7 +28,7 @@ func TestPredicateSelectsHistory(t *testing.T) {
 	// under prevPred=false it never is. Each predicate value selects a
 	// separate local history, so both cases must be learned.
 	p := New(DefaultConfig())
-	pc := uint64(0x200)
+	pc := p.Site(0x200)
 	for i := 0; i < 200; i++ {
 		prev := i%3 == 0
 		lk := p.Predict(pc, prev)
@@ -45,23 +45,23 @@ func TestPredicateSelectsHistory(t *testing.T) {
 
 func TestSpeculativeHistoryUndo(t *testing.T) {
 	p := New(DefaultConfig())
-	pc := uint64(0x300)
+	pc := p.Site(0x300)
 	lk1 := p.Predict(pc, false)
-	before := p.lht[lk1.lhtIdx][lk1.Sel]
+	before := p.lht[lk1.lht][lk1.Sel]
 	lk2 := p.Predict(pc, false)
 	p.Undo(lk2)
-	if p.lht[lk1.lhtIdx][lk1.Sel] != before {
+	if p.lht[lk1.lht][lk1.Sel] != before {
 		t.Error("undo did not restore the speculative history push")
 	}
 }
 
 func TestUpdateCorrectsWrongSpeculativeBit(t *testing.T) {
 	p := New(DefaultConfig())
-	pc := uint64(0x400)
+	pc := p.Site(0x400)
 	lk := p.Predict(pc, false) // predicts not-taken initially, pushes 0
 	p.Update(lk, true)         // actual outcome: taken
 	// The history must now end in the corrected bit (1).
-	if p.lht[lk.lhtIdx][lk.Sel]&1 != 1 {
+	if p.lht[lk.lht][lk.Sel]&1 != 1 {
 		t.Error("misprediction must rewrite the speculative history bit")
 	}
 }
@@ -69,7 +69,7 @@ func TestUpdateCorrectsWrongSpeculativeBit(t *testing.T) {
 func TestLearnsHistoryPattern(t *testing.T) {
 	// Period-2 alternating branch: local history makes it predictable.
 	p := New(DefaultConfig())
-	pc := uint64(0x500)
+	pc := p.Site(0x500)
 	taken := false
 	for i := 0; i < 2000; i++ {
 		lk := p.Predict(pc, false)

@@ -50,8 +50,7 @@ func (pl *Pipeline) commit() {
 // c is the uop's cold state.
 func (pl *Pipeline) trainPredictors(u *uop, c *uopCold) {
 	if u.isCondBr {
-		addr := instAddr(int(u.pc))
-		pl.gshare.Update(addr, u.brGHRSnap, u.actualTaken)
+		pl.gshare.Update(u.st.gshare, u.brGHRSnap, u.actualTaken)
 		switch pl.cfg.Scheme {
 		case config.SchemeConventional:
 			if u.brLkValid {
@@ -65,7 +64,7 @@ func (pl *Pipeline) trainPredictors(u *uop, c *uopCold) {
 		case config.SchemePredicate:
 			// Shadow conventional predictor: scores what the Table 1
 			// baseline would have done, for the Figure 6b breakdown.
-			lk := pl.shadow.Predict(addr, pl.shadowGHR.Snapshot())
+			lk := pl.shadow.Predict(u.st.l2, pl.shadowGHR.Snapshot())
 			pl.Stats.ShadowCondBranches++
 			if lk.Taken != u.actualTaken {
 				pl.Stats.ShadowMispred++
@@ -91,7 +90,7 @@ func (pl *Pipeline) trainPredictors(u *uop, c *uopCold) {
 		}
 	}
 	if u.in.Op == isa.OpBrInd {
-		pl.itab.Update(instAddr(int(u.pc)), u.actualTgt)
+		pl.itab.Update(int(u.st.itab), u.actualTgt)
 	}
 }
 

@@ -63,12 +63,11 @@ func (pl *Pipeline) fetch() {
 // (predicted-taken branch).
 func (pl *Pipeline) fetchPredict(u *uop, c *uopCold) bool {
 	in := u.in
-	addr := instAddr(int(u.pc))
 
 	// Predicate predictor: one lookup per fetched compare; the GHR is
 	// speculatively updated ONCE, with the first predicted value (§3.3).
 	if u.st.isCompare && pl.cfg.Scheme == config.SchemePredicate {
-		c.cmpLk = pl.pp.Predict(addr, pl.predGHR())
+		c.cmpLk = pl.pp.Predict(u.st.pp, pl.predGHR())
 		u.cmpLkValid = true
 		u.pGHRSnap = pl.pGHR.Snapshot()
 		u.pushedPGHR = true
@@ -94,7 +93,7 @@ func (pl *Pipeline) fetchPredict(u *uop, c *uopCold) bool {
 		pl.fetchPC = u.predTarget
 		return true
 	case isa.OpBrInd:
-		u.predTaken, u.predTarget = true, pl.itab.Predict(addr)
+		u.predTaken, u.predTarget = true, pl.itab.Predict(int(u.st.itab))
 		pl.fetchPC = u.predTarget
 		return true
 	}
@@ -114,7 +113,7 @@ func (pl *Pipeline) fetchPredict(u *uop, c *uopCold) bool {
 		pl.pendingRefetch[u.pc]--
 	}
 	u.brGHRSnap = pl.brGHR.Snapshot()
-	u.fetchPredTaken = pl.gshare.Predict(addr, u.brGHRSnap)
+	u.fetchPredTaken = pl.gshare.Predict(u.st.gshare, u.brGHRSnap)
 	u.pushedBrGHR = true
 	pl.brGHR.Push(u.fetchPredTaken)
 	u.predTaken = u.fetchPredTaken
@@ -122,13 +121,13 @@ func (pl *Pipeline) fetchPredict(u *uop, c *uopCold) bool {
 	// Second-level lookup (delivered at rename).
 	switch pl.cfg.Scheme {
 	case config.SchemeConventional:
-		c.brLk = pl.twolevel.Predict(addr, pl.predGHR())
+		c.brLk = pl.twolevel.Predict(u.st.l2, pl.predGHR())
 		u.brLkValid = true
 		u.pGHRSnap = pl.pGHR.Snapshot()
 		u.pushedPGHR = true
 		pl.pGHR.Push(c.brLk.Taken)
 	case config.SchemePEPPA:
-		c.pepLk = pl.pep.Predict(addr, pl.lastPredVal[in.QP])
+		c.pepLk = pl.pep.Predict(u.st.pep, pl.lastPredVal[in.QP])
 		u.pepLkValid = true
 	case config.SchemePredicate:
 		// The branch's prediction is read from the PPRF at rename; no

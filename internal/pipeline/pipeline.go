@@ -142,10 +142,6 @@ func New(cfg config.Config, prog *program.Program) (*Pipeline, error) {
 		itab:   predictor.NewIndirectTable(10),
 	}
 	pl.pendingRefetch = make([]int32, prog.Len())
-	pl.static = make([]static, prog.Len())
-	for pc := range pl.static {
-		pl.static[pc] = decode(prog.At(pc))
-	}
 	// The ROB holds at most ROBEntries uops and the front-end queue at
 	// most maxFrontend-1+FetchWidth (fetch starts a group only below
 	// maxFrontend).
@@ -169,8 +165,7 @@ func New(cfg config.Config, prog *program.Program) (*Pipeline, error) {
 
 	switch cfg.Scheme {
 	case config.SchemeConventional:
-		pl.twolevel = predictor.NewTwoLevel(cfg.L2PredBytes, cfg.L2PredGHRBits, cfg.L2PredLHRBits, cfg.L2PredLHTBits)
-		pl.twolevel.SetIdeal(cfg.IdealNoAlias)
+		pl.twolevel = predictor.NewTwoLevel(cfg.L2PredBytes, cfg.L2PredGHRBits, cfg.L2PredLHRBits, cfg.L2PredLHTBits, cfg.IdealNoAlias)
 	case config.SchemePEPPA:
 		pl.pep = peppa.New(peppa.DefaultConfig())
 	case config.SchemePredicate:
@@ -183,10 +178,16 @@ func New(cfg config.Config, prog *program.Program) (*Pipeline, error) {
 			Ideal:     cfg.IdealNoAlias,
 			SplitPVT:  cfg.SplitPVT,
 		})
-		pl.shadow = predictor.NewTwoLevel(cfg.L2PredBytes, cfg.L2PredGHRBits, cfg.L2PredLHRBits, cfg.L2PredLHTBits)
+		pl.shadow = predictor.NewTwoLevel(cfg.L2PredBytes, cfg.L2PredGHRBits, cfg.L2PredLHRBits, cfg.L2PredLHTBits, false)
 		pl.shadowGHR.N = cfg.L2PredGHRBits
 	default:
 		return nil, fmt.Errorf("pipeline: unknown scheme %v", cfg.Scheme)
+	}
+	pl.static = make([]static, prog.Len())
+	for pc := range pl.static {
+		in := prog.At(pc)
+		pl.static[pc] = decode(in)
+		pl.buildSites(&pl.static[pc], in, pc)
 	}
 
 	// Physical register files: architectural registers map identically

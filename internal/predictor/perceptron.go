@@ -29,9 +29,7 @@ type Perceptron struct {
 	perRow  int // weights per row (history + bias): the Table 1 budget unit
 	stride  int // words per row: gw + lw
 	gw      int // words of global weights (bias included)
-	// ideal-mode aliasing elimination: PC -> private row
-	ideal     bool
-	idealRows map[uint64]int
+	private int // private rows handed out (PrivateRow)
 }
 
 // PerceptronOutput is the dot-product result of a prediction; training
@@ -107,15 +105,6 @@ func zeroRows(w []uint64, n int) []uint64 {
 	return w
 }
 
-// SetIdeal enables the idealized no-aliasing mode of §4.2: every static
-// PC gets a private weight row, allocated on demand.
-func (p *Perceptron) SetIdeal(on bool) {
-	p.ideal = on
-	if on && p.idealRows == nil {
-		p.idealRows = make(map[uint64]int)
-	}
-}
-
 // Rows returns the number of weight rows.
 func (p *Perceptron) Rows() int { return p.rows }
 
@@ -126,33 +115,31 @@ func (p *Perceptron) SizeBytes() int { return len(p.weights) / p.stride * p.perR
 // Theta returns the training threshold.
 func (p *Perceptron) Theta() int32 { return p.theta }
 
-// Index maps a PC to a row index (hash f1 of the paper).
-func (p *Perceptron) Index(pc uint64) int {
-	if p.ideal {
-		r, ok := p.idealRows[pc]
-		if !ok {
-			r = len(p.idealRows)
-			p.idealRows[pc] = r
-			// grow storage as new static instructions appear
-			for (r+1)*p.stride > len(p.weights) {
-				p.weights = zeroRows(p.weights, 64*p.stride)
-			}
-		}
-		return r
-	}
+// Row maps the static instruction at pc to its row (hash f1 of the
+// paper).
+func (p *Perceptron) Row(pc uint64) int {
 	return int(FoldPC(pc, 20) % uint64(p.rows))
 }
 
-// IndexSecond maps a PC to the second row index (hash f2 of the paper:
-// f1 with its most significant index bit inverted, generalized to
-// non-power-of-two tables as an offset by half the table).
-func (p *Perceptron) IndexSecond(pc uint64) int {
-	if p.ideal {
-		// distinct private row per (pc, second) pair
-		return p.Index(pc ^ 0x8000000000000000)
+// SecondRow maps a site whose first row is row to its second row (hash
+// f2 of the paper: f1 with its most significant index bit inverted,
+// generalized to non-power-of-two tables as an offset by half the
+// table).
+func (p *Perceptron) SecondRow(row int) int {
+	return (row + p.rows/2) % p.rows
+}
+
+// PrivateRow hands out a row no other caller shares, for the idealized
+// no-aliasing mode of §4.2, where every site owns its rows. Rows are
+// numbered from 0 and storage grows past the budget as they run out;
+// numbering is irrelevant, since no two sites meet in a row.
+func (p *Perceptron) PrivateRow() int {
+	r := p.private
+	p.private++
+	for (r+1)*p.stride > len(p.weights) {
+		p.weights = zeroRows(p.weights, 64*p.stride)
 	}
-	i := p.Index(pc)
-	return (i + p.rows/2) % p.rows
+	return r
 }
 
 // inputs returns the row's input bits in lane order: the global word
@@ -187,11 +174,6 @@ func (p *Perceptron) PredictRow(row int, ghr, lhr uint64) PerceptronOutput {
 	v := int32(acc * 0x0001000100010001 >> 48)
 	sum := v - int32(127*8*len(w)+bits.OnesCount64(g)+bits.OnesCount64(l))
 	return PerceptronOutput{Taken: sum >= 0, Sum: sum}
-}
-
-// Predict computes the prediction for pc under the given histories.
-func (p *Perceptron) Predict(pc uint64, ghr, lhr uint64) PerceptronOutput {
-	return p.PredictRow(p.Index(pc), ghr, lhr)
 }
 
 // TrainRow applies the perceptron learning rule to an explicit row: train
@@ -233,11 +215,6 @@ func (p *Perceptron) TrainRow(row int, ghr, lhr uint64, taken bool, out Perceptr
 // and never carries into the next lane.
 func nonzero(v uint64) uint64 {
 	return ((v&laneLow7 + laneLow7) | v) >> 7 & laneLSB
-}
-
-// Train trains the row selected by pc.
-func (p *Perceptron) Train(pc uint64, ghr, lhr uint64, taken bool, out PerceptronOutput) {
-	p.TrainRow(p.Index(pc), ghr, lhr, taken, out)
 }
 
 func abs32(v int32) int32 {

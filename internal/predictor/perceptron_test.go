@@ -123,21 +123,30 @@ func TestPerceptronMatchesScalar(t *testing.T) {
 			t.Run(fmt.Sprintf("%d_%d_ideal=%v", wd[0], wd[1], ideal), func(t *testing.T) {
 				const rows = 4
 				p := NewPerceptron(rows, wd[0], wd[1])
-				p.SetIdeal(ideal)
+				// Each pc is one site with a first and a second row.
+				var sites [rows * 4][2]int
+				for pc := range sites {
+					if ideal {
+						sites[pc] = [2]int{p.PrivateRow(), p.PrivateRow()}
+					} else {
+						r := p.Row(uint64(pc))
+						sites[pc] = [2]int{r, p.SecondRow(r)}
+					}
+				}
 				s := newScalarPerceptron(rows*16, wd[0], wd[1])
 				rng := rand.New(rand.NewSource(int64(wd[0]*64 + wd[1])))
 				skewG, skewL := rng.Uint64(), rng.Uint64()
 				for step := 0; step < 20000; step++ {
-					pc := uint64(rng.Intn(rows * 4))
+					pc := rng.Intn(rows * 4)
 					ghr, lhr, taken := rng.Uint64(), rng.Uint64(), rng.Intn(2) == 1
 					clamp := step/2000%2 == 1
 					if clamp {
 						pc, ghr, lhr = pc%2, skewG, skewL
 						taken = step/4000%2 == 0
 					}
-					r := p.Index(pc)
+					r := sites[pc][0]
 					if step%3 == 0 {
-						r = p.IndexSecond(pc)
+						r = sites[pc][1]
 					}
 					out := p.PredictRow(r, ghr, lhr)
 					if want := s.predict(r, ghr, lhr); out.Sum != want || out.Taken != (want >= 0) {
@@ -182,7 +191,7 @@ func BenchmarkPerceptron(b *testing.B) {
 	var hist [n][2]uint64
 	var taken [n]bool
 	for i := range rows {
-		rows[i] = p.Index(rng.Uint64())
+		rows[i] = p.Row(rng.Uint64())
 		hist[i] = [2]uint64{rng.Uint64(), rng.Uint64()}
 		taken[i] = rng.Intn(2) == 1
 	}

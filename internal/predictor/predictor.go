@@ -4,6 +4,13 @@
 // the paper's predicate predictor: saturating counters, global/local
 // history management, a gshare predictor, a combined global/local
 // perceptron, a return-address stack and an indirect-target table.
+//
+// Every table index a predictor derives from a program counter depends
+// on the static instruction alone, so each table is addressed through a
+// site (Site or Slot) that folds the PC once: an engine builds one per
+// static branch or compare when it is constructed, and predicts, trains
+// and undoes from it, so no per-event path folds a PC or divides by a
+// table size.
 package predictor
 
 // SatCounter is an n-bit saturating up/down counter. The zero value is a
@@ -130,22 +137,28 @@ func NewGshare(idxBits uint) *Gshare {
 // SizeBytes returns the storage budget of the table.
 func (g *Gshare) SizeBytes() int { return len(g.table) * 2 / 8 }
 
-func (g *Gshare) index(pc, ghr uint64) uint64 {
-	return (FoldPC(pc, g.idxBits) ^ ghr) & ((1 << g.idxBits) - 1)
+// GshareSite is a conditional branch's gshare input: its PC folded to
+// the table's index width.
+type GshareSite uint32
+
+// Site folds pc to the table's index width.
+func (g *Gshare) Site(pc uint64) GshareSite {
+	return GshareSite(FoldPC(pc, g.idxBits) & (1<<g.idxBits - 1))
 }
 
-// Predict returns the predicted direction for pc under global history ghr.
-func (g *Gshare) Predict(pc, ghr uint64) bool {
-	return g.table[g.index(pc, ghr)].Taken()
+// Predict returns the predicted direction for site s under global
+// history ghr.
+func (g *Gshare) Predict(s GshareSite, ghr uint64) bool {
+	return g.table[(uint64(s)^ghr)&(1<<g.idxBits-1)].Taken()
 }
 
-// Update trains the counter selected by (pc, ghr) toward the outcome.
+// Update trains the counter selected by (s, ghr) toward the outcome.
 // ghr must be the history value used at prediction time.
-func (g *Gshare) Update(pc, ghr uint64, taken bool) {
-	g.table[g.index(pc, ghr)].Train(taken)
+func (g *Gshare) Update(s GshareSite, ghr uint64, taken bool) {
+	g.table[(uint64(s)^ghr)&(1<<g.idxBits-1)].Train(taken)
 }
 
-// LocalHistoryTable tracks per-PC local histories of lhrBits bits.
+// LocalHistoryTable tracks per-site local histories of lhrBits bits.
 type LocalHistoryTable struct {
 	entries []uint64
 	idxBits uint
@@ -158,30 +171,29 @@ func NewLocalHistoryTable(idxBits, lhrBits uint) *LocalHistoryTable {
 	return &LocalHistoryTable{entries: make([]uint64, 1<<idxBits), idxBits: idxBits, lhrBits: lhrBits}
 }
 
-// Index returns the table slot for pc.
-func (l *LocalHistoryTable) Index(pc uint64) uint64 {
-	return FoldPC(pc, l.idxBits) & ((1 << l.idxBits) - 1)
+// Slot returns the table slot the static instruction at pc owns.
+func (l *LocalHistoryTable) Slot(pc uint64) int {
+	return int(FoldPC(pc, l.idxBits) & ((1 << l.idxBits) - 1))
 }
 
-// Get returns the local history for pc.
-func (l *LocalHistoryTable) Get(pc uint64) uint64 { return l.entries[l.Index(pc)] }
+// Get returns the local history in slot.
+func (l *LocalHistoryTable) Get(slot int) uint64 { return l.entries[slot] }
 
-// Push shifts an outcome into pc's local history and returns the value
-// before the push (for checkpoint/undo on squash).
-func (l *LocalHistoryTable) Push(pc uint64, taken bool) uint64 {
-	i := l.Index(pc)
-	old := l.entries[i]
+// Push shifts an outcome into slot's local history and returns the
+// value before the push (for checkpoint/undo on squash).
+func (l *LocalHistoryTable) Push(slot int, taken bool) uint64 {
+	old := l.entries[slot]
 	v := old << 1
 	if taken {
 		v |= 1
 	}
-	l.entries[i] = v & ((1 << l.lhrBits) - 1)
+	l.entries[slot] = v & ((1 << l.lhrBits) - 1)
 	return old
 }
 
-// Set overwrites pc's local history (squash recovery).
-func (l *LocalHistoryTable) Set(pc uint64, v uint64) {
-	l.entries[l.Index(pc)] = v & ((1 << l.lhrBits) - 1)
+// Set overwrites slot's local history (squash recovery).
+func (l *LocalHistoryTable) Set(slot int, v uint64) {
+	l.entries[slot] = v & ((1 << l.lhrBits) - 1)
 }
 
 // LHRBits returns the local history length.

@@ -111,7 +111,7 @@ func TestFoldPC(t *testing.T) {
 
 func TestGshareLearnsBias(t *testing.T) {
 	g := NewGshare(14)
-	pc := uint64(0x400)
+	pc := g.Site(0x400)
 	var ghr uint64
 	for i := 0; i < 10; i++ {
 		g.Update(pc, ghr, true)
@@ -123,7 +123,7 @@ func TestGshareLearnsBias(t *testing.T) {
 
 func TestGshareUsesHistory(t *testing.T) {
 	g := NewGshare(14)
-	pc := uint64(0x80)
+	pc := g.Site(0x80)
 	// Outcome alternates and equals the last outcome bit of history.
 	for i := 0; i < 2000; i++ {
 		taken := i%2 == 0
@@ -150,7 +150,7 @@ func TestGshareSizeBytes(t *testing.T) {
 
 func TestLocalHistoryTable(t *testing.T) {
 	l := NewLocalHistoryTable(10, 10)
-	pc := uint64(0x1234)
+	pc := l.Slot(0x1234)
 	old := l.Push(pc, true)
 	if old != 0 {
 		t.Errorf("initial history = %d", old)
@@ -176,23 +176,23 @@ func TestLocalHistoryTable(t *testing.T) {
 func TestPerceptronLearnsXOR(t *testing.T) {
 	// A perceptron can learn outcome == GHR bit 3 (linearly separable).
 	p := NewPerceptron(64, 8, 0)
-	pc := uint64(0x40)
+	pc := p.Row(0x40)
 	var h History
 	h.N = 8
 	for i := 0; i < 500; i++ {
 		taken := h.Bit(3)
-		out := p.Predict(pc, h.Snapshot(), 0)
-		p.Train(pc, h.Snapshot(), 0, taken, out)
+		out := p.PredictRow(pc, h.Snapshot(), 0)
+		p.TrainRow(pc, h.Snapshot(), 0, taken, out)
 		h.Push(taken != (i%7 == 0)) // outcome with occasional noise
 	}
 	correct := 0
 	for i := 0; i < 200; i++ {
 		taken := h.Bit(3)
-		out := p.Predict(pc, h.Snapshot(), 0)
+		out := p.PredictRow(pc, h.Snapshot(), 0)
 		if out.Taken == taken {
 			correct++
 		}
-		p.Train(pc, h.Snapshot(), 0, taken, out)
+		p.TrainRow(pc, h.Snapshot(), 0, taken, out)
 		h.Push(taken)
 	}
 	if correct < 190 {
@@ -218,7 +218,8 @@ func TestPerceptronBudgetRows(t *testing.T) {
 func TestPerceptronSecondHashDiffers(t *testing.T) {
 	p := NewPerceptronBudget(148*1024, 30, 10)
 	f := func(pc uint64) bool {
-		return p.Index(pc) != p.IndexSecond(pc)
+		r := p.Row(pc)
+		return r != p.SecondRow(r)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -227,23 +228,22 @@ func TestPerceptronSecondHashDiffers(t *testing.T) {
 
 func TestPerceptronIdealNoAliasing(t *testing.T) {
 	p := NewPerceptron(2, 8, 0) // tiny: guaranteed aliasing when real
-	p.SetIdeal(true)
-	// Two different PCs must get distinct rows in ideal mode.
-	r1 := p.Index(0x100)
-	r2 := p.Index(0x200)
-	if r1 == r2 {
-		t.Error("ideal mode must not alias distinct PCs")
+	// Private rows never repeat, even past the table's own rows.
+	seen := map[int]bool{}
+	for i := 0; i < 200; i++ {
+		r := p.PrivateRow()
+		if seen[r] {
+			t.Fatalf("private row %d handed out twice", r)
+		}
+		seen[r] = true
 	}
-	// Same PC must be stable.
-	if p.Index(0x100) != r1 {
-		t.Error("ideal row not stable")
-	}
-	// Training one PC heavily must not disturb the other.
+	r1, r2 := p.PrivateRow(), p.PrivateRow()
+	// Training one row heavily must not disturb the other.
 	for i := 0; i < 100; i++ {
-		out := p.Predict(0x100, 0, 0)
-		p.Train(0x100, 0, 0, true, out)
+		out := p.PredictRow(r1, 0, 0)
+		p.TrainRow(r1, 0, 0, true, out)
 	}
-	outBefore := p.Predict(0x200, 0, 0)
+	outBefore := p.PredictRow(r2, 0, 0)
 	if outBefore.Sum != 0 {
 		t.Errorf("untouched ideal row has nonzero output %d", outBefore.Sum)
 	}
@@ -251,12 +251,12 @@ func TestPerceptronIdealNoAliasing(t *testing.T) {
 
 func TestPerceptronWeightClamp(t *testing.T) {
 	p := NewPerceptron(4, 2, 0)
-	pc := uint64(8)
+	pc := p.Row(8)
 	for i := 0; i < 1000; i++ {
-		out := p.Predict(pc, 3, 0)
-		p.Train(pc, 3, 0, true, out)
+		out := p.PredictRow(pc, 3, 0)
+		p.TrainRow(pc, 3, 0, true, out)
 	}
-	out := p.Predict(pc, 3, 0)
+	out := p.PredictRow(pc, 3, 0)
 	// bias + 2 weights, each clamped to 127
 	if out.Sum > 3*127 {
 		t.Errorf("weights exceeded clamp: sum = %d", out.Sum)
@@ -335,11 +335,12 @@ func TestRASSnapshotIndependence(t *testing.T) {
 
 func TestIndirectTable(t *testing.T) {
 	it := NewIndirectTable(8)
-	if it.Predict(0x123) != -1 {
+	slot := it.Slot(0x123)
+	if it.Predict(slot) != -1 {
 		t.Error("cold entry must predict -1")
 	}
-	it.Update(0x123, 77)
-	if it.Predict(0x123) != 77 {
+	it.Update(slot, 77)
+	if it.Predict(slot) != 77 {
 		t.Error("last-target prediction failed")
 	}
 }

@@ -71,12 +71,13 @@ func NewIndirectTable(idxBits uint) *IndirectTable {
 	return t
 }
 
-// Predict returns the last recorded target for pc (-1 if none).
-func (t *IndirectTable) Predict(pc uint64) int {
-	return t.targets[FoldPC(pc, t.idxBits)&((1<<t.idxBits)-1)]
+// Slot returns the table slot the indirect branch at pc owns.
+func (t *IndirectTable) Slot(pc uint64) int {
+	return int(FoldPC(pc, t.idxBits) & (1<<t.idxBits - 1))
 }
 
-// Update records an observed target.
-func (t *IndirectTable) Update(pc uint64, target int) {
-	t.targets[FoldPC(pc, t.idxBits)&((1<<t.idxBits)-1)] = target
-}
+// Predict returns the last target recorded in slot (-1 if none).
+func (t *IndirectTable) Predict(slot int) int { return t.targets[slot] }
+
+// Update records an observed target in slot.
+func (t *IndirectTable) Update(slot, target int) { t.targets[slot] = target }

@@ -1,6 +1,7 @@
 package program
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -8,6 +9,10 @@ import (
 
 	"repro/internal/isa"
 )
+
+// ErrAsm is wrapped by every error Assemble reports: a line it cannot
+// parse, or a branch to a label the text never defines.
+var ErrAsm = errors.New("asm")
 
 // Assemble parses assembler text into a program. The syntax is the one
 // Disassemble emits (minus the index column):
@@ -47,12 +52,12 @@ func Assemble(name, text string) (*Program, error) {
 		}
 		in, err := parseInst(line)
 		if err != nil {
-			return nil, fmt.Errorf("%s:%d: %w", name, ln+1, err)
+			return nil, fmt.Errorf("%w: %s:%d: %w", ErrAsm, name, ln+1, err)
 		}
 		p.Append(in)
 	}
 	if err := p.Resolve(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrAsm, err)
 	}
 	return p, nil
 }

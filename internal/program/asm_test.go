@@ -1,6 +1,8 @@
 package program
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -151,6 +153,9 @@ func FuzzAssemble(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := Assemble("fuzz", src)
 		if err != nil {
+			if !errors.Is(fmt.Errorf("load: %w", err), ErrAsm) {
+				t.Errorf("error %v does not wrap ErrAsm", err)
+			}
 			return
 		}
 		checkRoundTrip(t, p)

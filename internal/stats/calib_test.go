@@ -48,7 +48,7 @@ func TestCalibrate(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tst, err := Replay(cfg, tr, commits)
+				tst, err := Replay(cfg, p, tr, commits)
 				if err != nil {
 					t.Fatal(err)
 				}

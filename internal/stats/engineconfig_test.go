@@ -90,7 +90,8 @@ func TestEngineConfigProjection(t *testing.T) {
 	}
 	// The if-converted binary carries the guarded compares selective
 	// predication cancels, so every engine path is exercised.
-	tr, err := trace.Record(context.Background(), pgs[0].Converted, commits)
+	prog := pgs[0].Converted
+	tr, err := trace.Record(context.Background(), prog, commits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestEngineConfigProjection(t *testing.T) {
 	}
 	for _, scheme := range replaySchemes {
 		base := config.Default().WithScheme(scheme)
-		ref, err := Replay(base, tr, commits)
+		ref, err := Replay(base, prog, tr, commits)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +119,7 @@ func TestEngineConfigProjection(t *testing.T) {
 					visible[name] = true
 					continue
 				}
-				got, err := Replay(p, tr, commits)
+				got, err := Replay(p, prog, tr, commits)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -3,6 +3,7 @@ package stats
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/peppa"
 	"repro/internal/pipeline"
 	"repro/internal/predictor"
+	"repro/internal/program"
 	"repro/internal/trace"
 )
 
@@ -198,15 +200,76 @@ func EngineConfigOf(c config.Config) EngineConfig {
 	}
 }
 
+// convKey identifies one conventional second-level predictor of a
+// replay pass: its geometry and whether it is idealized.
+type convKey struct {
+	bytes         int
+	ghr, lhr, lht uint
+	ideal         bool
+}
+
+// convPass is one conventional predictor a replay pass shares. A
+// conventional engine and a predicate engine's Figure 6b shadow both
+// predict every committed conditional branch, in commit order, with a
+// history fed by committed outcomes and training at once, so the
+// predictor's outcomes depend only on the branch stream and its key:
+// the pass runs it once per batch, after the frontend, and each engine
+// of that key reads the per-event miss bits.
+type convPass struct {
+	key   convKey
+	tl    *predictor.TwoLevel
+	ghr   predictor.History
+	sites []predictor.TwoLevelSite // per PC; set at conditional branches
+	// miss[i] reports whether the predictor mispredicted event i of the
+	// current batch (read at EvCondBr events only).
+	miss [batchEvents]bool
+}
+
+// newConvPass builds the predictor of key k for a program whose
+// instructions' record kinds are kinds.
+func newConvPass(k convKey, kinds []uint8) *convPass {
+	c := &convPass{key: k, tl: predictor.NewTwoLevel(k.bytes, k.ghr, k.lhr, k.lht, k.ideal)}
+	c.ghr.N = k.ghr
+	c.sites = make([]predictor.TwoLevelSite, len(kinds))
+	for pc, kind := range kinds {
+		if kind == trace.EvCondBr {
+			c.sites[pc] = c.tl.Site(pipeline.InstAddr(pc))
+		}
+	}
+	return c
+}
+
+// run predicts and trains every conditional branch of a batch.
+func (c *convPass) run(evs []trace.Event) {
+	for i := range evs {
+		ev := &evs[i]
+		if ev.Kind != trace.EvCondBr {
+			continue
+		}
+		lk := c.tl.Predict(c.sites[ev.PC], c.ghr.Snapshot())
+		c.miss[i] = lk.Taken != ev.Taken
+		c.tl.Train(lk, ev.Taken)
+		c.ghr.Push(ev.Taken)
+	}
+}
+
+// site is one static instruction's place in an engine's own
+// predictors, built once per PC when the engine is constructed.
+type site struct {
+	pp   core.Site  // compare (predicate scheme)
+	pep  peppa.Site // conditional branch (PEP-PA)
+	itab int32      // indirect branch: last-target table slot
+}
+
 // schemeEngine is the per-scheme half of the trace-driven predictor
 // engine: one predictor organization replayed in commit order with
 // immediate training, touching none of the out-of-order machinery. The
-// scheme-independent state lives in the frontend; what remains here is
-// the second-level predictor, the PPRF prediction mirror, the
-// delayed-training queue, the speculative-GHR ring and the shadow
-// predictor — everything whose evolution depends on the organization
-// under test. See DESIGN.md ("Execution modes") for the fidelity
-// contract: commit-order predictor state evolution is exact (wrong-path
+// scheme-independent state lives in the frontend, and the conventional
+// predictor in the pass's shared convPass; what remains here is the
+// second-level predictor, the PPRF prediction mirror, the
+// delayed-training queue and the speculative-GHR ring — everything
+// whose evolution depends on the organization under test. See
+// DESIGN.md ("Execution modes") for the fidelity contract: commit-order predictor state evolution is exact (wrong-path
 // speculation is invisible to training, and speculative history pushes
 // resolve to committed outcomes), while effects that depend on
 // in-flight overlap — training delay between fetch and commit,
@@ -224,15 +287,15 @@ type schemeEngine struct {
 	// rename, so selective predication needs its own copy.
 	prodStep [isa.NumPred]uint64
 
-	// Scheme state (one second-level active, as in the pipeline).
-	twolevel *predictor.TwoLevel
-	pep      *peppa.Predictor
-	pp       *core.Predictor
-	pGHR     predictor.History // speculative-with-repair history mirror
-	retired  predictor.History // commit-order history (perfect-GHR idealization)
-
-	shadow    *predictor.TwoLevel // Figure 6b shadow (predicate scheme)
-	shadowGHR predictor.History
+	// Scheme state (one second-level active, as in the pipeline). The
+	// conventional predictor, and the predicate scheme's Figure 6b
+	// shadow, are the pass's conv.
+	conv    *convPass
+	pep     *peppa.Predictor
+	pp      *core.Predictor
+	pGHR    predictor.History // speculative-with-repair history mirror (predicate scheme)
+	retired predictor.History // commit-order history (perfect-GHR idealization)
+	sites   []site            // per PC
 
 	// Delayed-training queue (predicate scheme): a fixed circular
 	// buffer — the drain-before-push in the compare path bounds the
@@ -257,7 +320,9 @@ type schemeEngine struct {
 	st pipeline.Stats
 }
 
-func newSchemeEngine(full config.Config) (*schemeEngine, error) {
+// newSchemeEngine builds the engine of one configuration for a program
+// whose instructions' record kinds are kinds.
+func newSchemeEngine(full config.Config, kinds []uint8) (*schemeEngine, error) {
 	if err := full.Validate(); err != nil {
 		return nil, err
 	}
@@ -272,8 +337,7 @@ func newSchemeEngine(full config.Config) (*schemeEngine, error) {
 	e.predPred[isa.P0] = true
 	switch cfg.Scheme {
 	case config.SchemeConventional:
-		e.twolevel = predictor.NewTwoLevel(cfg.L2PredBytes, cfg.L2PredGHRBits, cfg.L2PredLHRBits, cfg.L2PredLHTBits)
-		e.twolevel.SetIdeal(cfg.IdealNoAlias)
+		// Its predictor is the pass's (shareConventional).
 	case config.SchemePEPPA:
 		e.pep = peppa.New(peppa.DefaultConfig())
 	case config.SchemePredicate:
@@ -286,31 +350,63 @@ func newSchemeEngine(full config.Config) (*schemeEngine, error) {
 			Ideal:     cfg.IdealNoAlias,
 			SplitPVT:  cfg.SplitPVT,
 		})
-		e.shadow = predictor.NewTwoLevel(cfg.L2PredBytes, cfg.L2PredGHRBits, cfg.L2PredLHRBits, cfg.L2PredLHTBits)
-		e.shadowGHR.N = cfg.L2PredGHRBits
 	default:
 		return nil, fmt.Errorf("stats: unknown scheme %v", cfg.Scheme)
+	}
+	e.sites = make([]site, len(kinds))
+	for pc, kind := range kinds {
+		addr := pipeline.InstAddr(pc)
+		switch kind {
+		case trace.EvCompare:
+			if e.pp != nil {
+				e.sites[pc].pp = e.pp.Site(addr)
+			}
+		case trace.EvCondBr:
+			if e.pep != nil {
+				e.sites[pc].pep = e.pep.Site(addr)
+			}
+		case trace.EvBrInd:
+			e.sites[pc].itab = int32(e.itab.Slot(addr))
+		}
 	}
 	return e, nil
 }
 
-// Replay runs a recorded trace through the configured predictor
+// convKey reports the conventional predictor the engine reads: its own
+// configuration's for a conventional engine, the non-ideal one of its
+// geometry for a predicate engine's shadow, none for PEP-PA.
+func (e *schemeEngine) convKey() (convKey, bool) {
+	k := convKey{bytes: e.cfg.L2PredBytes, ghr: e.cfg.L2PredGHRBits, lhr: e.cfg.L2PredLHRBits, lht: e.cfg.L2PredLHTBits}
+	switch e.cfg.Scheme {
+	case config.SchemeConventional:
+		k.ideal = e.cfg.IdealNoAlias
+		return k, true
+	case config.SchemePredicate:
+		return k, true
+	}
+	return k, false
+}
+
+// Replay runs a trace of prog through the configured predictor
 // organization for a commit budget (0 = the whole trace): the
 // one-configuration reference that ReplayAll is checked against.
-func Replay(cfg config.Config, tr *trace.Trace, commits uint64) (pipeline.Stats, error) {
-	sts, _, err := ReplayAll(context.Background(), []config.Config{cfg}, tr, commits, nil)
+func Replay(cfg config.Config, prog *program.Program, tr *trace.Trace, commits uint64) (pipeline.Stats, error) {
+	sts, _, err := ReplayAll(context.Background(), []config.Config{cfg}, prog, tr, commits, nil)
 	if len(sts) != 1 {
 		return pipeline.Stats{}, err
 	}
 	return sts[0], err
 }
 
-// ReplayAll replays one recorded trace through N predictor
+// ReplayAll replays one recorded trace of prog through N predictor
 // organizations in a single pass: the event stream is decoded once, the
-// scheme-independent frontend is computed once, and every configuration
-// replays each decoded batch in lockstep. The returned slice is
+// scheme-independent frontend is computed once, each distinct
+// conventional predictor runs once, and every configuration replays
+// each decoded batch in lockstep. The returned slice is
 // parallel to cfgs, and each entry is bit-identical to an independent
-// Replay of that configuration. Cancellation is checked every decoded
+// Replay of that configuration. A trace recorded from another program,
+// or an event at a PC that holds no instruction of its kind, fails with
+// an error wrapping trace.ErrCorrupt. Cancellation is checked every decoded
 // batch, so even a full-suite replay stops within milliseconds of a
 // cancel; the partial statistics accumulated so far are returned
 // alongside the context error.
@@ -320,7 +416,7 @@ func Replay(cfg config.Config, tr *trace.Trace, commits uint64) (pipeline.Stats,
 // even when it fails. The clock reads sit between phases, never inside
 // them, so the statistics are bit-identical to an untimed replay. With
 // now nil the Timings are nil.
-func ReplayAll(ctx context.Context, cfgs []config.Config, tr *trace.Trace, commits uint64, now func() int64) ([]pipeline.Stats, *Timings, error) {
+func ReplayAll(ctx context.Context, cfgs []config.Config, prog *program.Program, tr *trace.Trace, commits uint64, now func() int64) ([]pipeline.Stats, *Timings, error) {
 	var tm *Timings
 	if now != nil {
 		tm = &Timings{EngineNS: make([]int64, len(cfgs))}
@@ -328,15 +424,22 @@ func ReplayAll(ctx context.Context, cfgs []config.Config, tr *trace.Trace, commi
 	if len(cfgs) == 0 {
 		return nil, tm, fmt.Errorf("stats: replay needs at least one configuration")
 	}
+	if h := trace.HashProgram(prog); tr.ProgHash != h {
+		return nil, tm, fmt.Errorf("stats: %w: trace of program %#x replayed against %s (%#x)", trace.ErrCorrupt, tr.ProgHash, prog.Name, h)
+	}
+	kinds := make([]uint8, prog.Len())
+	for pc := range kinds {
+		kinds[pc] = trace.KindOf(prog.At(pc))
+	}
 	engines := make([]*schemeEngine, len(cfgs))
 	for i, cfg := range cfgs {
-		e, err := newSchemeEngine(cfg)
+		e, err := newSchemeEngine(cfg, kinds)
 		if err != nil {
 			return nil, tm, err
 		}
 		engines[i] = e
 	}
-	err := replay(ctx, engines, tr, commits, tm, now)
+	err := replay(ctx, engines, shareConventional(engines, kinds), kinds, tr, commits, tm, now)
 	sts := make([]pipeline.Stats, len(engines))
 	for i, e := range engines {
 		sts[i] = e.st
@@ -344,12 +447,35 @@ func ReplayAll(ctx context.Context, cfgs []config.Config, tr *trace.Trace, commi
 	return sts, tm, err
 }
 
-// replay drives the shared cursor: decode a batch, annotate it through
-// the frontend up to the commit budget or the halt record (which no
-// engine acts on), then fan the admitted events to every engine. With
-// tm nil the timed branches are dead and replay is exactly the untimed
-// loop; otherwise phase durations accumulate into tm once per batch.
-func replay(ctx context.Context, engines []*schemeEngine, tr *trace.Trace, commits uint64, tm *Timings, now func() int64) error {
+// shareConventional gives every engine that reads a conventional
+// predictor the pass's predictor of its key, building one per distinct
+// key, and returns them in the order built.
+func shareConventional(engines []*schemeEngine, kinds []uint8) []*convPass {
+	var convs []*convPass
+	for _, e := range engines {
+		k, ok := e.convKey()
+		if !ok {
+			continue
+		}
+		i := slices.IndexFunc(convs, func(c *convPass) bool { return c.key == k })
+		if i < 0 {
+			i = len(convs)
+			convs = append(convs, newConvPass(k, kinds))
+		}
+		e.conv = convs[i]
+	}
+	return convs
+}
+
+// replay drives the shared cursor: decode a batch, check each event
+// against kinds (the record kind of the instruction at every PC) and
+// annotate it through the frontend up to the commit budget or the halt
+// record (which no engine acts on), run the shared conventional
+// predictors over the admitted events, then fan them to every engine.
+// With tm nil the timed branches are dead and replay is exactly the
+// untimed loop; otherwise phase durations accumulate into tm once per
+// batch, the conventional predictors counting as frontend.
+func replay(ctx context.Context, engines []*schemeEngine, convs []*convPass, kinds []uint8, tr *trace.Trace, commits uint64, tm *Timings, now func() int64) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -394,9 +520,15 @@ func replay(ctx context.Context, engines []*schemeEngine, tr *trace.Trace, commi
 				done = true
 				break
 			}
+			if uint(ev.PC) >= uint(len(kinds)) || kinds[ev.PC] != ev.Kind {
+				return offSite(ev, kinds)
+			}
 			fe.annotate(ev, &notes[n])
 			n++
 			done = commits > 0 && committed >= commits
+		}
+		for _, c := range convs {
+			c.run(evs[:n])
 		}
 		if timed {
 			t1 := now()
@@ -440,6 +572,15 @@ func replay(ctx context.Context, engines []*schemeEngine, tr *trace.Trace, commi
 	return nil
 }
 
+// offSite reports an event at a PC that holds no instruction of its
+// kind.
+func offSite(ev *trace.Event, kinds []uint8) error {
+	if uint(ev.PC) >= uint(len(kinds)) {
+		return fmt.Errorf("stats: %w: event kind %d at pc %d, past the program's %d instructions", trace.ErrCorrupt, ev.Kind, ev.PC, len(kinds))
+	}
+	return fmt.Errorf("stats: %w: event kind %d at pc %d, which holds an instruction of kind %d", trace.ErrCorrupt, ev.Kind, ev.PC, kinds[ev.PC])
+}
+
 // applyBatch replays one annotated batch through the engine's
 // configured organization. The per-scheme loops are split so each
 // engine's hot path stays monomorphic over a whole batch.
@@ -455,6 +596,7 @@ func (e *schemeEngine) applyBatch(evs []trace.Event, notes []note) {
 }
 
 func (e *schemeEngine) batchConventional(evs []trace.Event) {
+	miss := &e.conv.miss
 	for i := range evs {
 		ev := &evs[i]
 		switch ev.Kind {
@@ -463,15 +605,12 @@ func (e *schemeEngine) batchConventional(evs []trace.Event) {
 		case trace.EvCondBr:
 			// Speculative and retired histories coincide in commit order
 			// (each committed branch contributes its committed outcome),
-			// so the perfect-GHR idealization is the identity here.
+			// so the perfect-GHR idealization is the identity here, and
+			// the pass's conventional predictor has scored the branch.
 			e.st.CondBranches++
-			lk := e.twolevel.Predict(pipeline.InstAddr(ev.PC), e.pGHR.Snapshot())
-			if lk.Taken != ev.Taken {
+			if miss[i] {
 				e.st.BranchMispred++
 			}
-			e.twolevel.Train(lk, ev.Taken)
-			e.pGHR.Push(ev.Taken)
-			e.retired.Push(ev.Taken)
 		default:
 			e.target(ev)
 		}
@@ -490,7 +629,7 @@ func (e *schemeEngine) batchPEPPA(evs []trace.Event, notes []note) {
 			// written back by fetch time follows the shared resolution
 			// model, precomputed as the note's selector.
 			e.st.CondBranches++
-			lk := e.pep.Predict(pipeline.InstAddr(ev.PC), notes[i].sel)
+			lk := e.pep.Predict(e.sites[ev.PC].pep, notes[i].sel)
 			if lk.Taken != ev.Taken {
 				e.st.BranchMispred++
 			}
@@ -505,6 +644,7 @@ func (e *schemeEngine) batchPredicate(evs []trace.Event, notes []note) {
 	selective := e.cfg.Predication == config.PredicationSelective
 	perfect := e.cfg.IdealPerfectGHR
 	repair := !e.cfg.DisableGHRRepair
+	miss := &e.conv.miss
 	for i := range evs {
 		ev := &evs[i]
 		switch ev.Kind {
@@ -534,7 +674,7 @@ func (e *schemeEngine) batchPredicate(evs []trace.Event, notes []note) {
 			if perfect {
 				ghr = e.retired.Snapshot()
 			}
-			lk := e.pp.Predict(pipeline.InstAddr(ev.PC), ghr)
+			lk := e.pp.Predict(e.sites[ev.PC].pp, ghr)
 
 			if canceled {
 				// A rename-canceled compare never executes: its
@@ -589,17 +729,15 @@ func (e *schemeEngine) batchPredicate(evs []trace.Event, notes []note) {
 			}
 			// Shadow conventional predictor for the Figure 6b breakdown —
 			// predicted and trained at commit in the pipeline too, so
-			// this replication is exact.
-			slk := e.shadow.Predict(pipeline.InstAddr(ev.PC), e.shadowGHR.Snapshot())
+			// the pass's conventional predictor of this geometry scores
+			// it exactly.
 			e.st.ShadowCondBranches++
-			if slk.Taken != ev.Taken {
+			if miss[i] {
 				e.st.ShadowMispred++
 				if early {
 					e.st.EarlyResolvedHit++
 				}
 			}
-			e.shadow.Train(slk, ev.Taken)
-			e.shadowGHR.Push(ev.Taken)
 		default:
 			e.target(ev)
 		}
@@ -617,8 +755,8 @@ func (e *schemeEngine) target(ev *trace.Event) {
 			e.st.TargetMispred++
 		}
 	case trace.EvBrInd:
-		addr := pipeline.InstAddr(ev.PC)
-		predNext := e.itab.Predict(addr)
+		slot := int(e.sites[ev.PC].itab)
+		predNext := e.itab.Predict(slot)
 		actualNext := ev.PC + 1
 		if ev.Taken {
 			actualNext = ev.Target
@@ -626,7 +764,7 @@ func (e *schemeEngine) target(ev *trace.Event) {
 		if predNext != actualNext {
 			e.st.TargetMispred++
 		}
-		e.itab.Update(addr, ev.Target)
+		e.itab.Update(slot, ev.Target)
 	}
 }
 

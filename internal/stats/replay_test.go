@@ -114,7 +114,7 @@ func TestTraceReplayEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tst, err := Replay(cfg, tr, equivCommits)
+				tst, err := Replay(cfg, p, tr, equivCommits)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -216,7 +216,7 @@ func TestReplayReadsCompareGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tst, err := Replay(cfg, tr, 0)
+	tst, err := Replay(cfg, p, tr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,14 +237,14 @@ func TestReplayIdealizedVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := config.Default().WithScheme(config.SchemePredicate)
-	st, err := Replay(base, tr, 60000)
+	st, err := Replay(base, p, tr, 60000)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ideal := base
 	ideal.IdealNoAlias, ideal.IdealPerfectGHR = true, true
-	ist, err := Replay(ideal, tr, 60000)
+	ist, err := Replay(ideal, p, tr, 60000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestReplayIdealizedVariants(t *testing.T) {
 
 	corrupt := base
 	corrupt.DisableGHRRepair = true
-	cst, err := Replay(corrupt, tr, 60000)
+	cst, err := Replay(corrupt, p, tr, 60000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,13 +269,13 @@ func TestReplayIdealizedVariants(t *testing.T) {
 
 	split := base
 	split.SplitPVT = true
-	if _, err := Replay(split, tr, 60000); err != nil {
+	if _, err := Replay(split, p, tr, 60000); err != nil {
 		t.Fatal(err)
 	}
 
 	sel := base
 	sel.Predication = config.PredicationSelect
-	if _, err := Replay(sel, tr, 60000); err != nil {
+	if _, err := Replay(sel, p, tr, 60000); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -287,14 +287,15 @@ func TestReplayCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := trace.Record(context.Background(), bench.Build(spec), 400000)
+	prog := bench.Build(spec)
+	tr, err := trace.Record(context.Background(), prog, 400000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfg := config.Default().WithScheme(config.SchemePredicate)
-	if _, _, err := ReplayAll(ctx, []config.Config{cfg}, tr, 0, nil); err == nil {
+	if _, _, err := ReplayAll(ctx, []config.Config{cfg}, prog, tr, 0, nil); err == nil {
 		t.Fatal("want context error from cancelled replay")
 	}
 }

@@ -11,7 +11,7 @@ package stats
 // nothing at all when replay runs untimed.
 type Timings struct {
 	DecodeNS   int64   // cursor batch decode
-	FrontendNS int64   // budget admission + shared frontend annotate
+	FrontendNS int64   // budget admission, shared frontend annotate and the pass's conventional predictors
 	EngineNS   []int64 // per-configuration engine fan-out
 	Batches    int64   // decoded batches (timing sample count)
 }

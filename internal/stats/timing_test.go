@@ -19,14 +19,15 @@ func TestReplayAllTimedMatchesUntimed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := trace.Record(context.Background(), bench.Build(spec), 50000)
+	prog := bench.Build(spec)
+	tr, err := trace.Record(context.Background(), prog, 50000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgs := schemeCfgs()
 	const commits = 40000
 
-	plain, untimed, err := ReplayAll(context.Background(), cfgs, tr, commits, nil)
+	plain, untimed, err := ReplayAll(context.Background(), cfgs, prog, tr, commits, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestReplayAllTimedMatchesUntimed(t *testing.T) {
 		clock += 10
 		return clock
 	}
-	timed, tm, err := ReplayAll(context.Background(), cfgs, tr, commits, now)
+	timed, tm, err := ReplayAll(context.Background(), cfgs, prog, tr, commits, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestReplayAllTimedMatchesUntimed(t *testing.T) {
 	// (empty) breakdown, so observed callers can attribute the cell.
 	bad := cfgs[0]
 	bad.FetchWidth = 0
-	_, tm, err = ReplayAll(context.Background(), []config.Config{bad}, tr, commits, func() int64 { return 0 })
+	_, tm, err = ReplayAll(context.Background(), []config.Config{bad}, prog, tr, commits, func() int64 { return 0 })
 	if err == nil {
 		t.Fatal("invalid configuration should fail")
 	}
@@ -87,7 +88,8 @@ func TestSessionReplayAllTimed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := trace.Record(context.Background(), bench.Build(spec), 30000)
+	prog := bench.Build(spec)
+	tr, err := trace.Record(context.Background(), prog, 30000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +100,7 @@ func TestSessionReplayAllTimed(t *testing.T) {
 			clock += 7
 			return clock
 		}
-		_, tm, err := ReplayAll(context.Background(), cfgs, tr, 20000, now)
+		_, tm, err := ReplayAll(context.Background(), cfgs, prog, tr, 20000, now)
 		if err != nil {
 			t.Fatal(err)
 		}

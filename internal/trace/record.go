@@ -28,13 +28,35 @@ func (r *recorder) event(kind byte) {
 	r.buf.WriteByte(kind)
 }
 
+// KindOf returns the kind of record a committed instance of in leaves
+// in a trace, or 0 for a plain instruction, which leaves none (an
+// unconditional direct branch is predictor-invisible, so it is plain).
+// Replay checks every event against the kind of the instruction at its
+// PC.
+func KindOf(in *isa.Inst) uint8 {
+	switch {
+	case in.Op == isa.OpHalt:
+		return EvHalt
+	case in.IsCompare():
+		return EvCompare
+	case in.Op == isa.OpCall:
+		return EvCall
+	case in.Op == isa.OpRet:
+		return EvRet
+	case in.Op == isa.OpBrInd:
+		return EvBrInd
+	case in.Op == isa.OpBr && in.IsConditional():
+		return EvCondBr
+	}
+	return 0
+}
+
 func (r *recorder) observe(info emulator.StepInfo) {
 	in := r.prog.At(info.PC)
-	switch {
-	case info.Op == isa.OpHalt:
-		r.event(EvHalt)
-	case info.IsCmp:
-		kind := byte(EvCompare)
+	switch kind := KindOf(in); kind {
+	case EvHalt:
+		r.event(kind)
+	case EvCompare:
 		if info.QPTrue {
 			kind |= fCmpQPTrue
 		}
@@ -65,22 +87,17 @@ func (r *recorder) observe(info emulator.StepInfo) {
 		if in.QP != isa.P0 {
 			r.buf.WriteByte(byte(in.QP))
 		}
-	case in.Op == isa.OpCall:
-		r.event(EvCall)
+	case EvCall:
+		r.event(kind)
 		putUvarint(&r.buf, uint64(info.PC))
-	case in.Op == isa.OpRet || in.Op == isa.OpBrInd:
-		kind := byte(EvRet)
-		if in.Op == isa.OpBrInd {
-			kind = EvBrInd
-		}
+	case EvRet, EvBrInd:
 		if info.Taken {
 			kind |= flagTaken
 		}
 		r.event(kind)
 		putUvarint(&r.buf, uint64(info.PC))
 		putUvarint(&r.buf, uint64(info.Target))
-	case in.Op == isa.OpBr && in.IsConditional():
-		kind := byte(EvCondBr)
+	case EvCondBr:
 		if info.Taken {
 			kind |= flagTaken
 		}
@@ -88,8 +105,7 @@ func (r *recorder) observe(info emulator.StepInfo) {
 		putUvarint(&r.buf, uint64(info.PC))
 		r.buf.WriteByte(byte(in.QP))
 	default:
-		// Plain instructions, unconditional direct branches included
-		// (predictor-invisible), count towards the next event's gap.
+		// Plain instructions count towards the next event's gap.
 		r.gap++
 	}
 }

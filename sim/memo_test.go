@@ -58,18 +58,24 @@ func runMemoSweep(t *testing.T, wl *Workload, dir string, par int, schemes []str
 	}
 }
 
+// memoTrace is one benchmark's replayed program and its trace.
+type memoTrace struct {
+	prog *Program
+	tr   *trace.Trace
+}
+
 // memoTraces loads (recording into dir on first use) the trace every
 // memo-test sweep over wl replays, by benchmark.
-func memoTraces(t *testing.T, wl *Workload, dir string) map[string]*trace.Trace {
+func memoTraces(t *testing.T, wl *Workload, dir string) map[string]memoTrace {
 	t.Helper()
 	p := newTraceProvider(dir, memoCommits, nil)
-	traces := map[string]*trace.Trace{}
+	traces := map[string]memoTrace{}
 	for _, pg := range wl.progs {
 		tr, err := p.get(context.Background(), pg.Spec.Name, pg.Plain)
 		if err != nil {
 			t.Fatal(err)
 		}
-		traces[pg.Spec.Name] = tr
+		traces[pg.Spec.Name] = memoTrace{pg.Plain, tr}
 	}
 	return traces
 }
@@ -85,7 +91,8 @@ func checkAgainstReplay(t *testing.T, wl *Workload, dir string, run memoRun) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := stats.Replay(cfg, traces[r.Bench], memoCommits)
+		mt := traces[r.Bench]
+		want, err := stats.Replay(cfg, mt.prog, mt.tr, memoCommits)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -456,7 +456,7 @@ func (e *Experiment) runTraceJob(ctx context.Context, traces *traceProvider, j s
 	var tm *stats.Timings
 	var replayErr error
 	if traceErr == nil && len(j.cfgs) > 0 {
-		sts, tm, replayErr = stats.ReplayAll(ctx, j.cfgs, tr, e.commits, e.observer.replayClock())
+		sts, tm, replayErr = stats.ReplayAll(ctx, j.cfgs, j.prog, tr, e.commits, e.observer.replayClock())
 		if canceled(replayErr) {
 			return nil, false
 		}
