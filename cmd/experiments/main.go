@@ -188,7 +188,13 @@ func main() {
 	defer stop()
 	d.ctx = ctx
 
-	wl, err := sim.PrepareWorkload(sim.SplitEntries(*workload), *profSteps)
+	specs, err := sim.SuiteSpecs(sim.SplitEntries(*workload)...)
+	if err != nil {
+		d.fatal(err)
+	}
+	// Prepare under the signal context: ^C while profiling exits the
+	// same way as ^C during a run.
+	wl, err := sim.PrepareSpecsContext(ctx, specs, *profSteps)
 	if err != nil {
 		d.fatal(err)
 	}

@@ -87,12 +87,24 @@ func main() {
 		fatal(err)
 	}
 
+	specs, err := sim.SuiteSpecs(append(split(*suite), split(*workload)...)...)
+	if err != nil {
+		fatal(err)
+	}
+	// One signal context covers preparation and the sweep, so ^C
+	// cancels either.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	wl, err := sim.PrepareSpecsContext(ctx, specs, *profSteps)
+	if err != nil {
+		fatal(err)
+	}
+
 	opts := []sim.Option{
-		sim.WithSuite(append(split(*suite), split(*workload)...)...),
+		sim.WithWorkload(wl),
 		sim.WithSchemes(split(*schemes)...),
 		sim.WithIfConversion(*ifconv),
 		sim.WithCommits(*commits),
-		sim.WithProfileSteps(*profSteps),
 		sim.WithMode(m),
 		sim.WithParallelism(*par),
 	}
@@ -138,8 +150,6 @@ func main() {
 		}()
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 	runner, err := exp.Start(ctx)
 	if err != nil {
 		fatal(err)

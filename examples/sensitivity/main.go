@@ -26,9 +26,18 @@ func main() {
 	commits := flag.Uint64("n", 300000, "committed instructions per run")
 	flag.Parse()
 
+	specs, err := sim.SuiteSpecs(strings.Split(*suite, ",")...)
+	if err != nil {
+		log.Fatal(err)
+	}
+	wl, err := sim.PrepareSpecs(specs, 200000)
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	schemes := []string{"conventional", "predpred", "peppa"}
 	exp, err := sim.New(
-		sim.WithSuite(strings.Split(*suite, ",")...),
+		sim.WithWorkload(wl),
 		sim.WithSchemes(schemes...),
 		sim.WithCommits(*commits),
 		sim.WithMode(sim.ModeTrace),

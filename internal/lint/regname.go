@@ -158,7 +158,7 @@ func checkLookupCall(pass *Pass, p *Package, call *ast.CallExpr, reg map[string]
 		}
 	}
 	switch fn.Name() {
-	case "ResolveScheme", "MustResolveScheme":
+	case "ResolveScheme":
 		checkArg(0, nsScheme)
 	case "WithSchemes":
 		checkAll(0, nsScheme)
@@ -183,7 +183,7 @@ func checkLookupCall(pass *Pass, p *Package, call *ast.CallExpr, reg map[string]
 		if pkgName == "obs" {
 			checkArg(0, nsMetric)
 		}
-	case "WithSuite", "SuiteSpecs":
+	case "SuiteSpecs":
 		// Entries resolve against workloads first, then benchmarks;
 		// path-like entries are workload spec files on disk.
 		for _, a := range call.Args {

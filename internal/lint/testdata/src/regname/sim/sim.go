@@ -23,11 +23,8 @@ func ResolveWorkload(name string) (WorkloadSpec, bool) { return WorkloadSpec{}, 
 // WithSchemes selects schemes by name.
 func WithSchemes(names ...string) {}
 
-// WithSuite selects suite entries (workloads, benchmarks or spec
+// SuiteSpecs expands suite entries (workloads, benchmarks or spec
 // files).
-func WithSuite(names ...string) {}
-
-// SuiteSpecs expands suite entries.
 func SuiteSpecs(entries ...string) error { return nil }
 
 // WithAxis selects a sweep knob by name.

@@ -6,5 +6,5 @@ import "sim"
 // on purpose to exercise the lookup errors, so no diagnostic here.
 func lookupErrors() {
 	sim.ResolveScheme("no-such-scheme")
-	sim.WithSuite("no-such-bench")
+	_ = sim.SuiteSpecs("no-such-bench")
 }

@@ -7,14 +7,13 @@ import "time"
 // name "span." + phase + ".ns" in the observing registry, and the
 // same names key the per-run PhasesNS map in a Manifest.
 //
-// The taxonomy follows the shape of a run: a workload is prepared,
-// its trace is either looked up in the cache or recorded, then the
-// replay loop alternates cursor batch decode, the shared
+// The taxonomy follows the shape of a run over a prepared workload:
+// each benchmark's trace is either looked up in the cache or recorded,
+// then the replay loop alternates cursor batch decode, the shared
 // scheme-independent frontend, and the per-scheme engine fan-out;
 // cycle-accurate cells run the pipeline instead of the trace trio;
 // finally results flow through the sink.
 const (
-	PhasePrepare     = "prepare"      // workload assembly + profiling
 	PhaseCacheLookup = "cache-lookup" // trace disk-cache probe
 	PhaseRecord      = "trace-record" // functional-emulator trace recording
 	PhaseDecode      = "decode"       // cursor batch decode

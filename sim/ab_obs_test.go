@@ -16,10 +16,7 @@ func TestObserverOverheadAB(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measurement, not a correctness test")
 	}
-	wl, err := sim.PrepareWorkload([]string{"vpr"}, 50000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wl := sim.PrepareEntries(t, 50000, "vpr")
 	dir := t.TempDir()
 	experiment := func(extra ...sim.Option) *sim.Experiment {
 		exp, err := sim.New(append([]sim.Option{

@@ -58,10 +58,7 @@ func TestSweepEmissionByteIdentical(t *testing.T) {
 // more than one worker, fake-clock span values depend on interleaving.
 func experimentEmission(t *testing.T, dir string, workers int) (json, csv []byte) {
 	t.Helper()
-	wl, err := sim.PrepareWorkload([]string{"gzip", "vpr"}, 50000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wl := sim.PrepareEntries(t, 50000, "gzip", "vpr")
 	exp, err := sim.New(
 		sim.WithWorkload(wl),
 		sim.WithSchemes("conventional", "predpred", "peppa"),

@@ -44,3 +44,18 @@ func WaitGoroutines(t testing.TB, before int) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// PrepareEntries runs the one input chain, SuiteSpecs then
+// PrepareSpecs, failing t on either error.
+func PrepareEntries(t testing.TB, profileSteps uint64, entries ...string) *Workload {
+	t.Helper()
+	specs, err := SuiteSpecs(entries...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl, err := PrepareSpecs(specs, profileSteps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wl
+}

@@ -118,11 +118,7 @@ func memoGrid(t *testing.T, wl *Workload, dir string, par int) memoRun {
 
 func memoWorkload(t *testing.T, names ...string) *Workload {
 	t.Helper()
-	wl, err := PrepareWorkload(names, memoCommits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return wl
+	return PrepareEntries(t, memoCommits, names...)
 }
 
 // TestMemoSweepExactCounts pins the replay memo's reuse: whatever the

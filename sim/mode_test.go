@@ -20,10 +20,7 @@ func processCounter(name string) uint64 {
 // trace statistics, empty memory counters in trace mode, and agreement
 // between the modes on the committed stream.
 func TestTraceModeExperiment(t *testing.T) {
-	wl, err := sim.PrepareWorkload([]string{"gzip", "vpr"}, 60000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wl := sim.PrepareEntries(t, 60000, "gzip", "vpr")
 	dir := t.TempDir()
 	run := func(m sim.Mode) []sim.Result {
 		exp, err := sim.New(
@@ -92,10 +89,7 @@ func TestTraceModeExperiment(t *testing.T) {
 // the on-disk cache, with no re-emulation.
 func TestTraceDiskCache(t *testing.T) {
 	dir := t.TempDir()
-	wl, err := sim.PrepareWorkload([]string{"twolf"}, 50000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wl := sim.PrepareEntries(t, 50000, "twolf")
 	run := func() {
 		exp, err := sim.New(
 			sim.WithWorkload(wl),
@@ -149,16 +143,17 @@ func TestTraceDiskCache(t *testing.T) {
 func TestPrepareWorkloadContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := sim.PrepareWorkloadContext(ctx, []string{"gzip"}, 50000); err == nil {
+	specs, err := sim.SuiteSpecs("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.PrepareSpecsContext(ctx, specs, 50000); err == nil {
 		t.Fatal("want context error from cancelled preparation")
 	}
 }
 
 func TestWorkloadRegionsReportsMembership(t *testing.T) {
-	wl, err := sim.PrepareWorkload([]string{"gzip"}, 60000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wl := sim.PrepareEntries(t, 60000, "gzip")
 	if n, ok := wl.Regions("gzip"); !ok || n <= 0 {
 		t.Fatalf("gzip should be present with converted regions, got %d, %v", n, ok)
 	}
@@ -206,10 +201,7 @@ func TestSimulateProgramTraceMode(t *testing.T) {
 // keyed by its binary alone.
 func TestSimulateProgramMatchesExperimentCell(t *testing.T) {
 	const commits, profile = 60000, 60000
-	wl, err := sim.PrepareWorkload([]string{"vpr"}, profile)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wl := sim.PrepareEntries(t, profile, "vpr")
 	plain, err := sim.BuildBenchmark("vpr")
 	if err != nil {
 		t.Fatal(err)

@@ -27,7 +27,6 @@ type RunManifest = obs.Manifest
 // Progress output, manifest PhasesNS maps and span histograms without
 // importing internal packages.
 const (
-	PhasePrepare     = obs.PhasePrepare
 	PhaseCacheLookup = obs.PhaseCacheLookup
 	PhaseRecord      = obs.PhaseRecord
 	PhaseDecode      = obs.PhaseDecode
@@ -78,7 +77,6 @@ func NewObserverWithClock(now func() int64) *Observer {
 		cacheHits:     r.Counter("trace.cache.hits"),
 		cacheRecords:  r.Counter("trace.cache.records"),
 		spans: map[string]*obs.Histogram{
-			PhasePrepare:     r.Histogram("span.prepare.ns"),
 			PhaseCacheLookup: r.Histogram("span.cache-lookup.ns"),
 			PhaseRecord:      r.Histogram("span.trace-record.ns"),
 			PhaseDecode:      r.Histogram("span.decode.ns"),

@@ -24,10 +24,7 @@ func fakeClock(step int64) func() int64 {
 func observedSweep(t *testing.T, dir string) (metrics, manifests []byte) {
 	t.Helper()
 	o := sim.NewObserverWithClock(fakeClock(10))
-	wl, err := sim.PrepareWorkload([]string{"gzip", "vpr"}, 50000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wl := sim.PrepareEntries(t, 50000, "gzip", "vpr")
 	exp, err := sim.New(
 		sim.WithWorkload(wl),
 		sim.WithSchemes("conventional", "predpred"),
@@ -118,10 +115,7 @@ func observedPair(t *testing.T, wl *sim.Workload) ([]sim.RunManifest, []byte) {
 // experiments' start order keeps their manifests apart and the stream
 // independent of worker completion order.
 func TestManifestsOrderedByExperiment(t *testing.T) {
-	wl, err := sim.PrepareWorkload([]string{"gzip", "vpr"}, 50000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wl := sim.PrepareEntries(t, 50000, "gzip", "vpr")
 	ms, n1 := observedPair(t, wl)
 	_, n2 := observedPair(t, wl)
 	if len(ms) != 8 {
@@ -139,10 +133,7 @@ func TestManifestsOrderedByExperiment(t *testing.T) {
 
 func TestObserverManifestContents(t *testing.T) {
 	o := sim.NewObserverWithClock(fakeClock(7))
-	wl, err := sim.PrepareWorkload([]string{"gzip"}, 50000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wl := sim.PrepareEntries(t, 50000, "gzip")
 	exp, err := sim.New(
 		sim.WithWorkload(wl),
 		sim.WithSchemes("conventional", "predpred"),
@@ -198,8 +189,6 @@ func TestObserverManifestContents(t *testing.T) {
 	if hits, recs := snap.CounterValue("trace.cache.hits"), snap.CounterValue("trace.cache.records"); hits+recs != 1 {
 		t.Errorf("cache hits %d + records %d, want exactly one acquisition", hits, recs)
 	}
-	// No prepare span: WithWorkload hands Start an already-prepared
-	// workload, so the prepare phase never runs.
 	for _, span := range []string{"span.decode.ns", "span.frontend.ns", "span.engine.ns"} {
 		if h, ok := snap.HistogramValue(span); !ok || h.Count == 0 {
 			t.Errorf("span histogram %q empty", span)
@@ -235,7 +224,7 @@ func TestObservedSinksForwardAndTime(t *testing.T) {
 // TestWithObserverNil rejects a nil observer at option time rather
 // than panicking mid-run.
 func TestWithObserverNil(t *testing.T) {
-	_, err := sim.New(sim.WithSchemes("predpred"), sim.WithObserver(nil))
+	_, err := sim.New(sim.WithSchemes("predpred"), sim.WithWorkload(testWorkload(t)), sim.WithObserver(nil))
 	if err == nil {
 		t.Fatal("WithObserver(nil) should fail at New")
 	}

@@ -237,45 +237,25 @@ func (e *Experiment) buildJobs(wl *Workload, plans []pointPlan, experiment int) 
 	return jobs
 }
 
-// prepare resolves what every job of a run shares: the workload
-// (prepared here if WithWorkload did not supply one) and, in trace
-// mode, the trace provider, which records each benchmark at most once
-// for the whole run.
-func (e *Experiment) prepare(ctx context.Context) (*Workload, *traceProvider, error) {
-	wl := e.workload
-	if wl == nil {
-		t0 := e.observer.now()
-		var err error
-		wl, err = prepareSpecs(ctx, e.suiteSpecs, e.profileSteps)
-		if err != nil {
-			return nil, nil, err
-		}
-		e.observer.span(PhasePrepare, e.observer.now()-t0)
-	}
-	var traces *traceProvider
-	if e.mode == ModeTrace {
-		traces = newTraceProvider(e.traceDir, e.commits, e.observer)
-	}
-	return wl, traces, nil
-}
-
-// Start prepares the workload (once, shared by every point) if one was
-// not supplied, plans every point's cells (plan) and launches the
-// worker pool under ctx over the planned jobs, point-major. In trace
-// mode one shared provider records each benchmark's trace exactly once
-// for the whole run — an N-point sweep over the full suite records 22
-// traces, not 22×N. Cancelling ctx stops workers promptly: queued runs
-// are abandoned and in-flight simulations stop at the next commit
-// slice.
+// Start plans every point's cells (plan) over the experiment's
+// workload and launches the worker pool under ctx over the planned
+// jobs, point-major. In trace mode one shared provider records each
+// benchmark's trace exactly once for the whole run — an N-point sweep
+// over the full suite records 22 traces, not 22×N. Cancelling ctx
+// stops workers promptly: queued runs are abandoned and in-flight
+// simulations stop at the next commit slice. The error is always nil:
+// the workload arrives prepared, and each run's failure is reported on
+// its Result.
 func (e *Experiment) Start(ctx context.Context) (*Runner, error) {
-	return e.start(ctx, e.runJob)
+	return e.start(ctx, e.runJob), nil
 }
 
 // start is Start with the function each worker runs a job through.
-func (e *Experiment) start(ctx context.Context, run func(context.Context, *traceProvider, simJob) ([]Result, bool)) (*Runner, error) {
-	wl, traces, err := e.prepare(ctx)
-	if err != nil {
-		return nil, err
+func (e *Experiment) start(ctx context.Context, run func(context.Context, *traceProvider, simJob) ([]Result, bool)) *Runner {
+	wl := e.workload
+	var traces *traceProvider
+	if e.mode == ModeTrace {
+		traces = newTraceProvider(e.traceDir, e.commits, e.observer)
 	}
 	points := e.Points()
 	jobs := e.buildJobs(wl, e.plan(points), e.observer.startExperiment())
@@ -335,7 +315,7 @@ func (e *Experiment) start(ctx context.Context, run func(context.Context, *trace
 		close(r.results)
 		close(r.done)
 	}()
-	return r, nil
+	return r
 }
 
 // finish delivers, counts and reports each of one finished job's
@@ -586,10 +566,7 @@ func captureMem(pl *pipeline.Pipeline) MemStats {
 // on per-run errors (inspect Result.Err, or let Tabulate surface
 // them).
 func (e *Experiment) Run(ctx context.Context) ([]Result, error) {
-	r, err := e.Start(ctx)
-	if err != nil {
-		return nil, err
-	}
+	r := e.start(ctx, e.runJob)
 	var out []Result
 	for res := range r.Results() {
 		out = append(out, res)

@@ -19,10 +19,7 @@ import (
 // modes are exercised — trace mode additionally covers dropping a
 // coalesced multi-scheme job whole.
 func TestRunnerCancellationAccounting(t *testing.T) {
-	wl, err := PrepareWorkload([]string{"gzip", "vpr"}, 60000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wl := PrepareEntries(t, 60000, "gzip", "vpr")
 	for _, mode := range []Mode{ModePipeline, ModeTrace} {
 		t.Run(mode.String(), func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
@@ -146,10 +143,7 @@ func TestMemStatsZeroValue(t *testing.T) {
 // pool that runs the point's jobs one after another times out on the
 // first.
 func TestSweepCellsRunConcurrently(t *testing.T) {
-	wl, err := PrepareWorkload([]string{"gzip", "vpr"}, 50000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wl := PrepareEntries(t, 50000, "gzip", "vpr")
 	exp, err := New(
 		WithWorkload(wl),
 		WithSchemes("predpred"),
@@ -175,10 +169,7 @@ func TestSweepCellsRunConcurrently(t *testing.T) {
 		}
 		return exp.runJob(ctx, traces, j)
 	}
-	r, err := exp.start(context.Background(), rendezvous)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := exp.start(context.Background(), rendezvous)
 	var rs []Result
 	for res := range r.Results() {
 		rs = append(rs, res)

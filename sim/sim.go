@@ -6,12 +6,13 @@
 //
 // The package offers five pieces:
 //
-//   - a functional-options experiment builder: New(WithSuite(...),
+//   - a functional-options experiment builder: New(WithWorkload(wl),
 //     WithSchemes(...), WithIfConversion(true), WithCommits(n), ...)
-//     describes a benchmark × scheme matrix declaratively, and
-//     WithAxis / WithMutatorAxis / WithSample turn it into a sweep: the
-//     matrix runs once per point of the axes' grid (or Latin-hypercube
-//     sample); an experiment without axes is the one empty point;
+//     describes a benchmark × scheme matrix over a prepared Workload
+//     declaratively, and WithAxis / WithMutatorAxis / WithSample turn
+//     it into a sweep: the matrix runs once per point of the axes'
+//     grid (or Latin-hypercube sample); an experiment without axes is
+//     the one empty point;
 //
 //   - two execution modes, one per experiment: the full out-of-order
 //     cycle model (ModePipeline, the default) and a record-once trace
@@ -34,10 +35,13 @@
 //     CSV emitters for machine-readable figures, writing a sweep's
 //     point and axis columns when it has them.
 //
-// A minimal experiment:
+// A minimal experiment: resolve the suite entries, prepare their two
+// binary sets once, and run the matrix over them.
 //
+//	specs, err := sim.SuiteSpecs("gzip", "twolf")
+//	wl, err := sim.PrepareSpecsContext(ctx, specs, 200000)
 //	exp, err := sim.New(
-//	    sim.WithSuite("gzip", "twolf"),
+//	    sim.WithWorkload(wl),
 //	    sim.WithSchemes("conventional", "predpred"),
 //	    sim.WithCommits(60000),
 //	)
@@ -118,35 +122,29 @@ func BuildSpec(s BenchSpec) (*Program, error) {
 // and run it with Start (for streaming results) or Run (for a sorted
 // slice).
 type Experiment struct {
-	suite        []string    // suite entries as given; empty = full suite
-	suiteSpecs   []BenchSpec // entries resolved at New time (nil when workload is set)
-	schemes      []string    // scheme table names
-	ifConverted  bool
-	tag          string
-	commits      uint64
-	profileSteps uint64
-	mode         Mode   // execution mode (WithMode)
-	traceDir     string // trace cache override (WithTraceDir)
-	mutate       func(*Config)
-	parallelism  int
-	progress     func(Progress)
-	workload     *Workload
-	observer     *Observer
-	axes         []axis // sweep axes, in declaration order (WithAxis)
-	sample       int    // Latin-hypercube sample size; 0 = full grid
-	seed         int64  // sample shuffle seed
+	schemes     []string // scheme table names
+	ifConverted bool
+	tag         string
+	commits     uint64
+	mode        Mode   // execution mode (WithMode)
+	traceDir    string // trace cache override (WithTraceDir)
+	mutate      func(*Config)
+	parallelism int
+	progress    func(Progress)
+	workload    *Workload
+	observer    *Observer
+	axes        []axis // sweep axes, in declaration order (WithAxis)
+	sample      int    // Latin-hypercube sample size; 0 = full grid
+	seed        int64  // sample shuffle seed
 }
 
 // Option configures an Experiment under construction.
 type Option func(*Experiment) error
 
-// New validates the options and builds an Experiment. At least one
-// scheme is required; an empty suite means the full 22 benchmarks.
+// New validates the options and builds an Experiment. A prepared
+// workload (WithWorkload) and at least one scheme are required.
 func New(opts ...Option) (*Experiment, error) {
-	e := &Experiment{
-		commits:      300000,
-		profileSteps: 200000,
-	}
+	e := &Experiment{commits: 300000}
 	for _, opt := range opts {
 		if err := opt(e); err != nil {
 			return nil, err
@@ -161,32 +159,12 @@ func New(opts ...Option) (*Experiment, error) {
 		}
 	}
 	if e.workload == nil {
-		// Resolve every suite entry — benchmark names, workload preset
-		// names, spec files — now, so a typo fails at build time instead
-		// of mid-prepare. Start prepares from the resolved specs, not
-		// the entries: a spec file edited or deleted between New and
-		// Start cannot change (or break) the experiment.
-		specs, err := expandSuite(e.suite)
-		if err != nil {
-			return nil, err
-		}
-		e.suiteSpecs = specs
+		return nil, fmt.Errorf("sim: experiment needs a prepared workload (WithWorkload; see SuiteSpecs and PrepareSpecs)")
 	}
 	if err := e.checkAxes(); err != nil {
 		return nil, err
 	}
 	return e, nil
-}
-
-// WithSuite restricts the experiment to the named benchmarks (in the
-// given order). Each entry may be a suite benchmark name, a workload
-// preset name ("all", "int11" or "fp11"), or a spec file path
-// (*.json / *.toml). With no arguments the full suite runs.
-func WithSuite(names ...string) Option {
-	return func(e *Experiment) error {
-		e.suite = append([]string(nil), names...)
-		return nil
-	}
 }
 
 // WithSchemes sets the prediction schemes (scheme table names) each
@@ -225,15 +203,6 @@ func WithCommits(n uint64) Option {
 	}
 }
 
-// WithProfileSteps sets the profiling budget used when the experiment
-// has to prepare its own workload. Default 200000.
-func WithProfileSteps(n uint64) Option {
-	return func(e *Experiment) error {
-		e.profileSteps = n
-		return nil
-	}
-}
-
 // WithConfigMutator adjusts each run's configuration after the scheme
 // is applied — idealizations, ablations, resource sweeps. Start calls
 // the mutator once per (point, scheme), on its own goroutine, with a
@@ -266,9 +235,9 @@ func WithProgress(f func(Progress)) Option {
 	}
 }
 
-// WithWorkload reuses prepared binaries instead of building and
-// profiling them at Start, so many experiments can share one
-// preparation pass. The workload's benchmark set overrides WithSuite.
+// WithWorkload sets the prepared binaries the experiment runs: its
+// benchmarks, in the workload's order. Every experiment needs one, and
+// many experiments can share one preparation pass (PrepareSpecs).
 func WithWorkload(w *Workload) Option {
 	return func(e *Experiment) error {
 		if w == nil {

@@ -15,35 +15,35 @@ import (
 // dominates test runtime, so every test shares it.
 var testWorkload = func() func(t *testing.T) *sim.Workload {
 	var wl *sim.Workload
-	var err error
-	done := false
 	return func(t *testing.T) *sim.Workload {
 		t.Helper()
-		if !done {
-			wl, err = sim.PrepareWorkload([]string{"gzip"}, 30000)
-			done = true
-		}
-		if err != nil {
-			t.Fatal(err)
+		if wl == nil {
+			wl = sim.PrepareEntries(t, 30000, "gzip")
 		}
 		return wl
 	}
 }()
 
 func TestNewValidatesOptions(t *testing.T) {
-	if _, err := sim.New(); err == nil {
+	wl := sim.WithWorkload(testWorkload(t))
+	if _, err := sim.New(wl); err == nil {
 		t.Error("New with no schemes must fail")
 	}
-	if _, err := sim.New(sim.WithSchemes("no-such-scheme")); err == nil {
+	if _, err := sim.New(wl, sim.WithSchemes("no-such-scheme")); err == nil {
 		t.Error("unknown scheme must fail")
 	}
-	if _, err := sim.New(sim.WithSchemes("predpred"), sim.WithSuite("no-such-bench")); err == nil {
-		t.Error("unknown benchmark must fail")
-	}
-	if _, err := sim.New(sim.WithSchemes("predpred"), sim.WithParallelism(-1)); err == nil {
+	if _, err := sim.New(wl, sim.WithSchemes("predpred"), sim.WithParallelism(-1)); err == nil {
 		t.Error("negative parallelism must fail")
 	}
-	if _, err := sim.New(sim.WithSchemes("conventional", "predpred"), sim.WithSuite("gzip", "twolf")); err != nil {
+	if _, err := sim.New(sim.WithSchemes("predpred"), sim.WithWorkload(nil)); err == nil {
+		t.Error("nil workload must fail")
+	}
+	// An experiment runs a prepared workload; without one, New names
+	// the option that supplies it.
+	if _, err := sim.New(sim.WithSchemes("predpred")); err == nil || !strings.Contains(err.Error(), "WithWorkload") {
+		t.Errorf("New without a workload: error = %v, want one naming WithWorkload", err)
+	}
+	if _, err := sim.New(wl, sim.WithSchemes("conventional", "predpred")); err != nil {
 		t.Errorf("valid experiment rejected: %v", err)
 	}
 }

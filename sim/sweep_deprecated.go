@@ -76,10 +76,7 @@ type SweepRunner struct {
 // Deprecated: use Experiment.Start. Kept for benchmark/, its last
 // caller.
 func (s *Sweep) Start(ctx context.Context) (*SweepRunner, error) {
-	r, err := s.e.Start(ctx)
-	if err != nil {
-		return nil, err
-	}
+	r := s.e.start(ctx, s.e.runJob)
 	sr := &SweepRunner{r: r, results: make(chan SweepResult, r.Total())}
 	go func() {
 		defer close(sr.results)

@@ -17,10 +17,7 @@ import (
 // experiment over schemes, with opts (the axes) appended.
 func sweepOptions(t *testing.T, dir string, schemes []string, opts ...sim.Option) []sim.Option {
 	t.Helper()
-	wl, err := sim.PrepareWorkload([]string{"gzip", "vpr"}, 50000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wl := sim.PrepareEntries(t, 50000, "gzip", "vpr")
 	return append([]sim.Option{
 		sim.WithWorkload(wl),
 		sim.WithSchemes(schemes...),
@@ -116,7 +113,7 @@ func TestSweepValidation(t *testing.T) {
 // configuration with another's numbers. New rejects that order
 // and names the one to use.
 func TestSweepAxisOrder(t *testing.T) {
-	base := []sim.Option{sim.WithSchemes("predpred"), sim.WithSuite("vpr"), sim.WithMode(sim.ModeTrace)}
+	base := []sim.Option{sim.WithSchemes("predpred"), sim.WithWorkload(sim.PrepareEntries(t, 50000, "vpr")), sim.WithMode(sim.ModeTrace)}
 	for _, hist := range []string{"pred.ghrbits", "pred.lhrbits"} {
 		_, err := sim.New(append(base, sim.WithAxis("pvt.entries", 1024), sim.WithAxis("conf.bits", 2), sim.WithAxis(hist, 20))...)
 		if err == nil || !strings.Contains(err.Error(), "declare "+hist+" before pvt.entries") {
@@ -300,10 +297,7 @@ func TestSweepAggregation(t *testing.T) {
 // first delivered cell instead, a sweep streams only whole cells, each
 // carrying a point of the sweep, and Wait reports the context error.
 func TestSweepCancellation(t *testing.T) {
-	wl, err := sim.PrepareWorkload([]string{"gzip", "vpr"}, 50000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wl := sim.PrepareEntries(t, 50000, "gzip", "vpr")
 	dir := t.TempDir()
 	newSweep := func() *sim.Experiment {
 		exp, err := sim.New(
@@ -365,10 +359,7 @@ func TestSweepCancellation(t *testing.T) {
 // cell, and its CSV rows are the plain rows behind the point and axis
 // columns. The plain experiment's results carry the zero Point.
 func TestPlainExperimentIsTheEmptyPoint(t *testing.T) {
-	wl, err := sim.PrepareWorkload([]string{"gzip", "vpr"}, 50000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wl := sim.PrepareEntries(t, 50000, "gzip", "vpr")
 	run := func(opts ...sim.Option) []sim.Result {
 		exp, err := sim.New(append([]sim.Option{
 			sim.WithWorkload(wl),
@@ -446,10 +437,7 @@ func containsAll(s string, subs ...string) bool {
 // memory (gshare.idxbits=40 in pipeline mode); now Validate fails that
 // cell alone, and its sibling point still simulates.
 func TestSweepPredictorGeometryPastBounds(t *testing.T) {
-	wl, err := sim.PrepareWorkload([]string{"gzip"}, 50000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wl := sim.PrepareEntries(t, 50000, "gzip")
 	for _, tc := range []struct {
 		mode      sim.Mode
 		knob      string

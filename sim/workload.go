@@ -9,47 +9,26 @@ import (
 )
 
 // Workload holds the two prepared binary sets of §4.1 — plain and
-// profile-guided if-converted — for a set of suite benchmarks.
-// Preparing is the expensive part of an experiment (build + profile +
-// convert per benchmark), so a Workload is built once and shared
-// across experiments via WithWorkload.
+// profile-guided if-converted — for a set of benchmarks. Preparing is
+// the expensive part of an experiment (build + profile + convert per
+// benchmark), so a Workload is built once and shared across
+// experiments via WithWorkload. PrepareSpecs builds one, from the specs
+// SuiteSpecs resolves or from specs built in code.
 type Workload struct {
 	progs []stats.Programs
 }
 
-// PrepareWorkload builds and profiles the named benchmarks in
-// parallel. Each entry may be a built-in suite benchmark name, a
-// workload preset name ("all", "int11" or "fp11"), or the path of a
-// user-authored spec file (*.json / *.toml, loaded through bench.Load).
-// Nil or empty names = the full 22-benchmark suite. A benchmark reachable through two
-// entries is an error naming the duplicate, never a silently
-// double-prepared (and double-counted) run.
-func PrepareWorkload(names []string, profileSteps uint64) (*Workload, error) {
-	return PrepareWorkloadContext(context.Background(), names, profileSteps)
-}
-
-// PrepareWorkloadContext is PrepareWorkload under a context:
-// benchmarks not yet started when ctx is cancelled are skipped and the
-// context's error is returned, making the preparation phase
-// cancellable like simulation already is.
-func PrepareWorkloadContext(ctx context.Context, names []string, profileSteps uint64) (*Workload, error) {
-	specs, err := expandSuite(names)
-	if err != nil {
-		return nil, err
-	}
-	return prepareSpecs(ctx, specs, profileSteps)
-}
-
-// PrepareSpecs builds and profiles explicit, possibly user-authored
-// benchmark specs — the in-memory path behind PrepareWorkload's
-// file/preset lookup, for callers that construct or mutate specs
-// programmatically (workload-shape sweeps). Every spec is validated
-// and duplicate names are rejected.
+// PrepareSpecs builds and profiles benchmark specs in parallel: the
+// ones SuiteSpecs resolves from suite entries, or specs a caller
+// constructs or mutates programmatically (workload-shape sweeps).
+// Every spec is validated and duplicate names are rejected.
 func PrepareSpecs(specs []BenchSpec, profileSteps uint64) (*Workload, error) {
 	return PrepareSpecsContext(context.Background(), specs, profileSteps)
 }
 
-// PrepareSpecsContext is PrepareSpecs under a context.
+// PrepareSpecsContext is PrepareSpecs under a context: benchmarks not
+// yet started when ctx is cancelled are skipped and the context's
+// error is returned, making preparation cancellable like simulation.
 func PrepareSpecsContext(ctx context.Context, specs []BenchSpec, profileSteps uint64) (*Workload, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("sim: no benchmark specs to prepare")
@@ -64,7 +43,11 @@ func PrepareSpecsContext(ctx context.Context, specs []BenchSpec, profileSteps ui
 		}
 		seen[s.Name] = true
 	}
-	return prepareSpecs(ctx, specs, profileSteps)
+	progs, err := stats.PrepareContext(ctx, specs, profileSteps)
+	if err != nil {
+		return nil, fmt.Errorf("sim: prepare workload: %w", err)
+	}
+	return &Workload{progs: progs}, nil
 }
 
 // checkSpec is the validation every user-supplied spec passes: full
@@ -82,16 +65,6 @@ func checkSpec(s bench.Spec) error {
 		return nil
 	}
 	return bench.CheckSiteAllocation(s)
-}
-
-// prepareSpecs runs the build+profile pass over an already-validated,
-// duplicate-free spec list.
-func prepareSpecs(ctx context.Context, specs []bench.Spec, profileSteps uint64) (*Workload, error) {
-	progs, err := stats.PrepareContext(ctx, specs, profileSteps)
-	if err != nil {
-		return nil, fmt.Errorf("sim: prepare workload: %w", err)
-	}
-	return &Workload{progs: progs}, nil
 }
 
 // Len returns the number of prepared benchmarks.

@@ -90,24 +90,26 @@ func TestPrepareWorkloadRejectsDuplicates(t *testing.T) {
 	// A literally repeated entry must be an explicit error naming the
 	// duplicate, not a silently double-prepared (and in a sweep,
 	// double-counted) benchmark.
-	_, err := sim.PrepareWorkload([]string{"gzip", "gzip"}, 1000)
+	_, err := sim.SuiteSpecs("gzip", "gzip")
 	if err == nil || !strings.Contains(err.Error(), `"gzip"`) {
 		t.Fatalf("repeated entry error = %v, want one naming gzip", err)
 	}
 	// Same through overlapping workload expansion.
-	_, err = sim.PrepareWorkload([]string{"int11", "gzip"}, 1000)
+	_, err = sim.SuiteSpecs("int11", "gzip")
 	if err == nil || !strings.Contains(err.Error(), `"int11"`) || !strings.Contains(err.Error(), `"gzip"`) {
 		t.Fatalf("overlap error = %v, want one naming both entries", err)
 	}
-	// New must reject the same input at build time.
-	_, err = sim.New(sim.WithSchemes("predpred"), sim.WithSuite("gzip", "gzip"))
+	// PrepareSpecs must reject a repeated spec built in code, which
+	// never passed through the entry lookup.
+	gzip := mustFindSpec(t, "gzip")
+	_, err = sim.PrepareSpecs([]sim.BenchSpec{gzip, gzip}, 1000)
 	if err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Fatalf("New duplicate-suite error = %v", err)
+		t.Fatalf("PrepareSpecs duplicate-spec error = %v", err)
 	}
 }
 
 func TestWorkloadLookupErrors(t *testing.T) {
-	_, err := sim.PrepareWorkload([]string{"nonesuch"}, 1000)
+	_, err := sim.SuiteSpecs("nonesuch")
 	if err == nil {
 		t.Fatal("expected lookup error")
 	}
@@ -117,7 +119,7 @@ func TestWorkloadLookupErrors(t *testing.T) {
 		}
 	}
 	// A spec-file entry that does not exist surfaces the file error.
-	_, err = sim.PrepareWorkload([]string{"missing/spec.json"}, 1000)
+	_, err = sim.SuiteSpecs("missing/spec.json")
 	if err == nil || !strings.Contains(err.Error(), "missing/spec.json") {
 		t.Fatalf("missing file error = %v", err)
 	}
@@ -174,10 +176,9 @@ func TestSpecFileRoundTrip(t *testing.T) {
 	run := func() {
 		t.Helper()
 		exp, err := sim.New(
-			sim.WithSuite(specPath),
+			sim.WithWorkload(sim.PrepareEntries(t, 20000, specPath)),
 			sim.WithSchemes("conventional", "predpred"),
 			sim.WithCommits(20000),
-			sim.WithProfileSteps(20000),
 			sim.WithMode(sim.ModeTrace),
 			sim.WithTraceDir(dir),
 		)
@@ -218,7 +219,7 @@ func TestInvalidSpecFileFailsValidation(t *testing.T) {
 	if err := os.WriteFile(path, []byte(body), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	_, err := sim.New(sim.WithSchemes("predpred"), sim.WithSuite(path))
+	_, err := sim.SuiteSpecs(path)
 	if err == nil || !strings.Contains(err.Error(), "HardFrac") || !strings.Contains(err.Error(), "0.0..1.0") {
 		t.Fatalf("invalid spec error = %v, want HardFrac with legal range", err)
 	}
@@ -227,10 +228,9 @@ func TestInvalidSpecFileFailsValidation(t *testing.T) {
 func TestTOMLSpecThroughExperiment(t *testing.T) {
 	specPath := filepath.Join("..", "examples", "customworkload", "indirstorm.toml")
 	exp, err := sim.New(
-		sim.WithSuite(specPath),
+		sim.WithWorkload(sim.PrepareEntries(t, 15000, specPath)),
 		sim.WithSchemes("predpred"),
 		sim.WithCommits(15000),
-		sim.WithProfileSteps(15000),
 		sim.WithMode(sim.ModeTrace),
 		sim.WithTraceDir(t.TempDir()),
 	)

@@ -9,10 +9,10 @@ import (
 )
 
 // WorkloadSpec names a reusable set of benchmark specs — the workload
-// counterpart of the scheme table. Anywhere a suite entry is
-// accepted (WithSuite, PrepareWorkload, the CLIs' -suite/-workload
-// flags) a preset name expands to its spec set, so experiments select
-// workload shapes the same way they select predictor organizations.
+// counterpart of the scheme table. Anywhere a suite entry is accepted
+// (SuiteSpecs, and through it the CLIs' -suite/-workload flags) a
+// preset name expands to its spec set, so experiments select workload
+// shapes the same way they select predictor organizations.
 type WorkloadSpec struct {
 	// Name is the preset's key, used in suite entries.
 	Name string
@@ -65,15 +65,6 @@ func WorkloadNames() []string {
 	return names
 }
 
-// SuiteSpecs resolves suite entries — benchmark names, workload
-// preset names, spec file paths — into their validated,
-// duplicate-free spec list: the lookup behind WithSuite and
-// PrepareWorkload, exported for tools that need the specs without
-// preparing binaries (cmd/predsim's -workload flag).
-func SuiteSpecs(entries ...string) ([]BenchSpec, error) {
-	return expandSuite(entries)
-}
-
 // SplitEntries parses a comma-separated CLI list (the -suite,
 // -workload and -schemes flags) into trimmed entries, mapping "" to
 // nil instead of [""] — shared so the CLIs cannot drift.
@@ -95,16 +86,17 @@ func isSpecFile(entry string) bool {
 		strings.ContainsAny(entry, `/\`)
 }
 
-// expandSuite resolves suite entries into a validated, duplicate-free
-// spec list. Each entry may be a spec file path (*.json / *.toml,
-// loaded and validated), a workload preset name (expanded to its
-// members), or a built-in suite benchmark name — tried in that order.
-// Nil or empty entries select the full built-in suite. A benchmark
-// appearing twice — a literally repeated entry, or two workloads
-// sharing a member — is an error naming the benchmark and both source
-// entries, so experiment matrices and sweep rows are never silently
-// double-counted.
-func expandSuite(entries []string) ([]bench.Spec, error) {
+// SuiteSpecs resolves suite entries into a validated, duplicate-free
+// spec list: the first step of every experiment's input chain, before
+// PrepareSpecs and WithWorkload. Each entry may be a spec file path
+// (*.json / *.toml, loaded and validated), a workload preset name
+// (expanded to its members), or a built-in suite benchmark name —
+// tried in that order. No entries select the full built-in suite. A
+// benchmark appearing twice — a literally repeated entry, or two
+// workloads sharing a member — is an error naming the benchmark and
+// both source entries, so experiment matrices and sweep rows are never
+// silently double-counted.
+func SuiteSpecs(entries ...string) ([]BenchSpec, error) {
 	if len(entries) == 0 {
 		return bench.Suite(), nil
 	}
