@@ -292,12 +292,12 @@ func TestPhaseBranchBiasFlips(t *testing.T) {
 	// Record per-PC conditional-branch outcomes through the emulator.
 	outcomes := map[int][]bool{}
 	em := emulator.New(p)
-	em.StepHook = func(info emulator.StepInfo) {
+	for range 300000 {
+		info := em.Step()
 		if info.IsBranch && p.At(info.PC).Op == isa.OpBr && p.At(info.PC).IsConditional() {
 			outcomes[info.PC] = append(outcomes[info.PC], info.Taken)
 		}
 	}
-	em.Run(300000)
 
 	// A phase branch executes once per outer iteration, so outcome i
 	// belongs to iteration i and regimes are contiguous period-length
@@ -359,16 +359,17 @@ func TestIndirectDispatchPolymorphic(t *testing.T) {
 	}
 	targets := map[int]map[int]bool{}
 	em := emulator.New(p)
-	em.StepHook = func(info emulator.StepInfo) {
+	for range 100000 {
+		info := em.Step()
+		if info.Halted {
+			t.Fatalf("indirect workload halted after %d steps", em.Steps)
+		}
 		if p.At(info.PC).Op == isa.OpBrInd {
 			if targets[info.PC] == nil {
 				targets[info.PC] = map[int]bool{}
 			}
 			targets[info.PC][info.Target] = true
 		}
-	}
-	if n := em.Run(100000); n < 100000 {
-		t.Fatalf("indirect workload halted after %d steps", n)
 	}
 	for pc, ts := range targets {
 		if len(ts) < 2 || len(ts) > s.IndirTargets {

@@ -7,6 +7,7 @@
 package emulator
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -20,21 +21,35 @@ const pageSize = 1 << pageBits
 type page [pageSize]byte
 
 // Memory is a sparse, paged, little-endian 64-bit byte-addressable
-// memory. Uninitialized locations read as zero.
+// memory. Uninitialized locations read as zero. A one-entry cache of
+// the last page touched sits in front of the page map, so a run of
+// accesses to one page costs one map lookup; a read therefore updates
+// the cache, and a Memory must not be shared between goroutines.
 type Memory struct {
-	pages map[uint64]*page
+	pages  map[uint64]*page
+	last   *page  // page lastPN, or nil before the first access to a mapped page
+	lastPN uint64 // page number of last
 }
 
 // NewMemory returns an empty memory.
 func NewMemory() *Memory { return &Memory{pages: make(map[uint64]*page)} }
 
+// pageFor returns the page holding addr, allocating it when create is
+// set; without create an untouched page is nil, and is not cached.
 func (m *Memory) pageFor(addr uint64, create bool) *page {
 	pn := addr >> pageBits
+	if m.last != nil && m.lastPN == pn {
+		return m.last
+	}
 	p := m.pages[pn]
-	if p == nil && create {
+	if p == nil {
+		if !create {
+			return nil
+		}
 		p = new(page)
 		m.pages[pn] = p
 	}
+	m.last, m.lastPN = p, pn
 	return p
 }
 
@@ -61,11 +76,7 @@ func (m *Memory) Read64(addr uint64) uint64 {
 		if p == nil {
 			return 0
 		}
-		var v uint64
-		for i := 7; i >= 0; i-- {
-			v = v<<8 | uint64(p[off+uint64(i)])
-		}
-		return v
+		return binary.LittleEndian.Uint64(p[off:])
 	}
 	var v uint64
 	for i := 7; i >= 0; i-- {
@@ -78,10 +89,7 @@ func (m *Memory) Read64(addr uint64) uint64 {
 func (m *Memory) Write64(addr uint64, v uint64) {
 	off := addr & (pageSize - 1)
 	if off <= pageSize-8 {
-		p := m.pageFor(addr, true)
-		for i := 0; i < 8; i++ {
-			p[off+uint64(i)] = byte(v >> (8 * i))
-		}
+		binary.LittleEndian.PutUint64(m.pageFor(addr, true)[off:], v)
 		return
 	}
 	for i := 0; i < 8; i++ {
@@ -161,13 +169,9 @@ type Emulator struct {
 	State *State
 	// Steps counts executed (committed) instructions including nullified.
 	Steps uint64
-	// Halted is latched once OpHalt commits.
+	// Halted is latched once OpHalt commits or the PC leaves the
+	// program.
 	Halted bool
-	// StepHook, when non-nil, observes every executed instruction's
-	// StepInfo after its architectural effects have been applied. It is
-	// the recording seam for package trace; it is not invoked for the
-	// post-halt no-op records Step returns once Halted is latched.
-	StepHook func(StepInfo)
 }
 
 // New returns an emulator at PC 0 with fresh state.
@@ -178,19 +182,28 @@ func New(p *program.Program) *Emulator {
 // Step executes one instruction and advances PC. It returns the step
 // record. Calling Step after halt returns a Halted record.
 func (e *Emulator) Step() StepInfo {
-	if e.Halted {
-		return StepInfo{PC: e.State.PC, Halted: true}
-	}
+	var info StepInfo
+	e.StepInto(&info)
+	return info
+}
+
+// StepInto is Step writing the step record into *info, which it
+// overwrites whole; it is the one stepping primitive, so a caller that
+// steps in a loop reuses one record. Once halted, or when the PC has
+// left the program (which latches Halted), it executes nothing, counts
+// no step and writes a record holding only PC and Halted.
+func (e *Emulator) StepInto(info *StepInfo) {
 	s := e.State
-	if s.PC < 0 || s.PC >= e.Prog.Len() {
+	pc := s.PC
+	if e.Halted || pc < 0 || pc >= len(e.Prog.Insts) {
 		e.Halted = true
-		return StepInfo{PC: s.PC, Halted: true}
+		*info = StepInfo{PC: pc, Halted: true}
+		return
 	}
-	in := e.Prog.At(s.PC)
-	info := StepInfo{PC: s.PC, Op: in.Op}
+	in := &e.Prog.Insts[pc]
 	qp := s.ReadPred(in.QP)
-	info.QPTrue = qp
-	nextPC := s.PC + 1
+	*info = StepInfo{PC: pc, Op: in.Op, QPTrue: qp}
+	nextPC := pc + 1
 
 	switch in.Op {
 	case isa.OpNop:
@@ -199,15 +212,76 @@ func (e *Emulator) Step() StepInfo {
 			e.Halted = true
 			info.Halted = true
 		}
-	case isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpDiv, isa.OpAnd, isa.OpOr,
-		isa.OpXor, isa.OpShl, isa.OpShr:
+	// One case per integer ALU opcode, so a step pays a single
+	// dispatch; intALU, the pipeline's evaluator, shares div, shl and
+	// shr with these cases.
+	case isa.OpAdd:
 		if qp {
-			s.WriteGPR(in.Rd, intALU(in.Op, s.ReadGPR(in.Rs1), s.ReadGPR(in.Rs2)))
+			s.WriteGPR(in.Rd, s.ReadGPR(in.Rs1)+s.ReadGPR(in.Rs2))
 		}
-	case isa.OpAddI, isa.OpSubI, isa.OpMulI, isa.OpAndI, isa.OpOrI,
-		isa.OpXorI, isa.OpShlI, isa.OpShrI:
+	case isa.OpAddI:
 		if qp {
-			s.WriteGPR(in.Rd, intALU(immALUOp(in.Op), s.ReadGPR(in.Rs1), in.Imm))
+			s.WriteGPR(in.Rd, s.ReadGPR(in.Rs1)+in.Imm)
+		}
+	case isa.OpSub:
+		if qp {
+			s.WriteGPR(in.Rd, s.ReadGPR(in.Rs1)-s.ReadGPR(in.Rs2))
+		}
+	case isa.OpSubI:
+		if qp {
+			s.WriteGPR(in.Rd, s.ReadGPR(in.Rs1)-in.Imm)
+		}
+	case isa.OpMul:
+		if qp {
+			s.WriteGPR(in.Rd, s.ReadGPR(in.Rs1)*s.ReadGPR(in.Rs2))
+		}
+	case isa.OpMulI:
+		if qp {
+			s.WriteGPR(in.Rd, s.ReadGPR(in.Rs1)*in.Imm)
+		}
+	case isa.OpDiv:
+		if qp {
+			s.WriteGPR(in.Rd, div(s.ReadGPR(in.Rs1), s.ReadGPR(in.Rs2)))
+		}
+	case isa.OpAnd:
+		if qp {
+			s.WriteGPR(in.Rd, s.ReadGPR(in.Rs1)&s.ReadGPR(in.Rs2))
+		}
+	case isa.OpAndI:
+		if qp {
+			s.WriteGPR(in.Rd, s.ReadGPR(in.Rs1)&in.Imm)
+		}
+	case isa.OpOr:
+		if qp {
+			s.WriteGPR(in.Rd, s.ReadGPR(in.Rs1)|s.ReadGPR(in.Rs2))
+		}
+	case isa.OpOrI:
+		if qp {
+			s.WriteGPR(in.Rd, s.ReadGPR(in.Rs1)|in.Imm)
+		}
+	case isa.OpXor:
+		if qp {
+			s.WriteGPR(in.Rd, s.ReadGPR(in.Rs1)^s.ReadGPR(in.Rs2))
+		}
+	case isa.OpXorI:
+		if qp {
+			s.WriteGPR(in.Rd, s.ReadGPR(in.Rs1)^in.Imm)
+		}
+	case isa.OpShl:
+		if qp {
+			s.WriteGPR(in.Rd, shl(s.ReadGPR(in.Rs1), s.ReadGPR(in.Rs2)))
+		}
+	case isa.OpShlI:
+		if qp {
+			s.WriteGPR(in.Rd, shl(s.ReadGPR(in.Rs1), in.Imm))
+		}
+	case isa.OpShr:
+		if qp {
+			s.WriteGPR(in.Rd, shr(s.ReadGPR(in.Rs1), s.ReadGPR(in.Rs2)))
+		}
+	case isa.OpShrI:
+		if qp {
+			s.WriteGPR(in.Rd, shr(s.ReadGPR(in.Rs1), in.Imm))
 		}
 	case isa.OpMov:
 		if qp {
@@ -292,7 +366,7 @@ func (e *Emulator) Step() StepInfo {
 		info.Target = in.Target
 		if qp {
 			info.Taken = true
-			s.WriteGPR(in.Rd, int64(s.PC+1))
+			s.WriteGPR(in.Rd, int64(pc+1))
 			nextPC = in.Target
 		}
 	case isa.OpRet, isa.OpBrInd:
@@ -304,82 +378,67 @@ func (e *Emulator) Step() StepInfo {
 			nextPC = t
 		}
 	default:
-		panic(fmt.Sprintf("emulator: unknown op %v at @%d", in.Op, s.PC))
+		panic(fmt.Sprintf("emulator: unknown op %v at @%d", in.Op, pc))
 	}
 
 	s.PC = nextPC
 	e.Steps++
-	if e.StepHook != nil {
-		e.StepHook(info)
-	}
-	return info
 }
 
 // Run executes up to maxSteps instructions (0 means unbounded) and
-// returns the number executed. It stops at halt.
+// returns the number of steps taken, counting the one that finds the
+// PC off the program. It stops at halt.
 func (e *Emulator) Run(maxSteps uint64) uint64 {
+	var info StepInfo
 	var n uint64
 	for !e.Halted && (maxSteps == 0 || n < maxSteps) {
-		e.Step()
+		e.StepInto(&info)
 		n++
 	}
 	return n
 }
 
+// intALU evaluates an integer ALU operation, register-register or
+// immediate form alike (b is rs2 or the immediate), with one dispatch.
 func intALU(op isa.Op, a, b int64) int64 {
 	switch op {
-	case isa.OpAdd:
+	case isa.OpAdd, isa.OpAddI:
 		return a + b
-	case isa.OpSub:
+	case isa.OpSub, isa.OpSubI:
 		return a - b
-	case isa.OpMul:
+	case isa.OpMul, isa.OpMulI:
 		return a * b
 	case isa.OpDiv:
-		if b == 0 {
-			return -1
-		}
-		// Avoid the INT64_MIN / -1 overflow trap.
-		if a == math.MinInt64 && b == -1 {
-			return math.MinInt64
-		}
-		return a / b
-	case isa.OpAnd:
+		return div(a, b)
+	case isa.OpAnd, isa.OpAndI:
 		return a & b
-	case isa.OpOr:
+	case isa.OpOr, isa.OpOrI:
 		return a | b
-	case isa.OpXor:
+	case isa.OpXor, isa.OpXorI:
 		return a ^ b
-	case isa.OpShl:
-		return a << (uint64(b) & 63)
-	case isa.OpShr:
-		return int64(uint64(a) >> (uint64(b) & 63))
+	case isa.OpShl, isa.OpShlI:
+		return shl(a, b)
+	case isa.OpShr, isa.OpShrI:
+		return shr(a, b)
 	}
 	panic("emulator: not an int ALU op")
 }
 
-// immALUOp maps an immediate-form ALU op to its register-register
-// counterpart so intALU can evaluate both.
-func immALUOp(op isa.Op) isa.Op {
-	switch op {
-	case isa.OpAddI:
-		return isa.OpAdd
-	case isa.OpSubI:
-		return isa.OpSub
-	case isa.OpMulI:
-		return isa.OpMul
-	case isa.OpAndI:
-		return isa.OpAnd
-	case isa.OpOrI:
-		return isa.OpOr
-	case isa.OpXorI:
-		return isa.OpXor
-	case isa.OpShlI:
-		return isa.OpShl
-	case isa.OpShrI:
-		return isa.OpShr
+// div is the trap-free division: by zero it yields all-ones.
+func div(a, b int64) int64 {
+	if b == 0 {
+		return -1
 	}
-	panic("emulator: not an immediate ALU op")
+	// Avoid the INT64_MIN / -1 overflow trap.
+	if a == math.MinInt64 && b == -1 {
+		return math.MinInt64
+	}
+	return a / b
 }
+
+// shl and shr shift by the low six bits of b; shr is logical.
+func shl(a, b int64) int64 { return a << (uint64(b) & 63) }
+func shr(a, b int64) int64 { return int64(uint64(a) >> (uint64(b) & 63)) }
 
 func fpALU(op isa.Op, a, b float64) float64 {
 	switch op {
@@ -400,7 +459,7 @@ func fpALU(op isa.Op, a, b float64) float64 {
 func ExecALU(op isa.Op, a, b int64) int64 { return intALU(op, a, b) }
 
 // ExecImmALU evaluates an immediate-form ALU operation.
-func ExecImmALU(op isa.Op, a, imm int64) int64 { return intALU(immALUOp(op), a, imm) }
+func ExecImmALU(op isa.Op, a, imm int64) int64 { return intALU(op, a, imm) }
 
 // ExecFPALU evaluates a floating ALU operation.
 func ExecFPALU(op isa.Op, a, b float64) float64 { return fpALU(op, a, b) }

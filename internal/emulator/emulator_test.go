@@ -29,6 +29,44 @@ func TestMemoryReadWrite(t *testing.T) {
 	}
 }
 
+// memOp is one access of a random sequence over a few pages.
+type memOp struct {
+	Write, Wide bool // a write rather than a read; 64-bit rather than 8-bit
+	Page        uint8
+	Off         uint16
+	Straddle    bool // place the access in the last 7 bytes of its page
+	Val         uint64
+}
+
+// memPages are the pages memOp sequences touch: neighbours (so a 64-bit
+// access straddles into the next page) and far ones.
+var memPages = [...]uint64{0, 1, 2, 7, 1 << 20}
+
+func (o memOp) addr() uint64 {
+	base := memPages[int(o.Page)%len(memPages)] << pageBits
+	if o.Straddle {
+		return base + pageSize - 7 + uint64(o.Off)%7
+	}
+	return base + uint64(o.Off)%pageSize
+}
+
+// refMemory is the map-only reference a Memory must match.
+type refMemory map[uint64]byte
+
+func (r refMemory) read64(addr uint64) uint64 {
+	var v uint64
+	for i := 7; i >= 0; i-- {
+		v = v<<8 | uint64(r[addr+uint64(i)])
+	}
+	return v
+}
+
+func (r refMemory) write64(addr, v uint64) {
+	for i := uint64(0); i < 8; i++ {
+		r[addr+i] = byte(v >> (8 * i))
+	}
+}
+
 func TestMemoryRoundTripProperty(t *testing.T) {
 	m := NewMemory()
 	f := func(addr uint64, v uint64) bool {
@@ -38,6 +76,62 @@ func TestMemoryRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+
+	// Interleaved reads and writes of both widths across pages, many
+	// straddling a page boundary, must read what the map-only
+	// reference holds, whichever page the last access left cached.
+	interleaved := func(ops []memOp) bool {
+		m, ref := NewMemory(), refMemory{}
+		for _, o := range ops {
+			a := o.addr()
+			switch {
+			case o.Write && o.Wide:
+				m.Write64(a, o.Val)
+				ref.write64(a, o.Val)
+			case o.Write:
+				m.Write8(a, byte(o.Val))
+				ref[a] = byte(o.Val)
+			case o.Wide:
+				if m.Read64(a) != ref.read64(a) {
+					return false
+				}
+			default:
+				if m.Read8(a) != ref[a] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(interleaved, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+
+	// A read of an untouched page right after a write elsewhere reads
+	// zero, and leaves the written page readable; a straddling write
+	// into an untouched page is seen from both pages.
+	m = NewMemory()
+	ref := refMemory{}
+	const a, b, c = 3 * pageSize, 9 * pageSize, 12*pageSize - 4
+	for _, step := range []func(){
+		func() { m.Write64(a+16, 0x1122334455667788); ref.write64(a+16, 0x1122334455667788) },
+		func() {},
+		func() { m.Write64(c, 0xa1a2a3a4a5a6a7a8); ref.write64(c, 0xa1a2a3a4a5a6a7a8) },
+		func() { m.Write8(b+5, 0x5a); ref[b+5] = 0x5a },
+	} {
+		step()
+		for _, addr := range []uint64{b, a + 16, b + 5, c, c + 4, 12 * pageSize, a + 16} {
+			if got, want := m.Read64(addr), ref.read64(addr); got != want {
+				t.Fatalf("Read64(%#x) = %#x, want %#x", addr, got, want)
+			}
+			if got, want := m.Read8(addr), ref[addr]; got != want {
+				t.Fatalf("Read8(%#x) = %#x, want %#x", addr, got, want)
+			}
+		}
+	}
+	if m.Footprint() != 4 {
+		t.Fatalf("footprint %d pages, want 4 (reads must not allocate)", m.Footprint())
 	}
 }
 

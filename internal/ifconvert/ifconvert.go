@@ -13,6 +13,7 @@
 package ifconvert
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -41,37 +42,64 @@ func (b BranchProfile) MispredictRate() float64 {
 // Profile maps static branch instruction index to its profile.
 type Profile map[int]*BranchProfile
 
+// profileChunk is the emulator-step slice between context checks while
+// profiling: the recorder's slice, for the same reason.
+const profileChunk = 65536
+
 // ProfileProgram runs the program functionally for up to maxSteps
 // instructions, predicting every conditional branch with a per-branch
 // bimodal reference predictor (the fast-converging "profile feedback"
 // model of the paper's compiler flow), and records per-branch execution
 // and misprediction counts.
 func ProfileProgram(p *program.Program, maxSteps uint64) Profile {
-	em := emulator.New(p)
-	bimodal := make([]predictor.SatCounter, p.Len())
-	prof := make(Profile)
-	for i := uint64(0); i < maxSteps && !em.Halted; i++ {
-		pc := em.State.PC
-		in := p.At(pc)
-		info := em.Step()
-		if !info.IsBranch || !in.IsConditional() {
-			continue
-		}
-		bp := prof[pc]
-		if bp == nil {
-			bp = &BranchProfile{PC: pc}
-			prof[pc] = bp
-		}
-		bp.Execs++
-		if info.Taken {
-			bp.Taken++
-		}
-		if bimodal[pc].Taken() != info.Taken {
-			bp.Mispredicts++
-		}
-		bimodal[pc].Train(info.Taken)
-	}
+	prof, _ := ProfileProgramContext(context.Background(), p, maxSteps)
 	return prof
+}
+
+// ProfileProgramContext is ProfileProgram honoring ctx: it checks ctx
+// before every slice of profileChunk steps and returns ctx's error, and
+// no profile, once ctx is done.
+func ProfileProgramContext(ctx context.Context, p *program.Program, maxSteps uint64) (Profile, error) {
+	// Per static instruction: whether it is a conditional branch, its
+	// counts and its bimodal counter. The map is built once at the end.
+	cond := make([]bool, p.Len())
+	for pc := range p.Insts {
+		cond[pc] = p.Insts[pc].IsConditional()
+	}
+	counts := make([]BranchProfile, p.Len())
+	bimodal := make([]predictor.SatCounter, p.Len())
+	em := emulator.New(p)
+	var info emulator.StepInfo
+	for !em.Halted && em.Steps < maxSteps {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		for chunk := min(profileChunk, maxSteps-em.Steps); chunk > 0 && !em.Halted; chunk-- {
+			pc := em.State.PC
+			em.StepInto(&info)
+			if uint(pc) >= uint(len(cond)) || !cond[pc] {
+				continue
+			}
+			bp := &counts[pc]
+			bp.Execs++
+			if info.Taken {
+				bp.Taken++
+			}
+			if bimodal[pc].Taken() != info.Taken {
+				bp.Mispredicts++
+			}
+			bimodal[pc].Train(info.Taken)
+		}
+	}
+	prof := make(Profile)
+	for pc := range counts {
+		if counts[pc].Execs > 0 {
+			bp := counts[pc]
+			bp.PC = pc
+			prof[pc] = &bp
+		}
+	}
+	return prof, nil
 }
 
 // Options controls region selection.

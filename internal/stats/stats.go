@@ -56,7 +56,8 @@ func Prepare(suite []bench.Spec, profileSteps uint64) ([]Programs, error) {
 
 // PrepareContext builds both binary sets for every benchmark in
 // parallel, honoring ctx: benchmarks not yet started when the context
-// is cancelled are skipped and the context's error is returned, so the
+// is cancelled are skipped, a profile in progress stops within one
+// slice of its steps, and the context's error is returned, so the
 // expensive preparation phase is cancellable like simulation already
 // is.
 func PrepareContext(ctx context.Context, suite []bench.Spec, profileSteps uint64) ([]Programs, error) {
@@ -75,7 +76,11 @@ func PrepareContext(ctx context.Context, suite []bench.Spec, profileSteps uint64
 				return
 			}
 			p := bench.Build(s)
-			prof := ifconvert.ProfileProgram(p, profileSteps)
+			prof, err := ifconvert.ProfileProgramContext(ctx, p, profileSteps)
+			if err != nil {
+				errs[i] = err
+				return
+			}
 			res, err := ifconvert.Convert(p, ifconvert.DefaultOptions(prof))
 			if err != nil {
 				errs[i] = fmt.Errorf("%s: %w", s.Name, err)

@@ -1,8 +1,8 @@
 package trace
 
 import (
-	"bytes"
 	"context"
+	"encoding/binary"
 
 	"repro/internal/emulator"
 	"repro/internal/isa"
@@ -13,20 +13,6 @@ import (
 // recording, so cancellation lands within a fraction of a millisecond
 // without the check appearing in profiles.
 const recordChunk = 65536
-
-// recorder accumulates the event stream while observing emulator steps
-// through the StepHook seam.
-type recorder struct {
-	prog *program.Program
-	buf  bytes.Buffer
-	gap  uint64 // uninteresting instructions since the last event
-}
-
-func (r *recorder) event(kind byte) {
-	putUvarint(&r.buf, r.gap)
-	r.gap = 0
-	r.buf.WriteByte(kind)
-}
 
 // KindOf returns the kind of record a committed instance of in leaves
 // in a trace, or 0 for a plain instruction, which leaves none (an
@@ -51,63 +37,21 @@ func KindOf(in *isa.Inst) uint8 {
 	return 0
 }
 
-func (r *recorder) observe(info emulator.StepInfo) {
-	in := r.prog.At(info.PC)
-	switch kind := KindOf(in); kind {
-	case EvHalt:
-		r.event(kind)
-	case EvCompare:
-		if info.QPTrue {
-			kind |= fCmpQPTrue
-		}
+// siteKind returns the kind byte every committed instance of in
+// starts with: KindOf with the flags that follow from the instruction
+// alone (a compare's guard and type) already set. Record computes it
+// once per static instruction.
+func siteKind(in *isa.Inst) uint8 {
+	kind := KindOf(in)
+	if kind == EvCompare {
 		if in.QP != isa.P0 {
 			kind |= fCmpGuarded
 		}
 		if in.CType == isa.CmpUnc {
 			kind |= fCmpUnc
 		}
-		r.event(kind)
-		var ob byte
-		if info.Out.Write1 {
-			ob |= 1
-		}
-		if info.Out.Val1 {
-			ob |= 2
-		}
-		if info.Out.Write2 {
-			ob |= 4
-		}
-		if info.Out.Val2 {
-			ob |= 8
-		}
-		r.buf.WriteByte(ob)
-		putUvarint(&r.buf, uint64(info.PC))
-		r.buf.WriteByte(byte(in.P1))
-		r.buf.WriteByte(byte(in.P2))
-		if in.QP != isa.P0 {
-			r.buf.WriteByte(byte(in.QP))
-		}
-	case EvCall:
-		r.event(kind)
-		putUvarint(&r.buf, uint64(info.PC))
-	case EvRet, EvBrInd:
-		if info.Taken {
-			kind |= flagTaken
-		}
-		r.event(kind)
-		putUvarint(&r.buf, uint64(info.PC))
-		putUvarint(&r.buf, uint64(info.Target))
-	case EvCondBr:
-		if info.Taken {
-			kind |= flagTaken
-		}
-		r.event(kind)
-		putUvarint(&r.buf, uint64(info.PC))
-		r.buf.WriteByte(byte(in.QP))
-	default:
-		// Plain instructions count towards the next event's gap.
-		r.gap++
 	}
+	return kind
 }
 
 // Record runs the program on the functional emulator for at most
@@ -115,9 +59,20 @@ func (r *recorder) observe(info emulator.StepInfo) {
 // committed-stream trace. It checks ctx between step slices, so a long
 // recording is promptly cancellable.
 func Record(ctx context.Context, p *program.Program, maxSteps uint64) (*Trace, error) {
-	rec := &recorder{prog: p}
+	kinds := make([]uint8, p.Len())
+	for pc := range p.Insts {
+		kinds[pc] = siteKind(&p.Insts[pc])
+	}
+	// A budgeted recording is presized to 1.25 bytes a step, above the
+	// densest stream the suite and the example specs record (1.19), so
+	// it appends without growing.
+	var ev []byte
+	if maxSteps > 0 {
+		ev = make([]byte, 0, maxSteps+maxSteps/4)
+	}
 	em := emulator.New(p)
-	em.StepHook = rec.observe
+	var info emulator.StepInfo
+	var gap uint64 // plain instructions since the last event
 	for !em.Halted {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -128,19 +83,73 @@ func Record(ctx context.Context, p *program.Program, maxSteps uint64) (*Trace, e
 			if left == 0 {
 				break
 			}
-			if left < chunk {
-				chunk = left
-			}
+			chunk = min(chunk, left)
 		}
-		if em.Run(chunk) == 0 {
-			break
+		for ; chunk > 0 && !em.Halted; chunk-- {
+			pc := em.State.PC
+			em.StepInto(&info)
+			if uint(pc) >= uint(len(kinds)) {
+				break // the PC left the program: StepInto latched Halted
+			}
+			kind := kinds[pc]
+			if kind == 0 {
+				gap++
+				continue
+			}
+			ev = binary.AppendUvarint(ev, gap)
+			gap = 0
+			in := &p.Insts[pc]
+			switch kind & 7 {
+			case EvHalt:
+				ev = append(ev, kind)
+			case EvCompare:
+				if info.QPTrue {
+					kind |= fCmpQPTrue
+				}
+				var ob byte
+				if info.Out.Write1 {
+					ob |= 1
+				}
+				if info.Out.Val1 {
+					ob |= 2
+				}
+				if info.Out.Write2 {
+					ob |= 4
+				}
+				if info.Out.Val2 {
+					ob |= 8
+				}
+				ev = append(ev, kind, ob)
+				ev = binary.AppendUvarint(ev, uint64(pc))
+				ev = append(ev, byte(in.P1), byte(in.P2))
+				if in.QP != isa.P0 {
+					ev = append(ev, byte(in.QP))
+				}
+			case EvCall:
+				ev = append(ev, kind)
+				ev = binary.AppendUvarint(ev, uint64(pc))
+			case EvRet, EvBrInd:
+				if info.Taken {
+					kind |= flagTaken
+				}
+				ev = append(ev, kind)
+				ev = binary.AppendUvarint(ev, uint64(pc))
+				ev = binary.AppendUvarint(ev, uint64(info.Target))
+			case EvCondBr:
+				if info.Taken {
+					kind |= flagTaken
+				}
+				ev = append(ev, kind)
+				ev = binary.AppendUvarint(ev, uint64(pc))
+				ev = append(ev, byte(in.QP))
+			}
 		}
 	}
 	t := &Trace{
 		ProgHash: HashProgram(p),
 		Steps:    em.Steps,
 		Halted:   em.Halted,
-		Events:   rec.buf.Bytes(),
+		Events:   ev,
 	}
 	recordings.Inc()
 	return t, nil

@@ -1,9 +1,9 @@
 // Package trace implements the record-once branch/predicate trace
 // subsystem: a compact varint-encoded binary format for the committed
 // instruction stream of one benchmark run, a context-aware recorder
-// driven by the functional emulator (package emulator's StepHook seam),
-// and a disk cache keyed by the traced binary, so a binary is recorded
-// once and its trace reused across entry points and processes.
+// that steps the functional emulator itself (Record), and a disk cache
+// keyed by the traced binary, so a binary is recorded once and its
+// trace reused across entry points and processes.
 //
 // A trace carries exactly the inputs trace replay (internal/stats)
 // reads from the committed path: conditional-branch outcomes and
@@ -18,7 +18,6 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -116,22 +115,23 @@ func HashProgram(p *program.Program) uint64 {
 	return h.Sum64()
 }
 
-// EncodeTo serializes the trace.
+// EncodeTo serializes the trace: a header, then the event stream
+// written straight from Events.
 func (t *Trace) EncodeTo(w io.Writer) error {
-	var b bytes.Buffer
-	b.WriteString(magic)
-	var raw [8]byte
-	binary.LittleEndian.PutUint64(raw[:], t.ProgHash)
-	b.Write(raw[:])
-	putUvarint(&b, t.Steps)
+	hdr := make([]byte, 0, len(magic)+8+2*binary.MaxVarintLen64+1)
+	hdr = append(hdr, magic...)
+	hdr = binary.LittleEndian.AppendUint64(hdr, t.ProgHash)
+	hdr = binary.AppendUvarint(hdr, t.Steps)
+	var halted byte
 	if t.Halted {
-		b.WriteByte(1)
-	} else {
-		b.WriteByte(0)
+		halted = 1
 	}
-	putUvarint(&b, uint64(len(t.Events)))
-	b.Write(t.Events)
-	_, err := w.Write(b.Bytes())
+	hdr = append(hdr, halted)
+	hdr = binary.AppendUvarint(hdr, uint64(len(t.Events)))
+	if _, err := w.Write(hdr); err != nil {
+		return err
+	}
+	_, err := w.Write(t.Events)
 	return err
 }
 
@@ -291,10 +291,4 @@ func (c *Cursor) NextBatch(buf []Event) int {
 		n++
 	}
 	return n
-}
-
-func putUvarint(b *bytes.Buffer, v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	b.Write(tmp[:n])
 }

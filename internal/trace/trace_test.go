@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/emulator"
+	"repro/internal/isa"
 )
 
 func recordBench(t *testing.T, name string, steps uint64) *Trace {
@@ -73,14 +74,12 @@ func TestRecordMatchesEmulator(t *testing.T) {
 		pc   int
 	}
 	taken := map[key]bool{}
-	var step uint64
-	em.StepHook = func(info emulator.StepInfo) {
-		if info.IsBranch && p.At(info.PC).IsConditional() && p.At(info.PC).Op.String() == "br" {
+	for step := uint64(0); step < 20000; step++ {
+		info := em.Step()
+		if info.IsBranch && p.At(info.PC).IsConditional() && p.At(info.PC).Op == isa.OpBr {
 			taken[key{step, info.PC}] = info.Taken
 		}
-		step++
 	}
-	em.Run(20000)
 
 	cur := tr.EventCursor()
 	var ev Event
@@ -118,6 +117,21 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(got.Events, tr.Events) {
 		t.Fatal("event stream mismatch after round trip")
+	}
+}
+
+// TestEncodeLayout pins the serialized form byte for byte: magic,
+// little-endian program hash, step count, halted flag, event length,
+// then the events.
+func TestEncodeLayout(t *testing.T) {
+	tr := &Trace{ProgHash: 0x0807060504030201, Steps: 300, Halted: true, Events: []byte{1, 2, 3}}
+	var buf bytes.Buffer
+	if err := tr.EncodeTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte(magic), 1, 2, 3, 4, 5, 6, 7, 8, 0xac, 0x02, 1, 3, 1, 2, 3)
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("encoded % x\nwant    % x", buf.Bytes(), want)
 	}
 }
 
