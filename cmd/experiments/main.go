@@ -30,13 +30,12 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
 
+	"repro/cmd/internal/cli"
 	"repro/sim"
 )
 
@@ -50,13 +49,9 @@ func idealize(c *sim.Config) { c.IdealNoAlias, c.IdealPerfectGHR = true, true }
 
 // driver carries the shared pieces every figure run needs.
 type driver struct {
-	ctx      context.Context
+	*cli.Command
 	workload *sim.Workload
-	commits  uint64
-	mode     sim.Mode
 	verbose  bool
-	sink     sim.Sink      // non-nil in machine-readable mode
-	obsv     *sim.Observer // non-nil when -metrics/-manifest requested
 }
 
 // run executes one tagged benchmark × scheme matrix and returns the
@@ -68,53 +63,25 @@ func (d *driver) run(tag string, schemes []string, ifConverted bool, mutate func
 		sim.WithTag(tag),
 		sim.WithSchemes(schemes...),
 		sim.WithIfConversion(ifConverted),
-		sim.WithCommits(d.commits),
 		sim.WithConfigMutator(mutate),
-		sim.WithMode(d.mode),
-	}
-	if d.obsv != nil {
-		opts = append(opts, sim.WithObserver(d.obsv))
 	}
 	if d.verbose {
 		opts = append(opts, sim.WithProgress(func(p sim.Progress) {
 			fmt.Fprintf(os.Stderr, "[%s %d/%d] %s/%s\n", tag, p.Done, p.Total, p.Bench, p.Scheme)
 		}))
 	}
-	exp, err := sim.New(opts...)
-	if err != nil {
-		d.fatal(err)
-	}
-	runner, err := exp.Start(d.ctx)
-	if err != nil {
-		d.fatal(err)
-	}
-	var results []sim.Result
-	for r := range runner.Results() {
-		// Stream each record into the machine-readable sink as it
-		// completes, so ^C mid-matrix still leaves the finished runs
-		// on stdout.
-		if d.sink != nil {
-			if err := d.sink.Emit(r); err != nil {
-				d.fatal(err)
-			}
-		}
-		results = append(results, r)
-	}
-	if err := runner.Wait(); err != nil {
-		d.fatal(err)
-	}
-	sim.SortResults(results)
-	return results
+	return d.Run(d.Experiment(opts...))
 }
 
 // text reports only in text mode, so machine-readable output stays pure.
 func (d *driver) text(format string, args ...any) {
-	if d.sink == nil {
+	if d.Format == "text" {
 		fmt.Printf(format, args...)
 	}
 }
 
 func main() {
+	c := cli.New(cli.Experiments)
 	var (
 		table1    = flag.Bool("table1", false, "print Table 1")
 		fig5      = flag.Bool("fig5", false, "run Figure 5")
@@ -124,16 +91,7 @@ func main() {
 		fig6ideal = flag.Bool("fig6ideal", false, "run the §4.3 idealized experiment")
 		ablate    = flag.Bool("ablate", false, "run the design-choice ablations")
 		all       = flag.Bool("all", false, "run everything")
-		commits   = flag.Uint64("n", 300000, "committed instructions per run")
-		profSteps = flag.Uint64("profile", 200000, "profiling steps for if-conversion")
-		workload  = flag.String("workload", "", "comma-separated workload entries — spec files (*.json/*.toml), workload preset names (all, int11, fp11), or benchmark names (empty = the full suite)")
-		format    = flag.String("format", "text", "output format: text | json | csv")
-		mode      = flag.String("mode", "pipeline", "execution mode: pipeline (cycle model) or trace (record-once trace replay; accuracy figures only, ~10-100x faster)")
 		verbose   = flag.Bool("v", false, "print per-run progress to stderr")
-		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof   = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		metrics   = flag.String("metrics", "", "write a metrics snapshot (spans, counters) to this JSON file at exit")
-		manifest  = flag.String("manifest", "", "write one NDJSON run manifest per run to this file at exit")
 	)
 	flag.Parse()
 	if *all {
@@ -144,61 +102,16 @@ func main() {
 		os.Exit(2)
 	}
 
-	d := &driver{commits: *commits, verbose: *verbose}
-	m, err := sim.ParseMode(*mode)
-	if err != nil {
-		fatal(err)
-	}
-	d.mode = m
-	if *metrics != "" || *manifest != "" {
-		d.obsv = sim.NewObserver()
-	}
-	switch *format {
-	case "text":
-	case "json":
-		d.sink = sim.ObservedSink(d.obsv, sim.NewJSONSink(os.Stdout))
-	case "csv":
-		d.sink = sim.ObservedSink(d.obsv, sim.NewCSVSink(os.Stdout))
-	default:
-		fatal(fmt.Errorf("unknown format %q (want text, json, or csv)", *format))
-	}
-	if *cpuprof != "" {
-		stopProf, err := sim.StartCPUProfile(*cpuprof)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := stopProf(); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-			}
-		}()
-	}
-
+	d := &driver{Command: c, verbose: *verbose}
+	c.Start()
 	if *table1 {
 		d.text("%s\n", sim.DefaultConfig().Table1())
 	}
-
-	needSim := *fig5 || *fig5ideal || *fig6a || *fig6b || *fig6ideal || *ablate
-	if !needSim {
-		writeObservations(d.obsv, *metrics, *manifest, *memprof)
+	if !(*fig5 || *fig5ideal || *fig6a || *fig6b || *fig6ideal || *ablate) {
+		c.Finish()
 		return
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	d.ctx = ctx
-
-	specs, err := sim.SuiteSpecs(sim.SplitEntries(*workload)...)
-	if err != nil {
-		d.fatal(err)
-	}
-	// Prepare under the signal context: ^C while profiling exits the
-	// same way as ^C during a run.
-	wl, err := sim.PrepareSpecsContext(ctx, specs, *profSteps)
-	if err != nil {
-		d.fatal(err)
-	}
-	d.workload = wl
+	d.workload = c.Prepare()
 
 	if *fig5 {
 		runs := d.run("fig5", two, false, nil)
@@ -244,7 +157,7 @@ func main() {
 	if *fig6b {
 		bd, err := sim.BreakdownTable(fig6runs)
 		if err != nil {
-			d.fatal(err)
+			d.Fatal(err)
 		}
 		d.text("%s\n", sim.RenderBreakdown(bd))
 		d.text("paper: +1.0pp correlation, +0.5pp early-resolved on average;\n")
@@ -262,33 +175,7 @@ func main() {
 	if *ablate {
 		runAblations(d)
 	}
-
-	if d.sink != nil {
-		if err := d.sink.Close(); err != nil {
-			fatal(err)
-		}
-	}
-	writeObservations(d.obsv, *metrics, *manifest, *memprof)
-}
-
-// writeObservations flushes the -metrics / -manifest / -memprofile
-// outputs at the end of a run.
-func writeObservations(o *sim.Observer, metrics, manifest, memprof string) {
-	if metrics != "" {
-		if err := o.WriteMetricsFile(metrics); err != nil {
-			fatal(err)
-		}
-	}
-	if manifest != "" {
-		if err := o.WriteManifestsFile(manifest); err != nil {
-			fatal(err)
-		}
-	}
-	if memprof != "" {
-		if err := sim.WriteHeapProfile(memprof); err != nil {
-			fatal(err)
-		}
-	}
+	c.Finish()
 }
 
 // bestOther returns the non-predicate scheme with the lowest average
@@ -323,7 +210,7 @@ func runAblations(d *driver) {
 	}
 	subset, err := d.workload.Subset(have...)
 	if err != nil {
-		d.fatal(err)
+		d.Fatal(err)
 	}
 	sub := *d // every shared piece, the observer included
 	sub.workload = subset
@@ -341,7 +228,7 @@ func runAblations(d *driver) {
 	d.text("%-10s %9.2f%% %9.2f%%  (shared should not be worse: it avoids wasting rows on p0 destinations)\n\n",
 		"AVG", shared.Average("predpred"), split.Average("predpred"))
 
-	if d.mode == sim.ModeTrace {
+	if d.Mode == sim.ModeTrace {
 		// Ablations 2 and 3 report IPC and rename-stage predication
 		// counters, which only the pipeline's timing model produces.
 		d.text("Ablations 2 and 3 need the pipeline timing model; skipped in trace mode.\n\n")
@@ -413,21 +300,7 @@ func runGHRAblation(d, sd *driver) {
 func (d *driver) mustTab(title string, schemes []string, runs []sim.Result) *sim.Table {
 	t, err := sim.Tabulate(title, schemes, runs)
 	if err != nil {
-		d.fatal(err)
+		d.Fatal(err)
 	}
 	return t
-}
-
-// fatal closes the machine-readable sink (flushing buffered rows —
-// including records that carry per-run errors) before exiting.
-func (d *driver) fatal(err error) {
-	if d.sink != nil {
-		d.sink.Close()
-	}
-	fatal(err)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "experiments:", err)
-	os.Exit(1)
 }

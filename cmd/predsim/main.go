@@ -7,7 +7,7 @@
 //
 // Examples:
 //
-//	predsim -bench vpr -scheme predpred -ifconvert -n 300000
+//	predsim -bench vpr -scheme predpred -ifconvert -n 600000
 //	predsim -bench twolf -scheme conventional
 //	predsim -workload examples/customworkload/phasehop.json -mode trace
 //	predsim -list
@@ -17,35 +17,27 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 
+	"repro/cmd/internal/cli"
 	"repro/sim"
 )
 
 func main() {
+	c := cli.New(cli.Predsim)
 	var (
 		asmFile   = flag.String("asm", "", "assemble and run this file instead of a suite benchmark")
 		benchName = flag.String("bench", "gzip", "benchmark name (see -list)")
-		workload  = flag.String("workload", "", "run a workload entry instead of -bench: a spec file (*.json/*.toml), a workload preset name (see -workloads), or a benchmark name; must resolve to exactly one benchmark")
 		scheme    = flag.String("scheme", "predpred", "prediction scheme (see -schemes)")
 		ifconv    = flag.Bool("ifconvert", false, "run the if-converted binary (profile-guided)")
-		commits   = flag.Uint64("n", 300000, "committed-instruction budget")
-		profile   = flag.Uint64("profile", 200000, "profiling steps for if-conversion")
 		list      = flag.Bool("list", false, "list the benchmark suite and exit")
 		schemes   = flag.Bool("schemes", false, "list the prediction schemes (the paper's three organizations) and exit")
 		workloads = flag.Bool("workloads", false, "list the workload presets and exit")
 		disasm    = flag.Bool("disasm", false, "disassemble the (possibly converted) binary and exit")
 		ideal     = flag.Bool("ideal", false, "idealized predictors: no aliasing, perfect global history")
 		selectPr  = flag.Bool("select", false, "force select-µop predication (disable selective prediction)")
-		mode      = flag.String("mode", "pipeline", "execution mode: pipeline (cycle model) or trace (record-once trace replay, accuracy stats only)")
-		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof   = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		metrics   = flag.String("metrics", "", "write a metrics snapshot (spans, counters) to this JSON file at exit")
-		manifest  = flag.String("manifest", "", "write an NDJSON run manifest to this file at exit")
 	)
 	flag.Parse()
 
@@ -72,39 +64,39 @@ func main() {
 	}
 
 	var prog *sim.Program
-	if *workload != "" {
-		specs, err := sim.SuiteSpecs(*workload)
+	if c.Workload != "" {
+		specs, err := sim.SuiteSpecs(c.Workload)
 		if err != nil {
-			fatal(err)
+			c.Fatal(err)
 		}
 		if len(specs) != 1 {
-			fatal(fmt.Errorf("workload %q names %d benchmarks; predsim runs one (drive multi-benchmark workloads through cmd/experiments or cmd/sweep)", *workload, len(specs)))
+			c.Fatal(fmt.Errorf("workload %q names %d benchmarks; predsim runs one (drive multi-benchmark workloads through cmd/experiments or cmd/sweep)", c.Workload, len(specs)))
 		}
 		prog, err = sim.BuildSpec(specs[0])
 		if err != nil {
-			fatal(err)
+			c.Fatal(err)
 		}
 	} else if *asmFile != "" {
 		text, err := os.ReadFile(*asmFile)
 		if err != nil {
-			fatal(err)
+			c.Fatal(err)
 		}
 		prog, err = sim.Assemble(*asmFile, string(text))
 		if err != nil {
-			fatal(err)
+			c.Fatal(err)
 		}
 	} else {
 		var err error
 		prog, err = sim.BuildBenchmark(*benchName)
 		if err != nil {
-			fatal(err)
+			c.Fatal(err)
 		}
 	}
 	if *ifconv {
-		prof := sim.ProfileProgram(prog, *profile)
+		prof := sim.ProfileProgram(prog, c.ProfileSteps)
 		res, err := sim.IfConvert(prog, sim.DefaultIfConvertOptions(prof))
 		if err != nil {
-			fatal(err)
+			c.Fatal(err)
 		}
 		fmt.Printf("# if-converted %d regions (%d branches removed, %d region branches)\n",
 			len(res.Converted), res.Removed, res.RegionBrs)
@@ -116,65 +108,29 @@ func main() {
 	}
 
 	if _, ok := sim.ResolveScheme(*scheme); !ok {
-		fatal(fmt.Errorf("unknown scheme %q (schemes: %v)", *scheme, sim.SchemeNames()))
+		c.Fatal(fmt.Errorf("unknown scheme %q (schemes: %v)", *scheme, sim.SchemeNames()))
 	}
-	m, err := sim.ParseMode(*mode)
-	if err != nil {
-		fatal(err)
-	}
-	var obsv *sim.Observer
-	if *metrics != "" || *manifest != "" {
-		obsv = sim.NewObserver()
-	}
-	if *cpuprof != "" {
-		stopProf, err := sim.StartCPUProfile(*cpuprof)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := stopProf(); err != nil {
-				fmt.Fprintln(os.Stderr, "predsim:", err)
-			}
-		}()
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
+	ctx := c.Start()
 	res, err := sim.SimulateProgram(ctx, sim.ProgramRun{
 		Program:  prog,
 		Scheme:   *scheme,
-		Commits:  *commits,
-		Mode:     m,
-		Observer: obsv,
-		Mutate: func(c *sim.Config) {
+		Commits:  c.Commits,
+		Mode:     c.Mode,
+		Observer: c.Observer,
+		Mutate: func(cfg *sim.Config) {
 			if *ideal {
-				c.IdealNoAlias, c.IdealPerfectGHR = true, true
+				cfg.IdealNoAlias, cfg.IdealPerfectGHR = true, true
 			}
 			if *selectPr {
-				c.Predication = sim.PredicationSelect
+				cfg.Predication = sim.PredicationSelect
 			}
 		},
 	})
 	if err != nil {
-		fatal(err)
+		c.Fatal(err)
 	}
 	report(prog, res)
-
-	if *metrics != "" {
-		if err := obsv.WriteMetricsFile(*metrics); err != nil {
-			fatal(err)
-		}
-	}
-	if *manifest != "" {
-		if err := obsv.WriteManifestsFile(*manifest); err != nil {
-			fatal(err)
-		}
-	}
-	if *memprof != "" {
-		if err := sim.WriteHeapProfile(*memprof); err != nil {
-			fatal(err)
-		}
-	}
+	c.Finish()
 }
 
 func report(p *sim.Program, res sim.ProgramResult) {
@@ -209,9 +165,4 @@ func report(p *sim.Program, res sim.ProgramResult) {
 	m := res.Mem
 	fmt.Printf("caches: L1I %.2f%%  L1D %.2f%%  L2 %.2f%% miss; %d load forwards\n",
 		100*m.L1IMissRate(), 100*m.L1DMissRate(), 100*m.L2MissRate(), st.LoadForwards)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "predsim:", err)
-	os.Exit(1)
 }

@@ -14,55 +14,46 @@
 // Examples:
 //
 //	sweep -axes pvt.entries=256,512,1024,2048 -schemes conventional,predpred,peppa -mode trace
-//	sweep -axes "pvt.entries=512,2048;conf.bits=1,2,3,4" -suite gzip,vpr,twolf
+//	sweep -axes "pvt.entries=512,2048;conf.bits=1,2,3,4" -workload gzip,vpr,twolf
 //	sweep -axes pred.ghrbits=10,20,30 -sample 2 -seed 7 -format json
 //	sweep -axes conf.bits=1,2,3 -workload examples/customworkload/phasehop.json
 //	sweep -axes pvt.entries=512,3696 -workload int11
 //	sweep -knobs
 //
-// -suite and -workload entries are interchangeable: each may be a
-// suite benchmark name, a workload preset name (all, int11, fp11), or
-// the path of a user-authored spec file (*.json / *.toml) — making
-// every sweep a two-axis study over config knobs × workload shape.
+// -workload takes the same entries as cmd/experiments: suite benchmark
+// names, workload preset names (all, int11, fp11) and paths of
+// user-authored spec files (*.json / *.toml), in any mix, making every
+// sweep a two-axis study over config knobs × workload shape. Empty
+// means the full suite.
 //
 // A summary (best point per scheme plus per-axis marginal tables)
 // prints to stderr after the sweep, keeping stdout machine-readable.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"strings"
 	"time"
 
+	"repro/cmd/internal/cli"
 	"repro/sim"
 )
 
 func main() {
+	c := cli.New(cli.Sweep)
 	var (
-		axesFlag  = flag.String("axes", "", `sweep axes: "knob=v1,v2,...", ";"-separated (see -knobs)`)
-		schemes   = flag.String("schemes", "conventional,predpred", "comma-separated prediction schemes")
-		suite     = flag.String("suite", "", "comma-separated benchmark subset (empty = full suite)")
-		workload  = flag.String("workload", "", "comma-separated extra workload entries — spec files (*.json/*.toml), workload preset names, or benchmark names — merged with -suite")
-		mode      = flag.String("mode", "trace", "execution mode: trace (record-once replay) or pipeline (cycle model)")
-		ifconv    = flag.Bool("ifconvert", false, "run the if-converted binary set")
-		commits   = flag.Uint64("n", 300000, "committed-instruction budget per run")
-		profSteps = flag.Uint64("profile", 200000, "profiling steps for workload preparation")
-		sample    = flag.Int("sample", 0, "Latin-hypercube subsample size (0 = full cross-product)")
-		seed      = flag.Int64("seed", 1, "subsample shuffle seed")
-		format    = flag.String("format", "csv", "output format: csv | json (long format, one row per run)")
-		par       = flag.Int("p", 0, "worker parallelism (0 = GOMAXPROCS)")
-		summary   = flag.Bool("summary", true, "print best point and per-axis marginals to stderr")
-		verbose   = flag.Bool("v", false, "print a throttled progress heartbeat (point, elapsed, ETA) to stderr")
-		knobs     = flag.Bool("knobs", false, "list the sweep knobs and exit")
-		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof   = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		metrics   = flag.String("metrics", "", "write a metrics snapshot (spans, counters) to this JSON file at exit")
-		manifest  = flag.String("manifest", "", "write one NDJSON run manifest per cell to this file at exit")
+		axesFlag = flag.String("axes", "", `sweep axes: "knob=v1,v2,...", ";"-separated (see -knobs)`)
+		schemes  = flag.String("schemes", "conventional,predpred", "comma-separated prediction schemes")
+		ifconv   = flag.Bool("ifconvert", false, "run the if-converted binary set")
+		sample   = flag.Int("sample", 0, "Latin-hypercube subsample size (0 = full cross-product)")
+		seed     = flag.Int64("seed", 1, "subsample shuffle seed")
+		par      = flag.Int("p", 0, "worker parallelism (0 = GOMAXPROCS)")
+		summary  = flag.Bool("summary", true, "print best point and per-axis marginals to stderr")
+		verbose  = flag.Bool("v", false, "print a throttled progress heartbeat (point, elapsed, ETA) to stderr")
+		knobs    = flag.Bool("knobs", false, "list the sweep knobs and exit")
 	)
 	flag.Parse()
 
@@ -78,34 +69,16 @@ func main() {
 		os.Exit(2)
 	}
 
-	m, err := sim.ParseMode(*mode)
-	if err != nil {
-		fatal(err)
-	}
+	c.Start()
 	axes, err := parseAxes(*axesFlag)
 	if err != nil {
-		fatal(err)
+		c.Fatal(err)
 	}
-
-	specs, err := sim.SuiteSpecs(append(split(*suite), split(*workload)...)...)
-	if err != nil {
-		fatal(err)
-	}
-	// One signal context covers preparation and the sweep, so ^C
-	// cancels either.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	wl, err := sim.PrepareSpecsContext(ctx, specs, *profSteps)
-	if err != nil {
-		fatal(err)
-	}
-
+	schemeNames := sim.SplitEntries(*schemes)
 	opts := []sim.Option{
-		sim.WithWorkload(wl),
-		sim.WithSchemes(split(*schemes)...),
+		sim.WithWorkload(c.Prepare()),
+		sim.WithSchemes(schemeNames...),
 		sim.WithIfConversion(*ifconv),
-		sim.WithCommits(*commits),
-		sim.WithMode(m),
 		sim.WithParallelism(*par),
 	}
 	for _, ax := range axes {
@@ -117,78 +90,13 @@ func main() {
 	if *verbose {
 		opts = append(opts, sim.WithProgress(heartbeat(os.Stderr)))
 	}
-	var obsv *sim.Observer
-	if *metrics != "" || *manifest != "" {
-		obsv = sim.NewObserver()
-		opts = append(opts, sim.WithObserver(obsv))
-	}
-	exp, err := sim.New(opts...)
-	if err != nil {
-		fatal(err)
-	}
-
-	var sink sim.Sink
-	switch *format {
-	case "csv":
-		sink = sim.NewCSVSink(os.Stdout, exp.AxisNames()...)
-	case "json":
-		sink = sim.NewJSONSink(os.Stdout)
-	default:
-		fatal(fmt.Errorf("unknown format %q (want csv or json)", *format))
-	}
-	sink = sim.ObservedSink(obsv, sink)
-
-	if *cpuprof != "" {
-		stopProf, err := sim.StartCPUProfile(*cpuprof)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := stopProf(); err != nil {
-				fmt.Fprintln(os.Stderr, "sweep:", err)
-			}
-		}()
-	}
-
-	runner, err := exp.Start(ctx)
-	if err != nil {
-		fatal(err)
-	}
-	var results []sim.Result
-	for r := range runner.Results() {
-		// Stream each cell as it completes, so ^C mid-sweep still
-		// leaves every finished cell on stdout.
-		if err := sink.Emit(r); err != nil {
-			fatal(err)
-		}
-		results = append(results, r)
-	}
-	if err := sink.Close(); err != nil {
-		fatal(err)
-	}
-	if err := runner.Wait(); err != nil {
-		fatal(err)
-	}
-	sim.SortResults(results)
-
+	exp := c.Experiment(opts...)
+	results := c.Run(exp)
+	// Finish flushes the sink, so the whole of stdout precedes the
+	// summary on a shared terminal.
+	c.Finish()
 	if *summary {
-		printSummary(exp, split(*schemes), results)
-	}
-
-	if *metrics != "" {
-		if err := obsv.WriteMetricsFile(*metrics); err != nil {
-			fatal(err)
-		}
-	}
-	if *manifest != "" {
-		if err := obsv.WriteManifestsFile(*manifest); err != nil {
-			fatal(err)
-		}
-	}
-	if *memprof != "" {
-		if err := sim.WriteHeapProfile(*memprof); err != nil {
-			fatal(err)
-		}
+		printSummary(c, exp, schemeNames, results)
 	}
 }
 
@@ -216,19 +124,19 @@ func heartbeat(w io.Writer) func(sim.Progress) {
 
 // printSummary writes the aggregation layer's view — best point per
 // scheme, then one marginal table per axis — to stderr.
-func printSummary(exp *sim.Experiment, schemes []string, results []sim.Result) {
+func printSummary(c *cli.Command, exp *sim.Experiment, schemes []string, results []sim.Result) {
 	fmt.Fprintf(os.Stderr, "\n%d points, %d runs\n", len(exp.Points()), len(results))
 	for _, s := range schemes {
 		best, rate, err := sim.BestPoint(results, s)
 		if err != nil {
-			fatal(err)
+			c.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "best for %-14s %s  (%.2f%% mispredict)\n", s+":", best, rate)
 	}
 	for _, axis := range exp.AxisNames() {
 		rows, err := sim.MarginalTable(results, axis, schemes)
 		if err != nil {
-			fatal(err)
+			c.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "\n%s", sim.RenderMarginals(axis, schemes, rows))
 	}
@@ -251,31 +159,23 @@ func parseAxes(s string) ([]axisSpec, error) {
 		name, vals, ok := strings.Cut(clause, "=")
 		name = strings.TrimSpace(name)
 		if !ok || name == "" {
-			return nil, fmt.Errorf(`sweep: axis %q is not "knob=v1,v2,..."`, clause)
+			return nil, fmt.Errorf(`axis %q is not "knob=v1,v2,..."`, clause)
 		}
 		spec := axisSpec{name: name}
 		for _, v := range strings.Split(vals, ",") {
 			v = strings.TrimSpace(v)
 			if v == "" {
-				return nil, fmt.Errorf("sweep: axis %q has an empty value", clause)
+				return nil, fmt.Errorf("axis %q has an empty value", clause)
 			}
 			spec.values = append(spec.values, v)
 		}
 		if len(spec.values) == 0 {
-			return nil, fmt.Errorf("sweep: axis %q has no values", clause)
+			return nil, fmt.Errorf("axis %q has no values", clause)
 		}
 		out = append(out, spec)
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("sweep: -axes %q names no axes", s)
+		return nil, fmt.Errorf("-axes %q names no axes", s)
 	}
 	return out, nil
-}
-
-// split parses a comma-separated flag list ("" means nil).
-func split(s string) []string { return sim.SplitEntries(s) }
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sweep:", err)
-	os.Exit(1)
 }

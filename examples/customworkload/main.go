@@ -27,8 +27,8 @@ import (
 
 func main() {
 	specPath := flag.String("spec", "examples/customworkload/phasehop.json", "benchmark spec file to sweep")
-	commits := flag.Uint64("n", 300000, "committed instructions per run")
-	profile := flag.Uint64("profile", 200000, "profiling steps for if-conversion")
+	commits := flag.Uint64("n", sim.DefaultCommits, "committed instructions per run")
+	profile := flag.Uint64("profile", sim.DefaultProfileSteps, "profiling steps for if-conversion")
 	flag.Parse()
 
 	base, err := sim.LoadBenchSpec(*specPath)

@@ -21,7 +21,7 @@ func main() {
 	}
 
 	// Step 1: profile.
-	prof := sim.ProfileProgram(plain, 200000)
+	prof := sim.ProfileProgram(plain, sim.DefaultProfileSteps)
 	type hb struct {
 		pc   int
 		rate float64

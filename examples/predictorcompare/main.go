@@ -15,6 +15,9 @@ import (
 
 func main() {
 	name := flag.String("bench", "twolf", "benchmark to race the predictors on")
+	// 200k, not sim.DefaultCommits: moving this example to the
+	// default would change every number it prints, so it waits for a
+	// revision of the default budget itself.
 	commits := flag.Uint64("n", 200000, "committed instructions per run")
 	flag.Parse()
 
@@ -22,7 +25,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof := sim.ProfileProgram(plain, 200000)
+	prof := sim.ProfileProgram(plain, sim.DefaultProfileSteps)
 	res, err := sim.IfConvert(plain, sim.DefaultIfConvertOptions(prof))
 	if err != nil {
 		log.Fatal(err)

@@ -23,14 +23,14 @@ import (
 
 func main() {
 	suite := flag.String("suite", "gzip,vpr,twolf,parser,swim,mesa", "comma-separated benchmarks to sweep")
-	commits := flag.Uint64("n", 300000, "committed instructions per run")
+	commits := flag.Uint64("n", sim.DefaultCommits, "committed instructions per run")
 	flag.Parse()
 
 	specs, err := sim.SuiteSpecs(strings.Split(*suite, ",")...)
 	if err != nil {
 		log.Fatal(err)
 	}
-	wl, err := sim.PrepareSpecs(specs, 200000)
+	wl, err := sim.PrepareSpecs(specs, sim.DefaultProfileSteps)
 	if err != nil {
 		log.Fatal(err)
 	}

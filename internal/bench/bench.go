@@ -135,6 +135,7 @@ func Suite() []Spec {
 	// little hoisting (few early-resolved branches), heavy aliasing.
 	s = base("twolf", "int", 111)
 	s.Sites, s.HardFrac, s.CorrFrac, s.HoistFrac = 30, 0.45, 0.1, 0.05
+	s.MemFrac = 0
 	specs = append(specs, s)
 
 	// --- Floating point ---
@@ -142,16 +143,17 @@ func Suite() []Spec {
 		f := base(name, "fp", seed)
 		f.FPFrac, f.HardFrac, f.BiasFrac = 0.4, 0.04, 0.2
 		f.PatFrac, f.CorrFrac, f.HoistFrac = 0.25, 0.1, 0.75
+		f.MemFrac = 0
 		f.Sites = 14
 		return f
 	}
 	s = fp("wupwise", 201)
 	specs = append(specs, s)
 	s = fp("swim", 202)
-	s.MemFrac, s.ArrayKB = 0.4, 1024
+	s.ArrayKB = 1024
 	specs = append(specs, s)
 	s = fp("mgrid", 203)
-	s.MemFrac, s.PatFrac = 0.35, 0.3
+	s.PatFrac = 0.3
 	specs = append(specs, s)
 	s = fp("applu", 204)
 	s.Sites = 18
@@ -163,10 +165,10 @@ func Suite() []Spec {
 	s.PatFrac = 0.35
 	specs = append(specs, s)
 	s = fp("art", 207)
-	s.HardFrac, s.MemFrac = 0.1, 0.35
+	s.HardFrac = 0.1
 	specs = append(specs, s)
 	s = fp("equake", 208)
-	s.MemFrac, s.ArrayKB = 0.4, 512
+	s.ArrayKB = 512
 	specs = append(specs, s)
 	s = fp("facerec", 209)
 	s.CorrFrac = 0.2

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"repro/internal/emulator"
@@ -31,6 +33,55 @@ func TestSuiteComposition(t *testing.T) {
 	}
 	if ints != 11 || fps != 11 {
 		t.Errorf("int/fp split = %d/%d, want 11/11", ints, fps)
+	}
+}
+
+// suiteDigests pins the SHA-256 of each built-in program's
+// disassembly. A spec edit that changes no site allocation, such as
+// zeroing a fraction that was truncated to no sites, must leave every
+// program as it was.
+var suiteDigests = map[string]string{
+	"gzip":    "b51022c708a1e3edc1e375eecd6a08c6c236e82a6bbf0ff994a3c3032632e3ad",
+	"vpr":     "df09e41cfa700ea7d30afcf2cc3b9f6c72c0b7dadefc7a545538526604da57fe",
+	"gcc":     "7ad9864d4fc5b1f4a9e51807bba526d484a5cdfe2453aa7fb599637a324ca3cf",
+	"mcf":     "9f6faa4515f6bc5e8e084a177cbd4f4325373b232f8167395f90b355ca317d8f",
+	"crafty":  "85f5305b69c8e48ecd67466ae6d95ef097c8fac90dcdaf6018399b48853856cd",
+	"parser":  "9c7bd39dbce10bf7ac994ed69d6ffb8633dfd0495dc8e0ac1193103cbb51e3dd",
+	"perlbmk": "dd66575e03aa0ba5f9723e31da143d26ee9499f3ae00ab574313a763d2205cca",
+	"gap":     "2cf8f1122c766aec5b2764f5e208ee1105ca103f6f902c41b3dbe31456b9db1b",
+	"vortex":  "4dd17aea2feeba17ce0a126214d26bda373a40be0961fbb6dc8b872510f4608d",
+	"bzip2":   "b9f90eadf6cc98883af7532f1600a4ef87065853708b2e31ed88aa03296146af",
+	"twolf":   "eb88cc86d4050590b5063e274016d4091565e3ecaa04741723e6b2b074c55db7",
+	"wupwise": "27ce3b791ea3402db62c079747f0a52bb6d41d960f8cf7749b460351e40d5245",
+	"swim":    "c7c71d978aa933e056edd204a1317dad5ef872da1c397a1219f885debeae2d21",
+	"mgrid":   "700314d997f7e66b0a7bb1c36f0b91cc23ebdc8c5a71e3b3e93f27da554010af",
+	"applu":   "9ca57b38ce099e9e70ea4ebeb4fb79090170816a70f9a6e27f394cf3d230ae13",
+	"mesa":    "765cb5e2c521b532d368bd071ce924abfa65cee7084fefafa2661ab06166fc48",
+	"galgel":  "fb6d1c73e11a27406b418ff98ea6fc6244fb8d2d05cfe3f9a08ba3ce105cbe8e",
+	"art":     "70e26c5ce8b02796a9f2d3761202143309302678cffb2426558c77b990ef5991",
+	"equake":  "d15158686a8336873c96e12d8c66bae33d9aea936005316e459f85703b901908",
+	"facerec": "1b47a9ff8c3c415031afa067126da802523fae913015ad3d588a6c9a80257cc9",
+	"ammp":    "d7c11700f7ed289663260f766fd0c9219bcd02a9945646234fbeccdc44f6476c",
+	"lucas":   "1375d8c902a9c9163c0cc2d942423c27e03a7f294498619c10d62d051c3ee56b",
+}
+
+// TestSuiteSaysWhatItGenerates checks that every built-in spec
+// declares only families that get sites, so the suite passes the same
+// allocation check as a user spec, and that each program matches its
+// pinned digest.
+func TestSuiteSaysWhatItGenerates(t *testing.T) {
+	suite := Suite()
+	if len(suite) != len(suiteDigests) {
+		t.Fatalf("suite has %d benchmarks, %d pinned digests", len(suite), len(suiteDigests))
+	}
+	for _, s := range suite {
+		if err := CheckSiteAllocation(s); err != nil {
+			t.Error(err)
+		}
+		got := fmt.Sprintf("%x", sha256.Sum256([]byte(Build(s).Disassemble())))
+		if got != suiteDigests[s.Name] {
+			t.Errorf("%s: program digest %s, want %s", s.Name, got, suiteDigests[s.Name])
+		}
 	}
 }
 

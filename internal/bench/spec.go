@@ -92,9 +92,10 @@ func Validate(s Spec) error {
 // oversubscribed budget silently drops the last-listed families and
 // the spec then measures a different workload than it describes. Load
 // enforces this for user-authored files, where the silence would be
-// dangerous; it is separate from Validate because several built-in
-// suite specs deliberately oversubscribe as part of their tuning
-// (twolf's memory sites are truncated away by design).
+// dangerous, and the sim façade for every spec it prepares. It is
+// separate from Validate because a family truncated to fewer, but not
+// zero, sites is legal: several built-in suite specs oversubscribe by
+// a site or two as part of their tuning.
 func CheckSiteAllocation(s Spec) error {
 	for _, f := range allocSites(s) {
 		if f.frac > 0 && f.n == 0 {

@@ -84,19 +84,6 @@ func TestCheckSiteAllocation(t *testing.T) {
 	if err := CheckSiteAllocation(s); err == nil || !strings.Contains(err.Error(), "IndirFrac") {
 		t.Fatalf("rounding-to-zero error = %v", err)
 	}
-	// Several built-in specs oversubscribe by design (twolf truncates
-	// its memory sites) — they are exempt from Load's strictness but
-	// must stay valid under plain Validate.
-	tw, err := Find("twolf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckSiteAllocation(tw); err == nil {
-		t.Skip("twolf no longer oversubscribes; exemption note is stale")
-	}
-	if err := Validate(tw); err != nil {
-		t.Errorf("twolf must pass Validate: %v", err)
-	}
 }
 
 func TestLoadEnforcesSiteAllocation(t *testing.T) {

@@ -39,31 +39,32 @@ func runLayering(pass *Pass) {
 // real module ("repro/cmd/...") and the rootless test corpus
 // ("cmd/...").
 func layeringViolation(from, to string) string {
+	fromLayer, toLayer := topLayer(from), topLayer(to)
 	switch {
-	case hasLayer(from, "cmd") && hasLayer(to, "internal"):
+	case fromLayer == "cmd" && toLayer == "internal":
 		return "cmd/ must reach the simulator through the sim façade, not " + to
-	case hasLayer(from, "examples") && hasLayer(to, "internal"):
+	case fromLayer == "examples" && toLayer == "internal":
 		return "examples/ must reach the simulator through the sim façade, not " + to
-	case hasLayer(from, "internal") && isSimPackage(to):
+	case fromLayer == "internal" && isSimPackage(to):
 		return "internal/ must not import the sim façade (" + to + "): the façade sits above the engine"
 	}
 	return ""
 }
 
-// hasLayer reports whether path contains layer as one of its first two
-// segments — the module-root-relative position for both "repro/cmd/x"
-// and the corpus's "cmd/x".
-func hasLayer(path, layer string) bool {
-	segs := strings.Split(path, "/")
-	for i, s := range segs {
-		if i > 1 {
-			break
-		}
-		if s == layer {
-			return true
-		}
+// topLayer returns the module-root directory a package sits in: the
+// first segment of the corpus's "cmd/x", the second of "repro/cmd/x".
+// Only that directory counts, so cmd/internal/cli, the commands'
+// shared front end, is in cmd/ and not in internal/.
+func topLayer(path string) string {
+	segs := strings.SplitN(path, "/", 3)
+	switch segs[0] {
+	case "cmd", "examples", "internal", "sim":
+		return segs[0]
 	}
-	return false
+	if len(segs) > 1 {
+		return segs[1]
+	}
+	return ""
 }
 
 // isSimPackage matches the façade package: "sim" under the module root

@@ -1,8 +1,9 @@
-// Command tool imports both the façade (fine) and the engine (not
-// fine).
+// Command tool imports the façade and the commands' shared front end
+// (fine) and the engine (not fine).
 package main
 
 import (
+	"cmd/internal/cli"
 	"sim"
 
 	"internal/core" // want `cmd/ must reach the simulator through the sim façade`
@@ -10,5 +11,6 @@ import (
 
 func main() {
 	_ = sim.Run()
+	_ = cli.Run()
 	_ = core.Run()
 }

@@ -39,7 +39,7 @@
 // binary sets once, and run the matrix over them.
 //
 //	specs, err := sim.SuiteSpecs("gzip", "twolf")
-//	wl, err := sim.PrepareSpecsContext(ctx, specs, 200000)
+//	wl, err := sim.PrepareSpecsContext(ctx, specs, sim.DefaultProfileSteps)
 //	exp, err := sim.New(
 //	    sim.WithWorkload(wl),
 //	    sim.WithSchemes("conventional", "predpred"),
@@ -108,8 +108,7 @@ func BuildBenchmark(name string) (*Program, error) {
 func LoadBenchSpec(path string) (BenchSpec, error) { return bench.Load(path) }
 
 // BuildSpec validates a benchmark spec (range checks plus the
-// site-allocation guard, built-in suite specs exempt from the latter)
-// and generates its (non-if-converted) binary.
+// site-allocation guard) and generates its (non-if-converted) binary.
 func BuildSpec(s BenchSpec) (*Program, error) {
 	if err := checkSpec(s); err != nil {
 		return nil, err
@@ -138,13 +137,24 @@ type Experiment struct {
 	seed        int64  // sample shuffle seed
 }
 
+// The default budgets of every entry point. The CLIs and examples read
+// them, so a change of default is made here once.
+const (
+	// DefaultCommits is the committed-instruction budget per run: the
+	// paper's 300k.
+	DefaultCommits = 300000
+	// DefaultProfileSteps is the number of emulator steps each
+	// benchmark is profiled for before if-conversion.
+	DefaultProfileSteps = 200000
+)
+
 // Option configures an Experiment under construction.
 type Option func(*Experiment) error
 
 // New validates the options and builds an Experiment. A prepared
 // workload (WithWorkload) and at least one scheme are required.
 func New(opts ...Option) (*Experiment, error) {
-	e := &Experiment{commits: 300000}
+	e := &Experiment{commits: DefaultCommits}
 	for _, opt := range opts {
 		if err := opt(e); err != nil {
 			return nil, err
@@ -195,7 +205,7 @@ func WithTag(tag string) Option {
 }
 
 // WithCommits sets the committed-instruction budget per run
-// (0 = run each program to halt). Default 300000, the paper budget.
+// (0 = run each program to halt). Default DefaultCommits.
 func WithCommits(n uint64) Option {
 	return func(e *Experiment) error {
 		e.commits = n

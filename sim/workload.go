@@ -50,19 +50,12 @@ func PrepareSpecsContext(ctx context.Context, specs []BenchSpec, profileSteps ui
 	return &Workload{progs: progs}, nil
 }
 
-// checkSpec is the validation every user-supplied spec passes: full
-// range checks plus the site-allocation guard (a requested family that
-// would be truncated to zero sites). Specs identical to their built-in
-// suite namesake are exempt from the allocation guard — several
-// built-ins oversubscribe the site budget by design as part of their
-// tuning — so the suite flows through every path unimpeded while a
-// tweaked copy is held to the stricter contract, same as a spec file.
+// checkSpec is the validation every spec passes, built-ins included:
+// full range checks plus the site-allocation guard (a requested family
+// that would be truncated to zero sites).
 func checkSpec(s bench.Spec) error {
 	if err := bench.Validate(s); err != nil {
 		return err
-	}
-	if builtin, err := bench.Find(s.Name); err == nil && builtin == s {
-		return nil
 	}
 	return bench.CheckSiteAllocation(s)
 }

@@ -146,16 +146,22 @@ func TestPrepareSpecsValidates(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "allocates no sites") {
 		t.Fatalf("in-memory allocation error = %v", err)
 	}
-	// Built-in suite specs oversubscribe by design and must stay
-	// exempt — twolf through PrepareSpecs has to work.
-	if _, err := sim.PrepareSpecs([]sim.BenchSpec{mustFindSpec(t, "twolf")}, 1000); err != nil {
-		t.Fatalf("built-in twolf rejected: %v", err)
+	// The built-ins pass the same guard with no exemption, so a copy
+	// of the suite under another seed prepares too.
+	reseeded := mustFindSpec(t, "twolf")
+	reseeded.Seed += 7919
+	if _, err := sim.PrepareSpecs([]sim.BenchSpec{mustFindSpec(t, "twolf"), mustFindSpec(t, "swim")}, 1000); err != nil {
+		t.Fatalf("built-ins rejected: %v", err)
 	}
-	// But a tweaked copy of a built-in loses the exemption.
-	tweaked := mustFindSpec(t, "twolf")
-	tweaked.Seed++
-	if _, err := sim.PrepareSpecs([]sim.BenchSpec{tweaked}, 1000); err == nil {
-		t.Fatal("tweaked oversubscribed twolf must fail the allocation guard")
+	if _, err := sim.PrepareSpecs([]sim.BenchSpec{reseeded}, 1000); err != nil {
+		t.Fatalf("reseeded twolf rejected: %v", err)
+	}
+	// Declaring memory walks on twolf's full site budget is rejected:
+	// the family would get no sites.
+	walks := mustFindSpec(t, "twolf")
+	walks.MemFrac = 0.2
+	if _, err := sim.PrepareSpecs([]sim.BenchSpec{walks}, 1000); err == nil || !strings.Contains(err.Error(), "MemFrac") {
+		t.Fatalf("twolf with MemFrac 0.2: error = %v, want a MemFrac allocation error", err)
 	}
 }
 

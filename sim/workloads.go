@@ -10,7 +10,7 @@ import (
 
 // WorkloadSpec names a reusable set of benchmark specs — the workload
 // counterpart of the scheme table. Anywhere a suite entry is accepted
-// (SuiteSpecs, and through it the CLIs' -suite/-workload flags) a
+// (SuiteSpecs, and through it the CLIs' -workload flags) a
 // preset name expands to its spec set, so experiments select workload
 // shapes the same way they select predictor organizations.
 type WorkloadSpec struct {
@@ -65,8 +65,8 @@ func WorkloadNames() []string {
 	return names
 }
 
-// SplitEntries parses a comma-separated CLI list (the -suite,
-// -workload and -schemes flags) into trimmed entries, mapping "" to
+// SplitEntries parses a comma-separated CLI list (the -workload and
+// -schemes flags) into trimmed entries, mapping "" to
 // nil instead of [""] — shared so the CLIs cannot drift.
 func SplitEntries(s string) []string {
 	if s == "" {
