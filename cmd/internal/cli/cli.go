@@ -35,7 +35,7 @@ type Settings struct {
 var (
 	Experiments = Settings{Name: "experiments", Mode: "pipeline", Formats: []string{"text", "json", "csv"}}
 	Predsim     = Settings{Name: "predsim", Mode: "pipeline",
-		WorkloadUsage: "run a workload entry instead of -bench: a spec file (*.json/*.toml), a workload preset name (see -workloads), or a benchmark name; must resolve to exactly one benchmark"}
+		WorkloadUsage: "the workload entry to run (empty = gzip): a benchmark name (see -list), a workload preset name (see -workloads) or a spec file (*.json/*.toml); must resolve to exactly one benchmark"}
 	Sweep = Settings{Name: "sweep", Mode: "trace", Formats: []string{"csv", "json"}}
 )
 

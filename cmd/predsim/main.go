@@ -1,19 +1,21 @@
 // Command predsim runs one benchmark (or an assembled file) on the
 // out-of-order pipeline under a chosen branch-prediction scheme and
-// prints the resulting statistics. All simulation driving goes through
-// the public repro/sim façade; -scheme names one of its fixed table of
-// the paper's three organizations (-schemes lists them), and -ideal
-// and -select vary that organization's configuration.
+// prints the resulting statistics. -workload names the benchmark (gzip
+// by default), a preset of one benchmark or a spec file. All
+// simulation driving goes through the public repro/sim façade; -scheme
+// names one of its fixed table of the paper's three organizations
+// (-schemes lists them), and -ideal and -select vary that
+// organization's configuration.
 //
 // Examples:
 //
-//	predsim -bench vpr -scheme predpred -ifconvert -n 600000
-//	predsim -bench twolf -scheme conventional
+//	predsim -workload vpr -scheme predpred -ifconvert -n 600000
+//	predsim -workload twolf -scheme conventional
 //	predsim -workload examples/customworkload/phasehop.json -mode trace
 //	predsim -list
 //	predsim -schemes
 //	predsim -workloads
-//	predsim -disasm -bench gzip | head -50
+//	predsim -disasm -workload gzip | head -50
 package main
 
 import (
@@ -28,8 +30,7 @@ import (
 func main() {
 	c := cli.New(cli.Predsim)
 	var (
-		asmFile   = flag.String("asm", "", "assemble and run this file instead of a suite benchmark")
-		benchName = flag.String("bench", "gzip", "benchmark name (see -list)")
+		asmFile   = flag.String("asm", "", "assemble and run this file instead of a workload")
 		scheme    = flag.String("scheme", "predpred", "prediction scheme (see -schemes)")
 		ifconv    = flag.Bool("ifconvert", false, "run the if-converted binary (profile-guided)")
 		list      = flag.Bool("list", false, "list the benchmark suite and exit")
@@ -64,19 +65,7 @@ func main() {
 	}
 
 	var prog *sim.Program
-	if c.Workload != "" {
-		specs, err := sim.SuiteSpecs(c.Workload)
-		if err != nil {
-			c.Fatal(err)
-		}
-		if len(specs) != 1 {
-			c.Fatal(fmt.Errorf("workload %q names %d benchmarks; predsim runs one (drive multi-benchmark workloads through cmd/experiments or cmd/sweep)", c.Workload, len(specs)))
-		}
-		prog, err = sim.BuildSpec(specs[0])
-		if err != nil {
-			c.Fatal(err)
-		}
-	} else if *asmFile != "" {
+	if *asmFile != "" && c.Workload == "" {
 		text, err := os.ReadFile(*asmFile)
 		if err != nil {
 			c.Fatal(err)
@@ -86,8 +75,18 @@ func main() {
 			c.Fatal(err)
 		}
 	} else {
-		var err error
-		prog, err = sim.BuildBenchmark(*benchName)
+		entry := c.Workload
+		if entry == "" {
+			entry = "gzip"
+		}
+		specs, err := sim.SuiteSpecs(entry)
+		if err != nil {
+			c.Fatal(err)
+		}
+		if len(specs) != 1 {
+			c.Fatal(fmt.Errorf("workload %q names %d benchmarks; predsim runs one (drive multi-benchmark workloads through cmd/experiments or cmd/sweep)", entry, len(specs)))
+		}
+		prog, err = sim.BuildSpec(specs[0])
 		if err != nil {
 			c.Fatal(err)
 		}

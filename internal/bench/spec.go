@@ -44,7 +44,8 @@ const (
 // Validate range checks every field of a spec and returns an error
 // naming the offending field and its legal range. The zero values of
 // PhasePeriod and IndirTargets are legal (they select the defaults);
-// everything else must be explicit.
+// everything else must be explicit. A spec in range must also pass
+// CheckSiteAllocation.
 func Validate(s Spec) error {
 	bad := func(field string, got any, legal string) error {
 		return fmt.Errorf("%w %q: %s = %v out of range (legal: %s)", ErrSpec, s.Name, field, got, legal)
@@ -83,19 +84,16 @@ func Validate(s Spec) error {
 	if n := s.IndirTargets; n != 0 && (n < 2 || n > maxIndirTargets || bits.OnesCount(uint(n)) != 1) {
 		return bad("IndirTargets", n, fmt.Sprintf("0 (default %d) or a power of two in 2..%d", DefaultIndirTargets, maxIndirTargets))
 	}
-	return nil
+	return CheckSiteAllocation(s)
 }
 
 // CheckSiteAllocation reports an error when a requested site family
 // would be truncated to ZERO sites: fractions allocate whole sites in
 // declaration order under a hard Sites cap (see allocSites), so an
 // oversubscribed budget silently drops the last-listed families and
-// the spec then measures a different workload than it describes. Load
-// enforces this for user-authored files, where the silence would be
-// dangerous, and the sim façade for every spec it prepares. It is
-// separate from Validate because a family truncated to fewer, but not
-// zero, sites is legal: several built-in suite specs oversubscribe by
-// a site or two as part of their tuning.
+// the spec then measures a different workload than it describes.
+// Validate ends with this check; a family truncated to fewer, but not
+// zero, sites is legal.
 func CheckSiteAllocation(s Spec) error {
 	for _, f := range allocSites(s) {
 		if f.frac > 0 && f.n == 0 {
@@ -137,9 +135,6 @@ func Load(path string) (Spec, error) {
 		return Spec{}, fmt.Errorf("%w %s: unsupported extension %q (want .json or .toml)", ErrSpec, path, ext)
 	}
 	if err := Validate(s); err != nil {
-		return Spec{}, fmt.Errorf("%w (in %s)", err, path)
-	}
-	if err := CheckSiteAllocation(s); err != nil {
 		return Spec{}, fmt.Errorf("%w (in %s)", err, path)
 	}
 	return s, nil

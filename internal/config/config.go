@@ -82,10 +82,9 @@ func (c CacheParams) Sets() int { return c.SizeBytes / (c.Ways * c.BlockBytes) }
 type Config struct {
 	// Front end.
 	FetchWidth    int // up to 2 bundles = 6 instructions
-	DecodeWidth   int
 	RenameWidth   int
 	CommitWidth   int
-	FrontendDepth int // fetch-to-rename stages; sets misprediction penalty
+	FrontendDepth int // fetch-to-rename stages; the second-level predictor's access latency
 
 	// Windows and queues.
 	ROBEntries    int
@@ -116,13 +115,11 @@ type Config struct {
 	// Prediction.
 	Scheme            Scheme
 	Predication       PredicationMode
-	GshareIdxBits     uint // first level: 14-bit GHR / 4 KB
-	GshareGHRBits     uint
+	GshareIdxBits     uint // first level: 14-bit index and GHR / 4 KB
 	L2PredBytes       int  // second level: 148 KB
 	L2PredGHRBits     uint // 30
 	L2PredLHRBits     uint // 10
 	L2PredLHTBits     uint // local history table entries (log2)
-	L2PredLatency     int  // 3-cycle access
 	MispredictPenalty int  // 10 cycles recovery
 	ConfBits          uint // predicate confidence counter width
 	RASEntries        int
@@ -148,7 +145,6 @@ type Config struct {
 func Default() Config {
 	return Config{
 		FetchWidth:    6,
-		DecodeWidth:   6,
 		RenameWidth:   6,
 		CommitWidth:   6,
 		FrontendDepth: 3,
@@ -179,12 +175,10 @@ func Default() Config {
 		Scheme:            SchemeConventional,
 		Predication:       PredicationSelect,
 		GshareIdxBits:     14,
-		GshareGHRBits:     14,
 		L2PredBytes:       148 * 1024,
 		L2PredGHRBits:     30,
 		L2PredLHRBits:     10,
 		L2PredLHTBits:     12,
-		L2PredLatency:     3,
 		MispredictPenalty: 10,
 		ConfBits:          3,
 		RASEntries:        32,
@@ -202,7 +196,11 @@ func (c Config) WithScheme(s Scheme) Config {
 	return c
 }
 
-// Table1 renders the configuration as the paper's Table 1.
+// Table1 renders the configuration as the paper's Table 1. The
+// second-level access latency it prints is FrontendDepth: the model
+// charges that latency nowhere else, since every second-level
+// prediction becomes usable at rename, FrontendDepth cycles after
+// fetch. The gshare history is as long as its index.
 func (c Config) Table1() string {
 	var b strings.Builder
 	row := func(k, v string) { fmt.Fprintf(&b, "%-28s %s\n", k, v) }
@@ -224,10 +222,10 @@ func (c Config) Table1() string {
 	row("Main Memory", fmt.Sprintf("%d cycles of latency", c.MemLat))
 	row("Multilevel Branch Predictor", fmt.Sprintf(
 		"First level: Gshare %d-bit GHR, 4 KB, 1-cycle access. Second level: Perceptron, %d-bit GHR, %d-bit LHR, %d KB, %d-cycle access. %d cycles misprediction recovery",
-		c.GshareGHRBits, c.L2PredGHRBits, c.L2PredLHRBits, c.L2PredBytes/1024, c.L2PredLatency, c.MispredictPenalty))
+		c.GshareIdxBits, c.L2PredGHRBits, c.L2PredLHRBits, c.L2PredBytes/1024, c.FrontendDepth, c.MispredictPenalty))
 	row("Predicate Predictor", fmt.Sprintf(
 		"Perceptron, %d-bit GHR, %d-bit LHR, %d KB, %d-cycle access. %d cycles misprediction recovery",
-		c.L2PredGHRBits, c.L2PredLHRBits, c.L2PredBytes/1024, c.L2PredLatency, c.MispredictPenalty))
+		c.L2PredGHRBits, c.L2PredLHRBits, c.L2PredBytes/1024, c.FrontendDepth, c.MispredictPenalty))
 	return b.String()
 }
 
@@ -283,7 +281,6 @@ func (c Config) validatePredictor() error {
 	}{
 		{"gshare index bits", c.GshareIdxBits, maxTableBits},
 		{"local history table index bits", c.L2PredLHTBits, maxTableBits},
-		{"gshare history bits", c.GshareGHRBits, maxHistoryBits},
 		{"second-level global history bits", c.L2PredGHRBits, maxHistoryBits},
 		{"second-level local history bits", c.L2PredLHRBits, maxHistoryBits},
 	} {

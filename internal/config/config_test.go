@@ -158,7 +158,6 @@ func TestValidateBoundsPredictorKnobs(t *testing.T) {
 		name string
 		set  func(*Config)
 	}{
-		{"GshareGHRBits=64", func(c *Config) { c.GshareGHRBits = 64 }},
 		{"L2PredGHRBits=64", func(c *Config) { c.L2PredGHRBits = 64 }},
 		{"L2PredLHRBits=64", func(c *Config) { c.L2PredLHRBits = 64 }},
 		{"L2PredBytes=0", func(c *Config) { c.L2PredBytes = 0 }},

@@ -148,22 +148,14 @@ var mutators = []Mutator{
 		Apply: uintKnob("pred.lhtbits", func(c *Config, n uint) { c.L2PredLHTBits = n }),
 	},
 	{
-		Name:  "pred.latency",
-		Doc:   "second-level predictor access latency in cycles (Table 1: 3)",
-		Apply: intKnob("pred.latency", func(c *Config, n int) { c.L2PredLatency = n }),
-	},
-	{
 		Name:  "conf.bits",
 		Doc:   "predicate confidence counter width (Table 1: 3; 1..8; saturated == confident)",
 		Apply: uintKnob("conf.bits", func(c *Config, n uint) { c.ConfBits = n }),
 	},
 	{
-		Name: "gshare.idxbits",
-		Doc:  "first-level gshare index and history length (Table 1: 14; at most 20)",
-		Apply: uintKnob("gshare.idxbits", func(c *Config, n uint) {
-			c.GshareIdxBits = n
-			c.GshareGHRBits = n
-		}),
+		Name:  "gshare.idxbits",
+		Doc:   "first-level gshare index and history length (Table 1: 14; at most 20)",
+		Apply: uintKnob("gshare.idxbits", func(c *Config, n uint) { c.GshareIdxBits = n }),
 	},
 	{
 		Name:  "mispredict.penalty",

@@ -35,8 +35,8 @@ func TestSetAppliesKnobs(t *testing.T) {
 	if err := Set(&c, "gshare.idxbits", "12"); err != nil {
 		t.Fatal(err)
 	}
-	if c.GshareIdxBits != 12 || c.GshareGHRBits != 12 {
-		t.Errorf("gshare.idxbits: got idx=%d ghr=%d", c.GshareIdxBits, c.GshareGHRBits)
+	if c.GshareIdxBits != 12 {
+		t.Errorf("gshare.idxbits: got %d", c.GshareIdxBits)
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatalf("mutated config should stay valid: %v", err)

@@ -176,6 +176,10 @@ func checkLookupCall(pass *Pass, p *Package, call *ast.CallExpr, reg map[string]
 		if pkgName == "bench" {
 			checkArg(0, nsBench)
 		}
+	case "BuildBenchmark":
+		if pkgName == "sim" {
+			checkArg(0, nsBench)
+		}
 	case "CounterValue", "HistogramValue":
 		// Snapshot lookups miss silently (zero value, ok=false) on a
 		// typo; resolve them against the Counter/Histogram

@@ -29,3 +29,6 @@ func SuiteSpecs(entries ...string) error { return nil }
 
 // WithAxis selects a sweep knob by name.
 func WithAxis(name string, values ...any) {}
+
+// BuildBenchmark generates a suite benchmark by name.
+func BuildBenchmark(name string) error { return nil }

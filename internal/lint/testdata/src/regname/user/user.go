@@ -23,6 +23,8 @@ func lookups() {
 	config.Set(nil, "conf.bit", "3") // want `"conf.bit" is not a registered knob`
 	bench.Find("gzip")
 	bench.Find("gzp") // want `"gzp" is not a registered benchmark`
+	_ = sim.BuildBenchmark("gzip")
+	_ = sim.BuildBenchmark("parsr") // want `"parsr" is not a registered benchmark`
 	_ = sim.SuiteSpecs("all", "gzip", "specs/custom.json")
 	_ = sim.SuiteSpecs("nope") // want `"nope" is not a registered workload or benchmark`
 	_ = sim.SuiteSpecs("twolf", "swim")

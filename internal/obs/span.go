@@ -23,10 +23,6 @@ const (
 	PhaseSink        = "sink"         // result emission
 )
 
-// SpanName returns the registry metric name for a phase's duration
-// histogram.
-func SpanName(phase string) string { return "span." + phase + ".ns" }
-
 // Nanotime is the default clock: monotonic nanoseconds since an
 // arbitrary origin. Only differences are meaningful. Observers accept
 // an injected replacement so tests can drive a deterministic fake.

@@ -10,9 +10,9 @@ const maxFrontend = 48
 
 // fetch brings up to FetchWidth instructions per cycle into the
 // front-end queue, following the predicted stream. All predictor
-// lookups are initiated here; slow (multi-cycle) predictions become
-// usable at rename, which the front-end depth guarantees is at least
-// L2PredLatency cycles later.
+// lookups are initiated here; second-level predictions become usable
+// at rename, FrontendDepth cycles later, which is the only access
+// latency the model charges them.
 func (pl *Pipeline) fetch() {
 	if pl.fetchHalted || pl.cycle < pl.fetchStall || pl.tail-pl.mid >= maxFrontend {
 		return

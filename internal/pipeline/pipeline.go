@@ -159,7 +159,7 @@ func New(cfg config.Config, prog *program.Program) (*Pipeline, error) {
 	pl.inflight = make([]int, 0, n)
 	pl.stores = make([]int, 0, n)
 	pl.linkNext = make([]int32, n*srcLinks)
-	pl.brGHR.N = cfg.GshareGHRBits
+	pl.brGHR.N = cfg.GshareIdxBits
 	pl.pGHR.N = cfg.L2PredGHRBits
 	pl.retiredPGHR.N = cfg.L2PredGHRBits
 
@@ -250,9 +250,6 @@ func (pl *Pipeline) ArchGPR(r isa.Reg) int64 { return pl.physI[pl.ratI[r]].val }
 
 // ArchFPR reads the committed architectural value of an FP register.
 func (pl *Pipeline) ArchFPR(r isa.Reg) float64 { return pl.physF[pl.ratF[r]].val }
-
-// ArchPred reads the committed architectural value of a predicate.
-func (pl *Pipeline) ArchPred(p isa.PredReg) bool { return pl.pprf[pl.ratP[p]].val }
 
 // Halted reports whether the program's halt instruction committed.
 func (pl *Pipeline) Halted() bool { return pl.halted }

@@ -132,7 +132,9 @@ func buildMemLoop(iters int64) *program.Program {
 // TestSteadyStateAllocFree pins the window's recycling: once warm, the
 // cycle model runs without a single heap allocation. Each run measures
 // the 20k commits that end at commit end, after 40k of warm-up; for
-// buildMemLoop, end is its halt.
+// buildMemLoop, end is its halt. Only allocations through the module's
+// own code count (codeAllocs): a runtime goroutine that allocates
+// during the measured call is not the cycle model's.
 func TestSteadyStateAllocFree(t *testing.T) {
 	hard := buildHardLoop(1 << 40)
 	res, err := ifconvert.Convert(hard, ifconvert.Options{MaxBlockLen: 8})
@@ -156,14 +158,16 @@ func TestSteadyStateAllocFree(t *testing.T) {
 			if err := pl.Run(target); err != nil {
 				t.Fatal(err)
 			}
-			allocs := testing.AllocsPerRun(1, func() { // a warm-up call, then the measured one
+			allocs, total := codeAllocs(func() { // a warm-up call, then the measured one
 				target += 20000
 				if err := pl.Run(target); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if allocs != 0 {
-				t.Errorf("%s/%v: %v allocations per 20k commits, want 0", r.p.Name, s, allocs)
+				t.Errorf("%s/%v: %d allocations per 20k commits, want 0", r.p.Name, s, allocs)
+			} else if total != 0 {
+				t.Logf("%s/%v: %d process allocations during the measured commits, none through the cycle model", r.p.Name, s, total)
 			}
 			if r.p == mem && !pl.Halted() {
 				t.Errorf("%s/%v: measured commits ended before the halt", r.p.Name, s)

@@ -3,7 +3,6 @@ package sim
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -238,16 +237,13 @@ func TestMemoSweepManifests(t *testing.T) {
 }
 
 // TestMemoCatchesUndeclaredReuse covers reuse that per-knob
-// declarations could not see — a free-form axis touching only a
-// pipeline field, and one scheme listed twice, whose second cell is
-// served from its first cell's replay — plus
-// gshare.idxbits, whose reuse used to rest on such a declaration.
-// Every cell must still match a direct replay.
+// declarations could not see — an axis over a pipeline-only knob under
+// a configuration mutator that touches only a pipeline field, and one
+// scheme listed twice, whose second cell is served from its first
+// cell's replay — plus gshare.idxbits, whose reuse used to rest on such
+// a declaration. Every cell must still match a direct replay.
 func TestMemoCatchesUndeclaredReuse(t *testing.T) {
-	depth := func(c *Config, v string) error {
-		_, err := fmt.Sscan(v, &c.FrontendDepth)
-		return err
-	}
+	depth := func(c *Config) { c.FrontendDepth = 5 }
 	wl := memoWorkload(t, "vpr")
 	for _, tc := range []struct {
 		name         string
@@ -255,8 +251,8 @@ func TestMemoCatchesUndeclaredReuse(t *testing.T) {
 		axes         []Option
 		hits, misses uint64
 	}{
-		{"frontend-depth mutator axis", []string{"conventional", "predpred"},
-			[]Option{WithMutatorAxis("frontend.depth", depth, 3, 5, 7)}, 4, 2},
+		{"rob.entries under a frontend-depth mutator", []string{"conventional", "predpred"},
+			[]Option{WithConfigMutator(depth), WithAxis("rob.entries", 64, 128, 256)}, 4, 2},
 		{"duplicate scheme", []string{"predpred", "predpred"},
 			[]Option{WithAxis("pred.bytes", 75776, 151552)}, 2, 2},
 		{"gshare.idxbits", []string{"conventional", "predpred"},
@@ -274,29 +270,25 @@ func TestMemoCatchesUndeclaredReuse(t *testing.T) {
 }
 
 // TestMemoKeepsValidationErrors checks that validation runs before the
-// memo, per cell: a point invalid only in a pipeline field shares its
-// replay key with a valid point yet keeps its own error, and a cell
-// with an unknown scheme fails alone while its sibling is still served.
+// memo, per cell: a point invalid only in a pipeline field (rob.entries
+// below Validate's minimum) shares its replay key with valid points yet
+// keeps its own error and serves none of them, and a cell whose
+// configuration mutator gives it an unknown scheme fails alone while
+// its sibling is still served.
 func TestMemoKeepsValidationErrors(t *testing.T) {
-	breakCfg := func(c *Config, v string) error {
-		switch v {
-		case "rob":
-			c.ROBEntries = 4
-		case "scheme":
-			if c.Scheme == config.SchemePredicate {
-				c.Scheme = config.Scheme(42)
-			}
+	breakScheme := func(c *Config) {
+		if c.Scheme == config.SchemePredicate {
+			c.Scheme = config.Scheme(42)
 		}
-		return nil
 	}
 	wl := memoWorkload(t, "vpr")
 	for _, par := range []int{1, 2} {
 		run := runMemoSweep(t, wl, t.TempDir(), par, []string{"conventional", "predpred"},
-			WithMutatorAxis("break", breakCfg, "none", "rob", "scheme"))
-		if run.hits != 1 || run.misses != 2 {
-			t.Errorf("p=%d: want 1 hit / 2 misses, got %d / %d", par, run.hits, run.misses)
+			WithAxis("rob.entries", 256, 4, 128))
+		if run.hits != 2 || run.misses != 2 {
+			t.Errorf("p=%d: want 2 hits / 2 misses, got %d / %d", par, run.hits, run.misses)
 		}
-		valid, rob, scheme := run.rs[0:2], run.rs[2:4], run.rs[4:6]
+		valid, rob, served := run.rs[0:2], run.rs[2:4], run.rs[4:6]
 		for _, r := range valid {
 			if r.Err != nil || r.Stats.Committed == 0 {
 				t.Errorf("p=%d: valid %s: err %v, committed %d", par, r.Scheme, r.Err, r.Stats.Committed)
@@ -307,11 +299,25 @@ func TestMemoKeepsValidationErrors(t *testing.T) {
 				t.Errorf("p=%d: ROB-invalid %s must keep its validation error, got err %v with stats %+v", par, r.Scheme, r.Err, r.Stats)
 			}
 		}
-		if r := scheme[0]; r.Err != nil || !reflect.DeepEqual(r.Stats, valid[0].Stats) {
-			t.Errorf("p=%d: conventional beside an unknown scheme: err %v, stats %+v, want %+v", par, r.Err, r.Stats, valid[0].Stats)
+		for i, r := range served {
+			if r.Err != nil || !reflect.DeepEqual(r.Stats, valid[i].Stats) {
+				t.Errorf("p=%d: %s past the ROB-invalid point: err %v, stats %+v, want %+v", par, r.Scheme, r.Err, r.Stats, valid[i].Stats)
+			}
 		}
-		if r := scheme[1]; r.Err == nil {
-			t.Errorf("p=%d: unknown scheme must fail validation", par)
+
+		run = runMemoSweep(t, wl, t.TempDir(), par, []string{"conventional", "predpred"},
+			WithConfigMutator(breakScheme), WithAxis("mispredict.penalty", 10, 20))
+		if run.hits != 1 || run.misses != 1 {
+			t.Errorf("p=%d: want 1 hit / 1 miss beside an unknown scheme, got %d / %d", par, run.hits, run.misses)
+		}
+		conv, unknown := []Result{run.rs[0], run.rs[2]}, []Result{run.rs[1], run.rs[3]}
+		if r := conv[1]; conv[0].Err != nil || r.Err != nil || conv[0].Stats.Committed == 0 || !reflect.DeepEqual(r.Stats, conv[0].Stats) {
+			t.Errorf("p=%d: conventional beside an unknown scheme: err %v / %v, stats %+v, want %+v", par, conv[0].Err, r.Err, r.Stats, conv[0].Stats)
+		}
+		for _, r := range unknown {
+			if r.Err == nil {
+				t.Errorf("p=%d: unknown scheme must fail validation", par)
+			}
 		}
 	}
 }

@@ -9,10 +9,10 @@
 //   - a functional-options experiment builder: New(WithWorkload(wl),
 //     WithSchemes(...), WithIfConversion(true), WithCommits(n), ...)
 //     describes a benchmark × scheme matrix over a prepared Workload
-//     declaratively, and WithAxis / WithMutatorAxis / WithSample turn
-//     it into a sweep: the matrix runs once per point of the axes'
-//     grid (or Latin-hypercube sample); an experiment without axes is
-//     the one empty point;
+//     declaratively, and WithAxis / WithSample turn it into a sweep:
+//     the matrix runs once per point of the axes' grid (or
+//     Latin-hypercube sample) of config knobs; an experiment without
+//     axes is the one empty point;
 //
 //   - two execution modes, one per experiment: the full out-of-order
 //     cycle model (ModePipeline, the default) and a record-once trace
@@ -110,7 +110,7 @@ func LoadBenchSpec(path string) (BenchSpec, error) { return bench.Load(path) }
 // BuildSpec validates a benchmark spec (range checks plus the
 // site-allocation guard) and generates its (non-if-converted) binary.
 func BuildSpec(s BenchSpec) (*Program, error) {
-	if err := checkSpec(s); err != nil {
+	if err := bench.Validate(s); err != nil {
 		return nil, err
 	}
 	return bench.Build(s), nil

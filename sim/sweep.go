@@ -16,7 +16,7 @@ const maxGridPoints = 1 << 20
 
 // AxisValue is one axis coordinate of a sweep point.
 type AxisValue struct {
-	Axis  string // axis name (a config knob or a WithMutatorAxis name)
+	Axis  string // axis name: a config knob
 	Value string // the swept value, as given
 }
 
@@ -157,23 +157,6 @@ func Knobs() []Knob {
 		out[i] = Knob{Name: m.Name, Doc: m.Doc}
 	}
 	return out
-}
-
-// WithMutatorAxis adds a free-form axis: apply receives each swept
-// value as a string and may touch any Config field, so axes are not
-// limited to the config knobs. New dry-runs apply on every value; Start
-// then calls it once per (point, scheme), on its own goroutine, when it
-// plans the experiment.
-func WithMutatorAxis(name string, apply func(*Config, string) error, values ...any) Option {
-	return func(e *Experiment) error {
-		if name == "" {
-			return fmt.Errorf("sim: mutator axis needs a name")
-		}
-		if apply == nil {
-			return fmt.Errorf("sim: mutator axis %q needs an apply function", name)
-		}
-		return e.addAxis(axis{name: name, values: formatValues(values), apply: apply})
-	}
 }
 
 // WithSample switches the axes from their full cross-product to a

@@ -13,7 +13,7 @@ import (
 
 // SweepOption is an Option.
 //
-// Deprecated: pass WithAxis, WithMutatorAxis and WithSample to New.
+// Deprecated: pass WithAxis and WithSample to New.
 // Kept for benchmark/, its last caller.
 type SweepOption = Option
 

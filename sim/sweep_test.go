@@ -68,18 +68,18 @@ func TestSweepGridExpansion(t *testing.T) {
 	}
 }
 
-// wideAxes returns three free-form axes of 2000 values each: a true
-// grid of 8×10^9 points, far past the unsampled bound.
+// wideAxes returns three knob axes of 2000 values each (each value one
+// the knob parses): a true grid of 8×10^9 points, far past the
+// unsampled bound.
 func wideAxes() []sim.Option {
 	values := make([]any, 2000)
 	for i := range values {
-		values[i] = i
+		values[i] = i + 1
 	}
-	noop := func(*sim.Config, string) error { return nil }
 	return []sim.Option{
-		sim.WithMutatorAxis("a", noop, values...),
-		sim.WithMutatorAxis("b", noop, values...),
-		sim.WithMutatorAxis("c", noop, values...),
+		sim.WithAxis("rob.entries", values...),
+		sim.WithAxis("mispredict.penalty", values...),
+		sim.WithAxis("ras.entries", values...),
 	}
 }
 
@@ -93,7 +93,6 @@ func TestSweepValidation(t *testing.T) {
 		{"no values", []sim.Option{sim.WithAxis("conf.bits")}},
 		{"bad value", []sim.Option{sim.WithAxis("conf.bits", "many")}},
 		{"duplicate axis", []sim.Option{sim.WithAxis("conf.bits", 2), sim.WithAxis("conf.bits", 3)}},
-		{"nil mutator", []sim.Option{sim.WithMutatorAxis("x", nil, 1)}},
 		{"bad sample", []sim.Option{sim.WithAxis("conf.bits", 2), sim.WithSample(0, 1)}},
 		{"unsampled grid past the bound", wideAxes()},
 		// A sample past the bound used to fall back to a truncated

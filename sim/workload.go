@@ -35,7 +35,7 @@ func PrepareSpecsContext(ctx context.Context, specs []BenchSpec, profileSteps ui
 	}
 	seen := map[string]bool{}
 	for _, s := range specs {
-		if err := checkSpec(s); err != nil {
+		if err := bench.Validate(s); err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
 		if seen[s.Name] {
@@ -48,16 +48,6 @@ func PrepareSpecsContext(ctx context.Context, specs []BenchSpec, profileSteps ui
 		return nil, fmt.Errorf("sim: prepare workload: %w", err)
 	}
 	return &Workload{progs: progs}, nil
-}
-
-// checkSpec is the validation every spec passes, built-ins included:
-// full range checks plus the site-allocation guard (a requested family
-// that would be truncated to zero sites).
-func checkSpec(s bench.Spec) error {
-	if err := bench.Validate(s); err != nil {
-		return err
-	}
-	return bench.CheckSiteAllocation(s)
 }
 
 // Len returns the number of prepared benchmarks.
