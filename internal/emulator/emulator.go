@@ -21,14 +21,24 @@ const pageSize = 1 << pageBits
 type page [pageSize]byte
 
 // Memory is a sparse, paged, little-endian 64-bit byte-addressable
-// memory. Uninitialized locations read as zero. A one-entry cache of
-// the last page touched sits in front of the page map, so a run of
-// accesses to one page costs one map lookup; a read therefore updates
-// the cache, and a Memory must not be shared between goroutines.
+// memory. Uninitialized locations read as zero. A direct-mapped cache
+// of pageCacheSize pages, indexed by the low bits of the page number,
+// sits in front of the page map, so accesses that cycle over a few
+// pages cost no map lookup; a read therefore updates the cache, and a
+// Memory must not be shared between goroutines.
 type Memory struct {
-	pages  map[uint64]*page
-	last   *page  // page lastPN, or nil before the first access to a mapped page
-	lastPN uint64 // page number of last
+	pages map[uint64]*page
+	cache [pageCacheSize]cachedPage
+}
+
+// pageCacheSize is the page cache's entry count, a power of two.
+const pageCacheSize = 64
+
+// cachedPage is a page cache entry: page p, whose number is pn, or
+// p == nil while the entry is empty.
+type cachedPage struct {
+	pn uint64
+	p  *page
 }
 
 // NewMemory returns an empty memory.
@@ -38,8 +48,9 @@ func NewMemory() *Memory { return &Memory{pages: make(map[uint64]*page)} }
 // set; without create an untouched page is nil, and is not cached.
 func (m *Memory) pageFor(addr uint64, create bool) *page {
 	pn := addr >> pageBits
-	if m.last != nil && m.lastPN == pn {
-		return m.last
+	c := &m.cache[pn&(pageCacheSize-1)]
+	if c.p != nil && c.pn == pn {
+		return c.p
 	}
 	p := m.pages[pn]
 	if p == nil {
@@ -49,7 +60,7 @@ func (m *Memory) pageFor(addr uint64, create bool) *page {
 		p = new(page)
 		m.pages[pn] = p
 	}
-	m.last, m.lastPN = p, pn
+	c.pn, c.p = pn, p
 	return p
 }
 

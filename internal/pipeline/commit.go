@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/config"
-	"repro/internal/isa"
 )
 
 // commit retires up to CommitWidth completed uops in order: stores write
@@ -25,17 +24,41 @@ func (pl *Pipeline) commit() {
 			}
 		}
 
-		// Architectural memory update.
-		if u.st.isStore && !u.canceled && u.qpVal {
-			pl.mem.Write64(u.memAddr, u.stBits)
-			pl.hier.DataAccess(u.memAddr, pl.cycle, true)
+		if u.plainRetire {
+			// No predictor work: a store writes architectural memory,
+			// the uop frees its previous destination mapping and its
+			// memory-queue entry, and the predication outcome counts.
+			if u.isStore && !u.canceled {
+				if u.qpVal {
+					pl.mem.Write64(u.memAddr, u.stBits)
+					pl.hier.DataAccess(u.memAddr, pl.cycle, true)
+				}
+				pl.storeHead++ // u is the oldest store on the list
+				if pl.storeHead == len(pl.stores) {
+					pl.stores, pl.storeHead = pl.stores[:0], 0
+				}
+			}
+			switch u.dKind {
+			case destInt:
+				pl.freeI = append(pl.freeI, u.oldPhys)
+			case destFP:
+				pl.freeF = append(pl.freeF, u.oldPhys)
+			}
+			if u.isLoad && !u.canceled {
+				pl.ldQ--
+			}
+			pl.countPredication(u)
+			pl.head++
+			pl.Stats.Committed++
+			continue
 		}
 
+		// A branch, compare or halt.
 		pl.trainPredictors(u, pl.coldSlot(pl.head))
 		pl.retireRename(u)
 		pl.retireStats(u)
 
-		halt := u.in.Op == isa.OpHalt
+		halt := u.isHalt
 		pl.head++ // u leaves the window; fetch may now reuse its slot
 		pl.Stats.Committed++
 		if halt {
@@ -49,8 +72,9 @@ func (pl *Pipeline) commit() {
 // trainPredictors updates every predictor with the committed outcome;
 // c is the uop's cold state.
 func (pl *Pipeline) trainPredictors(u *uop, c *uopCold) {
+	st := &pl.static[u.pc]
 	if u.isCondBr {
-		pl.gshare.Update(u.st.gshare, u.brGHRSnap, u.actualTaken)
+		pl.gshare.Update(st.gshare, u.brGHRSnap, u.actualTaken)
 		switch pl.cfg.Scheme {
 		case config.SchemeConventional:
 			if u.brLkValid {
@@ -64,7 +88,7 @@ func (pl *Pipeline) trainPredictors(u *uop, c *uopCold) {
 		case config.SchemePredicate:
 			// Shadow conventional predictor: scores what the Table 1
 			// baseline would have done, for the Figure 6b breakdown.
-			lk := pl.shadow.Predict(u.st.l2, pl.shadowGHR.Snapshot())
+			lk := pl.shadow.Predict(st.l2, pl.shadowGHR.Snapshot())
 			pl.Stats.ShadowCondBranches++
 			if lk.Taken != u.actualTaken {
 				pl.Stats.ShadowMispred++
@@ -76,7 +100,7 @@ func (pl *Pipeline) trainPredictors(u *uop, c *uopCold) {
 			pl.shadowGHR.Push(u.actualTaken)
 		}
 	}
-	if u.st.isCompare && pl.cfg.Scheme == config.SchemePredicate {
+	if u.isCompare && pl.cfg.Scheme == config.SchemePredicate {
 		if u.cmpLkValid && !(u.canceled && !u.uncFalse) {
 			pl.pp.Train(c.cmpLk, u.resP[0], u.resP[1])
 			pl.Stats.PredPredictions += 2
@@ -89,8 +113,8 @@ func (pl *Pipeline) trainPredictors(u *uop, c *uopCold) {
 			pl.retiredPGHR.Push(u.resP[0])
 		}
 	}
-	if u.in.Op == isa.OpBrInd {
-		pl.itab.Update(int(u.st.itab), u.actualTgt)
+	if u.isBrInd {
+		pl.itab.Update(int(st.itab), u.actualTgt)
 	}
 }
 
@@ -104,16 +128,9 @@ func (pl *Pipeline) retireRename(u *uop) {
 		pl.freeF = append(pl.freeF, u.oldPhys)
 	}
 	for i := 0; i < 2; i++ {
-		if u.pDests[i].valid {
+		if u.pValid[i] {
 			pl.freeP = append(pl.freeP, u.pDests[i].oldP)
 		}
-	}
-	if u.st.isLoad && !u.canceled {
-		pl.ldQ--
-	}
-	if u.st.isStore && !u.canceled {
-		n := copy(pl.stores, pl.stores[1:]) // u is the oldest store on the list
-		pl.stores = pl.stores[:n]
 	}
 }
 
@@ -128,12 +145,17 @@ func (pl *Pipeline) retireStats(u *uop) {
 			pl.Stats.EarlyResolved++
 		}
 	}
-	if u.st.isBranch && !u.st.isDirect && u.predNext() != u.actualNext() {
+	if u.isBranch && !u.isDirect && u.predNext() != u.actualNext() {
 		pl.Stats.TargetMispred++
 	}
-	if u.st.isCompare {
+	if u.isCompare {
 		pl.Stats.Compares++
 	}
+	pl.countPredication(u)
+}
+
+// countPredication counts how rename handled a guarded uop.
+func (pl *Pipeline) countPredication(u *uop) {
 	switch {
 	case u.canceled:
 		pl.Stats.Cancelled++
@@ -152,10 +174,10 @@ func (pl *Pipeline) cosimCheck(u *uop) error {
 		return fmt.Errorf("cosim: pipeline commits @%d after oracle halted", u.pc)
 	}
 	if em.State.PC != int(u.pc) {
-		return fmt.Errorf("cosim: commit pc=%d but oracle pc=%d (seq %d, %s)", u.pc, em.State.PC, u.seq, u.in)
+		return fmt.Errorf("cosim: commit pc=%d but oracle pc=%d (seq %d, %s)", u.pc, em.State.PC, u.seq, pl.prog.At(int(u.pc)))
 	}
 	em.Step()
-	in := u.in
+	in := pl.prog.At(int(u.pc))
 	if !u.canceled || u.uncFalse {
 		switch u.dKind {
 		case destInt:
@@ -169,21 +191,21 @@ func (pl *Pipeline) cosimCheck(u *uop) error {
 			}
 		}
 		for i := 0; i < 2; i++ {
-			d := u.pDests[i]
-			if !d.valid {
+			if !u.pValid[i] {
 				continue
 			}
+			d := u.pDests[i]
 			if got, want := pl.pprf[d.newP].val, em.State.ReadPred(d.arch); got != want {
 				return fmt.Errorf("cosim: @%d %s: p%d = %v, oracle %v", u.pc, in, d.arch, got, want)
 			}
 		}
 	}
-	if u.st.isStore && !u.canceled && u.qpVal {
+	if u.isStore && !u.canceled && u.qpVal {
 		if want := em.State.Mem.Read64(u.memAddr); want != u.stBits {
 			return fmt.Errorf("cosim: @%d %s: stores %#x at %#x, oracle %#x", u.pc, in, u.stBits, u.memAddr, want)
 		}
 	}
-	if u.st.isBranch {
+	if u.isBranch {
 		if nextPC := u.actualNext(); em.State.PC != nextPC {
 			return fmt.Errorf("cosim: @%d %s: next pc %d, oracle %d", u.pc, in, nextPC, em.State.PC)
 		}

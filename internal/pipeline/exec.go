@@ -12,11 +12,14 @@ import (
 // for loadMayIssue): it computes the result functionally, schedules the
 // completion and moves the uop to the in-flight list.
 func (pl *Pipeline) issue() {
-	free := [classNone]int{pl.cfg.IntALUs, pl.cfg.FPALUs, pl.cfg.MemPorts, pl.cfg.BrUnits}
+	// Function units free this cycle, by class. A ready uop is never
+	// classNone, so masking its class only drops the bounds check.
+	free := [4]int{pl.cfg.IntALUs, pl.cfg.FPALUs, pl.cfg.MemPorts, pl.cfg.BrUnits}
 	kept := 0
 	for _, pos := range pl.readyList {
 		u := pl.slot(pos)
-		if free[u.class] == 0 || (u.st.isLoad && !pl.loadMayIssue(u)) {
+		fu := &free[u.class&3]
+		if *fu == 0 || (u.isLoad && !pl.loadMayIssue(u)) {
 			pl.readyList[kept] = pos
 			kept++
 			continue
@@ -24,7 +27,7 @@ func (pl *Pipeline) issue() {
 		pl.execute(u)
 		u.issued = true
 		pl.releaseIQ(u)
-		free[u.class]--
+		*fu--
 		pl.inflight = insertPos(pl.inflight, pos)
 	}
 	pl.readyList = pl.readyList[:kept]
@@ -37,7 +40,7 @@ func (pl *Pipeline) issue() {
 // store list, oldest first.
 func (pl *Pipeline) loadMayIssue(u *uop) bool {
 	addr := pl.effAddr(u)
-	for _, pos := range pl.stores {
+	for _, pos := range pl.stores[pl.storeHead:] {
 		s := pl.slot(pos)
 		if s.seq >= u.seq {
 			break
@@ -66,7 +69,7 @@ func overlaps(a, b uint64) bool {
 // base register.
 func (pl *Pipeline) effAddr(u *uop) uint64 {
 	base := pl.physI[pl.addrPhys(u)].val
-	return uint64(base + u.in.Imm)
+	return uint64(base + u.imm)
 }
 
 // addrPhys returns the physical register holding the address base
@@ -89,18 +92,17 @@ func (pl *Pipeline) qpValue(u *uop) bool {
 // Values mirror emulator semantics exactly (shared helpers), keeping
 // the pipeline value-accurate for co-simulation.
 func (pl *Pipeline) execute(u *uop) {
-	st := u.st
-	lat := int(st.lat)
+	lat := int(u.lat)
 	u.qpVal = pl.qpValue(u)
 
 	switch {
-	case st.isCompare:
+	case u.isCompare:
 		pl.execCompare(u)
-	case st.isBranch:
+	case u.isBranch:
 		pl.execBranch(u)
-	case st.isLoad:
+	case u.isLoad:
 		lat += pl.execLoad(u)
-	case st.isStore:
+	case u.isStore:
 		pl.execStore(u)
 	default:
 		pl.execALU(u)
@@ -109,7 +111,6 @@ func (pl *Pipeline) execute(u *uop) {
 }
 
 func (pl *Pipeline) execALU(u *uop) {
-	in := u.in
 	if u.selectOp && !u.qpVal {
 		// Nullified select micro-op: result is the previous value.
 		if u.dKind == destFP {
@@ -120,21 +121,21 @@ func (pl *Pipeline) execALU(u *uop) {
 		return
 	}
 	physI, physF := pl.physI, pl.physF
-	switch in.Op {
+	switch u.op {
 	case isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpDiv, isa.OpAnd, isa.OpOr, isa.OpXor, isa.OpShl, isa.OpShr:
-		u.resI = emulator.ExecALU(in.Op, physI[u.srcI[0]].val, physI[u.srcI[1]].val)
+		u.resI = emulator.ExecALU(u.op, physI[u.srcI[0]].val, physI[u.srcI[1]].val)
 	case isa.OpAddI, isa.OpSubI, isa.OpMulI, isa.OpAndI, isa.OpOrI, isa.OpXorI, isa.OpShlI, isa.OpShrI:
-		u.resI = emulator.ExecImmALU(in.Op, physI[u.srcI[0]].val, in.Imm)
+		u.resI = emulator.ExecImmALU(u.op, physI[u.srcI[0]].val, u.imm)
 	case isa.OpMov:
 		u.resI = physI[u.srcI[0]].val
 	case isa.OpMovI:
-		u.resI = in.Imm
+		u.resI = u.imm
 	case isa.OpFAdd, isa.OpFSub, isa.OpFMul, isa.OpFDiv:
-		u.resF = emulator.ExecFPALU(in.Op, physF[u.srcF[0]].val, physF[u.srcF[1]].val)
+		u.resF = emulator.ExecFPALU(u.op, physF[u.srcF[0]].val, physF[u.srcF[1]].val)
 	case isa.OpFMov:
 		u.resF = physF[u.srcF[0]].val
 	case isa.OpFMovI:
-		u.resF = math.Float64frombits(uint64(in.Imm))
+		u.resF = math.Float64frombits(uint64(u.imm))
 	case isa.OpFCvtIF:
 		u.resF = float64(physI[u.srcI[0]].val)
 	case isa.OpFCvtFI:
@@ -143,28 +144,27 @@ func (pl *Pipeline) execALU(u *uop) {
 }
 
 func (pl *Pipeline) execCompare(u *uop) {
-	in := u.in
 	var out isa.PredicateOutcome
 	if u.uncFalse {
 		// Cancelled unc compare: both destinations cleared.
 		out = isa.PredicateOutcome{Write1: true, Write2: true}
 	} else {
 		var cond bool
-		switch in.Op {
+		switch u.op {
 		case isa.OpCmp:
-			cond = in.Rel.Eval(pl.physI[u.srcI[0]].val, pl.physI[u.srcI[1]].val)
+			cond = u.rel.Eval(pl.physI[u.srcI[0]].val, pl.physI[u.srcI[1]].val)
 		case isa.OpCmpI:
-			cond = in.Rel.Eval(pl.physI[u.srcI[0]].val, in.Imm)
+			cond = u.rel.Eval(pl.physI[u.srcI[0]].val, u.imm)
 		case isa.OpFCmp:
-			cond = in.Rel.EvalFloat(pl.physF[u.srcF[0]].val, pl.physF[u.srcF[1]].val)
+			cond = u.rel.EvalFloat(pl.physF[u.srcF[0]].val, pl.physF[u.srcF[1]].val)
 		}
-		out = in.CType.Apply(u.qpVal, cond)
+		out = u.ctype.Apply(u.qpVal, cond)
 	}
 	writes := [2]bool{out.Write1, out.Write2}
 	vals := [2]bool{out.Val1, out.Val2}
 	for i := 0; i < 2; i++ {
 		d := &u.pDests[i]
-		if !d.valid {
+		if !u.pValid[i] {
 			u.resP[i] = vals[i] // value for training even when the dest is p0
 			continue
 		}
@@ -177,14 +177,13 @@ func (pl *Pipeline) execCompare(u *uop) {
 }
 
 func (pl *Pipeline) execBranch(u *uop) {
-	in := u.in
-	switch in.Op {
+	switch u.op {
 	case isa.OpBr:
 		u.actualTaken = u.qpVal
-		u.actualTgt = in.Target
+		u.actualTgt = u.target
 	case isa.OpCall:
 		u.actualTaken = true
-		u.actualTgt = in.Target
+		u.actualTgt = u.target
 		u.resI = int64(u.pc) + 1
 	case isa.OpRet, isa.OpBrInd:
 		u.actualTaken = u.qpVal
@@ -195,11 +194,10 @@ func (pl *Pipeline) execBranch(u *uop) {
 // execLoad performs the memory read (with store forwarding) and returns
 // the extra latency from the cache hierarchy.
 func (pl *Pipeline) execLoad(u *uop) int {
-	in := u.in
 	u.memAddr = pl.effAddr(u)
 	if u.selectOp && !u.qpVal {
 		// Nullified load: previous value, no memory access.
-		if in.Op == isa.OpFLoad {
+		if u.op == isa.OpFLoad {
 			u.resF = pl.physF[u.oldPhys].val
 		} else {
 			u.resI = pl.physI[u.oldPhys].val
@@ -213,7 +211,7 @@ func (pl *Pipeline) execLoad(u *uop) int {
 	} else {
 		bits = pl.mem.Read64(u.memAddr)
 	}
-	if in.Op == isa.OpFLoad {
+	if u.op == isa.OpFLoad {
 		u.resF = math.Float64frombits(bits)
 	} else {
 		u.resI = int64(bits)
@@ -224,7 +222,7 @@ func (pl *Pipeline) execLoad(u *uop) int {
 // forward searches the older stores of the store list youngest-first
 // for an exact address match and returns the forwarded bits.
 func (pl *Pipeline) forward(u *uop) (uint64, bool) {
-	for k := len(pl.stores) - 1; k >= 0; k-- {
+	for k := len(pl.stores) - 1; k >= pl.storeHead; k-- {
 		s := pl.slot(pl.stores[k])
 		if s.seq >= u.seq || !s.issued || !s.qpVal || s.memAddr != u.memAddr {
 			continue
@@ -237,7 +235,7 @@ func (pl *Pipeline) forward(u *uop) (uint64, bool) {
 // execStore latches the address and data; memory is written at commit.
 func (pl *Pipeline) execStore(u *uop) {
 	u.memAddr = pl.effAddr(u)
-	if u.in.Op == isa.OpFStore {
+	if u.op == isa.OpFStore {
 		u.stBits = math.Float64bits(pl.physF[u.srcF[0]].val)
 	} else {
 		u.stBits = uint64(pl.physI[u.srcI[1]].val)
@@ -252,35 +250,36 @@ func (pl *Pipeline) execStore(u *uop) {
 // branch-misprediction flush). One flush per cycle; remaining
 // completions slip to the next cycle.
 func (pl *Pipeline) writeback() {
-	for i := 0; i < len(pl.inflight); {
-		pos := pl.inflight[i]
+	l := pl.inflight
+	kept := 0
+	for i, pos := range l {
 		u := pl.slot(pos)
 		if u.doneCycle > pl.cycle {
-			i++
+			l[kept] = pos
+			kept++
 			continue
 		}
-		n := copy(pl.inflight[i:], pl.inflight[i+1:])
-		pl.inflight = pl.inflight[:i+n]
 		u.done = true
 		switch u.dKind {
 		case destInt:
-			pl.physI[u.newPhys] = physReg{val: u.resI, ready: true}
-			pl.wake(&pl.waitI[u.newPhys])
+			r := &pl.physI[u.newPhys]
+			r.val, r.ready = u.resI, true
+			pl.wake(&r.wait)
 		case destFP:
-			pl.physF[u.newPhys] = physRegF{val: u.resF, ready: true}
-			pl.wake(&pl.waitF[u.newPhys])
+			r := &pl.physF[u.newPhys]
+			r.val, r.ready = u.resF, true
+			pl.wake(&r.wait)
 		}
-		if u.st.isCompare {
-			if pl.compareWriteback(u, pl.coldSlot(pos)) {
-				return // flushed
-			}
-		}
-		if u.st.isBranch {
-			if pl.branchWriteback(u) {
-				return // flushed
-			}
+		if u.isCompare && pl.compareWriteback(u, pl.coldSlot(pos)) ||
+			u.isBranch && pl.branchWriteback(u) {
+			// flushAfter trimmed the list from its tail. The flush
+			// kept u, so the trim stopped past index i; the entries in
+			// [kept, i] are this cycle's completions.
+			pl.inflight = append(l[:kept], pl.inflight[i+1:]...)
+			return
 		}
 	}
+	pl.inflight = l[:kept]
 }
 
 // wake empties a register's consumer stack once its value is
@@ -307,15 +306,15 @@ func (pl *Pipeline) wake(stack *int32) {
 func (pl *Pipeline) compareWriteback(u *uop, c *uopCold) bool {
 	var flushSeq int64 = -1
 	for i := 0; i < 2; i++ {
-		d := &u.pDests[i]
-		if !d.valid {
+		if !u.pValid[i] {
 			continue
 		}
+		d := &u.pDests[i]
 		e := &pl.pprf[d.newP]
 		mispredicted := u.cmpLkValid && !e.computed && d.predVal != u.resP[i]
 		e.val = u.resP[i]
 		e.computed = true
-		pl.wake(&pl.waitP[d.newP])
+		pl.wake(&e.wait)
 		pl.lastPredVal[d.arch] = u.resP[i]
 		if mispredicted && e.robPtr != -1 && (flushSeq == -1 || e.robPtr < flushSeq) {
 			flushSeq = e.robPtr
@@ -329,13 +328,7 @@ func (pl *Pipeline) compareWriteback(u *uop, c *uopCold) bool {
 	}
 	// Flush from the first speculative consumer (§3.2: the ROB pointer
 	// marks the first instruction that used the prediction).
-	var consumer *uop
-	for i := pl.head; i < pl.mid; i++ {
-		if c := pl.slot(i); c.seq == flushSeq {
-			consumer = c
-			break
-		}
-	}
+	consumer := pl.robFind(flushSeq)
 	if consumer == nil {
 		return false
 	}
@@ -366,14 +359,30 @@ func (pl *Pipeline) repairGHRBit(u *uop, c *uopCold) {
 	if !u.pushedPGHR || c.cmpLk.Val1 == u.resP[0] {
 		return
 	}
-	// Count the younger pushes, in the ROB and the front-end queue.
-	pos := uint(0)
-	for i := pl.head; i < pl.tail; i++ {
-		if s := pl.slot(i); s.seq > u.seq && s.pushedPGHR {
-			pos++
+	// The bit sits under the younger pushes, in the ROB and the
+	// front-end queue.
+	pl.pGHR.SetBit(uint(pl.pgPushes-u.pushOrd-1), u.resP[0])
+}
+
+// robFind returns the ROB's uop with the given seq, or nil if none has
+// it. Seqs increase with window position, with gaps where squashed uops
+// were, so a binary search over [head, mid) finds it.
+func (pl *Pipeline) robFind(seq int64) *uop {
+	lo, hi := pl.head, pl.mid
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if pl.slot(m).seq < seq {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
-	pl.pGHR.SetBit(pos, u.resP[0])
+	if lo < pl.mid {
+		if u := pl.slot(lo); u.seq == seq {
+			return u
+		}
+	}
+	return nil
 }
 
 // branchWriteback verifies a branch against the prediction it used and

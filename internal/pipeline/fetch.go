@@ -17,7 +17,8 @@ func (pl *Pipeline) fetch() {
 	if pl.fetchHalted || pl.cycle < pl.fetchStall || pl.tail-pl.mid >= maxFrontend {
 		return
 	}
-	if pl.fetchPC < 0 || pl.fetchPC >= pl.prog.Len() {
+	static := pl.static
+	if uint(pl.fetchPC) >= uint(len(static)) {
 		// Wrong-path fetch ran off the program; wait for a flush.
 		pl.fetchHalted = true
 		return
@@ -30,61 +31,61 @@ func (pl *Pipeline) fetch() {
 		return
 	}
 
+	start := pl.tail
+	wake := pl.cycle + uint64(pl.cfg.FrontendDepth)
 	for n := 0; n < pl.cfg.FetchWidth; n++ {
-		if pl.fetchPC < 0 || pl.fetchPC >= pl.prog.Len() {
+		pc := pl.fetchPC
+		if uint(pc) >= uint(len(static)) {
 			pl.fetchHalted = true
-			return
+			break
 		}
 		pl.seq++
+		st := &static[pc]
 		u := pl.slot(pl.tail)
 		u.seq = pl.seq
-		u.st = &pl.static[pl.fetchPC]
-		u.in = pl.prog.At(pl.fetchPC)
-		u.wake = pl.cycle + uint64(pl.cfg.FrontendDepth)
-		u.pc = int32(pl.fetchPC)
-		u.uopState = uopState{} // zeroed in place: a literal would be built, then copied
-		redirect := pl.fetchPredict(u, pl.coldSlot(pl.tail))
+		u.wake = wake
+		u.pc = int32(pc)
+		u.decoded = st.decoded
+		u.uopFlags = uopFlags{}
+		// Only compares and branches consult a predictor.
+		redirect := (st.isCompare || st.isBranch) && pl.fetchPredict(u, st, pl.coldSlot(pl.tail))
 		pl.tail++
-		pl.Stats.Fetched++
 
-		if u.in.Op == isa.OpHalt {
+		if st.isHalt {
 			pl.fetchHalted = true
-			return
+			break
 		}
 		if redirect {
-			return // a predicted-taken branch ends the fetch group
+			break // a predicted-taken branch ends the fetch group
 		}
 		pl.fetchPC++
 	}
+	pl.Stats.Fetched += uint64(pl.tail - start)
 }
 
 // fetchPredict performs fetch-stage predictor work for one uop, whose
-// slot's cold state is c, and reports whether fetch redirected
-// (predicted-taken branch).
-func (pl *Pipeline) fetchPredict(u *uop, c *uopCold) bool {
-	in := u.in
-
+// static record is st and slot's cold state c, and reports whether
+// fetch redirected (predicted-taken branch).
+func (pl *Pipeline) fetchPredict(u *uop, st *static, c *uopCold) bool {
 	// Predicate predictor: one lookup per fetched compare; the GHR is
 	// speculatively updated ONCE, with the first predicted value (§3.3).
-	if u.st.isCompare && pl.cfg.Scheme == config.SchemePredicate {
-		c.cmpLk = pl.pp.Predict(u.st.pp, pl.predGHR())
+	if u.isCompare && pl.cfg.Scheme == config.SchemePredicate {
+		c.cmpLk = pl.pp.Predict(st.pp, pl.predGHR())
 		u.cmpLkValid = true
-		u.pGHRSnap = pl.pGHR.Snapshot()
-		u.pushedPGHR = true
-		pl.pGHR.Push(c.cmpLk.Val1)
+		pl.pushPGHR(u, c.cmpLk.Val1)
 	}
 
-	if !u.st.isBranch {
+	if !u.isBranch {
 		return false
 	}
 
-	switch in.Op {
+	switch u.op {
 	case isa.OpCall:
 		pl.ras.SnapshotInto(&c.rasSnap)
 		u.touchedRAS = true
 		pl.ras.Push(int(u.pc) + 1)
-		u.predTaken, u.predTarget = true, in.Target
-		pl.fetchPC = in.Target
+		u.predTaken, u.predTarget = true, u.target
+		pl.fetchPC = u.target
 		return true
 	case isa.OpRet:
 		pl.ras.SnapshotInto(&c.rasSnap)
@@ -93,16 +94,16 @@ func (pl *Pipeline) fetchPredict(u *uop, c *uopCold) bool {
 		pl.fetchPC = u.predTarget
 		return true
 	case isa.OpBrInd:
-		u.predTaken, u.predTarget = true, pl.itab.Predict(int(u.st.itab))
+		u.predTaken, u.predTarget = true, pl.itab.Predict(int(st.itab))
 		pl.fetchPC = u.predTarget
 		return true
 	}
 
 	// Direct branch.
-	u.predTarget = in.Target
-	if !u.st.isCond {
+	u.predTarget = u.target
+	if !u.isCond {
 		u.predTaken = true
-		pl.fetchPC = in.Target
+		pl.fetchPC = u.target
 		return true
 	}
 
@@ -113,7 +114,7 @@ func (pl *Pipeline) fetchPredict(u *uop, c *uopCold) bool {
 		pl.pendingRefetch[u.pc]--
 	}
 	u.brGHRSnap = pl.brGHR.Snapshot()
-	u.fetchPredTaken = pl.gshare.Predict(u.st.gshare, u.brGHRSnap)
+	u.fetchPredTaken = pl.gshare.Predict(st.gshare, u.brGHRSnap)
 	u.pushedBrGHR = true
 	pl.brGHR.Push(u.fetchPredTaken)
 	u.predTaken = u.fetchPredTaken
@@ -121,13 +122,11 @@ func (pl *Pipeline) fetchPredict(u *uop, c *uopCold) bool {
 	// Second-level lookup (delivered at rename).
 	switch pl.cfg.Scheme {
 	case config.SchemeConventional:
-		c.brLk = pl.twolevel.Predict(u.st.l2, pl.predGHR())
+		c.brLk = pl.twolevel.Predict(st.l2, pl.predGHR())
 		u.brLkValid = true
-		u.pGHRSnap = pl.pGHR.Snapshot()
-		u.pushedPGHR = true
-		pl.pGHR.Push(c.brLk.Taken)
+		pl.pushPGHR(u, c.brLk.Taken)
 	case config.SchemePEPPA:
-		c.pepLk = pl.pep.Predict(u.st.pep, pl.lastPredVal[in.QP])
+		c.pepLk = pl.pep.Predict(st.pep, pl.lastPredVal[u.qp])
 		u.pepLkValid = true
 	case config.SchemePredicate:
 		// The branch's prediction is read from the PPRF at rename; no
@@ -135,8 +134,18 @@ func (pl *Pipeline) fetchPredict(u *uop, c *uopCold) bool {
 	}
 
 	if u.fetchPredTaken {
-		pl.fetchPC = in.Target
+		pl.fetchPC = u.target
 		return true
 	}
 	return false
+}
+
+// pushPGHR speculatively pushes a uop's predicted outcome onto the
+// perceptron GHR, recording the restore point and the push's ordinal.
+func (pl *Pipeline) pushPGHR(u *uop, taken bool) {
+	u.pGHRSnap = pl.pGHR.Snapshot()
+	u.pushedPGHR = true
+	u.pushOrd = pl.pgPushes
+	pl.pgPushes++
+	pl.pGHR.Push(taken)
 }

@@ -80,23 +80,39 @@ type Pipeline struct {
 	// completed.
 	readyList, inflight []int
 
-	// stores lists the window positions of the ROB's effective
-	// (renamed, not cancelled) stores in seq order: rename appends,
-	// commit removes the first, flushAfter trims. Its length is the
-	// store-queue occupancy, and memory disambiguation and forwarding
-	// walk it instead of the ROB.
-	stores []int
+	// stores[storeHead:] lists the window positions of the ROB's
+	// effective (renamed, not cancelled) stores in seq order: rename
+	// appends, commit advances storeHead past the first, flushAfter
+	// trims the tail. Entries below storeHead have committed, so no trim
+	// reaches them; the FIFO restarts at index 0 whenever it empties,
+	// and rename compacts it when an append would outgrow its capacity.
+	// Its live length is the store-queue occupancy, and memory
+	// disambiguation and forwarding walk it instead of the ROB.
+	stores    []int
+	storeHead int
 
-	// Dependency wakeup. waitI, waitF and waitP head, per physical
-	// register, a stack of the consumer links waiting for its value
-	// (noLink when empty); linkNext threads each stack.
-	waitI, waitF, waitP []int32
-	linkNext            []int32
+	// pgPushes counts the window's live perceptron-GHR pushes: fetch
+	// gives each pushing uop the count as its pushOrd and increments
+	// it, undoFetch decrements it, commit leaves it alone. A uop in the
+	// window finds its bit pgPushes-pushOrd-1 pushes deep.
+	pgPushes int64
 
-	// Rename state.
-	ratI  [isa.NumGPR]int32
-	ratF  [isa.NumFPR]int32
-	ratP  [isa.NumPred]int32
+	// ppWater bounds every PPRF robPtr from above: rename raises it to
+	// each seq it records, and flushAfter scans the PPRF only when it
+	// lies beyond the flush boundary, then lowers it to the boundary.
+	ppWater int64
+
+	// Dependency wakeup: linkNext threads the consumer-link stacks
+	// the physical registers head.
+	linkNext []int32
+
+	// Rename state. The maps are indexed by architectural register
+	// numbers and sized to their types' range, so no index into them
+	// needs a bounds check; New maps the entries past NumGPR, NumFPR
+	// and NumPred to themselves, and nothing reads them.
+	ratI  [1 << 8]int32
+	ratF  [1 << 8]int32
+	ratP  [1 << 8]int32
 	physI []physReg
 	physF []physRegF
 	pprf  []pprfEntry
@@ -104,12 +120,14 @@ type Pipeline struct {
 	freeF []int32
 	freeP []int32
 
-	// Issue-queue occupancy.
-	intIQ, fpIQ, brIQ, ldQ int
+	// Issue-queue occupancy and capacity, indexed by a uop's queue,
+	// and the load queue's occupancy.
+	iq, iqCap [numIQ]int
+	ldQ       int
 
 	// PEP-PA's logical predicate register file, updated out of order at
 	// writeback (the §4.3 caveat).
-	lastPredVal [isa.NumPred]bool
+	lastPredVal [1 << 8]bool
 
 	// Per branch PC, the post-consumer-flush refetches still to come;
 	// those refetched instances are trivially "early" and are excluded
@@ -158,6 +176,8 @@ func New(cfg config.Config, prog *program.Program) (*Pipeline, error) {
 	pl.readyList = make([]int, 0, n)
 	pl.inflight = make([]int, 0, n)
 	pl.stores = make([]int, 0, n)
+	pl.ppWater = -1
+	pl.iqCap = [numIQ]int{iqInt: cfg.IntIQEntries, iqFP: cfg.FPIQEntries, iqBr: cfg.BrIQEntries}
 	pl.linkNext = make([]int32, n*srcLinks)
 	pl.brGHR.N = cfg.GshareIdxBits
 	pl.pGHR.N = cfg.L2PredGHRBits
@@ -195,17 +215,14 @@ func New(cfg config.Config, prog *program.Program) (*Pipeline, error) {
 	pl.physI = make([]physReg, cfg.IntPhysRegs)
 	pl.physF = make([]physRegF, cfg.FPPhysRegs)
 	pl.pprf = make([]pprfEntry, cfg.PredPhysRegs)
-	pl.waitI = emptyStacks(cfg.IntPhysRegs)
-	pl.waitF = emptyStacks(cfg.FPPhysRegs)
-	pl.waitP = emptyStacks(cfg.PredPhysRegs)
 	for i := range pl.physI {
-		pl.physI[i].ready = true
+		pl.physI[i] = physReg{ready: true, wait: noLink}
 	}
 	for i := range pl.physF {
-		pl.physF[i].ready = true
+		pl.physF[i] = physRegF{ready: true, wait: noLink}
 	}
 	for i := range pl.pprf {
-		pl.pprf[i] = pprfEntry{computed: true, robPtr: -1}
+		pl.pprf[i] = pprfEntry{computed: true, wait: noLink, robPtr: -1}
 	}
 	pl.pprf[0].val = true // p0 hardwired true
 	for r := range pl.ratI {
@@ -230,14 +247,6 @@ func New(cfg config.Config, prog *program.Program) (*Pipeline, error) {
 		pl.freeP = append(pl.freeP, int32(i))
 	}
 	return pl, nil
-}
-
-func emptyStacks(n int) []int32 {
-	s := make([]int32, n)
-	for i := range s {
-		s[i] = noLink
-	}
-	return s
 }
 
 // Memory exposes the committed architectural memory (programs often
@@ -314,14 +323,12 @@ func (pl *Pipeline) coldSlot(i int) *uopCold { return &pl.cold[i&pl.mask] }
 
 // insertPos inserts window position pos into l, which is in seq order,
 // and returns the longer list. Every list has capacity for the whole
-// window.
+// window, so the append never allocates.
 func insertPos(l []int, pos int) []int {
-	n := len(l)
-	l = l[:n+1]
-	for ; n > 0 && l[n-1] > pos; n-- {
-		l[n] = l[n-1]
+	l = append(l, pos)
+	for n := len(l) - 1; n > 0 && l[n-1] > pos; n-- {
+		l[n], l[n-1] = l[n-1], pos
 	}
-	l[n] = pos
 	return l
 }
 
@@ -366,10 +373,16 @@ func (pl *Pipeline) flushAfter(boundary int64, newPC int, penalty int) {
 	pl.readyList = trimFrom(pl.readyList, pl.mid)
 	pl.inflight = trimFrom(pl.inflight, pl.mid)
 	pl.stores = trimFrom(pl.stores, pl.mid)
-	for i := range pl.pprf {
-		if pl.pprf[i].robPtr > boundary {
-			pl.pprf[i].robPtr = -1
+	if pl.storeHead == len(pl.stores) {
+		pl.stores, pl.storeHead = pl.stores[:0], 0
+	}
+	if pl.ppWater > boundary {
+		for i := range pl.pprf {
+			if pl.pprf[i].robPtr > boundary {
+				pl.pprf[i].robPtr = -1
+			}
 		}
+		pl.ppWater = boundary
 	}
 	pl.fetchPC = newPC
 	pl.fetchHalted = false
@@ -381,6 +394,9 @@ func (pl *Pipeline) flushAfter(boundary int64, newPC int, penalty int) {
 // undoFetch reverses the speculative predictor updates a uop performed
 // at fetch time; c is its slot's cold state.
 func (pl *Pipeline) undoFetch(u *uop, c *uopCold) {
+	if !u.isBranch && !u.isCompare {
+		return // no predictor work to undo
+	}
 	if u.brLkValid {
 		pl.twolevel.Undo(c.brLk)
 		u.brLkValid = false
@@ -395,6 +411,7 @@ func (pl *Pipeline) undoFetch(u *uop, c *uopCold) {
 	}
 	if u.pushedPGHR {
 		pl.pGHR.Restore(u.pGHRSnap)
+		pl.pgPushes--
 		u.pushedPGHR = false
 	}
 	if u.pushedBrGHR {
@@ -415,40 +432,42 @@ func (pl *Pipeline) undoRename(u *uop) {
 	}
 	switch u.dKind {
 	case destInt:
-		pl.ratI[u.in.Rd] = u.oldPhys
+		pl.ratI[u.rd] = u.oldPhys
 		pl.freeI = append(pl.freeI, u.newPhys)
 	case destFP:
-		pl.ratF[u.in.Rd] = u.oldPhys
+		pl.ratF[u.rd] = u.oldPhys
 		pl.freeF = append(pl.freeF, u.newPhys)
 	}
 	for i := 1; i >= 0; i-- {
-		d := &u.pDests[i]
-		if d.valid {
+		if u.pValid[i] {
+			d := &u.pDests[i]
 			pl.ratP[d.arch] = d.oldP
 			pl.freeP = append(pl.freeP, d.newP)
 		}
 	}
-	if !u.issued {
+	if !u.issued && u.class != classNone {
 		pl.releaseIQ(u)
 		if u.pending > 0 {
 			pl.unlink(u)
 		}
 	}
-	if u.st.isLoad && !u.canceled {
+	if u.isLoad && !u.canceled {
 		pl.ldQ--
 	}
 }
 
+// Issue queues. A uop's decoded queue is the one rename needs a free
+// entry in and the uop holds until it issues. Memory uops generate
+// their addresses in the integer queue; nops and halts need a free
+// integer entry but never take one, and neither does a uop that rename
+// cancels (classNone). numIQ is a power of two, so a queue index masked
+// by numIQ-1 needs no bounds check.
+const (
+	iqInt = iota
+	iqFP
+	iqBr
+	numIQ = 4
+)
+
 // releaseIQ frees the issue-queue slot a dispatched, un-issued uop held.
-func (pl *Pipeline) releaseIQ(u *uop) {
-	switch u.class {
-	case classInt:
-		pl.intIQ--
-	case classFP:
-		pl.fpIQ--
-	case classMem:
-		pl.intIQ-- // address generation occupies the integer queue
-	case classBr:
-		pl.brIQ--
-	}
-}
+func (pl *Pipeline) releaseIQ(u *uop) { pl.iq[u.queue&(numIQ-1)]-- }

@@ -32,59 +32,28 @@ func (pl *Pipeline) rename() {
 // resourcesFor conservatively checks free physical registers and queue
 // slots before renaming a uop.
 func (pl *Pipeline) resourcesFor(u *uop) bool {
-	st := u.st
-	if st.writesGPR && len(pl.freeI) < 1 {
-		return false
-	}
-	if st.writesFPR && len(pl.freeF) < 1 {
-		return false
-	}
-	if st.isCompare && len(pl.freeP) < 2 {
-		return false
-	}
-	switch st.class {
-	case classBr:
-		if pl.brIQ >= pl.cfg.BrIQEntries {
-			return false
-		}
-	case classMem:
-		if pl.intIQ >= pl.cfg.IntIQEntries {
-			return false
-		}
-		if st.isLoad && pl.ldQ >= pl.cfg.LoadQEntries {
-			return false
-		}
-		if st.isStore && len(pl.stores) >= pl.cfg.StoreQEntries {
-			return false
-		}
-	case classFP:
-		if pl.fpIQ >= pl.cfg.FPIQEntries {
-			return false
-		}
-	default: // classInt, and nops and halts (classNone)
-		if pl.intIQ >= pl.cfg.IntIQEntries {
-			return false
-		}
-	}
-	return true
+	q := u.queue & (numIQ - 1)
+	n := &u.needs
+	return pl.iq[q] < pl.iqCap[q] &&
+		len(pl.freeI) >= int(n.regI) && len(pl.freeF) >= int(n.regF) && len(pl.freeP) >= int(n.regP) &&
+		pl.ldQ+int(n.ldQ) <= pl.cfg.LoadQEntries &&
+		len(pl.stores)-pl.storeHead+int(n.stQ) <= pl.cfg.StoreQEntries
 }
 
 // renameOne renames a single uop and reports whether it triggered a
 // front-end override flush.
 func (pl *Pipeline) renameOne(u *uop) bool {
-	in, st := u.in, u.st
 	pos := pl.mid - 1
 	u.renamed = true
-	u.class = st.class
 
-	guarded := in.QP != isa.P0
+	guarded := u.qp != isa.P0
 	u.qpPhys = -1
 	if guarded {
-		u.qpPhys = pl.ratP[in.QP]
+		u.qpPhys = pl.ratP[u.qp]
 	}
 
 	// Predication policy for guarded non-branch instructions.
-	if guarded && !st.isBranch && in.Op != isa.OpHalt {
+	if guarded && !u.isBranch && !u.isHalt {
 		pl.applyPredication(u)
 	}
 
@@ -100,51 +69,49 @@ func (pl *Pipeline) renameOne(u *uop) bool {
 	// Sources (before destination renaming).
 	// Cancelled unc compares still write false/false but evaluate
 	// nothing: they have no data sources.
+	// Both slots of each class are copied whatever the count: an
+	// unused slot names register 0, and nothing reads past the count.
 	if !u.uncFalse {
-		for _, r := range st.srcI[:st.nSrcI] {
-			u.addSrcI(pl.ratI[r])
-		}
-		for _, r := range st.srcF[:st.nSrcF] {
-			u.addSrcF(pl.ratF[r])
-		}
+		u.srcI[0], u.srcI[1], u.nSrcI = pl.ratI[u.regI[0]], pl.ratI[u.regI[1]], u.nRegI
+		u.srcF[0], u.srcF[1], u.nSrcF = pl.ratF[u.regF[0]], pl.ratF[u.regF[1]], u.nRegF
 	}
 
 	// The guard becomes a data source for select micro-ops and branches.
-	if guarded && (u.selectOp || st.isBranch) {
+	if guarded && (u.selectOp || u.isBranch) {
 		u.addSrcP(u.qpPhys)
 	}
 	// Select micro-ops also read the previous destination mapping.
-	if u.selectOp && !st.isCompare {
+	if u.selectOp && !u.isCompare {
 		switch {
-		case st.writesGPR:
-			u.oldPhys = pl.ratI[in.Rd]
+		case u.writesGPR:
+			u.oldPhys = pl.ratI[u.rd]
 			u.addSrcI(u.oldPhys)
-		case st.writesFPR:
-			u.oldPhys = pl.ratF[in.Rd]
+		case u.writesFPR:
+			u.oldPhys = pl.ratF[u.rd]
 			u.addSrcF(u.oldPhys)
 		}
 	}
 
 	// Destination renaming.
 	switch {
-	case st.writesGPR:
+	case u.writesGPR:
 		u.dKind = destInt
 		u.newPhys = pl.allocI()
-		u.oldPhys = pl.ratI[in.Rd]
-		pl.ratI[in.Rd] = u.newPhys
-	case st.writesFPR:
+		u.oldPhys = pl.ratI[u.rd]
+		pl.ratI[u.rd] = u.newPhys
+	case u.writesFPR:
 		u.dKind = destFP
 		u.newPhys = pl.allocF()
-		u.oldPhys = pl.ratF[in.Rd]
-		pl.ratF[in.Rd] = u.newPhys
+		u.oldPhys = pl.ratF[u.rd]
+		pl.ratF[u.rd] = u.newPhys
 	}
 
-	if st.isCompare && !(u.canceled && !u.uncFalse) {
+	if u.isCompare && !(u.canceled && !u.uncFalse) {
 		pl.renameCompare(u, pl.coldSlot(pos))
 	}
 
 	var override bool
-	if st.isBranch {
+	if u.isBranch {
 		override = pl.renameBranch(u, pl.coldSlot(pos))
 	}
 
@@ -166,23 +133,23 @@ func (pl *Pipeline) renameOne(u *uop) bool {
 func (pl *Pipeline) dispatch(u *uop, pos int) {
 	base := int32(pos&pl.mask) * srcLinks
 	for k, p := range u.srcI[:u.nSrcI] {
-		if !pl.physI[p].ready {
+		if r := &pl.physI[p]; !r.ready {
 			l := base + int32(k)
-			pl.linkNext[l], pl.waitI[p] = pl.waitI[p], l
+			pl.linkNext[l], r.wait = r.wait, l
 			u.pending++
 		}
 	}
 	for k, p := range u.srcF[:u.nSrcF] {
-		if !pl.physF[p].ready {
+		if r := &pl.physF[p]; !r.ready {
 			l := base + 3 + int32(k)
-			pl.linkNext[l], pl.waitF[p] = pl.waitF[p], l
+			pl.linkNext[l], r.wait = r.wait, l
 			u.pending++
 		}
 	}
 	for k, p := range u.srcP[:u.nSrcP] {
-		if !pl.pprf[p].computed {
+		if e := &pl.pprf[p]; !e.computed {
 			l := base + 6 + int32(k)
-			pl.linkNext[l], pl.waitP[p] = pl.waitP[p], l
+			pl.linkNext[l], e.wait = e.wait, l
 			u.pending++
 		}
 	}
@@ -198,18 +165,18 @@ func (pl *Pipeline) dispatch(u *uop, pos int) {
 // dispatch order keeps that true when a uop reads a register twice.
 func (pl *Pipeline) unlink(u *uop) {
 	for k := int(u.nSrcI) - 1; k >= 0; k-- {
-		if p := u.srcI[k]; !pl.physI[p].ready {
-			pl.waitI[p] = pl.linkNext[pl.waitI[p]]
+		if r := &pl.physI[u.srcI[k]]; !r.ready {
+			r.wait = pl.linkNext[r.wait]
 		}
 	}
 	for k := int(u.nSrcF) - 1; k >= 0; k-- {
-		if p := u.srcF[k]; !pl.physF[p].ready {
-			pl.waitF[p] = pl.linkNext[pl.waitF[p]]
+		if r := &pl.physF[u.srcF[k]]; !r.ready {
+			r.wait = pl.linkNext[r.wait]
 		}
 	}
 	for k := int(u.nSrcP) - 1; k >= 0; k-- {
-		if p := u.srcP[k]; !pl.pprf[p].computed {
-			pl.waitP[p] = pl.linkNext[pl.waitP[p]]
+		if e := &pl.pprf[u.srcP[k]]; !e.computed {
+			e.wait = pl.linkNext[e.wait]
 		}
 	}
 }
@@ -224,16 +191,16 @@ func (pl *Pipeline) applyPredication(u *uop) {
 		usable := e.computed || e.conf
 		if usable {
 			if !e.computed {
-				u.usedSpec = true
 				if e.robPtr == -1 {
 					e.robPtr = u.seq
+					pl.ppWater = u.seq
 				}
 			}
 			if e.val {
 				u.unguarded = true
 			} else {
 				u.canceled = true
-				if u.st.isCompare && u.in.CType == isa.CmpUnc {
+				if u.isCompare && u.ctype == isa.CmpUnc {
 					// A nullified unc compare still clears both
 					// destinations: keep it executable.
 					u.uncFalse = true
@@ -248,19 +215,18 @@ func (pl *Pipeline) applyPredication(u *uop) {
 // renameCompare renames the two predicate destinations and records
 // RMW semantics and predicted values; c is the uop's cold state.
 func (pl *Pipeline) renameCompare(u *uop, c *uopCold) {
-	in := u.in
 	// norm compares under a select-op guard, and all and/or compares,
 	// may leave their destinations unwritten: the computed result is
 	// then the old value (read-modify-write).
-	rmw := in.CType == isa.CmpAnd || in.CType == isa.CmpOr ||
-		(in.CType == isa.CmpNorm && u.selectOp)
-	for i, arch := range [2]isa.PredReg{in.P1, in.P2} {
+	rmw := u.ctype == isa.CmpAnd || u.ctype == isa.CmpOr ||
+		(u.ctype == isa.CmpNorm && u.selectOp)
+	for i, arch := range [2]isa.PredReg{u.p1, u.p2} {
 		if arch == isa.P0 {
 			continue
 		}
 		d := &u.pDests[i]
+		u.pValid[i] = true
 		d.arch = arch
-		d.valid = true
 		d.rmw = rmw
 		d.oldP = pl.ratP[arch]
 		if rmw {
@@ -268,7 +234,7 @@ func (pl *Pipeline) renameCompare(u *uop, c *uopCold) {
 		}
 		d.newP = pl.allocP()
 		e := &pl.pprf[d.newP]
-		*e = pprfEntry{computed: false, robPtr: -1}
+		*e = pprfEntry{wait: noLink, robPtr: -1}
 		if u.cmpLkValid {
 			if i == 0 {
 				e.val, e.conf, d.predVal = c.cmpLk.Val1, c.cmpLk.Conf1, c.cmpLk.Val1
@@ -300,9 +266,9 @@ func (pl *Pipeline) renameBranch(u *uop, c *uopCold) bool {
 		if e.computed {
 			u.early = true
 		} else {
-			u.usedSpec = true
 			if e.robPtr == -1 {
 				e.robPtr = u.seq
+				pl.ppWater = u.seq
 			}
 		}
 		finalPred = e.val
@@ -317,7 +283,7 @@ func (pl *Pipeline) renameBranch(u *uop, c *uopCold) bool {
 	pl.Stats.OverrideFlushes++
 	newPC := int(u.pc) + 1
 	if finalPred {
-		newPC = u.in.Target
+		newPC = u.target
 	}
 	pl.flushAfter(u.seq, newPC, 0)
 	pl.brGHR.Restore(u.brGHRSnap)
@@ -329,7 +295,7 @@ func (pl *Pipeline) allocI() int32 {
 	n := len(pl.freeI) - 1
 	p := pl.freeI[n]
 	pl.freeI = pl.freeI[:n]
-	pl.physI[p] = physReg{}
+	pl.physI[p] = physReg{wait: noLink}
 	return p
 }
 
@@ -337,7 +303,7 @@ func (pl *Pipeline) allocF() int32 {
 	n := len(pl.freeF) - 1
 	p := pl.freeF[n]
 	pl.freeF = pl.freeF[:n]
-	pl.physF[p] = physRegF{}
+	pl.physF[p] = physRegF{wait: noLink}
 	return p
 }
 
@@ -348,16 +314,7 @@ func (pl *Pipeline) allocP() int32 {
 	return p
 }
 
-func (pl *Pipeline) acquireIQ(u *uop) {
-	switch u.class {
-	case classInt, classMem:
-		pl.intIQ++
-	case classFP:
-		pl.fpIQ++
-	case classBr:
-		pl.brIQ++
-	}
-}
+func (pl *Pipeline) acquireIQ(u *uop) { pl.iq[u.queue&(numIQ-1)]++ }
 
 // trackMemQueues counts an effective load in the load queue and puts an
 // effective store, at window position pos, on the store list.
@@ -365,10 +322,14 @@ func (pl *Pipeline) trackMemQueues(u *uop, pos int) {
 	if u.canceled {
 		return
 	}
-	if u.st.isLoad {
+	if u.isLoad {
 		pl.ldQ++
 	}
-	if u.st.isStore {
+	if u.isStore {
+		if len(pl.stores) == cap(pl.stores) {
+			n := copy(pl.stores, pl.stores[pl.storeHead:])
+			pl.stores, pl.storeHead = pl.stores[:n], 0
+		}
 		pl.stores = append(pl.stores, pos)
 	}
 }

@@ -7,20 +7,22 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/config"
+	"repro/internal/emulator"
 	"repro/internal/ifconvert"
 	"repro/internal/program"
 )
 
 // checkSchedule recomputes the scheduler's state by scanning the whole
 // ROB, as issue and writeback did before dependency wakeup, and reports
-// the first way the ready list, the in-flight list, the store list, a
-// pending count or a consumer link disagrees with it.
+// the first way the ready list, the in-flight list, the store FIFO, a
+// pending count, a consumer link, the pGHR push count, the PPRF
+// watermark or the ROB search disagrees with it.
 func checkSchedule(pl *Pipeline) error {
 	var ready, inflight, stores []int
 	waiting := 0
 	for i := pl.head; i < pl.mid; i++ {
 		u := pl.slot(i)
-		if u.st.isStore && !u.canceled {
+		if u.isStore && !u.canceled {
 			stores = append(stores, i)
 		}
 		switch {
@@ -58,7 +60,18 @@ func checkSchedule(pl *Pipeline) error {
 	if err := sameList("in-flight", pl.inflight, inflight); err != nil {
 		return err
 	}
-	if err := sameList("store", pl.stores, stores); err != nil {
+	if err := sameList("store", pl.stores[pl.storeHead:], stores); err != nil {
+		return err
+	}
+	// The FIFO's head lies within it, and an empty FIFO restarts at
+	// index 0, so it never needs more than the window's capacity.
+	if pl.storeHead > len(pl.stores) || len(pl.stores) > cap(pl.stores) {
+		return fmt.Errorf("store FIFO head %d, length %d, capacity %d", pl.storeHead, len(pl.stores), cap(pl.stores))
+	}
+	if pl.storeHead == len(pl.stores) && pl.storeHead != 0 {
+		return fmt.Errorf("empty store FIFO left at head %d", pl.storeHead)
+	}
+	if err := checkWindowCounters(pl); err != nil {
 		return err
 	}
 
@@ -67,6 +80,13 @@ func checkSchedule(pl *Pipeline) error {
 	// not ready; every not-ready source has exactly one link.
 	seen := make([]bool, len(pl.linkNext))
 	links := 0
+	stacks := func(n int, top func(p int) int32) []int32 {
+		s := make([]int32, n)
+		for p := range s {
+			s[p] = top(p)
+		}
+		return s
+	}
 	for _, c := range []struct {
 		name   string
 		stacks []int32
@@ -74,9 +94,9 @@ func checkSchedule(pl *Pipeline) error {
 		ready  func(p int) bool
 		srcs   func(u *uop) []int32
 	}{
-		{"int", pl.waitI, 0, func(p int) bool { return pl.physI[p].ready }, func(u *uop) []int32 { return u.srcI[:u.nSrcI] }},
-		{"fp", pl.waitF, 3, func(p int) bool { return pl.physF[p].ready }, func(u *uop) []int32 { return u.srcF[:u.nSrcF] }},
-		{"pred", pl.waitP, 6, func(p int) bool { return pl.pprf[p].computed }, func(u *uop) []int32 { return u.srcP[:u.nSrcP] }},
+		{"int", stacks(len(pl.physI), func(p int) int32 { return pl.physI[p].wait }), 0, func(p int) bool { return pl.physI[p].ready }, func(u *uop) []int32 { return u.srcI[:u.nSrcI] }},
+		{"fp", stacks(len(pl.physF), func(p int) int32 { return pl.physF[p].wait }), 3, func(p int) bool { return pl.physF[p].ready }, func(u *uop) []int32 { return u.srcF[:u.nSrcF] }},
+		{"pred", stacks(len(pl.pprf), func(p int) int32 { return pl.pprf[p].wait }), 6, func(p int) bool { return pl.pprf[p].computed }, func(u *uop) []int32 { return u.srcP[:u.nSrcP] }},
 	} {
 		for p, top := range c.stacks {
 			for l := top; l != noLink; l = pl.linkNext[l] {
@@ -106,6 +126,48 @@ func checkSchedule(pl *Pipeline) error {
 	return nil
 }
 
+// checkWindowCounters holds the pGHR push count, the PPRF watermark
+// and the ROB's binary search to the window scans they replace.
+func checkWindowCounters(pl *Pipeline) error {
+	// Each live pGHR push, youngest first, must find by its ordinal as
+	// many younger pushes as a walk of the ROB and the front-end queue.
+	younger := int64(0)
+	for i := pl.tail - 1; i >= pl.head; i-- {
+		u := pl.slot(i)
+		if !u.pushedPGHR {
+			continue
+		}
+		if got := pl.pgPushes - u.pushOrd - 1; got != younger {
+			return fmt.Errorf("seq %d: push count puts its pGHR bit %d deep, the walk finds %d younger pushes", u.seq, got, younger)
+		}
+		younger++
+	}
+	for p, e := range pl.pprf {
+		if e.robPtr > pl.ppWater {
+			return fmt.Errorf("PPRF p%d points at seq %d, past the watermark %d", p, e.robPtr, pl.ppWater)
+		}
+	}
+	// robFind must find every ROB entry by its seq, and nothing for a
+	// seq no ROB entry holds: one squashed between two entries, one
+	// before the head and one not yet fetched.
+	for i := pl.head; i < pl.mid; i++ {
+		u := pl.slot(i)
+		if got := pl.robFind(u.seq); got != u {
+			return fmt.Errorf("robFind(%d) misses the ROB entry at position %d", u.seq, i)
+		}
+		if i+1 < pl.mid && pl.slot(i+1).seq > u.seq+1 && pl.robFind(u.seq+1) != nil {
+			return fmt.Errorf("robFind(%d) finds a uop in a squashed gap", u.seq+1)
+		}
+	}
+	if pl.head < pl.mid && pl.robFind(pl.slot(pl.head).seq-1) != nil {
+		return fmt.Errorf("robFind finds a uop older than the ROB head")
+	}
+	if pl.robFind(pl.seq+1) != nil {
+		return fmt.Errorf("robFind finds a uop not yet fetched")
+	}
+	return nil
+}
+
 func sameList(name string, got, want []int) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("%s list %v, scan finds %v", name, got, want)
@@ -118,30 +180,37 @@ func sameList(name string, got, want []int) error {
 	return nil
 }
 
-// stepChecked runs the pipeline cycle by cycle until it halts or
-// commits n instructions, checking the scheduler after every cycle.
-func stepChecked(t *testing.T, label string, cfg config.Config, p *program.Program, n uint64) {
+// stepChecked runs the pipeline cycle by cycle, co-simulated, until it
+// halts or commits n instructions, checking the scheduler after every
+// cycle, and returns it.
+func stepChecked(t *testing.T, label string, cfg config.Config, p *program.Program, n uint64) *Pipeline {
 	t.Helper()
 	pl, err := New(cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pl.CoSim = emulator.New(p)
 	for !pl.halted && pl.Stats.Committed < n {
 		if pl.cycle > 20*n {
 			t.Fatalf("%s: only %d commits after %d cycles", label, pl.Stats.Committed, pl.cycle)
 		}
 		pl.step()
+		if pl.CoSimErr != nil {
+			t.Fatalf("%s, cycle %d: %v", label, pl.cycle, pl.CoSimErr)
+		}
 		if err := checkSchedule(pl); err != nil {
 			t.Fatalf("%s, cycle %d: %v", label, pl.cycle, err)
 		}
 	}
+	return pl
 }
 
 // TestSchedulingInvariants holds the ready list, the in-flight list,
-// the pending counts and the consumer stacks to the full-ROB scan they
-// replace, after every cycle, on random programs (plain and
-// if-converted) and on mcf, whose ready lists are the longest in the
-// suite.
+// the store FIFO, the pending counts, the consumer stacks, the pGHR
+// push count, the PPRF watermark and the ROB search to the window scans
+// they replace, after every cycle and with co-simulation on, on random
+// programs (plain and if-converted) and on mcf, whose ready lists are
+// the longest in the suite.
 func TestSchedulingInvariants(t *testing.T) {
 	var variants []struct {
 		name string
@@ -240,11 +309,14 @@ func TestSchedulingVisitsPerCommit(t *testing.T) {
 					isScan += pl.mid - pl.head
 					isList += len(pl.readyList)
 					for _, pos := range pl.readyList {
-						if !pl.slot(pos).st.isLoad {
+						if !pl.slot(pos).isLoad {
 							continue
 						}
 						ldScan += pos - pl.head
-						for k := 0; k < len(pl.stores) && pl.stores[k] < pos; k++ {
+						for _, s := range pl.stores[pl.storeHead:] {
+							if s >= pos {
+								break
+							}
 							ldList++
 						}
 					}

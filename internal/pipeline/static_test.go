@@ -40,10 +40,10 @@ func TestPredecodeParity(t *testing.T) {
 				if st.class != classify(in) {
 					t.Errorf("%s: class %d, classify says %d", in, st.class, classify(in))
 				}
-				if got := st.srcI[:st.nSrcI]; !slices.Equal(got, in.GPRSources()) {
+				if got := st.regI[:st.nRegI]; !slices.Equal(got, in.GPRSources()) {
 					t.Errorf("%s: GPR sources %v, isa.Inst says %v", in, got, in.GPRSources())
 				}
-				if got := st.srcF[:st.nSrcF]; !slices.Equal(got, in.FPRSources()) {
+				if got := st.regF[:st.nRegF]; !slices.Equal(got, in.FPRSources()) {
 					t.Errorf("%s: FPR sources %v, isa.Inst says %v", in, got, in.FPRSources())
 				}
 			}

@@ -34,16 +34,20 @@ const (
 	classNone // canceled / nop / halt: never issues
 )
 
-// physReg is an integer physical register.
+// physReg is an integer physical register. wait heads the stack of
+// consumer links waiting for its value (noLink when empty); linkNext
+// threads each stack.
 type physReg struct {
 	val   int64
 	ready bool
+	wait  int32
 }
 
-// physRegF is a floating-point physical register.
+// physRegF is a floating-point physical register, likewise.
 type physRegF struct {
 	val   float64
 	ready bool
+	wait  int32
 }
 
 // pprfEntry is a predicate physical register with the paper's §3.2
@@ -56,6 +60,7 @@ type pprfEntry struct {
 	val      bool
 	computed bool  // false while val is a prediction (speculative bit set)
 	conf     bool  // prediction confidence at allocation
+	wait     int32 // consumer-link stack, as in physReg
 	robPtr   int64 // seq of first speculative consumer, -1 when none
 }
 
@@ -64,7 +69,6 @@ type predDest struct {
 	newP    int32
 	oldP    int32
 	arch    isa.PredReg
-	valid   bool
 	rmw     bool // final value may be the old value (norm/and/or semantics)
 	predVal bool // predicted final value (predicate scheme)
 }
@@ -77,30 +81,32 @@ const (
 	noLink   = -1
 )
 
-// uop is one in-flight instruction, held in a Pipeline window slot.
-// Fetch writes the five header fields and zeroes the embedded uopState.
-// Physical-register indices and the uop's own PC are int32: New rejects
-// a configuration or program they cannot index. Branch targets stay int,
-// because an indirect target is a register value.
+// uop is one in-flight instruction, held in a Pipeline window slot. It
+// holds no pointer, so the window is no work for the garbage collector.
+// Fetch writes the header fields, copies the static record's decoded
+// part and zeroes the uopFlags. Every uopState field is written before
+// it is read, under a flag or a decoded predicate that says so, so
+// fetch leaves the slot's old values there. Physical-register indices
+// and the uop's own PC are int32: New rejects a configuration or
+// program they cannot index. Branch targets stay int, because an
+// indirect target is a register value.
 type uop struct {
 	seq  int64
-	st   *static   // predecoded opcode class, latency and sources of in
-	in   *isa.Inst // operand fields and Op
-	wake uint64    // cycle at which the uop is visible to rename (front-end delay)
-	pc   int32
+	wake uint64 // cycle at which the uop is visible to rename (front-end delay)
+	pc   int32  // also the index of the static record, which holds the predictor sites
+	decoded
+	uopFlags
 	uopState
 }
 
-// uopState is the part of a uop that fetch does not write itself.
-type uopState struct {
-	// Fetch-time prediction state. The scheme-exclusive lookups and
-	// the RAS snapshot live in the slot's uopCold; the flags below say
-	// which of them are live.
-	brGHRSnap      uint64 // gshare GHR before this uop's push: gshare's index history and the restore point
-	pGHRSnap       uint64 // perceptron GHR before this uop's push
-	predTarget     int    // predicted target when taken
-	fetchPredTaken bool   // first-level (gshare) direction
-	predTaken      bool   // final direction prediction used
+// uopFlags is the part of a uop that must start at zero: the flags
+// that say which uopState fields and cold lookups are live, and the
+// counts rename and dispatch increment.
+type uopFlags struct {
+	// Fetch. The scheme-exclusive lookups and the RAS snapshot live in
+	// the slot's uopCold; the flags below say which of them are live.
+	fetchPredTaken bool // first-level (gshare) direction
+	predTaken      bool // final direction prediction used
 	pushedBrGHR    bool
 	pushedPGHR     bool
 	touchedRAS     bool
@@ -110,39 +116,52 @@ type uopState struct {
 	isCondBr       bool
 	refetched      bool // refetch after this branch's own consumer-flush
 
-	// Rename results.
-	newPhys   int32
-	oldPhys   int32
-	qpPhys    int32    // physical reg of the qualifying predicate (-1 if p0)
-	srcI      [3]int32 // int physical sources: 2 ISA sources + a select op's old destination
-	srcF      [3]int32 // fp physical sources, likewise
-	srcP      [3]int32 // predicate physical sources that must be computed: guard + 2 RMW destinations
-	pDests    [2]predDest
-	class     uopClass
+	// Rename.
 	dKind     destKind
 	nSrcI     uint8
 	nSrcF     uint8
 	nSrcP     uint8
-	selectOp  bool // select-style micro-op: result may be the old dest value
-	canceled  bool // nullified at rename (selective predication, predicted false)
-	unguarded bool // guard dropped at rename (selective predication, predicted true)
-	uncFalse  bool // canceled unc compare: still writes false/false
-	usedSpec  bool // consumed a speculative PPRF value at rename
-	early     bool // branch guard was computed at rename (early-resolved)
+	pValid    [2]bool // pDests[i] renames a predicate destination
+	selectOp  bool    // select-style micro-op: result may be the old dest value
+	canceled  bool    // nullified at rename (selective predication, predicted false)
+	unguarded bool    // guard dropped at rename (selective predication, predicted true)
+	uncFalse  bool    // canceled unc compare: still writes false/false
+	early     bool    // branch guard was computed at rename (early-resolved)
 	renamed   bool
 
-	// Execution state.
-	doneCycle   uint64
+	// Execution.
+	pending uint8 // sources not yet ready, while dispatched and waiting
+	issued  bool
+	done    bool
+}
+
+// uopState is the rest of a uop's state: each field is written before
+// any read, by the stage named beside it.
+type uopState struct {
+	// Fetch, for branches and compares.
+	brGHRSnap  uint64 // gshare GHR before this uop's push: gshare's index history and the restore point (pushedBrGHR)
+	pGHRSnap   uint64 // perceptron GHR before this uop's push (pushedPGHR)
+	pushOrd    int64  // this uop's ordinal among the live pGHR pushes (pushedPGHR)
+	predTarget int    // predicted target when taken (every branch)
+
+	// Rename.
+	newPhys int32    // dKind != destNone
+	oldPhys int32    // dKind != destNone, or a select micro-op
+	qpPhys  int32    // physical reg of the qualifying predicate (-1 if p0)
+	srcI    [3]int32 // int physical sources: 2 ISA sources + a select op's old destination
+	srcF    [3]int32 // fp physical sources, likewise
+	srcP    [3]int32 // predicate physical sources that must be computed: guard + 2 RMW destinations
+	pDests  [2]predDest
+
+	// Execution.
+	doneCycle   uint64 // also set at rename for a uop that never issues
 	resI        int64
 	resF        float64
 	memAddr     uint64
 	stBits      uint64 // store data, as the bits memory receives
 	actualTgt   int    // a register value for ret and brind: not bounded by the program
-	pending     uint8  // sources not yet ready, while dispatched and waiting
-	issued      bool
-	done        bool
 	actualTaken bool
-	qpVal       bool // computed guard value (valid at execute)
+	qpVal       bool // computed guard value
 	resP        [2]bool
 }
 
