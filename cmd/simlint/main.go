@@ -18,8 +18,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
+	//simlint:ignore layering simlint is the lint suite's own driver, not a simulator client; the sim facade is not its seam
 	"repro/internal/lint"
 )
 
@@ -58,12 +58,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	cfg, err := lint.LoadConfig(filepath.Join(root, lint.ConfigFile))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	ds := lint.Run(lint.Fset(), pkgs, lint.Analyzers(), cfg)
+	ds := lint.Run(lint.Fset(), pkgs, lint.Analyzers())
 	if *formatFlag == "json" {
 		if err := lint.WriteJSON(os.Stdout, lint.Fset(), root, ds); err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -14,7 +14,9 @@ import (
 	"fmt"
 	"log"
 
+	//simlint:ignore layering hand-builds a program at the ISA level to demonstrate early-resolved branches; needs the builder, not the facade
 	"repro/internal/isa"
+	//simlint:ignore layering hand-builds a program at the ISA level to demonstrate early-resolved branches; needs the builder, not the facade
 	"repro/internal/program"
 	"repro/sim"
 )

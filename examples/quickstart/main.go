@@ -9,8 +9,11 @@ import (
 	"fmt"
 	"log"
 
+	//simlint:ignore layering pedagogical walkthrough of the ISA, program builder and emulator below the facade; rewriting it against sim would erase exactly what it teaches
 	"repro/internal/emulator"
+	//simlint:ignore layering pedagogical walkthrough of the ISA, program builder and emulator below the facade; rewriting it against sim would erase exactly what it teaches
 	"repro/internal/isa"
+	//simlint:ignore layering pedagogical walkthrough of the ISA, program builder and emulator below the facade; rewriting it against sim would erase exactly what it teaches
 	"repro/internal/program"
 	"repro/sim"
 )

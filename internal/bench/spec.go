@@ -14,11 +14,11 @@ import (
 )
 
 // Hash fingerprints every field of the (defaults-resolved) spec with
-// FNV-1a, for trace-cache keying: any spec change — including the
-// optional behaviour knobs — changes the key, so user-authored
-// workloads cache correctly alongside the built-in suite. Two specs
-// that build the same program (explicit default vs zero value) share a
-// hash.
+// FNV-1a: the spec_hash of a run's manifest line, so a record names the
+// exact workload behind it, the optional behaviour knobs included. Two
+// specs that build the same program (explicit default vs zero value)
+// share a hash. The trace cache does not read it: it keys on
+// trace.HashProgram of the built binary.
 func (s Spec) Hash() uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%+v", s.withDefaults())

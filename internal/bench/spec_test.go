@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -254,6 +255,41 @@ func TestSpecHash(t *testing.T) {
 	c.IndirTargets = DefaultIndirTargets
 	if a.Hash() != c.Hash() {
 		t.Fatal("explicit defaults hash differently from zero values")
+	}
+}
+
+// TestSpecHashSeesEveryField proves the manifests' spec_hash from the
+// code: every field of Spec is moved in turn to a value that is neither
+// zero nor its withDefaults default (either of which could build the
+// same program as the base), and the hash must move. A field added to
+// Spec fails here until Hash covers it.
+func TestSpecHashSeesEveryField(t *testing.T) {
+	base := customSpec()
+	hash := base.Hash()
+	defaults := reflect.ValueOf(Spec{}.withDefaults())
+	st := reflect.TypeOf(base)
+	for i := 0; i < st.NumField(); i++ {
+		name := st.Field(i).Name
+		s := base
+		f := reflect.ValueOf(&s).Elem().Field(i)
+		for {
+			switch f.Kind() {
+			case reflect.Int, reflect.Int64:
+				f.SetInt(f.Int() + 1)
+			case reflect.Float64:
+				f.SetFloat(f.Float() + 0.125)
+			case reflect.String:
+				f.SetString(f.String() + "x")
+			default:
+				t.Fatalf("%s: no mutation for kind %s; teach the test one", name, f.Kind())
+			}
+			if !f.IsZero() && !f.Equal(defaults.Field(i)) {
+				break
+			}
+		}
+		if s.Hash() == hash {
+			t.Errorf("setting %s to %v did not move Spec.Hash", name, f)
+		}
 	}
 }
 

@@ -10,10 +10,13 @@ import "repro/internal/config"
 // Cache is one level of a timing-only set-associative cache with LRU
 // replacement, optional MSHRs (miss merging) and a write buffer.
 type Cache struct {
-	params  config.CacheParams
-	sets    []set
-	next    Level // next level, or nil (then missLat applies)
-	missLat int   // latency of the level below when next == nil
+	params config.CacheParams
+	// ways holds every set's ways, set-major: set s owns
+	// ways[s*params.Ways : (s+1)*params.Ways].
+	ways    []way
+	nSets   uint64
+	next    *Cache // next level, or nil (then missLat applies)
+	missLat int    // latency of the level below when next == nil
 
 	// MSHRs: the first nMSHR entries are the outstanding misses, each a
 	// block address and the cycle at which its miss resolves (an entry
@@ -24,13 +27,6 @@ type Cache struct {
 	writeBuf []uint64
 
 	Stats Stats
-}
-
-// Level is the interface the cache uses to consult the level below.
-type Level interface {
-	// Access returns the number of cycles to satisfy an access to addr
-	// issued at the given cycle. isWrite distinguishes stores.
-	Access(addr uint64, cycle uint64, isWrite bool) int
 }
 
 // Stats counts cache events.
@@ -47,10 +43,6 @@ type way struct {
 	lru   uint64
 }
 
-type set struct {
-	ways []way
-}
-
 type mshr struct {
 	block uint64
 	done  uint64
@@ -58,11 +50,11 @@ type mshr struct {
 
 // New builds a cache level. next may be nil, in which case missLat is
 // charged for every miss (used for main memory behind the L2).
-func New(p config.CacheParams, next Level, missLat int) *Cache {
-	c := &Cache{params: p, next: next, missLat: missLat, mshrs: make([]mshr, p.MSHRs)}
-	c.sets = make([]set, p.Sets())
-	for i := range c.sets {
-		c.sets[i].ways = make([]way, p.Ways)
+func New(p config.CacheParams, next *Cache, missLat int) *Cache {
+	c := &Cache{
+		params: p, next: next, missLat: missLat,
+		ways: make([]way, p.Sets()*p.Ways), nSets: uint64(p.Sets()),
+		mshrs: make([]mshr, p.MSHRs),
 	}
 	if p.WriteBuf > 0 {
 		c.writeBuf = make([]uint64, p.WriteBuf)
@@ -74,41 +66,45 @@ func (c *Cache) blockAddr(addr uint64) uint64 {
 	return addr / uint64(c.params.BlockBytes)
 }
 
-func (c *Cache) lookup(block uint64) (si int, wi int, hit bool) {
-	si = int(block % uint64(len(c.sets)))
-	tag := block / uint64(len(c.sets))
-	s := &c.sets[si]
-	for i := range s.ways {
-		if s.ways[i].valid && s.ways[i].tag == tag {
-			return si, i, true
-		}
-	}
-	return si, -1, false
+// set returns the ways of block's set.
+func (c *Cache) set(block uint64) []way {
+	first := int(block%c.nSets) * c.params.Ways
+	return c.ways[first : first+c.params.Ways]
 }
 
-func (c *Cache) fill(si int, block uint64, cycle uint64) {
-	tag := block / uint64(len(c.sets))
-	s := &c.sets[si]
+// lookup returns block's way, or nil on a miss.
+func (c *Cache) lookup(block uint64) *way {
+	tag := block / c.nSets
+	s := c.set(block)
+	for i := range s {
+		if s[i].valid && s[i].tag == tag {
+			return &s[i]
+		}
+	}
+	return nil
+}
+
+func (c *Cache) fill(block uint64, cycle uint64) {
+	s := c.set(block)
 	victim := 0
-	for i := range s.ways {
-		if !s.ways[i].valid {
+	for i := range s {
+		if !s[i].valid {
 			victim = i
 			break
 		}
-		if s.ways[i].lru < s.ways[victim].lru {
+		if s[i].lru < s[victim].lru {
 			victim = i
 		}
 	}
-	s.ways[victim] = way{tag: tag, valid: true, lru: cycle}
+	s[victim] = way{tag: block / c.nSets, valid: true, lru: cycle}
 }
 
 // Access models one access and returns its latency in cycles.
 func (c *Cache) Access(addr uint64, cycle uint64, isWrite bool) int {
 	c.Stats.Accesses++
 	block := c.blockAddr(addr)
-	si, wi, hit := c.lookup(block)
-	if hit {
-		c.sets[si].ways[wi].lru = cycle
+	if w := c.lookup(block); w != nil {
+		w.lru = cycle
 		// The block may still be in flight (fill registered at miss
 		// time): an access before the miss resolves merges with it.
 		if m := c.findMSHR(block); m >= 0 && c.mshrs[m].done > cycle {
@@ -149,7 +145,7 @@ func (c *Cache) Access(addr uint64, cycle uint64, isWrite bool) int {
 	if isWrite {
 		lat += c.writeBufferDelay(cycle)
 	}
-	c.fill(si, block, cycle)
+	c.fill(block, cycle)
 	if c.params.MSHRs > 0 {
 		// The expiry above left a free entry unless block already has
 		// one, which the new miss then overwrites.

@@ -6,7 +6,7 @@ import (
 	"repro/internal/config"
 )
 
-func smallCache(next Level, missLat int) *Cache {
+func smallCache(next *Cache, missLat int) *Cache {
 	return New(config.CacheParams{SizeBytes: 1024, Ways: 2, BlockBytes: 64, LatCycles: 2, MSHRs: 2, WriteBuf: 2}, next, missLat)
 }
 

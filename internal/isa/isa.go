@@ -266,8 +266,9 @@ type Inst struct {
 	Rel    Rel     // compare relation
 	CType  CmpType // compare type
 	Target int     // branch/call target, instruction index
-	//simlint:nonsemantic assembly-time symbol, resolved into Target before any program is traced or hashed
-	Label string // symbolic target before assembly
+	// Label is the symbolic target before assembly, resolved into
+	// Target before any program is traced or hashed.
+	Label string
 }
 
 // IsCompare reports whether the instruction produces predicates.

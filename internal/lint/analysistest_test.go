@@ -8,9 +8,11 @@ package lint_test
 //
 //	// want "regexp"
 //
-// comment on the offending line. A run fails on any unmatched want and
-// any unexpected diagnostic, so the corpus is an exact, executable
-// specification of each analyzer's behaviour.
+// comment on the offending line. A finding on a line that already ends
+// in a line comment (a //simlint:ignore directive, say) takes a
+// /* want "regexp" */ block comment in front of it instead. A run fails
+// on any unmatched want and any unexpected diagnostic, so the corpus is
+// an exact, executable specification of each analyzer's behaviour.
 
 import (
 	"go/parser"
@@ -35,9 +37,9 @@ type want struct {
 	matched bool
 }
 
-// runCorpus loads testdata/src/<dir>, runs the analyzers with cfg,
-// and diffs the diagnostics against the corpus's want comments.
-func runCorpus(t *testing.T, dir string, analyzers []*lint.Analyzer, cfg *lint.Config) {
+// runCorpus loads testdata/src/<dir>, runs the analyzers and diffs
+// the diagnostics against the corpus's want comments.
+func runCorpus(t *testing.T, dir string, analyzers []*lint.Analyzer) {
 	t.Helper()
 	root, err := filepath.Abs(filepath.Join("testdata", "src", dir))
 	if err != nil {
@@ -48,7 +50,7 @@ func runCorpus(t *testing.T, dir string, analyzers []*lint.Analyzer, cfg *lint.C
 		t.Fatalf("load corpus %s: %v", dir, err)
 	}
 	wants := collectWants(t, root)
-	ds := lint.Run(lint.Fset(), pkgs, analyzers, cfg)
+	ds := lint.Run(lint.Fset(), pkgs, analyzers)
 	for _, d := range ds {
 		pos := d.Position(lint.Fset())
 		if w := matchWant(wants, pos.Filename, pos.Line, d.Message); w != nil {
@@ -83,6 +85,9 @@ func collectWants(t *testing.T, root string) []*want {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimPrefix(c.Text, "//")
+				if block, ok := strings.CutPrefix(text, "/*"); ok {
+					text = strings.TrimSuffix(block, "*/")
+				}
 				text = strings.TrimSpace(text)
 				rest, ok := strings.CutPrefix(text, "want ")
 				if !ok {

@@ -7,5 +7,5 @@ import (
 )
 
 func TestDetorder(t *testing.T) {
-	runCorpus(t, "detorder", one(lint.Detorder), nil)
+	runCorpus(t, "detorder", one(lint.Detorder))
 }

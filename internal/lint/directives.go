@@ -1,21 +1,16 @@
 package lint
 
 import (
-	"go/ast"
 	"go/token"
 	"strconv"
 	"strings"
 )
 
-// Directive prefixes. A //simlint:ignore suppresses one check's
-// diagnostics on its own line or the line directly below. The field
-// annotation //simlint:nonsemantic (keycover) exempts one struct field
-// from its coverage rule — with a mandatory reason, because an escape
-// hatch nobody can audit is just a hole.
-const (
-	ignorePrefix      = "//simlint:ignore"
-	nonsemanticPrefix = "//simlint:nonsemantic"
-)
+// ignorePrefix starts the suite's one escape hatch: a //simlint:ignore
+// suppresses one check's diagnostics on its own line or the line
+// directly below, with a mandatory reason, because an escape hatch
+// nobody can audit is just a hole.
+const ignorePrefix = "//simlint:ignore"
 
 // ignoreDirective is one parsed //simlint:ignore comment.
 type ignoreDirective struct {
@@ -118,33 +113,4 @@ func applyIgnores(fset *token.FileSet, pkgs []*Package, ran []*Analyzer, ds []Di
 	}
 	sortDiagnostics(fset, kept)
 	return kept
-}
-
-// fieldAnnotation looks for a field-level directive attached to the
-// declaration at pos: a comment with the given prefix (followed by a
-// space or end of comment) on the declaration's own line or the line
-// directly above, in the file containing pos. It returns the
-// directive's reason text and whether a directive was found at all —
-// callers report a found-but-blank reason themselves, because the
-// escape hatch is reason-mandatory.
-func fieldAnnotation(fset *token.FileSet, files []*ast.File, pos token.Pos, prefix string) (reason string, found bool) {
-	target := fset.Position(pos)
-	for _, f := range files {
-		if fset.Position(f.Pos()).Filename != target.Filename {
-			continue
-		}
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				rest, ok := strings.CutPrefix(c.Text, prefix)
-				if !ok || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
-					continue
-				}
-				line := fset.Position(c.Pos()).Line
-				if line == target.Line || line == target.Line-1 {
-					return strings.TrimSpace(rest), true
-				}
-			}
-		}
-	}
-	return "", false
 }

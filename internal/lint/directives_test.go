@@ -20,7 +20,7 @@ func TestIgnoreDirectives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := lint.Run(lint.Fset(), pkgs, one(lint.Seedrand), nil)
+	ds := lint.Run(lint.Fset(), pkgs, one(lint.Seedrand))
 
 	var msgs []string
 	for _, d := range ds {
@@ -68,7 +68,7 @@ func TestStaleSkippedWhenCheckDidNotRun(t *testing.T) {
 	// Detorder runs, seedrand does not: the stale seedrand ignore must
 	// stay quiet, while the malformed directives still surface (their
 	// shape is wrong regardless of which checks run).
-	ds := lint.Run(lint.Fset(), pkgs, one(lint.Detorder), nil)
+	ds := lint.Run(lint.Fset(), pkgs, one(lint.Detorder))
 	for _, d := range ds {
 		if strings.Contains(d.Message, "stale") {
 			t.Errorf("stale verdict for a check that did not run: %s", d.String(lint.Fset()))

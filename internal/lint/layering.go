@@ -8,8 +8,9 @@ import "strings"
 // façade is the seam every scaling refactor plugs into; an internal
 // import from a CLI quietly re-couples tools to implementation details
 // the façade exists to hide, and an internal → sim import inverts the
-// layering outright. Explicit exceptions live in .simlint.json's
-// layering allowlist, each with a reason.
+// layering outright. A deliberate exception carries a
+// //simlint:ignore layering directive with its reason on the import, so
+// the stale-suppression audit retires it once the import goes.
 var Layering = &Analyzer{
 	Name: "layering",
 	Doc:  "cmd/* and examples/* must not import internal/*; internal/* must not import sim",
@@ -25,11 +26,7 @@ func runLayering(pass *Pass) {
 			if rule == "" {
 				continue
 			}
-			if pass.Cfg.Layering.Allows(from, to) {
-				continue
-			}
-			pass.Reportf(spec.Pos(), "%s (add an allowlist entry with a reason to %s if this edge is deliberate)",
-				rule, ConfigFile)
+			pass.Reportf(spec.Pos(), "%s (if this edge is deliberate, put //simlint:ignore layering <reason> on the import)", rule)
 		}
 	}
 }

@@ -67,8 +67,6 @@ type Pass struct {
 	// All is every package of the build, for Module analyzers (and for
 	// per-package analyzers that want context).
 	All []*Package
-	// Cfg is the loaded .simlint.json configuration (never nil).
-	Cfg *Config
 
 	report func(Diagnostic)
 }
@@ -99,13 +97,11 @@ func (d Diagnostic) String(fset *token.FileSet) string {
 
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{
-		Layering, Detorder, Regname, Seedrand, Keycover,
-	}
+	return []*Analyzer{Layering, Detorder, Regname, Seedrand}
 }
 
 // isTestFile reports whether the file is a _test.go file. The
-// determinism and hash-coverage rules are scoped to non-test code (a
+// determinism rule is scoped to non-test code (a
 // test's collection order is the test's own business), and regname
 // skips tests because they pass unregistered names on purpose to
 // exercise the lookup errors.

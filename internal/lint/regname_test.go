@@ -7,5 +7,5 @@ import (
 )
 
 func TestRegname(t *testing.T) {
-	runCorpus(t, "regname", one(lint.Regname), nil)
+	runCorpus(t, "regname", one(lint.Regname))
 }

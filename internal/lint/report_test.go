@@ -11,12 +11,13 @@ import (
 )
 
 // TestWriteJSONShape checks the machine-readable report against the
-// keycover corpus: root-relative slash paths, 1-based positions, sort
+// layering corpus, which yields both layering findings and a stale
+// suppression: root-relative slash paths, 1-based positions, sort
 // order, the check name, and the suppressible marker (false only for
 // directive-hygiene findings, which a suppression must not be able to
 // silence).
 func TestWriteJSONShape(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("testdata", "src", "keycover"))
+	root, err := filepath.Abs(filepath.Join("testdata", "src", "layering"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,9 +25,10 @@ func TestWriteJSONShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := lint.Run(lint.Fset(), pkgs, one(lint.Keycover), nil)
-	if len(ds) == 0 {
-		t.Fatal("corpus produced no diagnostics to report")
+	ds := lint.Run(lint.Fset(), pkgs, one(lint.Layering))
+	if countCheck(ds, "layering") == 0 || countCheck(ds, "ignore") == 0 {
+		t.Fatalf("corpus must produce both analyzer and directive findings, got %d layering and %d ignore",
+			countCheck(ds, "layering"), countCheck(ds, "ignore"))
 	}
 
 	var buf bytes.Buffer
@@ -67,7 +69,7 @@ func TestWriteJSONShape(t *testing.T) {
 // identically too — CI diffs and caches the artifact, so any
 // nondeterminism (map order, absolute paths) would churn it.
 func TestWriteJSONStable(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("testdata", "src", "keycover"))
+	root, err := filepath.Abs(filepath.Join("testdata", "src", "layering"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +78,7 @@ func TestWriteJSONStable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds := lint.Run(lint.Fset(), pkgs, one(lint.Keycover), nil)
+		ds := lint.Run(lint.Fset(), pkgs, one(lint.Layering))
 		var buf bytes.Buffer
 		if err := lint.WriteJSON(&buf, lint.Fset(), root, ds); err != nil {
 			t.Fatal(err)

@@ -7,5 +7,5 @@ import (
 )
 
 func TestSeedrand(t *testing.T) {
-	runCorpus(t, "seedrand", one(lint.Seedrand), nil)
+	runCorpus(t, "seedrand", one(lint.Seedrand))
 }

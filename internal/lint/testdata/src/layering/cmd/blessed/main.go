@@ -1,7 +1,7 @@
-// Command blessed has an allowlist entry for its engine import, so the
-// edge is accepted.
+// Command blessed carries a layering suppression on its engine import,
+// so the edge is accepted.
 package main
 
-import "internal/core"
+import "internal/core" //simlint:ignore layering corpus: deliberate engine-level tool
 
 func main() { _ = core.Run() }

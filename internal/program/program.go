@@ -15,11 +15,14 @@ import (
 // Program is an assembled (or in-progress) instruction sequence. PC values
 // are instruction indices; the timing model maps them to byte addresses.
 type Program struct {
-	//simlint:nonsemantic display/diagnostic name; execution is fully determined by Insts
+	// Name is a display/diagnostic name; execution is fully
+	// determined by Insts, so trace.HashProgram skips it.
 	Name  string
 	Insts []isa.Inst
-	//simlint:nonsemantic assembly-time symbol table, folded into Inst.Target by Resolve before tracing
-	Labels map[string]int // label -> instruction index
+	// Labels is the assembly-time symbol table (label -> instruction
+	// index), folded into Inst.Target by Resolve before tracing, so
+	// trace.HashProgram skips it.
+	Labels map[string]int
 }
 
 // New returns an empty program with the given name.
