@@ -33,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/cmd/internal/cli"
@@ -200,7 +201,7 @@ func runAblations(d *driver) {
 	want := []string{"gzip", "vpr", "twolf", "parser", "swim", "mesa"}
 	var have []string
 	for _, n := range want {
-		if _, ok := d.workload.Regions(n); ok {
+		if slices.Contains(d.workload.Names(), n) {
 			have = append(have, n)
 		}
 	}

@@ -6,10 +6,13 @@
 // carrying the point's axis values.
 //
 // Trace mode (the default) records each benchmark's trace once for
-// the whole sweep, so a thousand-point sweep costs a thousand cheap
-// replays per benchmark, not a thousand emulations — and fewer: points
-// that differ only in knobs the replay engine never reads (timing
-// knobs such as mispredict.penalty) share one replay.
+// the whole sweep, and replays each distinct replay configuration once
+// per benchmark: points that differ only in knobs the replay engine
+// never reads (timing knobs such as mispredict.penalty) share one
+// replay, and up to eight configurations, from any points, share one
+// pass over the trace: a sweep decodes each trace once per eight
+// distinct configurations, and emulates nothing after the first
+// recording. Without -ifconvert nothing is profiled or if-converted.
 //
 // Examples:
 //

@@ -37,7 +37,7 @@ type Manifest struct {
 	// Execution record.
 	Cache        string           `json:"cache,omitempty"`         // "hit" | "record" | "" (pipeline)
 	Memo         bool             `json:"memo,omitempty"`          // statistics served from another cell's replay
-	GroupSchemes []string         `json:"group_schemes,omitempty"` // schemes sharing this single pass
+	GroupSchemes []string         `json:"group_schemes,omitempty"` // one scheme per configuration replayed in this single pass
 	Committed    uint64           `json:"committed"`               // committed instructions
 	PhasesNS     map[string]int64 `json:"phases_ns,omitempty"`
 	InstrsPerSec float64          `json:"instrs_per_sec,omitempty"`

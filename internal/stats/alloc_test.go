@@ -51,7 +51,7 @@ func TestReplaySteadyStateAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	progs, err := Prepare([]bench.Spec{spec}, 50000)
+	progs, err := prepareBoth([]bench.Spec{spec}, 50000)
 	if err != nil {
 		t.Fatal(err)
 	}

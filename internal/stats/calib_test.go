@@ -28,7 +28,7 @@ func TestCalibrate(t *testing.T) {
 		}
 		specs = append(specs, s)
 	}
-	progs, err := Prepare(specs, 150000)
+	progs, err := prepareBoth(specs, 150000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func TestEngineConfigProjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pgs, err := Prepare([]bench.Spec{spec}, commits)
+	pgs, err := prepareBoth([]bench.Spec{spec}, commits)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func prepareEquiv(t *testing.T) []Programs {
 		}
 		specs = append(specs, s)
 	}
-	progs, err := Prepare(specs, equivProfile)
+	progs, err := prepareBoth(specs, equivProfile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,12 +300,20 @@ func TestReplayCancellation(t *testing.T) {
 	}
 }
 
-// TestPrepareContextCancellation checks the cancellable preparation
-// path added alongside the trace subsystem.
+// TestPrepareContextCancellation checks that both halves of
+// preparation honor a cancelled context: building the plain binaries
+// and profiling one for if-conversion.
 func TestPrepareContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := PrepareContext(ctx, bench.Suite()[:4], 50000); err == nil {
+	if _, err := PrepareContext(ctx, bench.Suite()[:4]); err == nil {
 		t.Fatal("want context error from cancelled preparation")
+	}
+	progs, err := PrepareContext(context.Background(), bench.Suite()[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := progs[0].Convert(ctx, 50000); err == nil || progs[0].Converted != nil {
+		t.Fatalf("cancelled conversion: err %v, converted %v; want a context error and no binary", err, progs[0].Converted != nil)
 	}
 }

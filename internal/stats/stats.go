@@ -1,5 +1,5 @@
 // Package stats is the internal experiment engine behind the public
-// repro/sim façade: it prepares the two binary sets of §4.1, runs
+// repro/sim façade: it builds the two binary sets of §4.1, runs
 // single simulations (optionally under a context for cancellation),
 // and folds run lists into the paper's tables and figures: Figure 5
 // (branch misprediction on non-if-converted code), Figure 6a
@@ -15,14 +15,13 @@ package stats
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/bench"
 	"repro/internal/config"
 	"repro/internal/ifconvert"
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/program"
 )
@@ -39,63 +38,50 @@ type Run struct {
 	Err    error
 }
 
-// Programs caches the two binary sets of §4.1 for one benchmark:
-// compiled without predication transformations, and with if-conversion
-// enabled (profile-guided).
+// Programs holds one benchmark's binaries: the plain build of §4.1,
+// and the profile-guided if-converted build once Convert has made it.
 type Programs struct {
 	Spec      bench.Spec
 	Plain     *program.Program
-	Converted *program.Program
-	Regions   int
+	Converted *program.Program // nil until Convert
 }
 
-// Prepare builds both binary sets for every benchmark.
-func Prepare(suite []bench.Spec, profileSteps uint64) ([]Programs, error) {
-	return PrepareContext(context.Background(), suite, profileSteps)
-}
+// conversions counts profile-guided if-conversions, on the process
+// registry: a run that reads only plain binaries leaves it at zero.
+var conversions = obs.Default().Counter("prepare.conversions")
 
-// PrepareContext builds both binary sets for every benchmark in
-// parallel, honoring ctx: benchmarks not yet started when the context
-// is cancelled are skipped, a profile in progress stops within one
-// slice of its steps, and the context's error is returned, so the
-// expensive preparation phase is cancellable like simulation already
-// is.
-func PrepareContext(ctx context.Context, suite []bench.Spec, profileSteps uint64) ([]Programs, error) {
+// PrepareContext builds the plain binary of every benchmark, honoring
+// ctx: benchmarks not yet built when the context is cancelled are
+// skipped and the context's error is returned. It profiles nothing;
+// Convert builds a benchmark's if-converted binary when a run first
+// reads it.
+func PrepareContext(ctx context.Context, suite []bench.Spec) ([]Programs, error) {
 	out := make([]Programs, len(suite))
-	var wg sync.WaitGroup
-	errs := make([]error, len(suite))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for i, s := range suite {
-		wg.Add(1)
-		go func(i int, s bench.Spec) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				return
-			}
-			p := bench.Build(s)
-			prof, err := ifconvert.ProfileProgramContext(ctx, p, profileSteps)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			res, err := ifconvert.Convert(p, ifconvert.DefaultOptions(prof))
-			if err != nil {
-				errs[i] = fmt.Errorf("%s: %w", s.Name, err)
-				return
-			}
-			out[i] = Programs{Spec: s, Plain: p, Converted: res.Prog, Regions: len(res.Converted)}
-		}(i, s)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		out[i] = Programs{Spec: s, Plain: bench.Build(s)}
 	}
 	return out, nil
+}
+
+// Convert builds the benchmark's if-converted binary: it profiles the
+// plain binary for profileSteps emulator steps under ctx (a cancel
+// stops the profile within one slice of its steps) and if-converts the
+// hammocks the profile selects.
+func (pg *Programs) Convert(ctx context.Context, profileSteps uint64) error {
+	prof, err := ifconvert.ProfileProgramContext(ctx, pg.Plain, profileSteps)
+	if err != nil {
+		return err
+	}
+	res, err := ifconvert.Convert(pg.Plain, ifconvert.DefaultOptions(prof))
+	if err != nil {
+		return fmt.Errorf("%s: %w", pg.Spec.Name, err)
+	}
+	pg.Converted = res.Prog
+	conversions.Inc()
+	return nil
 }
 
 // simChunk is the commit-budget slice between context checks in

@@ -166,32 +166,71 @@ func TestMemoSweepExactCounts(t *testing.T) {
 	}
 }
 
-// TestMemoPlanOwnsKeysAtFirstPoint pins the plan behind the memo: on
-// the canonical grid each pred.bytes value's first point (0 and 4) owns
-// its two replays, so the 32 cells are 4 jobs, one per (owning point,
-// benchmark), each replaying 2 configurations and delivering 8 cells;
-// the six points with nothing left to replay get no job at all.
+// TestMemoPlanOwnsKeysAtFirstPoint pins the plan behind the memo: the
+// distinct replays are numbered in first-use order across the points
+// and cut into chunks of at most replayChunk, each chunk is one job per
+// benchmark (chunk-major), and a cell replays only at the first point
+// that uses its configuration. On the canonical grid each pred.bytes
+// value's first point (0 and 4) owns two replays, and the four fit one
+// chunk: the 32 cells are 2 jobs, each replaying 4 configurations and
+// delivering 16 cells. Over replayChunk+1 pred.bytes values the
+// 2*replayChunk+2 replays are three chunks, so 6 jobs, and the two
+// benchmarks of the last chunk still run as two jobs.
 func TestMemoPlanOwnsKeysAtFirstPoint(t *testing.T) {
 	wl := memoWorkload(t, "gzip", "vpr")
-	exp, err := New(WithWorkload(wl), WithSchemes("conventional", "predpred"), WithMode(ModeTrace),
-		WithAxis("pred.bytes", 75776, 151552), WithAxis("mispredict.penalty", 5, 10, 15, 20))
-	if err != nil {
-		t.Fatal(err)
+	bytes := make([]any, replayChunk+1)
+	for i := range bytes {
+		bytes[i] = 37888 * (i + 1)
 	}
-	jobs := exp.buildJobs(wl, exp.plan(exp.Points()), 0)
-	if len(jobs) != 4 {
-		t.Fatalf("want 4 jobs, got %d", len(jobs))
-	}
-	for k, j := range jobs {
-		owner := 4 * (k / 2)
-		if len(j.cfgs) != 2 || len(j.cells) != 8 || j.bench != wl.progs[k%2].Spec.Name {
-			t.Fatalf("job %d: %s, %d configurations, %d cells; want %s, 2, 8", k, j.bench, len(j.cfgs), len(j.cells), wl.progs[k%2].Spec.Name)
-		}
-		for _, c := range j.cells {
-			if c.memo != (c.point.Index != owner) || c.err != nil {
-				t.Errorf("job %d: cell at point %d has memo %v, err %v; only point %d's cells replay", k, c.point.Index, c.memo, c.err, owner)
+	for _, tc := range []struct {
+		name        string
+		axes        []Option
+		cfgs, cells []int // per chunk
+	}{
+		{"canonical grid", []Option{WithAxis("pred.bytes", 75776, 151552), WithAxis("mispredict.penalty", 5, 10, 15, 20)},
+			[]int{4}, []int{16}},
+		{"2K+2 replays", []Option{WithAxis("pred.bytes", bytes...)},
+			[]int{replayChunk, replayChunk, 2}, []int{replayChunk, replayChunk, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			exp, err := New(append([]Option{WithWorkload(wl), WithSchemes("conventional", "predpred"), WithMode(ModeTrace)}, tc.axes...)...)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			jobs := exp.buildJobs(wl, exp.plan(exp.Points()), 0)
+			if len(jobs) != 2*len(tc.cfgs) {
+				t.Fatalf("want %d jobs, one per (chunk, benchmark), got %d", 2*len(tc.cfgs), len(jobs))
+			}
+			firstUse := map[stats.EngineConfig]int{}
+			for _, pt := range exp.Points() {
+				for _, scheme := range exp.schemes {
+					cfg, err := exp.cellConfig(pt, scheme)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, seen := firstUse[stats.EngineConfigOf(cfg)]; !seen {
+						firstUse[stats.EngineConfigOf(cfg)] = pt.Index
+					}
+				}
+			}
+			for k, j := range jobs {
+				chunk, bench := k/2, wl.progs[k%2].Spec.Name
+				if j.bench != bench || len(j.cfgs) != tc.cfgs[chunk] || len(j.cells) != tc.cells[chunk] {
+					t.Fatalf("job %d: %s, %d configurations, %d cells; want %s, %d, %d",
+						k, j.bench, len(j.cfgs), len(j.cells), bench, tc.cfgs[chunk], tc.cells[chunk])
+				}
+				for _, c := range j.cells {
+					key := stats.EngineConfigOf(c.cfg)
+					if c.err != nil || c.key < 0 || stats.EngineConfigOf(j.cfgs[c.key]) != key {
+						t.Fatalf("job %d: cell at point %d (%s) is not planned onto its own replay: key %d, err %v",
+							k, c.point.Index, exp.schemes[c.scheme], c.key, c.err)
+					}
+					if owner := firstUse[key]; c.memo != (c.point.Index != owner) {
+						t.Errorf("job %d: cell at point %d has memo %v; its replay belongs to point %d", k, c.point.Index, c.memo, owner)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package sim_test
 import (
 	"context"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -152,16 +153,24 @@ func TestPrepareWorkloadContextCancellation(t *testing.T) {
 	}
 }
 
-func TestWorkloadRegionsReportsMembership(t *testing.T) {
+// TestWorkloadNamesReportMembership checks the membership test
+// cmd/experiments' ablations pick their subset with: Names lists the
+// prepared benchmarks and nothing else, Subset still rejects an unknown
+// name, and neither converts a binary.
+func TestWorkloadNamesReportMembership(t *testing.T) {
+	before := processCounter("prepare.conversions")
 	wl := sim.PrepareEntries(t, 60000, "gzip")
-	if n, ok := wl.Regions("gzip"); !ok || n <= 0 {
-		t.Fatalf("gzip should be present with converted regions, got %d, %v", n, ok)
-	}
-	if _, ok := wl.Regions("nosuch"); ok {
-		t.Fatal("unknown benchmark must report ok=false, matching Subset's error behaviour")
+	if names := wl.Names(); !slices.Contains(names, "gzip") || slices.Contains(names, "nosuch") {
+		t.Fatalf("Names() = %v; want gzip and no unknown name", names)
 	}
 	if _, err := wl.Subset("nosuch"); err == nil {
 		t.Fatal("Subset should still error for unknown names")
+	}
+	if _, err := wl.Subset("gzip"); err != nil {
+		t.Fatal(err)
+	}
+	if n := processCounter("prepare.conversions") - before; n != 0 {
+		t.Fatalf("preparing, listing and subsetting converted %d benchmarks, want 0", n)
 	}
 }
 

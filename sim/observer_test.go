@@ -3,6 +3,7 @@ package sim_test
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -178,8 +179,9 @@ func TestObserverManifestContents(t *testing.T) {
 				t.Errorf("manifest %d: phase %q absent from %v", i, phase, m.PhasesNS)
 			}
 		}
-		if len(m.GroupSchemes) != 2 {
-			t.Errorf("manifest %d: group schemes %v, want both", i, m.GroupSchemes)
+		// Both points' four configurations share the benchmark's one pass.
+		if want := []string{"conventional", "predpred", "conventional", "predpred"}; !slices.Equal(m.GroupSchemes, want) {
+			t.Errorf("manifest %d: group schemes %v, want %v", i, m.GroupSchemes, want)
 		}
 	}
 	snap := o.Metrics()
@@ -193,6 +195,9 @@ func TestObserverManifestContents(t *testing.T) {
 		if h, ok := snap.HistogramValue(span); !ok || h.Count == 0 {
 			t.Errorf("span histogram %q empty", span)
 		}
+	}
+	if h, _ := snap.HistogramValue("span.decode.ns"); h.Count != 1 {
+		t.Errorf("%d decode spans, want 1: one replay pass serves both points", h.Count)
 	}
 }
 

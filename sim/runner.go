@@ -125,10 +125,10 @@ func (r *Runner) Wait() error {
 }
 
 // simJob is one unit of worker-pool work: cells of one benchmark. A
-// pipeline-mode job is one cell. A trace-mode job is one benchmark at
-// one owning point of the plan: it replays the point's configurations
-// in a single pass over the shared trace (stats.ReplayAll) and delivers
-// every cell planned onto them.
+// pipeline-mode job is one cell. A trace-mode job is one benchmark's
+// chunk of the plan: it replays the chunk's configurations in a single
+// pass over the benchmark's trace (stats.ReplayAll) and delivers every
+// cell planned onto them, at whichever points they lie.
 type simJob struct {
 	bench    string
 	class    string
@@ -151,70 +151,91 @@ type cellPlan struct {
 	scheme int    // position in the experiment's scheme list
 	cfg    Config // cellConfig's configuration
 	err    error  // cellConfig's error or, in trace mode, Validate's
-	// Trace mode, valid cells only: the cell's replay among its owning
-	// point's configurations (-1 otherwise), and whether an earlier
-	// cell of the plan owns that replay, so this one is memo-served.
+	// Trace mode, valid cells only: the cell's replay among its chunk's
+	// configurations (-1 otherwise), and whether an earlier cell of the
+	// plan owns that replay, so this one is memo-served.
 	key  int
 	memo bool
 }
 
-// replays reports whether the cell's owning job replays it for the cell
+// replays reports whether the cell's job replays it for the cell
 // itself, rather than serving it from the memo or failing it unreplayed.
 func (c cellPlan) replays() bool { return c.key >= 0 && !c.memo }
 
-// pointPlan is the work one point owns: the cells its jobs deliver and,
-// in trace mode, the distinct configurations they replay.
-type pointPlan struct {
+// jobPlan is the work one job per benchmark does (one job per cell in
+// pipeline mode): the cells it delivers and, in trace mode, the
+// distinct configurations it replays.
+type jobPlan struct {
 	cells []cellPlan
 	cfgs  []Config
 }
 
-// plan builds every (point, scheme) configuration once and assigns each
-// cell to the point whose jobs deliver it. In pipeline mode that is the
-// cell's own point. In trace mode each distinct replay-visible
-// configuration (stats.EngineConfig) belongs to the first point, in
-// point order, that needs it: that point's jobs replay it once per
-// benchmark and deliver every cell that shares it, later points'
-// included. An invalid cell stays with its own point and never reaches
-// a replay.
-func (e *Experiment) plan(points []Point) []pointPlan {
-	plans := make([]pointPlan, len(points))
-	type owner struct{ point, key int }
-	owners := map[stats.EngineConfig]owner{}
+// replayChunk is the most configurations one trace-mode job replays in
+// its pass. One pass decodes the trace and runs the shared frontend
+// once for all of them, so a larger chunk does less work in total; a
+// smaller one leaves a sweep over few benchmarks more jobs to spread
+// over the workers. EXPERIMENTS.md ("A sweep does only the work it
+// reads") has the measurement behind the value.
+const replayChunk = 8
+
+// plan builds every (point, scheme) configuration once and groups the
+// cells into the plans of the experiment's jobs. In pipeline mode each
+// point is one plan, whose cells are simulated one job each. In trace
+// mode the distinct replay-visible configurations (stats.EngineConfig)
+// are numbered in first-use order, across every point, and cut into
+// chunks of at most replayChunk: each chunk is one plan, whose jobs
+// replay its configurations once per benchmark and deliver every cell
+// that shares one of them, the first user's and later points' alike.
+// An invalid cell never reaches a replay; it rides with the first
+// chunk. The plan depends on the experiment alone, never on the worker
+// count.
+func (e *Experiment) plan(points []Point) []jobPlan {
+	var plans []jobPlan
+	at := func(i int) *jobPlan {
+		for len(plans) <= i {
+			plans = append(plans, jobPlan{})
+		}
+		return &plans[i]
+	}
+	keys := map[stats.EngineConfig]int{} // numbered in first-use order
 	for i, pt := range points {
 		for s, scheme := range e.schemes {
 			c := cellPlan{point: pt, scheme: s, key: -1}
 			c.cfg, c.err = e.cellConfig(pt, scheme)
-			at := i
-			if e.mode == ModeTrace {
-				if c.err == nil {
-					c.err = c.cfg.Validate()
-				}
-				if c.err == nil {
-					k := stats.EngineConfigOf(c.cfg)
-					o, seen := owners[k]
-					if !seen {
-						o = owner{i, len(plans[i].cfgs)}
-						owners[k] = o
-						plans[i].cfgs = append(plans[i].cfgs, c.cfg)
-					}
-					at, c.key, c.memo = o.point, o.key, seen
-				}
+			if e.mode != ModeTrace {
+				at(i).cells = append(at(i).cells, c)
+				continue
 			}
-			plans[at].cells = append(plans[at].cells, c)
+			if c.err == nil {
+				c.err = c.cfg.Validate()
+			}
+			if c.err != nil {
+				at(0).cells = append(at(0).cells, c)
+				continue
+			}
+			k := stats.EngineConfigOf(c.cfg)
+			n, seen := keys[k]
+			if !seen {
+				n = len(keys)
+				keys[k] = n
+			}
+			jp := at(n / replayChunk)
+			if !seen {
+				jp.cfgs = append(jp.cfgs, c.cfg)
+			}
+			c.key, c.memo = n%replayChunk, seen
+			jp.cells = append(jp.cells, c)
 		}
 	}
 	return plans
 }
 
-// buildJobs expands the plan into worker jobs: owning point-major, then
-// benchmark, then (pipeline mode) scheme.
-func (e *Experiment) buildJobs(wl *Workload, plans []pointPlan, experiment int) []simJob {
+// buildJobs expands the plan into worker jobs: plan-major (point-major
+// in pipeline mode, chunk-major in trace mode), then benchmark, then
+// (pipeline mode) scheme.
+func (e *Experiment) buildJobs(wl *Workload, plans []jobPlan, experiment int) []simJob {
 	var jobs []simJob
-	for _, pp := range plans {
-		if len(pp.cells) == 0 {
-			continue // an earlier point's jobs serve every cell
-		}
+	for _, jp := range plans {
 		for b, pg := range wl.progs {
 			p := pg.Plain
 			if e.ifConverted {
@@ -222,14 +243,14 @@ func (e *Experiment) buildJobs(wl *Workload, plans []pointPlan, experiment int) 
 			}
 			j := simJob{
 				bench: pg.Spec.Name, class: pg.Spec.Class, specHash: fmt.Sprintf("%016x", pg.Spec.Hash()),
-				prog: p, matrix: b * len(e.schemes), cells: pp.cells, cfgs: pp.cfgs, experiment: experiment,
+				prog: p, matrix: b * len(e.schemes), cells: jp.cells, cfgs: jp.cfgs, experiment: experiment,
 			}
 			if e.mode == ModeTrace {
 				jobs = append(jobs, j)
 				continue
 			}
-			for i := range pp.cells {
-				j.cells = pp.cells[i : i+1]
+			for i := range jp.cells {
+				j.cells = jp.cells[i : i+1]
 				jobs = append(jobs, j)
 			}
 		}
@@ -239,20 +260,27 @@ func (e *Experiment) buildJobs(wl *Workload, plans []pointPlan, experiment int) 
 
 // Start plans every point's cells (plan) over the experiment's
 // workload and launches the worker pool under ctx over the planned
-// jobs, point-major. In trace mode one shared provider records each
-// benchmark's trace exactly once for the whole run — an N-point sweep
-// over the full suite records 22 traces, not 22×N. Cancelling ctx
-// stops workers promptly: queued runs are abandoned and in-flight
-// simulations stop at the next commit slice. The error is always nil:
-// the workload arrives prepared, and each run's failure is reported on
-// its Result.
+// jobs. An if-converted experiment first has the workload build the
+// if-converted binaries no earlier experiment built, in parallel, and
+// returns the first conversion error (or ctx's) before any job runs.
+// In trace mode one shared provider records each benchmark's trace
+// exactly once for the whole run — an N-point sweep over the full
+// suite records 22 traces, not 22×N. Cancelling ctx stops workers
+// promptly: queued runs are abandoned and in-flight simulations stop
+// at the next commit slice. Each run's failure is reported on its
+// Result.
 func (e *Experiment) Start(ctx context.Context) (*Runner, error) {
-	return e.start(ctx, e.runJob), nil
+	return e.start(ctx, e.runJob)
 }
 
 // start is Start with the function each worker runs a job through.
-func (e *Experiment) start(ctx context.Context, run func(context.Context, *traceProvider, simJob) ([]Result, bool)) *Runner {
+func (e *Experiment) start(ctx context.Context, run func(context.Context, *traceProvider, simJob) ([]Result, bool)) (*Runner, error) {
 	wl := e.workload
+	if e.ifConverted {
+		if err := wl.convert(ctx); err != nil {
+			return nil, err
+		}
+	}
 	var traces *traceProvider
 	if e.mode == ModeTrace {
 		traces = newTraceProvider(e.traceDir, e.commits, e.observer)
@@ -315,7 +343,7 @@ func (e *Experiment) start(ctx context.Context, run func(context.Context, *trace
 		close(r.results)
 		close(r.done)
 	}()
-	return r
+	return r, nil
 }
 
 // finish delivers, counts and reports each of one finished job's
@@ -566,7 +594,10 @@ func captureMem(pl *pipeline.Pipeline) MemStats {
 // on per-run errors (inspect Result.Err, or let Tabulate surface
 // them).
 func (e *Experiment) Run(ctx context.Context) ([]Result, error) {
-	r := e.start(ctx, e.runJob)
+	r, err := e.start(ctx, e.runJob)
+	if err != nil {
+		return nil, err
+	}
 	var out []Result
 	for res := range r.Results() {
 		out = append(out, res)

@@ -136,12 +136,47 @@ func TestMemStatsZeroValue(t *testing.T) {
 	}
 }
 
+// runAtRendezvous runs exp with every job first meeting another at a
+// two-party rendezvous, so a pool that runs the jobs one after another
+// times out on the first, and returns the sorted results and the number
+// of jobs.
+func runAtRendezvous(t *testing.T, exp *Experiment) ([]Result, int) {
+	t.Helper()
+	var arrived atomic.Int32
+	both := make(chan struct{})
+	rendezvous := func(ctx context.Context, traces *traceProvider, j simJob) ([]Result, bool) {
+		if arrived.Add(1) == 2 {
+			close(both)
+		}
+		select {
+		case <-both:
+		case <-time.After(10 * time.Second):
+			t.Errorf("%s: no second job arrived: the jobs ran one after another", j.bench)
+		}
+		return exp.runJob(ctx, traces, j)
+	}
+	r, err := exp.start(context.Background(), rendezvous)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rs []Result
+	for res := range r.Results() {
+		if res.Err != nil {
+			t.Errorf("%s/%s at point %d: %v", res.Bench, res.Scheme, res.Point.Index, res.Err)
+		}
+		rs = append(rs, res)
+	}
+	if err := r.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	SortResults(rs)
+	return rs, int(arrived.Load())
+}
+
 // TestSweepCellsRunConcurrently pins that a sweep's cells, not its
 // points, are the unit of parallel work: the two benchmarks of a
 // one-point trace sweep are two jobs, and they run on two workers at
-// once. Every job first meets another at a two-party rendezvous, so a
-// pool that runs the point's jobs one after another times out on the
-// first.
+// once.
 func TestSweepCellsRunConcurrently(t *testing.T) {
 	wl := PrepareEntries(t, 50000, "gzip", "vpr")
 	exp, err := New(
@@ -156,37 +191,41 @@ func TestSweepCellsRunConcurrently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var arrived atomic.Int32
-	both := make(chan struct{})
-	rendezvous := func(ctx context.Context, traces *traceProvider, j simJob) ([]Result, bool) {
-		if arrived.Add(1) == 2 {
-			close(both)
-		}
-		select {
-		case <-both:
-		case <-time.After(10 * time.Second):
-			t.Errorf("%s: no second job arrived: the point's jobs ran one after another", j.bench)
-		}
-		return exp.runJob(ctx, traces, j)
-	}
-	r := exp.start(context.Background(), rendezvous)
-	var rs []Result
-	for res := range r.Results() {
-		rs = append(rs, res)
-	}
-	if err := r.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	SortResults(rs)
-	if len(rs) != 2 || arrived.Load() != 2 {
-		t.Fatalf("want one point of 2 cells from 2 jobs, got %d jobs and cells %+v", arrived.Load(), rs)
+	rs, jobs := runAtRendezvous(t, exp)
+	if len(rs) != 2 || jobs != 2 {
+		t.Fatalf("want one point of 2 cells from 2 jobs, got %d jobs and cells %+v", jobs, rs)
 	}
 	for i, r := range rs {
 		if r.Seq != i || r.Bench != wl.progs[i].Spec.Name {
 			t.Errorf("cell %d is %s at Seq %d; want %s at Seq %d", i, r.Bench, r.Seq, wl.progs[i].Spec.Name, i)
 		}
-		if r.Err != nil {
-			t.Errorf("%s/%s: %v", r.Bench, r.Scheme, r.Err)
-		}
+	}
+}
+
+// TestSweepChunksRunConcurrently pins that one benchmark's replays
+// still spread over the workers: a one-benchmark sweep over
+// 2*replayChunk distinct configurations is two chunks, so two jobs,
+// and they run on two workers at once.
+func TestSweepChunksRunConcurrently(t *testing.T) {
+	wl := PrepareEntries(t, 50000, "vpr")
+	bytes := make([]any, replayChunk)
+	for i := range bytes {
+		bytes[i] = 37888 * (i + 1)
+	}
+	exp, err := New(
+		WithWorkload(wl),
+		WithSchemes("conventional", "predpred"),
+		WithCommits(20000),
+		WithMode(ModeTrace),
+		WithTraceDir(t.TempDir()),
+		WithParallelism(2),
+		WithAxis("pred.bytes", bytes...),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, jobs := runAtRendezvous(t, exp)
+	if len(rs) != 2*replayChunk || jobs != 2 {
+		t.Fatalf("want %d cells from 2 jobs, got %d cells from %d jobs", 2*replayChunk, len(rs), jobs)
 	}
 }

@@ -35,8 +35,9 @@
 //     CSV emitters for machine-readable figures, writing a sweep's
 //     point and axis columns when it has them.
 //
-// A minimal experiment: resolve the suite entries, prepare their two
-// binary sets once, and run the matrix over them.
+// A minimal experiment: resolve the suite entries, prepare their
+// binaries once, and run the matrix over them (the if-converted set is
+// built when an if-converted experiment first starts on the workload).
 //
 //	specs, err := sim.SuiteSpecs("gzip", "twolf")
 //	wl, err := sim.PrepareSpecsContext(ctx, specs, sim.DefaultProfileSteps)
@@ -187,7 +188,9 @@ func WithSchemes(names ...string) Option {
 }
 
 // WithIfConversion selects the if-converted binary set (Figure 6
-// conditions) instead of the plain binaries (Figure 5 conditions).
+// conditions) instead of the plain binaries (Figure 5 conditions). The
+// workload profiles and if-converts each benchmark when the first such
+// experiment starts on it.
 func WithIfConversion(on bool) Option {
 	return func(e *Experiment) error {
 		e.ifConverted = on
@@ -247,7 +250,8 @@ func WithProgress(f func(Progress)) Option {
 
 // WithWorkload sets the prepared binaries the experiment runs: its
 // benchmarks, in the workload's order. Every experiment needs one, and
-// many experiments can share one preparation pass (PrepareSpecs).
+// many experiments can share one preparation pass (PrepareSpecs) and
+// its if-conversions.
 func WithWorkload(w *Workload) Option {
 	return func(e *Experiment) error {
 		if w == nil {

@@ -76,7 +76,10 @@ type SweepRunner struct {
 // Deprecated: use Experiment.Start. Kept for benchmark/, its last
 // caller.
 func (s *Sweep) Start(ctx context.Context) (*SweepRunner, error) {
-	r := s.e.start(ctx, s.e.runJob)
+	r, err := s.e.start(ctx, s.e.runJob)
+	if err != nil {
+		return nil, err
+	}
 	sr := &SweepRunner{r: r, results: make(chan SweepResult, r.Total())}
 	go func() {
 		defer close(sr.results)

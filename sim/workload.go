@@ -3,32 +3,58 @@ package sim
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"sync"
 
 	"repro/internal/bench"
 	"repro/internal/stats"
 )
 
-// Workload holds the two prepared binary sets of §4.1 — plain and
-// profile-guided if-converted — for a set of benchmarks. Preparing is
-// the expensive part of an experiment (build + profile + convert per
-// benchmark), so a Workload is built once and shared across
-// experiments via WithWorkload. PrepareSpecs builds one, from the specs
+// Workload holds the benchmarks an experiment runs and their two binary
+// sets of §4.1: plain and profile-guided if-converted. Preparing builds
+// the plain binaries only; each benchmark is profiled and if-converted
+// once, when the first experiment that reads the if-converted set
+// starts on it. A Workload is built once and shared across experiments
+// via WithWorkload, and its subsets share its binaries, so no
+// benchmark is converted twice. PrepareSpecs builds one, from the specs
 // SuiteSpecs resolves or from specs built in code.
 type Workload struct {
-	progs []stats.Programs
+	progs        []*prepared
+	profileSteps uint64
 }
 
-// PrepareSpecs builds and profiles benchmark specs in parallel: the
-// ones SuiteSpecs resolves from suite entries, or specs a caller
-// constructs or mutates programmatically (workload-shape sweeps).
-// Every spec is validated and duplicate names are rejected.
+// prepared is one benchmark of a Workload. Subsets point at the same
+// one, so its conversion is shared.
+type prepared struct {
+	stats.Programs
+	mu sync.Mutex // held while converting
+}
+
+// convert builds the benchmark's if-converted binary unless an earlier
+// experiment has. A failed or cancelled conversion leaves none, so the
+// next caller tries again.
+func (p *prepared) convert(ctx context.Context, steps uint64) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.Converted != nil {
+		return nil
+	}
+	return p.Convert(ctx, steps)
+}
+
+// PrepareSpecs builds benchmark specs' plain binaries: the ones
+// SuiteSpecs resolves from suite entries, or specs a caller constructs
+// or mutates programmatically (workload-shape sweeps). Every spec is
+// validated and duplicate names are rejected. profileSteps is the
+// profiling budget of each benchmark's if-conversion, which runs when
+// an if-converted experiment first starts on it.
 func PrepareSpecs(specs []BenchSpec, profileSteps uint64) (*Workload, error) {
 	return PrepareSpecsContext(context.Background(), specs, profileSteps)
 }
 
 // PrepareSpecsContext is PrepareSpecs under a context: benchmarks not
-// yet started when ctx is cancelled are skipped and the context's
-// error is returned, making preparation cancellable like simulation.
+// yet built when ctx is cancelled are skipped and the context's error
+// is returned, making preparation cancellable like simulation.
 func PrepareSpecsContext(ctx context.Context, specs []BenchSpec, profileSteps uint64) (*Workload, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("sim: no benchmark specs to prepare")
@@ -43,11 +69,40 @@ func PrepareSpecsContext(ctx context.Context, specs []BenchSpec, profileSteps ui
 		}
 		seen[s.Name] = true
 	}
-	progs, err := stats.PrepareContext(ctx, specs, profileSteps)
+	progs, err := stats.PrepareContext(ctx, specs)
 	if err != nil {
 		return nil, fmt.Errorf("sim: prepare workload: %w", err)
 	}
-	return &Workload{progs: progs}, nil
+	w := &Workload{progs: make([]*prepared, len(progs)), profileSteps: profileSteps}
+	for i, pg := range progs {
+		w.progs[i] = &prepared{Programs: pg}
+	}
+	return w, nil
+}
+
+// convert makes sure every benchmark's if-converted binary is built,
+// converting the ones no earlier experiment has in parallel under ctx,
+// and returns the first failure in benchmark order.
+func (w *Workload) convert(ctx context.Context) error {
+	errs := make([]error, len(w.progs))
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i, p := range w.progs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			errs[i] = p.convert(ctx, w.profileSteps)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return fmt.Errorf("sim: if-convert workload: %w", err)
+		}
+	}
+	return nil
 }
 
 // Len returns the number of prepared benchmarks.
@@ -62,23 +117,11 @@ func (w *Workload) Names() []string {
 	return names
 }
 
-// Regions returns how many hammock regions were if-converted for a
-// benchmark. The second result reports whether the workload contains
-// the benchmark at all, distinguishing "prepared, zero regions" from
-// an unknown name (which Subset treats as an error).
-func (w *Workload) Regions(name string) (int, bool) {
-	for _, pg := range w.progs {
-		if pg.Spec.Name == name {
-			return pg.Regions, true
-		}
-	}
-	return 0, false
-}
-
 // Subset returns a Workload restricted to the named benchmarks, in
-// the given order, reusing the already-prepared binaries.
+// the given order, sharing the binaries already built and any
+// conversion still to come.
 func (w *Workload) Subset(names ...string) (*Workload, error) {
-	sub := &Workload{}
+	sub := &Workload{profileSteps: w.profileSteps}
 	for _, n := range names {
 		found := false
 		for _, pg := range w.progs {
