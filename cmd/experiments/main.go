@@ -20,7 +20,7 @@
 // pipeline and are skipped in that mode.
 //
 // -workload swaps the benchmark set: any mix of spec files
-// (*.json/*.toml), workload preset names (all, int11, fp11) and
+// (*.json), workload preset names (all, int11, fp11) and
 // suite benchmark names, so every figure can be regenerated over
 // user-authored branch behaviours.
 //

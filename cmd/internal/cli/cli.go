@@ -35,11 +35,11 @@ type Settings struct {
 var (
 	Experiments = Settings{Name: "experiments", Mode: "pipeline", Formats: []string{"text", "json", "csv"}}
 	Predsim     = Settings{Name: "predsim", Mode: "pipeline",
-		WorkloadUsage: "the workload entry to run (empty = gzip): a benchmark name (see -list), a workload preset name (see -workloads) or a spec file (*.json/*.toml); must resolve to exactly one benchmark"}
+		WorkloadUsage: "the workload entry to run (empty = gzip): a benchmark name (see -list), a workload preset name (see -workloads) or a spec file (*.json); must resolve to exactly one benchmark"}
 	Sweep = Settings{Name: "sweep", Mode: "trace", Formats: []string{"csv", "json"}}
 )
 
-const suiteUsage = "comma-separated workload entries — spec files (*.json/*.toml), workload preset names (all, int11, fp11), or benchmark names (empty = the full suite)"
+const suiteUsage = "comma-separated workload entries — spec files (*.json), workload preset names (all, int11, fp11), or benchmark names (empty = the full suite)"
 
 // Command is one run of a command: its shared flag values, and what
 // Start sets up from them.

@@ -1,11 +1,13 @@
 // Command predsim runs one benchmark (or an assembled file) on the
 // out-of-order pipeline under a chosen branch-prediction scheme and
 // prints the resulting statistics. -workload names the benchmark (gzip
-// by default), a preset of one benchmark or a spec file. All
-// simulation driving goes through the public repro/sim façade; -scheme
-// names one of its fixed table of the paper's three organizations
-// (-schemes lists them), and -ideal and -select vary that
-// organization's configuration.
+// by default), a preset of one benchmark or a spec file (*.json). All
+// simulation driving goes through the public repro/sim façade: the
+// final program (built, if-converted or assembled) is a one-program
+// workload (sim.PreparePrograms) run by one experiment. -scheme names
+// one of its fixed table of the paper's three organizations (-schemes
+// lists them), and -ideal and -select vary that organization's
+// configuration.
 //
 // Examples:
 //
@@ -109,30 +111,31 @@ func main() {
 	if _, ok := sim.ResolveScheme(*scheme); !ok {
 		c.Fatal(fmt.Errorf("unknown scheme %q (schemes: %v)", *scheme, sim.SchemeNames()))
 	}
-	ctx := c.Start()
-	res, err := sim.SimulateProgram(ctx, sim.ProgramRun{
-		Program:  prog,
-		Scheme:   *scheme,
-		Commits:  c.Commits,
-		Mode:     c.Mode,
-		Observer: c.Observer,
-		Mutate: func(cfg *sim.Config) {
+	c.Start()
+	wl, err := sim.PreparePrograms([]*sim.Program{prog})
+	if err != nil {
+		c.Fatal(err)
+	}
+	res := c.Run(c.Experiment(
+		sim.WithWorkload(wl),
+		sim.WithSchemes(*scheme),
+		sim.WithConfigMutator(func(cfg *sim.Config) {
 			if *ideal {
 				cfg.IdealNoAlias, cfg.IdealPerfectGHR = true, true
 			}
 			if *selectPr {
 				cfg.Predication = sim.PredicationSelect
 			}
-		},
-	})
-	if err != nil {
-		c.Fatal(err)
+		}),
+	))[0]
+	if res.Err != nil {
+		c.Fatal(res.Err)
 	}
 	report(prog, res)
 	c.Finish()
 }
 
-func report(p *sim.Program, res sim.ProgramResult) {
+func report(p *sim.Program, res sim.Result) {
 	st := res.Stats
 	sum := p.Summarize()
 	fmt.Printf("program: %s (%d instructions, %d static cond branches, %d compares, %d predicated)\n",

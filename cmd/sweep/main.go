@@ -25,7 +25,7 @@
 //
 // -workload takes the same entries as cmd/experiments: suite benchmark
 // names, workload preset names (all, int11, fp11) and paths of
-// user-authored spec files (*.json / *.toml), in any mix, making every
+// user-authored spec files (*.json), in any mix, making every
 // sweep a two-axis study over config knobs × workload shape. Empty
 // means the full suite.
 //

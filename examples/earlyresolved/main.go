@@ -74,18 +74,26 @@ func main() {
 	fmt.Println("the computed value from the PPRF instead of a prediction: 100% accurate.")
 	fmt.Println()
 	fmt.Printf("%-10s %12s %14s %16s %10s\n", "codegen", "mispredict", "early-resolved", "pred-flushes", "IPC")
-	for _, hoisted := range []bool{false, true} {
-		p := buildLoop(hoisted)
-		res, err := sim.SimulateProgram(context.Background(), sim.ProgramRun{
-			Program: p,
-			Scheme:  "predpred",
-		})
-		if err != nil {
-			log.Fatal(err)
+	// Both codegens in one experiment, each run to halt.
+	wl, err := sim.PreparePrograms([]*sim.Program{buildLoop(false), buildLoop(true)})
+	if err != nil {
+		log.Fatal(err)
+	}
+	exp, err := sim.New(sim.WithWorkload(wl), sim.WithSchemes("predpred"), sim.WithCommits(0))
+	if err != nil {
+		log.Fatal(err)
+	}
+	results, err := exp.Run(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, res := range results {
+		if res.Err != nil {
+			log.Fatal(res.Err)
 		}
 		st := res.Stats
 		fmt.Printf("%-10s %11.2f%% %13.1f%% %16d %10.2f\n",
-			p.Name, 100*st.MispredictRate(),
+			res.Bench, 100*st.MispredictRate(),
 			100*float64(st.EarlyResolved)/float64(st.CondBranches),
 			st.PredFlushes, st.IPC())
 	}

@@ -61,24 +61,37 @@ func main() {
 
 	// Step 3: accuracy of each scheme on both binaries.
 	fmt.Printf("\n%-14s %16s %16s\n", "scheme", "plain binary", "if-converted")
-	for _, s := range []string{"conventional", "peppa", "predpred"} {
-		a := run(s, plain)
-		c := run(s, res.Prog)
-		fmt.Printf("%-14v %15.2f%% %15.2f%%\n", s, a, c)
+	schemes := []string{"conventional", "peppa", "predpred"}
+	a, c := run(schemes, plain), run(schemes, res.Prog)
+	for i, s := range schemes {
+		fmt.Printf("%-14v %15.2f%% %15.2f%%\n", s, a[i], c[i])
 	}
 	fmt.Println("\nif-conversion removes mispredicting branches for every scheme, but only the")
 	fmt.Println("predicate predictor keeps the removed branches' correlation information and")
 	fmt.Println("exploits early-resolved branches on the converted binary (§3.1).")
 }
 
-func run(scheme string, p *sim.Program) float64 {
-	res, err := sim.SimulateProgram(context.Background(), sim.ProgramRun{
-		Program: p,
-		Scheme:  scheme,
-		Commits: 120000,
-	})
+// run simulates p under every scheme, in one experiment, and returns
+// each scheme's misprediction rate in percent.
+func run(schemes []string, p *sim.Program) []float64 {
+	wl, err := sim.PreparePrograms([]*sim.Program{p})
 	if err != nil {
 		log.Fatal(err)
 	}
-	return 100 * res.Stats.MispredictRate()
+	exp, err := sim.New(sim.WithWorkload(wl), sim.WithSchemes(schemes...), sim.WithCommits(120000))
+	if err != nil {
+		log.Fatal(err)
+	}
+	results, err := exp.Run(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	rates := make([]float64, len(results))
+	for i, r := range results {
+		if r.Err != nil {
+			log.Fatal(r.Err)
+		}
+		rates[i] = 100 * r.Stats.MispredictRate()
+	}
+	return rates
 }

@@ -42,18 +42,25 @@ func main() {
 		fmt.Printf("\n=== %s: %s ===\n", *name, binary.label)
 		fmt.Printf("%-14s %10s %8s %8s %10s %10s %10s\n",
 			"scheme", "mispredict", "IPC", "early", "cancelled", "selectops", "flushes")
-		for _, s := range schemes {
-			run, err := sim.SimulateProgram(context.Background(), sim.ProgramRun{
-				Program: binary.prog,
-				Scheme:  s,
-				Commits: *commits,
-			})
-			if err != nil {
-				log.Fatal(err)
+		wl, err := sim.PreparePrograms([]*sim.Program{binary.prog})
+		if err != nil {
+			log.Fatal(err)
+		}
+		exp, err := sim.New(sim.WithWorkload(wl), sim.WithSchemes(schemes...), sim.WithCommits(*commits))
+		if err != nil {
+			log.Fatal(err)
+		}
+		results, err := exp.Run(context.Background())
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, run := range results {
+			if run.Err != nil {
+				log.Fatal(run.Err)
 			}
 			st := run.Stats
 			fmt.Printf("%-14v %9.2f%% %8.2f %8d %10d %10d %10d\n",
-				s, 100*st.MispredictRate(), st.IPC(), st.EarlyResolved,
+				run.Scheme, 100*st.MispredictRate(), st.IPC(), st.EarlyResolved,
 				st.Cancelled, st.SelectOps,
 				st.ExecFlushes+st.PredFlushes+st.OverrideFlushes)
 		}

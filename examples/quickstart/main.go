@@ -1,7 +1,9 @@
 // Quickstart: build a small predicated program with the builder API,
 // run it functionally on the emulator, then run the same program on the
 // out-of-order pipeline — driven through the public repro/sim façade —
-// under the paper's predicate-prediction scheme and compare results.
+// under the paper's predicate-prediction scheme and compare results:
+// a second pipeline run below the façade, co-simulated against the
+// emulator, checks every committed value and supplies the sum.
 package main
 
 import (
@@ -13,6 +15,8 @@ import (
 	"repro/internal/emulator"
 	//simlint:ignore layering pedagogical walkthrough of the ISA, program builder and emulator below the facade; rewriting it against sim would erase exactly what it teaches
 	"repro/internal/isa"
+	//simlint:ignore layering the committed register file and the co-simulation oracle are pipeline internals the facade does not expose; the walkthrough reads them to show value-accurate execution
+	"repro/internal/pipeline"
 	//simlint:ignore layering pedagogical walkthrough of the ISA, program builder and emulator below the facade; rewriting it against sim would erase exactly what it teaches
 	"repro/internal/program"
 	"repro/sim"
@@ -55,19 +59,44 @@ func main() {
 	fmt.Printf("\nemulator:  sum = %d in %d architectural steps\n", em.State.GPR[3], em.Steps)
 
 	// Cycle-level execution under the predicate predictor scheme,
-	// driven through the sim façade (Commits: 0 = run to halt).
-	res, err := sim.SimulateProgram(context.Background(), sim.ProgramRun{
-		Program: prog,
-		Scheme:  "predpred",
-	})
+	// driven through the sim façade: a one-program workload, run to
+	// halt (WithCommits(0)).
+	wl, err := sim.PreparePrograms([]*sim.Program{prog})
 	if err != nil {
 		log.Fatal(err)
 	}
-	st := res.Stats
-	fmt.Printf("pipeline:  sum = %d in %d cycles (IPC %.2f)\n", res.GPR[3], st.Cycles, st.IPC())
+	exp, err := sim.New(sim.WithWorkload(wl), sim.WithSchemes("predpred"), sim.WithCommits(0))
+	if err != nil {
+		log.Fatal(err)
+	}
+	results, err := exp.Run(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	if results[0].Err != nil {
+		log.Fatal(results[0].Err)
+	}
+	st := results[0].Stats
+
+	// The same run below the façade, with the emulator attached as a
+	// co-simulation oracle that checks every committed value; the sum
+	// is read from the committed register file.
+	cfg := sim.DefaultConfig()
+	predpred, _ := sim.ResolveScheme("predpred")
+	predpred.Configure(&cfg)
+	pl, err := pipeline.New(cfg, prog)
+	if err != nil {
+		log.Fatal(err)
+	}
+	pl.CoSim = emulator.New(prog)
+	if err := pl.Run(0); err != nil {
+		log.Fatal(err)
+	}
+	sum := pl.ArchGPR(3)
+	fmt.Printf("pipeline:  sum = %d in %d cycles (IPC %.2f)\n", sum, st.Cycles, st.IPC())
 	fmt.Printf("branches:  %d conditional, %d mispredicted (%.1f%%), %d early-resolved\n",
 		st.CondBranches, st.BranchMispred, 100*st.MispredictRate(), st.EarlyResolved)
-	if res.GPR[3] != em.State.GPR[3] {
+	if sum != em.State.GPR[3] || pl.Stats != st {
 		log.Fatal("pipeline and emulator disagree!")
 	}
 	fmt.Println("\npipeline matches the functional emulator — value-accurate execution.")

@@ -23,7 +23,7 @@ import (
 )
 
 // Spec parameterizes one synthetic benchmark. Specs are also a user
-// input: Load reads one from a JSON or TOML file and Validate range
+// input: Load reads one from a JSON file and Validate range
 // checks every field, so sensitivity studies can target branch
 // behaviours the built-in suite never exercises. The zero values of
 // PhasePeriod and IndirTargets select the documented defaults.

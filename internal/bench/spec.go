@@ -25,9 +25,9 @@ func (s Spec) Hash() uint64 {
 	return h.Sum64()
 }
 
-// ErrSpec is wrapped by every error that rejects a spec: a malformed
-// file, an unknown or repeated key, a field out of range, or a site
-// family the budget truncates away. A file that cannot be read is a
+// ErrSpec is wrapped by every error that rejects a spec: a file that
+// is not .json, a malformed file, an unknown or repeated key, a field
+// out of range, or a site family the budget truncates away. A file that cannot be read is a
 // different failure, and Load reports it without ErrSpec.
 var ErrSpec = errors.New("bench: invalid spec")
 
@@ -105,34 +105,31 @@ func CheckSiteAllocation(s Spec) error {
 }
 
 // Load reads and validates one user-authored benchmark spec from a
-// JSON (.json) or TOML (.toml) file; any other extension is an error.
-// Unknown keys are rejected with the list of legal ones, so a
+// JSON file. A path with any other extension is rejected before it is
+// read. Unknown keys are rejected with the list of legal ones, so a
 // misspelled field fails loudly instead of silently keeping a default.
 func Load(path string) (Spec, error) {
+	if ext := filepath.Ext(path); !strings.EqualFold(ext, ".json") {
+		return Spec{}, fmt.Errorf("%w %s: unsupported extension %q (spec files are .json)", ErrSpec, path, ext)
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Spec{}, fmt.Errorf("bench: load spec: %w", err)
 	}
+	if k := repeatedKey(data); k != "" {
+		return Spec{}, fmt.Errorf("%w %s: key %q set twice", ErrSpec, path, k)
+	}
 	var s Spec
-	switch ext := strings.ToLower(filepath.Ext(path)); ext {
-	case ".json":
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&s); err != nil {
-			return Spec{}, fmt.Errorf("%w %s: %w (legal keys: %s)", ErrSpec, path, err, strings.Join(specKeys, ", "))
-		}
-		// One spec per file: trailing content would be silently dropped
-		// by a single Decode, which is how a second definition goes
-		// missing without a word.
-		if dec.More() {
-			return Spec{}, fmt.Errorf("%w %s: trailing content after the spec object (one spec per file)", ErrSpec, path)
-		}
-	case ".toml":
-		if err := parseTOML(data, &s); err != nil {
-			return Spec{}, fmt.Errorf("%w %s: %w", ErrSpec, path, err)
-		}
-	default:
-		return Spec{}, fmt.Errorf("%w %s: unsupported extension %q (want .json or .toml)", ErrSpec, path, ext)
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
+		return Spec{}, fmt.Errorf("%w %s: %w (legal keys: %s)", ErrSpec, path, err, strings.Join(specKeys, ", "))
+	}
+	// One spec per file: trailing content would be silently dropped by
+	// a single Decode, which is how a second definition goes missing
+	// without a word.
+	if dec.More() {
+		return Spec{}, fmt.Errorf("%w %s: trailing content after the spec object (one spec per file)", ErrSpec, path)
 	}
 	if err := Validate(s); err != nil {
 		return Spec{}, fmt.Errorf("%w (in %s)", err, path)
@@ -140,131 +137,41 @@ func Load(path string) (Spec, error) {
 	return s, nil
 }
 
-// specKeys is the canonical key set of the on-disk spec format, shared
-// by the JSON tags and the TOML parser.
+// repeatedKey returns the first key the file's top-level object sets
+// twice, matched case-insensitively as the decoder matches fields, or
+// "" if none does. The decoder would keep the last value silently.
+// Malformed input returns "" and is left to the decoder to report.
+func repeatedKey(data []byte) string {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if t, err := dec.Token(); err != nil || t != json.Delim('{') {
+		return ""
+	}
+	var seen []string
+	for dec.More() {
+		t, err := dec.Token()
+		k, ok := t.(string)
+		if err != nil || !ok {
+			return ""
+		}
+		for _, prev := range seen {
+			if strings.EqualFold(k, prev) {
+				return k
+			}
+		}
+		seen = append(seen, k)
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			return ""
+		}
+	}
+	return ""
+}
+
+// specKeys is the canonical key set of the on-disk spec format: the
+// Spec fields' JSON tags.
 var specKeys = []string{
 	"name", "class", "seed", "sites",
 	"hardFrac", "biasFrac", "corrFrac", "patFrac", "fpFrac", "memFrac",
 	"phaseFrac", "indirFrac", "hoistFrac",
 	"arrayKB", "iters", "phasePeriod", "indirTargets",
-}
-
-// parseTOML decodes the flat TOML subset the spec format needs — one
-// `key = value` per line, # comments, bare integers/floats/booleans and
-// double-quoted strings. No external dependency, no tables, no arrays:
-// a Spec is flat by construction.
-func parseTOML(data []byte, s *Spec) error {
-	seen := map[string]int{} // key -> first line, to reject silent last-wins overwrites
-	for ln, line := range strings.Split(string(data), "\n") {
-		line = stripComment(line)
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(line, "=")
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		if !ok || key == "" || val == "" {
-			return fmt.Errorf(`line %d: %q is not "key = value"`, ln+1, line)
-		}
-		if first, dup := seen[key]; dup {
-			return fmt.Errorf("line %d: key %q already set on line %d", ln+1, key, first)
-		}
-		seen[key] = ln + 1
-		if err := setSpecField(s, key, val); err != nil {
-			return fmt.Errorf("line %d: %w", ln+1, err)
-		}
-	}
-	return nil
-}
-
-// stripComment cuts the line at its first # OUTSIDE double quotes, so
-// a quoted value may contain # and still take a trailing comment.
-func stripComment(line string) string {
-	inQ := false
-	for i, r := range line {
-		switch r {
-		case '"':
-			inQ = !inQ
-		case '#':
-			if !inQ {
-				return line[:i]
-			}
-		}
-	}
-	return line
-}
-
-// setSpecField assigns one parsed TOML value to its spec field, with
-// the same key names as the JSON format.
-func setSpecField(s *Spec, key, val string) error {
-	str := func(dst *string) error {
-		u, err := strconv.Unquote(val)
-		if err != nil {
-			return fmt.Errorf("key %q: value %s is not a quoted string", key, val)
-		}
-		*dst = u
-		return nil
-	}
-	i64 := func(dst *int64) error {
-		v, err := strconv.ParseInt(val, 10, 64)
-		if err != nil {
-			return fmt.Errorf("key %q: value %s is not an integer", key, val)
-		}
-		*dst = v
-		return nil
-	}
-	num := func(dst *int) error {
-		var v int64
-		if err := i64(&v); err != nil {
-			return err
-		}
-		*dst = int(v)
-		return nil
-	}
-	frac := func(dst *float64) error {
-		v, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return fmt.Errorf("key %q: value %s is not a number", key, val)
-		}
-		*dst = v
-		return nil
-	}
-	switch key {
-	case "name":
-		return str(&s.Name)
-	case "class":
-		return str(&s.Class)
-	case "seed":
-		return i64(&s.Seed)
-	case "sites":
-		return num(&s.Sites)
-	case "hardFrac":
-		return frac(&s.HardFrac)
-	case "biasFrac":
-		return frac(&s.BiasFrac)
-	case "corrFrac":
-		return frac(&s.CorrFrac)
-	case "patFrac":
-		return frac(&s.PatFrac)
-	case "fpFrac":
-		return frac(&s.FPFrac)
-	case "memFrac":
-		return frac(&s.MemFrac)
-	case "phaseFrac":
-		return frac(&s.PhaseFrac)
-	case "indirFrac":
-		return frac(&s.IndirFrac)
-	case "hoistFrac":
-		return frac(&s.HoistFrac)
-	case "arrayKB":
-		return num(&s.ArrayKB)
-	case "iters":
-		return i64(&s.Iters)
-	case "phasePeriod":
-		return i64(&s.PhasePeriod)
-	case "indirTargets":
-		return num(&s.IndirTargets)
-	default:
-		return fmt.Errorf("unknown key %q (legal keys: %s)", key, strings.Join(specKeys, ", "))
-	}
 }

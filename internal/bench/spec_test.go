@@ -171,70 +171,21 @@ func TestLoadJSON(t *testing.T) {
 	}
 }
 
-func TestLoadTOML(t *testing.T) {
+// TestLoadAcceptsOnlyJSON checks that a spec file with any other
+// extension, a flat key = value .toml file included, fails with ErrSpec
+// naming .json as the one supported extension, whether or not the file
+// exists.
+func TestLoadAcceptsOnlyJSON(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "spec.toml")
-	good := `
-# phase-heavy demo workload
-name = "tdemo"   # the benchmark name
-class = "fp"
-seed = 9
-sites = 8
-fpFrac = 0.25
-phaseFrac = 0.5
-indirFrac = 0.25
-indirTargets = 8
-hoistFrac = 0.6
-arrayKB = 16
-iters = 500000
-`
-	if err := os.WriteFile(path, []byte(good), 0o600); err != nil {
+	toml := filepath.Join(dir, "spec.toml")
+	if err := os.WriteFile(toml, []byte("name = \"x\"\nclass = \"int\"\n"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Load(path)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if s.Name != "tdemo" || s.Class != "fp" || s.IndirTargets != 8 || s.PhaseFrac != 0.5 {
-		t.Fatalf("loaded spec %+v", s)
-	}
-
-	// A quoted value containing # may still take a trailing comment.
-	hashName := strings.Replace(good, `name = "tdemo"   # the benchmark name`,
-		`name = "t#demo" # trailing comment`, 1)
-	if err := os.WriteFile(path, []byte(hashName), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if s, err := Load(path); err != nil || s.Name != "t#demo" {
-		t.Fatalf("quoted-# spec = %+v, %v", s, err)
-	}
-	if _, err := Load(filepath.Join(dir, "missing.toml")); err == nil {
-		t.Fatal("expected error for a missing file")
-	}
-
-	badKey := good + "warpFrac = 0.5\n"
-	if err := os.WriteFile(path, []byte(badKey), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "warpFrac") {
-		t.Fatalf("unknown TOML key error = %v", err)
-	}
-
-	// A duplicated key must fail naming both lines, not last-wins.
-	dupKey := good + "seed = 11\n"
-	if err := os.WriteFile(path, []byte(dupKey), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "already set") {
-		t.Fatalf("duplicate TOML key error = %v", err)
-	}
-
-	other := filepath.Join(dir, "spec.yaml")
-	if err := os.WriteFile(other, []byte("name: x"), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(other); err == nil || !strings.Contains(err.Error(), ".json or .toml") {
-		t.Fatalf("unsupported extension error = %v", err)
+	for _, path := range []string{toml, filepath.Join(dir, "missing.toml"), filepath.Join(dir, "spec.yaml")} {
+		_, err := Load(path)
+		if !errors.Is(err, ErrSpec) || !strings.Contains(err.Error(), "spec files are .json") {
+			t.Errorf("%s: error = %v, want ErrSpec naming .json", filepath.Base(path), err)
+		}
 	}
 }
 
@@ -420,11 +371,6 @@ func TestNewFamiliesIfConvertible(t *testing.T) {
 	}
 }
 
-// FuzzLoad feeds arbitrary bytes to Load as a .json file and as a
-// .toml file. Each call must return a spec that passes Validate and
-// CheckSiteAllocation, or an error with the zero Spec; it must never
-// panic. The seeds in testdata/fuzz/FuzzLoad are the committed
-// example and benchmark specs.
 // TestLoadErrorsWrapErrSpec pins Load's error types: a rejected spec
 // wraps ErrSpec, and a file that cannot be read does not.
 func TestLoadErrorsWrapErrSpec(t *testing.T) {
@@ -432,7 +378,9 @@ func TestLoadErrorsWrapErrSpec(t *testing.T) {
 	for name, body := range map[string]string{
 		"bad.json":   `{"Name": "x", "Class": "int"`,
 		"range.json": `{"Name": "x", "Class": "vector"}`,
-		"keys.toml":  "Name = \"x\"\nwarp = 1\n",
+		"keys.json":  `{"name": "x", "warp": 1}`,
+		"twice.json": `{"name": "x", "class": "int", "sites": 8, "arrayKB": 64, "iters": 1000, "seed": 1, "Seed": 7}`,
+		"fold.json":  `{"name": "x", "class": "int", "sites": 8, "arrayKB": 64, "iters": 1000, "seed": 1, "\u017feed": 7}`,
 		"spec.yaml":  "Name: x\n",
 	} {
 		path := filepath.Join(dir, name)
@@ -448,30 +396,32 @@ func TestLoadErrorsWrapErrSpec(t *testing.T) {
 	}
 }
 
+// FuzzLoad feeds arbitrary bytes to Load as a .json file. Each call
+// must return a spec that passes Validate and CheckSiteAllocation, or an
+// error with the zero Spec that wraps ErrSpec; it must never panic. The
+// seeds in testdata/fuzz/FuzzLoad are the committed example and
+// benchmark specs.
 func FuzzLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		for _, ext := range []string{".json", ".toml"} {
-			path := filepath.Join(dir, "spec"+ext)
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
+		path := filepath.Join(t.TempDir(), "spec.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Load(path)
+		if err != nil {
+			if s != (Spec{}) {
+				t.Errorf("error %v returned with a non-zero spec %+v", err, s)
 			}
-			s, err := Load(path)
-			if err != nil {
-				if s != (Spec{}) {
-					t.Errorf("%s: error %v returned with a non-zero spec %+v", ext, err, s)
-				}
-				if !errors.Is(fmt.Errorf("workload: %w", err), ErrSpec) {
-					t.Errorf("%s: rejection %v does not wrap ErrSpec", ext, err)
-				}
-				continue
+			if !errors.Is(fmt.Errorf("workload: %w", err), ErrSpec) {
+				t.Errorf("rejection %v does not wrap ErrSpec", err)
 			}
-			if err := Validate(s); err != nil {
-				t.Errorf("%s: loaded spec fails Validate: %v", ext, err)
-			}
-			if err := CheckSiteAllocation(s); err != nil {
-				t.Errorf("%s: loaded spec fails CheckSiteAllocation: %v", ext, err)
-			}
+			return
+		}
+		if err := Validate(s); err != nil {
+			t.Errorf("loaded spec fails Validate: %v", err)
+		}
+		if err := CheckSiteAllocation(s); err != nil {
+			t.Errorf("loaded spec fails CheckSiteAllocation: %v", err)
 		}
 	})
 }

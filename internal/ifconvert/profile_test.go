@@ -100,10 +100,10 @@ func lcgLoop() *program.Program {
 	return b.Program()
 }
 
-// TestProfileProgramRunsOffTheEnd checks that a program whose PC leaves
+// TestProfileProgramFallsOffTheEnd checks that a program whose PC leaves
 // it (here through an indirect branch) ends the profile instead of
 // faulting.
-func TestProfileProgramRunsOffTheEnd(t *testing.T) {
+func TestProfileProgramFallsOffTheEnd(t *testing.T) {
 	b := program.NewBuilder("offend")
 	b.MovI(1, 0).MovI(2, 100)
 	b.Label("loop").

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -239,13 +240,10 @@ func knownNames(ns string, reg map[string]map[string]bool) string {
 }
 
 // looksLikeSpecFile mirrors the workload loader's file detection:
-// entries with path separators or spec-file extensions are loaded from
+// entries with path separators or a file extension are loaded from
 // disk, not resolved by name.
 func looksLikeSpecFile(s string) bool {
-	if strings.ContainsAny(s, `/\`) {
-		return true
-	}
-	return strings.HasSuffix(s, ".json") || strings.HasSuffix(s, ".toml")
+	return strings.ContainsAny(s, `/\`) || filepath.Ext(s) != ""
 }
 
 // namedTypeName returns the name of a composite literal's named type

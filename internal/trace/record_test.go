@@ -92,7 +92,7 @@ func TestRecordPinnedDigests(t *testing.T) {
 		}
 		specs = append(specs, s)
 	}
-	specs = append(specs, loadSpec(t, "phasehop.json"), loadSpec(t, "indirstorm.toml"))
+	specs = append(specs, loadSpec(t, "phasehop.json"), loadSpec(t, "indirstorm.json"))
 	names, progs := withIfConverted(t, specs)
 	for i, p := range progs {
 		tr, err := Record(context.Background(), p, 300000)
@@ -182,7 +182,7 @@ func specColdPrograms(tb testing.TB) []*program.Program {
 		s.PhasePeriod = period
 		specs = append(specs, s)
 	}
-	specs = append(specs, loadSpec(tb, "indirstorm.toml"))
+	specs = append(specs, loadSpec(tb, "indirstorm.json"))
 	_, progs := withIfConverted(tb, specs)
 	return progs
 }

@@ -78,22 +78,30 @@ func TestEveryKnobMovesTheModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	programs := map[string]*Program{"gzip": gzip, "gzip+ifc": conv.Prog, "calls": calls}
+	programs := map[string]*Workload{}
+	for name, p := range map[string]*Program{"gzip": gzip, "gzip+ifc": conv.Prog, "calls": calls} {
+		if programs[name], err = PreparePrograms([]*Program{p}); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	run := func(program, scheme string, mutate func(*Config)) ProgramResult {
+	run := func(program, scheme string, mutate func(*Config)) Result {
 		t.Helper()
-		res, err := SimulateProgram(context.Background(), ProgramRun{
-			Program: programs[program], Scheme: scheme, Commits: knobCommits, Mutate: mutate,
-		})
+		exp, err := New(WithWorkload(programs[program]), WithSchemes(scheme),
+			WithCommits(knobCommits), WithConfigMutator(mutate))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := exp.Run(context.Background())
 		if err == nil {
-			err = res.Err
+			err = rs[0].Err
 		}
 		if err != nil {
 			t.Fatalf("%s/%s: %v", program, scheme, err)
 		}
-		return res
+		return rs[0]
 	}
-	defaults := map[[2]string]ProgramResult{}
+	defaults := map[[2]string]Result{}
 	for _, name := range config.MutatorNames() {
 		p, ok := knobProbes[name]
 		if !ok {

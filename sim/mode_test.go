@@ -174,43 +174,71 @@ func TestWorkloadNamesReportMembership(t *testing.T) {
 	}
 }
 
-// TestSimulateProgramTraceMode checks the single-program trace path
-// used by cmd/predsim.
-func TestSimulateProgramTraceMode(t *testing.T) {
+// programWorkload prepares programs as a workload, failing t on error.
+func programWorkload(t *testing.T, progs ...*sim.Program) *sim.Workload {
+	t.Helper()
+	wl, err := sim.PreparePrograms(progs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wl
+}
+
+// runOne runs a one-cell experiment and returns its result, failing t
+// on a run error but not on the cell's own Err.
+func runOne(t *testing.T, opts ...sim.Option) sim.Result {
+	t.Helper()
+	exp, err := sim.New(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := exp.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) != 1 {
+		t.Fatalf("one-cell experiment gave %d results", len(rs))
+	}
+	return rs[0]
+}
+
+// TestProgramWorkloadTraceMode checks a program workload's trace path,
+// the one cmd/predsim -mode trace takes.
+func TestProgramWorkloadTraceMode(t *testing.T) {
 	prog, err := sim.BuildBenchmark("swim")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.SimulateProgram(context.Background(), sim.ProgramRun{
-		Program:  prog,
-		Scheme:   "predpred",
-		Commits:  20000,
-		Mode:     sim.ModeTrace,
-		TraceDir: t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
+	res := runOne(t,
+		sim.WithWorkload(programWorkload(t, prog)),
+		sim.WithSchemes("predpred"),
+		sim.WithCommits(20000),
+		sim.WithMode(sim.ModeTrace),
+		sim.WithTraceDir(t.TempDir()),
+	)
+	if res.Err != nil {
+		t.Fatal(res.Err)
 	}
-	if res.Mode != sim.ModeTrace {
-		t.Fatalf("mode = %v", res.Mode)
+	if res.Mode != sim.ModeTrace || res.Bench != "swim" || res.Class != "" {
+		t.Fatalf("identity: mode %v, bench %q, class %q", res.Mode, res.Bench, res.Class)
 	}
 	if res.Stats.CondBranches == 0 || res.Stats.PredPredictions == 0 {
 		t.Fatalf("implausible trace stats: %+v", res.Stats)
 	}
-	if res.Mode == sim.ModeTrace && res.Stats.Cycles != 0 {
+	if res.Stats.Cycles != 0 {
 		t.Fatal("trace mode must not report cycles")
 	}
 }
 
-// TestSimulateProgramMatchesExperimentCell proves SimulateProgram is a
-// one-cell experiment: on a suite binary, plain and if-converted, in
-// pipeline and trace mode, it returns the Stats and Mem of the matching
-// Experiment cell. In trace mode against one cache directory the
-// second entry point records nothing, whichever runs first: a trace is
-// keyed by its binary alone.
-func TestSimulateProgramMatchesExperimentCell(t *testing.T) {
+// TestProgramWorkloadMatchesSpecWorkload checks that a benchmark
+// entering as a program runs as it does entering as a spec: on vpr,
+// plain and if-converted, in pipeline and trace mode, the program
+// workload's cell has the Stats and Mem of the spec workload's. In
+// trace mode against one cache directory the second run records
+// nothing, whichever runs first: a trace is keyed by its binary alone.
+func TestProgramWorkloadMatchesSpecWorkload(t *testing.T) {
 	const commits, profile = 60000, 60000
-	wl := sim.PrepareEntries(t, profile, "vpr")
+	specs := sim.PrepareEntries(t, profile, "vpr")
 	plain, err := sim.BuildBenchmark("vpr")
 	if err != nil {
 		t.Fatal(err)
@@ -219,61 +247,46 @@ func TestSimulateProgramMatchesExperimentCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	for _, v := range []struct {
 		name        string
 		ifConverted bool
 		prog        *sim.Program
 	}{{"plain", false, plain}, {"ifconverted", true, conv.Prog}} {
+		progs := programWorkload(t, v.prog)
 		for _, mode := range []sim.Mode{sim.ModePipeline, sim.ModeTrace} {
 			t.Run(v.name+"/"+mode.String(), func(t *testing.T) {
 				dir := t.TempDir()
-				experiment := func() sim.Result {
-					exp, err := sim.New(
-						sim.WithWorkload(wl),
-						sim.WithSchemes("predpred"),
-						sim.WithIfConversion(v.ifConverted),
-						sim.WithCommits(commits),
-						sim.WithMode(mode),
-						sim.WithTraceDir(dir),
-					)
-					if err != nil {
-						t.Fatal(err)
+				run := func(wl *sim.Workload, ifConverted bool) func() sim.Result {
+					return func() sim.Result {
+						res := runOne(t,
+							sim.WithWorkload(wl),
+							sim.WithSchemes("predpred"),
+							sim.WithIfConversion(ifConverted),
+							sim.WithCommits(commits),
+							sim.WithMode(mode),
+							sim.WithTraceDir(dir),
+						)
+						if res.Err != nil {
+							t.Fatal(res.Err)
+						}
+						return res
 					}
-					rs, err := exp.Run(ctx)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(rs) != 1 || rs[0].Err != nil {
-						t.Fatalf("experiment results: %+v", rs)
-					}
-					return rs[0]
 				}
-				program := func() sim.Result {
-					res, err := sim.SimulateProgram(ctx, sim.ProgramRun{
-						Program: v.prog, Scheme: "predpred", Commits: commits,
-						Mode: mode, TraceDir: dir,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					return res.Result
-				}
-				first, second := experiment, program
-				if v.ifConverted { // the other order: the program run records
-					first, second = program, experiment
+				first, second := run(specs, v.ifConverted), run(progs, false)
+				if v.ifConverted { // the other order: the program workload records
+					first, second = second, first
 				}
 				a := first()
 				recs := processCounter("trace.recordings")
 				b := second()
 				if d := processCounter("trace.recordings") - recs; mode == sim.ModeTrace && d != 0 {
-					t.Errorf("second entry point recorded %d traces; the first one's trace should serve it", d)
+					t.Errorf("second workload recorded %d traces; the first one's trace should serve it", d)
 				}
 				if !reflect.DeepEqual(a.Stats, b.Stats) {
-					t.Errorf("Stats differ between the entry points:\n%+v\n%+v", a.Stats, b.Stats)
+					t.Errorf("Stats differ between the workloads:\n%+v\n%+v", a.Stats, b.Stats)
 				}
 				if a.Mem != b.Mem {
-					t.Errorf("Mem differs between the entry points: %+v vs %+v", a.Mem, b.Mem)
+					t.Errorf("Mem differs between the workloads: %+v vs %+v", a.Mem, b.Mem)
 				}
 				if a.Stats.Committed < commits {
 					t.Errorf("implausible run: %+v", a.Stats)
@@ -283,43 +296,47 @@ func TestSimulateProgramMatchesExperimentCell(t *testing.T) {
 	}
 }
 
-// TestSimulateProgramSchemesMatchesSeparate pins the manifests of a
-// trace-mode SimulateProgram, a one-cell experiment: an observed run
-// emits exactly one manifest, with the cell's identity and the timings
-// of a lone replay pass, and leaves the statistics unchanged; a run
-// whose configuration fails validation keeps its identity and emits its
-// error manifest. Multi-scheme replays are pinned against one-scheme
-// replays by TestReplayAllMatchesIndependentReplays and the memo tests.
-func TestSimulateProgramSchemesMatchesSeparate(t *testing.T) {
+// TestProgramWorkloadManifests pins the manifests of a trace-mode
+// one-cell experiment over a program workload: an observed run emits
+// exactly one manifest, with the cell's identity (no class and no spec
+// hash: a program has no spec) and the timings of a lone replay pass,
+// and leaves the statistics unchanged; a run whose configuration fails
+// validation keeps its identity and emits its error manifest.
+// Multi-scheme replays are pinned against one-scheme replays by
+// TestReplayAllMatchesIndependentReplays and the memo tests.
+func TestProgramWorkloadManifests(t *testing.T) {
 	prog, err := sim.BuildBenchmark("vpr")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := sim.ProgramRun{
-		Program:  prog,
-		Scheme:   "predpred",
-		Commits:  60000,
-		Mode:     sim.ModeTrace,
-		TraceDir: t.TempDir(),
-		Mutate: func(c *sim.Config) {
-			// 512 PVT rows: the pvt.entries knob's byte budget.
-			c.L2PredBytes = 512 * (int(c.L2PredGHRBits+c.L2PredLHRBits) + 1)
-		},
+	wl := programWorkload(t, prog)
+	dir := t.TempDir()
+	pvt512 := func(c *sim.Config) {
+		// 512 PVT rows: the pvt.entries knob's byte budget.
+		c.L2PredBytes = 512 * (int(c.L2PredGHRBits+c.L2PredLHRBits) + 1)
 	}
-	want, err := sim.SimulateProgram(context.Background(), run) // records the trace
-	if err != nil {
-		t.Fatal(err)
+	run := func(mutate func(*sim.Config), o *sim.Observer) sim.Result {
+		opts := []sim.Option{
+			sim.WithWorkload(wl), sim.WithSchemes("predpred"), sim.WithCommits(60000),
+			sim.WithMode(sim.ModeTrace), sim.WithTraceDir(dir), sim.WithConfigMutator(mutate),
+		}
+		if o != nil {
+			opts = append(opts, sim.WithObserver(o))
+		}
+		return runOne(t, opts...)
+	}
+	want := run(pvt512, nil) // records the trace
+	if want.Err != nil {
+		t.Fatal(want.Err)
 	}
 
 	// Observed, on a fake clock ticking once per read: decode, frontend
 	// and engine one tick per batch each, no group.
 	var clock int64
 	o := sim.NewObserverWithClock(func() int64 { clock++; return clock })
-	one := run
-	one.Observer = o
-	got, err := sim.SimulateProgram(context.Background(), one)
-	if err != nil {
-		t.Fatal(err)
+	got := run(pvt512, o)
+	if got.Err != nil {
+		t.Fatal(got.Err)
 	}
 	if !reflect.DeepEqual(got.Stats, want.Stats) {
 		t.Errorf("observing changed the stats:\nobserved:   %+v\nunobserved: %+v", got.Stats, want.Stats)
@@ -348,23 +365,20 @@ func TestSimulateProgramSchemesMatchesSeparate(t *testing.T) {
 	}
 
 	// A run that fails still emits its manifest, carrying the error,
-	// and returns the run's identity. Validation rejects the
-	// configuration before any replay, so no phase ran.
+	// and keeps its identity. Validation rejects the configuration
+	// before any replay, so no phase ran.
 	clock = 0
 	o = sim.NewObserverWithClock(func() int64 { clock++; return clock })
-	bad := run
-	bad.Observer = o
-	bad.Mutate = func(c *sim.Config) { c.FetchWidth = 0 }
-	res, err := sim.SimulateProgram(context.Background(), bad)
-	if err == nil {
+	res := run(func(c *sim.Config) { pvt512(c); c.FetchWidth = 0 }, o)
+	if res.Err == nil {
 		t.Fatal("an invalid configuration should fail the replay")
 	}
-	if res.Bench != prog.Name || res.Scheme != "predpred" || res.Mode != sim.ModeTrace || res.Err != err {
-		t.Errorf("failed run lost its identity: %+v", res.Result)
+	if res.Bench != prog.Name || res.Scheme != "predpred" || res.Mode != sim.ModeTrace {
+		t.Errorf("failed run lost its identity: %+v", res)
 	}
 	wantM = sim.RunManifest{
 		Seq: 0, Point: -1, Bench: prog.Name, Scheme: "predpred", Mode: "trace",
-		Cache: "hit", Err: err.Error(),
+		Cache: "hit", Err: res.Err.Error(),
 	}
 	if ms := o.Manifests(); len(ms) != 1 || !reflect.DeepEqual(ms[0], wantM) {
 		t.Errorf("failed run manifests:\n got: %+v\nwant: [%+v]", ms, wantM)

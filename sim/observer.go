@@ -39,9 +39,9 @@ const (
 // Observer collects per-run telemetry for one or more experiments: a
 // private metrics registry (span histograms and run counters, so
 // concurrent experiments don't blur together), an injectable clock,
-// and a buffer of run manifests. Attach one with WithObserver (or
-// ProgramRun.Observer); every method is safe for concurrent use and a
-// nil *Observer is inert, so instrumented code paths need no guards.
+// and a buffer of run manifests. Attach one with WithObserver; every
+// method is safe for concurrent use and a nil *Observer is inert, so
+// instrumented code paths need no guards.
 type Observer struct {
 	reg   *obs.Registry
 	clock func() int64

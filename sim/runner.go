@@ -3,13 +3,11 @@ package sim
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/stats"
@@ -132,7 +130,7 @@ func (r *Runner) Wait() error {
 type simJob struct {
 	bench    string
 	class    string
-	specHash string // %016x of the benchmark spec's hash; "" for an arbitrary program
+	specHash string // the workload entry's: "" for a program
 	prog     *Program
 	// matrix is the benchmark's first matrix position (benchmark-major,
 	// then scheme): a cell's Seq is matrix plus its scheme position.
@@ -242,7 +240,7 @@ func (e *Experiment) buildJobs(wl *Workload, plans []jobPlan, experiment int) []
 				p = pg.Converted
 			}
 			j := simJob{
-				bench: pg.Spec.Name, class: pg.Spec.Class, specHash: fmt.Sprintf("%016x", pg.Spec.Hash()),
+				bench: pg.Spec.Name, class: pg.Spec.Class, specHash: pg.specHash,
 				prog: p, matrix: b * len(e.schemes), cells: jp.cells, cfgs: jp.cfgs, experiment: experiment,
 			}
 			if e.mode == ModeTrace {
@@ -436,7 +434,7 @@ func (e *Experiment) runJob(ctx context.Context, traces *traceProvider, j simJob
 	if e.mode == ModeTrace {
 		return e.runTraceJob(ctx, traces, j)
 	}
-	res, _, ok := e.runCell(ctx, j)
+	res, ok := e.runCell(ctx, j)
 	return []Result{res}, ok
 }
 
@@ -537,10 +535,9 @@ func (e *Experiment) observeTraceGroup(traces *traceProvider, j simJob, out []Re
 	}
 }
 
-// runCell simulates one pipeline-mode job's cell and hands back the
-// finished pipeline (nil when the configuration failed to build). ok is
-// false when the context was cancelled mid-simulation.
-func (e *Experiment) runCell(ctx context.Context, j simJob) (Result, *pipeline.Pipeline, bool) {
+// runCell simulates one pipeline-mode job's cell. ok is false when the
+// context was cancelled mid-simulation.
+func (e *Experiment) runCell(ctx context.Context, j simJob) (Result, bool) {
 	res := j.result(e, 0)
 	o := e.observer
 	c := j.cells[0]
@@ -550,7 +547,7 @@ func (e *Experiment) runCell(ctx context.Context, j simJob) (Result, *pipeline.P
 			o.emit(e.cellManifest(j, res))
 			o.finishRun(c.err)
 		}
-		return res, nil, true
+		return res, true
 	}
 	var t0 int64
 	if o != nil {
@@ -561,7 +558,7 @@ func (e *Experiment) runCell(ctx context.Context, j simJob) (Result, *pipeline.P
 	// context cancelled after the run completed (err == nil, or a real
 	// pipeline error) still produced a full, reportable result.
 	if canceled(err) {
-		return res, nil, false
+		return res, false
 	}
 	if pl != nil {
 		res.Stats = pl.Stats
@@ -577,7 +574,7 @@ func (e *Experiment) runCell(ctx context.Context, j simJob) (Result, *pipeline.P
 		o.emit(m)
 		o.finishRun(res.Err)
 	}
-	return res, pl, true
+	return res, true
 }
 
 func captureMem(pl *pipeline.Pipeline) MemStats {
@@ -619,69 +616,4 @@ func SortResults(rs []Result) {
 		}
 		return rs[i].Seq < rs[j].Seq
 	})
-}
-
-// ProgramRun describes a single simulation of an arbitrary program —
-// the predsim/examples path, as opposed to the Experiment matrix.
-type ProgramRun struct {
-	Program *Program
-	Scheme  string        // scheme table name
-	Commits uint64        // committed-instruction budget (0 = run to halt)
-	Mode    Mode          // ModePipeline (the zero value) or ModeTrace
-	Mutate  func(*Config) // optional configuration adjustment
-	// TraceDir overrides the trace cache directory for ModeTrace.
-	TraceDir string
-	// Observer, when non-nil, collects phase spans and a run manifest
-	// per result, exactly as WithObserver does for experiments.
-	Observer *Observer
-}
-
-// ProgramResult is a single-program outcome, including the committed
-// architectural integer register file for functional checks.
-type ProgramResult struct {
-	Result
-	GPR [isa.NumGPR]int64
-}
-
-// SimulateProgram runs one program under one named scheme, honoring
-// ctx cancellation mid-run. It is a one-cell experiment: the same cell
-// runner, trace cache and manifests as Experiment, so a suite binary
-// gives the Stats of the matching Experiment cell and, in ModeTrace,
-// shares its cached trace. In ModeTrace the program is recorded by the
-// functional emulator (through the disk cache) and replayed by the
-// trace engine, and the GPR snapshot and memory statistics stay zero.
-func SimulateProgram(ctx context.Context, r ProgramRun) (ProgramResult, error) {
-	var out ProgramResult
-	if r.Program == nil {
-		return out, fmt.Errorf("sim: nil program")
-	}
-	out.Bench, out.Scheme, out.Mode = r.Program.Name, r.Scheme, r.Mode
-	e := &Experiment{schemes: []string{r.Scheme}, commits: r.Commits, mutate: r.Mutate, observer: r.Observer}
-	if err := WithMode(r.Mode)(e); err != nil {
-		return out, err
-	}
-	pp := e.plan([]Point{{}})[0]
-	j := simJob{
-		bench: r.Program.Name, prog: r.Program, cells: pp.cells, cfgs: pp.cfgs,
-		experiment: r.Observer.startExperiment(),
-	}
-	if r.Mode == ModeTrace {
-		rs, ok := e.runTraceJob(ctx, newTraceProvider(r.TraceDir, r.Commits, r.Observer), j)
-		if !ok {
-			return out, ctx.Err()
-		}
-		out.Result = rs[0]
-		return out, out.Err
-	}
-	res, pl, ok := e.runCell(ctx, j)
-	if !ok {
-		return out, ctx.Err()
-	}
-	out.Result = res
-	if pl != nil {
-		for i := 0; i < isa.NumGPR; i++ {
-			out.GPR[i] = pl.ArchGPR(isa.Reg(i))
-		}
-	}
-	return out, out.Err
 }

@@ -35,6 +35,11 @@
 //     CSV emitters for machine-readable figures, writing a sweep's
 //     point and axis columns when it has them.
 //
+// Every simulation is an Experiment over a Workload. Benchmarks enter
+// as specs (SuiteSpecs, then PrepareSpecsContext); programs built in
+// code or assembled from text enter through PreparePrograms, each one a
+// benchmark of its own.
+//
 // A minimal experiment: resolve the suite entries, prepare their
 // binaries once, and run the matrix over them (the if-converted set is
 // built when an if-converted experiment first starts on the workload).
@@ -104,10 +109,6 @@ func BuildBenchmark(name string) (*Program, error) {
 	return bench.Build(spec), nil
 }
 
-// LoadBenchSpec reads and validates one user-authored benchmark spec
-// from a JSON or TOML file (see DESIGN.md "Workloads" for the format).
-func LoadBenchSpec(path string) (BenchSpec, error) { return bench.Load(path) }
-
 // BuildSpec validates a benchmark spec (range checks plus the
 // site-allocation guard) and generates its (non-if-converted) binary.
 func BuildSpec(s BenchSpec) (*Program, error) {
@@ -170,7 +171,7 @@ func New(opts ...Option) (*Experiment, error) {
 		}
 	}
 	if e.workload == nil {
-		return nil, fmt.Errorf("sim: experiment needs a prepared workload (WithWorkload; see SuiteSpecs and PrepareSpecs)")
+		return nil, fmt.Errorf("sim: experiment needs a prepared workload (WithWorkload; see PrepareSpecs and PreparePrograms)")
 	}
 	if err := e.checkAxes(); err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package sim_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -201,26 +202,39 @@ func TestRunnerCancellation(t *testing.T) {
 	}
 }
 
-// TestSimulateProgram drives the single-program path used by predsim
-// and the examples, including the architectural register snapshot.
-func TestSimulateProgram(t *testing.T) {
+// TestProgramExperiment runs a program workload on the cycle model the
+// way predsim and the examples do: the mutator is applied, the budget
+// is reached and the memory hierarchy's counters are filled.
+func TestProgramExperiment(t *testing.T) {
 	prog, err := sim.BuildBenchmark("gzip")
 	if err != nil {
 		t.Fatal(err)
 	}
-	forced := false
-	res, err := sim.SimulateProgram(context.Background(), sim.ProgramRun{
-		Program: prog,
-		Scheme:  "predpred",
-		Commits: 20000,
-		Mutate: func(c *sim.Config) {
-			forced = true
-			c.Predication = sim.PredicationSelect
-		},
-	})
+	wl, err := sim.PreparePrograms([]*sim.Program{prog})
 	if err != nil {
 		t.Fatal(err)
 	}
+	forced := false
+	exp, err := sim.New(
+		sim.WithWorkload(wl),
+		sim.WithSchemes("predpred"),
+		sim.WithCommits(20000),
+		sim.WithConfigMutator(func(c *sim.Config) {
+			forced = true
+			c.Predication = sim.PredicationSelect
+		}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := exp.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) != 1 || rs[0].Err != nil {
+		t.Fatalf("results: %+v", rs)
+	}
+	res := rs[0]
 	if !forced {
 		t.Error("mutator not applied")
 	}
@@ -230,16 +244,47 @@ func TestSimulateProgram(t *testing.T) {
 	if res.Mem.L1DAccesses == 0 {
 		t.Error("memory hierarchy snapshot empty")
 	}
-	any := false
-	for _, v := range res.GPR {
-		if v != 0 {
-			any = true
+	if _, err := sim.New(sim.WithWorkload(wl), sim.WithSchemes("nope")); err == nil {
+		t.Error("unknown scheme must fail")
+	}
+}
+
+// TestPreparePrograms checks that a program workload rejects what
+// cannot run: no programs, a nil one, an invalid one and two sharing a
+// name.
+func TestPreparePrograms(t *testing.T) {
+	gzip, err := sim.BuildBenchmark("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vpr, err := sim.BuildBenchmark("vpr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fallsOff, err := sim.Assemble("falls-off", "movi r1 = 1\nhalt\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fallsOff.Insts = fallsOff.Insts[:1] // the halt is gone
+	for _, c := range []struct {
+		name  string
+		progs []*sim.Program
+		want  string
+	}{
+		{"empty", nil, "no programs"},
+		{"nil", []*sim.Program{gzip, nil}, "program 1 is nil"},
+		{"invalid", []*sim.Program{fallsOff}, "fall off the end"},
+		{"duplicate", []*sim.Program{gzip, vpr, gzip}, `duplicate benchmark "gzip"`},
+	} {
+		if _, err := sim.PreparePrograms(c.progs); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error = %v, want one containing %q", c.name, err, c.want)
 		}
 	}
-	if !any {
-		t.Error("architectural register snapshot all zero")
+	wl, err := sim.PreparePrograms([]*sim.Program{gzip, vpr})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := sim.SimulateProgram(context.Background(), sim.ProgramRun{Program: prog, Scheme: "nope"}); err == nil {
-		t.Error("unknown scheme must fail")
+	if got := wl.Names(); !slices.Equal(got, []string{"gzip", "vpr"}) {
+		t.Errorf("Names = %v, want the programs' names in order", got)
 	}
 }

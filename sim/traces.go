@@ -11,8 +11,9 @@ import (
 // trace-mode experiment. Every benchmark is recorded at most once per
 // provider (all schemes replay the same trace), and recordings are
 // cached on disk keyed by the binary alone (trace.Acquire) — so a
-// second process run of the same experiment, or SimulateProgram on the
-// same binary, replays from disk without re-emulating anything.
+// second process run of the same experiment, or an experiment over the
+// same binary entered as a program (PreparePrograms) rather than a
+// spec, replays from disk without re-emulating anything.
 type traceProvider struct {
 	dir  string
 	cap  uint64 // record budget: the experiment's commit budget

@@ -16,8 +16,9 @@ import (
 // once, when the first experiment that reads the if-converted set
 // starts on it. A Workload is built once and shared across experiments
 // via WithWorkload, and its subsets share its binaries, so no
-// benchmark is converted twice. PrepareSpecs builds one, from the specs
-// SuiteSpecs resolves or from specs built in code.
+// benchmark is converted twice. PrepareSpecs builds one from the specs
+// SuiteSpecs resolves or from specs built in code; PreparePrograms
+// builds one from programs.
 type Workload struct {
 	progs        []*prepared
 	profileSteps uint64
@@ -27,7 +28,8 @@ type Workload struct {
 // one, so its conversion is shared.
 type prepared struct {
 	stats.Programs
-	mu sync.Mutex // held while converting
+	specHash string     // the manifests' spec_hash: %016x of the spec's hash, or "" for a program
+	mu       sync.Mutex // held while converting
 }
 
 // convert builds the benchmark's if-converted binary unless an earlier
@@ -59,25 +61,57 @@ func PrepareSpecsContext(ctx context.Context, specs []BenchSpec, profileSteps ui
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("sim: no benchmark specs to prepare")
 	}
-	seen := map[string]bool{}
 	for _, s := range specs {
 		if err := bench.Validate(s); err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
-		if seen[s.Name] {
-			return nil, fmt.Errorf("sim: duplicate benchmark spec %q", s.Name)
-		}
-		seen[s.Name] = true
 	}
 	progs, err := stats.PrepareContext(ctx, specs)
 	if err != nil {
 		return nil, fmt.Errorf("sim: prepare workload: %w", err)
 	}
-	w := &Workload{progs: make([]*prepared, len(progs)), profileSteps: profileSteps}
+	entries := make([]*prepared, len(progs))
 	for i, pg := range progs {
-		w.progs[i] = &prepared{Programs: pg}
+		entries[i] = &prepared{Programs: pg, specHash: fmt.Sprintf("%016x", pg.Spec.Hash())}
 	}
-	return w, nil
+	return newWorkload(entries, profileSteps)
+}
+
+// PreparePrograms makes a workload of programs built in code or
+// assembled from text, each a benchmark named by its Program.Name, with
+// no class and no spec hash. A program's if-conversion, which runs when
+// an if-converted experiment first starts on it, profiles
+// DefaultProfileSteps instructions.
+func PreparePrograms(progs []*Program) (*Workload, error) {
+	if len(progs) == 0 {
+		return nil, fmt.Errorf("sim: no programs to prepare")
+	}
+	entries := make([]*prepared, len(progs))
+	for i, p := range progs {
+		if p == nil {
+			return nil, fmt.Errorf("sim: program %d is nil", i)
+		}
+		entries[i] = &prepared{
+			Programs: stats.Programs{Spec: BenchSpec{Name: p.Name}, Plain: p},
+		}
+	}
+	return newWorkload(entries, DefaultProfileSteps)
+}
+
+// newWorkload is the two preparations' shared tail: every plain binary
+// must be a valid program, and no two benchmarks may share a name.
+func newWorkload(entries []*prepared, profileSteps uint64) (*Workload, error) {
+	seen := map[string]bool{}
+	for _, p := range entries {
+		if err := p.Plain.Validate(); err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
+		}
+		if seen[p.Spec.Name] {
+			return nil, fmt.Errorf("sim: duplicate benchmark %q", p.Spec.Name)
+		}
+		seen[p.Spec.Name] = true
+	}
+	return &Workload{progs: entries, profileSteps: profileSteps}, nil
 }
 
 // convert makes sure every benchmark's if-converted binary is built,

@@ -170,12 +170,12 @@ func TestPrepareSpecsValidates(t *testing.T) {
 // of the same experiment is a pure trace-cache hit.
 func TestSpecFileRoundTrip(t *testing.T) {
 	specPath := filepath.Join("..", "examples", "customworkload", "phasehop.json")
-	spec, err := sim.LoadBenchSpec(specPath)
+	specs, err := sim.SuiteSpecs(specPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Name != "phasehop" || spec.PhaseFrac == 0 || spec.IndirFrac == 0 {
-		t.Fatalf("committed spec lost its behaviour knobs: %+v", spec)
+	if len(specs) != 1 || specs[0].Name != "phasehop" || specs[0].PhaseFrac == 0 || specs[0].IndirFrac == 0 {
+		t.Fatalf("committed spec lost its behaviour knobs: %+v", specs)
 	}
 
 	dir := t.TempDir()
@@ -231,8 +231,10 @@ func TestInvalidSpecFileFailsValidation(t *testing.T) {
 	}
 }
 
-func TestTOMLSpecThroughExperiment(t *testing.T) {
-	specPath := filepath.Join("..", "examples", "customworkload", "indirstorm.toml")
+// TestIndirstormSpecThroughExperiment runs the committed indirect-branch
+// spec through the input chain and a trace-mode experiment.
+func TestIndirstormSpecThroughExperiment(t *testing.T) {
+	specPath := filepath.Join("..", "examples", "customworkload", "indirstorm.json")
 	exp, err := sim.New(
 		sim.WithWorkload(sim.PrepareEntries(t, 15000, specPath)),
 		sim.WithSchemes("predpred"),

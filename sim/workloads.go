@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"path/filepath"
 	"sort"
 	"strings"
 
@@ -80,16 +81,17 @@ func SplitEntries(s string) []string {
 }
 
 // isSpecFile reports whether a suite entry names a spec file on disk
-// rather than a workload preset or suite benchmark.
+// rather than a workload preset or suite benchmark: it has a path
+// separator or a file extension. bench.Load then rejects any extension
+// but .json.
 func isSpecFile(entry string) bool {
-	return strings.HasSuffix(entry, ".json") || strings.HasSuffix(entry, ".toml") ||
-		strings.ContainsAny(entry, `/\`)
+	return strings.ContainsAny(entry, `/\`) || filepath.Ext(entry) != ""
 }
 
 // SuiteSpecs resolves suite entries into a validated, duplicate-free
 // spec list: the first step of every experiment's input chain, before
 // PrepareSpecs and WithWorkload. Each entry may be a spec file path
-// (*.json / *.toml, loaded and validated), a workload preset name
+// (*.json, loaded and validated), a workload preset name
 // (expanded to its members), or a built-in suite benchmark name —
 // tried in that order. No entries select the full built-in suite. A
 // benchmark appearing twice — a literally repeated entry, or two
@@ -131,7 +133,7 @@ func SuiteSpecs(entries ...string) ([]BenchSpec, error) {
 			}
 			s, err := bench.Find(entry)
 			if err != nil {
-				return nil, fmt.Errorf("sim: %w; workload presets: %s; spec files end in .json or .toml",
+				return nil, fmt.Errorf("sim: %w; workload presets: %s; spec files end in .json",
 					err, strings.Join(WorkloadNames(), ", "))
 			}
 			if err := add(entry, s); err != nil {
