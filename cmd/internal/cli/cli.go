@@ -9,8 +9,12 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"slices"
 	"strings"
 
@@ -62,7 +66,7 @@ type Command struct {
 
 	ctx     context.Context
 	stop    context.CancelFunc
-	stopCPU func() error
+	cpuFile *os.File // the -cpuprofile file while the profile runs
 	sink    sim.Sink // the -format sink, opened by the first Run; nil for text
 	closed  bool
 }
@@ -106,9 +110,15 @@ func (c *Command) Start() context.Context {
 		c.Fatal(fmt.Errorf("unknown format %q (want %s)", c.Format, orList(c.formats)))
 	}
 	if c.cpuProfile != "" {
-		if c.stopCPU, err = sim.StartCPUProfile(c.cpuProfile); err != nil {
+		f, err := createFile(c.cpuProfile)
+		if err != nil {
 			c.Fatal(err)
 		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			c.Fatal(err)
+		}
+		c.cpuFile = f
 	}
 	c.ctx, c.stop = signal.NotifyContext(context.Background(), os.Interrupt)
 	return c.ctx
@@ -212,28 +222,47 @@ func (c *Command) Finish() {
 		c.Fatal(err)
 	}
 	if c.metrics != "" {
-		if err := c.Observer.WriteMetricsFile(c.metrics); err != nil {
-			c.Fatal(err)
-		}
+		c.writeFile(c.metrics, c.Observer.WriteMetrics)
 	}
 	if c.manifest != "" {
-		if err := c.Observer.WriteManifestsFile(c.manifest); err != nil {
-			c.Fatal(err)
-		}
+		c.writeFile(c.manifest, c.Observer.WriteManifests)
 	}
 	if c.memProfile != "" {
-		if err := sim.WriteHeapProfile(c.memProfile); err != nil {
-			c.Fatal(err)
-		}
+		runtime.GC() // the profile shows live objects, as net/http/pprof's heap endpoint does
+		c.writeFile(c.memProfile, pprof.WriteHeapProfile)
 	}
-	if c.stopCPU != nil {
-		if err := c.stopCPU(); err != nil {
+	if c.cpuFile != nil {
+		pprof.StopCPUProfile()
+		if err := c.cpuFile.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", c.name, err)
 		}
 	}
 	if c.stop != nil {
 		c.stop()
 	}
+}
+
+// writeFile creates path and streams write into it; an error is fatal.
+func (c *Command) writeFile(path string, write func(io.Writer) error) {
+	f, err := createFile(path)
+	if err == nil {
+		err = write(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		c.Fatal(err)
+	}
+}
+
+// createFile creates path, and its parent directory when missing, so
+// the output files can land in a fresh per-run directory.
+func createFile(path string) (*os.File, error) {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return nil, err
+	}
+	return os.Create(path)
 }
 
 // Fatal flushes the sink, so the rows already emitted (records that

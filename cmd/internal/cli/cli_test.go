@@ -5,6 +5,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strconv"
 	"testing"
 
@@ -128,5 +130,31 @@ func TestDrainReturnsRunnerError(t *testing.T) {
 	}
 	if sink.closes != 0 {
 		t.Errorf("drain closed the sink %d times; closing is the command's", sink.closes)
+	}
+}
+
+// TestProfileHooks drives the four output flags through register,
+// Start and Finish: each file must land, non-empty, in a directory that
+// does not exist before the run.
+func TestProfileHooks(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "telemetry", "run")
+	files := map[string]string{}
+	var args []string
+	for _, name := range []string{"cpuprofile", "memprofile", "metrics", "manifest"} {
+		files[name] = filepath.Join(dir, name+".out")
+		args = append(args, "-"+name, files[name])
+	}
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	c := register(fs, Experiments)
+	if err := fs.Parse(append(args, "-mode", "trace", "-n", "20000", "-workload", "gzip")); err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	c.Run(c.Experiment(sim.WithWorkload(c.Prepare()), sim.WithSchemes("predpred"), sim.WithTraceDir(t.TempDir())))
+	c.Finish()
+	for name, path := range files {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("-%s file missing or empty: %v", name, err)
+		}
 	}
 }

@@ -1,14 +1,17 @@
 // Command simlint runs the project's static-analysis suite
-// (internal/lint): determinism, layering and hot-path invariants that
-// plain go vet cannot see.
+// (internal/lint): the layering, determinism and seeding invariants
+// that plain go vet cannot see. Its three analyzers are layering,
+// detorder and seedrand; `simlint -list` prints them.
 //
 // `simlint ./...` loads the whole module containing the working
-// directory, _test.go files included, and runs every analyzer plus the
-// stale-suppression audit. Package patterns are accepted for
-// familiarity, but the unit of analysis is always the module: regname
-// needs every registration site at once, and a suppression is only
-// stale against the full build. This is the one driver; CI gates on
-// its JSON report.
+// directory, _test.go files included, runs every analyzer on each
+// package and then the stale-suppression audit. Package patterns are
+// accepted for familiarity, but the load is always the whole module: a
+// suppression is only stale against the full build. Names passed to
+// the simulator's registries (schemes, knobs, benchmarks, workload
+// entries) are not checked here: sim.New and SuiteSpecs reject an
+// unknown name, listing the valid ones, before anything runs. This is
+// the one driver; CI gates on its JSON report.
 //
 // Exit status is 0 when clean, 1 on usage or load errors, 2 when
 // diagnostics were reported (mirroring go vet).
@@ -35,11 +38,7 @@ func run() int {
 
 	if *listFlag {
 		for _, a := range lint.Analyzers() {
-			scope := "package"
-			if a.Module {
-				scope = "module"
-			}
-			fmt.Printf("%-10s %-8s %s\n", a.Name, scope, a.Doc)
+			fmt.Printf("%-10s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}

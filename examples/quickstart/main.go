@@ -82,7 +82,7 @@ func main() {
 	// co-simulation oracle that checks every committed value; the sum
 	// is read from the committed register file.
 	cfg := sim.DefaultConfig()
-	predpred, _ := sim.ResolveScheme("predpred")
+	predpred, _ := sim.ResolveScheme(results[0].Scheme) // New has resolved it
 	predpred.Configure(&cfg)
 	pl, err := pipeline.New(cfg, prog)
 	if err != nil {

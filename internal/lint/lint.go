@@ -1,6 +1,6 @@
 // Package lint is the project's static-analysis suite: a set of
-// analyzers that mechanically enforce the simulator's determinism,
-// layering and hot-path invariants, plus the driver machinery that
+// analyzers that mechanically enforce the simulator's layering,
+// determinism and seeding invariants, plus the driver machinery that
 // loads packages, applies //simlint: directives and verifies that
 // every suppression is still load-bearing.
 //
@@ -22,19 +22,14 @@ import (
 	"strings"
 )
 
-// Analyzer is one named check. Run receives a fully type-checked
-// package (or, for Module analyzers, the whole build) and reports
-// diagnostics through the pass.
+// Analyzer is one named check. Run receives one fully type-checked
+// package at a time and reports diagnostics through the pass.
 type Analyzer struct {
 	// Name is the check's registry key: the diagnostic prefix and the
 	// name //simlint:ignore directives use.
 	Name string
 	// Doc is a one-line description for listings.
 	Doc string
-	// Module marks a whole-build analyzer: Run is invoked once with
-	// Pass.All populated instead of once per package, because it needs
-	// every registration site in the build at once (regname).
-	Module bool
 	// Run performs the check.
 	Run func(*Pass)
 }
@@ -62,11 +57,8 @@ type Package struct {
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
-	// Pkg is the package under analysis (nil for Module analyzers).
+	// Pkg is the package under analysis.
 	Pkg *Package
-	// All is every package of the build, for Module analyzers (and for
-	// per-package analyzers that want context).
-	All []*Package
 
 	report func(Diagnostic)
 }
@@ -97,14 +89,12 @@ func (d Diagnostic) String(fset *token.FileSet) string {
 
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Layering, Detorder, Regname, Seedrand}
+	return []*Analyzer{Layering, Detorder, Seedrand}
 }
 
 // isTestFile reports whether the file is a _test.go file. The
-// determinism rule is scoped to non-test code (a
-// test's collection order is the test's own business), and regname
-// skips tests because they pass unregistered names on purpose to
-// exercise the lookup errors.
+// determinism rule is scoped to non-test code: a test's collection
+// order is the test's own business.
 func (p *Pass) isTestFile(f *ast.File) bool {
 	return strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go")
 }

@@ -10,12 +10,8 @@ func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Diagnost
 	var raw []Diagnostic
 	report := func(d Diagnostic) { raw = append(raw, d) }
 	for _, a := range analyzers {
-		if a.Module {
-			a.Run(&Pass{Analyzer: a, Fset: fset, All: pkgs, report: report})
-			continue
-		}
 		for _, p := range pkgs {
-			a.Run(&Pass{Analyzer: a, Fset: fset, Pkg: p, All: pkgs, report: report})
+			a.Run(&Pass{Analyzer: a, Fset: fset, Pkg: p, report: report})
 		}
 	}
 	return applyIgnores(fset, pkgs, analyzers, raw)

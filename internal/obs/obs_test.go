@@ -2,8 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -177,29 +175,6 @@ func TestManifestKnobsSortedInJSON(t *testing.T) {
 	}
 	if !bytes.Equal(emit(), emit()) {
 		t.Error("manifest JSON with map fields differs between identical emissions")
-	}
-}
-
-func TestProfileHooks(t *testing.T) {
-	dir := t.TempDir()
-	cpu := filepath.Join(dir, "cpu.pprof")
-	stop, err := StartCPUProfile(cpu)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := stop(); err != nil {
-		t.Fatal(err)
-	}
-	if fi, err := os.Stat(cpu); err != nil || fi.Size() == 0 {
-		t.Errorf("cpu profile missing or empty: %v", err)
-	}
-
-	heap := filepath.Join(dir, "heap.pprof")
-	if err := WriteHeapProfile(heap); err != nil {
-		t.Fatal(err)
-	}
-	if fi, err := os.Stat(heap); err != nil || fi.Size() == 0 {
-		t.Errorf("heap profile missing or empty: %v", err)
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"repro/internal/obs"
@@ -48,8 +46,6 @@ type Observer struct {
 
 	runsCompleted *obs.Counter
 	runsFailed    *obs.Counter
-	cacheHits     *obs.Counter
-	cacheRecords  *obs.Counter
 	spans         map[string]*obs.Histogram
 
 	mu          sync.Mutex
@@ -74,8 +70,6 @@ func NewObserverWithClock(now func() int64) *Observer {
 		clock:         now,
 		runsCompleted: r.Counter("runs.completed"),
 		runsFailed:    r.Counter("runs.failed"),
-		cacheHits:     r.Counter("trace.cache.hits"),
-		cacheRecords:  r.Counter("trace.cache.records"),
 		spans: map[string]*obs.Histogram{
 			PhaseCacheLookup: r.Histogram("span.cache-lookup.ns"),
 			PhaseRecord:      r.Histogram("span.trace-record.ns"),
@@ -126,19 +120,6 @@ func (o *Observer) finishRun(err error) {
 		o.runsFailed.Inc()
 	} else {
 		o.runsCompleted.Inc()
-	}
-}
-
-// cacheOutcome counts one trace acquisition by provenance; nil-safe.
-func (o *Observer) cacheOutcome(outcome string) {
-	if o == nil {
-		return
-	}
-	switch outcome {
-	case "hit":
-		o.cacheHits.Inc()
-	case "record":
-		o.cacheRecords.Inc()
 	}
 }
 
@@ -201,52 +182,9 @@ func (o *Observer) WriteMetrics(w io.Writer) error {
 	return enc.Encode(doc)
 }
 
-// WriteMetricsFile writes the WriteMetrics document to a file (the
-// -metrics flag on the CLIs), creating parent directories as needed.
-func (o *Observer) WriteMetricsFile(path string) error {
-	return writeFileVia(path, o.WriteMetrics)
-}
-
-// WriteManifestsFile writes the buffered manifests as NDJSON to a
-// file (the -manifest flag on the CLIs), creating parent directories
-// as needed.
-func (o *Observer) WriteManifestsFile(path string) error {
-	return writeFileVia(path, o.WriteManifests)
-}
-
-// writeFileVia creates path (and its directory) and streams write
-// into it.
-func writeFileVia(path string, write func(io.Writer) error) error {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // ProcessMetrics snapshots the process-wide metrics registry — the
 // trace subsystem's cache/recording counters live there.
 func ProcessMetrics() MetricsSnapshot { return obs.Default().Snapshot() }
-
-// StartCPUProfile begins a CPU profile writing to path; call the
-// returned stop function once, after the runs of interest (the
-// -cpuprofile flag on the CLIs).
-func StartCPUProfile(path string) (stop func() error, err error) {
-	return obs.StartCPUProfile(path)
-}
-
-// WriteHeapProfile writes a heap profile to path (the -memprofile
-// flag on the CLIs).
-func WriteHeapProfile(path string) error { return obs.WriteHeapProfile(path) }
 
 // WithObserver attaches an observer to the experiment: phase spans,
 // run counters and one manifest per result row, on the observer's

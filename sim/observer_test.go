@@ -188,8 +188,8 @@ func TestObserverManifestContents(t *testing.T) {
 	if got := snap.CounterValue("runs.completed"); got != 4 {
 		t.Errorf("runs.completed = %d, want 4", got)
 	}
-	if hits, recs := snap.CounterValue("trace.cache.hits"), snap.CounterValue("trace.cache.records"); hits+recs != 1 {
-		t.Errorf("cache hits %d + records %d, want exactly one acquisition", hits, recs)
+	if h, _ := snap.HistogramValue("span.cache-lookup.ns"); h.Count != 1 {
+		t.Errorf("%d cache lookups, want exactly one acquisition", h.Count)
 	}
 	for _, span := range []string{"span.decode.ns", "span.frontend.ns", "span.engine.ns"} {
 		if h, ok := snap.HistogramValue(span); !ok || h.Count == 0 {

@@ -30,9 +30,8 @@ func TestNewValidatesOptions(t *testing.T) {
 	if _, err := sim.New(wl); err == nil {
 		t.Error("New with no schemes must fail")
 	}
-	if _, err := sim.New(wl, sim.WithSchemes("no-such-scheme")); err == nil {
-		t.Error("unknown scheme must fail")
-	}
+	_, err := sim.New(wl, sim.WithSchemes("predpred", "no-such-scheme"))
+	requireLookupError(t, err, "no-such-scheme", sim.SchemeNames())
 	if _, err := sim.New(wl, sim.WithSchemes("predpred"), sim.WithParallelism(-1)); err == nil {
 		t.Error("negative parallelism must fail")
 	}
@@ -46,6 +45,22 @@ func TestNewValidatesOptions(t *testing.T) {
 	}
 	if _, err := sim.New(wl, sim.WithSchemes("conventional", "predpred")); err != nil {
 		t.Errorf("valid experiment rejected: %v", err)
+	}
+}
+
+// requireLookupError fails unless err rejects the unknown name bad and
+// lists every valid name: nothing checks a literal scheme, knob,
+// benchmark or suite entry before run time, so the lookup's error is
+// what a caller has to fix a typo from.
+func requireLookupError(t *testing.T, err error, bad string, valid []string) {
+	t.Helper()
+	if err == nil {
+		t.Fatalf("lookup of %q: no error", bad)
+	}
+	for _, want := range append([]string{bad}, valid...) {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("lookup error %q does not mention %q", err, want)
+		}
 	}
 }
 

@@ -104,6 +104,12 @@ func TestSweepValidation(t *testing.T) {
 			t.Errorf("%s: New should fail", c.name)
 		}
 	}
+	var knobs []string
+	for _, k := range sim.Knobs() {
+		knobs = append(knobs, k.Name)
+	}
+	_, err := sim.New(sweepOptions(t, t.TempDir(), []string{"predpred"}, sim.WithAxis("pvt.entires", 512))...)
+	requireLookupError(t, err, "pvt.entires", knobs)
 }
 
 // TestSweepAxisOrder pins the knob-order rule: pvt.entries sizes its

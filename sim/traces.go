@@ -63,7 +63,6 @@ func (p *traceProvider) get(ctx context.Context, name string, prog *Program) (*t
 			o.span(PhaseRecord, pv.RecordNS)
 		}
 		ent.outcome = pv.Outcome
-		o.cacheOutcome(pv.Outcome)
 	})
 	return ent.tr, ent.err
 }

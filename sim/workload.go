@@ -139,9 +139,6 @@ func (w *Workload) convert(ctx context.Context) error {
 	return nil
 }
 
-// Len returns the number of prepared benchmarks.
-func (w *Workload) Len() int { return len(w.progs) }
-
 // Names returns the prepared benchmark names in order.
 func (w *Workload) Names() []string {
 	names := make([]string, len(w.progs))

@@ -109,15 +109,18 @@ func TestPrepareWorkloadRejectsDuplicates(t *testing.T) {
 }
 
 func TestWorkloadLookupErrors(t *testing.T) {
-	_, err := sim.SuiteSpecs("nonesuch")
-	if err == nil {
-		t.Fatal("expected lookup error")
+	suite, err := sim.SuiteSpecs()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, sub := range []string{"gzip", "twolf", "int11", "fp11"} {
-		if !strings.Contains(err.Error(), sub) {
-			t.Errorf("lookup error %q does not mention %q", err, sub)
-		}
+	var benchmarks []string
+	for _, s := range suite {
+		benchmarks = append(benchmarks, s.Name)
 	}
+	_, err = sim.BuildBenchmark("parsr")
+	requireLookupError(t, err, "parsr", benchmarks)
+	_, err = sim.SuiteSpecs("gzip", "nonesuch")
+	requireLookupError(t, err, "nonesuch", append(benchmarks, sim.WorkloadNames()...))
 	// A spec-file entry that does not exist surfaces the file error.
 	_, err = sim.SuiteSpecs("missing/spec.json")
 	if err == nil || !strings.Contains(err.Error(), "missing/spec.json") {
