@@ -52,18 +52,20 @@ func DefaultConfig() Config {
 
 // Predictor is the predicate predictor.
 type Predictor struct {
-	cfg  Config
-	pvt  *predictor.Perceptron
-	lht  *predictor.LocalHistoryTable
-	conf []predictor.SatCounter
+	cfg    Config
+	pvt    *predictor.Perceptron
+	lht    *predictor.LocalHistoryTable
+	conf   []predictor.SatCounter
+	layout Layout
 }
 
 // New builds a predicate predictor from cfg.
 func New(cfg Config) *Predictor {
 	p := &Predictor{
-		cfg: cfg,
-		pvt: predictor.NewPerceptronBudget(cfg.SizeBytes, cfg.GHRBits, cfg.LHRBits),
-		lht: predictor.NewLocalHistoryTable(cfg.LHTBits, cfg.LHRBits),
+		cfg:    cfg,
+		pvt:    predictor.NewPerceptronBudget(cfg.SizeBytes, cfg.GHRBits, cfg.LHRBits),
+		lht:    predictor.NewLocalHistoryTable(cfg.LHTBits, cfg.LHRBits),
+		layout: NewLayout(cfg),
 	}
 	p.conf = make([]predictor.SatCounter, p.pvt.Rows())
 	for i := range p.conf {
@@ -87,33 +89,51 @@ type Site struct {
 	row1, row2, slot int32
 }
 
-// Site builds the site of the compare at pc. In ideal mode each call
+// Site builds the site of the compare at pc, in the rows the
+// predictor's Layout places its destinations. In ideal mode each call
 // allocates two private rows, so build one site per static compare.
 func (p *Predictor) Site(pc uint64) Site {
-	s := Site{slot: int32(p.lht.Slot(pc))}
-	switch {
-	case p.cfg.Ideal:
-		s.row1, s.row2 = int32(p.privateRow()), int32(p.privateRow())
-	case p.cfg.SplitPVT:
-		// Static halves: first destinations hash into the lower half,
-		// second destinations into the upper half.
-		half := p.pvt.Rows() / 2
-		r := p.pvt.Row(pc)
-		s.row1, s.row2 = int32(r%half), int32(half+r%half)
-	default:
-		r := p.pvt.Row(pc)
-		s.row1, s.row2 = int32(r), int32(p.pvt.SecondRow(r))
+	r1, r2 := p.layout.Place(pc)
+	if n := max(r1, r2) + 1; n > len(p.conf) {
+		p.pvt.Grow(n)
+		for len(p.conf) < n {
+			p.conf = append(p.conf, predictor.SatCounter{Bits: uint8(p.cfg.ConfBits)})
+		}
 	}
-	return s
+	return Site{row1: int32(r1), row2: int32(r2), slot: int32(p.lht.Slot(pc))}
 }
 
-// privateRow allocates a private PVT row with its confidence counter.
-func (p *Predictor) privateRow() int {
-	r := p.pvt.PrivateRow()
-	for r >= len(p.conf) {
-		p.conf = append(p.conf, predictor.SatCounter{Bits: uint8(p.cfg.ConfBits)})
+// Layout places the two destinations of each static compare in the
+// PVT of a configuration without building the table: the §3.3 shared
+// table's f1 and f2 rows, the static halves of a split table, or two
+// private rows per compare under the §4.2 idealization.
+type Layout struct {
+	geom  predictor.Geometry
+	split bool
+}
+
+// NewLayout returns the PVT layout of cfg.
+func NewLayout(cfg Config) Layout {
+	return Layout{geom: predictor.NewGeometry(cfg.SizeBytes, cfg.GHRBits, cfg.LHRBits, cfg.Ideal), split: cfg.SplitPVT}
+}
+
+// Place returns the PVT rows of the two destinations of the compare at
+// pc. In ideal mode each call hands out two private rows, so place each
+// static compare once.
+func (l *Layout) Place(pc uint64) (row1, row2 int) {
+	switch {
+	case l.geom.Ideal():
+		return l.geom.Private(), l.geom.Private()
+	case l.split:
+		// Static halves: first destinations hash into the lower half,
+		// second destinations into the upper half.
+		half := l.geom.Rows() / 2
+		r := l.geom.Row(pc)
+		return r % half, half + r%half
+	default:
+		r := l.geom.Row(pc)
+		return r, l.geom.SecondRow(r)
 	}
-	return r
 }
 
 // Lookup describes the two predictions made for one fetched compare.

@@ -3,50 +3,28 @@ package core_test
 import (
 	"context"
 	"fmt"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/isa"
-	"repro/internal/pipeline"
 	"repro/internal/program"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
-// pvtLayout is one way of placing compare destinations in the PVT.
-type pvtLayout struct {
-	name  string
-	bytes int
-	split bool
-}
-
-// pvtLayouts are the three layouts of the split-PVT ablation: the
-// shared table with two hash functions (the default), the statically
-// split table, and the shared table at half the budget, which gives
-// each hash the rows one split half has.
-func pvtLayouts() []pvtLayout {
-	full := config.Default().L2PredBytes
-	return []pvtLayout{{"shared", full, false}, {"split", full, true}, {"half", full / 2, false}}
-}
-
-// destRows returns the PVT row of every compare destination of p under
-// a layout: two per static compare, first destinations first.
-func destRows(p *program.Program, l pvtLayout) []int {
-	d := config.Default()
-	pp := core.New(core.Config{SizeBytes: l.bytes, GHRBits: d.L2PredGHRBits, LHRBits: d.L2PredLHRBits,
-		LHTBits: d.L2PredLHTBits, ConfBits: d.ConfBits, SplitPVT: l.split})
-	var rows []int
-	for pc := 0; pc < p.Len(); pc++ {
-		if trace.KindOf(p.At(pc)) == trace.EvCompare {
-			r1, r2 := core.SiteRows(pp.Site(pipeline.InstAddr(pc)))
-			rows = append(rows, r1, r2)
-		}
-	}
-	return rows
+// pvtLayouts are the predpred configurations of the three layouts of
+// the split-PVT ablation: the shared table with two hash functions (the
+// default), the statically split table, and the shared table at half
+// the budget, which gives each hash the rows one split half has.
+func pvtLayouts() []config.Config {
+	shared := config.Default().WithScheme(config.SchemePredicate)
+	split, half := shared, shared
+	split.SplitPVT = true
+	half.L2PredBytes /= 2
+	return []config.Config{shared, split, half}
 }
 
 // p0Dests counts the compare destinations of p that write P0, whose
@@ -65,30 +43,27 @@ func p0Dests(p *program.Program) int {
 	return n
 }
 
-// sharing returns how many destinations share their row with another
-// destination, and the aliasing partition: for each destination, the
-// first destination in its row.
-func sharing(rows []int) (shared int, partition []int) {
-	first, count := map[int]int{}, map[int]int{}
-	for i, r := range rows {
-		if _, ok := first[r]; !ok {
-			first[r] = i
-		}
-		count[r]++
+// shared counts the destinations of an aliasing partition that share
+// their row with another.
+func shared(partition []int32) int {
+	size := make([]int, len(partition))
+	for _, f := range partition {
+		size[f]++
 	}
-	for _, r := range rows {
-		partition = append(partition, first[r])
-		if count[r] > 1 {
-			shared += count[r]
+	n := 0
+	for _, f := range partition {
+		if size[f] > 1 {
+			n++
 		}
 	}
-	return shared, partition
+	return n
 }
 
 // TestPVTLayoutSharing counts, for every suite binary (plain and
 // if-converted), how many compare destinations share a PVT row under
 // the shared, split and half-budget layouts (run with -v for the table
-// EXPERIMENTS.md records). Perceptron rows and confidence counters
+// EXPERIMENTS.md records), reading each layout's aliasing partition
+// from stats.Partitions. Perceptron rows and confidence counters
 // start out equal, so two layouts that alias the same destinations
 // together predict alike: wherever two layouts' partitions coincide, a
 // predpred replay gives the same predicate-predictor counters under
@@ -103,12 +78,7 @@ func TestPVTLayoutSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cfgs []config.Config
-	for _, l := range pvtLayouts() {
-		cfg := config.Default().WithScheme(config.SchemePredicate)
-		cfg.L2PredBytes, cfg.SplitPVT = l.bytes, l.split
-		cfgs = append(cfgs, cfg)
-	}
+	cfgs := pvtLayouts()
 	var table strings.Builder
 	fmt.Fprintf(&table, "%-12s %6s %4s %7s %6s %5s %13s %11s\n", "binary", "dests", "p0", "shared", "split", "half", "shared~split", "split~half")
 	var total [3]int
@@ -124,21 +94,23 @@ func TestPVTLayoutSharing(t *testing.T) {
 			prog *program.Program
 		}{{pg.Spec.Name, pg.Plain}, {pg.Spec.Name + "+ifc", pg.Converted}} {
 			var counts [3]int
-			var parts [3][]int
-			for k, l := range pvtLayouts() {
-				counts[k], parts[k] = sharing(destRows(b.prog, l))
+			var parts [3][]int32
+			for k, cfg := range cfgs {
+				_, parts[k] = stats.Partitions(cfg, b.prog)
+				counts[k] = shared(parts[k])
 				total[k] += counts[k]
 			}
-			alike := [2]bool{reflect.DeepEqual(parts[0], parts[1]), reflect.DeepEqual(parts[1], parts[2])}
+			alike := [2]bool{slices.Equal(parts[0], parts[1]), slices.Equal(parts[1], parts[2])}
 			fmt.Fprintf(&table, "%-12s %6d %4d %7d %6d %5d %13v %11v\n", b.name, len(parts[0]), p0Dests(b.prog), counts[0], counts[1], counts[2], alike[0], alike[1])
 			tr, err := trace.Record(context.Background(), b.prog, commits)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sts, _, err := stats.ReplayAll(context.Background(), cfgs, b.prog, tr, commits, nil)
+			pass, err := stats.ReplayAll(context.Background(), cfgs, b.prog, tr, commits, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			sts := pass.Stats
 			if alike[0] {
 				sharedSplit++
 				if sts[0] != sts[1] {

@@ -29,7 +29,6 @@ type Perceptron struct {
 	perRow  int // weights per row (history + bias): the Table 1 budget unit
 	stride  int // words per row: gw + lw
 	gw      int // words of global weights (bias included)
-	private int // private rows handed out (PrivateRow)
 }
 
 // PerceptronOutput is the dot-product result of a prediction; training
@@ -84,15 +83,9 @@ func NewPerceptron(rows int, ghrBits, lhrBits uint) *Perceptron {
 }
 
 // NewPerceptronBudget builds a perceptron predictor sized to a byte
-// budget: rows = budget / weightsPerRow. The paper's 148 KB with
-// 30+10+1 weights yields 3696 rows.
+// budget: the rows of NewGeometry(bytes, ghrBits, lhrBits, false).
 func NewPerceptronBudget(bytes int, ghrBits, lhrBits uint) *Perceptron {
-	per := int(ghrBits+lhrBits) + 1
-	rows := bytes / per
-	if rows < 1 {
-		rows = 1
-	}
-	return NewPerceptron(rows, ghrBits, lhrBits)
+	return NewPerceptron(NewGeometry(bytes, ghrBits, lhrBits, false).Rows(), ghrBits, lhrBits)
 }
 
 // zeroRows returns w extended by n words of zero weights.
@@ -115,31 +108,93 @@ func (p *Perceptron) SizeBytes() int { return len(p.weights) / p.stride * p.perR
 // Theta returns the training threshold.
 func (p *Perceptron) Theta() int32 { return p.theta }
 
+// Grow extends storage past the budget, if need be, to hold rows rows:
+// the private rows a Geometry hands out under the §4.2 no-aliasing
+// idealization run past the table's own.
+func (p *Perceptron) Grow(rows int) {
+	for rows*p.stride > len(p.weights) {
+		p.weights = zeroRows(p.weights, 64*p.stride)
+	}
+}
+
+// Geometry places static sites in a perceptron table: how many rows a
+// byte budget buys, the row each site's PC hashes to, and, under the
+// §4.2 no-aliasing idealization, a private row per site instead. It
+// holds no weights, so a caller can place a program's sites, and
+// compare two tables' placements, without building either table. Every
+// row of a table starts out equal and a site reaches the table only
+// through its row, so two tables that partition a program's sites into
+// rows alike predict them alike (Partition).
+type Geometry struct {
+	rows    int
+	ideal   bool
+	private int // private rows handed out (Place, ideal mode)
+}
+
+// NewGeometry returns the placement of a table of bytes over
+// ghrBits+lhrBits history weights and a bias: rows = budget / weights
+// per row, at least one. The paper's 148 KB with 30+10+1 weights
+// yields 3696 rows.
+func NewGeometry(bytes int, ghrBits, lhrBits uint, ideal bool) Geometry {
+	return Geometry{rows: max(1, bytes/(int(ghrBits+lhrBits)+1)), ideal: ideal}
+}
+
+// Rows returns the number of rows the budget buys.
+func (g Geometry) Rows() int { return g.rows }
+
+// Ideal reports whether every site gets a private row.
+func (g Geometry) Ideal() bool { return g.ideal }
+
 // Row maps the static instruction at pc to its row (hash f1 of the
 // paper).
-func (p *Perceptron) Row(pc uint64) int {
-	return int(FoldPC(pc, 20) % uint64(p.rows))
+func (g Geometry) Row(pc uint64) int {
+	return int(FoldPC(pc, 20) % uint64(g.rows))
 }
 
 // SecondRow maps a site whose first row is row to its second row (hash
 // f2 of the paper: f1 with its most significant index bit inverted,
 // generalized to non-power-of-two tables as an offset by half the
 // table).
-func (p *Perceptron) SecondRow(row int) int {
-	return (row + p.rows/2) % p.rows
+func (g Geometry) SecondRow(row int) int {
+	return (row + g.rows/2) % g.rows
 }
 
-// PrivateRow hands out a row no other caller shares, for the idealized
+// Private hands out a row no other site shares, for the idealized
 // no-aliasing mode of §4.2, where every site owns its rows. Rows are
-// numbered from 0 and storage grows past the budget as they run out;
-// numbering is irrelevant, since no two sites meet in a row.
-func (p *Perceptron) PrivateRow() int {
-	r := p.private
-	p.private++
-	for (r+1)*p.stride > len(p.weights) {
-		p.weights = zeroRows(p.weights, 64*p.stride)
-	}
+// numbered from 0 in call order and may run past the budget
+// (Perceptron.Grow); numbering is irrelevant, since no two sites meet
+// in a row.
+func (g *Geometry) Private() int {
+	r := g.private
+	g.private++
 	return r
+}
+
+// Place returns the row of the site at pc: its f1 row, or a private
+// row in ideal mode, so place each static site once.
+func (g *Geometry) Place(pc uint64) int {
+	if g.ideal {
+		return g.Private()
+	}
+	return g.Row(pc)
+}
+
+// Partition returns the aliasing partition of a placement, given the
+// row of each site in placement order: for each site, the index of the
+// first site placed in its row. Two placements alias their sites alike
+// exactly when their partitions are equal element for element.
+func Partition(rows []int) []int32 {
+	first := make(map[int]int32, len(rows))
+	part := make([]int32, len(rows))
+	for i, r := range rows {
+		f, ok := first[r]
+		if !ok {
+			f = int32(i)
+			first[r] = f
+		}
+		part[i] = f
+	}
+	return part
 }
 
 // inputs returns the row's input bits in lane order: the global word

@@ -123,14 +123,16 @@ func TestPerceptronMatchesScalar(t *testing.T) {
 			t.Run(fmt.Sprintf("%d_%d_ideal=%v", wd[0], wd[1], ideal), func(t *testing.T) {
 				const rows = 4
 				p := NewPerceptron(rows, wd[0], wd[1])
+				g := NewGeometry(rows*int(wd[0]+wd[1]+1), wd[0], wd[1], ideal)
 				// Each pc is one site with a first and a second row.
 				var sites [rows * 4][2]int
 				for pc := range sites {
 					if ideal {
-						sites[pc] = [2]int{p.PrivateRow(), p.PrivateRow()}
+						sites[pc] = [2]int{g.Private(), g.Private()}
+						p.Grow(sites[pc][1] + 1)
 					} else {
-						r := p.Row(uint64(pc))
-						sites[pc] = [2]int{r, p.SecondRow(r)}
+						r := g.Row(uint64(pc))
+						sites[pc] = [2]int{r, g.SecondRow(r)}
 					}
 				}
 				s := newScalarPerceptron(rows*16, wd[0], wd[1])
@@ -185,13 +187,14 @@ func TestPerceptronMatchesScalar(t *testing.T) {
 // mispredicted or low-confidence branch.
 func BenchmarkPerceptron(b *testing.B) {
 	p := NewPerceptronBudget(148*1024, 30, 10)
+	g := NewGeometry(148*1024, 30, 10, false)
 	rng := rand.New(rand.NewSource(1))
 	const n = 4096
 	var rows [n]int
 	var hist [n][2]uint64
 	var taken [n]bool
 	for i := range rows {
-		rows[i] = p.Row(rng.Uint64())
+		rows[i] = g.Row(rng.Uint64())
 		hist[i] = [2]uint64{rng.Uint64(), rng.Uint64()}
 		taken[i] = rng.Intn(2) == 1
 	}

@@ -1,6 +1,7 @@
 package predictor
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -176,7 +177,7 @@ func TestLocalHistoryTable(t *testing.T) {
 func TestPerceptronLearnsXOR(t *testing.T) {
 	// A perceptron can learn outcome == GHR bit 3 (linearly separable).
 	p := NewPerceptron(64, 8, 0)
-	pc := p.Row(0x40)
+	pc := NewGeometry(64*9, 8, 0, false).Row(0x40)
 	var h History
 	h.N = 8
 	for i := 0; i < 500; i++ {
@@ -205,6 +206,9 @@ func TestPerceptronBudgetRows(t *testing.T) {
 	if p.Rows() != 148*1024/41 {
 		t.Errorf("rows = %d, want %d", p.Rows(), 148*1024/41)
 	}
+	if g := NewGeometry(148*1024, 30, 10, false); g.Rows() != p.Rows() {
+		t.Errorf("geometry places sites in %d rows, the table has %d", g.Rows(), p.Rows())
+	}
 	if p.SizeBytes() > 148*1024 {
 		t.Errorf("size = %d exceeds budget", p.SizeBytes())
 	}
@@ -216,10 +220,10 @@ func TestPerceptronBudgetRows(t *testing.T) {
 }
 
 func TestPerceptronSecondHashDiffers(t *testing.T) {
-	p := NewPerceptronBudget(148*1024, 30, 10)
+	g := NewGeometry(148*1024, 30, 10, false)
 	f := func(pc uint64) bool {
-		r := p.Row(pc)
-		return r != p.SecondRow(r)
+		r := g.Row(pc)
+		return r != g.SecondRow(r)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -228,16 +232,18 @@ func TestPerceptronSecondHashDiffers(t *testing.T) {
 
 func TestPerceptronIdealNoAliasing(t *testing.T) {
 	p := NewPerceptron(2, 8, 0) // tiny: guaranteed aliasing when real
+	g := NewGeometry(2*9, 8, 0, true)
 	// Private rows never repeat, even past the table's own rows.
 	seen := map[int]bool{}
 	for i := 0; i < 200; i++ {
-		r := p.PrivateRow()
+		r := g.Place(0x40)
 		if seen[r] {
 			t.Fatalf("private row %d handed out twice", r)
 		}
 		seen[r] = true
 	}
-	r1, r2 := p.PrivateRow(), p.PrivateRow()
+	r1, r2 := g.Place(0x40), g.Place(0x40)
+	p.Grow(max(r1, r2) + 1)
 	// Training one row heavily must not disturb the other.
 	for i := 0; i < 100; i++ {
 		out := p.PredictRow(r1, 0, 0)
@@ -249,9 +255,24 @@ func TestPerceptronIdealNoAliasing(t *testing.T) {
 	}
 }
 
+// TestPartitionNamesFirstSiteOfRow pins the aliasing partition's
+// form, which replay compares element for element: each site maps to
+// the first site placed in its row, so an idealized table, whose sites
+// never share a row, maps every site to itself.
+func TestPartitionNamesFirstSiteOfRow(t *testing.T) {
+	if got, want := Partition([]int{5, 3, 5, 7, 3, 3}), []int32{0, 1, 0, 3, 1, 1}; !slices.Equal(got, want) {
+		t.Errorf("Partition = %v, want %v", got, want)
+	}
+	ideal := NewGeometry(2*9, 8, 0, true)
+	rows := []int{ideal.Place(0x40), ideal.Place(0x40), ideal.Place(0x80)}
+	if got, want := Partition(rows), []int32{0, 1, 2}; !slices.Equal(got, want) {
+		t.Errorf("idealized partition = %v, want %v", got, want)
+	}
+}
+
 func TestPerceptronWeightClamp(t *testing.T) {
 	p := NewPerceptron(4, 2, 0)
-	pc := p.Row(8)
+	pc := NewGeometry(4*3, 2, 0, false).Row(8)
 	for i := 0; i < 1000; i++ {
 		out := p.PredictRow(pc, 3, 0)
 		p.TrainRow(pc, 3, 0, true, out)

@@ -12,9 +12,9 @@ package predictor
 // style as the predicate predictor (package core) so both schemes play
 // by identical history rules.
 type TwoLevel struct {
-	perc  *Perceptron
-	lht   *LocalHistoryTable
-	ideal bool
+	perc *Perceptron
+	lht  *LocalHistoryTable
+	geom Geometry
 }
 
 // NewTwoLevel builds the second-level predictor with the given byte
@@ -23,9 +23,9 @@ type TwoLevel struct {
 // no-aliasing idealization).
 func NewTwoLevel(bytes int, ghrBits, lhrBits, lhtBits uint, ideal bool) *TwoLevel {
 	return &TwoLevel{
-		perc:  NewPerceptronBudget(bytes, ghrBits, lhrBits),
-		lht:   NewLocalHistoryTable(lhtBits, lhrBits),
-		ideal: ideal,
+		perc: NewPerceptronBudget(bytes, ghrBits, lhrBits),
+		lht:  NewLocalHistoryTable(lhtBits, lhrBits),
+		geom: NewGeometry(bytes, ghrBits, lhrBits, ideal),
 	}
 }
 
@@ -38,16 +38,13 @@ type TwoLevelSite struct {
 	row, slot int32
 }
 
-// Site builds the site of the branch at pc. In ideal mode each call
-// allocates a private row, so build one site per static branch.
+// Site builds the site of the branch at pc, in the row the table's
+// Geometry places it. In ideal mode each call allocates a private row,
+// so build one site per static branch.
 func (t *TwoLevel) Site(pc uint64) TwoLevelSite {
-	s := TwoLevelSite{slot: int32(t.lht.Slot(pc))}
-	if t.ideal {
-		s.row = int32(t.perc.PrivateRow())
-	} else {
-		s.row = int32(t.perc.Row(pc))
-	}
-	return s
+	row := t.geom.Place(pc)
+	t.perc.Grow(row + 1)
+	return TwoLevelSite{row: int32(row), slot: int32(t.lht.Slot(pc))}
 }
 
 // TwoLevelLookup records one prediction for later training/undo.

@@ -40,12 +40,12 @@ func TestSeamOverheadAB(t *testing.T) {
 	var un, tm []float64
 	for i := 0; i < reps; i++ {
 		t0 := time.Now()
-		if _, _, err := stats.ReplayAll(context.Background(), cfgs, prog, tr, 50000, nil); err != nil {
+		if _, err := stats.ReplayAll(context.Background(), cfgs, prog, tr, 50000, nil); err != nil {
 			t.Fatal(err)
 		}
 		un = append(un, time.Since(t0).Seconds())
 		t0 = time.Now()
-		if _, _, err := stats.ReplayAll(context.Background(), cfgs, prog, tr, 50000, now); err != nil {
+		if _, err := stats.ReplayAll(context.Background(), cfgs, prog, tr, 50000, now); err != nil {
 			t.Fatal(err)
 		}
 		tm = append(tm, time.Since(t0).Seconds())

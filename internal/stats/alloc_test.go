@@ -65,7 +65,7 @@ func TestReplaySteadyStateAllocFree(t *testing.T) {
 		}
 		allocs := func(commits uint64) float64 {
 			return testing.AllocsPerRun(3, func() {
-				if _, _, err := ReplayAll(context.Background(), cfgs, prog, tr, commits, nil); err != nil {
+				if _, err := ReplayAll(context.Background(), cfgs, prog, tr, commits, nil); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -162,9 +162,11 @@ type specBit struct {
 // a Config (widths, windows, caches, latencies, the first-level gshare,
 // the recovery penalty) shapes only the pipeline's timing model, so two
 // configurations with equal EngineConfigs replay to bit-identical
-// statistics. schemeEngine holds only this struct, which makes the
-// compiler enforce the projection; being comparable, it keys the
-// façade's replay memo directly.
+// statistics on every program. schemeEngine holds only this struct,
+// which makes the compiler enforce the projection. Being comparable
+// and independent of the program, it plans the façade's replay memo;
+// within one ReplayAll pass the finer, program-dependent engineKey
+// merges configurations whose tables alias the program's sites alike.
 type EngineConfig struct {
 	Scheme           config.Scheme
 	Predication      config.PredicationMode
@@ -200,12 +202,106 @@ func EngineConfigOf(c config.Config) EngineConfig {
 	}
 }
 
+// coreConfig is the predicate predictor of c.
+func (c EngineConfig) coreConfig() core.Config {
+	return core.Config{
+		SizeBytes: c.L2PredBytes,
+		GHRBits:   c.L2PredGHRBits,
+		LHRBits:   c.L2PredLHRBits,
+		LHTBits:   c.L2PredLHTBits,
+		ConfBits:  c.ConfBits,
+		Ideal:     c.IdealNoAlias,
+		SplitPVT:  c.SplitPVT,
+	}
+}
+
+// convIdeal reports whether the conventional predictor an engine of c
+// reads is idealized: a conventional engine's follows its
+// configuration, while a predicate engine's Figure 6b shadow is always
+// the real table of its budget.
+func (c EngineConfig) convIdeal() bool {
+	return c.Scheme == config.SchemeConventional && c.IdealNoAlias
+}
+
+// engineKey is what an engine of one configuration can observe on one
+// program: its EngineConfig with the table geometry (L2PredBytes,
+// IdealNoAlias, SplitPVT) replaced by the two aliasing partitions that
+// geometry induces on the program's sites (predictor.Partition). Every
+// perceptron row and confidence counter starts out equal and is read
+// and written only through the index of a site placed in it, so two
+// configurations with equal keys replay the program to bit-identical
+// statistics, and a pass runs one engine for both.
+type engineKey struct {
+	cfg EngineConfig // geometry fields zeroed
+	// branches partitions the program's conditional-branch sites, in PC
+	// order, into the rows of the conventional predictor the engine
+	// reads (a predicate engine's shadow's); nil for PEP-PA.
+	branches []int32
+	// dests partitions the compare destinations, row1 and row2 of each
+	// compare in PC order, into PVT rows; nil but for the predicate
+	// scheme.
+	dests []int32
+}
+
+// keyOf is the engine key of c on a program whose instructions' record
+// kinds are kinds. Its partitions come from the placements the engines
+// build their sites with (TwoLevel.Site, core.Predictor.Site), computed
+// without allocating a table.
+func keyOf(c EngineConfig, kinds []uint8) engineKey {
+	var k engineKey
+	if c.Scheme != config.SchemePEPPA {
+		g := predictor.NewGeometry(c.L2PredBytes, c.L2PredGHRBits, c.L2PredLHRBits, c.convIdeal())
+		var rows []int
+		for pc, kind := range kinds {
+			if kind == trace.EvCondBr {
+				rows = append(rows, g.Place(pipeline.InstAddr(pc)))
+			}
+		}
+		k.branches = predictor.Partition(rows)
+	}
+	if c.Scheme == config.SchemePredicate {
+		l := core.NewLayout(c.coreConfig())
+		var rows []int
+		for pc, kind := range kinds {
+			if kind == trace.EvCompare {
+				r1, r2 := l.Place(pipeline.InstAddr(pc))
+				rows = append(rows, r1, r2)
+			}
+		}
+		k.dests = predictor.Partition(rows)
+	}
+	c.L2PredBytes, c.IdealNoAlias, c.SplitPVT = 0, false, false
+	k.cfg = c
+	return k
+}
+
+// equal compares two keys exactly, partitions element for element.
+func (k engineKey) equal(o engineKey) bool {
+	return k.cfg == o.cfg && slices.Equal(k.branches, o.branches) && slices.Equal(k.dests, o.dests)
+}
+
+// Partitions returns the aliasing partitions an engine of cfg observes
+// on prog: its conditional-branch sites' in the conventional predictor
+// it reads, and its compare destinations' in the PVT (see engineKey).
+// ReplayAll runs one engine for configurations whose partitions and
+// other replay-visible fields are equal.
+func Partitions(cfg config.Config, prog *program.Program) (branches, dests []int32) {
+	k := keyOf(EngineConfigOf(cfg), kindsOf(prog))
+	return k.branches, k.dests
+}
+
 // convKey identifies one conventional second-level predictor of a
-// replay pass: its geometry and whether it is idealized.
+// replay pass by what its outcomes depend on: the history widths and
+// the partition of the program's conditional branches into perceptron
+// rows. Budgets and idealizations that partition the branches alike
+// share one predictor.
 type convKey struct {
-	bytes         int
 	ghr, lhr, lht uint
-	ideal         bool
+	branches      []int32
+}
+
+func (k convKey) equal(o convKey) bool {
+	return k.ghr == o.ghr && k.lhr == o.lhr && k.lht == o.lht && slices.Equal(k.branches, o.branches)
 }
 
 // convPass is one conventional predictor a replay pass shares. A
@@ -225,18 +321,19 @@ type convPass struct {
 	miss [batchEvents]bool
 }
 
-// newConvPass builds the predictor of key k for a program whose
-// instructions' record kinds are kinds.
-func newConvPass(k convKey, kinds []uint8) *convPass {
-	c := &convPass{key: k, tl: predictor.NewTwoLevel(k.bytes, k.ghr, k.lhr, k.lht, k.ideal)}
-	c.ghr.N = k.ghr
-	c.sites = make([]predictor.TwoLevelSite, len(kinds))
+// newConvPass builds the conventional predictor an engine of c reads,
+// whose key is k, for a program whose instructions' record kinds are
+// kinds.
+func newConvPass(k convKey, c EngineConfig, kinds []uint8) *convPass {
+	p := &convPass{key: k, tl: predictor.NewTwoLevel(c.L2PredBytes, k.ghr, k.lhr, k.lht, c.convIdeal())}
+	p.ghr.N = k.ghr
+	p.sites = make([]predictor.TwoLevelSite, len(kinds))
 	for pc, kind := range kinds {
 		if kind == trace.EvCondBr {
-			c.sites[pc] = c.tl.Site(pipeline.InstAddr(pc))
+			p.sites[pc] = p.tl.Site(pipeline.InstAddr(pc))
 		}
 	}
-	return c
+	return p
 }
 
 // run predicts and trains every conditional branch of a batch.
@@ -276,6 +373,7 @@ type site struct {
 // early-resolution timing — are modeled, not simulated.
 type schemeEngine struct {
 	cfg EngineConfig
+	key engineKey
 
 	// PPRF prediction mirror (predicate scheme): the predicted value a
 	// speculative consumer would read for each architectural predicate
@@ -318,17 +416,16 @@ type schemeEngine struct {
 	itab *predictor.IndirectTable
 
 	st pipeline.Stats
+	ns int64 // engine phase time on a timed replay's clock
 }
 
-// newSchemeEngine builds the engine of one configuration for a program
-// whose instructions' record kinds are kinds.
-func newSchemeEngine(full config.Config, kinds []uint8) (*schemeEngine, error) {
-	if err := full.Validate(); err != nil {
-		return nil, err
-	}
-	cfg := EngineConfigOf(full)
+// newSchemeEngine builds the engine of one validated configuration,
+// whose key is k, for a program whose instructions' record kinds are
+// kinds.
+func newSchemeEngine(cfg EngineConfig, k engineKey, kinds []uint8) (*schemeEngine, error) {
 	e := &schemeEngine{
 		cfg:  cfg,
+		key:  k,
 		ras:  predictor.NewRAS(cfg.RASEntries),
 		itab: predictor.NewIndirectTable(10),
 	}
@@ -341,15 +438,7 @@ func newSchemeEngine(full config.Config, kinds []uint8) (*schemeEngine, error) {
 	case config.SchemePEPPA:
 		e.pep = peppa.New(peppa.DefaultConfig())
 	case config.SchemePredicate:
-		e.pp = core.New(core.Config{
-			SizeBytes: cfg.L2PredBytes,
-			GHRBits:   cfg.L2PredGHRBits,
-			LHRBits:   cfg.L2PredLHRBits,
-			LHTBits:   cfg.L2PredLHTBits,
-			ConfBits:  cfg.ConfBits,
-			Ideal:     cfg.IdealNoAlias,
-			SplitPVT:  cfg.SplitPVT,
-		})
+		e.pp = core.New(cfg.coreConfig())
 	default:
 		return nil, fmt.Errorf("stats: unknown scheme %v", cfg.Scheme)
 	}
@@ -373,83 +462,127 @@ func newSchemeEngine(full config.Config, kinds []uint8) (*schemeEngine, error) {
 }
 
 // convKey reports the conventional predictor the engine reads: its own
-// configuration's for a conventional engine, the non-ideal one of its
-// geometry for a predicate engine's shadow, none for PEP-PA.
+// configuration's for a conventional engine, the real table of its
+// budget for a predicate engine's shadow, none for PEP-PA.
 func (e *schemeEngine) convKey() (convKey, bool) {
-	k := convKey{bytes: e.cfg.L2PredBytes, ghr: e.cfg.L2PredGHRBits, lhr: e.cfg.L2PredLHRBits, lht: e.cfg.L2PredLHTBits}
-	switch e.cfg.Scheme {
-	case config.SchemeConventional:
-		k.ideal = e.cfg.IdealNoAlias
-		return k, true
-	case config.SchemePredicate:
-		return k, true
-	}
-	return k, false
+	k := convKey{ghr: e.cfg.L2PredGHRBits, lhr: e.cfg.L2PredLHRBits, lht: e.cfg.L2PredLHTBits, branches: e.key.branches}
+	return k, e.cfg.Scheme != config.SchemePEPPA
 }
 
 // Replay runs a trace of prog through the configured predictor
 // organization for a commit budget (0 = the whole trace): the
 // one-configuration reference that ReplayAll is checked against.
 func Replay(cfg config.Config, prog *program.Program, tr *trace.Trace, commits uint64) (pipeline.Stats, error) {
-	sts, _, err := ReplayAll(context.Background(), []config.Config{cfg}, prog, tr, commits, nil)
-	if len(sts) != 1 {
+	p, err := ReplayAll(context.Background(), []config.Config{cfg}, prog, tr, commits, nil)
+	if len(p.Stats) != 1 {
 		return pipeline.Stats{}, err
 	}
-	return sts[0], err
+	return p.Stats[0], err
+}
+
+// Pass is what one ReplayAll pass returns.
+type Pass struct {
+	// Stats is parallel to the configurations: each entry is
+	// bit-identical to an independent Replay of its configuration.
+	Stats []pipeline.Stats
+	// Engine is parallel to the configurations: the index of the
+	// configuration whose engine replayed each one, its own or an
+	// earlier one's with an equal engine key.
+	Engine []int
+	// Timings is the phase breakdown on the pass's clock; nil untimed.
+	Timings *Timings
+}
+
+// Engines returns the number of engines the pass ran.
+func (p Pass) Engines() int {
+	n := 0
+	for i, j := range p.Engine {
+		if i == j {
+			n++
+		}
+	}
+	return n
 }
 
 // ReplayAll replays one recorded trace of prog through N predictor
 // organizations in a single pass: the event stream is decoded once, the
 // scheme-independent frontend is computed once, each distinct
-// conventional predictor runs once, and every configuration replays
-// each decoded batch in lockstep. The returned slice is
-// parallel to cfgs, and each entry is bit-identical to an independent
-// Replay of that configuration. A trace recorded from another program,
-// or an event at a PC that holds no instruction of its kind, fails with
-// an error wrapping trace.ErrCorrupt. Cancellation is checked every decoded
-// batch, so even a full-suite replay stops within milliseconds of a
-// cancel; the partial statistics accumulated so far are returned
-// alongside the context error.
+// conventional predictor runs once, and one engine per distinct engine
+// key replays each decoded batch in lockstep. Configurations whose
+// tables alias prog's sites alike (engineKey) share one engine, so a
+// table size that cannot move this program's statistics costs nothing.
+// The Pass's Stats are parallel to cfgs, and each entry is
+// bit-identical to an independent Replay of that configuration. A trace
+// recorded from another program, or an event at a PC that holds no
+// instruction of its kind, fails with an error wrapping
+// trace.ErrCorrupt. Cancellation is checked every decoded batch, so
+// even a full-suite replay stops within milliseconds of a cancel; the
+// partial statistics accumulated so far are returned alongside the
+// context error.
 //
 // With a non-nil now (monotonic nanoseconds; tests inject fakes),
 // ReplayAll also returns the per-phase Timings sampled on that clock,
 // even when it fails. The clock reads sit between phases, never inside
 // them, so the statistics are bit-identical to an untimed replay. With
 // now nil the Timings are nil.
-func ReplayAll(ctx context.Context, cfgs []config.Config, prog *program.Program, tr *trace.Trace, commits uint64, now func() int64) ([]pipeline.Stats, *Timings, error) {
-	var tm *Timings
+func ReplayAll(ctx context.Context, cfgs []config.Config, prog *program.Program, tr *trace.Trace, commits uint64, now func() int64) (Pass, error) {
+	var p Pass
 	if now != nil {
-		tm = &Timings{EngineNS: make([]int64, len(cfgs))}
+		p.Timings = &Timings{EngineNS: make([]int64, len(cfgs))}
 	}
 	if len(cfgs) == 0 {
-		return nil, tm, fmt.Errorf("stats: replay needs at least one configuration")
+		return p, fmt.Errorf("stats: replay needs at least one configuration")
 	}
 	if h := trace.HashProgram(prog); tr.ProgHash != h {
-		return nil, tm, fmt.Errorf("stats: %w: trace of program %#x replayed against %s (%#x)", trace.ErrCorrupt, tr.ProgHash, prog.Name, h)
+		return p, fmt.Errorf("stats: %w: trace of program %#x replayed against %s (%#x)", trace.ErrCorrupt, tr.ProgHash, prog.Name, h)
 	}
+	kinds := kindsOf(prog)
+	keys := make([]engineKey, len(cfgs))
+	built := make([]*schemeEngine, len(cfgs)) // by configuration; nil where another's engine serves it
+	var engines []*schemeEngine
+	engine := make([]int, len(cfgs))
+	for i, full := range cfgs {
+		if err := full.Validate(); err != nil {
+			return p, err
+		}
+		cfg := EngineConfigOf(full)
+		keys[i] = keyOf(cfg, kinds)
+		if j := slices.IndexFunc(keys[:i], keys[i].equal); j >= 0 {
+			engine[i] = j
+			continue
+		}
+		e, err := newSchemeEngine(cfg, keys[i], kinds)
+		if err != nil {
+			return p, err
+		}
+		engine[i], built[i] = i, e
+		engines = append(engines, e)
+	}
+	err := replay(ctx, engines, shareConventional(engines, kinds), kinds, tr, commits, p.Timings, now)
+	p.Engine = engine
+	p.Stats = make([]pipeline.Stats, len(cfgs))
+	for i, j := range engine {
+		p.Stats[i] = built[j].st
+		if p.Timings != nil && i == j {
+			p.Timings.EngineNS[i] = built[i].ns
+		}
+	}
+	return p, err
+}
+
+// kindsOf returns the record kind of every instruction of prog.
+func kindsOf(prog *program.Program) []uint8 {
 	kinds := make([]uint8, prog.Len())
 	for pc := range kinds {
 		kinds[pc] = trace.KindOf(prog.At(pc))
 	}
-	engines := make([]*schemeEngine, len(cfgs))
-	for i, cfg := range cfgs {
-		e, err := newSchemeEngine(cfg, kinds)
-		if err != nil {
-			return nil, tm, err
-		}
-		engines[i] = e
-	}
-	err := replay(ctx, engines, shareConventional(engines, kinds), kinds, tr, commits, tm, now)
-	sts := make([]pipeline.Stats, len(engines))
-	for i, e := range engines {
-		sts[i] = e.st
-	}
-	return sts, tm, err
+	return kinds
 }
 
 // shareConventional gives every engine that reads a conventional
 // predictor the pass's predictor of its key, building one per distinct
-// key, and returns them in the order built.
+// (history widths, branch partition), and returns them in the order
+// built.
 func shareConventional(engines []*schemeEngine, kinds []uint8) []*convPass {
 	var convs []*convPass
 	for _, e := range engines {
@@ -457,10 +590,10 @@ func shareConventional(engines []*schemeEngine, kinds []uint8) []*convPass {
 		if !ok {
 			continue
 		}
-		i := slices.IndexFunc(convs, func(c *convPass) bool { return c.key == k })
+		i := slices.IndexFunc(convs, func(c *convPass) bool { return c.key.equal(k) })
 		if i < 0 {
 			i = len(convs)
-			convs = append(convs, newConvPass(k, kinds))
+			convs = append(convs, newConvPass(k, e.cfg, kinds))
 		}
 		e.conv = convs[i]
 	}
@@ -473,8 +606,9 @@ func shareConventional(engines []*schemeEngine, kinds []uint8) []*convPass {
 // record (which no engine acts on), run the shared conventional
 // predictors over the admitted events, then fan them to every engine.
 // With tm nil the timed branches are dead and replay is exactly the
-// untimed loop; otherwise phase durations accumulate into tm once per
-// batch, the conventional predictors counting as frontend.
+// untimed loop; otherwise phase durations accumulate once per batch
+// into tm and each engine's ns, the conventional predictors counting as
+// frontend.
 func replay(ctx context.Context, engines []*schemeEngine, convs []*convPass, kinds []uint8, tr *trace.Trace, commits uint64, tm *Timings, now func() int64) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -536,11 +670,11 @@ func replay(ctx context.Context, engines []*schemeEngine, convs []*convPass, kin
 			t0 = t1
 			tm.Batches++
 		}
-		for k, e := range engines {
+		for _, e := range engines {
 			e.applyBatch(evs[:n], notes[:n])
 			if timed {
 				t1 := now()
-				tm.EngineNS[k] += t1 - t0
+				e.ns += t1 - t0
 				t0 = t1
 			}
 		}

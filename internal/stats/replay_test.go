@@ -295,7 +295,7 @@ func TestReplayCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfg := config.Default().WithScheme(config.SchemePredicate)
-	if _, _, err := ReplayAll(ctx, []config.Config{cfg}, prog, tr, 0, nil); err == nil {
+	if _, err := ReplayAll(ctx, []config.Config{cfg}, prog, tr, 0, nil); err == nil {
 		t.Fatal("want context error from cancelled replay")
 	}
 }

@@ -45,10 +45,11 @@ func TestReplayAllMatchesIndependentReplays(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		all, _, err := ReplayAll(context.Background(), cfgs, prog, tr, commits, nil)
+		p, err := ReplayAll(context.Background(), cfgs, prog, tr, commits, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		all := p.Stats
 		if len(all) != len(cfgs) {
 			t.Fatalf("%s: ReplayAll returned %d stats for %d configs", spec.Name, len(all), len(cfgs))
 		}
@@ -112,10 +113,11 @@ func TestReplayAllRepeatsAndMatchesVariants(t *testing.T) {
 	// Two passes over one trace: a replay must leave nothing behind that
 	// the next one reads.
 	for pass := 0; pass < 2; pass++ {
-		all, _, err := ReplayAll(context.Background(), cfgs, prog, tr, 40000, nil)
+		p, err := ReplayAll(context.Background(), cfgs, prog, tr, 40000, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		all := p.Stats
 		// Every predicate engine of the default geometry, the idealized
 		// one included, shadows exactly what the conventional engine
 		// predicts.
@@ -169,11 +171,11 @@ func TestReplayAllRepeatsAndMatchesVariants(t *testing.T) {
 		if c.budget > 0 {
 			want = min(want, c.budget)
 		}
-		all, _, err := ReplayAll(context.Background(), cfgs, c.prog, c.tr, c.budget, nil)
+		p, err := ReplayAll(context.Background(), cfgs, c.prog, c.tr, c.budget, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, st := range all {
+		for i, st := range p.Stats {
 			if st.Committed != want {
 				t.Errorf("%s, cfg %d: committed %d, want min(Steps, budget) = %d", c.name, i, st.Committed, want)
 			}
@@ -182,11 +184,21 @@ func TestReplayAllRepeatsAndMatchesVariants(t *testing.T) {
 }
 
 // TestReplaySharesConventionalByKey pins which engines share a pass's
-// conventional predictor: a conventional engine and every predicate
-// engine's shadow of the same geometry, whatever the predicate engine's
-// own idealizations; an idealized conventional engine, a different
-// budget or history width each get their own. PEP-PA reads none.
+// conventional predictor, and which configurations share an engine, on
+// gzip, whose branches the real Table 1 table gives a row each but half
+// the budget does not. A conventional engine and every predicate
+// engine's shadow of the same budget share, whatever the predicate
+// engine's own idealizations; so does an idealized conventional engine,
+// since its table aliases gzip's branches as the real one does, and it
+// shares the real one's engine too. Half the budget, which aliases
+// them differently, and a shorter local history each get their own.
+// PEP-PA reads none.
 func TestReplaySharesConventionalByKey(t *testing.T) {
+	spec, err := bench.Find("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := bench.Build(spec)
 	conv := config.Default().WithScheme(config.SchemeConventional)
 	pred := config.Default().WithScheme(config.SchemePredicate)
 	idealPred := pred
@@ -203,20 +215,28 @@ func TestReplaySharesConventionalByKey(t *testing.T) {
 	shortPred.L2PredLHRBits = 6
 	cfgs := []config.Config{conv, pred, idealPred, splitPred, idealConv, halfConv, halfPred, shortPred,
 		config.Default().WithScheme(config.SchemePEPPA)}
+	full, _ := Partitions(conv, prog)
+	ideal, _ := Partitions(idealConv, prog)
+	half, _ := Partitions(halfConv, prog)
+	if len(full) == 0 || !slices.Equal(full, ideal) || slices.Equal(full, half) {
+		t.Fatalf("gzip's %d branches: the real table must alias them as the idealized one does (%v) and half the budget differently (%v)",
+			len(full), slices.Equal(full, ideal), !slices.Equal(full, half))
+	}
 	// The predictor each engine must read, by the index of the first
 	// engine reading it; -1 for none.
-	want := []int{0, 0, 0, 0, 4, 5, 5, 7, -1}
-	kinds := make([]uint8, 8)
+	want := []int{0, 0, 0, 0, 0, 5, 5, 7, -1}
+	kinds := kindsOf(prog)
 	engines := make([]*schemeEngine, len(cfgs))
 	for i, cfg := range cfgs {
-		e, err := newSchemeEngine(cfg, kinds)
+		c := EngineConfigOf(cfg)
+		e, err := newSchemeEngine(c, keyOf(c, kinds), kinds)
 		if err != nil {
 			t.Fatal(err)
 		}
 		engines[i] = e
 	}
-	if n := len(shareConventional(engines, kinds)); n != 4 {
-		t.Errorf("built %d conventional predictors, want 4", n)
+	if n := len(shareConventional(engines, kinds)); n != 3 {
+		t.Errorf("built %d conventional predictors, want 3", n)
 	}
 	for i, e := range engines {
 		if (e.conv == nil) != (want[i] < 0) {
@@ -227,6 +247,17 @@ func TestReplaySharesConventionalByKey(t *testing.T) {
 				t.Errorf("cfgs %d and %d: share a conventional predictor %v, want %v", j, i, shared, !shared)
 			}
 		}
+	}
+	// Of the whole engines, only the idealized conventional one is
+	// served by another's: the idealized PVT and the split one alias
+	// gzip's compare destinations differently from the shared table.
+	tr, err := trace.Record(context.Background(), prog, 20000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := checkAgainstIndependent(t, "gzip", cfgs, prog, tr, 20000)
+	if want := []int{0, 1, 2, 3, 0, 5, 6, 7, 8}; !slices.Equal(p.Engine, want) {
+		t.Errorf("engines by configuration %v, want %v", p.Engine, want)
 	}
 }
 
@@ -247,10 +278,10 @@ func TestReplayRejectsForeignTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReplayAll(context.Background(), schemeCfgs(), prog, tr, 0, nil); err != nil {
+	if _, err := ReplayAll(context.Background(), schemeCfgs(), prog, tr, 0, nil); err != nil {
 		t.Fatalf("own program: %v", err)
 	}
-	_, _, err = ReplayAll(context.Background(), schemeCfgs(), bench.Build(gzip), tr, 0, nil)
+	_, err = ReplayAll(context.Background(), schemeCfgs(), bench.Build(gzip), tr, 0, nil)
 	if !errors.Is(err, trace.ErrCorrupt) {
 		t.Errorf("vpr's trace against gzip: got %v, want an error wrapping trace.ErrCorrupt", err)
 	}
@@ -268,7 +299,7 @@ func TestReplayRejectsEventOffSite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := ReplayAll(context.Background(), schemeCfgs(), prog, tr, 0, nil); err != nil {
+		if _, err := ReplayAll(context.Background(), schemeCfgs(), prog, tr, 0, nil); err != nil {
 			t.Fatalf("%s: own program: %v", prog.Name, err)
 		}
 		variants := map[string]*program.Program{}
@@ -290,7 +321,7 @@ func TestReplayRejectsEventOffSite(t *testing.T) {
 		for name, v := range variants {
 			vt := *tr
 			vt.ProgHash = trace.HashProgram(v)
-			_, _, err := ReplayAll(context.Background(), schemeCfgs(), v, &vt, 0, nil)
+			_, err := ReplayAll(context.Background(), schemeCfgs(), v, &vt, 0, nil)
 			if !errors.Is(err, trace.ErrCorrupt) || !strings.Contains(err.Error(), "at pc") {
 				t.Errorf("%s, %s: got %v, want an off-site error wrapping trace.ErrCorrupt", prog.Name, name, err)
 			}
@@ -310,12 +341,12 @@ func TestReplayAllRejectsBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReplayAll(context.Background(), nil, prog, tr, 0, nil); err == nil {
+	if _, err := ReplayAll(context.Background(), nil, prog, tr, 0, nil); err == nil {
 		t.Error("empty config set should fail")
 	}
 	bad := config.Default().WithScheme(config.SchemePredicate)
 	bad.FetchWidth = 0
-	if _, _, err := ReplayAll(context.Background(), []config.Config{bad}, prog, tr, 0, nil); err == nil {
+	if _, err := ReplayAll(context.Background(), []config.Config{bad}, prog, tr, 0, nil); err == nil {
 		t.Error("invalid configuration should fail")
 	}
 }
@@ -334,7 +365,7 @@ func TestReplayAllCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := ReplayAll(ctx, schemeCfgs(), prog, tr, 0, nil); err == nil {
+	if _, err := ReplayAll(ctx, schemeCfgs(), prog, tr, 0, nil); err == nil {
 		t.Fatal("want context error from cancelled single-pass replay")
 	}
 }
@@ -384,7 +415,7 @@ func BenchmarkReplayAllSinglePass(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		if _, _, err := ReplayAll(context.Background(), cfgs, prog, tr, commits, nil); err != nil {
+		if _, err := ReplayAll(context.Background(), cfgs, prog, tr, commits, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,15 +24,17 @@ func TestReplayAllTimedMatchesUntimed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgs := schemeCfgs()
+	// The fourth configuration repeats the first, so the first's engine
+	// serves it and its engine time reads 0.
+	cfgs := append(schemeCfgs(), schemeCfgs()[0])
 	const commits = 40000
 
-	plain, untimed, err := ReplayAll(context.Background(), cfgs, prog, tr, commits, nil)
+	plain, err := ReplayAll(context.Background(), cfgs, prog, tr, commits, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if untimed != nil {
-		t.Errorf("untimed replay returned Timings %+v, want nil", untimed)
+	if plain.Timings != nil {
+		t.Errorf("untimed replay returned Timings %+v, want nil", plain.Timings)
 	}
 
 	// A fake clock advancing a fixed step per read makes every phase
@@ -42,13 +44,14 @@ func TestReplayAllTimedMatchesUntimed(t *testing.T) {
 		clock += 10
 		return clock
 	}
-	timed, tm, err := ReplayAll(context.Background(), cfgs, prog, tr, commits, now)
+	timed, err := ReplayAll(context.Background(), cfgs, prog, tr, commits, now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(plain, timed) {
-		t.Errorf("timed replay stats diverge from untimed:\n timed: %+v\n plain: %+v", timed, plain)
+	if !reflect.DeepEqual(plain.Stats, timed.Stats) || !reflect.DeepEqual(plain.Engine, timed.Engine) {
+		t.Errorf("timed replay diverges from untimed:\n timed: %+v %v\n plain: %+v %v", timed.Stats, timed.Engine, plain.Stats, plain.Engine)
 	}
+	tm := timed.Timings
 	if tm.Batches == 0 {
 		t.Fatal("timed replay recorded no batches")
 	}
@@ -63,20 +66,27 @@ func TestReplayAllTimedMatchesUntimed(t *testing.T) {
 		t.Fatalf("EngineNS has %d entries for %d configs", len(tm.EngineNS), len(cfgs))
 	}
 	for k, ns := range tm.EngineNS {
-		if want := tm.Batches * 10; ns != want {
+		want := tm.Batches * 10
+		if timed.Engine[k] != k {
+			want = 0
+		}
+		if ns != want {
 			t.Errorf("EngineNS[%d] = %d, want %d", k, ns, want)
 		}
+	}
+	if want := []int{0, 1, 2, 0}; !reflect.DeepEqual(timed.Engine, want) {
+		t.Errorf("engines by configuration %v, want %v", timed.Engine, want)
 	}
 	// A replay that fails before its first batch still reports an
 	// (empty) breakdown, so observed callers can attribute the cell.
 	bad := cfgs[0]
 	bad.FetchWidth = 0
-	_, tm, err = ReplayAll(context.Background(), []config.Config{bad}, prog, tr, commits, func() int64 { return 0 })
+	failed, err := ReplayAll(context.Background(), []config.Config{bad}, prog, tr, commits, func() int64 { return 0 })
 	if err == nil {
 		t.Fatal("invalid configuration should fail")
 	}
-	if want := (&Timings{EngineNS: []int64{0}}); !reflect.DeepEqual(tm, want) {
-		t.Errorf("failed timed replay Timings = %+v, want %+v", tm, want)
+	if want := (&Timings{EngineNS: []int64{0}}); !reflect.DeepEqual(failed.Timings, want) {
+		t.Errorf("failed timed replay Timings = %+v, want %+v", failed.Timings, want)
 	}
 }
 
@@ -100,11 +110,11 @@ func TestSessionReplayAllTimed(t *testing.T) {
 			clock += 7
 			return clock
 		}
-		_, tm, err := ReplayAll(context.Background(), cfgs, prog, tr, 20000, now)
+		p, err := ReplayAll(context.Background(), cfgs, prog, tr, 20000, now)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tm
+		return p.Timings
 	}
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/config"
@@ -107,12 +108,42 @@ func checkAgainstReplay(t *testing.T, wl *Workload, dir string, run memoRun) {
 
 // memoGrid is the canonical memo sweep: two benchmarks × two schemes
 // over pred.bytes (replay-visible) × mispredict.penalty (timing-only) —
-// 32 cells over 8 distinct replays.
+// 32 cells over 8 distinct replay configurations.
 func memoGrid(t *testing.T, wl *Workload, dir string, par int) memoRun {
 	return runMemoSweep(t, wl, dir, par, []string{"conventional", "predpred"},
 		WithAxis("pred.bytes", 75776, 151552),
 		WithAxis("mispredict.penalty", 5, 10, 15, 20),
 	)
+}
+
+// memoGridEngines derives the engines the canonical grid's passes run
+// over gzip and vpr from the in-pass rule: a scheme's two pred.bytes
+// configurations share one engine on a benchmark exactly when both
+// tables alias its sites alike (stats.Partitions). gzip's budgets
+// alias its sites differently and vpr's alike, so the grid exercises
+// both outcomes.
+func memoGridEngines(t *testing.T, wl *Workload) uint64 {
+	t.Helper()
+	var engines uint64
+	for _, pg := range wl.progs {
+		alike := true
+		for _, scheme := range []config.Scheme{config.SchemeConventional, config.SchemePredicate} {
+			small, large := config.Default().WithScheme(scheme), config.Default().WithScheme(scheme)
+			small.L2PredBytes, large.L2PredBytes = 75776, 151552
+			sb, sd := stats.Partitions(small, pg.Plain)
+			lb, ld := stats.Partitions(large, pg.Plain)
+			engines += 2
+			if slices.Equal(sb, lb) && slices.Equal(sd, ld) {
+				engines--
+			} else {
+				alike = false
+			}
+		}
+		if want := pg.Spec.Name == "vpr"; alike != want {
+			t.Fatalf("%s: the two budgets alias its sites alike %v, want %v", pg.Spec.Name, alike, want)
+		}
+	}
+	return engines
 }
 
 func memoWorkload(t *testing.T, names ...string) *Workload {
@@ -121,18 +152,24 @@ func memoWorkload(t *testing.T, names ...string) *Workload {
 }
 
 // TestMemoSweepExactCounts pins the replay memo's reuse: whatever the
-// worker count, the canonical grid replays each of its 8 distinct
-// (benchmark, replay-visible config) keys exactly once and serves the
-// other 24 cells from the memo, every cell matches a direct replay,
-// and the sweep's CSV rows are byte-identical across worker counts.
+// worker count, the canonical grid runs one engine per distinct
+// (benchmark, engine key) — 6 of its 8 (benchmark, replay-visible
+// config) pairs, since vpr's two budgets share one engine per scheme
+// (memoGridEngines) — and serves the other 26 cells from the memo,
+// every cell matches a direct replay, and the sweep's CSV rows are
+// byte-identical across worker counts.
 func TestMemoSweepExactCounts(t *testing.T) {
 	wl := memoWorkload(t, "gzip", "vpr")
+	engines := memoGridEngines(t, wl)
+	if engines != 6 {
+		t.Fatalf("the grid's passes run %d engines by the in-pass rule, want 6", engines)
+	}
 	dir := t.TempDir()
 	var csvs [][]byte
 	for _, par := range []int{1, 4} {
 		run := memoGrid(t, wl, dir, par)
-		if run.hits != 24 || run.misses != 8 {
-			t.Errorf("p=%d: want 24 memo hits / 8 replayed cells, got %d / %d", par, run.hits, run.misses)
+		if run.hits != 32-engines || run.misses != engines {
+			t.Errorf("p=%d: want %d memo hits / %d engines run, got %d / %d", par, 32-engines, engines, run.hits, run.misses)
 		}
 		if len(run.rs) != 32 {
 			t.Fatalf("p=%d: want 8 points of 4 cells, got %d cells", par, len(run.rs))
@@ -235,8 +272,8 @@ func TestMemoPlanOwnsKeysAtFirstPoint(t *testing.T) {
 }
 
 // TestMemoSweepManifests pins memo provenance in run manifests:
-// memo-served cells are flagged and carry no phase timings, replayed
-// cells carry their pass's phases, and the manifest stream, memo flags
+// memo-served cells, planned or merged inside a pass, are flagged and
+// carry no phase timings, replayed cells carry their pass's phases, and the manifest stream, memo flags
 // and phase fields included, is byte-identical across worker counts:
 // which cell replays a shared key is planned at Start, not raced for by
 // the workers.
@@ -261,8 +298,8 @@ func TestMemoSweepManifests(t *testing.T) {
 				t.Errorf("p=%d: replayed cell %s/%s point %d has no phases", par, m.Bench, m.Scheme, m.Point)
 			}
 		}
-		if memo != 24 {
-			t.Errorf("p=%d: want 24 memo-served manifests, got %d", par, memo)
+		if want := 32 - int(memoGridEngines(t, wl)); memo != want {
+			t.Errorf("p=%d: want %d memo-served manifests, got %d", par, want, memo)
 		}
 		var buf bytes.Buffer
 		if err := obs.WriteManifests(&buf, run.manifests); err != nil {
@@ -279,8 +316,9 @@ func TestMemoSweepManifests(t *testing.T) {
 // declarations could not see — an axis over a pipeline-only knob under
 // a configuration mutator that touches only a pipeline field, and one
 // scheme listed twice, whose second cell is served from its first
-// cell's replay — plus gshare.idxbits, whose reuse used to rest on such
-// a declaration. Every cell must still match a direct replay.
+// cell's replay (and whose two budgets, aliasing vpr's sites alike,
+// share one engine) — plus gshare.idxbits, whose reuse used to rest on
+// such a declaration. Every cell must still match a direct replay.
 func TestMemoCatchesUndeclaredReuse(t *testing.T) {
 	depth := func(c *Config) { c.FrontendDepth = 5 }
 	wl := memoWorkload(t, "vpr")
@@ -293,7 +331,7 @@ func TestMemoCatchesUndeclaredReuse(t *testing.T) {
 		{"rob.entries under a frontend-depth mutator", []string{"conventional", "predpred"},
 			[]Option{WithConfigMutator(depth), WithAxis("rob.entries", 64, 128, 256)}, 4, 2},
 		{"duplicate scheme", []string{"predpred", "predpred"},
-			[]Option{WithAxis("pred.bytes", 75776, 151552)}, 2, 2},
+			[]Option{WithAxis("pred.bytes", 75776, 151552)}, 3, 1},
 		{"gshare.idxbits", []string{"conventional", "predpred"},
 			[]Option{WithAxis("gshare.idxbits", 10, 12, 14)}, 4, 2},
 	} {

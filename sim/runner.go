@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -151,7 +152,9 @@ type cellPlan struct {
 	err    error  // cellConfig's error or, in trace mode, Validate's
 	// Trace mode, valid cells only: the cell's replay among its chunk's
 	// configurations (-1 otherwise), and whether an earlier cell of the
-	// plan owns that replay, so this one is memo-served.
+	// plan owns that replay, so this one is memo-served. runTraceJob
+	// also sets memo, on its job's copy, for a cell whose configuration
+	// the pass served with another configuration's engine.
 	key  int
 	memo bool
 }
@@ -439,8 +442,8 @@ func (e *Experiment) runJob(ctx context.Context, traces *traceProvider, j simJob
 }
 
 // Replay memo counters, on the process registry beside the trace
-// cache's: a hit is a cell served from another cell's replay, a miss
-// a cell replayed.
+// cache's: a hit is a cell served from another cell's replay, planned
+// or merged inside a pass; a miss is an engine a pass ran.
 var (
 	memoHits   = obs.Default().Counter("replay.memo.hits")
 	memoMisses = obs.Default().Counter("replay.memo.misses")
@@ -448,25 +451,34 @@ var (
 
 // runTraceJob replays the job's configurations in a single pass over
 // its benchmark's trace and fills in every cell planned onto them; an
-// invalid cell keeps its own error. Validation has already rejected
-// every configuration a replay could fail on, so a failed pass is a
-// property of the trace (or a cancellation), and every cell it serves
-// shares its error. ok is false when the context was cancelled and the
-// whole job must be discarded.
+// invalid cell keeps its own error. A cell whose configuration the
+// pass served with another configuration's engine (their tables alias
+// this benchmark's sites alike) becomes memo-served like a planned one.
+// Validation has already rejected every configuration a replay could
+// fail on, so a failed pass is a property of the trace (or a
+// cancellation), and every cell it serves shares its error. ok is false
+// when the context was cancelled and the whole job must be discarded.
 func (e *Experiment) runTraceJob(ctx context.Context, traces *traceProvider, j simJob) ([]Result, bool) {
 	tr, traceErr := traces.get(ctx, j.bench, j.prog)
 	if canceled(traceErr) {
 		return nil, false
 	}
-	var sts []pipeline.Stats
-	var tm *stats.Timings
+	var pass stats.Pass
 	var replayErr error
 	if traceErr == nil && len(j.cfgs) > 0 {
-		sts, tm, replayErr = stats.ReplayAll(ctx, j.cfgs, j.prog, tr, e.commits, e.observer.replayClock())
+		pass, replayErr = stats.ReplayAll(ctx, j.cfgs, j.prog, tr, e.commits, e.observer.replayClock())
 		if canceled(replayErr) {
 			return nil, false
 		}
-		memoMisses.Add(uint64(len(j.cfgs)))
+		memoMisses.Add(uint64(pass.Engines()))
+	}
+	if replayErr == nil && pass.Engines() < len(pass.Engine) {
+		j.cells = slices.Clone(j.cells)
+		for i, c := range j.cells {
+			if c.key >= 0 && pass.Engine[c.key] != c.key {
+				j.cells[i].memo = true
+			}
+		}
 	}
 	out := make([]Result, len(j.cells))
 	for i, c := range j.cells {
@@ -479,23 +491,24 @@ func (e *Experiment) runTraceJob(ctx context.Context, traces *traceProvider, j s
 		case replayErr != nil:
 			out[i].Err = replayErr
 		default:
-			out[i].Stats = sts[c.key]
+			out[i].Stats = pass.Stats[c.key]
 			if c.memo {
 				memoHits.Inc()
 			}
 		}
 	}
-	e.observeTraceGroup(traces, j, out, tm)
+	e.observeTraceGroup(traces, j, out, pass.Timings)
 	return out, true
 }
 
 // observeTraceGroup records one trace job's telemetry: the pass's
 // decode/frontend spans, a per-cell engine span, and one manifest per
 // cell. The shared decode and frontend costs are attributed evenly
-// across the replayed cells in each manifest (the pass totals are
-// recoverable via GroupSchemes), while engine time is exact per cell.
-// Memo-served cells carry their provenance flag but no phase timings —
-// no replay ran for them. No-op without an observer.
+// across the replayed cells, one per engine the pass ran, in each
+// manifest (the pass totals are recoverable via GroupSchemes), while
+// engine time is exact per cell. Memo-served cells carry their
+// provenance flag but no phase timings — no engine ran for them. No-op
+// without an observer.
 func (e *Experiment) observeTraceGroup(traces *traceProvider, j simJob, out []Result, tm *stats.Timings) {
 	o := e.observer
 	if o == nil {
@@ -507,12 +520,15 @@ func (e *Experiment) observeTraceGroup(traces *traceProvider, j simJob, out []Re
 	if tm != nil {
 		o.span(PhaseDecode, tm.DecodeNS)
 		o.span(PhaseFrontend, tm.FrontendNS)
-		decodeShare = tm.DecodeNS / int64(len(j.cfgs))
-		frontendShare = tm.FrontendNS / int64(len(j.cfgs))
 		for _, c := range j.cells {
-			if len(j.cfgs) > 1 && c.replays() {
+			if c.replays() {
 				group = append(group, e.schemes[c.scheme])
 			}
+		}
+		decodeShare = tm.DecodeNS / int64(len(group))
+		frontendShare = tm.FrontendNS / int64(len(group))
+		if len(group) == 1 {
+			group = nil
 		}
 	}
 	for i, c := range j.cells {
