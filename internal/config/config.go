@@ -295,8 +295,8 @@ func (c Config) validatePredictor() error {
 		return fmt.Errorf("config: confidence counters of %d bits are outside 1..%d", c.ConfBits, maxConfBits)
 	}
 	// A split PVT gives each predicate output half the rows, so it needs
-	// two (rows as predictor.NewPerceptronBudget counts them).
-	if rows := c.L2PredBytes / int(c.L2PredGHRBits+c.L2PredLHRBits+1); c.SplitPVT && rows < 2 {
+	// two (rows as the predictor's geometry counts them).
+	if rows := predictor.NewGeometry(c.L2PredBytes, c.L2PredGHRBits, c.L2PredLHRBits, false).Rows(); c.SplitPVT && rows < 2 {
 		return fmt.Errorf("config: a split PVT needs at least 2 rows, and %d bytes of %d-weight rows hold %d", c.L2PredBytes, c.L2PredGHRBits+c.L2PredLHRBits+1, rows)
 	}
 	return nil

@@ -171,3 +171,27 @@ func TestValidateBoundsPredictorKnobs(t *testing.T) {
 		}
 	}
 }
+
+// TestSplitPVTNeedsTwoRows pins the split-PVT budget check: a budget
+// under one row buys the one row every table gets, and neither it nor
+// a one-row budget can be split.
+func TestSplitPVTNeedsTwoRows(t *testing.T) {
+	for _, tc := range []struct {
+		bytes int
+		want  string
+	}{
+		{1, "1 bytes of 41-weight rows hold 1"},
+		{81, "81 bytes of 41-weight rows hold 1"},
+	} {
+		c := Default()
+		c.SplitPVT, c.L2PredBytes = true, tc.bytes
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("split PVT over %d bytes: err = %v, want one saying %q", tc.bytes, err, tc.want)
+		}
+	}
+	c := Default()
+	c.SplitPVT, c.L2PredBytes = true, 82
+	if err := c.Validate(); err != nil {
+		t.Errorf("split PVT over two rows: %v", err)
+	}
+}

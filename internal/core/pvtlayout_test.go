@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/config"
+	"repro/internal/ifconvert"
 	"repro/internal/isa"
 	"repro/internal/program"
 	"repro/internal/stats"
@@ -74,25 +75,23 @@ func TestPVTLayoutSharing(t *testing.T) {
 		t.Skip("prepares and replays the whole suite")
 	}
 	const commits = 60000
-	progs, err := stats.PrepareContext(context.Background(), bench.Suite())
-	if err != nil {
-		t.Fatal(err)
-	}
+	suite := bench.Suite()
 	cfgs := pvtLayouts()
 	var table strings.Builder
 	fmt.Fprintf(&table, "%-12s %6s %4s %7s %6s %5s %13s %11s\n", "binary", "dests", "p0", "shared", "split", "half", "shared~split", "split~half")
 	var total [3]int
 	var sharedSplit, sameDefault, splitHalf int
 	var shadowOnly []string // split and half-budget differ in the shadow predictor alone
-	for i := range progs {
-		pg := &progs[i]
-		if err := pg.Convert(context.Background(), 200000); err != nil {
+	for _, spec := range suite {
+		plain := bench.Build(spec)
+		conv, err := ifconvert.Convert(plain, ifconvert.DefaultOptions(ifconvert.ProfileProgram(plain, 200000)))
+		if err != nil {
 			t.Fatal(err)
 		}
 		for _, b := range []struct {
 			name string
 			prog *program.Program
-		}{{pg.Spec.Name, pg.Plain}, {pg.Spec.Name + "+ifc", pg.Converted}} {
+		}{{spec.Name, plain}, {spec.Name + "+ifc", conv.Prog}} {
 			var counts [3]int
 			var parts [3][]int32
 			for k, cfg := range cfgs {
@@ -133,7 +132,7 @@ func TestPVTLayoutSharing(t *testing.T) {
 			}
 		}
 	}
-	fmt.Fprintf(&table, "%-12s %6s %4s %7d %6d %5d %10d/%d %8d/%d\n", "total", "", "", total[0], total[1], total[2], sharedSplit, 2*len(progs), splitHalf, 2*len(progs))
+	fmt.Fprintf(&table, "%-12s %6s %4s %7d %6d %5d %10d/%d %8d/%d\n", "total", "", "", total[0], total[1], total[2], sharedSplit, 2*len(suite), splitHalf, 2*len(suite))
 	t.Logf("compare destinations sharing a PVT row, by layout:\n%s", table.String())
 	t.Logf("split vs shared: same Stats on %d binaries; split vs half-budget: same predicate-predictor counters wherever the partitions coincide, and different ShadowMispred on %v",
 		sameDefault, shadowOnly)

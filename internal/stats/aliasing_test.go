@@ -73,10 +73,7 @@ func TestReplayAllExactAcrossGeometries(t *testing.T) {
 		t.Skip("prepares, converts and replays the whole suite")
 	}
 	const commits = 20000
-	progs, err := prepareBoth(bench.Suite(), 200000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	progs := buildBoth(t, bench.Suite(), 200000)
 	cfgs := geometryCfgs()
 	half := func(sch config.Scheme) config.Config {
 		c := config.Default().WithScheme(sch)

@@ -51,10 +51,7 @@ func TestReplaySteadyStateAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	progs, err := prepareBoth([]bench.Spec{spec}, 50000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	progs := buildBoth(t, []bench.Spec{spec}, 50000)
 	perfect := config.Default().WithScheme(config.SchemePredicate)
 	perfect.IdealPerfectGHR = true
 	cfgs := append(schemeCfgs(), perfect)

@@ -28,10 +28,7 @@ func TestCalibrate(t *testing.T) {
 		}
 		specs = append(specs, s)
 	}
-	progs, err := prepareBoth(specs, 150000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	progs := buildBoth(t, specs, 150000)
 	for _, conv := range []bool{false, true} {
 		for _, pg := range progs {
 			p := pg.Plain

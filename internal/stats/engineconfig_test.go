@@ -84,10 +84,7 @@ func TestEngineConfigProjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pgs, err := prepareBoth([]bench.Spec{spec}, commits)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pgs := buildBoth(t, []bench.Spec{spec}, commits)
 	// The if-converted binary carries the guarded compares selective
 	// predication cancels, so every engine path is exercised.
 	prog := pgs[0].Converted

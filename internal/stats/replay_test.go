@@ -40,7 +40,7 @@ const (
 
 var equivBenchmarks = []string{"gzip", "vpr", "twolf", "vortex", "swim", "mesa"}
 
-func prepareEquiv(t *testing.T) []Programs {
+func prepareEquiv(t *testing.T) []binaries {
 	t.Helper()
 	var specs []bench.Spec
 	for _, n := range equivBenchmarks {
@@ -50,10 +50,7 @@ func prepareEquiv(t *testing.T) []Programs {
 		}
 		specs = append(specs, s)
 	}
-	progs, err := prepareBoth(specs, equivProfile)
-	if err != nil {
-		t.Fatal(err)
-	}
+	progs := buildBoth(t, specs, equivProfile)
 	return progs
 }
 
@@ -297,23 +294,5 @@ func TestReplayCancellation(t *testing.T) {
 	cfg := config.Default().WithScheme(config.SchemePredicate)
 	if _, err := ReplayAll(ctx, []config.Config{cfg}, prog, tr, 0, nil); err == nil {
 		t.Fatal("want context error from cancelled replay")
-	}
-}
-
-// TestPrepareContextCancellation checks that both halves of
-// preparation honor a cancelled context: building the plain binaries
-// and profiling one for if-conversion.
-func TestPrepareContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := PrepareContext(ctx, bench.Suite()[:4]); err == nil {
-		t.Fatal("want context error from cancelled preparation")
-	}
-	progs, err := PrepareContext(context.Background(), bench.Suite()[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := progs[0].Convert(ctx, 50000); err == nil || progs[0].Converted != nil {
-		t.Fatalf("cancelled conversion: err %v, converted %v; want a context error and no binary", err, progs[0].Converted != nil)
 	}
 }

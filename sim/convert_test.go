@@ -144,3 +144,29 @@ func TestIfConversionConcurrentStarts(t *testing.T) {
 		t.Fatalf("4 concurrent if-converted experiments converted %d benchmarks, want 2", n)
 	}
 }
+
+// TestPrepareBuildsBothBinaries checks the two binary sets of §4.1 an
+// if-converted experiment leaves on its workload: every benchmark keeps
+// its plain binary and gains an if-converted one with fewer conditional
+// branches.
+func TestPrepareBuildsBothBinaries(t *testing.T) {
+	wl := PrepareEntries(t, 100000, "gzip", "vpr", "twolf", "swim")
+	exp, err := New(WithWorkload(wl), WithSchemes("predpred"), WithCommits(2000), WithMode(ModeTrace),
+		WithTraceDir(t.TempDir()), WithIfConversion(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := exp.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, pg := range wl.progs {
+		if pg.Plain == nil || pg.Converted == nil {
+			t.Fatalf("%s: missing binaries", pg.Spec.Name)
+		}
+		before, after := pg.Plain.Summarize(), pg.Converted.Summarize()
+		if after.CondBr >= before.CondBr {
+			t.Errorf("%s: if-conversion did not remove branches (%d -> %d)",
+				pg.Spec.Name, before.CondBr, after.CondBr)
+		}
+	}
+}

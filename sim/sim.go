@@ -31,9 +31,11 @@
 //     predication, the idealized runs) is a WithConfigMutator over its
 //     entry, not a scheme of its own;
 //
-//   - pluggable result sinks: the paper's text tables plus JSON and
-//     CSV emitters for machine-readable figures, writing a sweep's
-//     point and axis columns when it has them.
+//   - figure folds and pluggable result sinks: Tabulate and
+//     BreakdownTable fold one point's results into the paper's text
+//     tables, BestPoint and MarginalTable fold a sweep's, and JSON and
+//     CSV emitters write machine-readable figures, with a sweep's point
+//     and axis columns when it has them.
 //
 // Every simulation is an Experiment over a Workload. Benchmarks enter
 // as specs (SuiteSpecs, then PrepareSpecsContext); programs built in

@@ -7,7 +7,8 @@ import (
 	"sync"
 
 	"repro/internal/bench"
-	"repro/internal/stats"
+	"repro/internal/ifconvert"
+	"repro/internal/obs"
 )
 
 // Workload holds the benchmarks an experiment runs and their two binary
@@ -24,24 +25,43 @@ type Workload struct {
 	profileSteps uint64
 }
 
-// prepared is one benchmark of a Workload. Subsets point at the same
-// one, so its conversion is shared.
+// prepared is one benchmark of a Workload: its plain binary of §4.1,
+// and the profile-guided if-converted one once convert has made it.
+// Subsets point at the same one, so its conversion is shared.
 type prepared struct {
-	stats.Programs
-	specHash string     // the manifests' spec_hash: %016x of the spec's hash, or "" for a program
-	mu       sync.Mutex // held while converting
+	Spec      BenchSpec
+	Plain     *Program
+	Converted *Program   // nil until convert
+	specHash  string     // the manifests' spec_hash: %016x of the spec's hash, or "" for a program
+	mu        sync.Mutex // held while converting
 }
 
+// ifConversions counts profile-guided if-conversions, on the process
+// registry: a run that reads only plain binaries leaves it at zero.
+var ifConversions = obs.Default().Counter("prepare.conversions")
+
 // convert builds the benchmark's if-converted binary unless an earlier
-// experiment has. A failed or cancelled conversion leaves none, so the
-// next caller tries again.
+// experiment has: it profiles the plain binary for steps emulator steps
+// under ctx (a cancel stops the profile within one slice of its steps)
+// and if-converts the hammocks the profile selects. A failed or
+// cancelled conversion leaves none, so the next caller tries again.
 func (p *prepared) convert(ctx context.Context, steps uint64) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.Converted != nil {
 		return nil
 	}
-	return p.Convert(ctx, steps)
+	prof, err := ifconvert.ProfileProgramContext(ctx, p.Plain, steps)
+	if err != nil {
+		return err
+	}
+	res, err := ifconvert.Convert(p.Plain, ifconvert.DefaultOptions(prof))
+	if err != nil {
+		return fmt.Errorf("%s: %w", p.Spec.Name, err)
+	}
+	p.Converted = res.Prog
+	ifConversions.Inc()
+	return nil
 }
 
 // PrepareSpecs builds benchmark specs' plain binaries: the ones
@@ -61,18 +81,15 @@ func PrepareSpecsContext(ctx context.Context, specs []BenchSpec, profileSteps ui
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("sim: no benchmark specs to prepare")
 	}
-	for _, s := range specs {
+	entries := make([]*prepared, len(specs))
+	for i, s := range specs {
 		if err := bench.Validate(s); err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
-	}
-	progs, err := stats.PrepareContext(ctx, specs)
-	if err != nil {
-		return nil, fmt.Errorf("sim: prepare workload: %w", err)
-	}
-	entries := make([]*prepared, len(progs))
-	for i, pg := range progs {
-		entries[i] = &prepared{Programs: pg, specHash: fmt.Sprintf("%016x", pg.Spec.Hash())}
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("sim: prepare workload: %w", err)
+		}
+		entries[i] = &prepared{Spec: s, Plain: bench.Build(s), specHash: fmt.Sprintf("%016x", s.Hash())}
 	}
 	return newWorkload(entries, profileSteps)
 }
@@ -91,9 +108,7 @@ func PreparePrograms(progs []*Program) (*Workload, error) {
 		if p == nil {
 			return nil, fmt.Errorf("sim: program %d is nil", i)
 		}
-		entries[i] = &prepared{
-			Programs: stats.Programs{Spec: BenchSpec{Name: p.Name}, Plain: p},
-		}
+		entries[i] = &prepared{Spec: BenchSpec{Name: p.Name}, Plain: p}
 	}
 	return newWorkload(entries, DefaultProfileSteps)
 }
