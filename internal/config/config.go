@@ -124,7 +124,11 @@ type Config struct {
 	ConfBits          uint // predicate confidence counter width
 	RASEntries        int
 
-	// Idealizations (§4.2): no table aliasing, commit-order GHR.
+	// Idealizations (§4.2): no table aliasing, and a global history of
+	// committed outcomes. Replay predicts in commit order, so its
+	// history holds every older outcome; the pipeline's is pushed at
+	// commit and so lacks the branches and compares still in flight at
+	// fetch (ROADMAP item 16).
 	IdealNoAlias    bool
 	IdealPerfectGHR bool
 

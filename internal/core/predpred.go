@@ -137,8 +137,9 @@ func (l *Layout) Place(pc uint64) (row1, row2 int) {
 }
 
 // Lookup describes the two predictions made for one fetched compare.
-// The pipeline stores it with the in-flight compare and passes it back
-// to Train (on resolve) or Undo (on squash).
+// Predict fills it where its caller keeps it, with the in-flight
+// compare in the pipeline and in the pending-training slot in replay,
+// and Train (on resolve) or Undo (on squash) read it there.
 type Lookup struct {
 	site         Site
 	Out1, Out2   predictor.PerceptronOutput
@@ -150,31 +151,28 @@ type Lookup struct {
 }
 
 // Predict generates the two predicate predictions for the compare at
-// site s, fetched under speculative global history ghr. It
-// speculatively pushes the first predicted value into the compare's
-// local history (undone by Undo on squash, corrected by Train on a
-// wrong prediction).
+// site s, fetched under speculative global history ghr, into lk: one
+// walk of the PVT predicts both destination rows under one set of
+// input masks (Perceptron.PredictRows). It speculatively pushes the
+// first predicted value into the compare's local history (undone by
+// Undo on squash, corrected by Train on a wrong prediction).
 //
 // The GHR push itself is the pipeline's job (it owns snapshots): push
 // Lookup.Val1, once per compare, per §3.3.
-func (p *Predictor) Predict(s Site, ghr uint64) Lookup {
+func (p *Predictor) Predict(lk *Lookup, s Site, ghr uint64) {
 	lhr := p.lht.Get(int(s.slot))
-	o1 := p.pvt.PredictRow(int(s.row1), ghr, lhr)
-	o2 := p.pvt.PredictRow(int(s.row2), ghr, lhr)
-	lk := Lookup{
-		site: s, Out1: o1, Out2: o2,
-		Val1: o1.Taken, Val2: o2.Taken,
-		Conf1: p.conf[s.row1].Saturated(), Conf2: p.conf[s.row2].Saturated(),
-		GHR: ghr, LHR: lhr,
-	}
-	lk.prevLHR = p.lht.Push(int(s.slot), lk.Val1)
-	return lk
+	o1, o2 := p.pvt.PredictRows(int(s.row1), int(s.row2), ghr, lhr)
+	lk.site, lk.Out1, lk.Out2 = s, o1, o2
+	lk.Val1, lk.Val2 = o1.Taken, o2.Taken
+	lk.Conf1, lk.Conf2 = p.conf[s.row1].Saturated(), p.conf[s.row2].Saturated()
+	lk.GHR, lk.LHR = ghr, lhr
+	lk.prevLHR = p.lht.Push(int(s.slot), o1.Taken)
 }
 
 // Train updates the PVT and confidence counters with the computed
-// predicate values. If the first prediction was wrong, the speculative
-// local-history bit is corrected in place.
-func (p *Predictor) Train(lk Lookup, actual1, actual2 bool) {
+// predicate values of the compare lk predicted. If the first prediction
+// was wrong, the speculative local-history bit is corrected in place.
+func (p *Predictor) Train(lk *Lookup, actual1, actual2 bool) {
 	s := lk.site
 	p.pvt.TrainRow(int(s.row1), lk.GHR, lk.LHR, actual1, lk.Out1)
 	p.pvt.TrainRow(int(s.row2), lk.GHR, lk.LHR, actual2, lk.Out2)
@@ -191,7 +189,7 @@ func (p *Predictor) Train(lk Lookup, actual1, actual2 bool) {
 
 // Undo rolls back the speculative local-history push of a squashed
 // (wrong-path) compare.
-func (p *Predictor) Undo(lk Lookup) {
+func (p *Predictor) Undo(lk *Lookup) {
 	p.lht.Set(int(lk.site.slot), lk.prevLHR)
 }
 

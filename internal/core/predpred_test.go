@@ -29,11 +29,11 @@ func TestLearnsComplementaryPredicates(t *testing.T) {
 	pc := p.Site(0x40)
 	var ghr uint64
 	for i := 0; i < 64; i++ {
-		lk := p.Predict(pc, ghr)
+		lk := predict(p, pc, ghr)
 		p.Train(lk, true, false)
 		ghr = ghr<<1 | 1
 	}
-	lk := p.Predict(pc, ghr)
+	lk := predict(p, pc, ghr)
 	if !lk.Val1 {
 		t.Error("first destination should be predicted true")
 	}
@@ -47,23 +47,23 @@ func TestConfidenceSaturation(t *testing.T) {
 	cfg.ConfBits = 3
 	p := New(cfg)
 	pc := p.Site(0x80)
-	lk := p.Predict(pc, 0)
+	lk := predict(p, pc, 0)
 	if lk.Conf1 || lk.Conf2 {
 		t.Error("cold entries must not be confident")
 	}
 	p.Undo(lk)
 	// 7 correct predictions saturate a 3-bit counter.
 	for i := 0; i < 7; i++ {
-		lk = p.Predict(pc, 0)
+		lk = predict(p, pc, 0)
 		p.Train(lk, lk.Val1, lk.Val2)
 	}
-	lk = p.Predict(pc, 0)
+	lk = predict(p, pc, 0)
 	if !lk.Conf1 || !lk.Conf2 {
 		t.Error("entries must be confident after saturation")
 	}
 	// One misprediction zeroes confidence.
 	p.Train(lk, !lk.Val1, lk.Val2)
-	lk = p.Predict(pc, 0)
+	lk = predict(p, pc, 0)
 	if lk.Conf1 {
 		t.Error("confidence must reset to zero on a misprediction")
 	}
@@ -75,10 +75,10 @@ func TestConfidenceSaturation(t *testing.T) {
 func TestLocalHistoryUndo(t *testing.T) {
 	p := New(DefaultConfig())
 	pc := p.Site(0x99)
-	lk1 := p.Predict(pc, 0)
+	lk1 := predict(p, pc, 0)
 	p.Train(lk1, true, false)
 	before := p.lht.Get(int(pc.slot))
-	lk2 := p.Predict(pc, 0) // speculative push
+	lk2 := predict(p, pc, 0) // speculative push
 	p.Undo(lk2)
 	if p.lht.Get(int(pc.slot)) != before {
 		t.Error("undo must restore the local history")
@@ -88,7 +88,7 @@ func TestLocalHistoryUndo(t *testing.T) {
 func TestTrainCorrectsLocalHistoryBit(t *testing.T) {
 	p := New(DefaultConfig())
 	pc := p.Site(0xaa)
-	lk := p.Predict(pc, 0) // cold: predicts Val1 (deterministic)
+	lk := predict(p, pc, 0) // cold: predicts Val1 (deterministic)
 	p.Train(lk, !lk.Val1, lk.Val2)
 	got := p.lht.Get(int(pc.slot)) & 1
 	want := uint64(0)
@@ -109,7 +109,7 @@ func TestGlobalCorrelationLearned(t *testing.T) {
 	correct := 0
 	for i := 0; i < 600; i++ {
 		cond := ghr>>2&1 == 1
-		lk := p.Predict(pc, ghr)
+		lk := predict(p, pc, ghr)
 		if i >= 400 {
 			if lk.Val1 == cond {
 				correct++
@@ -134,13 +134,13 @@ func TestIdealModeNoAliasing(t *testing.T) {
 		t.Errorf("ideal mode must give 4 distinct rows, got %d", len(rows))
 	}
 	// Training must work on grown rows without panicking.
-	p.Train(p.Predict(b, 0), true, false)
+	p.Train(predict(p, b, 0), true, false)
 }
 
 func TestLookupCarriesHistories(t *testing.T) {
 	p := New(DefaultConfig())
 	s := p.Site(0x777)
-	lk := p.Predict(s, 0x3f)
+	lk := predict(p, s, 0x3f)
 	if lk.GHR != 0x3f {
 		t.Errorf("lookup GHR = %#x, want 0x3f", lk.GHR)
 	}
@@ -171,11 +171,18 @@ func TestSplitPVTStillLearns(t *testing.T) {
 	p := New(cfg)
 	pc := p.Site(0x500)
 	for i := 0; i < 64; i++ {
-		lk := p.Predict(pc, 0)
+		lk := predict(p, pc, 0)
 		p.Train(lk, true, false)
 	}
-	lk := p.Predict(pc, 0)
+	lk := predict(p, pc, 0)
 	if !lk.Val1 || lk.Val2 {
 		t.Errorf("split PVT failed to learn: %v %v", lk.Val1, lk.Val2)
 	}
+}
+
+// predict is Predict into a fresh lookup.
+func predict(p *Predictor, s Site, ghr uint64) *Lookup {
+	lk := new(Lookup)
+	p.Predict(lk, s, ghr)
+	return lk
 }

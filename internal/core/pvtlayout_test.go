@@ -105,7 +105,7 @@ func TestPVTLayoutSharing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pass, err := stats.ReplayAll(context.Background(), cfgs, b.prog, tr, commits, nil)
+			pass, err := stats.ReplayAll(context.Background(), cfgs, b.prog, tr, commits, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

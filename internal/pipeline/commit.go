@@ -102,7 +102,7 @@ func (pl *Pipeline) trainPredictors(u *uop, c *uopCold) {
 	}
 	if u.isCompare && pl.cfg.Scheme == config.SchemePredicate {
 		if u.cmpLkValid && !(u.canceled && !u.uncFalse) {
-			pl.pp.Train(c.cmpLk, u.resP[0], u.resP[1])
+			pl.pp.Train(&c.cmpLk, u.resP[0], u.resP[1])
 			pl.Stats.PredPredictions += 2
 			if c.cmpLk.Val1 != u.resP[0] {
 				pl.Stats.PredMispredicts++

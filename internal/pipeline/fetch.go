@@ -70,7 +70,7 @@ func (pl *Pipeline) fetchPredict(u *uop, st *static, c *uopCold) bool {
 	// Predicate predictor: one lookup per fetched compare; the GHR is
 	// speculatively updated ONCE, with the first predicted value (§3.3).
 	if u.isCompare && pl.cfg.Scheme == config.SchemePredicate {
-		c.cmpLk = pl.pp.Predict(st.pp, pl.predGHR())
+		pl.pp.Predict(&c.cmpLk, st.pp, pl.predGHR())
 		u.cmpLkValid = true
 		pl.pushPGHR(u, c.cmpLk.Val1)
 	}

@@ -402,7 +402,7 @@ func (pl *Pipeline) undoFetch(u *uop, c *uopCold) {
 		u.brLkValid = false
 	}
 	if u.cmpLkValid {
-		pl.pp.Undo(c.cmpLk)
+		pl.pp.Undo(&c.cmpLk)
 		u.cmpLkValid = false
 	}
 	if u.pepLkValid {

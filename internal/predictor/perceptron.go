@@ -231,6 +231,32 @@ func (p *Perceptron) PredictRow(row int, ghr, lhr uint64) PerceptronOutput {
 	return PerceptronOutput{Taken: sum >= 0, Sum: sum}
 }
 
+// PredictRows computes the outputs of two rows under the same histories
+// in one walk: PredictRow of each, with each word's input mask looked up
+// once for both (a predicate predictor's two destinations).
+func (p *Perceptron) PredictRows(row1, row2 int, ghr, lhr uint64) (o1, o2 PerceptronOutput) {
+	w1 := p.weights[row1*p.stride : row1*p.stride+p.stride]
+	w2 := p.weights[row2*p.stride : row2*p.stride+p.stride]
+	w2 = w2[:len(w1)]
+	g, l := p.inputs(ghr, lhr)
+	h, gw := g, p.gw
+	var acc1, acc2 uint64
+	for i, x := range w1 {
+		if i == gw {
+			h = l
+		}
+		m := ^laneMask[uint8(h)]
+		v1, v2 := x^m, w2[i]^m
+		acc1 += v1&pairLow + v1>>8&pairLow
+		acc2 += v2&pairLow + v2>>8&pairLow
+		h >>= 8
+	}
+	off := int32(127*8*len(w1) + bits.OnesCount64(g) + bits.OnesCount64(l))
+	s1 := int32(acc1*0x0001000100010001>>48) - off
+	s2 := int32(acc2*0x0001000100010001>>48) - off
+	return PerceptronOutput{Taken: s1 >= 0, Sum: s1}, PerceptronOutput{Taken: s2 >= 0, Sum: s2}
+}
+
 // TrainRow applies the perceptron learning rule to an explicit row: train
 // when the prediction was wrong or the output magnitude is below theta.
 // ghr and lhr must be the history values used at prediction time.

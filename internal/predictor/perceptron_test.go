@@ -110,7 +110,8 @@ func checkPad(t *testing.T, p *Perceptron, r int) {
 }
 
 // TestPerceptronMatchesScalar drives the lane kernels and the scalar
-// reference with the same stream and compares every output sum and,
+// reference with the same stream and compares every output sum (and the
+// two-row PredictRows against PredictRow on each site's rows) and,
 // after every training step, every weight. Half the steps draw random
 // histories; the other half repeat one fixed history on two PCs and
 // train on every step, first toward taken and then toward not-taken,
@@ -154,6 +155,12 @@ func TestPerceptronMatchesScalar(t *testing.T) {
 					if want := s.predict(r, ghr, lhr); out.Sum != want || out.Taken != (want >= 0) {
 						t.Fatalf("step %d row %d: sum %d (taken %v), scalar %d", step, r, out.Sum, out.Taken, want)
 					}
+					r1, r2 := sites[pc][0], sites[pc][1]
+					o1, o2 := p.PredictRows(r1, r2, ghr, lhr)
+					if o1 != p.PredictRow(r1, ghr, lhr) || o2 != p.PredictRow(r2, ghr, lhr) {
+						t.Fatalf("step %d rows %d, %d: PredictRows %+v, %+v; PredictRow %+v, %+v", step, r1, r2,
+							o1, o2, p.PredictRow(r1, ghr, lhr), p.PredictRow(r2, ghr, lhr))
+					}
 					if clamp { // train past the threshold
 						out = PerceptronOutput{Taken: !taken}
 					}
@@ -181,7 +188,8 @@ func TestPerceptronMatchesScalar(t *testing.T) {
 	}
 }
 
-// BenchmarkPerceptron times one predict and one train of the Table 1
+// BenchmarkPerceptron times one predict, one two-row predict (a site's
+// f1 and f2 rows, as a compare's) and one train of the Table 1
 // perceptron (148 KB, 30-bit global and 10-bit local history) on
 // random rows and histories. Every prediction trains, as on a
 // mispredicted or low-confidence branch.
@@ -202,6 +210,14 @@ func BenchmarkPerceptron(b *testing.B) {
 		k := 0
 		for b.Loop() {
 			perceptronSink += p.PredictRow(rows[k], hist[k][0], hist[k][1]).Sum
+			k = (k + 1) % n
+		}
+	})
+	b.Run("predict2", func(b *testing.B) {
+		k := 0
+		for b.Loop() {
+			o1, o2 := p.PredictRows(rows[k], g.SecondRow(rows[k]), hist[k][0], hist[k][1])
+			perceptronSink += o1.Sum + o2.Sum
 			k = (k + 1) % n
 		}
 	})

@@ -43,7 +43,7 @@ func geometryCfgs() []config.Config {
 // configuration. It returns the pass.
 func checkAgainstIndependent(t *testing.T, name string, cfgs []config.Config, prog *program.Program, tr *trace.Trace, commits uint64) Pass {
 	t.Helper()
-	p, err := ReplayAll(context.Background(), cfgs, prog, tr, commits, nil)
+	p, err := ReplayAll(context.Background(), cfgs, prog, tr, commits, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +157,13 @@ func movable(alike bool) string {
 	return "moves"
 }
 
-// FuzzReplayAll is the exactness property of engine sharing under
-// fuzzed inputs: a suite benchmark built at an offset from its spec's
-// seed, replayed by every scheme at two second-level budgets, real and
-// idealized, in one pass, must equal an independent Replay of each
-// configuration. Budgets run up to 1 MB, which keeps each execution's
+// FuzzReplayAll is the exactness property of engine sharing and of the
+// outcome store under fuzzed inputs: a suite benchmark built at an
+// offset from its spec's seed, replayed by every scheme at two
+// second-level budgets, real and idealized, in one pass, must equal an
+// independent Replay of each configuration, and two passes through one
+// store must equal it too, the second running no conventional
+// predictor (checkStoredOutcomes). Budgets run up to 1 MB, which keeps each execution's
 // tables small. The seeds (testdata/fuzz/FuzzReplayAll) are gcc, whose
 // branches the 75776- and 151552-byte tables alias differently, vpr,
 // whose sites they alias alike, and gzip re-seeded under a small table.
@@ -186,6 +188,33 @@ func FuzzReplayAll(f *testing.F) {
 				}
 			}
 		}
-		checkAgainstIndependent(t, spec.Name, cfgs, prog, tr, commits)
+		p := checkAgainstIndependent(t, spec.Name, cfgs, prog, tr, commits)
+		checkStoredOutcomes(t, spec.Name, cfgs, prog, tr, commits, p)
 	})
+}
+
+// checkStoredOutcomes replays tr through cfgs twice through one shared
+// store and fails unless both passes equal p, the pass with no store:
+// the first runs every conventional predictor p ran and stores them,
+// and the second runs none and reads them all.
+func checkStoredOutcomes(t *testing.T, name string, cfgs []config.Config, prog *program.Program, tr *trace.Trace, commits uint64, p Pass) {
+	t.Helper()
+	var store Outcomes
+	for round := range 2 {
+		q, err := ReplayAll(context.Background(), cfgs, prog, tr, commits, &store, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(q.Stats, p.Stats) {
+			t.Fatalf("%s, pass %d through a store: stats diverge from the pass with none:\n got: %+v\nwant: %+v", name, round, q.Stats, p.Stats)
+		}
+		run, reused := p.ConvRun, 0
+		if round == 1 {
+			run, reused = 0, p.ConvRun
+		}
+		if q.ConvRun != run || q.ConvReused != reused {
+			t.Fatalf("%s, pass %d through a store: ran %d conventional predictors and reused %d, want %d and %d",
+				name, round, q.ConvRun, q.ConvReused, run, reused)
+		}
+	}
 }

@@ -142,7 +142,8 @@ func (f *frontend) annotate(ev *trace.Event, nt *note) {
 	}
 }
 
-// pendingTrain is one compare's deferred predicate-predictor training.
+// pendingTrain is one compare's deferred predicate-predictor training:
+// the lookup the predictor filled in place, and the training values.
 type pendingTrain struct {
 	lk         core.Lookup
 	res1, res2 bool
@@ -304,52 +305,6 @@ func (k convKey) equal(o convKey) bool {
 	return k.ghr == o.ghr && k.lhr == o.lhr && k.lht == o.lht && slices.Equal(k.branches, o.branches)
 }
 
-// convPass is one conventional predictor a replay pass shares. A
-// conventional engine and a predicate engine's Figure 6b shadow both
-// predict every committed conditional branch, in commit order, with a
-// history fed by committed outcomes and training at once, so the
-// predictor's outcomes depend only on the branch stream and its key:
-// the pass runs it once per batch, after the frontend, and each engine
-// of that key reads the per-event miss bits.
-type convPass struct {
-	key   convKey
-	tl    *predictor.TwoLevel
-	ghr   predictor.History
-	sites []predictor.TwoLevelSite // per PC; set at conditional branches
-	// miss[i] reports whether the predictor mispredicted event i of the
-	// current batch (read at EvCondBr events only).
-	miss [batchEvents]bool
-}
-
-// newConvPass builds the conventional predictor an engine of c reads,
-// whose key is k, for a program whose instructions' record kinds are
-// kinds.
-func newConvPass(k convKey, c EngineConfig, kinds []uint8) *convPass {
-	p := &convPass{key: k, tl: predictor.NewTwoLevel(c.L2PredBytes, k.ghr, k.lhr, k.lht, c.convIdeal())}
-	p.ghr.N = k.ghr
-	p.sites = make([]predictor.TwoLevelSite, len(kinds))
-	for pc, kind := range kinds {
-		if kind == trace.EvCondBr {
-			p.sites[pc] = p.tl.Site(pipeline.InstAddr(pc))
-		}
-	}
-	return p
-}
-
-// run predicts and trains every conditional branch of a batch.
-func (c *convPass) run(evs []trace.Event) {
-	for i := range evs {
-		ev := &evs[i]
-		if ev.Kind != trace.EvCondBr {
-			continue
-		}
-		lk := c.tl.Predict(c.sites[ev.PC], c.ghr.Snapshot())
-		c.miss[i] = lk.Taken != ev.Taken
-		c.tl.Train(lk, ev.Taken)
-		c.ghr.Push(ev.Taken)
-	}
-}
-
 // site is one static instruction's place in an engine's own
 // predictors, built once per PC when the engine is constructed.
 type site struct {
@@ -473,7 +428,7 @@ func (e *schemeEngine) convKey() (convKey, bool) {
 // organization for a commit budget (0 = the whole trace): the
 // one-configuration reference that ReplayAll is checked against.
 func Replay(cfg config.Config, prog *program.Program, tr *trace.Trace, commits uint64) (pipeline.Stats, error) {
-	p, err := ReplayAll(context.Background(), []config.Config{cfg}, prog, tr, commits, nil)
+	p, err := ReplayAll(context.Background(), []config.Config{cfg}, prog, tr, commits, nil, nil)
 	if len(p.Stats) != 1 {
 		return pipeline.Stats{}, err
 	}
@@ -489,6 +444,9 @@ type Pass struct {
 	// configuration whose engine replayed each one, its own or an
 	// earlier one's with an equal engine key.
 	Engine []int
+	// ConvRun counts the conventional predictors the pass ran, and
+	// ConvReused those whose outcomes it read from the store instead.
+	ConvRun, ConvReused int
 	// Timings is the phase breakdown on the pass's clock; nil untimed.
 	Timings *Timings
 }
@@ -520,12 +478,19 @@ func (p Pass) Engines() int {
 // partial statistics accumulated so far are returned alongside the
 // context error.
 //
+// With a non-nil store, a conventional predictor whose outcomes an
+// earlier completed pass over prog stored there is not run again: the
+// pass reads its miss bits, and stores the outcomes of the ones it
+// runs once it completes (Outcomes). The pass never waits on another
+// pass sharing the store. The statistics are bit-identical with or
+// without a store.
+//
 // With a non-nil now (monotonic nanoseconds; tests inject fakes),
 // ReplayAll also returns the per-phase Timings sampled on that clock,
 // even when it fails. The clock reads sit between phases, never inside
 // them, so the statistics are bit-identical to an untimed replay. With
 // now nil the Timings are nil.
-func ReplayAll(ctx context.Context, cfgs []config.Config, prog *program.Program, tr *trace.Trace, commits uint64, now func() int64) (Pass, error) {
+func ReplayAll(ctx context.Context, cfgs []config.Config, prog *program.Program, tr *trace.Trace, commits uint64, store *Outcomes, now func() int64) (Pass, error) {
 	var p Pass
 	if now != nil {
 		p.Timings = &Timings{EngineNS: make([]int64, len(cfgs))}
@@ -558,7 +523,22 @@ func ReplayAll(ctx context.Context, cfgs []config.Config, prog *program.Program,
 		engine[i], built[i] = i, e
 		engines = append(engines, e)
 	}
-	err := replay(ctx, engines, shareConventional(engines, kinds), kinds, tr, commits, p.Timings, now)
+	convs := shareConventional(engines)
+	if store != nil {
+		store.lookup(tr.ProgHash, budgetKey(tr, commits), convs)
+	}
+	for _, c := range convs {
+		c.build(kinds)
+		if c.stored != nil {
+			p.ConvReused++
+		} else {
+			p.ConvRun++
+		}
+	}
+	err := replay(ctx, engines, convs, kinds, tr, commits, p.Timings, now)
+	if store != nil && err == nil {
+		store.store(tr.ProgHash, budgetKey(tr, commits), convs)
+	}
 	p.Engine = engine
 	p.Stats = make([]pipeline.Stats, len(cfgs))
 	for i, j := range engine {
@@ -580,10 +560,10 @@ func kindsOf(prog *program.Program) []uint8 {
 }
 
 // shareConventional gives every engine that reads a conventional
-// predictor the pass's predictor of its key, building one per distinct
-// (history widths, branch partition), and returns them in the order
-// built.
-func shareConventional(engines []*schemeEngine, kinds []uint8) []*convPass {
+// predictor the pass's predictor of its key, one per distinct (history
+// widths, branch partition), and returns them in the order first read,
+// still to be built.
+func shareConventional(engines []*schemeEngine) []*convPass {
 	var convs []*convPass
 	for _, e := range engines {
 		k, ok := e.convKey()
@@ -593,7 +573,7 @@ func shareConventional(engines []*schemeEngine, kinds []uint8) []*convPass {
 		i := slices.IndexFunc(convs, func(c *convPass) bool { return c.key.equal(k) })
 		if i < 0 {
 			i = len(convs)
-			convs = append(convs, newConvPass(k, e.cfg, kinds))
+			convs = append(convs, &convPass{key: k, cfg: e.cfg})
 		}
 		e.conv = convs[i]
 	}
@@ -603,12 +583,12 @@ func shareConventional(engines []*schemeEngine, kinds []uint8) []*convPass {
 // replay drives the shared cursor: decode a batch, check each event
 // against kinds (the record kind of the instruction at every PC) and
 // annotate it through the frontend up to the commit budget or the halt
-// record (which no engine acts on), run the shared conventional
-// predictors over the admitted events, then fan them to every engine.
-// With tm nil the timed branches are dead and replay is exactly the
-// untimed loop; otherwise phase durations accumulate once per batch
-// into tm and each engine's ns, the conventional predictors counting as
-// frontend.
+// record (which no engine acts on), score the admitted events with the
+// pass's conventional predictors, run or read from the store, then fan
+// them to every engine. With tm nil the timed branches are dead and
+// replay is exactly the untimed loop; otherwise phase durations
+// accumulate once per batch into tm and each engine's ns, the
+// conventional predictors counting as frontend.
 func replay(ctx context.Context, engines []*schemeEngine, convs []*convPass, kinds []uint8, tr *trace.Trace, commits uint64, tm *Timings, now func() int64) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -624,7 +604,7 @@ func replay(ctx context.Context, engines []*schemeEngine, convs []*convPass, kin
 	halted := false
 	done := false
 	var t0 int64
-	for !done {
+	for b := 0; !done; b++ {
 		if timed {
 			t0 = now()
 		}
@@ -662,7 +642,9 @@ func replay(ctx context.Context, engines []*schemeEngine, convs []*convPass, kin
 			done = commits > 0 && committed >= commits
 		}
 		for _, c := range convs {
-			c.run(evs[:n])
+			if err := c.batch(b, evs[:n]); err != nil {
+				return err
+			}
 		}
 		if timed {
 			t1 := now()
@@ -730,7 +712,7 @@ func (e *schemeEngine) applyBatch(evs []trace.Event, notes []note) {
 }
 
 func (e *schemeEngine) batchConventional(evs []trace.Event) {
-	miss := &e.conv.miss
+	conv := e.conv
 	for i := range evs {
 		ev := &evs[i]
 		switch ev.Kind {
@@ -742,7 +724,7 @@ func (e *schemeEngine) batchConventional(evs []trace.Event) {
 			// so the perfect-GHR idealization is the identity here, and
 			// the pass's conventional predictor has scored the branch.
 			e.st.CondBranches++
-			if miss[i] {
+			if conv.missed(i) {
 				e.st.BranchMispred++
 			}
 		default:
@@ -778,7 +760,7 @@ func (e *schemeEngine) batchPredicate(evs []trace.Event, notes []note) {
 	selective := e.cfg.Predication == config.PredicationSelective
 	perfect := e.cfg.IdealPerfectGHR
 	repair := !e.cfg.DisableGHRRepair
-	miss := &e.conv.miss
+	conv := e.conv
 	for i := range evs {
 		ev := &evs[i]
 		switch ev.Kind {
@@ -800,7 +782,9 @@ func (e *schemeEngine) batchPredicate(evs []trace.Event, notes []note) {
 
 			// Apply the trainings that have left the in-flight window,
 			// as commit would have by this compare's fetch, then predict
-			// with the (possibly stale) weights and speculative history.
+			// with the (possibly stale) weights and speculative history
+			// into the next pending-training slot, which the compare
+			// claims if it trains.
 			for e.trainLen >= trainWindow {
 				e.popTraining()
 			}
@@ -808,7 +792,9 @@ func (e *schemeEngine) batchPredicate(evs []trace.Event, notes []note) {
 			if perfect {
 				ghr = e.retired.Snapshot()
 			}
-			lk := e.pp.Predict(e.sites[ev.PC].pp, ghr)
+			pt := e.nextTraining()
+			lk := &pt.lk
+			e.pp.Predict(lk, e.sites[ev.PC].pp, ghr)
 
 			if canceled {
 				// A rename-canceled compare never executes: its
@@ -825,7 +811,8 @@ func (e *schemeEngine) batchPredicate(evs []trace.Event, notes []note) {
 				if lk.Val2 != nt.res2 {
 					e.st.PredMispredicts++
 				}
-				e.pushTraining(pendingTrain{lk: lk, res1: nt.res1, res2: nt.res2})
+				pt.res1, pt.res2 = nt.res1, nt.res2
+				e.trainLen++
 				e.retired.Push(nt.res1)
 				e.pushSpecBit(specBit{pred: lk.Val1, act: nt.res1, repair: repair})
 				// Rename mirror: consumers read these predicted values
@@ -866,7 +853,7 @@ func (e *schemeEngine) batchPredicate(evs []trace.Event, notes []note) {
 			// the pass's conventional predictor of this geometry scores
 			// it exactly.
 			e.st.ShadowCondBranches++
-			if miss[i] {
+			if conv.missed(i) {
 				e.st.ShadowMispred++
 				if early {
 					e.st.EarlyResolvedHit++
@@ -909,13 +896,14 @@ func (e *schemeEngine) resolvedAt(p uint8, step uint64) bool {
 	return last == 0 || step-last >= earlyResolveDist
 }
 
-func (e *schemeEngine) pushTraining(p pendingTrain) {
+// nextTraining returns the pending-training slot past the live ones;
+// the drain before each prediction keeps it free.
+func (e *schemeEngine) nextTraining() *pendingTrain {
 	i := e.trainHead + e.trainLen
 	if i >= trainWindow {
 		i -= trainWindow
 	}
-	e.trainQ[i] = p
-	e.trainLen++
+	return &e.trainQ[i]
 }
 
 // popTraining applies the oldest deferred training.
@@ -925,7 +913,7 @@ func (e *schemeEngine) popTraining() {
 		e.trainHead = 0
 	}
 	e.trainLen--
-	e.pp.Train(p.lk, p.res1, p.res2)
+	e.pp.Train(&p.lk, p.res1, p.res2)
 }
 
 // pushSpecBit appends a speculative history bit, evicting (and

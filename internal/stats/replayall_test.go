@@ -45,7 +45,7 @@ func TestReplayAllMatchesIndependentReplays(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := ReplayAll(context.Background(), cfgs, prog, tr, commits, nil)
+		p, err := ReplayAll(context.Background(), cfgs, prog, tr, commits, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestReplayAllRepeatsAndMatchesVariants(t *testing.T) {
 	// Two passes over one trace: a replay must leave nothing behind that
 	// the next one reads.
 	for pass := 0; pass < 2; pass++ {
-		p, err := ReplayAll(context.Background(), cfgs, prog, tr, 40000, nil)
+		p, err := ReplayAll(context.Background(), cfgs, prog, tr, 40000, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +171,7 @@ func TestReplayAllRepeatsAndMatchesVariants(t *testing.T) {
 		if c.budget > 0 {
 			want = min(want, c.budget)
 		}
-		p, err := ReplayAll(context.Background(), cfgs, c.prog, c.tr, c.budget, nil)
+		p, err := ReplayAll(context.Background(), cfgs, c.prog, c.tr, c.budget, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +235,7 @@ func TestReplaySharesConventionalByKey(t *testing.T) {
 		}
 		engines[i] = e
 	}
-	if n := len(shareConventional(engines, kinds)); n != 3 {
+	if n := len(shareConventional(engines)); n != 3 {
 		t.Errorf("built %d conventional predictors, want 3", n)
 	}
 	for i, e := range engines {
@@ -278,10 +278,10 @@ func TestReplayRejectsForeignTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReplayAll(context.Background(), schemeCfgs(), prog, tr, 0, nil); err != nil {
+	if _, err := ReplayAll(context.Background(), schemeCfgs(), prog, tr, 0, nil, nil); err != nil {
 		t.Fatalf("own program: %v", err)
 	}
-	_, err = ReplayAll(context.Background(), schemeCfgs(), bench.Build(gzip), tr, 0, nil)
+	_, err = ReplayAll(context.Background(), schemeCfgs(), bench.Build(gzip), tr, 0, nil, nil)
 	if !errors.Is(err, trace.ErrCorrupt) {
 		t.Errorf("vpr's trace against gzip: got %v, want an error wrapping trace.ErrCorrupt", err)
 	}
@@ -299,7 +299,7 @@ func TestReplayRejectsEventOffSite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReplayAll(context.Background(), schemeCfgs(), prog, tr, 0, nil); err != nil {
+		if _, err := ReplayAll(context.Background(), schemeCfgs(), prog, tr, 0, nil, nil); err != nil {
 			t.Fatalf("%s: own program: %v", prog.Name, err)
 		}
 		variants := map[string]*program.Program{}
@@ -321,7 +321,7 @@ func TestReplayRejectsEventOffSite(t *testing.T) {
 		for name, v := range variants {
 			vt := *tr
 			vt.ProgHash = trace.HashProgram(v)
-			_, err := ReplayAll(context.Background(), schemeCfgs(), v, &vt, 0, nil)
+			_, err := ReplayAll(context.Background(), schemeCfgs(), v, &vt, 0, nil, nil)
 			if !errors.Is(err, trace.ErrCorrupt) || !strings.Contains(err.Error(), "at pc") {
 				t.Errorf("%s, %s: got %v, want an off-site error wrapping trace.ErrCorrupt", prog.Name, name, err)
 			}
@@ -341,12 +341,12 @@ func TestReplayAllRejectsBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReplayAll(context.Background(), nil, prog, tr, 0, nil); err == nil {
+	if _, err := ReplayAll(context.Background(), nil, prog, tr, 0, nil, nil); err == nil {
 		t.Error("empty config set should fail")
 	}
 	bad := config.Default().WithScheme(config.SchemePredicate)
 	bad.FetchWidth = 0
-	if _, err := ReplayAll(context.Background(), []config.Config{bad}, prog, tr, 0, nil); err == nil {
+	if _, err := ReplayAll(context.Background(), []config.Config{bad}, prog, tr, 0, nil, nil); err == nil {
 		t.Error("invalid configuration should fail")
 	}
 }
@@ -365,7 +365,7 @@ func TestReplayAllCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ReplayAll(ctx, schemeCfgs(), prog, tr, 0, nil); err == nil {
+	if _, err := ReplayAll(ctx, schemeCfgs(), prog, tr, 0, nil, nil); err == nil {
 		t.Fatal("want context error from cancelled single-pass replay")
 	}
 }
@@ -415,7 +415,7 @@ func BenchmarkReplayAllSinglePass(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		if _, err := ReplayAll(context.Background(), cfgs, prog, tr, commits, nil); err != nil {
+		if _, err := ReplayAll(context.Background(), cfgs, prog, tr, commits, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -29,7 +29,7 @@ func TestReplayAllTimedMatchesUntimed(t *testing.T) {
 	cfgs := append(schemeCfgs(), schemeCfgs()[0])
 	const commits = 40000
 
-	plain, err := ReplayAll(context.Background(), cfgs, prog, tr, commits, nil)
+	plain, err := ReplayAll(context.Background(), cfgs, prog, tr, commits, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestReplayAllTimedMatchesUntimed(t *testing.T) {
 		clock += 10
 		return clock
 	}
-	timed, err := ReplayAll(context.Background(), cfgs, prog, tr, commits, now)
+	timed, err := ReplayAll(context.Background(), cfgs, prog, tr, commits, nil, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestReplayAllTimedMatchesUntimed(t *testing.T) {
 	// (empty) breakdown, so observed callers can attribute the cell.
 	bad := cfgs[0]
 	bad.FetchWidth = 0
-	failed, err := ReplayAll(context.Background(), []config.Config{bad}, prog, tr, commits, func() int64 { return 0 })
+	failed, err := ReplayAll(context.Background(), []config.Config{bad}, prog, tr, commits, nil, func() int64 { return 0 })
 	if err == nil {
 		t.Fatal("invalid configuration should fail")
 	}
@@ -110,7 +110,7 @@ func TestSessionReplayAllTimed(t *testing.T) {
 			clock += 7
 			return clock
 		}
-		p, err := ReplayAll(context.Background(), cfgs, prog, tr, 20000, now)
+		p, err := ReplayAll(context.Background(), cfgs, prog, tr, 20000, nil, now)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,14 +41,15 @@ func TestCursorAllocFree(t *testing.T) {
 	for _, tr := range []*Trace{recordBench(t, "gzip", 200000), kinds} {
 		buf := make([]Event, 256)
 		var ev Event
+		var c Cursor
 		allocs := testing.AllocsPerRun(3, func() {
-			c := Cursor{buf: tr.Events}
+			c.reset(tr.Events)
 			for c.NextBatch(buf) > 0 {
 			}
 			if c.Err() != nil {
 				t.Fatal(c.Err())
 			}
-			c = Cursor{buf: tr.Events}
+			c.reset(tr.Events)
 			for c.Next(&ev) {
 			}
 			if c.Err() != nil {

@@ -197,84 +197,168 @@ func decode(data []byte) (*Trace, error) {
 	return t, nil
 }
 
-// Cursor iterates the event stream without allocating per event.
+// window is the span of bytes the cursor decodes one event from: more
+// than the longest event encoding (maxEvent), rounded to a power of two
+// so a masked index needs no bounds check.
+const window = 32
+
+// maxEvent is the longest encoding of one event: a return's or an
+// indirect branch's gap, PC and target varints, 10 bytes each, and its
+// kind byte.
+const maxEvent = 3*binary.MaxVarintLen64 + 1
+
+// Cursor iterates the event stream without allocating per event. Every
+// event is decoded through one path, from a window of bytes that is
+// never shorter than an event: the stream itself while more than
+// maxEvent bytes remain, then tail, a zero-padded copy of the stream's
+// last bytes. No read checks the stream's length; an event that reads
+// into the padding is reported truncated.
 type Cursor struct {
-	buf []byte
-	pos int
-	err error
+	buf  []byte // the stream, then tail
+	pos  int    // offset in buf of the next event
+	fast int    // an event starting before fast has a whole window in buf
+	end  int    // the bytes of buf that hold the stream
+	base int    // the stream offset of buf[0]
+	err  error
+	tail [2 * window]byte
 }
 
 // EventCursor returns a cursor over the trace's events.
-func (t *Trace) EventCursor() *Cursor { return &Cursor{buf: t.Events} }
+func (t *Trace) EventCursor() *Cursor {
+	c := &Cursor{}
+	c.reset(t.Events)
+	return c
+}
+
+// reset points c at the start of the event stream events.
+func (c *Cursor) reset(events []byte) {
+	*c = Cursor{buf: events, fast: len(events) - maxEvent, end: len(events)}
+}
 
 // Err reports a malformed-stream error encountered by Next.
 func (c *Cursor) Err() error { return c.err }
 
-func (c *Cursor) uvarint() uint64 {
-	v, n := binary.Uvarint(c.buf[c.pos:])
-	if n <= 0 {
-		c.err = corrupt("truncated varint at offset %d", c.pos)
-		return 0
+// toTail moves the cursor onto tail, a zero-padded copy of the bytes
+// left in the stream, once fewer than a window's worth remain. It
+// reports false at the end of the stream or after an error.
+func (c *Cursor) toTail() bool {
+	if c.err != nil || c.pos >= c.end {
+		return false
 	}
-	c.pos += n
-	return v
+	n := copy(c.tail[:], c.buf[c.pos:c.end])
+	c.base += c.pos
+	c.buf, c.pos, c.end, c.fast = c.tail[:], 0, n, n
+	return true
 }
 
-func (c *Cursor) byte() byte {
-	if c.pos >= len(c.buf) {
-		c.err = corrupt("truncated event at offset %d", c.pos)
-		return 0
+// uvarint reads the varint at w[i], as binary.Uvarint does, and returns
+// its value, the offset past it, and false for one longer than
+// binary.MaxVarintLen64 bytes or past 64 bits. Next reads a one-byte
+// varint itself and calls uvarint for a longer one. Indices are masked
+// into the window: a valid event never reaches its end.
+func uvarint(w *[window]byte, i int) (uint64, int, bool) {
+	var x uint64
+	for s := uint(0); s < 64; s += 7 {
+		b := w[i&(window-1)]
+		i++
+		if b < 0x80 {
+			return x | uint64(b)<<s, i, s < 63 || b <= 1
+		}
+		x |= uint64(b&0x7f) << s
 	}
-	b := c.buf[c.pos]
-	c.pos++
-	return b
+	return 0, i, false
 }
 
-// Next decodes the next event into ev. It returns false at end of
-// stream or on a malformed stream (check Err to distinguish).
+// Next decodes the next event into ev, writing each of its fields once.
+// It returns false at end of stream or on a malformed stream (check Err
+// to distinguish).
 func (c *Cursor) Next(ev *Event) bool {
-	if c.err != nil || c.pos >= len(c.buf) {
+	if c.pos >= c.fast && !c.toTail() {
 		return false
 	}
-	*ev = Event{}
-	ev.Gap = c.uvarint()
-	kb := c.byte()
-	ev.Kind = kb & 7
-	switch ev.Kind {
+	w := (*[window]byte)(c.buf[c.pos:])
+	ok, okPC, okTarget := true, true, true
+	gap, i := uint64(w[0]), 1
+	if gap >= 0x80 {
+		gap, i, ok = uvarint(w, 0)
+	}
+	kb := w[i&(window-1)]
+	kind := kb & 7
+	pc := uint64(w[(i+1)&(window-1)]) // every kind's but a compare's and a halt's
+	i += 2
+	var target uint64
+	var taken, qpTrue, unc bool
+	var qp, ob, p1, p2 uint8
+	switch kind {
 	case EvCondBr:
-		ev.Taken = kb&flagTaken != 0
-		ev.PC = int(c.uvarint())
-		ev.QP = c.byte()
+		if pc >= 0x80 {
+			pc, i, okPC = uvarint(w, i-1)
+		}
+		taken, qp = kb&flagTaken != 0, w[i&(window-1)]
+		i++
 	case EvCompare:
-		ev.QPTrue = kb&fCmpQPTrue != 0
-		ev.Unc = kb&fCmpUnc != 0
-		ob := c.byte()
-		ev.Out = isa.PredicateOutcome{
-			Write1: ob&1 != 0, Val1: ob&2 != 0,
-			Write2: ob&4 != 0, Val2: ob&8 != 0,
+		ob, pc = byte(pc), uint64(w[i&(window-1)])
+		i++
+		if pc >= 0x80 {
+			pc, i, okPC = uvarint(w, i-1)
 		}
-		ev.PC = int(c.uvarint())
-		ev.P1 = c.byte()
-		ev.P2 = c.byte()
+		p1, p2 = w[i&(window-1)], w[(i+1)&(window-1)]
 		if kb&fCmpGuarded != 0 {
-			ev.QP = c.byte()
+			qp = w[(i+2)&(window-1)]
+			i++
 		}
+		i += 2
+		qpTrue, unc = kb&fCmpQPTrue != 0, kb&fCmpUnc != 0
 	case EvCall:
-		ev.PC = int(c.uvarint())
+		if pc >= 0x80 {
+			pc, i, okPC = uvarint(w, i-1)
+		}
 	case EvRet, EvBrInd:
-		ev.Taken = kb&flagTaken != 0
-		ev.PC = int(c.uvarint())
-		ev.Target = int(c.uvarint())
+		if pc >= 0x80 {
+			pc, i, okPC = uvarint(w, i-1)
+		}
+		target = uint64(w[i&(window-1)])
+		i++
+		if target >= 0x80 {
+			target, i, okTarget = uvarint(w, i-1)
+		}
+		taken = kb&flagTaken != 0
 	case EvHalt:
+		pc = 0
+		i-- // no PC
 	default:
-		c.err = corrupt("unknown event kind %d at offset %d", ev.Kind, c.pos)
+		ok = false
+	}
+	ok = ok && okPC && okTarget
+	// Replay indexes fixed per-register tables with QP, P1 and P2; with
+	// NumPred a power of two, their OR is in range exactly when all are.
+	if !ok || c.pos+i > c.end || qp|p1|p2 >= isa.NumPred {
+		c.err = c.malformed(i, kb, ok)
 		return false
 	}
-	// Replay indexes fixed per-register tables with these.
-	if c.err == nil && (ev.QP >= isa.NumPred || ev.P1 >= isa.NumPred || ev.P2 >= isa.NumPred) {
-		c.err = corrupt("predicate register out of range before offset %d", c.pos)
+	ev.Gap, ev.PC, ev.Target = gap, int(pc), int(target)
+	ev.Kind, ev.Taken, ev.QP = kind, taken, qp
+	ev.QPTrue, ev.Unc = qpTrue, unc
+	ev.Out = isa.PredicateOutcome{Write1: ob&1 != 0, Val1: ob&2 != 0, Write2: ob&4 != 0, Val2: ob&8 != 0}
+	ev.P1, ev.P2 = p1, p2
+	c.pos += i
+	return true
+}
+
+// malformed builds the error of the event at c.pos, whose kind byte is
+// kb, that Next rejected after reading i bytes of it; ok is false when
+// one of its varints is malformed or its kind unknown.
+func (c *Cursor) malformed(i int, kb byte, ok bool) error {
+	at := c.base + c.pos
+	switch k := kb & 7; {
+	case c.pos+i > c.end:
+		return corrupt("truncated event at offset %d", at)
+	case k == 0 || k == 7:
+		return corrupt("unknown event kind %d at offset %d", k, at)
+	case !ok:
+		return corrupt("malformed varint in event at offset %d", at)
 	}
-	return c.err == nil
+	return corrupt("predicate register out of range in event at offset %d", at)
 }
 
 // NextBatch decodes up to len(buf) events into buf and returns how many

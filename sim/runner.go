@@ -133,6 +133,7 @@ type simJob struct {
 	class    string
 	specHash string // the workload entry's: "" for a program
 	prog     *Program
+	outcomes *stats.Outcomes // trace mode: prog's stored conventional outcomes
 	// matrix is the benchmark's first matrix position (benchmark-major,
 	// then scheme): a cell's Seq is matrix plus its scheme position.
 	matrix int
@@ -238,13 +239,13 @@ func (e *Experiment) buildJobs(wl *Workload, plans []jobPlan, experiment int) []
 	var jobs []simJob
 	for _, jp := range plans {
 		for b, pg := range wl.progs {
-			p := pg.Plain
+			p, out := pg.Plain, &pg.outcomes[0]
 			if e.ifConverted {
-				p = pg.Converted
+				p, out = pg.Converted, &pg.outcomes[1]
 			}
 			j := simJob{
 				bench: pg.Spec.Name, class: pg.Spec.Class, specHash: pg.specHash,
-				prog: p, matrix: b * len(e.schemes), cells: jp.cells, cfgs: jp.cfgs, experiment: experiment,
+				prog: p, outcomes: out, matrix: b * len(e.schemes), cells: jp.cells, cfgs: jp.cfgs, experiment: experiment,
 			}
 			if e.mode == ModeTrace {
 				jobs = append(jobs, j)
@@ -443,10 +444,14 @@ func (e *Experiment) runJob(ctx context.Context, traces *traceProvider, j simJob
 
 // Replay memo counters, on the process registry beside the trace
 // cache's: a hit is a cell served from another cell's replay, planned
-// or merged inside a pass; a miss is an engine a pass ran.
+// or merged inside a pass; a miss is an engine a pass ran. Beside them,
+// the conventional predictors passes ran and those whose outcomes they
+// read from the workload's store (stats.Outcomes).
 var (
 	memoHits   = obs.Default().Counter("replay.memo.hits")
 	memoMisses = obs.Default().Counter("replay.memo.misses")
+	convRuns   = obs.Default().Counter("replay.conv.runs")
+	convReuses = obs.Default().Counter("replay.conv.reuses")
 )
 
 // runTraceJob replays the job's configurations in a single pass over
@@ -466,11 +471,13 @@ func (e *Experiment) runTraceJob(ctx context.Context, traces *traceProvider, j s
 	var pass stats.Pass
 	var replayErr error
 	if traceErr == nil && len(j.cfgs) > 0 {
-		pass, replayErr = stats.ReplayAll(ctx, j.cfgs, j.prog, tr, e.commits, e.observer.replayClock())
+		pass, replayErr = stats.ReplayAll(ctx, j.cfgs, j.prog, tr, e.commits, j.outcomes, e.observer.replayClock())
 		if canceled(replayErr) {
 			return nil, false
 		}
 		memoMisses.Add(uint64(pass.Engines()))
+		convRuns.Add(uint64(pass.ConvRun))
+		convReuses.Add(uint64(pass.ConvReused))
 	}
 	if replayErr == nil && pass.Engines() < len(pass.Engine) {
 		j.cells = slices.Clone(j.cells)

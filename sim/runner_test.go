@@ -205,7 +205,9 @@ func TestSweepCellsRunConcurrently(t *testing.T) {
 // TestSweepChunksRunConcurrently pins that one benchmark's replays
 // still spread over the workers: a one-benchmark sweep over
 // 2*replayChunk distinct configurations is two chunks, so two jobs,
-// and they run on two workers at once.
+// and they start on two workers at once. Their passes then share the
+// binary's stored outcomes without waiting for each other, which
+// internal/stats TestConcurrentPassesDoNotWait pins inside ReplayAll.
 func TestSweepChunksRunConcurrently(t *testing.T) {
 	wl := PrepareEntries(t, 50000, "vpr")
 	bytes := make([]any, replayChunk)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/ifconvert"
 	"repro/internal/obs"
+	"repro/internal/stats"
 )
 
 // Workload holds the benchmarks an experiment runs and their two binary
@@ -17,9 +18,13 @@ import (
 // once, when the first experiment that reads the if-converted set
 // starts on it. A Workload is built once and shared across experiments
 // via WithWorkload, and its subsets share its binaries, so no
-// benchmark is converted twice. PrepareSpecs builds one from the specs
-// SuiteSpecs resolves or from specs built in code; PreparePrograms
-// builds one from programs.
+// benchmark is converted twice. It also keeps, per binary, the
+// conventional predictors' outcomes its trace-mode experiments
+// replayed, so a later experiment reads them instead of running those
+// predictors again; a Workload therefore grows by about one bit per
+// replayed event for each distinct conventional predictor.
+// PrepareSpecs builds one from the specs SuiteSpecs resolves or from
+// specs built in code; PreparePrograms builds one from programs.
 type Workload struct {
 	progs        []*prepared
 	profileSteps uint64
@@ -27,13 +32,19 @@ type Workload struct {
 
 // prepared is one benchmark of a Workload: its plain binary of §4.1,
 // and the profile-guided if-converted one once convert has made it.
-// Subsets point at the same one, so its conversion is shared.
+// Subsets point at the same one, so its conversion and its stored
+// replay outcomes are shared.
 type prepared struct {
 	Spec      BenchSpec
 	Plain     *Program
 	Converted *Program   // nil until convert
 	specHash  string     // the manifests' spec_hash: %016x of the spec's hash, or "" for a program
 	mu        sync.Mutex // held while converting
+	// outcomes keeps the conventional predictors' outcomes of trace
+	// replays of the plain binary ([0]) and the if-converted one ([1])
+	// for every later experiment on the workload: they depend on the
+	// binary alone (stats.Outcomes).
+	outcomes [2]stats.Outcomes
 }
 
 // ifConversions counts profile-guided if-conversions, on the process
