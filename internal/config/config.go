@@ -125,10 +125,11 @@ type Config struct {
 	RASEntries        int
 
 	// Idealizations (§4.2): no table aliasing, and a global history of
-	// committed outcomes. Replay predicts in commit order, so its
-	// history holds every older outcome; the pipeline's is pushed at
-	// commit and so lacks the branches and compares still in flight at
-	// fetch (ROADMAP item 16).
+	// committed outcomes (scheme.Predicate.Retire, Conventional.Commit).
+	// Replay's call site (stats batchPredicate) retires a compare at its
+	// event, so the history holds every older outcome; the pipeline's
+	// (trainPredictors, at commit) lacks the branches and compares still
+	// in flight at fetch (ROADMAP item 16).
 	IdealNoAlias    bool
 	IdealPerfectGHR bool
 

@@ -105,7 +105,7 @@ func (p *Predictor) Predict(s Site, prevPred bool) Lookup {
 // Update trains the predictor with the resolved outcome. If the
 // direction prediction was wrong, the speculatively-pushed history bit
 // is corrected in place.
-func (p *Predictor) Update(lk Lookup, taken bool) {
+func (p *Predictor) Update(lk *Lookup, taken bool) {
 	p.pht[lk.pht].Train(taken)
 	if taken != lk.Taken {
 		// Correct the speculative bit: rebuild from the pre-push value.
@@ -120,6 +120,6 @@ func (p *Predictor) Update(lk Lookup, taken bool) {
 
 // Undo rolls back the speculative history push of a squashed prediction
 // (wrong-path branch that never resolves).
-func (p *Predictor) Undo(lk Lookup) {
+func (p *Predictor) Undo(lk *Lookup) {
 	p.lht[lk.lht][lk.Sel] = lk.prevLHR
 }

@@ -15,7 +15,7 @@ func TestLearnsBiasedBranch(t *testing.T) {
 	pc := p.Site(0x100)
 	for i := 0; i < 32; i++ {
 		lk := p.Predict(pc, false)
-		p.Update(lk, true)
+		p.Update(&lk, true)
 	}
 	if lk := p.Predict(pc, false); !lk.Taken {
 		t.Error("failed to learn always-taken branch")
@@ -32,12 +32,13 @@ func TestPredicateSelectsHistory(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		prev := i%3 == 0
 		lk := p.Predict(pc, prev)
-		p.Update(lk, prev)
+		p.Update(&lk, prev)
 	}
 	if lk := p.Predict(pc, true); !lk.Taken {
 		t.Error("prevPred=true should predict taken")
 	}
-	p.Undo(p.Predict(pc, true)) // clean up the probe
+	probe := p.Predict(pc, true)
+	p.Undo(&probe) // clean up the probe
 	if lk := p.Predict(pc, false); lk.Taken {
 		t.Error("prevPred=false should predict not-taken")
 	}
@@ -49,7 +50,7 @@ func TestSpeculativeHistoryUndo(t *testing.T) {
 	lk1 := p.Predict(pc, false)
 	before := p.lht[lk1.lht][lk1.Sel]
 	lk2 := p.Predict(pc, false)
-	p.Undo(lk2)
+	p.Undo(&lk2)
 	if p.lht[lk1.lht][lk1.Sel] != before {
 		t.Error("undo did not restore the speculative history push")
 	}
@@ -59,7 +60,7 @@ func TestUpdateCorrectsWrongSpeculativeBit(t *testing.T) {
 	p := New(DefaultConfig())
 	pc := p.Site(0x400)
 	lk := p.Predict(pc, false) // predicts not-taken initially, pushes 0
-	p.Update(lk, true)         // actual outcome: taken
+	p.Update(&lk, true)        // actual outcome: taken
 	// The history must now end in the corrected bit (1).
 	if p.lht[lk.lht][lk.Sel]&1 != 1 {
 		t.Error("misprediction must rewrite the speculative history bit")
@@ -73,7 +74,7 @@ func TestLearnsHistoryPattern(t *testing.T) {
 	taken := false
 	for i := 0; i < 2000; i++ {
 		lk := p.Predict(pc, false)
-		p.Update(lk, taken)
+		p.Update(&lk, taken)
 		taken = !taken
 	}
 	correct := 0
@@ -82,7 +83,7 @@ func TestLearnsHistoryPattern(t *testing.T) {
 		if lk.Taken == taken {
 			correct++
 		}
-		p.Update(lk, taken)
+		p.Update(&lk, taken)
 		taken = !taken
 	}
 	if correct < 95 {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/config"
+	"repro/internal/scheme"
 )
 
 // commit retires up to CommitWidth completed uops in order: stores write
@@ -75,43 +75,28 @@ func (pl *Pipeline) trainPredictors(u *uop, c *uopCold) {
 	st := &pl.static[u.pc]
 	if u.isCondBr {
 		pl.gshare.Update(st.gshare, u.brGHRSnap, u.actualTaken)
-		switch pl.cfg.Scheme {
-		case config.SchemeConventional:
-			if u.brLkValid {
-				pl.twolevel.Train(c.brLk, u.actualTaken)
-			}
-			pl.retiredPGHR.Push(u.actualTaken)
-		case config.SchemePEPPA:
-			if u.pepLkValid {
-				pl.pep.Update(c.pepLk, u.actualTaken)
-			}
-		case config.SchemePredicate:
+		switch {
+		case u.brLkValid:
+			pl.conv.Commit(&c.brLk, u.actualTaken)
+		case u.pepLkValid:
+			pl.pep.Commit(&c.pepLk, u.actualTaken)
+		case pl.pred != nil:
 			// Shadow conventional predictor: scores what the Table 1
 			// baseline would have done, for the Figure 6b breakdown.
-			lk := pl.shadow.Predict(st.l2, pl.shadowGHR.Snapshot())
 			pl.Stats.ShadowCondBranches++
-			if lk.Taken != u.actualTaken {
+			if pl.conv.Score(int(u.pc), u.actualTaken) {
 				pl.Stats.ShadowMispred++
 				if u.early && !u.refetched {
 					pl.Stats.EarlyResolvedHit++
 				}
 			}
-			pl.shadow.Train(lk, u.actualTaken)
-			pl.shadowGHR.Push(u.actualTaken)
 		}
 	}
-	if u.isCompare && pl.cfg.Scheme == config.SchemePredicate {
-		if u.cmpLkValid && !(u.canceled && !u.uncFalse) {
-			pl.pp.Train(&c.cmpLk, u.resP[0], u.resP[1])
-			pl.Stats.PredPredictions += 2
-			if c.cmpLk.Val1 != u.resP[0] {
-				pl.Stats.PredMispredicts++
-			}
-			if c.cmpLk.Val2 != u.resP[1] {
-				pl.Stats.PredMispredicts++
-			}
-			pl.retiredPGHR.Push(u.resP[0])
-		}
+	if u.cmpLkValid && !(u.canceled && !u.uncFalse) {
+		pl.pred.Train(&c.cmpLk, u.resP[0], u.resP[1])
+		pl.pred.Retire(u.resP[0])
+		pl.Stats.PredPredictions += 2
+		pl.Stats.PredMispredicts += scheme.Misses(&c.cmpLk, u.resP[0], u.resP[1])
 	}
 	if u.isBrInd {
 		pl.itab.Update(int(st.itab), u.actualTgt)

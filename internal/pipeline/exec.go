@@ -270,7 +270,7 @@ func (pl *Pipeline) writeback() {
 			r.val, r.ready = u.resF, true
 			pl.wake(&r.wait)
 		}
-		if u.isCompare && pl.compareWriteback(u, pl.coldSlot(pos)) ||
+		if u.isCompare && pl.compareWriteback(u) ||
 			u.isBranch && pl.branchWriteback(u) {
 			// flushAfter trimmed the list from its tail. The flush
 			// kept u, so the trim stopped past index i; the entries in
@@ -301,9 +301,10 @@ func (pl *Pipeline) wake(stack *int32) {
 
 // compareWriteback publishes computed predicate values into the PPRF,
 // clears the speculative bit, updates PEP-PA's logical predicate file,
-// and flushes from the first speculative consumer when a predicate
-// prediction was wrong. Reports whether a flush happened.
-func (pl *Pipeline) compareWriteback(u *uop, c *uopCold) bool {
+// repairs the compare's global-history bit (§3.3) and flushes from the
+// first speculative consumer when a predicate prediction was wrong.
+// Reports whether a flush happened.
+func (pl *Pipeline) compareWriteback(u *uop) bool {
 	var flushSeq int64 = -1
 	for i := 0; i < 2; i++ {
 		if !u.pValid[i] {
@@ -322,7 +323,7 @@ func (pl *Pipeline) compareWriteback(u *uop, c *uopCold) bool {
 	}
 	if flushSeq == -1 {
 		if u.cmpLkValid {
-			pl.repairGHRBit(u, c)
+			pl.pred.Resolve(u.pushOrd, u.resP[0])
 		}
 		return false
 	}
@@ -342,26 +343,9 @@ func (pl *Pipeline) compareWriteback(u *uop, c *uopCold) bool {
 	pl.Stats.PredFlushes++
 	pl.flushAfter(flushSeq-1, int(consumer.pc), pl.cfg.MispredictPenalty)
 	if u.cmpLkValid {
-		pl.repairGHRBit(u, c) // after the flush unwound younger pushes
+		pl.pred.Resolve(u.pushOrd, u.resP[0]) // after the flush unwound younger pushes
 	}
 	return true
-}
-
-// repairGHRBit corrects a resolved compare's speculative GHR bit in
-// place (§3.3: "the correct global history bit may be corrected during
-// the corresponding recovery actions"). Compares fetched between the
-// producer and the repair already predicted with the corrupted history
-// — the residual negative effect the paper measures.
-func (pl *Pipeline) repairGHRBit(u *uop, c *uopCold) {
-	if pl.cfg.DisableGHRRepair {
-		return
-	}
-	if !u.pushedPGHR || c.cmpLk.Val1 == u.resP[0] {
-		return
-	}
-	// The bit sits under the younger pushes, in the ROB and the
-	// front-end queue.
-	pl.pGHR.SetBit(uint(pl.pgPushes-u.pushOrd-1), u.resP[0])
 }
 
 // robFind returns the ROB's uop with the given seq, or nil if none has
@@ -399,9 +383,8 @@ func (pl *Pipeline) branchWriteback(u *uop) bool {
 		pl.brGHR.Restore(u.brGHRSnap)
 		pl.brGHR.Push(u.actualTaken)
 	}
-	if u.pushedPGHR {
-		pl.pGHR.Restore(u.pGHRSnap)
-		pl.pGHR.Push(u.actualTaken)
+	if u.brLkValid {
+		pl.conv.Resolve(u.pGHRSnap, u.actualTaken)
 	}
 	return true
 }

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"repro/internal/config"
 	"repro/internal/isa"
+	"repro/internal/scheme"
 )
 
 // maxFrontend bounds the fetch buffer between fetch and rename.
@@ -25,7 +26,7 @@ func (pl *Pipeline) fetch() {
 	}
 
 	// I-cache: charge the fetch group's access; a miss stalls fetch.
-	lat := pl.hier.InstAccess(instAddr(pl.fetchPC), pl.cycle)
+	lat := pl.hier.InstAccess(scheme.InstAddr(pl.fetchPC), pl.cycle)
 	if lat > pl.cfg.L1I.LatCycles {
 		pl.fetchStall = pl.cycle + uint64(lat)
 		return
@@ -67,12 +68,10 @@ func (pl *Pipeline) fetch() {
 // static record is st and slot's cold state c, and reports whether
 // fetch redirected (predicted-taken branch).
 func (pl *Pipeline) fetchPredict(u *uop, st *static, c *uopCold) bool {
-	// Predicate predictor: one lookup per fetched compare; the GHR is
-	// speculatively updated ONCE, with the first predicted value (§3.3).
-	if u.isCompare && pl.cfg.Scheme == config.SchemePredicate {
-		pl.pp.Predict(&c.cmpLk, st.pp, pl.predGHR())
+	// Predicate predictor: one lookup per fetched compare.
+	if u.isCompare && pl.pred != nil {
+		u.pGHRSnap, u.pushOrd = pl.pred.Predict(&c.cmpLk, int(u.pc))
 		u.cmpLkValid = true
-		pl.pushPGHR(u, c.cmpLk.Val1)
 	}
 
 	if !u.isBranch {
@@ -119,18 +118,16 @@ func (pl *Pipeline) fetchPredict(u *uop, st *static, c *uopCold) bool {
 	pl.brGHR.Push(u.fetchPredTaken)
 	u.predTaken = u.fetchPredTaken
 
-	// Second-level lookup (delivered at rename).
+	// Second-level lookup (delivered at rename). Under the predicate
+	// scheme the branch's prediction is read from the PPRF at rename,
+	// and no per-branch second-level state is touched here.
 	switch pl.cfg.Scheme {
 	case config.SchemeConventional:
-		c.brLk = pl.twolevel.Predict(st.l2, pl.predGHR())
+		u.pGHRSnap, u.pushOrd = pl.conv.Predict(&c.brLk, int(u.pc))
 		u.brLkValid = true
-		pl.pushPGHR(u, c.brLk.Taken)
 	case config.SchemePEPPA:
-		c.pepLk = pl.pep.Predict(st.pep, pl.lastPredVal[u.qp])
+		c.pepLk = pl.pep.Predict(int(u.pc), pl.lastPredVal[u.qp])
 		u.pepLkValid = true
-	case config.SchemePredicate:
-		// The branch's prediction is read from the PPRF at rename; no
-		// per-branch second-level state is touched here.
 	}
 
 	if u.fetchPredTaken {
@@ -138,14 +135,4 @@ func (pl *Pipeline) fetchPredict(u *uop, st *static, c *uopCold) bool {
 		return true
 	}
 	return false
-}
-
-// pushPGHR speculatively pushes a uop's predicted outcome onto the
-// perceptron GHR, recording the restore point and the push's ordinal.
-func (pl *Pipeline) pushPGHR(u *uop, taken bool) {
-	u.pGHRSnap = pl.pGHR.Snapshot()
-	u.pushedPGHR = true
-	u.pushOrd = pl.pgPushes
-	pl.pgPushes++
-	pl.pGHR.Push(taken)
 }

@@ -6,22 +6,13 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/emulator"
 	"repro/internal/isa"
-	"repro/internal/peppa"
 	"repro/internal/predictor"
 	"repro/internal/program"
+	"repro/internal/scheme"
+	"repro/internal/trace"
 )
-
-// instBytes is the footprint of one instruction in the I-cache model
-// (IA-64 packs 3 instructions in a 16-byte bundle; we charge a uniform
-// ~5 bytes, rounded to 8, per instruction plus a code base offset).
-const instBytes = 8
-
-// codeBase separates code addresses from the data addresses benchmarks
-// use, so I- and D-streams do not thrash each other artificially.
-const codeBase = 0x4000_0000
 
 // Pipeline is the out-of-order core.
 type Pipeline struct {
@@ -35,20 +26,12 @@ type Pipeline struct {
 	gshare *predictor.Gshare
 	brGHR  predictor.History
 
-	// Second-level predictors (one active, per scheme).
-	twolevel *predictor.TwoLevel
-	pep      *peppa.Predictor
-	pp       *core.Predictor
-	pGHR     predictor.History // perceptron GHR: branch-fed (conventional), compare-fed (predicate)
-
-	// Retired (commit-order) histories: perfect-GHR idealization and
-	// the shadow predictor.
-	retiredPGHR predictor.History
-
-	// Shadow conventional predictor for the Figure 6b breakdown
-	// (instantiated in predicate-scheme runs).
-	shadow    *predictor.TwoLevel
-	shadowGHR predictor.History
+	// Second-level predictor side (package scheme): conv is the
+	// conventional scheme's, or the predicate scheme's Figure 6b shadow
+	// scored at commit; pep and pred are PEP-PA's and predpred's.
+	conv *scheme.Conventional
+	pep  scheme.PEPPA
+	pred *scheme.Predicate
 
 	ras  *predictor.RAS
 	itab *predictor.IndirectTable
@@ -90,12 +73,6 @@ type Pipeline struct {
 	// disambiguation and forwarding walk it instead of the ROB.
 	stores    []int
 	storeHead int
-
-	// pgPushes counts the window's live perceptron-GHR pushes: fetch
-	// gives each pushing uop the count as its pushOrd and increments
-	// it, undoFetch decrements it, commit leaves it alone. A uop in the
-	// window finds its bit pgPushes-pushOrd-1 pushes deep.
-	pgPushes int64
 
 	// ppWater bounds every PPRF robPtr from above: rename raises it to
 	// each seq it records, and flushAfter scans the PPRF only when it
@@ -180,34 +157,25 @@ func New(cfg config.Config, prog *program.Program) (*Pipeline, error) {
 	pl.iqCap = [numIQ]int{iqInt: cfg.IntIQEntries, iqFP: cfg.FPIQEntries, iqBr: cfg.BrIQEntries}
 	pl.linkNext = make([]int32, n*srcLinks)
 	pl.brGHR.N = cfg.GshareIdxBits
-	pl.pGHR.N = cfg.L2PredGHRBits
-	pl.retiredPGHR.N = cfg.L2PredGHRBits
 
+	kinds, sc := scheme.Kinds(prog), scheme.ConfigOf(cfg)
+	pl.conv = scheme.ConvOf(sc, kinds)
 	switch cfg.Scheme {
-	case config.SchemeConventional:
-		pl.twolevel = predictor.NewTwoLevel(cfg.L2PredBytes, cfg.L2PredGHRBits, cfg.L2PredLHRBits, cfg.L2PredLHTBits, cfg.IdealNoAlias)
 	case config.SchemePEPPA:
-		pl.pep = peppa.New(peppa.DefaultConfig())
+		pl.pep = scheme.NewPEPPA(kinds)
 	case config.SchemePredicate:
-		pl.pp = core.New(core.Config{
-			SizeBytes: cfg.L2PredBytes,
-			GHRBits:   cfg.L2PredGHRBits,
-			LHRBits:   cfg.L2PredLHRBits,
-			LHTBits:   cfg.L2PredLHTBits,
-			ConfBits:  cfg.ConfBits,
-			Ideal:     cfg.IdealNoAlias,
-			SplitPVT:  cfg.SplitPVT,
-		})
-		pl.shadow = predictor.NewTwoLevel(cfg.L2PredBytes, cfg.L2PredGHRBits, cfg.L2PredLHRBits, cfg.L2PredLHTBits, false)
-		pl.shadowGHR.N = cfg.L2PredGHRBits
-	default:
-		return nil, fmt.Errorf("pipeline: unknown scheme %v", cfg.Scheme)
+		pl.pred = scheme.NewPredicate(sc, kinds)
 	}
-	pl.static = make([]static, prog.Len())
-	for pc := range pl.static {
-		in := prog.At(pc)
-		pl.static[pc] = decode(in)
-		pl.buildSites(&pl.static[pc], in, pc)
+	pl.static = make([]static, len(kinds))
+	for pc, kind := range kinds {
+		st := &pl.static[pc]
+		*st = decode(prog.At(pc))
+		switch addr := scheme.InstAddr(pc); kind {
+		case trace.EvBrInd:
+			st.itab = int32(pl.itab.Slot(addr))
+		case trace.EvCondBr:
+			st.gshare = pl.gshare.Site(addr)
+		}
 	}
 
 	// Physical register files: architectural registers map identically
@@ -305,16 +273,6 @@ func (pl *Pipeline) step() {
 	pl.Stats.Cycles = pl.cycle
 }
 
-// predGHR returns the global history the second-level predictor should
-// see at prediction time (speculative, or retired under the perfect-GHR
-// idealization).
-func (pl *Pipeline) predGHR() uint64 {
-	if pl.cfg.IdealPerfectGHR {
-		return pl.retiredPGHR.Snapshot()
-	}
-	return pl.pGHR.Snapshot()
-}
-
 // slot returns the window slot at position i.
 func (pl *Pipeline) slot(i int) *uop { return &pl.win[i&pl.mask] }
 
@@ -341,14 +299,6 @@ func trimFrom(l []int, end int) []int {
 	}
 	return l[:n]
 }
-
-// instAddr maps an instruction index to its byte address.
-func instAddr(pc int) uint64 { return codeBase + uint64(pc)*instBytes }
-
-// InstAddr exposes the instruction-index → byte-address mapping so the
-// trace-driven replay engine indexes predictor tables exactly as the
-// pipeline does (same PC folding, same aliasing).
-func InstAddr(pc int) uint64 { return instAddr(pc) }
 
 // flushAfter squashes every uop with seq strictly greater than boundary,
 // restores rename and predictor state in reverse order, clears dangling
@@ -398,21 +348,16 @@ func (pl *Pipeline) undoFetch(u *uop, c *uopCold) {
 		return // no predictor work to undo
 	}
 	if u.brLkValid {
-		pl.twolevel.Undo(c.brLk)
+		pl.conv.Squash(&c.brLk, u.pGHRSnap)
 		u.brLkValid = false
 	}
 	if u.cmpLkValid {
-		pl.pp.Undo(&c.cmpLk)
+		pl.pred.Squash(&c.cmpLk, u.pGHRSnap)
 		u.cmpLkValid = false
 	}
 	if u.pepLkValid {
-		pl.pep.Undo(c.pepLk)
+		pl.pep.Squash(&c.pepLk)
 		u.pepLkValid = false
-	}
-	if u.pushedPGHR {
-		pl.pGHR.Restore(u.pGHRSnap)
-		pl.pgPushes--
-		u.pushedPGHR = false
 	}
 	if u.pushedBrGHR {
 		pl.brGHR.Restore(u.brGHRSnap)

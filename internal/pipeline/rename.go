@@ -3,6 +3,7 @@ package pipeline
 import (
 	"repro/internal/config"
 	"repro/internal/isa"
+	"repro/internal/scheme"
 )
 
 // rename consumes up to RenameWidth uops from the front-end queue,
@@ -186,30 +187,26 @@ func (pl *Pipeline) unlink(u *uop) {
 // unguarding when the predicate scheme is active and the PPRF entry is
 // computed or confidently predicted.
 func (pl *Pipeline) applyPredication(u *uop) {
-	if pl.cfg.Scheme == config.SchemePredicate && pl.cfg.Predication == config.PredicationSelective {
+	g := scheme.Select
+	if pl.pred != nil {
 		e := &pl.pprf[u.qpPhys]
-		usable := e.computed || e.conf
-		if usable {
-			if !e.computed {
-				if e.robPtr == -1 {
-					e.robPtr = u.seq
-					pl.ppWater = u.seq
-				}
-			}
-			if e.val {
-				u.unguarded = true
-			} else {
-				u.canceled = true
-				if u.isCompare && u.ctype == isa.CmpUnc {
-					// A nullified unc compare still clears both
-					// destinations: keep it executable.
-					u.uncFalse = true
-				}
-			}
-			return
+		g = pl.pred.Decide(e.computed || e.conf, e.val)
+		if g != scheme.Select && !e.computed && e.robPtr == -1 {
+			e.robPtr = u.seq
+			pl.ppWater = u.seq
 		}
 	}
-	u.selectOp = true
+	switch g {
+	case scheme.Select:
+		u.selectOp = true
+	case scheme.Unguard:
+		u.unguarded = true
+	case scheme.Cancel:
+		u.canceled = true
+		// A nullified unc compare still clears both destinations:
+		// keep it executable.
+		u.uncFalse = u.isCompare && u.ctype == isa.CmpUnc
+	}
 }
 
 // renameCompare renames the two predicate destinations and records

@@ -15,7 +15,7 @@ import (
 // checkSchedule recomputes the scheduler's state by scanning the whole
 // ROB, as issue and writeback did before dependency wakeup, and reports
 // the first way the ready list, the in-flight list, the store FIFO, a
-// pending count, a consumer link, the pGHR push count, the PPRF
+// pending count, a consumer link, the second-level GHR push count, the PPRF
 // watermark or the ROB search disagrees with it.
 func checkSchedule(pl *Pipeline) error {
 	var ready, inflight, stores []int
@@ -126,18 +126,25 @@ func checkSchedule(pl *Pipeline) error {
 	return nil
 }
 
-// checkWindowCounters holds the pGHR push count, the PPRF watermark
+// checkWindowCounters holds the second-level GHR push count, the PPRF watermark
 // and the ROB's binary search to the window scans they replace.
 func checkWindowCounters(pl *Pipeline) error {
 	// Each live pGHR push, youngest first, must find by its ordinal as
 	// many younger pushes as a walk of the ROB and the front-end queue.
+	var pushes int64
+	switch {
+	case pl.pred != nil:
+		pushes = pl.pred.Pushes()
+	case pl.conv != nil:
+		pushes = pl.conv.Pushes()
+	}
 	younger := int64(0)
 	for i := pl.tail - 1; i >= pl.head; i-- {
 		u := pl.slot(i)
-		if !u.pushedPGHR {
+		if !u.brLkValid && !u.cmpLkValid {
 			continue
 		}
-		if got := pl.pgPushes - u.pushOrd - 1; got != younger {
+		if got := pushes - u.pushOrd - 1; got != younger {
 			return fmt.Errorf("seq %d: push count puts its pGHR bit %d deep, the walk finds %d younger pushes", u.seq, got, younger)
 		}
 		younger++

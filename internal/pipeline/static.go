@@ -1,9 +1,7 @@
 package pipeline
 
 import (
-	"repro/internal/core"
 	"repro/internal/isa"
-	"repro/internal/peppa"
 	"repro/internal/predictor"
 )
 
@@ -65,15 +63,11 @@ type operands struct {
 type static struct {
 	decoded
 
-	// Predictor sites, built by New for the configured scheme's
-	// predictors and left zero elsewhere: a conditional branch's
-	// gshare, second-level (the conventional predictor, or the
-	// predicate scheme's shadow) and PEP-PA sites, a compare's
-	// predicate-predictor site and an indirect branch's target slot.
+	// First-level predictor sites, built by New and left zero
+	// elsewhere: a conditional branch's gshare site and an indirect
+	// branch's target slot. The second-level sites are the scheme's
+	// (package scheme).
 	gshare predictor.GshareSite
-	l2     predictor.TwoLevelSite
-	pep    peppa.Site
-	pp     core.Site
 	itab   int32
 }
 
@@ -119,28 +113,6 @@ func decode(in *isa.Inst) static {
 	d.nRegI = uint8(copy(d.regI[:], in.GPRSources()))
 	d.nRegF = uint8(copy(d.regF[:], in.FPRSources()))
 	return s
-}
-
-// buildSites fills s's predictor sites for the instruction in at pc,
-// from the pipeline's predictors.
-func (pl *Pipeline) buildSites(s *static, in *isa.Inst, pc int) {
-	addr := instAddr(pc)
-	switch {
-	case s.isCompare && pl.pp != nil:
-		s.pp = pl.pp.Site(addr)
-	case in.Op == isa.OpBrInd:
-		s.itab = int32(pl.itab.Slot(addr))
-	case in.Op == isa.OpBr && s.isCond:
-		s.gshare = pl.gshare.Site(addr)
-		switch {
-		case pl.twolevel != nil:
-			s.l2 = pl.twolevel.Site(addr)
-		case pl.shadow != nil:
-			s.l2 = pl.shadow.Site(addr)
-		case pl.pep != nil:
-			s.pep = pl.pep.Site(addr)
-		}
-	}
 }
 
 // classify routes an instruction to an issue class.

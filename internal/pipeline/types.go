@@ -108,7 +108,7 @@ type uopFlags struct {
 	fetchPredTaken bool // first-level (gshare) direction
 	predTaken      bool // final direction prediction used
 	pushedBrGHR    bool
-	pushedPGHR     bool
+	_              bool // keeps the uop at 272 bytes (EXPERIMENTS.md "One scheme, two clocks")
 	touchedRAS     bool
 	brLkValid      bool
 	pepLkValid     bool
@@ -140,8 +140,8 @@ type uopFlags struct {
 type uopState struct {
 	// Fetch, for branches and compares.
 	brGHRSnap  uint64 // gshare GHR before this uop's push: gshare's index history and the restore point (pushedBrGHR)
-	pGHRSnap   uint64 // perceptron GHR before this uop's push (pushedPGHR)
-	pushOrd    int64  // this uop's ordinal among the live pGHR pushes (pushedPGHR)
+	pGHRSnap   uint64 // second-level GHR before this uop's push (brLkValid or cmpLkValid)
+	pushOrd    int64  // this uop's ordinal among the live second-level GHR pushes, likewise
 	predTarget int    // predicted target when taken (every branch)
 
 	// Rename.

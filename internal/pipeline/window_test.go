@@ -141,7 +141,7 @@ func TestPredicateFlushFromOldestROBEntry(t *testing.T) {
 	consumer := pl.slot(pl.head)
 	seq, pc := consumer.seq, int(consumer.pc)
 	flushes := pl.Stats.PredFlushes
-	if !pl.compareWriteback(mispredictedCompare(pl, seq), &uopCold{}) {
+	if !pl.compareWriteback(mispredictedCompare(pl, seq)) {
 		t.Fatal("compareWriteback found no consumer at the ROB head")
 	}
 	if pl.Stats.PredFlushes != flushes+1 || pl.tail != pl.head || pl.mid != pl.head || pl.fetchPC != pc {
@@ -167,7 +167,7 @@ func TestSquashedConsumerFlushesNothing(t *testing.T) {
 	})
 	head, mid, tail := pl.head, pl.mid, pl.tail
 	st := pl.Stats
-	if pl.compareWriteback(mispredictedCompare(pl, gap), &uopCold{}) {
+	if pl.compareWriteback(mispredictedCompare(pl, gap)) {
 		t.Fatalf("compareWriteback flushed from squashed seq %d", gap)
 	}
 	if pl.head != head || pl.mid != mid || pl.tail != tail || pl.Stats != st {

@@ -2,11 +2,11 @@ package stats
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
-	"repro/internal/pipeline"
-	"repro/internal/predictor"
+	"repro/internal/scheme"
 	"repro/internal/trace"
 )
 
@@ -97,21 +97,20 @@ func (o *Outcomes) store(prog, budget uint64, convs []*convPass) {
 
 // convPass is one conventional predictor a replay pass shares. A
 // conventional engine and a predicate engine's Figure 6b shadow both
-// predict every committed conditional branch, in commit order, with a
-// history fed by committed outcomes and training at once, so the
-// predictor's outcomes depend only on the branch stream and its key:
-// the pass runs it once per batch, after the frontend, and each engine
-// of that key reads the per-event miss bits. With a store, a pass reads
-// the bits an earlier pass stored instead (stored), or keeps every
-// batch's bits to store them (keep).
+// run the predictor at zero lag (scheme.Conventional.Score): every
+// committed conditional branch, in commit order, with a history fed by
+// committed outcomes and training at once, so the predictor's outcomes
+// depend only on the branch stream and its key: the pass runs it once
+// per batch, after the frontend, and each engine of that key reads the
+// per-event miss bits. With a store, a pass reads the bits an earlier
+// pass stored instead (stored), or keeps every batch's bits to store
+// them (keep).
 type convPass struct {
-	key   convKey
-	cfg   EngineConfig        // the first reading engine's: the table's budget and idealization
-	tl    *predictor.TwoLevel // nil when stored
-	ghr   predictor.History
-	sites []predictor.TwoLevelSite // per PC; set at conditional branches
-	// miss holds the current batch's miss bits, bit i for event i (read
-	// at EvCondBr events only).
+	key  convKey
+	cfg  EngineConfig         // the first reading engine's: the table's budget and idealization
+	conv *scheme.Conventional // nil when stored
+	// miss holds the current batch's miss bits, bit i for event i, set
+	// only at EvCondBr events.
 	miss *[batchWords]uint64
 	// bits is every batch's bits so far when keep, else one batch's.
 	bits   []uint64
@@ -127,20 +126,13 @@ func (c *convPass) build(kinds []uint8) {
 	if c.stored != nil {
 		return
 	}
-	c.tl = predictor.NewTwoLevel(c.cfg.L2PredBytes, c.key.ghr, c.key.lhr, c.key.lht, c.cfg.convIdeal())
-	c.ghr.N = c.key.ghr
-	c.sites = make([]predictor.TwoLevelSite, len(kinds))
-	for pc, kind := range kinds {
-		if kind == trace.EvCondBr {
-			c.sites[pc] = c.tl.Site(pipeline.InstAddr(pc))
-		}
-	}
+	c.conv = scheme.ConvOf(c.cfg, kinds)
 	c.bits = make([]uint64, batchWords)
 	c.miss = (*[batchWords]uint64)(c.bits)
 }
 
 // batch scores batch b's admitted events evs: from the stored bits, or
-// by predicting and training every conditional branch.
+// by scoring every conditional branch.
 func (c *convPass) batch(b int, evs []trace.Event) error {
 	if len(evs) == 0 {
 		return nil
@@ -161,24 +153,22 @@ func (c *convPass) batch(b int, evs []trace.Event) error {
 	} else {
 		clear(c.miss[:])
 	}
-	c.run(evs)
+	for i := range evs {
+		if ev := &evs[i]; ev.Kind == trace.EvCondBr && c.conv.Score(ev.PC, ev.Taken) {
+			c.miss[i>>6&(batchWords-1)] |= 1 << (uint(i) & 63)
+		}
+	}
 	return nil
 }
 
-// run predicts and trains every conditional branch of a batch.
-func (c *convPass) run(evs []trace.Event) {
-	for i := range evs {
-		ev := &evs[i]
-		if ev.Kind != trace.EvCondBr {
-			continue
-		}
-		lk := c.tl.Predict(c.sites[ev.PC], c.ghr.Snapshot())
-		if lk.Taken != ev.Taken {
-			c.miss[i>>6&(batchWords-1)] |= 1 << (uint(i) & 63)
-		}
-		c.tl.Train(lk, ev.Taken)
-		c.ghr.Push(ev.Taken)
+// misses counts the current batch's mispredictions; the batch must
+// have admitted events, or miss still holds the previous batch's bits.
+func (c *convPass) misses() uint64 {
+	n := 0
+	for _, w := range c.miss {
+		n += bits.OnesCount64(w)
 	}
+	return uint64(n)
 }
 
 // missed reports whether the predictor mispredicted event i of the

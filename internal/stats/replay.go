@@ -8,10 +8,10 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/isa"
-	"repro/internal/peppa"
 	"repro/internal/pipeline"
 	"repro/internal/predictor"
 	"repro/internal/program"
+	"repro/internal/scheme"
 	"repro/internal/trace"
 )
 
@@ -90,13 +90,13 @@ type note struct {
 	sel bool
 }
 
-// resolved reports whether predicate p's producing compare is modeled
-// as resolved (written back) before the current instruction renames: no
-// in-flight producer, or a producer at least earlyResolveDist committed
-// instructions upstream.
-func (f *frontend) resolved(p uint8) bool {
-	last := f.prodStep[p]
-	return last == 0 || f.step-last >= earlyResolveDist
+// resolved reports whether predicate p's producing compare, renamed at
+// prodStep[p], is modeled as resolved (written back) before the
+// instruction at step renames: no in-flight producer, or a producer at
+// least earlyResolveDist committed instructions upstream.
+func resolved(prodStep *[isa.NumPred]uint64, p uint8, step uint64) bool {
+	last := prodStep[p]
+	return last == 0 || step-last >= earlyResolveDist
 }
 
 // annotate computes one event's note and advances the shared
@@ -116,26 +116,23 @@ func (f *frontend) annotate(ev *trace.Event, nt *note) {
 		nt.res1, nt.res2 = res1, res2
 		// Renaming position under the shared resolution model (without
 		// selective predication nothing cancels and every compare
-		// renames).
+		// renames), and the architectural predicate update after
+		// resolving RMW old values.
 		if ev.P1 != uint8(isa.P0) {
 			f.prodStep[ev.P1] = f.step
+			if ev.Out.Write1 {
+				f.prevVal[ev.P1], f.predVal[ev.P1] = f.predVal[ev.P1], ev.Out.Val1
+			}
 		}
 		if ev.P2 != uint8(isa.P0) {
 			f.prodStep[ev.P2] = f.step
-		}
-		// Architectural predicate update (after resolving RMW old
-		// values).
-		if ev.Out.Write1 && ev.P1 != uint8(isa.P0) {
-			f.prevVal[ev.P1] = f.predVal[ev.P1]
-			f.predVal[ev.P1] = ev.Out.Val1
-		}
-		if ev.Out.Write2 && ev.P2 != uint8(isa.P0) {
-			f.prevVal[ev.P2] = f.predVal[ev.P2]
-			f.predVal[ev.P2] = ev.Out.Val2
+			if ev.Out.Write2 {
+				f.prevVal[ev.P2], f.predVal[ev.P2] = f.predVal[ev.P2], ev.Out.Val2
+			}
 		}
 	case trace.EvCondBr:
 		sel := f.prevVal[ev.QP]
-		if f.resolved(ev.QP) {
+		if resolved(&f.prodStep, ev.QP, f.step) {
 			sel = f.predVal[ev.QP]
 		}
 		nt.sel = sel
@@ -147,82 +144,27 @@ func (f *frontend) annotate(ev *trace.Event, nt *note) {
 type pendingTrain struct {
 	lk         core.Lookup
 	res1, res2 bool
+	pending    bool
 }
 
-// specBit is one unrepaired speculative GHR bit: the predicted value
-// while in flight, replaced by the actual value once the compare's
-// writeback repairs it (never, for rename-canceled compares or when
-// the §3.3 repair is disabled).
-type specBit struct {
-	pred, act bool
-	repair    bool
+// pendingRepair is one compare's deferred §3.3 repair: the ordinal of
+// its speculative history push and the outcome its bit takes.
+type pendingRepair struct {
+	ord     int64
+	act     bool
+	pending bool
 }
 
-// EngineConfig is the replay-visible projection of a config.Config:
-// exactly the fields the trace-replay engine reads. Everything else in
-// a Config (widths, windows, caches, latencies, the first-level gshare,
-// the recovery penalty) shapes only the pipeline's timing model, so two
-// configurations with equal EngineConfigs replay to bit-identical
-// statistics on every program. schemeEngine holds only this struct,
-// which makes the compiler enforce the projection. Being comparable
-// and independent of the program, it plans the façade's replay memo;
-// within one ReplayAll pass the finer, program-dependent engineKey
-// merges configurations whose tables alias the program's sites alike.
-type EngineConfig struct {
-	Scheme           config.Scheme
-	Predication      config.PredicationMode
-	L2PredBytes      int
-	L2PredGHRBits    uint
-	L2PredLHRBits    uint
-	L2PredLHTBits    uint
-	ConfBits         uint
-	RASEntries       int
-	IdealNoAlias     bool
-	IdealPerfectGHR  bool
-	SplitPVT         bool
-	DisableGHRRepair bool
-}
+// EngineConfig is the replay-visible projection of a config.Config,
+// the predictor side's (scheme.Config). It plans the façade's replay
+// memo; within one ReplayAll pass the finer, program-dependent
+// engineKey merges configurations whose tables alias the program's
+// sites alike.
+type EngineConfig = scheme.Config
 
 // EngineConfigOf projects a configuration onto its replay-visible
-// fields. It does not validate: callers that replay run the full
-// Config.Validate first.
-func EngineConfigOf(c config.Config) EngineConfig {
-	return EngineConfig{
-		Scheme:           c.Scheme,
-		Predication:      c.Predication,
-		L2PredBytes:      c.L2PredBytes,
-		L2PredGHRBits:    c.L2PredGHRBits,
-		L2PredLHRBits:    c.L2PredLHRBits,
-		L2PredLHTBits:    c.L2PredLHTBits,
-		ConfBits:         c.ConfBits,
-		RASEntries:       c.RASEntries,
-		IdealNoAlias:     c.IdealNoAlias,
-		IdealPerfectGHR:  c.IdealPerfectGHR,
-		SplitPVT:         c.SplitPVT,
-		DisableGHRRepair: c.DisableGHRRepair,
-	}
-}
-
-// coreConfig is the predicate predictor of c.
-func (c EngineConfig) coreConfig() core.Config {
-	return core.Config{
-		SizeBytes: c.L2PredBytes,
-		GHRBits:   c.L2PredGHRBits,
-		LHRBits:   c.L2PredLHRBits,
-		LHTBits:   c.L2PredLHTBits,
-		ConfBits:  c.ConfBits,
-		Ideal:     c.IdealNoAlias,
-		SplitPVT:  c.SplitPVT,
-	}
-}
-
-// convIdeal reports whether the conventional predictor an engine of c
-// reads is idealized: a conventional engine's follows its
-// configuration, while a predicate engine's Figure 6b shadow is always
-// the real table of its budget.
-func (c EngineConfig) convIdeal() bool {
-	return c.Scheme == config.SchemeConventional && c.IdealNoAlias
-}
+// fields (scheme.ConfigOf).
+func EngineConfigOf(c config.Config) EngineConfig { return scheme.ConfigOf(c) }
 
 // engineKey is what an engine of one configuration can observe on one
 // program: its EngineConfig with the table geometry (L2PredBytes,
@@ -246,31 +188,10 @@ type engineKey struct {
 
 // keyOf is the engine key of c on a program whose instructions' record
 // kinds are kinds. Its partitions come from the placements the engines
-// build their sites with (TwoLevel.Site, core.Predictor.Site), computed
-// without allocating a table.
+// build their sites with (scheme.Partitions).
 func keyOf(c EngineConfig, kinds []uint8) engineKey {
 	var k engineKey
-	if c.Scheme != config.SchemePEPPA {
-		g := predictor.NewGeometry(c.L2PredBytes, c.L2PredGHRBits, c.L2PredLHRBits, c.convIdeal())
-		var rows []int
-		for pc, kind := range kinds {
-			if kind == trace.EvCondBr {
-				rows = append(rows, g.Place(pipeline.InstAddr(pc)))
-			}
-		}
-		k.branches = predictor.Partition(rows)
-	}
-	if c.Scheme == config.SchemePredicate {
-		l := core.NewLayout(c.coreConfig())
-		var rows []int
-		for pc, kind := range kinds {
-			if kind == trace.EvCompare {
-				r1, r2 := l.Place(pipeline.InstAddr(pc))
-				rows = append(rows, r1, r2)
-			}
-		}
-		k.dests = predictor.Partition(rows)
-	}
+	k.branches, k.dests = scheme.Partitions(c, kinds)
 	c.L2PredBytes, c.IdealNoAlias, c.SplitPVT = 0, false, false
 	k.cfg = c
 	return k
@@ -287,7 +208,7 @@ func (k engineKey) equal(o engineKey) bool {
 // ReplayAll runs one engine for configurations whose partitions and
 // other replay-visible fields are equal.
 func Partitions(cfg config.Config, prog *program.Program) (branches, dests []int32) {
-	k := keyOf(EngineConfigOf(cfg), kindsOf(prog))
+	k := keyOf(EngineConfigOf(cfg), scheme.Kinds(prog))
 	return k.branches, k.dests
 }
 
@@ -305,27 +226,16 @@ func (k convKey) equal(o convKey) bool {
 	return k.ghr == o.ghr && k.lhr == o.lhr && k.lht == o.lht && slices.Equal(k.branches, o.branches)
 }
 
-// site is one static instruction's place in an engine's own
-// predictors, built once per PC when the engine is constructed.
-type site struct {
-	pp   core.Site  // compare (predicate scheme)
-	pep  peppa.Site // conditional branch (PEP-PA)
-	itab int32      // indirect branch: last-target table slot
-}
-
 // schemeEngine is the per-scheme half of the trace-driven predictor
-// engine: one predictor organization replayed in commit order with
-// immediate training, touching none of the out-of-order machinery. The
-// scheme-independent state lives in the frontend, and the conventional
-// predictor in the pass's shared convPass; what remains here is the
-// second-level predictor, the PPRF prediction mirror, the
-// delayed-training queue and the speculative-GHR ring — everything
-// whose evolution depends on the organization under test. See
-// DESIGN.md ("Execution modes") for the fidelity contract: commit-order predictor state evolution is exact (wrong-path
-// speculation is invisible to training, and speculative history pushes
-// resolve to committed outcomes), while effects that depend on
-// in-flight overlap — training delay between fetch and commit,
-// early-resolution timing — are modeled, not simulated.
+// engine: one predictor organization replayed in commit order, touching
+// none of the out-of-order machinery. The scheme-independent state
+// lives in the frontend, and the conventional predictor in the pass's
+// convPass; here are the scheme's predictor side (package scheme), the
+// PPRF prediction mirror, and the clock that calls the predicate scheme
+// at its modeled lags: the delayed trainings and the pending repairs.
+// DESIGN.md ("Execution modes") has the fidelity contract: commit-order
+// state evolution is exact, while effects of in-flight overlap
+// (training delay, early-resolution timing) are modeled, not simulated.
 type schemeEngine struct {
 	cfg EngineConfig
 	key engineKey
@@ -343,32 +253,27 @@ type schemeEngine struct {
 	// Scheme state (one second-level active, as in the pipeline). The
 	// conventional predictor, and the predicate scheme's Figure 6b
 	// shadow, are the pass's conv.
-	conv    *convPass
-	pep     *peppa.Predictor
-	pp      *core.Predictor
-	pGHR    predictor.History // speculative-with-repair history mirror (predicate scheme)
-	retired predictor.History // commit-order history (perfect-GHR idealization)
-	sites   []site            // per PC
+	conv *convPass
+	pep  scheme.PEPPA
+	pred *scheme.Predicate
 
-	// Delayed-training queue (predicate scheme): a fixed circular
-	// buffer — the drain-before-push in the compare path bounds the
-	// live length at trainWindow — so steady-state replay does not
-	// allocate.
-	trainQ    [trainWindow]pendingTrain
-	trainHead int
-	trainLen  int
+	// Delayed trainings (predicate scheme), by the compare's ordinal
+	// among the trained ones (trains) modulo trainWindow: a compare
+	// trains when trainWindow younger ones have claimed a training, or
+	// at a drain. The slot a compare predicts into is the next to
+	// claim, whose training from trainWindow compares ago goes first.
+	trainQ [trainWindow]pendingTrain
+	trains uint64
 
-	// Speculative-GHR ring (predicate scheme), bounded at repairWindow
-	// live bits. ringBits mirrors the live entries' predicted values
-	// (oldest at the highest bit) so composing the fetched-compare
-	// history is O(1) instead of a ring walk.
-	ring     [repairWindow]specBit
-	ringHead int
-	ringLen  int
-	ringBits uint64
+	// Pending §3.3 repairs (predicate scheme), by push ordinal modulo
+	// repairWindow: a compare whose first prediction was wrong keeps
+	// its predicted history bit until repairWindow younger compares
+	// have pushed theirs, or a drain.
+	repairs [repairWindow]pendingRepair
 
-	ras  *predictor.RAS
-	itab *predictor.IndirectTable
+	ras      *predictor.RAS
+	itab     *predictor.IndirectTable
+	itabSlot []int32 // per PC; set at indirect branches
 
 	st pipeline.Stats
 	ns int64 // engine phase time on a timed replay's clock
@@ -376,52 +281,19 @@ type schemeEngine struct {
 
 // newSchemeEngine builds the engine of one validated configuration,
 // whose key is k, for a program whose instructions' record kinds are
-// kinds.
-func newSchemeEngine(cfg EngineConfig, k engineKey, kinds []uint8) (*schemeEngine, error) {
-	e := &schemeEngine{
-		cfg:  cfg,
-		key:  k,
-		ras:  predictor.NewRAS(cfg.RASEntries),
-		itab: predictor.NewIndirectTable(10),
-	}
-	e.pGHR.N = cfg.L2PredGHRBits
-	e.retired.N = cfg.L2PredGHRBits
+// kinds. A conventional engine's predictor is the pass's
+// (shareConventional).
+func newSchemeEngine(cfg EngineConfig, k engineKey, kinds []uint8) *schemeEngine {
+	e := &schemeEngine{cfg: cfg, key: k, ras: predictor.NewRAS(cfg.RASEntries), itab: predictor.NewIndirectTable(10)}
+	e.itabSlot = scheme.Sites(kinds, trace.EvBrInd, func(addr uint64) int32 { return int32(e.itab.Slot(addr)) })
 	e.predPred[isa.P0] = true
 	switch cfg.Scheme {
-	case config.SchemeConventional:
-		// Its predictor is the pass's (shareConventional).
 	case config.SchemePEPPA:
-		e.pep = peppa.New(peppa.DefaultConfig())
+		e.pep = scheme.NewPEPPA(kinds)
 	case config.SchemePredicate:
-		e.pp = core.New(cfg.coreConfig())
-	default:
-		return nil, fmt.Errorf("stats: unknown scheme %v", cfg.Scheme)
+		e.pred = scheme.NewPredicate(cfg, kinds)
 	}
-	e.sites = make([]site, len(kinds))
-	for pc, kind := range kinds {
-		addr := pipeline.InstAddr(pc)
-		switch kind {
-		case trace.EvCompare:
-			if e.pp != nil {
-				e.sites[pc].pp = e.pp.Site(addr)
-			}
-		case trace.EvCondBr:
-			if e.pep != nil {
-				e.sites[pc].pep = e.pep.Site(addr)
-			}
-		case trace.EvBrInd:
-			e.sites[pc].itab = int32(e.itab.Slot(addr))
-		}
-	}
-	return e, nil
-}
-
-// convKey reports the conventional predictor the engine reads: its own
-// configuration's for a conventional engine, the real table of its
-// budget for a predicate engine's shadow, none for PEP-PA.
-func (e *schemeEngine) convKey() (convKey, bool) {
-	k := convKey{ghr: e.cfg.L2PredGHRBits, lhr: e.cfg.L2PredLHRBits, lht: e.cfg.L2PredLHTBits, branches: e.key.branches}
-	return k, e.cfg.Scheme != config.SchemePEPPA
+	return e
 }
 
 // Replay runs a trace of prog through the configured predictor
@@ -501,7 +373,7 @@ func ReplayAll(ctx context.Context, cfgs []config.Config, prog *program.Program,
 	if h := trace.HashProgram(prog); tr.ProgHash != h {
 		return p, fmt.Errorf("stats: %w: trace of program %#x replayed against %s (%#x)", trace.ErrCorrupt, tr.ProgHash, prog.Name, h)
 	}
-	kinds := kindsOf(prog)
+	kinds := scheme.Kinds(prog)
 	keys := make([]engineKey, len(cfgs))
 	built := make([]*schemeEngine, len(cfgs)) // by configuration; nil where another's engine serves it
 	var engines []*schemeEngine
@@ -516,10 +388,7 @@ func ReplayAll(ctx context.Context, cfgs []config.Config, prog *program.Program,
 			engine[i] = j
 			continue
 		}
-		e, err := newSchemeEngine(cfg, keys[i], kinds)
-		if err != nil {
-			return p, err
-		}
+		e := newSchemeEngine(cfg, keys[i], kinds)
 		engine[i], built[i] = i, e
 		engines = append(engines, e)
 	}
@@ -550,26 +419,18 @@ func ReplayAll(ctx context.Context, cfgs []config.Config, prog *program.Program,
 	return p, err
 }
 
-// kindsOf returns the record kind of every instruction of prog.
-func kindsOf(prog *program.Program) []uint8 {
-	kinds := make([]uint8, prog.Len())
-	for pc := range kinds {
-		kinds[pc] = trace.KindOf(prog.At(pc))
-	}
-	return kinds
-}
-
 // shareConventional gives every engine that reads a conventional
-// predictor the pass's predictor of its key, one per distinct (history
-// widths, branch partition), and returns them in the order first read,
-// still to be built.
+// predictor (scheme.ConvOf: a conventional engine's own, a predicate
+// engine's shadow) the pass's predictor of its key, one per distinct
+// (history widths, branch partition), and returns them in the order
+// first read, still to be built.
 func shareConventional(engines []*schemeEngine) []*convPass {
 	var convs []*convPass
 	for _, e := range engines {
-		k, ok := e.convKey()
-		if !ok {
+		if e.cfg.Scheme == config.SchemePEPPA {
 			continue
 		}
+		k := convKey{ghr: e.cfg.L2PredGHRBits, lhr: e.cfg.L2PredLHRBits, lht: e.cfg.L2PredLHTBits, branches: e.key.branches}
 		i := slices.IndexFunc(convs, func(c *convPass) bool { return c.key.equal(k) })
 		if i < 0 {
 			i = len(convs)
@@ -712,24 +573,23 @@ func (e *schemeEngine) applyBatch(evs []trace.Event, notes []note) {
 }
 
 func (e *schemeEngine) batchConventional(evs []trace.Event) {
-	conv := e.conv
 	for i := range evs {
 		ev := &evs[i]
 		switch ev.Kind {
 		case trace.EvCompare:
 			e.st.Compares++
 		case trace.EvCondBr:
-			// Speculative and retired histories coincide in commit order
-			// (each committed branch contributes its committed outcome),
-			// so the perfect-GHR idealization is the identity here, and
-			// the pass's conventional predictor has scored the branch.
 			e.st.CondBranches++
-			if conv.missed(i) {
-				e.st.BranchMispred++
-			}
 		default:
 			e.target(ev)
 		}
+	}
+	// Speculative and retired histories coincide in commit order (each
+	// committed branch contributes its committed outcome), so the
+	// perfect-GHR idealization is the identity here, and the pass's
+	// conventional predictor has scored every branch.
+	if len(evs) > 0 {
+		e.st.BranchMispred += e.conv.misses()
 	}
 }
 
@@ -743,13 +603,14 @@ func (e *schemeEngine) batchPEPPA(evs []trace.Event, notes []note) {
 			// PEP-PA selects a local history by the branch guard's
 			// previous definition; whether the in-flight producer has
 			// written back by fetch time follows the shared resolution
-			// model, precomputed as the note's selector.
+			// model, precomputed as the note's selector. It is
+			// predicted and trained at once.
 			e.st.CondBranches++
-			lk := e.pep.Predict(e.sites[ev.PC].pep, notes[i].sel)
+			lk := e.pep.Predict(ev.PC, notes[i].sel)
 			if lk.Taken != ev.Taken {
 				e.st.BranchMispred++
 			}
-			e.pep.Update(lk, ev.Taken)
+			e.pep.Commit(&lk, ev.Taken)
 		default:
 			e.target(ev)
 		}
@@ -757,10 +618,7 @@ func (e *schemeEngine) batchPEPPA(evs []trace.Event, notes []note) {
 }
 
 func (e *schemeEngine) batchPredicate(evs []trace.Event, notes []note) {
-	selective := e.cfg.Predication == config.PredicationSelective
-	perfect := e.cfg.IdealPerfectGHR
-	repair := !e.cfg.DisableGHRRepair
-	conv := e.conv
+	pred, conv := e.pred, e.conv
 	for i := range evs {
 		ev := &evs[i]
 		switch ev.Kind {
@@ -777,65 +635,53 @@ func (e *schemeEngine) batchPredicate(evs []trace.Event, notes []note) {
 			// read-modify-write result (unc compares always execute:
 			// they clear their destinations even when nullified — the
 			// pipeline's uncFalse path).
-			usable := e.resolvedAt(ev.QP, nt.step) || e.predConf[ev.QP]
-			canceled := selective && ev.QP != uint8(isa.P0) && !ev.QPTrue && !ev.Unc && usable
+			usable := resolved(&e.prodStep, ev.QP, nt.step) || e.predConf[ev.QP]
+			canceled := ev.QP != uint8(isa.P0) && !ev.Unc && pred.Decide(usable, ev.QPTrue) == scheme.Cancel
 
-			// Apply the trainings that have left the in-flight window,
-			// as commit would have by this compare's fetch, then predict
-			// with the (possibly stale) weights and speculative history
-			// into the next pending-training slot, which the compare
-			// claims if it trains.
-			for e.trainLen >= trainWindow {
-				e.popTraining()
+			// Commit the training that has left the in-flight window,
+			// predict into its slot with the (possibly stale) weights and
+			// history, and resolve the push that left the writeback one.
+			pt := &e.trainQ[e.trains%trainWindow]
+			if pt.pending {
+				pred.Train(&pt.lk, pt.res1, pt.res2)
 			}
-			ghr := e.specGHR()
-			if perfect {
-				ghr = e.retired.Snapshot()
-			}
-			pt := e.nextTraining()
 			lk := &pt.lk
-			e.pp.Predict(lk, e.sites[ev.PC].pp, ghr)
-
+			_, ord := pred.Predict(lk, ev.PC)
+			r := &e.repairs[uint64(ord)%repairWindow]
+			if r.pending {
+				pred.Resolve(r.ord, r.act)
+				r.pending = false
+			}
+			// A rename-canceled compare never executes: its speculative
+			// pushes are never repaired, it never trains or renames.
+			pt.pending = !canceled
 			if canceled {
-				// A rename-canceled compare never executes: its
-				// speculative GHR push is never repaired (and its
-				// speculative local-history push persists the same way —
-				// pp.Predict above mirrors it), it never trains, and it
-				// does not rename.
-				e.pushSpecBit(specBit{pred: lk.Val1, act: lk.Val1})
-			} else {
-				e.st.PredPredictions += 2
-				if lk.Val1 != nt.res1 {
-					e.st.PredMispredicts++
-				}
-				if lk.Val2 != nt.res2 {
-					e.st.PredMispredicts++
-				}
-				pt.res1, pt.res2 = nt.res1, nt.res2
-				e.trainLen++
-				e.retired.Push(nt.res1)
-				e.pushSpecBit(specBit{pred: lk.Val1, act: nt.res1, repair: repair})
-				// Rename mirror: consumers read these predicted values
-				// (and their at-prediction confidence) until the compare
-				// resolves.
-				if ev.P1 != uint8(isa.P0) {
-					e.predPred[ev.P1] = lk.Val1
-					e.predConf[ev.P1] = lk.Conf1
-				}
-				if ev.P2 != uint8(isa.P0) {
-					e.predPred[ev.P2] = lk.Val2
-					e.predConf[ev.P2] = lk.Conf2
-				}
-				if ev.P1 != uint8(isa.P0) {
-					e.prodStep[ev.P1] = nt.step
-				}
-				if ev.P2 != uint8(isa.P0) {
-					e.prodStep[ev.P2] = nt.step
-				}
+				continue
+			}
+			e.st.PredPredictions += 2
+			e.st.PredMispredicts += scheme.Misses(lk, nt.res1, nt.res2)
+			pt.res1, pt.res2 = nt.res1, nt.res2
+			e.trains++
+			pred.Retire(nt.res1)
+			if lk.Val1 != nt.res1 {
+				*r = pendingRepair{ord: ord, act: nt.res1, pending: true}
+			}
+			// Rename mirror: consumers read these predicted values (and
+			// their at-prediction confidence) until the compare
+			// resolves.
+			if ev.P1 != uint8(isa.P0) {
+				e.predPred[ev.P1] = lk.Val1
+				e.predConf[ev.P1] = lk.Conf1
+				e.prodStep[ev.P1] = nt.step
+			}
+			if ev.P2 != uint8(isa.P0) {
+				e.predPred[ev.P2] = lk.Val2
+				e.predConf[ev.P2] = lk.Conf2
+				e.prodStep[ev.P2] = nt.step
 			}
 		case trace.EvCondBr:
 			e.st.CondBranches++
-			early := e.resolvedAt(ev.QP, notes[i].step)
+			early := resolved(&e.prodStep, ev.QP, notes[i].step)
 			if early {
 				// The branch read its guard's computed value from the
 				// PPRF: correct by construction (§3.1).
@@ -876,7 +722,7 @@ func (e *schemeEngine) target(ev *trace.Event) {
 			e.st.TargetMispred++
 		}
 	case trace.EvBrInd:
-		slot := int(e.sites[ev.PC].itab)
+		slot := int(e.itabSlot[ev.PC])
 		predNext := e.itab.Predict(slot)
 		actualNext := ev.PC + 1
 		if ev.Taken {
@@ -889,82 +735,19 @@ func (e *schemeEngine) target(ev *trace.Event) {
 	}
 }
 
-// resolvedAt is the frontend's resolution model over the engine's own
-// cancellation-aware renaming positions (predicate scheme).
-func (e *schemeEngine) resolvedAt(p uint8, step uint64) bool {
-	last := e.prodStep[p]
-	return last == 0 || step-last >= earlyResolveDist
-}
-
-// nextTraining returns the pending-training slot past the live ones;
-// the drain before each prediction keeps it free.
-func (e *schemeEngine) nextTraining() *pendingTrain {
-	i := e.trainHead + e.trainLen
-	if i >= trainWindow {
-		i -= trainWindow
-	}
-	return &e.trainQ[i]
-}
-
-// popTraining applies the oldest deferred training.
-func (e *schemeEngine) popTraining() {
-	p := &e.trainQ[e.trainHead]
-	if e.trainHead++; e.trainHead == trainWindow {
-		e.trainHead = 0
-	}
-	e.trainLen--
-	e.pp.Train(&p.lk, p.res1, p.res2)
-}
-
-// pushSpecBit appends a speculative history bit, evicting (and
-// repairing) the oldest once the writeback window is full.
-func (e *schemeEngine) pushSpecBit(b specBit) {
-	if e.ringLen >= repairWindow {
-		e.evictSpecBit()
-	}
-	i := e.ringHead + e.ringLen
-	if i >= repairWindow {
-		i -= repairWindow
-	}
-	e.ring[i] = b
-	e.ringLen++
-	e.ringBits <<= 1
-	if b.pred {
-		e.ringBits |= 1
-	}
-}
-
-func (e *schemeEngine) evictSpecBit() {
-	b := &e.ring[e.ringHead]
-	if e.ringHead++; e.ringHead == repairWindow {
-		e.ringHead = 0
-	}
-	e.ringLen--
-	e.ringBits &= uint64(1)<<uint(e.ringLen) - 1
-	v := b.pred
-	if b.repair {
-		v = b.act
-	}
-	e.pGHR.Push(v)
-}
-
-// specGHR composes the history a fetched compare sees: repaired bits
-// beyond the writeback window, predicted bits inside it.
-func (e *schemeEngine) specGHR() uint64 {
-	v := e.pGHR.Snapshot()<<uint(e.ringLen) | e.ringBits
-	if n := e.pGHR.N; n < 64 {
-		v &= uint64(1)<<n - 1
-	}
-	return v
-}
-
 // drainWindows models a recovery flush: every pending training is
-// applied and every speculative history bit repaired.
+// applied and every pending repair made.
 func (e *schemeEngine) drainWindows() {
-	for e.trainLen > 0 {
-		e.popTraining()
+	for i := range uint64(trainWindow) {
+		if pt := &e.trainQ[(e.trains+i)%trainWindow]; pt.pending {
+			e.pred.Train(&pt.lk, pt.res1, pt.res2)
+			pt.pending = false
+		}
 	}
-	for e.ringLen > 0 {
-		e.evictSpecBit()
+	for i := range e.repairs {
+		if r := &e.repairs[i]; r.pending {
+			e.pred.Resolve(r.ord, r.act)
+			r.pending = false
+		}
 	}
 }

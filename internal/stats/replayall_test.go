@@ -13,6 +13,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/program"
+	"repro/internal/scheme"
 	"repro/internal/trace"
 )
 
@@ -225,15 +226,11 @@ func TestReplaySharesConventionalByKey(t *testing.T) {
 	// The predictor each engine must read, by the index of the first
 	// engine reading it; -1 for none.
 	want := []int{0, 0, 0, 0, 0, 5, 5, 7, -1}
-	kinds := kindsOf(prog)
+	kinds := scheme.Kinds(prog)
 	engines := make([]*schemeEngine, len(cfgs))
 	for i, cfg := range cfgs {
 		c := EngineConfigOf(cfg)
-		e, err := newSchemeEngine(c, keyOf(c, kinds), kinds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines[i] = e
+		engines[i] = newSchemeEngine(c, keyOf(c, kinds), kinds)
 	}
 	if n := len(shareConventional(engines)); n != 3 {
 		t.Errorf("built %d conventional predictors, want 3", n)
