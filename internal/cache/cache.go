@@ -5,7 +5,11 @@
 // address at a given cycle, accounting for outstanding misses.
 package cache
 
-import "repro/internal/config"
+import (
+	"slices"
+
+	"repro/internal/config"
+)
 
 // Cache is one level of a timing-only set-associative cache with LRU
 // replacement, optional MSHRs (miss merging) and a write buffer.
@@ -51,15 +55,20 @@ type mshr struct {
 // New builds a cache level. next may be nil, in which case missLat is
 // charged for every miss (used for main memory behind the L2).
 func New(p config.CacheParams, next *Cache, missLat int) *Cache {
-	c := &Cache{
-		params: p, next: next, missLat: missLat,
-		ways: make([]way, p.Sets()*p.Ways), nSets: uint64(p.Sets()),
-		mshrs: make([]mshr, p.MSHRs),
-	}
-	if p.WriteBuf > 0 {
-		c.writeBuf = make([]uint64, p.WriteBuf)
-	}
+	c := new(Cache)
+	c.Reset(p, next, missLat)
 	return c
+}
+
+// Reset makes c the empty level New(p, next, missLat) builds, reusing
+// its arrays' storage.
+func (c *Cache) Reset(p config.CacheParams, next *Cache, missLat int) {
+	*c = Cache{
+		params: p, next: next, missLat: missLat,
+		ways: append(c.ways[:0], make([]way, p.Sets()*p.Ways)...), nSets: uint64(p.Sets()),
+		mshrs:    append(c.mshrs[:0], make([]mshr, p.MSHRs)...),
+		writeBuf: append(c.writeBuf[:0], make([]uint64, p.WriteBuf)...),
+	}
 }
 
 func (c *Cache) blockAddr(addr uint64) uint64 {
@@ -234,10 +243,23 @@ type TLB struct {
 // NewTLB builds a TLB with the given number (at least 1) of entries and
 // miss penalty.
 func NewTLB(size, penalty int) *TLB {
-	return &TLB{
-		pages:   make([]uint64, 0, size),
-		lastUse: make([]uint64, 0, size),
-		slotOf:  make(map[uint64]int32, size),
+	t := new(TLB)
+	t.Reset(size, penalty)
+	return t
+}
+
+// Reset makes t the empty TLB NewTLB(size, penalty) builds, reusing its
+// storage.
+func (t *TLB) Reset(size, penalty int) {
+	slotOf := t.slotOf
+	if slotOf == nil {
+		slotOf = make(map[uint64]int32, size)
+	}
+	clear(slotOf)
+	*t = TLB{
+		pages:   slices.Grow(t.pages[:0], size),
+		lastUse: slices.Grow(t.lastUse[:0], size),
+		slotOf:  slotOf,
 		mruSlot: -1,
 		penalty: penalty,
 	}
@@ -287,14 +309,22 @@ type Hierarchy struct {
 
 // NewHierarchy builds the full Table 1 memory system.
 func NewHierarchy(cfg config.Config) *Hierarchy {
-	l2 := New(cfg.L2, nil, cfg.MemLat)
-	return &Hierarchy{
-		L1I:  New(cfg.L1I, l2, 0),
-		L1D:  New(cfg.L1D, l2, 0),
-		L2:   l2,
-		ITLB: NewTLB(cfg.ITLBSize, cfg.TLBMissPenalty),
-		DTLB: NewTLB(cfg.DTLBSize, cfg.TLBMissPenalty),
+	h := new(Hierarchy)
+	h.Reset(cfg)
+	return h
+}
+
+// Reset makes h the empty memory system NewHierarchy(cfg) builds,
+// reusing its levels' storage.
+func (h *Hierarchy) Reset(cfg config.Config) {
+	if h.L1I == nil {
+		*h = Hierarchy{L1I: new(Cache), L1D: new(Cache), L2: new(Cache), ITLB: new(TLB), DTLB: new(TLB)}
 	}
+	h.L2.Reset(cfg.L2, nil, cfg.MemLat)
+	h.L1I.Reset(cfg.L1I, h.L2, 0)
+	h.L1D.Reset(cfg.L1D, h.L2, 0)
+	h.ITLB.Reset(cfg.ITLBSize, cfg.TLBMissPenalty)
+	h.DTLB.Reset(cfg.DTLBSize, cfg.TLBMissPenalty)
 }
 
 // InstAccess returns the fetch latency for an instruction address.

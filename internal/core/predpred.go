@@ -61,17 +61,25 @@ type Predictor struct {
 
 // New builds a predicate predictor from cfg.
 func New(cfg Config) *Predictor {
-	p := &Predictor{
-		cfg:    cfg,
-		pvt:    predictor.NewPerceptronBudget(cfg.SizeBytes, cfg.GHRBits, cfg.LHRBits),
-		lht:    predictor.NewLocalHistoryTable(cfg.LHTBits, cfg.LHRBits),
-		layout: NewLayout(cfg),
-	}
-	p.conf = make([]predictor.SatCounter, p.pvt.Rows())
-	for i := range p.conf {
-		p.conf[i].Bits = uint8(cfg.ConfBits)
-	}
+	p := new(Predictor)
+	p.Reset(cfg)
 	return p
+}
+
+// Reset makes p the predictor New(cfg) builds, reusing its tables'
+// storage.
+func (p *Predictor) Reset(cfg Config) {
+	if p.pvt == nil {
+		p.pvt, p.lht = new(predictor.Perceptron), new(predictor.LocalHistoryTable)
+	}
+	p.cfg, p.layout = cfg, NewLayout(cfg)
+	rows := predictor.NewGeometry(cfg.SizeBytes, cfg.GHRBits, cfg.LHRBits, false).Rows()
+	p.pvt.Reset(rows, cfg.GHRBits, cfg.LHRBits)
+	p.lht.Reset(cfg.LHTBits, cfg.LHRBits)
+	p.conf = p.conf[:0]
+	for range rows {
+		p.conf = append(p.conf, predictor.SatCounter{Bits: uint8(cfg.ConfBits)})
+	}
 }
 
 // Rows returns the number of PVT rows.

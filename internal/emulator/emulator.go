@@ -29,6 +29,11 @@ type page [pageSize]byte
 type Memory struct {
 	pages map[uint64]*page
 	cache [pageCacheSize]cachedPage
+	// owned lists every page the memory has allocated, the first used
+	// of them in the page map; after a Reset, a new page is the next
+	// owned one, zeroed, before it is a new allocation.
+	owned []*page
+	used  int
 }
 
 // pageCacheSize is the page cache's entry count, a power of two.
@@ -42,7 +47,22 @@ type cachedPage struct {
 }
 
 // NewMemory returns an empty memory.
-func NewMemory() *Memory { return &Memory{pages: make(map[uint64]*page)} }
+func NewMemory() *Memory {
+	m := new(Memory)
+	m.Reset()
+	return m
+}
+
+// Reset empties m, keeping its pages for reuse, so refilling them costs
+// no allocation.
+func (m *Memory) Reset() {
+	if m.pages == nil {
+		m.pages = make(map[uint64]*page)
+	}
+	clear(m.pages)
+	m.used = 0
+	m.cache = [pageCacheSize]cachedPage{}
+}
 
 // pageFor returns the page holding addr, allocating it when create is
 // set; without create an untouched page is nil, and is not cached.
@@ -57,7 +77,14 @@ func (m *Memory) pageFor(addr uint64, create bool) *page {
 		if !create {
 			return nil
 		}
-		p = new(page)
+		if m.used < len(m.owned) {
+			p = m.owned[m.used]
+			*p = page{}
+		} else {
+			p = new(page)
+			m.owned = append(m.owned, p)
+		}
+		m.used++
 		m.pages[pn] = p
 	}
 	c.pn, c.p = pn, p
@@ -106,6 +133,20 @@ func (m *Memory) Write64(addr uint64, v uint64) {
 	for i := 0; i < 8; i++ {
 		m.Write8(addr+uint64(i), byte(v>>(8*i)))
 	}
+}
+
+// Equal reports whether m and o hold the same contents: the same
+// touched pages, each with the same bytes.
+func (m *Memory) Equal(o *Memory) bool {
+	if len(m.pages) != len(o.pages) {
+		return false
+	}
+	for pn, p := range m.pages {
+		if q := o.pages[pn]; q == nil || *p != *q {
+			return false
+		}
+	}
+	return true
 }
 
 // Footprint returns the number of touched pages (debug/stats aid).

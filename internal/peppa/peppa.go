@@ -38,11 +38,17 @@ type Predictor struct {
 
 // New builds a PEP-PA predictor.
 func New(cfg Config) *Predictor {
-	return &Predictor{
-		cfg: cfg,
-		lht: make([][2]uint64, cfg.LHTEntries),
-		pht: make([]predictor.SatCounter, 1<<cfg.PHTBits),
-	}
+	p := new(Predictor)
+	p.Reset(cfg)
+	return p
+}
+
+// Reset makes p the predictor New(cfg) builds, reusing its tables'
+// storage.
+func (p *Predictor) Reset(cfg Config) {
+	p.cfg = cfg
+	p.lht = append(p.lht[:0], make([][2]uint64, cfg.LHTEntries)...)
+	p.pht = append(p.pht[:0], make([]predictor.SatCounter, 1<<cfg.PHTBits)...)
 }
 
 // SizeBytes returns the approximate storage budget.
@@ -71,11 +77,10 @@ func (p *Predictor) Site(pc uint64) Site {
 // in-flight branch and passes it back to Update/Undo.
 type Lookup struct {
 	Taken   bool
-	Sel     int    // which local history was selected (0/1)
-	Hist    uint64 // local history value used for the PHT index
+	Sel     uint8  // which local history was selected (0/1)
 	lht     int32  // the branch's local history table entry
 	pht     int32  // the pattern table entry read
-	prevLHR uint64 // history before the speculative push (for Undo)
+	prevLHR uint64 // history before the speculative push, read for the PHT index (for Undo)
 }
 
 // Predict reads the prediction for the branch at site s given the
@@ -84,7 +89,7 @@ type Lookup struct {
 // update with undo, per §4.1: "local histories are updated
 // speculatively and correctly recovered on a branch misprediction").
 func (p *Predictor) Predict(s Site, prevPred bool) Lookup {
-	sel := 0
+	sel := uint8(0)
 	if prevPred {
 		sel = 1
 	}
@@ -92,7 +97,7 @@ func (p *Predictor) Predict(s Site, prevPred bool) Lookup {
 	pht := int32((hist ^ uint64(s.fold)) & (1<<p.cfg.PHTBits - 1))
 	taken := p.pht[pht].Taken()
 
-	lk := Lookup{Taken: taken, Sel: sel, Hist: hist, lht: s.lht, pht: pht, prevLHR: hist}
+	lk := Lookup{Taken: taken, Sel: sel, lht: s.lht, pht: pht, prevLHR: hist}
 	mask := uint64(1)<<p.cfg.LHRBits - 1
 	next := hist << 1
 	if taken {
@@ -114,12 +119,12 @@ func (p *Predictor) Update(lk *Lookup, taken bool) {
 		if taken {
 			next |= 1
 		}
-		p.lht[lk.lht][lk.Sel] = next & mask
+		p.lht[lk.lht][lk.Sel&1] = next & mask
 	}
 }
 
 // Undo rolls back the speculative history push of a squashed prediction
 // (wrong-path branch that never resolves).
 func (p *Predictor) Undo(lk *Lookup) {
-	p.lht[lk.lht][lk.Sel] = lk.prevLHR
+	p.lht[lk.lht][lk.Sel&1] = lk.prevLHR
 }

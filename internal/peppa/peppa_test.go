@@ -1,6 +1,18 @@
 package peppa
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
+
+// TestLookupIs24Bytes pins the lookup's size: the cycle model keeps one
+// per in-flight branch slot and the PEP-PA engine copies one per
+// branch.
+func TestLookupIs24Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Lookup{}); n != 24 {
+		t.Errorf("Lookup is %d bytes, want 24", n)
+	}
+}
 
 func TestSizeBudget(t *testing.T) {
 	p := New(DefaultConfig())

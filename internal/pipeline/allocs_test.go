@@ -4,6 +4,10 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/isa"
+	"repro/internal/program"
+	"repro/internal/scheme"
 )
 
 // codeAllocs runs f once to warm up and once measured, and returns the
@@ -67,13 +71,17 @@ func inModuleCode(stk [32]uintptr) bool {
 	}
 }
 
-var allocSink []int
+var (
+	allocSink []int
+	kindsSink []uint8
+	oneInst   = &program.Program{Insts: make([]isa.Inst, 1)}
+)
 
 // TestCodeAllocsSeesModuleCode checks the counter itself: an allocation
-// in the pipeline's own code counts, and one in test code does not.
+// in the module's code counts, and one in test code does not.
 func TestCodeAllocsSeesModuleCode(t *testing.T) {
-	if code, total := codeAllocs(func() { allocSink = insertPos(nil, 64) }); code != 1 || total < 1 {
-		t.Errorf("insertPos growing a nil list: %d allocations through module code (%d in all), want 1", code, total)
+	if code, total := codeAllocs(func() { kindsSink = scheme.Kinds(nil, oneInst) }); code != 1 || total < 1 {
+		t.Errorf("scheme.Kinds growing a nil list: %d allocations through module code (%d in all), want 1", code, total)
 	}
 	if code, total := codeAllocs(func() { allocSink = make([]int, 64) }); code != 0 || total < 1 {
 		t.Errorf("a test-code make: %d allocations through module code (%d in all), want 0", code, total)

@@ -34,8 +34,8 @@ func (pl *Pipeline) commit() {
 					pl.hier.DataAccess(u.memAddr, pl.cycle, true)
 				}
 				pl.storeHead++ // u is the oldest store on the list
-				if pl.storeHead == len(pl.stores) {
-					pl.stores, pl.storeHead = pl.stores[:0], 0
+				if pl.storeHead == pl.storeTail {
+					pl.storeHead, pl.storeTail = 0, 0
 				}
 			}
 			switch u.dKind {

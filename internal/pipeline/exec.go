@@ -15,12 +15,13 @@ func (pl *Pipeline) issue() {
 	// Function units free this cycle, by class. A ready uop is never
 	// classNone, so masking its class only drops the bounds check.
 	free := [4]int{pl.cfg.IntALUs, pl.cfg.FPALUs, pl.cfg.MemPorts, pl.cfg.BrUnits}
+	l := pl.readyList()
 	kept := 0
-	for _, pos := range pl.readyList {
+	for _, pos := range l {
 		u := pl.slot(pos)
 		fu := &free[u.class&3]
 		if *fu == 0 || (u.isLoad && !pl.loadMayIssue(u)) {
-			pl.readyList[kept] = pos
+			l[kept] = pos
 			kept++
 			continue
 		}
@@ -28,9 +29,9 @@ func (pl *Pipeline) issue() {
 		u.issued = true
 		pl.releaseIQ(u)
 		*fu--
-		pl.inflight = insertPos(pl.inflight, pos)
+		pl.nInflight = insertPos(pl.inflight, pl.nInflight, pos)
 	}
-	pl.readyList = pl.readyList[:kept]
+	pl.nReady = kept
 }
 
 // loadMayIssue enforces conservative memory disambiguation: a load
@@ -40,7 +41,7 @@ func (pl *Pipeline) issue() {
 // store list, oldest first.
 func (pl *Pipeline) loadMayIssue(u *uop) bool {
 	addr := pl.effAddr(u)
-	for _, pos := range pl.stores[pl.storeHead:] {
+	for _, pos := range pl.storeList() {
 		s := pl.slot(pos)
 		if s.seq >= u.seq {
 			break
@@ -222,8 +223,9 @@ func (pl *Pipeline) execLoad(u *uop) int {
 // forward searches the older stores of the store list youngest-first
 // for an exact address match and returns the forwarded bits.
 func (pl *Pipeline) forward(u *uop) (uint64, bool) {
-	for k := len(pl.stores) - 1; k >= pl.storeHead; k-- {
-		s := pl.slot(pl.stores[k])
+	l := pl.storeList()
+	for k := len(l) - 1; k >= 0; k-- {
+		s := pl.slot(l[k])
 		if s.seq >= u.seq || !s.issued || !s.qpVal || s.memAddr != u.memAddr {
 			continue
 		}
@@ -250,7 +252,7 @@ func (pl *Pipeline) execStore(u *uop) {
 // branch-misprediction flush). One flush per cycle; remaining
 // completions slip to the next cycle.
 func (pl *Pipeline) writeback() {
-	l := pl.inflight
+	l := pl.inflightList()
 	kept := 0
 	for i, pos := range l {
 		u := pl.slot(pos)
@@ -274,12 +276,14 @@ func (pl *Pipeline) writeback() {
 			u.isBranch && pl.branchWriteback(u) {
 			// flushAfter trimmed the list from its tail. The flush
 			// kept u, so the trim stopped past index i; the entries in
-			// [kept, i] are this cycle's completions.
-			pl.inflight = append(l[:kept], pl.inflight[i+1:]...)
+			// [kept, i] are this cycle's completions. The copy moves
+			// the trimmed entries too, past the new count.
+			copy(l[kept:], l[i+1:])
+			pl.nInflight -= i + 1 - kept
 			return
 		}
 	}
-	pl.inflight = l[:kept]
+	pl.nInflight = kept
 }
 
 // wake empties a register's consumer stack once its value is
@@ -293,7 +297,7 @@ func (pl *Pipeline) wake(stack *int32) {
 		if u.pending == 0 {
 			// A waiting uop is in the ROB, so its position is the
 			// one in [head, mid) that maps to slot s.
-			pl.readyList = insertPos(pl.readyList, pl.head+(s-pl.head)&pl.mask)
+			pl.nReady = insertPos(pl.ready, pl.nReady, pl.head+(s-pl.head)&pl.mask)
 		}
 	}
 	*stack = noLink

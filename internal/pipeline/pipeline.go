@@ -14,11 +14,15 @@ import (
 	"repro/internal/trace"
 )
 
-// Pipeline is the out-of-order core.
+// Pipeline is the out-of-order core. Reset rebuilds it in place for
+// another configuration or program, reusing every table, list and
+// memory page it already holds, so a worker that runs cell after cell
+// on one machine allocates only while its storage grows.
 type Pipeline struct {
 	cfg    config.Config
 	prog   *program.Program
 	static []static // predecoded instructions, indexed by PC
+	kinds  []uint8  // trace record kind per PC: the sites the predictors build
 	mem    *emulator.Memory
 	hier   *cache.Hierarchy
 
@@ -27,11 +31,16 @@ type Pipeline struct {
 	brGHR  predictor.History
 
 	// Second-level predictor side (package scheme): conv is the
-	// conventional scheme's, or the predicate scheme's Figure 6b shadow
-	// scored at commit; pep and pred are PEP-PA's and predpred's.
-	conv *scheme.Conventional
-	pep  scheme.PEPPA
-	pred *scheme.Predicate
+	// conventional scheme's, or the predicate scheme's Figure 6b
+	// shadow scored at commit; pep and pred are PEP-PA's and predpred's.
+	// conv and pred point at convTables and predTables when the scheme
+	// has them and are nil otherwise; pep keeps its tables across
+	// Reset and is read only under PEP-PA.
+	conv       *scheme.Conventional
+	pep        scheme.PEPPA
+	pred       *scheme.Predicate
+	convTables scheme.Conventional
+	predTables scheme.Predicate
 
 	ras  *predictor.RAS
 	itab *predictor.IndirectTable
@@ -54,25 +63,29 @@ type Pipeline struct {
 	// scheme-exclusive fetch state, at the same index.
 	win             []uop
 	cold            []uopCold
-	mask            int
+	mask            int // len(win) - 1
 	head, mid, tail int
 
-	// Scheduling lists of window positions, each in seq order:
-	// readyList holds dispatched uops whose sources are all ready but
-	// that have not issued, inflight issued uops that have not
-	// completed.
-	readyList, inflight []int
+	// Scheduling lists of window positions, each in seq order and held
+	// in the first nReady or nInflight entries of a buffer with room
+	// for the whole window, so a stage updates a count and never a
+	// slice header: ready holds dispatched uops whose sources are all
+	// ready but that have not issued, inflight issued uops that have
+	// not completed.
+	ready, inflight   []int
+	nReady, nInflight int
 
-	// stores[storeHead:] lists the window positions of the ROB's
-	// effective (renamed, not cancelled) stores in seq order: rename
-	// appends, commit advances storeHead past the first, flushAfter
-	// trims the tail. Entries below storeHead have committed, so no trim
-	// reaches them; the FIFO restarts at index 0 whenever it empties,
-	// and rename compacts it when an append would outgrow its capacity.
-	// Its live length is the store-queue occupancy, and memory
-	// disambiguation and forwarding walk it instead of the ROB.
-	stores    []int
-	storeHead int
+	// stores[storeHead:storeTail] lists the window positions of the
+	// ROB's effective (renamed, not cancelled) stores in seq order:
+	// rename appends, commit advances storeHead past the first,
+	// flushAfter trims the tail. Entries below storeHead have
+	// committed, so no trim reaches them; the FIFO restarts at index 0
+	// whenever it empties, and rename compacts it when an append would
+	// run off the buffer. Its live length is the store-queue occupancy,
+	// and memory disambiguation and forwarding walk it instead of the
+	// ROB.
+	stores               []int
+	storeHead, storeTail int
 
 	// ppWater bounds every PPRF robPtr from above: rename raises it to
 	// each seq it records, and flushAfter scans the PPRF only when it
@@ -85,7 +98,7 @@ type Pipeline struct {
 
 	// Rename state. The maps are indexed by architectural register
 	// numbers and sized to their types' range, so no index into them
-	// needs a bounds check; New maps the entries past NumGPR, NumFPR
+	// needs a bounds check; Reset maps the entries past NumGPR, NumFPR
 	// and NumPred to themselves, and nothing reads them.
 	ratI  [1 << 8]int32
 	ratF  [1 << 8]int32
@@ -119,80 +132,110 @@ type Pipeline struct {
 	Stats  Stats
 }
 
-// New builds a pipeline for the program under the given configuration.
+// New builds a pipeline for the program under the given configuration:
+// Reset applied to an empty machine.
 func New(cfg config.Config, prog *program.Program) (*Pipeline, error) {
-	if err := cfg.Validate(); err != nil {
+	pl := new(Pipeline)
+	if err := pl.Reset(cfg, prog); err != nil {
 		return nil, err
 	}
+	return pl, nil
+}
+
+// Reset makes pl the machine New(cfg, prog) builds, with a cold
+// memory, caches and predictors, reusing pl's storage: each buffer is
+// cleared in place and reallocated only when cfg or prog needs a larger
+// one. A configuration New rejects leaves pl as it was.
+func (pl *Pipeline) Reset(cfg config.Config, prog *program.Program) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if max(prog.Len(), cfg.IntPhysRegs, cfg.FPPhysRegs, cfg.PredPhysRegs) > math.MaxInt32 {
-		return nil, fmt.Errorf("pipeline: program or register file too large for int32 indices")
+		return fmt.Errorf("pipeline: program or register file too large for int32 indices")
 	}
-	pl := &Pipeline{
-		cfg:    cfg,
-		prog:   prog,
-		mem:    emulator.NewMemory(),
-		hier:   cache.NewHierarchy(cfg),
-		gshare: predictor.NewGshare(cfg.GshareIdxBits),
-		ras:    predictor.NewRAS(cfg.RASEntries),
-		itab:   predictor.NewIndirectTable(10),
+	if pl.mem == nil {
+		pl.mem, pl.hier = new(emulator.Memory), new(cache.Hierarchy)
+		pl.gshare, pl.ras, pl.itab = new(predictor.Gshare), new(predictor.RAS), new(predictor.IndirectTable)
 	}
-	pl.pendingRefetch = make([]int32, prog.Len())
+	// Everything but the storage below starts at zero.
+	*pl = Pipeline{
+		cfg: cfg, prog: prog,
+		static: pl.static, kinds: pl.kinds, mem: pl.mem, hier: pl.hier,
+		gshare: pl.gshare, pep: pl.pep, convTables: pl.convTables, predTables: pl.predTables,
+		ras: pl.ras, itab: pl.itab,
+		win: pl.win, cold: pl.cold, ready: pl.ready, inflight: pl.inflight, stores: pl.stores,
+		linkNext: pl.linkNext, physI: pl.physI, physF: pl.physF, pprf: pl.pprf,
+		freeI: pl.freeI, freeF: pl.freeF, freeP: pl.freeP, pendingRefetch: pl.pendingRefetch,
+	}
+	pl.mem.Reset()
+	pl.hier.Reset(cfg)
+	pl.gshare.Reset(cfg.GshareIdxBits)
+	pl.brGHR.N = cfg.GshareIdxBits
+	pl.ras.Reset(cfg.RASEntries)
+	pl.itab.Reset(10)
+
 	// The ROB holds at most ROBEntries uops and the front-end queue at
 	// most maxFrontend-1+FetchWidth (fetch starts a group only below
 	// maxFrontend).
-	n := 1
-	for n < cfg.ROBEntries+maxFrontend+cfg.FetchWidth {
-		n <<= 1
-	}
-	pl.win = make([]uop, n)
-	pl.cold = make([]uopCold, n)
-	for i := range pl.cold {
-		pl.ras.SnapshotInto(&pl.cold[i].rasSnap) // sizes it, so fetch never allocates
-	}
+	n := pow2(cfg.ROBEntries + maxFrontend + cfg.FetchWidth)
 	pl.mask = n - 1
-	pl.readyList = make([]int, 0, n)
-	pl.inflight = make([]int, 0, n)
-	pl.stores = make([]int, 0, n)
+	pl.win = append(pl.win[:0], make([]uop, n)...)
+	// The cold slots keep their RAS snapshots' stacks, which
+	// SnapshotInto sizes to RASEntries once, so fetch never allocates.
+	if cap(pl.cold) < n {
+		pl.cold = make([]uopCold, n)
+	}
+	pl.cold = pl.cold[:n]
+	for i, cold := 0, pl.cold; i < len(cold); i++ {
+		pl.ras.SnapshotInto(&cold[i].rasSnap)
+	}
+	pl.ready = append(pl.ready[:0], make([]int, n)...)
+	pl.inflight = append(pl.inflight[:0], make([]int, n)...)
+	pl.stores = append(pl.stores[:0], make([]int, n)...)
+	pl.linkNext = append(pl.linkNext[:0], make([]int32, n*srcLinks)...)
 	pl.ppWater = -1
 	pl.iqCap = [numIQ]int{iqInt: cfg.IntIQEntries, iqFP: cfg.FPIQEntries, iqBr: cfg.BrIQEntries}
-	pl.linkNext = make([]int32, n*srcLinks)
-	pl.brGHR.N = cfg.GshareIdxBits
 
-	kinds, sc := scheme.Kinds(prog), scheme.ConfigOf(cfg)
-	pl.conv = scheme.ConvOf(sc, kinds)
+	pl.kinds = scheme.Kinds(pl.kinds, prog)
+	sc := scheme.ConfigOf(cfg)
+	if cfg.Scheme != config.SchemePEPPA {
+		pl.conv = &pl.convTables
+		pl.conv.Reset(sc, pl.kinds)
+	}
 	switch cfg.Scheme {
 	case config.SchemePEPPA:
-		pl.pep = scheme.NewPEPPA(kinds)
+		pl.pep.Reset(pl.kinds)
 	case config.SchemePredicate:
-		pl.pred = scheme.NewPredicate(sc, kinds)
+		pl.pred = &pl.predTables
+		pl.pred.Reset(sc, pl.kinds)
 	}
-	pl.static = make([]static, len(kinds))
-	for pc, kind := range kinds {
-		st := &pl.static[pc]
-		*st = decode(prog.At(pc))
-		switch addr := scheme.InstAddr(pc); kind {
+	pl.static = pl.static[:0]
+	insts := prog.Insts
+	for pc := range insts {
+		in := &insts[pc]
+		st := decode(in)
+		switch addr := scheme.InstAddr(pc); trace.KindOf(in) {
 		case trace.EvBrInd:
 			st.itab = int32(pl.itab.Slot(addr))
 		case trace.EvCondBr:
 			st.gshare = pl.gshare.Site(addr)
 		}
+		pl.static = append(pl.static, st)
 	}
+	pl.pendingRefetch = append(pl.pendingRefetch[:0], make([]int32, len(pl.kinds))...)
 
 	// Physical register files: architectural registers map identically
 	// at reset; the rest populate the free lists.
-	pl.physI = make([]physReg, cfg.IntPhysRegs)
-	pl.physF = make([]physRegF, cfg.FPPhysRegs)
-	pl.pprf = make([]pprfEntry, cfg.PredPhysRegs)
-	for i := range pl.physI {
-		pl.physI[i] = physReg{ready: true, wait: noLink}
+	pl.physI, pl.physF, pl.pprf = pl.physI[:0], pl.physF[:0], pl.pprf[:0]
+	for range cfg.IntPhysRegs {
+		pl.physI = append(pl.physI, physReg{ready: true, wait: noLink})
 	}
-	for i := range pl.physF {
-		pl.physF[i] = physRegF{ready: true, wait: noLink}
+	for range cfg.FPPhysRegs {
+		pl.physF = append(pl.physF, physRegF{ready: true, wait: noLink})
 	}
-	for i := range pl.pprf {
-		pl.pprf[i] = pprfEntry{computed: true, wait: noLink, robPtr: -1}
+	for p := range cfg.PredPhysRegs {
+		pl.pprf = append(pl.pprf, pprfEntry{val: p == 0, computed: true, wait: noLink, robPtr: -1}) // p0 hardwired true
 	}
-	pl.pprf[0].val = true // p0 hardwired true
 	for r := range pl.ratI {
 		pl.ratI[r] = int32(r)
 	}
@@ -202,9 +245,7 @@ func New(cfg config.Config, prog *program.Program) (*Pipeline, error) {
 	for p := range pl.ratP {
 		pl.ratP[p] = int32(p)
 	}
-	pl.freeI = make([]int32, 0, cfg.IntPhysRegs)
-	pl.freeF = make([]int32, 0, cfg.FPPhysRegs)
-	pl.freeP = make([]int32, 0, cfg.PredPhysRegs)
+	pl.freeI, pl.freeF, pl.freeP = pl.freeI[:0], pl.freeF[:0], pl.freeP[:0]
 	for i := isa.NumGPR; i < cfg.IntPhysRegs; i++ {
 		pl.freeI = append(pl.freeI, int32(i))
 	}
@@ -214,7 +255,7 @@ func New(cfg config.Config, prog *program.Program) (*Pipeline, error) {
 	for i := isa.NumPred; i < cfg.PredPhysRegs; i++ {
 		pl.freeP = append(pl.freeP, int32(i))
 	}
-	return pl, nil
+	return nil
 }
 
 // Memory exposes the committed architectural memory (programs often
@@ -273,32 +314,51 @@ func (pl *Pipeline) step() {
 	pl.Stats.Cycles = pl.cycle
 }
 
+// pow2 returns the least power of two that is at least n.
+func pow2(n int) int {
+	p := 1
+	for p < n {
+		p <<= 1
+	}
+	return p
+}
+
 // slot returns the window slot at position i.
 func (pl *Pipeline) slot(i int) *uop { return &pl.win[i&pl.mask] }
 
 // coldSlot returns the cold state of the window slot at position i.
 func (pl *Pipeline) coldSlot(i int) *uopCold { return &pl.cold[i&pl.mask] }
 
-// insertPos inserts window position pos into l, which is in seq order,
-// and returns the longer list. Every list has capacity for the whole
-// window, so the append never allocates.
-func insertPos(l []int, pos int) []int {
-	l = append(l, pos)
-	for n := len(l) - 1; n > 0 && l[n-1] > pos; n-- {
-		l[n], l[n-1] = l[n-1], pos
+// insertPos inserts window position pos into the first n entries of l,
+// which are in seq order, and returns the new count. Every list has
+// room for the whole window.
+func insertPos(l []int, n, pos int) int {
+	if n >= len(l) {
+		panic("pipeline: scheduling list overflow")
 	}
-	return l
+	i := n
+	for ; i > 0 && l[i-1] > pos; i-- {
+		l[i] = l[i-1]
+	}
+	l[i] = pos
+	return n + 1
 }
 
-// trimFrom drops the tail of l, which is in seq order, from the first
-// position at or beyond end.
-func trimFrom(l []int, end int) []int {
-	n := len(l)
-	for n > 0 && l[n-1] >= end {
+// trimFrom drops the tail of the list in l[from:n], which is in seq
+// order, from the first position at or beyond end, and returns the new
+// count.
+func trimFrom(l []int, from, n, end int) int {
+	for n > from && l[n-1] >= end {
 		n--
 	}
-	return l[:n]
+	return n
 }
+
+// readyList, inflightList and storeList return the live part of each
+// scheduling list.
+func (pl *Pipeline) readyList() []int    { return pl.ready[:pl.nReady] }
+func (pl *Pipeline) inflightList() []int { return pl.inflight[:pl.nInflight] }
+func (pl *Pipeline) storeList() []int    { return pl.stores[pl.storeHead:pl.storeTail] }
 
 // flushAfter squashes every uop with seq strictly greater than boundary,
 // restores rename and predictor state in reverse order, clears dangling
@@ -320,16 +380,16 @@ func (pl *Pipeline) flushAfter(boundary int64, newPC int, penalty int) {
 		pl.undoFetch(u, pl.coldSlot(i))
 		pl.tail = i
 	}
-	pl.readyList = trimFrom(pl.readyList, pl.mid)
-	pl.inflight = trimFrom(pl.inflight, pl.mid)
-	pl.stores = trimFrom(pl.stores, pl.mid)
-	if pl.storeHead == len(pl.stores) {
-		pl.stores, pl.storeHead = pl.stores[:0], 0
+	pl.nReady = trimFrom(pl.ready, 0, pl.nReady, pl.mid)
+	pl.nInflight = trimFrom(pl.inflight, 0, pl.nInflight, pl.mid)
+	pl.storeTail = trimFrom(pl.stores, pl.storeHead, pl.storeTail, pl.mid)
+	if pl.storeHead == pl.storeTail {
+		pl.storeHead, pl.storeTail = 0, 0
 	}
 	if pl.ppWater > boundary {
-		for i := range pl.pprf {
-			if pl.pprf[i].robPtr > boundary {
-				pl.pprf[i].robPtr = -1
+		for i, pprf := 0, pl.pprf; i < len(pprf); i++ {
+			if pprf[i].robPtr > boundary {
+				pprf[i].robPtr = -1
 			}
 		}
 		pl.ppWater = boundary

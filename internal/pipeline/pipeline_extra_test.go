@@ -132,9 +132,12 @@ func buildMemLoop(iters int64) *program.Program {
 // TestSteadyStateAllocFree pins the window's recycling: once warm, the
 // cycle model runs without a single heap allocation. Each run measures
 // the 20k commits that end at commit end, after 40k of warm-up; for
-// buildMemLoop, end is its halt. Only allocations through the module's
-// own code count (codeAllocs): a runtime goroutine that allocates
-// during the measured call is not the cycle model's.
+// buildMemLoop, end is its halt. Then one machine is reset for every
+// run and scheme in turn, as a sim worker resets its machine per cell:
+// after one pass has grown its storage, a second pass allocates
+// nothing. Only allocations through the module's own code count
+// (codeAllocs): a runtime goroutine that allocates during the measured
+// call is not the cycle model's.
 func TestSteadyStateAllocFree(t *testing.T) {
 	hard := buildHardLoop(1 << 40)
 	res, err := ifconvert.Convert(hard, ifconvert.Options{MaxBlockLen: 8})
@@ -173,6 +176,27 @@ func TestSteadyStateAllocFree(t *testing.T) {
 				t.Errorf("%s/%v: measured commits ended before the halt", r.p.Name, s)
 			}
 		}
+	}
+
+	// A worker's machine: once its storage has grown to the cells it
+	// runs, a cell's Reset and Run allocate nothing.
+	var m Pipeline
+	allocs, total := codeAllocs(func() { // a warm-up pass over the cells, then the measured one
+		for _, r := range runs {
+			for _, s := range allSchemes() {
+				if err := m.Reset(config.Default().WithScheme(s), r.p); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Run(min(r.end, 20000)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a reused machine: %d allocations over %d cells, want 0", allocs, len(runs)*len(allSchemes()))
+	} else if total != 0 {
+		t.Logf("a reused machine: %d process allocations during the measured cells, none through the cycle model", total)
 	}
 }
 

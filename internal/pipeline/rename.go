@@ -38,7 +38,7 @@ func (pl *Pipeline) resourcesFor(u *uop) bool {
 	return pl.iq[q] < pl.iqCap[q] &&
 		len(pl.freeI) >= int(n.regI) && len(pl.freeF) >= int(n.regF) && len(pl.freeP) >= int(n.regP) &&
 		pl.ldQ+int(n.ldQ) <= pl.cfg.LoadQEntries &&
-		len(pl.stores)-pl.storeHead+int(n.stQ) <= pl.cfg.StoreQEntries
+		pl.storeTail-pl.storeHead+int(n.stQ) <= pl.cfg.StoreQEntries
 }
 
 // renameOne renames a single uop and reports whether it triggered a
@@ -155,7 +155,7 @@ func (pl *Pipeline) dispatch(u *uop, pos int) {
 		}
 	}
 	if u.pending == 0 {
-		pl.readyList = insertPos(pl.readyList, pos)
+		pl.nReady = insertPos(pl.ready, pl.nReady, pos)
 	}
 }
 
@@ -323,10 +323,11 @@ func (pl *Pipeline) trackMemQueues(u *uop, pos int) {
 		pl.ldQ++
 	}
 	if u.isStore {
-		if len(pl.stores) == cap(pl.stores) {
-			n := copy(pl.stores, pl.stores[pl.storeHead:])
-			pl.stores, pl.storeHead = pl.stores[:n], 0
+		if pl.storeTail == len(pl.stores) {
+			pl.storeTail = copy(pl.stores, pl.storeList())
+			pl.storeHead = 0
 		}
-		pl.stores = append(pl.stores, pos)
+		pl.stores[pl.storeTail] = pos
+		pl.storeTail++
 	}
 }

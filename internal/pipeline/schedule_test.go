@@ -54,21 +54,21 @@ func checkSchedule(pl *Pipeline) error {
 			waiting += missing
 		}
 	}
-	if err := sameList("ready", pl.readyList, ready); err != nil {
+	if err := sameList("ready", pl.readyList(), ready); err != nil {
 		return err
 	}
-	if err := sameList("in-flight", pl.inflight, inflight); err != nil {
+	if err := sameList("in-flight", pl.inflightList(), inflight); err != nil {
 		return err
 	}
-	if err := sameList("store", pl.stores[pl.storeHead:], stores); err != nil {
+	if err := sameList("store", pl.storeList(), stores); err != nil {
 		return err
 	}
 	// The FIFO's head lies within it, and an empty FIFO restarts at
 	// index 0, so it never needs more than the window's capacity.
-	if pl.storeHead > len(pl.stores) || len(pl.stores) > cap(pl.stores) {
-		return fmt.Errorf("store FIFO head %d, length %d, capacity %d", pl.storeHead, len(pl.stores), cap(pl.stores))
+	if pl.storeHead > pl.storeTail || pl.storeTail > len(pl.stores) {
+		return fmt.Errorf("store FIFO head %d, tail %d, capacity %d", pl.storeHead, pl.storeTail, len(pl.stores))
 	}
-	if pl.storeHead == len(pl.stores) && pl.storeHead != 0 {
+	if pl.storeHead == pl.storeTail && pl.storeHead != 0 {
 		return fmt.Errorf("empty store FIFO left at head %d", pl.storeHead)
 	}
 	if err := checkWindowCounters(pl); err != nil {
@@ -109,7 +109,7 @@ func checkSchedule(pl *Pipeline) error {
 					return fmt.Errorf("%s p%d is ready but still has link %d", c.name, p, l)
 				}
 				s, k := int(l/srcLinks), l%srcLinks-c.first
-				pos := pl.head + (s-pl.head)&pl.mask
+				pos := pl.head + (s-pl.head)&(len(pl.win)-1)
 				u := &pl.win[s]
 				if pos >= pl.mid || u.issued || u.done || u.class == classNone {
 					return fmt.Errorf("%s p%d: link %d names slot %d (pos %d, rob [%d,%d)), not a waiting uop", c.name, p, l, s, pos, pl.head, pl.mid)
@@ -311,16 +311,16 @@ func TestSchedulingVisitsPerCommit(t *testing.T) {
 				pl.commit()
 				if !pl.halted {
 					wbScan += pl.mid - pl.head
-					wbList += len(pl.inflight)
+					wbList += pl.nInflight
 					pl.writeback()
 					isScan += pl.mid - pl.head
-					isList += len(pl.readyList)
-					for _, pos := range pl.readyList {
+					isList += pl.nReady
+					for _, pos := range pl.readyList() {
 						if !pl.slot(pos).isLoad {
 							continue
 						}
 						ldScan += pos - pl.head
-						for _, s := range pl.stores[pl.storeHead:] {
+						for _, s := range pl.storeList() {
 							if s >= pos {
 								break
 							}

@@ -108,7 +108,7 @@ type uopFlags struct {
 	fetchPredTaken bool // first-level (gshare) direction
 	predTaken      bool // final direction prediction used
 	pushedBrGHR    bool
-	_              bool // keeps the uop at 272 bytes (EXPERIMENTS.md "One scheme, two clocks")
+	_              bool // keeps the uop at 272 bytes (EXPERIMENTS.md "The cycle model stops paying the Go runtime")
 	touchedRAS     bool
 	brLkValid      bool
 	pepLkValid     bool

@@ -47,7 +47,7 @@ func TestStoreFIFORefillsAfterAFlushEmptiesIt(t *testing.T) {
 		pl.CoSim = emulator.New(p)
 		emptied, refilled := 0, 0
 		for !pl.halted {
-			live := len(pl.stores) - pl.storeHead
+			live := pl.storeTail - pl.storeHead
 			flushes := pl.Stats.ExecFlushes + pl.Stats.PredFlushes
 			pl.step()
 			if pl.CoSimErr != nil {
@@ -56,7 +56,7 @@ func TestStoreFIFORefillsAfterAFlushEmptiesIt(t *testing.T) {
 			if err := checkSchedule(pl); err != nil {
 				t.Fatalf("%v, cycle %d: %v", s, pl.cycle, err)
 			}
-			now := len(pl.stores) - pl.storeHead
+			now := pl.storeTail - pl.storeHead
 			switch {
 			case live > 0 && now == 0 && pl.Stats.ExecFlushes+pl.Stats.PredFlushes > flushes:
 				emptied++

@@ -65,13 +65,27 @@ var laneMask = func() (t [256]uint64) {
 // rows and history lengths, each at most MaxHistoryBits. Theta follows
 // Jiménez-Lin: 1.93*history + 14.
 func NewPerceptron(rows int, ghrBits, lhrBits uint) *Perceptron {
+	p := new(Perceptron)
+	p.Reset(rows, ghrBits, lhrBits)
+	return p
+}
+
+// NewPerceptronBudget builds a perceptron predictor sized to a byte
+// budget: the rows of NewGeometry(bytes, ghrBits, lhrBits, false).
+func NewPerceptronBudget(bytes int, ghrBits, lhrBits uint) *Perceptron {
+	return NewPerceptron(NewGeometry(bytes, ghrBits, lhrBits, false).Rows(), ghrBits, lhrBits)
+}
+
+// Reset makes p the predictor NewPerceptron(rows, ghrBits, lhrBits)
+// builds, reusing its weights' storage.
+func (p *Perceptron) Reset(rows int, ghrBits, lhrBits uint) {
 	if ghrBits > MaxHistoryBits || lhrBits > MaxHistoryBits {
 		panic("predictor: perceptron history longer than MaxHistoryBits")
 	}
 	hist := int(ghrBits + lhrBits)
 	gw, lw := int(ghrBits+1+7)/8, int(lhrBits+7)/8
-	return &Perceptron{
-		weights: zeroRows(nil, rows*(gw+lw)),
+	*p = Perceptron{
+		weights: zeroRows(p.weights[:0], rows*(gw+lw)),
 		rows:    rows,
 		ghrBits: ghrBits,
 		lhrBits: lhrBits,
@@ -80,12 +94,6 @@ func NewPerceptron(rows int, ghrBits, lhrBits uint) *Perceptron {
 		gw:      gw,
 		theta:   int32(1.93*float64(hist) + 14),
 	}
-}
-
-// NewPerceptronBudget builds a perceptron predictor sized to a byte
-// budget: the rows of NewGeometry(bytes, ghrBits, lhrBits, false).
-func NewPerceptronBudget(bytes int, ghrBits, lhrBits uint) *Perceptron {
-	return NewPerceptron(NewGeometry(bytes, ghrBits, lhrBits, false).Rows(), ghrBits, lhrBits)
 }
 
 // zeroRows returns w extended by n words of zero weights.

@@ -131,7 +131,16 @@ type Gshare struct {
 // NewGshare builds a gshare predictor with 2^idxBits counters
 // (idxBits=14 gives the paper's 4 KB first-level predictor).
 func NewGshare(idxBits uint) *Gshare {
-	return &Gshare{table: make([]SatCounter, 1<<idxBits), idxBits: idxBits}
+	g := new(Gshare)
+	g.Reset(idxBits)
+	return g
+}
+
+// Reset makes g the predictor NewGshare(idxBits) builds, reusing its
+// table's storage.
+func (g *Gshare) Reset(idxBits uint) {
+	g.table = append(g.table[:0], make([]SatCounter, 1<<idxBits)...)
+	g.idxBits = idxBits
 }
 
 // SizeBytes returns the storage budget of the table.
@@ -168,7 +177,16 @@ type LocalHistoryTable struct {
 // NewLocalHistoryTable builds a table with 2^idxBits local history
 // registers of lhrBits each.
 func NewLocalHistoryTable(idxBits, lhrBits uint) *LocalHistoryTable {
-	return &LocalHistoryTable{entries: make([]uint64, 1<<idxBits), idxBits: idxBits, lhrBits: lhrBits}
+	l := new(LocalHistoryTable)
+	l.Reset(idxBits, lhrBits)
+	return l
+}
+
+// Reset makes l the table NewLocalHistoryTable(idxBits, lhrBits)
+// builds, reusing its storage.
+func (l *LocalHistoryTable) Reset(idxBits, lhrBits uint) {
+	l.entries = append(l.entries[:0], make([]uint64, 1<<idxBits)...)
+	l.idxBits, l.lhrBits = idxBits, lhrBits
 }
 
 // Slot returns the table slot the static instruction at pc owns.

@@ -9,7 +9,16 @@ type RAS struct {
 
 // NewRAS returns a return-address stack with the given capacity.
 func NewRAS(capacity int) *RAS {
-	return &RAS{stack: make([]int, capacity)}
+	r := new(RAS)
+	r.Reset(capacity)
+	return r
+}
+
+// Reset makes r the empty stack NewRAS(capacity) builds, reusing its
+// storage.
+func (r *RAS) Reset(capacity int) {
+	r.stack = append(r.stack[:0], make([]int, capacity)...)
+	r.top = 0
 }
 
 // Push records a return address at a call.
@@ -64,11 +73,19 @@ type IndirectTable struct {
 
 // NewIndirectTable builds a last-target table with 2^idxBits entries.
 func NewIndirectTable(idxBits uint) *IndirectTable {
-	t := &IndirectTable{targets: make([]int, 1<<idxBits), idxBits: idxBits}
-	for i := range t.targets {
-		t.targets[i] = -1
-	}
+	t := new(IndirectTable)
+	t.Reset(idxBits)
 	return t
+}
+
+// Reset makes t the table NewIndirectTable(idxBits) builds, reusing its
+// storage.
+func (t *IndirectTable) Reset(idxBits uint) {
+	t.targets = t.targets[:0]
+	for range 1 << idxBits {
+		t.targets = append(t.targets, -1)
+	}
+	t.idxBits = idxBits
 }
 
 // Slot returns the table slot the indirect branch at pc owns.

@@ -22,11 +22,20 @@ type TwoLevel struct {
 // With ideal set, every site gets a private perceptron row (the §4.2
 // no-aliasing idealization).
 func NewTwoLevel(bytes int, ghrBits, lhrBits, lhtBits uint, ideal bool) *TwoLevel {
-	return &TwoLevel{
-		perc: NewPerceptronBudget(bytes, ghrBits, lhrBits),
-		lht:  NewLocalHistoryTable(lhtBits, lhrBits),
-		geom: NewGeometry(bytes, ghrBits, lhrBits, ideal),
+	t := new(TwoLevel)
+	t.Reset(bytes, ghrBits, lhrBits, lhtBits, ideal)
+	return t
+}
+
+// Reset makes t the predictor NewTwoLevel builds with the same
+// arguments, reusing its tables' storage.
+func (t *TwoLevel) Reset(bytes int, ghrBits, lhrBits, lhtBits uint, ideal bool) {
+	if t.perc == nil {
+		t.perc, t.lht = new(Perceptron), new(LocalHistoryTable)
 	}
+	t.geom = NewGeometry(bytes, ghrBits, lhrBits, ideal)
+	t.perc.Reset(NewGeometry(bytes, ghrBits, lhrBits, false).Rows(), ghrBits, lhrBits)
+	t.lht.Reset(lhtBits, lhrBits)
 }
 
 // SizeBytes returns the perceptron storage budget.

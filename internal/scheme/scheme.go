@@ -67,23 +67,26 @@ func ConfigOf(c config.Config) Config {
 func InstAddr(pc int) uint64 { return 0x4000_0000 + uint64(pc)*8 }
 
 // Kinds returns the trace record kind of every instruction of prog
-// (trace.KindOf), which says the sites each predictor builds.
-func Kinds(prog *program.Program) []uint8 {
-	kinds := make([]uint8, prog.Len())
-	for pc := range kinds {
-		kinds[pc] = trace.KindOf(prog.At(pc))
+// (trace.KindOf), which says the sites each predictor builds, in dst's
+// storage when it has room.
+func Kinds(dst []uint8, prog *program.Program) []uint8 {
+	kinds := dst[:0]
+	for i := range prog.Insts {
+		kinds = append(kinds, trace.KindOf(&prog.Insts[i]))
 	}
 	return kinds
 }
 
 // Sites builds the site of every instruction of kind kind, each at its
-// PC, and leaves the others zero.
-func Sites[S any](kinds []uint8, kind uint8, site func(addr uint64) S) []S {
-	s := make([]S, len(kinds))
+// PC, and leaves the others zero, in dst's storage when it has room.
+func Sites[S any](dst []S, kinds []uint8, kind uint8, site func(addr uint64) S) []S {
+	s := dst[:0]
 	for pc, k := range kinds {
+		var v S
 		if k == kind {
-			s[pc] = site(InstAddr(pc))
+			v = site(InstAddr(pc))
 		}
+		s = append(s, v)
 	}
 	return s
 }
@@ -153,9 +156,21 @@ func ConvOf(c Config, kinds []uint8) *Conventional {
 	if c.Scheme == config.SchemePEPPA {
 		return nil
 	}
+	cv := new(Conventional)
+	cv.Reset(c, kinds)
+	return cv
+}
+
+// Reset makes cv the predictor ConvOf(c, kinds) builds, for a c whose
+// scheme reads one, reusing cv's tables.
+func (cv *Conventional) Reset(c Config, kinds []uint8) {
 	own := c.Scheme == config.SchemeConventional
-	tl := predictor.NewTwoLevel(c.L2PredBytes, c.L2PredGHRBits, c.L2PredLHRBits, c.L2PredLHTBits, convIdeal(c))
-	return &Conventional{history: newHistory(c.L2PredGHRBits, own && c.IdealPerfectGHR), tl: tl, sites: Sites(kinds, trace.EvCondBr, tl.Site)}
+	if cv.tl == nil {
+		cv.tl = new(predictor.TwoLevel)
+	}
+	cv.tl.Reset(c.L2PredBytes, c.L2PredGHRBits, c.L2PredLHRBits, c.L2PredLHTBits, convIdeal(c))
+	cv.history = newHistory(c.L2PredGHRBits, own && c.IdealPerfectGHR)
+	cv.sites = Sites(cv.sites, kinds, trace.EvCondBr, cv.tl.Site)
 }
 
 // Predict predicts the conditional branch at pc into lk and pushes the
@@ -221,14 +236,22 @@ func coreConfig(c Config) core.Config {
 // NewPredicate builds the predicate scheme's side of c for a program
 // whose instructions' record kinds are kinds.
 func NewPredicate(c Config, kinds []uint8) *Predicate {
-	pp := core.New(coreConfig(c))
-	return &Predicate{
-		history:   newHistory(c.L2PredGHRBits, c.IdealPerfectGHR),
-		pp:        pp,
-		sites:     Sites(kinds, trace.EvCompare, pp.Site),
-		selective: c.Predication == config.PredicationSelective,
-		repair:    !c.DisableGHRRepair,
+	p := new(Predicate)
+	p.Reset(c, kinds)
+	return p
+}
+
+// Reset makes p the predictor side NewPredicate(c, kinds) builds,
+// reusing p's tables.
+func (p *Predicate) Reset(c Config, kinds []uint8) {
+	if p.pp == nil {
+		p.pp = new(core.Predictor)
 	}
+	p.pp.Reset(coreConfig(c))
+	p.history = newHistory(c.L2PredGHRBits, c.IdealPerfectGHR)
+	p.sites = Sites(p.sites, kinds, trace.EvCompare, p.pp.Site)
+	p.selective = c.Predication == config.PredicationSelective
+	p.repair = !c.DisableGHRRepair
 }
 
 // Predict predicts both destinations of the compare at pc into lk and
@@ -309,8 +332,19 @@ type PEPPA struct {
 // NewPEPPA builds PEP-PA for a program whose instructions' record
 // kinds are kinds.
 func NewPEPPA(kinds []uint8) PEPPA {
-	pep := peppa.New(peppa.DefaultConfig())
-	return PEPPA{pep: pep, sites: Sites(kinds, trace.EvCondBr, pep.Site)}
+	var p PEPPA
+	p.Reset(kinds)
+	return p
+}
+
+// Reset makes p the predictor NewPEPPA(kinds) builds, reusing its
+// tables.
+func (p *PEPPA) Reset(kinds []uint8) {
+	if p.pep == nil {
+		p.pep = new(peppa.Predictor)
+	}
+	p.pep.Reset(peppa.DefaultConfig())
+	p.sites = Sites(p.sites, kinds, trace.EvCondBr, p.pep.Site)
 }
 
 // Predict predicts the conditional branch at pc with the local history

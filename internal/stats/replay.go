@@ -208,7 +208,7 @@ func (k engineKey) equal(o engineKey) bool {
 // ReplayAll runs one engine for configurations whose partitions and
 // other replay-visible fields are equal.
 func Partitions(cfg config.Config, prog *program.Program) (branches, dests []int32) {
-	k := keyOf(EngineConfigOf(cfg), scheme.Kinds(prog))
+	k := keyOf(EngineConfigOf(cfg), scheme.Kinds(nil, prog))
 	return k.branches, k.dests
 }
 
@@ -264,6 +264,9 @@ type schemeEngine struct {
 	// claim, whose training from trainWindow compares ago goes first.
 	trainQ [trainWindow]pendingTrain
 	trains uint64
+	// drained is trains at the last drain: only the trainings claimed
+	// since, the last trainWindow of them at most, can be pending.
+	drained uint64
 
 	// Pending §3.3 repairs (predicate scheme), by push ordinal modulo
 	// repairWindow: a compare whose first prediction was wrong keeps
@@ -285,7 +288,7 @@ type schemeEngine struct {
 // (shareConventional).
 func newSchemeEngine(cfg EngineConfig, k engineKey, kinds []uint8) *schemeEngine {
 	e := &schemeEngine{cfg: cfg, key: k, ras: predictor.NewRAS(cfg.RASEntries), itab: predictor.NewIndirectTable(10)}
-	e.itabSlot = scheme.Sites(kinds, trace.EvBrInd, func(addr uint64) int32 { return int32(e.itab.Slot(addr)) })
+	e.itabSlot = scheme.Sites(nil, kinds, trace.EvBrInd, func(addr uint64) int32 { return int32(e.itab.Slot(addr)) })
 	e.predPred[isa.P0] = true
 	switch cfg.Scheme {
 	case config.SchemePEPPA:
@@ -373,7 +376,7 @@ func ReplayAll(ctx context.Context, cfgs []config.Config, prog *program.Program,
 	if h := trace.HashProgram(prog); tr.ProgHash != h {
 		return p, fmt.Errorf("stats: %w: trace of program %#x replayed against %s (%#x)", trace.ErrCorrupt, tr.ProgHash, prog.Name, h)
 	}
-	kinds := scheme.Kinds(prog)
+	kinds := scheme.Kinds(nil, prog)
 	keys := make([]engineKey, len(cfgs))
 	built := make([]*schemeEngine, len(cfgs)) // by configuration; nil where another's engine serves it
 	var engines []*schemeEngine
@@ -736,14 +739,15 @@ func (e *schemeEngine) target(ev *trace.Event) {
 }
 
 // drainWindows models a recovery flush: every pending training is
-// applied and every pending repair made.
+// applied, oldest first, and every pending repair made.
 func (e *schemeEngine) drainWindows() {
-	for i := range uint64(trainWindow) {
-		if pt := &e.trainQ[(e.trains+i)%trainWindow]; pt.pending {
+	for t := e.trains - min(e.trains-e.drained, trainWindow); t < e.trains; t++ {
+		if pt := &e.trainQ[t%trainWindow]; pt.pending {
 			e.pred.Train(&pt.lk, pt.res1, pt.res2)
 			pt.pending = false
 		}
 	}
+	e.drained = e.trains
 	for i := range e.repairs {
 		if r := &e.repairs[i]; r.pending {
 			e.pred.Resolve(r.ord, r.act)

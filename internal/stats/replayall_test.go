@@ -226,7 +226,7 @@ func TestReplaySharesConventionalByKey(t *testing.T) {
 	// The predictor each engine must read, by the index of the first
 	// engine reading it; -1 for none.
 	want := []int{0, 0, 0, 0, 0, 5, 5, 7, -1}
-	kinds := scheme.Kinds(prog)
+	kinds := scheme.Kinds(nil, prog)
 	engines := make([]*schemeEngine, len(cfgs))
 	for i, cfg := range cfgs {
 		c := EngineConfigOf(cfg)

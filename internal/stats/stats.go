@@ -25,40 +25,41 @@ import (
 const simChunk = 16384
 
 // Simulate runs one program under one configuration for a commit
-// budget (0 = run to halt).
+// budget (0 = run to halt) on a new machine.
 func Simulate(cfg config.Config, p *program.Program, commits uint64) (pipeline.Stats, error) {
-	pl, err := SimulateContext(context.Background(), cfg, p, commits)
+	pl, err := SimulateContext(context.Background(), new(pipeline.Pipeline), cfg, p, commits)
 	if pl != nil {
 		return pl.Stats, err
 	}
 	return pipeline.Stats{}, err
 }
 
-// SimulateContext runs one program under one configuration in
-// commit-budget slices, checking ctx between slices so callers can
-// cancel a long simulation promptly (not just between runs). The
-// returned pipeline carries the statistics accumulated so far even
-// when the context was cancelled mid-run; it is nil only when the
-// configuration was rejected outright.
-func SimulateContext(ctx context.Context, cfg config.Config, p *program.Program, commits uint64) (*pipeline.Pipeline, error) {
-	pl, err := pipeline.New(cfg, p)
-	if err != nil {
+// SimulateContext resets the machine m for one program under one
+// configuration (pipeline.Pipeline.Reset, which reuses m's storage; a
+// zero Pipeline is an empty machine) and runs it in commit-budget
+// slices, checking ctx between slices so callers can cancel a long
+// simulation promptly (not just between runs). It returns m, which
+// carries the statistics accumulated so far even when the context was
+// cancelled mid-run, or nil when the configuration was rejected
+// outright.
+func SimulateContext(ctx context.Context, m *pipeline.Pipeline, cfg config.Config, p *program.Program, commits uint64) (*pipeline.Pipeline, error) {
+	if err := m.Reset(cfg, p); err != nil {
 		return nil, err
 	}
-	for !pl.Halted() {
+	for !m.Halted() {
 		if err := ctx.Err(); err != nil {
-			return pl, err
+			return m, err
 		}
-		next := pl.Stats.Committed + simChunk
+		next := m.Stats.Committed + simChunk
 		if commits > 0 && next > commits {
 			next = commits
 		}
-		if err := pl.Run(next); err != nil {
-			return pl, err
+		if err := m.Run(next); err != nil {
+			return m, err
 		}
-		if commits > 0 && pl.Stats.Committed >= commits {
+		if commits > 0 && m.Stats.Committed >= commits {
 			break
 		}
 	}
-	return pl, nil
+	return m, nil
 }

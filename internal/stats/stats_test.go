@@ -7,6 +7,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/config"
 	"repro/internal/ifconvert"
+	"repro/internal/pipeline"
 	"repro/internal/program"
 )
 
@@ -67,7 +68,7 @@ func TestSimulateContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfg := config.Default().WithScheme(config.SchemePredicate)
-	pl, err := SimulateContext(ctx, cfg, gzip(t).Plain, 1<<40)
+	pl, err := SimulateContext(ctx, new(pipeline.Pipeline), cfg, gzip(t).Plain, 1<<40)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -275,8 +275,17 @@ func (e *Experiment) Start(ctx context.Context) (*Runner, error) {
 	return e.start(ctx, e.runJob)
 }
 
+// worker is one pool goroutine's state: the run's trace provider and
+// the cycle-model machine the worker resets for each of its pipeline
+// cells, so that after its first cell a cell costs only its
+// simulation.
+type worker struct {
+	traces *traceProvider
+	pl     pipeline.Pipeline
+}
+
 // start is Start with the function each worker runs a job through.
-func (e *Experiment) start(ctx context.Context, run func(context.Context, *traceProvider, simJob) ([]Result, bool)) (*Runner, error) {
+func (e *Experiment) start(ctx context.Context, run func(context.Context, *worker, simJob) ([]Result, bool)) (*Runner, error) {
 	wl := e.workload
 	if e.ifConverted {
 		if err := wl.convert(ctx); err != nil {
@@ -320,11 +329,12 @@ func (e *Experiment) start(ctx context.Context, run func(context.Context, *trace
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			w := &worker{traces: traces}
 			for j := range jobc {
 				if ctx.Err() != nil {
 					return
 				}
-				rs, ok := run(ctx, traces, j)
+				rs, ok := run(ctx, w, j)
 				if !ok { // cancelled mid-run: partial stats, drop them
 					return
 				}
@@ -434,11 +444,11 @@ func instrsPerSec(committed uint64, ns int64) float64 {
 // runJob simulates one job (a pipeline cell, or a trace-mode replay
 // pass with the cells it serves). ok is false when the context was
 // cancelled mid-simulation and the partial results must be discarded.
-func (e *Experiment) runJob(ctx context.Context, traces *traceProvider, j simJob) ([]Result, bool) {
+func (e *Experiment) runJob(ctx context.Context, w *worker, j simJob) ([]Result, bool) {
 	if e.mode == ModeTrace {
-		return e.runTraceJob(ctx, traces, j)
+		return e.runTraceJob(ctx, w.traces, j)
 	}
-	res, ok := e.runCell(ctx, j)
+	res, ok := e.runCell(ctx, &w.pl, j)
 	return []Result{res}, ok
 }
 
@@ -558,9 +568,9 @@ func (e *Experiment) observeTraceGroup(traces *traceProvider, j simJob, out []Re
 	}
 }
 
-// runCell simulates one pipeline-mode job's cell. ok is false when the
-// context was cancelled mid-simulation.
-func (e *Experiment) runCell(ctx context.Context, j simJob) (Result, bool) {
+// runCell simulates one pipeline-mode job's cell on the machine m. ok
+// is false when the context was cancelled mid-simulation.
+func (e *Experiment) runCell(ctx context.Context, m *pipeline.Pipeline, j simJob) (Result, bool) {
 	res := j.result(e, 0)
 	o := e.observer
 	c := j.cells[0]
@@ -576,7 +586,7 @@ func (e *Experiment) runCell(ctx context.Context, j simJob) (Result, bool) {
 	if o != nil {
 		t0 = o.now()
 	}
-	pl, err := stats.SimulateContext(ctx, c.cfg, j.prog, e.commits)
+	pl, err := stats.SimulateContext(ctx, m, c.cfg, j.prog, e.commits)
 	// Drop the result only when the simulation itself was cut short: a
 	// context cancelled after the run completed (err == nil, or a real
 	// pipeline error) still produced a full, reportable result.

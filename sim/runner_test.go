@@ -144,7 +144,7 @@ func runAtRendezvous(t *testing.T, exp *Experiment) ([]Result, int) {
 	t.Helper()
 	var arrived atomic.Int32
 	both := make(chan struct{})
-	rendezvous := func(ctx context.Context, traces *traceProvider, j simJob) ([]Result, bool) {
+	rendezvous := func(ctx context.Context, w *worker, j simJob) ([]Result, bool) {
 		if arrived.Add(1) == 2 {
 			close(both)
 		}
@@ -153,7 +153,7 @@ func runAtRendezvous(t *testing.T, exp *Experiment) ([]Result, int) {
 		case <-time.After(10 * time.Second):
 			t.Errorf("%s: no second job arrived: the jobs ran one after another", j.bench)
 		}
-		return exp.runJob(ctx, traces, j)
+		return exp.runJob(ctx, w, j)
 	}
 	r, err := exp.start(context.Background(), rendezvous)
 	if err != nil {
