@@ -34,8 +34,11 @@ type Manifest struct {
 	// Knob values pinned for this cell (sweep axis values).
 	Knobs map[string]string `json:"knobs,omitempty"`
 
-	// Execution record.
-	Cache        string           `json:"cache,omitempty"`         // "hit" | "record" | "" (pipeline)
+	// Execution record. Cache is how the workload obtained the trace
+	// the cell replayed: "hit" (the disk cache) or "record" (emulation),
+	// whichever experiment on the workload acquired it; "" in pipeline
+	// mode.
+	Cache        string           `json:"cache,omitempty"`
 	Memo         bool             `json:"memo,omitempty"`          // statistics served from another cell's replay
 	GroupSchemes []string         `json:"group_schemes,omitempty"` // one scheme per configuration replayed in this single pass
 	Committed    uint64           `json:"committed"`               // committed instructions

@@ -60,7 +60,7 @@ func TestIfConversionOnFirstUse(t *testing.T) {
 	run(false, wl, WithAxis("mispredict.penalty", 5, 10))
 	converted("after a plain experiment and a plain sweep", 0)
 	for _, pg := range wl.progs {
-		if pg.Converted != nil {
+		if pg.Converted.Prog != nil {
 			t.Fatalf("%s has an if-converted binary no experiment read", pg.Spec.Name)
 		}
 	}
@@ -68,7 +68,7 @@ func TestIfConversionOnFirstUse(t *testing.T) {
 	run(true, wl)
 	converted("after the first if-converted experiment", 22)
 	for _, pg := range wl.progs {
-		if got, want := trace.HashProgram(pg.Converted), convertedHashes[pg.Spec.Name]; got != want {
+		if got, want := trace.HashProgram(pg.Converted.Prog), convertedHashes[pg.Spec.Name]; got != want {
 			t.Errorf("%s: if-converted binary hashes to %#016x, want %#016x", pg.Spec.Name, got, want)
 		}
 	}
@@ -102,13 +102,13 @@ func TestIfConversionErrorsFromStart(t *testing.T) {
 	if r, err := exp.Start(ctx); err == nil || r != nil {
 		t.Fatalf("Start under a cancelled context: runner %v, err %v; want only an error", r, err)
 	}
-	if n := conversions() - start; n != 0 || sub.progs[0].Converted != nil {
+	if n := conversions() - start; n != 0 || sub.progs[0].Converted.Prog != nil {
 		t.Fatalf("a cancelled Start converted %d benchmarks", n)
 	}
 	if _, err := exp.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if n := conversions() - start; n != 1 || sub.progs[0].Converted == nil {
+	if n := conversions() - start; n != 1 || sub.progs[0].Converted.Prog == nil {
 		t.Fatalf("the Start after a cancelled one converted %d benchmarks, want 1 shared with the subset", n)
 	}
 }
@@ -160,10 +160,10 @@ func TestPrepareBuildsBothBinaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pg := range wl.progs {
-		if pg.Plain == nil || pg.Converted == nil {
+		if pg.Plain.Prog == nil || pg.Converted.Prog == nil {
 			t.Fatalf("%s: missing binaries", pg.Spec.Name)
 		}
-		before, after := pg.Plain.Summarize(), pg.Converted.Summarize()
+		before, after := pg.Plain.Prog.Summarize(), pg.Converted.Prog.Summarize()
 		if after.CondBr >= before.CondBr {
 			t.Errorf("%s: if-conversion did not remove branches (%d -> %d)",
 				pg.Spec.Name, before.CondBr, after.CondBr)

@@ -64,18 +64,18 @@ type memoTrace struct {
 	tr   *trace.Trace
 }
 
-// memoTraces loads (recording into dir on first use) the trace every
-// memo-test sweep over wl replays, by benchmark.
+// memoTraces returns the trace every memo-test sweep over wl replays,
+// by benchmark: the one each plain binary holds (acquired from dir if
+// no sweep has run yet).
 func memoTraces(t *testing.T, wl *Workload, dir string) map[string]memoTrace {
 	t.Helper()
-	p := newTraceProvider(dir, memoCommits, nil)
 	traces := map[string]memoTrace{}
 	for _, pg := range wl.progs {
-		tr, err := p.get(context.Background(), pg.Spec.Name, pg.Plain)
+		tr, _, err := pg.Plain.trace(context.Background(), dir, memoCommits, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		traces[pg.Spec.Name] = memoTrace{pg.Plain, tr}
+		traces[pg.Spec.Name] = memoTrace{pg.Plain.Prog, tr}
 	}
 	return traces
 }
@@ -130,8 +130,8 @@ func memoGridEngines(t *testing.T, wl *Workload) uint64 {
 		for _, scheme := range []config.Scheme{config.SchemeConventional, config.SchemePredicate} {
 			small, large := config.Default().WithScheme(scheme), config.Default().WithScheme(scheme)
 			small.L2PredBytes, large.L2PredBytes = 75776, 151552
-			sb, sd := stats.Partitions(small, pg.Plain)
-			lb, ld := stats.Partitions(large, pg.Plain)
+			sb, sd := stats.Partitions(small, pg.Plain.Prog)
+			lb, ld := stats.Partitions(large, pg.Plain.Prog)
 			engines += 2
 			if slices.Equal(sb, lb) && slices.Equal(sd, ld) {
 				engines--

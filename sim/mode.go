@@ -18,8 +18,9 @@ const (
 	// ModeTrace replays a recorded branch/predicate trace through the
 	// predictor organization alone: one to two orders of magnitude
 	// faster, produces prediction-accuracy statistics only (no cycles,
-	// no cache counters). Traces are recorded once per prepared
-	// benchmark by the functional emulator and cached on disk.
+	// no cache counters). Each prepared binary's trace is recorded once
+	// by the functional emulator, cached on disk and held by the
+	// workload for every later experiment.
 	ModeTrace
 )
 
@@ -64,7 +65,10 @@ func WithMode(m Mode) Option {
 
 // WithTraceDir overrides the on-disk trace cache directory for
 // ModeTrace runs (default: $PREDSIM_TRACE_DIR, else the user cache
-// directory). Mostly useful for hermetic tests.
+// directory). It is read only when the experiment acquires a trace: a
+// binary whose workload already holds a trace covering the commit
+// budget replays that one, wherever it came from. Mostly useful for
+// hermetic tests.
 func WithTraceDir(dir string) Option {
 	return func(e *Experiment) error {
 		e.traceDir = dir

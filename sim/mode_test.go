@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/sim"
@@ -86,16 +87,18 @@ func TestTraceModeExperiment(t *testing.T) {
 }
 
 // TestTraceDiskCache proves the record-once property: a second
-// experiment over the same workload and budget replays entirely from
-// the on-disk cache, with no re-emulation.
+// experiment over the same workload and budget replays the trace the
+// workload holds, acquiring nothing, and an experiment on a fresh
+// workload over the same directory replays entirely from the on-disk
+// cache, with no re-emulation.
 func TestTraceDiskCache(t *testing.T) {
 	dir := t.TempDir()
 	wl := sim.PrepareEntries(t, 50000, "twolf")
-	run := func() {
+	run := func(wl *sim.Workload, commits uint64) {
 		exp, err := sim.New(
 			sim.WithWorkload(wl),
 			sim.WithSchemes("predpred"),
-			sim.WithCommits(20000),
+			sim.WithCommits(commits),
 			sim.WithMode(sim.ModeTrace),
 			sim.WithTraceDir(dir),
 		)
@@ -111,31 +114,30 @@ func TestTraceDiskCache(t *testing.T) {
 		}
 	}
 	before := processCounter("trace.recordings")
-	run()
+	run(wl, 20000)
 	afterFirst := processCounter("trace.recordings")
 	if afterFirst != before+1 {
 		t.Fatalf("first run should record exactly once: %d -> %d", before, afterFirst)
 	}
-	run()
+	hits := processCounter("trace.cache.hits")
+	run(wl, 20000)
 	if got := processCounter("trace.recordings"); got != afterFirst {
-		t.Fatalf("second run must hit the disk cache, but recorded %d more times", got-afterFirst)
+		t.Fatalf("second run must reuse the workload's trace, but recorded %d more times", got-afterFirst)
+	}
+	if got := processCounter("trace.cache.hits"); got != hits {
+		t.Fatalf("second run must reuse the workload's trace, but read the disk cache %d times", got-hits)
+	}
+	run(sim.PrepareEntries(t, 50000, "twolf"), 20000)
+	if got := processCounter("trace.recordings"); got != afterFirst {
+		t.Fatalf("a fresh workload's run must hit the disk cache, but recorded %d more times", got-afterFirst)
+	}
+	if got := processCounter("trace.cache.hits"); got != hits+1 {
+		t.Fatalf("a fresh workload's run should load the trace from disk once, got %d hits", got-hits)
 	}
 
 	// A larger budget invalidates the cached trace (it no longer covers
 	// the run) and re-records.
-	exp, err := sim.New(
-		sim.WithWorkload(wl),
-		sim.WithSchemes("predpred"),
-		sim.WithCommits(40000),
-		sim.WithMode(sim.ModeTrace),
-		sim.WithTraceDir(dir),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := exp.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	run(wl, 40000)
 	if got := processCounter("trace.recordings"); got != afterFirst+1 {
 		t.Fatalf("larger budget should re-record once, got %d extra", got-afterFirst)
 	}
@@ -156,7 +158,7 @@ func TestPrepareWorkloadContextCancellation(t *testing.T) {
 // TestWorkloadNamesReportMembership checks the membership test
 // cmd/experiments' ablations pick their subset with: Names lists the
 // prepared benchmarks and nothing else, Subset still rejects an unknown
-// name, and neither converts a binary.
+// name and a repeated one, and neither converts a binary.
 func TestWorkloadNamesReportMembership(t *testing.T) {
 	before := processCounter("prepare.conversions")
 	wl := sim.PrepareEntries(t, 60000, "gzip")
@@ -165,6 +167,9 @@ func TestWorkloadNamesReportMembership(t *testing.T) {
 	}
 	if _, err := wl.Subset("nosuch"); err == nil {
 		t.Fatal("Subset should still error for unknown names")
+	}
+	if _, err := wl.Subset("gzip", "gzip"); err == nil || !strings.Contains(err.Error(), `"gzip"`) {
+		t.Fatalf("Subset(gzip, gzip) = %v; want an error naming the repeated benchmark", err)
 	}
 	if _, err := wl.Subset("gzip"); err != nil {
 		t.Fatal(err)
@@ -354,9 +359,11 @@ func TestProgramWorkloadManifests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The cache field is how the workload obtained its binary's trace:
+	// the first run recorded it, and the workload still holds it.
 	wantM := sim.RunManifest{
 		Seq: 0, Point: -1, Bench: prog.Name, Scheme: "predpred", Mode: "trace",
-		Committed: want.Stats.Committed, Cache: "hit",
+		Committed: want.Stats.Committed, Cache: "record",
 		PhasesNS:     map[string]int64{sim.PhaseDecode: b, sim.PhaseFrontend: b, sim.PhaseEngine: b},
 		InstrsPerSec: ips,
 	}
@@ -378,7 +385,7 @@ func TestProgramWorkloadManifests(t *testing.T) {
 	}
 	wantM = sim.RunManifest{
 		Seq: 0, Point: -1, Bench: prog.Name, Scheme: "predpred", Mode: "trace",
-		Cache: "hit", Err: res.Err.Error(),
+		Cache: "record", Err: res.Err.Error(),
 	}
 	if ms := o.Manifests(); len(ms) != 1 || !reflect.DeepEqual(ms[0], wantM) {
 		t.Errorf("failed run manifests:\n got: %+v\nwant: [%+v]", ms, wantM)

@@ -54,20 +54,12 @@ func TestStoredOutcomesMatchReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := newTraceProvider(dir, memoCommits, nil)
 		for _, pg := range wl.progs {
-			prog := pg.Plain
+			bin, name := &pg.Plain, pg.Spec.Name
 			if x.ifconv {
-				prog = pg.Converted
+				bin, name = &pg.Converted, name+"/ifconv"
 			}
-			tr, err := p.get(context.Background(), pg.Spec.Name, prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			binary := pg.Spec.Name
-			if x.ifconv {
-				binary += "/ifconv"
-			}
+			prog, tr := bin.Prog, bin.tr // the trace the experiment replayed
 			var pass [][]int32
 			for _, r := range rs {
 				if r.Bench != pg.Spec.Name {
@@ -94,8 +86,8 @@ func TestStoredOutcomesMatchReplay(t *testing.T) {
 				if !slices.ContainsFunc(pass, func(b []int32) bool { return slices.Equal(b, branches) }) {
 					pass = append(pass, branches)
 				}
-				if !slices.ContainsFunc(distinct[binary], func(b []int32) bool { return slices.Equal(b, branches) }) {
-					distinct[binary] = append(distinct[binary], branches)
+				if !slices.ContainsFunc(distinct[name], func(b []int32) bool { return slices.Equal(b, branches) }) {
+					distinct[name] = append(distinct[name], branches)
 				}
 			}
 			passKeys += uint64(len(pass))

@@ -131,9 +131,8 @@ func (r *Runner) Wait() error {
 type simJob struct {
 	bench    string
 	class    string
-	specHash string // the workload entry's: "" for a program
-	prog     *Program
-	outcomes *stats.Outcomes // trace mode: prog's stored conventional outcomes
+	specHash string  // the workload entry's: "" for a program
+	bin      *binary // the binary the experiment runs, with its trace
 	// matrix is the benchmark's first matrix position (benchmark-major,
 	// then scheme): a cell's Seq is matrix plus its scheme position.
 	matrix int
@@ -239,13 +238,13 @@ func (e *Experiment) buildJobs(wl *Workload, plans []jobPlan, experiment int) []
 	var jobs []simJob
 	for _, jp := range plans {
 		for b, pg := range wl.progs {
-			p, out := pg.Plain, &pg.outcomes[0]
+			bin := &pg.Plain
 			if e.ifConverted {
-				p, out = pg.Converted, &pg.outcomes[1]
+				bin = &pg.Converted
 			}
 			j := simJob{
 				bench: pg.Spec.Name, class: pg.Spec.Class, specHash: pg.specHash,
-				prog: p, outcomes: out, matrix: b * len(e.schemes), cells: jp.cells, cfgs: jp.cfgs, experiment: experiment,
+				bin: bin, matrix: b * len(e.schemes), cells: jp.cells, cfgs: jp.cfgs, experiment: experiment,
 			}
 			if e.mode == ModeTrace {
 				jobs = append(jobs, j)
@@ -265,23 +264,22 @@ func (e *Experiment) buildJobs(wl *Workload, plans []jobPlan, experiment int) []
 // jobs. An if-converted experiment first has the workload build the
 // if-converted binaries no earlier experiment built, in parallel, and
 // returns the first conversion error (or ctx's) before any job runs.
-// In trace mode one shared provider records each benchmark's trace
-// exactly once for the whole run — an N-point sweep over the full
-// suite records 22 traces, not 22×N. Cancelling ctx stops workers
-// promptly: queued runs are abandoned and in-flight simulations stop
-// at the next commit slice. Each run's failure is reported on its
-// Result.
+// In trace mode each binary replays the trace its workload holds,
+// acquired by the first experiment that needs it (and again only for a
+// larger commit budget) — an N-point sweep over the full suite, or any
+// number of experiments on one workload, acquires 22 traces, not 22×N.
+// Cancelling ctx stops workers promptly: queued runs are abandoned and
+// in-flight simulations stop at the next commit slice. Each run's
+// failure is reported on its Result.
 func (e *Experiment) Start(ctx context.Context) (*Runner, error) {
 	return e.start(ctx, e.runJob)
 }
 
-// worker is one pool goroutine's state: the run's trace provider and
-// the cycle-model machine the worker resets for each of its pipeline
-// cells, so that after its first cell a cell costs only its
-// simulation.
+// worker is one pool goroutine's state: the cycle-model machine the
+// worker resets for each of its pipeline cells, so that after its first
+// cell a cell costs only its simulation.
 type worker struct {
-	traces *traceProvider
-	pl     pipeline.Pipeline
+	pl pipeline.Pipeline
 }
 
 // start is Start with the function each worker runs a job through.
@@ -291,10 +289,6 @@ func (e *Experiment) start(ctx context.Context, run func(context.Context, *worke
 		if err := wl.convert(ctx); err != nil {
 			return nil, err
 		}
-	}
-	var traces *traceProvider
-	if e.mode == ModeTrace {
-		traces = newTraceProvider(e.traceDir, e.commits, e.observer)
 	}
 	points := e.Points()
 	jobs := e.buildJobs(wl, e.plan(points), e.observer.startExperiment())
@@ -329,7 +323,7 @@ func (e *Experiment) start(ctx context.Context, run func(context.Context, *worke
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w := &worker{traces: traces}
+			w := &worker{}
 			for j := range jobc {
 				if ctx.Err() != nil {
 					return
@@ -446,7 +440,7 @@ func instrsPerSec(committed uint64, ns int64) float64 {
 // cancelled mid-simulation and the partial results must be discarded.
 func (e *Experiment) runJob(ctx context.Context, w *worker, j simJob) ([]Result, bool) {
 	if e.mode == ModeTrace {
-		return e.runTraceJob(ctx, w.traces, j)
+		return e.runTraceJob(ctx, j)
 	}
 	res, ok := e.runCell(ctx, &w.pl, j)
 	return []Result{res}, ok
@@ -473,15 +467,15 @@ var (
 // fail on, so a failed pass is a property of the trace (or a
 // cancellation), and every cell it serves shares its error. ok is false
 // when the context was cancelled and the whole job must be discarded.
-func (e *Experiment) runTraceJob(ctx context.Context, traces *traceProvider, j simJob) ([]Result, bool) {
-	tr, traceErr := traces.get(ctx, j.bench, j.prog)
+func (e *Experiment) runTraceJob(ctx context.Context, j simJob) ([]Result, bool) {
+	tr, cache, traceErr := j.bin.trace(ctx, e.traceDir, e.commits, e.observer)
 	if canceled(traceErr) {
 		return nil, false
 	}
 	var pass stats.Pass
 	var replayErr error
 	if traceErr == nil && len(j.cfgs) > 0 {
-		pass, replayErr = stats.ReplayAll(ctx, j.cfgs, j.prog, tr, e.commits, j.outcomes, e.observer.replayClock())
+		pass, replayErr = stats.ReplayAll(ctx, j.cfgs, j.bin.Prog, tr, e.commits, &j.bin.outcomes, e.observer.replayClock())
 		if canceled(replayErr) {
 			return nil, false
 		}
@@ -514,24 +508,24 @@ func (e *Experiment) runTraceJob(ctx context.Context, traces *traceProvider, j s
 			}
 		}
 	}
-	e.observeTraceGroup(traces, j, out, pass.Timings)
+	e.observeTraceGroup(j, cache, out, pass.Timings)
 	return out, true
 }
 
 // observeTraceGroup records one trace job's telemetry: the pass's
 // decode/frontend spans, a per-cell engine span, and one manifest per
-// cell. The shared decode and frontend costs are attributed evenly
-// across the replayed cells, one per engine the pass ran, in each
-// manifest (the pass totals are recoverable via GroupSchemes), while
-// engine time is exact per cell. Memo-served cells carry their
+// cell, whose cache field is how the workload obtained the trace. The
+// shared decode and frontend costs are attributed evenly across the
+// replayed cells, one per engine the pass ran, in each manifest (the
+// pass totals are recoverable via GroupSchemes), while engine time is
+// exact per cell. Memo-served cells carry their
 // provenance flag but no phase timings — no engine ran for them. No-op
 // without an observer.
-func (e *Experiment) observeTraceGroup(traces *traceProvider, j simJob, out []Result, tm *stats.Timings) {
+func (e *Experiment) observeTraceGroup(j simJob, cache string, out []Result, tm *stats.Timings) {
 	o := e.observer
 	if o == nil {
 		return
 	}
-	outcome := traces.outcome(j.bench)
 	var group []string // the replayed cells' schemes, when there are several
 	var decodeShare, frontendShare int64
 	if tm != nil {
@@ -550,7 +544,7 @@ func (e *Experiment) observeTraceGroup(traces *traceProvider, j simJob, out []Re
 	}
 	for i, c := range j.cells {
 		m := e.cellManifest(j, out[i])
-		m.Cache = outcome
+		m.Cache = cache
 		m.Memo = c.memo && out[i].Err == nil
 		if tm != nil && c.replays() {
 			m.GroupSchemes = group
@@ -586,7 +580,7 @@ func (e *Experiment) runCell(ctx context.Context, m *pipeline.Pipeline, j simJob
 	if o != nil {
 		t0 = o.now()
 	}
-	pl, err := stats.SimulateContext(ctx, m, c.cfg, j.prog, e.commits)
+	pl, err := stats.SimulateContext(ctx, m, c.cfg, j.bin.Prog, e.commits)
 	// Drop the result only when the simulation itself was cut short: a
 	// context cancelled after the run completed (err == nil, or a real
 	// pipeline error) still produced a full, reportable result.

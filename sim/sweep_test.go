@@ -181,16 +181,19 @@ func TestSweepLatinHypercube(t *testing.T) {
 }
 
 // TestSweepRecordsTracesOnce is the record-once acceptance check: an
-// N-point trace-mode sweep records each benchmark exactly once (the
-// in-memory provider is shared across points), and a second sweep over
-// the same cache directory records nothing — it is served entirely by
-// the disk cache, observed through the cache-hit counter.
+// N-point trace-mode sweep records each benchmark exactly once (every
+// point replays the trace its workload's binary holds), a second sweep
+// on the same workload acquires nothing, and a sweep on a fresh
+// workload over the same cache directory records nothing — it is
+// served entirely by the disk cache, observed through the cache-hit
+// counter.
 func TestSweepRecordsTracesOnce(t *testing.T) {
 	dir := t.TempDir()
-	exp := sweepExperiment(t, dir, []string{"conventional", "predpred"},
+	axes := []sim.Option{
 		sim.WithAxis("pvt.entries", 256, 1024, 4096),
 		sim.WithAxis("conf.bits", 2, 3),
-	)
+	}
+	exp := sweepExperiment(t, dir, []string{"conventional", "predpred"}, axes...)
 	sweep := func() []sim.Result {
 		rs, err := exp.Run(context.Background())
 		if err != nil {
@@ -237,15 +240,27 @@ func TestSweepRecordsTracesOnce(t *testing.T) {
 		t.Error("sweeping pvt.entries 256→4096 changed no misprediction counts; axis not applied?")
 	}
 
-	// Second sweep, fresh provider, same disk cache: zero recordings,
-	// one disk hit per benchmark.
+	// Second sweep, same workload: its binaries hold their traces, so
+	// it neither records nor reads the disk cache.
 	recs, hits = processCounter("trace.recordings"), processCounter("trace.cache.hits")
 	sweep()
 	if d := processCounter("trace.recordings") - recs; d != 0 {
 		t.Errorf("second sweep must not re-record, recorded %d more times", d)
 	}
+	if d := processCounter("trace.cache.hits") - hits; d != 0 {
+		t.Errorf("second sweep on the same workload should acquire nothing, got %d disk hits", d)
+	}
+
+	// A sweep on a fresh workload, same disk cache: zero recordings,
+	// one disk hit per benchmark.
+	exp = sweepExperiment(t, dir, []string{"conventional", "predpred"}, axes...)
+	recs, hits = processCounter("trace.recordings"), processCounter("trace.cache.hits")
+	sweep()
+	if d := processCounter("trace.recordings") - recs; d != 0 {
+		t.Errorf("a fresh workload's sweep must not re-record, recorded %d more times", d)
+	}
 	if d := processCounter("trace.cache.hits") - hits; d != 2 {
-		t.Errorf("second sweep should load each benchmark's trace from disk once, got %d hits", d)
+		t.Errorf("a fresh workload's sweep should load each benchmark's trace from disk once, got %d hits", d)
 	}
 }
 

@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/bench"
 	"repro/internal/ifconvert"
 	"repro/internal/obs"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // Workload holds the benchmarks an experiment runs and their two binary
@@ -18,11 +20,14 @@ import (
 // once, when the first experiment that reads the if-converted set
 // starts on it. A Workload is built once and shared across experiments
 // via WithWorkload, and its subsets share its binaries, so no
-// benchmark is converted twice. It also keeps, per binary, the
-// conventional predictors' outcomes its trace-mode experiments
-// replayed, so a later experiment reads them instead of running those
-// predictors again; a Workload therefore grows by about one bit per
-// replayed event for each distinct conventional predictor.
+// benchmark is converted twice. Each binary also owns what trace-mode
+// experiments derive from it: its trace, acquired once (from the disk
+// cache or by recording) and held for every later experiment whose
+// commit budget it covers, and the conventional predictors' outcomes
+// their passes replayed, so a later experiment reads them instead of
+// running those predictors again. A Workload therefore grows by about
+// one byte per traced instruction and one bit per replayed event for
+// each distinct conventional predictor.
 // PrepareSpecs builds one from the specs SuiteSpecs resolves or from
 // specs built in code; PreparePrograms builds one from programs.
 type Workload struct {
@@ -32,19 +37,54 @@ type Workload struct {
 
 // prepared is one benchmark of a Workload: its plain binary of §4.1,
 // and the profile-guided if-converted one once convert has made it.
-// Subsets point at the same one, so its conversion and its stored
-// replay outcomes are shared.
+// Subsets point at the same one, so its conversion, its traces and its
+// stored replay outcomes are shared.
 type prepared struct {
 	Spec      BenchSpec
-	Plain     *Program
-	Converted *Program   // nil until convert
+	Plain     binary
+	Converted binary     // Prog nil until convert
 	specHash  string     // the manifests' spec_hash: %016x of the spec's hash, or "" for a program
 	mu        sync.Mutex // held while converting
-	// outcomes keeps the conventional predictors' outcomes of trace
-	// replays of the plain binary ([0]) and the if-converted one ([1])
-	// for every later experiment on the workload: they depend on the
-	// binary alone (stats.Outcomes).
-	outcomes [2]stats.Outcomes
+}
+
+// binary is one of a benchmark's two binaries and what trace mode
+// derives from it: the trace its experiments replay and the
+// conventional predictors' outcomes their passes stored. Both depend
+// on the binary alone (trace.Acquire's cache key, stats.Outcomes).
+type binary struct {
+	Prog *Program
+
+	mu    sync.Mutex   // held while acquiring the trace
+	tr    *trace.Trace // nil until the first trace-mode experiment
+	cache string       // how the workload obtained tr: "hit" or "record"
+
+	outcomes stats.Outcomes
+}
+
+// trace returns a trace of the binary that covers a run of budget
+// commits, and how the workload obtained it ("hit" from the disk cache
+// in dir, "record" by emulation). The binary keeps the trace it holds
+// while that covers the budget; otherwise it acquires one through
+// trace.Acquire, spanning the lookup and any recording on o, and holds
+// that instead. A failed or cancelled acquisition keeps nothing, so the
+// next caller tries again; callers that ask while one acquires wait for
+// it.
+func (b *binary) trace(ctx context.Context, dir string, budget uint64, o *Observer) (*trace.Trace, string, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.tr != nil && b.tr.Covers(budget) {
+		return b.tr, b.cache, nil
+	}
+	tr, pv, err := trace.Acquire(ctx, dir, b.Prog, budget, o.replayClock())
+	o.span(PhaseCacheLookup, pv.LookupNS)
+	if err != nil {
+		return nil, "", err
+	}
+	if pv.Outcome == "record" {
+		o.span(PhaseRecord, pv.RecordNS)
+	}
+	b.tr, b.cache = tr, pv.Outcome
+	return tr, pv.Outcome, nil
 }
 
 // ifConversions counts profile-guided if-conversions, on the process
@@ -59,18 +99,18 @@ var ifConversions = obs.Default().Counter("prepare.conversions")
 func (p *prepared) convert(ctx context.Context, steps uint64) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.Converted != nil {
+	if p.Converted.Prog != nil {
 		return nil
 	}
-	prof, err := ifconvert.ProfileProgramContext(ctx, p.Plain, steps)
+	prof, err := ifconvert.ProfileProgramContext(ctx, p.Plain.Prog, steps)
 	if err != nil {
 		return err
 	}
-	res, err := ifconvert.Convert(p.Plain, ifconvert.DefaultOptions(prof))
+	res, err := ifconvert.Convert(p.Plain.Prog, ifconvert.DefaultOptions(prof))
 	if err != nil {
 		return fmt.Errorf("%s: %w", p.Spec.Name, err)
 	}
-	p.Converted = res.Prog
+	p.Converted.Prog = res.Prog
 	ifConversions.Inc()
 	return nil
 }
@@ -100,7 +140,7 @@ func PrepareSpecsContext(ctx context.Context, specs []BenchSpec, profileSteps ui
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("sim: prepare workload: %w", err)
 		}
-		entries[i] = &prepared{Spec: s, Plain: bench.Build(s), specHash: fmt.Sprintf("%016x", s.Hash())}
+		entries[i] = &prepared{Spec: s, Plain: binary{Prog: bench.Build(s)}, specHash: fmt.Sprintf("%016x", s.Hash())}
 	}
 	return newWorkload(entries, profileSteps)
 }
@@ -119,7 +159,7 @@ func PreparePrograms(progs []*Program) (*Workload, error) {
 		if p == nil {
 			return nil, fmt.Errorf("sim: program %d is nil", i)
 		}
-		entries[i] = &prepared{Spec: BenchSpec{Name: p.Name}, Plain: p}
+		entries[i] = &prepared{Spec: BenchSpec{Name: p.Name}, Plain: binary{Prog: p}}
 	}
 	return newWorkload(entries, DefaultProfileSteps)
 }
@@ -129,7 +169,7 @@ func PreparePrograms(progs []*Program) (*Workload, error) {
 func newWorkload(entries []*prepared, profileSteps uint64) (*Workload, error) {
 	seen := map[string]bool{}
 	for _, p := range entries {
-		if err := p.Plain.Validate(); err != nil {
+		if err := p.Plain.Prog.Validate(); err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
 		if seen[p.Spec.Name] {
@@ -175,22 +215,20 @@ func (w *Workload) Names() []string {
 }
 
 // Subset returns a Workload restricted to the named benchmarks, in
-// the given order, sharing the binaries already built and any
-// conversion still to come.
+// the given order, sharing the binaries already built, their traces
+// and any conversion still to come. Like preparation, it rejects a
+// benchmark named twice.
 func (w *Workload) Subset(names ...string) (*Workload, error) {
 	sub := &Workload{profileSteps: w.profileSteps}
 	for _, n := range names {
-		found := false
-		for _, pg := range w.progs {
-			if pg.Spec.Name == n {
-				sub.progs = append(sub.progs, pg)
-				found = true
-				break
-			}
-		}
-		if !found {
+		i := slices.IndexFunc(w.progs, func(pg *prepared) bool { return pg.Spec.Name == n })
+		if i < 0 {
 			return nil, fmt.Errorf("sim: workload has no benchmark %q", n)
 		}
+		if slices.Contains(sub.progs, w.progs[i]) {
+			return nil, fmt.Errorf("sim: duplicate benchmark %q", n)
+		}
+		sub.progs = append(sub.progs, w.progs[i])
 	}
 	return sub, nil
 }
